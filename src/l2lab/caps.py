@@ -8,7 +8,7 @@ enumeration may examine.
 
 import os
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ParseError
 
 DEFAULT_ELEMENT_CAP = 4096
 CANDIDATE_CAP = 1_000_000
@@ -21,7 +21,7 @@ def element_cap():
     try:
         return int(v)
     except ValueError:
-        raise CapExceeded("L2LAB_CAP must be an integer, got %r" % v)
+        raise ParseError("L2LAB_CAP must be an integer, got %r" % v)
 
 
 def check_elements(count, what):

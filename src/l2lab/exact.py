@@ -120,14 +120,6 @@ def next_prime(n):
     return k
 
 
-def primes_from(start):
-    """Yield primes >= start, in increasing order."""
-    p = start if is_prime(start) else next_prime(start)
-    while True:
-        yield p
-        p = next_prime(p)
-
-
 # ---------------------------------------------------------------------------
 # Generic exact row reduction.  Rows are lists of field elements; the
 # pivot is always the first nonzero entry of each column (deterministic

@@ -17,6 +17,11 @@ from .finitealg import (FiniteAlgebra, Subalgebra, product_algebra,
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()])|(\S))")
 
 
+def _unexpected(kind, val, pos):
+    what = "end of input" if kind == "end" else repr(val)
+    return ParseError("syntax error at position %d: unexpected %s" % (pos, what))
+
+
 def _tokenize(text):
     out = []
     pos = 0
@@ -27,7 +32,7 @@ def _tokenize(text):
         num, name, op, bad = m.groups()
         tokpos = m.start(1) if num else m.start(2) if name else m.start(3) if op else m.start(4)
         if bad:
-            raise ParseError("syntax error at position %d: unexpected %r" % (tokpos, bad))
+            raise _unexpected("char", bad, tokpos)
         if num:
             out.append(("num", int(num), tokpos))
         elif name:
@@ -70,7 +75,7 @@ class _ExprParser:
         v = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
-            raise ParseError("syntax error at position %d: unexpected %r" % (pos, val))
+            raise _unexpected(kind, val, pos)
         return v
 
     def expr(self):
@@ -131,7 +136,7 @@ class _ExprParser:
             v = self.expr()
             self.expect_op(")")
             return v
-        raise ParseError("syntax error at position %d: unexpected %r" % (pos, val))
+        raise _unexpected(kind, val, pos)
 
 
 class _QPolySemantics:

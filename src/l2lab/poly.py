@@ -10,10 +10,21 @@ or a number field).  The factorization entry points are:
                              recombination) over the rationals,
 * ``factor_over_number_field`` -- Trager's norm method over Q[x]/(f).
 
+All modular work runs in one layer on plain integer coefficient lists,
+lowest degree first (entries in [0, p) mod p): squarefree decomposition,
+distinct-degree factoring, equal-degree splitting, the Hensel Bezout
+pair, Hensel lifting and recombination.  ``factor_mod_p`` is a thin
+facade over it for ``Poly`` inputs over ``GF(p)``; ``factor_over_Q``
+calls the layer directly and ranks its candidate primes by
+distinct-degree counts, splitting only the prime it keeps.
+
 Every returned factorization is re-multiplied and compared with its input
-before being handed back; a mismatch raises ``ConsistencyError``.
+before being handed back; a mismatch raises ``ConsistencyError``.  The
+modular factors of the chosen prime, and their Hensel lifts, are checked
+the same way.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -342,111 +353,11 @@ class Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Cantor-Zassenhaus over GF(p)
-
-def factor_mod_p(f):
-    """Complete factorization over a prime field."""
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    dom = f.dom
-    if f.degree == 0:
-        return Factorization(dom, f.cs[0], []).verify(f)
-    unit = f.lc
-    rng = random.Random(0x5EED + dom.p)
-    parts = _factor_monic_modp(f.monic(), rng)
-    return Factorization(dom, unit, parts).verify(f)
-
-
-def _pth_root_modp(f):
-    # f(X) = g(X^p) over GF(p); Frobenius fixes GF(p), so g just takes
-    # every p-th coefficient.
-    p = f.dom.p
-    return Poly(f.dom, [f.cs[i] for i in range(0, len(f.cs), p)])
-
-
-def _factor_monic_modp(f, rng):
-    if f.degree == 0:
-        return []
-    p = f.dom.p
-    d = f.derivative()
-    if d.is_zero:
-        inner = _factor_monic_modp(_pth_root_modp(f), rng)
-        return [(g, m * p) for g, m in inner]
-    u = f.exact_div(poly_gcd(f, d))
-    mults = {}
-    rem = f
-    for g in _factor_squarefree_modp(u, rng):
-        m = 0
-        while g.divides(rem):
-            rem = rem.exact_div(g)
-            m += 1
-        mults[g.cs] = (g, m)
-    if rem.degree > 0:
-        for g, m in _factor_monic_modp(rem, rng):
-            if g.cs in mults:
-                g0, m0 = mults[g.cs]
-                mults[g.cs] = (g0, m0 + m)
-            else:
-                mults[g.cs] = (g, m)
-    return list(mults.values())
-
-
-def _factor_squarefree_modp(u, rng):
-    """Distinct-degree then equal-degree splitting; u monic squarefree."""
-    dom = u.dom
-    p = dom.p
-    out = []
-    h = Poly.x(dom)
-    v = u
-    d = 0
-    while v.degree > 0:
-        d += 1
-        if 2 * d > v.degree:
-            out.append(v)
-            break
-        h = h.pow_mod(p, v)
-        g = poly_gcd(h - Poly.x(dom), v)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            v = v.exact_div(g)
-            h = h % v
-    return out
-
-
-def _equal_degree_split(g, d, rng):
-    """Split a monic product of distinct irreducibles, all of degree d."""
-    dom = g.dom
-    p = dom.p
-    if g.degree == d:
-        return [g]
-    while True:
-        a = Poly(dom, [dom.from_int(rng.randrange(p)) for _ in range(g.degree)])
-        if a.degree < 1:
-            continue
-        t = poly_gcd(a, g)
-        if 0 < t.degree < g.degree:
-            break
-        if p > 2:
-            w = a.pow_mod((p ** d - 1) // 2, g)
-            t = poly_gcd(w - Poly.const(dom, dom.one), g)
-        else:
-            w = a % g
-            tr = w
-            for _ in range(d - 1):
-                w = (w * w) % g
-                tr = tr + w
-            t = poly_gcd(tr % g, g)
-        if 0 < t.degree < g.degree:
-            break
-    return _equal_degree_split(t, d, rng) + _equal_degree_split(g.exact_div(t), d, rng)
-
-
-# ---------------------------------------------------------------------------
-# Berlekamp-Zassenhaus over Q
+# Integer coefficient lists
 #
-# The Hensel lifting and recombination loops run on plain integer
-# coefficient lists (lowest degree first) for speed; conversions to and
-# from Poly happen only at the boundaries.
+# The modular factoring, Hensel lifting and recombination code runs on
+# plain integer coefficient lists, lowest degree first, with no trailing
+# zeros; conversions to and from Poly happen only at the boundaries.
 
 def _ztrim(a):
     while a and a[-1] == 0:
@@ -475,11 +386,11 @@ def _zsub(a, b):
 def _zmul(a, b):
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+            out[i:i + nb] = [o + ai * bj for o, bj in zip(out[i:i + nb], b)]
     return _ztrim(out)
 
 
@@ -487,24 +398,197 @@ def _zmod(a, m):
     return _ztrim([c % m for c in a])
 
 
-def _zdivmod_monic(a, b, m=None):
-    """Quotient and remainder by monic b, over Z or Z/m."""
+# ---------------------------------------------------------------------------
+# Cantor-Zassenhaus over GF(p), on integer lists with entries in [0, p)
+#
+# Squarefree decomposition with p-th roots, distinct-degree factoring and
+# equal-degree splitting (von zur Gathen & Gerhard, Modern Computer
+# Algebra, ch. 14).  The helpers accept any integer entries and return
+# entries in [0, p); a product is left unreduced until the remainder
+# that follows it, which reduces only what it reads or returns.
+
+def _pdivmod(a, b, p):
+    """Quotient and remainder of a by nonzero b over GF(p)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _zmod(a, p)
+    inv = pow(b[-1], -1, p)
+    nb = [-c * inv % p for c in b[:db]]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] % p
+        if c:
+            q[k] = c
+            r[k:k + db] = [x + c * y for x, y in zip(r[k:k + db], nb)]
+    return _zmod([c * inv for c in q], p), _zmod(r[:db], p)
+
+
+def _prem(a, b, p):
+    return _pdivmod(a, b, p)[1]
+
+
+def _pmonic(a, p):
+    inv = pow(a[-1], -1, p)
+    return a if inv == 1 else [c * inv % p for c in a]
+
+
+def _pgcd(a, b, p):
+    """Monic gcd over GF(p); [] when both are zero."""
+    while b:
+        a, b = b, _prem(a, b, p)
+    return _pmonic(a, p) if a else a
+
+
+def _ppowmod(a, e, m, p):
+    """a**e reduced modulo m over GF(p), by binary exponentiation."""
+    result = _prem([1], m, p)
+    base = _prem(a, m, p)
+    while e:
+        if e & 1:
+            result = _prem(_zmul(result, base), m, p)
+        e >>= 1
+        if e:
+            base = _prem(_zmul(base, base), m, p)
+    return result
+
+
+def _pderiv(a, p):
+    return _zmod([i * a[i] for i in range(1, len(a))], p)
+
+
+def _pbezout(a, b, p):
+    """s, t with s*a + t*b = 1 over GF(p), for coprime a, b."""
+    r0, r1 = a, b
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zmod(_zsub(s0, _zmul(q, s1)), p)
+        t0, t1 = t1, _zmod(_zsub(t0, _zmul(q, t1)), p)
+    if len(r0) != 1:
+        raise ValueError("polynomials are not coprime")
+    inv = pow(r0[0], -1, p)
+    return _zmod([c * inv for c in s0], p), _zmod([c * inv for c in t0], p)
+
+
+def _psquarefree(f, p):
+    """Squarefree decomposition of monic f: pairwise coprime [(u, m)].
+
+    The loop finds the parts whose multiplicity p does not divide.  What
+    is left is c = g(X^p) = g(X)^p, since Frobenius fixes GF(p); g takes
+    every p-th coefficient of c, and its parts count p times.
+    """
+    out = []
+    c = _pgcd(f, _pderiv(f, p), p)
+    w = _pdivmod(f, c, p)[0]
+    i = 1
+    while len(w) > 1:
+        y = _pgcd(w, c, p)
+        z = _pdivmod(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w = y
+        c = _pdivmod(c, y, p)[0]
+        i += 1
+    if len(c) > 1:
+        out.extend((u, m * p) for u, m in _psquarefree(c[::p], p))
+    return out
+
+
+def _pddf(u, p):
+    """Distinct-degree factoring of monic squarefree u: [(g_d, d)].
+
+    g_d is the product of the irreducible factors of degree d.
+    """
+    out = []
+    h = [0, 1]
+    v = u
+    d = 0
+    while len(v) > 1:
+        d += 1
+        if 2 * d > len(v) - 1:
+            out.append((v, len(v) - 1))
+            break
+        h = _ppowmod(h, p, v, p)
+        g = _pgcd(v, _zmod(_zsub(h, [0, 1]), p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            v = _pdivmod(v, g, p)[0]
+            h = _prem(h, v, p)
+    return out
+
+
+def _pedf(g, d, p, rng):
+    """Split monic g, a product of distinct irreducibles all of degree d."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    while True:
+        a = _ztrim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        t = _pgcd(g, a, p)
+        if 1 < len(t) < len(g):
+            break
+        if p > 2:
+            w = _ppowmod(a, (p ** d - 1) // 2, g, p)
+            t = _pgcd(g, _zmod(_zsub(w, [1]), p), p)
+        else:
+            # the trace a + a^2 + a^4 + ... + a^(2^(d-1)) mod g
+            w = _prem(a, g, p)
+            tr = w
+            for _ in range(d - 1):
+                w = _prem(_zmul(w, w), g, p)
+                tr = _zadd(tr, w)
+            t = _pgcd(g, _zmod(tr, p), p)
+        if 1 < len(t) < len(g):
+            break
+    return _pedf(t, d, p, rng) + _pedf(_pdivmod(g, t, p)[0], d, p, rng)
+
+
+def _factor_count(ddf):
+    """The number of irreducible factors a distinct-degree factoring shows."""
+    return sum((len(g) - 1) // d for g, d in ddf)
+
+
+def _psplit(ddf, p):
+    """The irreducible factors of a distinct-degree factoring, sorted."""
+    rng = random.Random(0x5EED + p)
+    return sorted((h for g, d in ddf for h in _pedf(g, d, p, rng)),
+                  key=lambda h: (len(h), h))
+
+
+def factor_mod_p(f):
+    """Complete factorization over a prime field."""
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    dom = f.dom
+    if f.degree == 0:
+        return Factorization(dom, f.cs[0], []).verify(f)
+    p = dom.p
+    monic = _pmonic([c.v for c in f.cs], p)
+    parts = [(Poly.from_ints(dom, h), m)
+             for u, m in _psquarefree(monic, p)
+             for h in _psplit(_pddf(u, p), p)]
+    return Factorization(dom, f.lc, parts).verify(f)
+
+
+# ---------------------------------------------------------------------------
+# Berlekamp-Zassenhaus over Q
+
+def _zdivmod_monic(a, b):
+    """Quotient and remainder by monic b over Z."""
     r = list(a)
     db = len(b) - 1
     q = [0] * max(0, len(r) - db)
-    for k in range(len(r) - db - 1, -1, -1):
-        c = r[k + db] % m if m else r[k + db]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
         q[k] = c
         if c:
-            for i in range(db + 1):
-                r[k + i] -= c * b[i]
-        if m:
-            for i in range(db + 1):
-                r[k + i] %= m
-    del r[db:]
-    if m:
-        r = [c % m for c in r]
-    return _ztrim(q), _ztrim(r)
+            r[k:k + db] = [x - c * y for x, y in zip(r[k:k + db], b)]
+    return _ztrim(q), _ztrim(r[:db])
 
 
 def _zsym(a, m):
@@ -519,18 +603,6 @@ def _zsym(a, m):
     return _ztrim(out)
 
 
-def _to_int_list(f):
-    return [int(c) for c in f.cs]
-
-
-def _from_int_list(a):
-    return Poly(QQ, [Fraction(c) for c in a])
-
-
-def _modp_poly(a, p):
-    return Poly.from_ints(GF(p), a)
-
-
 def _hensel_pair(f, g, h, s, t, p, K):
     """Lift f = g*h from mod p to mod p^K (g, h monic, s*g + t*h = 1 mod p).
 
@@ -541,8 +613,7 @@ def _hensel_pair(f, g, h, s, t, p, K):
         # e = (f - g*h) / m  (exact over Z), then everything mod p
         diff = _zsub(f, _zmul(g, h))
         e = _zmod([c // m for c in diff], p)
-        se = _zmul(s, e)
-        q, w = _zdivmod_monic(_zmod(se, p), h, p)
+        q, w = _pdivmod(_zmul(s, e), _zmod(h, p), p)
         u = _zmod(_zadd(_zmul(t, e), _zmul(q, g)), p)
         g = _zmod(_zadd(g, [c * m for c in u]), m * p)
         h = _zmod(_zadd(h, [c * m for c in w]), m * p)
@@ -555,39 +626,30 @@ def _hensel_multi(f, gs, p, K):
     if len(gs) == 1:
         return [_zmod(f, p ** K)]
     mid = len(gs) // 2
-    P = GF(p)
-    gpoly = Poly.const(P, P.one)
-    for g in gs[:mid]:
-        gpoly = gpoly * _modp_poly(g, p)
-    hpoly = Poly.const(P, P.one)
-    for g in gs[mid:]:
-        hpoly = hpoly * _modp_poly(g, p)
-    # Bezout: s*g + t*h = 1 over GF(p)
-    s, t = _ext_gcd_bezout(gpoly, hpoly)
-    G, H = _hensel_pair(_zmod(f, p ** K),
-                        [c.v for c in gpoly.cs], [c.v for c in hpoly.cs],
-                        [c.v for c in s.cs], [c.v for c in t.cs], p, K)
+    g = [1]
+    for a in gs[:mid]:
+        g = _zmod(_zmul(g, a), p)
+    h = [1]
+    for a in gs[mid:]:
+        h = _zmod(_zmul(h, a), p)
+    s, t = _pbezout(g, h, p)
+    G, H = _hensel_pair(_zmod(f, p ** K), g, h, s, t, p, K)
     return _hensel_multi(G, gs[:mid], p, K) + _hensel_multi(H, gs[mid:], p, K)
 
 
-def _ext_gcd_bezout(a, b):
-    """s, t with s*a + t*b = gcd(a, b) = 1, for coprime a, b over a field."""
-    dom = a.dom
-    r0, r1 = a, b
-    s0, s1 = Poly.const(dom, dom.one), Poly(dom, [])
-    t0, t1 = Poly(dom, []), Poly.const(dom, dom.one)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
-        raise ValueError("polynomials are not coprime")
-    inv = dom.one / r0.cs[0]
-    return s0.mul_scalar(inv), t0.mul_scalar(inv)
-
-
 _BZ_PRIME_TRIES = 8
+
+
+def _squarefree_primes(G):
+    """(p, G mod p) for the primes p, in increasing order, where monic G
+    stays squarefree mod p."""
+    from .exact import next_prime
+    p = 1
+    while True:
+        p = next_prime(p)
+        gp = _zmod(G, p)
+        if len(_pgcd(gp, _pderiv(gp, p), p)) == 1:
+            yield p, gp
 
 
 def _factor_squarefree_monic_int(G):
@@ -595,32 +657,27 @@ def _factor_squarefree_monic_int(G):
     n = len(G) - 1
     if n <= 1:
         return [G]
-    # Scan small good primes (G must stay squarefree mod p) and keep the
-    # one giving the fewest modular factors: the subset search below is
-    # exponential in that count.
+    # Scan small good primes and keep the one giving the fewest modular
+    # factors: the subset search below is exponential in that count.
+    # Distinct-degree factoring alone gives the count; only the chosen
+    # prime is split into irreducibles.
     best = None
-    tried = 0
-    p = 1
-    from .exact import next_prime
-    while tried < _BZ_PRIME_TRIES:
-        p = next_prime(p)
-        Pf = GF(p)
-        gp = Poly.from_ints(Pf, G)
-        if gp.degree != n:
-            continue
-        dgp = gp.derivative()
-        if dgp.is_zero or poly_gcd(gp, dgp).degree != 0:
-            continue
-        tried += 1
-        fac = factor_mod_p(gp.monic())
-        count = len(fac.factors)
+    for p, gp in itertools.islice(_squarefree_primes(G), _BZ_PRIME_TRIES):
+        ddf = _pddf(gp, p)
+        count = _factor_count(ddf)
         if best is None or count < best[0]:
-            best = (count, p, [g for g, _ in fac.factors])
+            best = (count, p, ddf)
         if count == 1:
             break
-    count, p, modfactors = best
+    count, p, ddf = best
     if count == 1:
         return [G]
+    modfactors = _psplit(ddf, p)
+    check = [1]
+    for g in modfactors:
+        check = _zmod(_zmul(check, g), p)
+    if check != _zmod(G, p):
+        raise ConsistencyError("modular factors do not reproduce the input mod %d" % p)
     # Mignotte bound: coefficients of any monic divisor of G are below
     # 2^(n-1) * ||G||_2; lift until p^K exceeds twice that.
     norm2 = math.isqrt(sum(c * c for c in G)) + 1
@@ -629,7 +686,7 @@ def _factor_squarefree_monic_int(G):
     while p ** K <= bound:
         K += 1
     pK = p ** K
-    lifted = _hensel_multi(_zmod(G, pK), [[c.v for c in g.cs] for g in modfactors], p, K)
+    lifted = _hensel_multi(_zmod(G, pK), modfactors, p, K)
     check = [1]
     for g in lifted:
         check = _zmod(_zmul(check, g), pK)
@@ -640,7 +697,6 @@ def _factor_squarefree_monic_int(G):
 
 def _recombine(G, lifted, pK):
     """Zassenhaus subset search over the lifted modular factors."""
-    import itertools
     out = []
     live = list(range(len(lifted)))
     s = 1

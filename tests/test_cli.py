@@ -95,6 +95,15 @@ def test_cap_exceeded_exit_code_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "cap" in err.lower()
 
 
+def test_malformed_cap_exit_code_1(capsys, monkeypatch):
+    import io
+    monkeypatch.setenv("L2LAB_CAP", "abc")
+    doc = json.dumps({"q": 2, "product": ["F4", "F4"], "R": "diagonal"})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "classify", "--algebra", "-")
+    assert code == 1 and "L2LAB_CAP must be an integer" in err
+
+
 def test_both_inputs_rejected(tmp_path, capsys):
     doc = tmp_path / "alg.json"
     doc.write_text(json.dumps({"q": 2, "product": ["F2"], "R": "diagonal"}))

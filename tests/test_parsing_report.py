@@ -48,6 +48,8 @@ def test_parse_polynomial_errors(bad):
 def test_parse_error_reports_position():
     with pytest.raises(ParseError, match="position 4"):
         parse_polynomial("X + $")
+    with pytest.raises(ParseError, match="position 9: unexpected end of input"):
+        parse_polynomial("X^2 - 2 +")
 
 
 # --- algebra documents -------------------------------------------------------

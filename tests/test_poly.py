@@ -300,3 +300,33 @@ def test_trager_nontrivial_shift_needed():
     fac = factor_over_number_field(f, L)
     assert {g.cs for g, _ in fac.factors} == \
         {Poly(L, [-x, L.one]).cs, Poly(L, [x, L.one]).cs}
+
+
+# --- prime choice for Berlekamp-Zassenhaus ---------------------------------
+
+@pytest.mark.parametrize("text", ["X^4-2", "X^4-10*X^2+1", "X^3-3*X+1",
+                                  "X^6+108", "X^6-2", "X^8-2"])
+def test_trager_norm_distinct_degree_counts(text, monkeypatch):
+    # factor_over_Q ranks candidate primes by distinct-degree counts; on
+    # each Trager norm those counts must equal the full factor counts, so
+    # the prime it keeps is the one the full factorizations would pick.
+    from l2lab import poly
+    from l2lab.numberfield import make_field
+    from l2lab.parsing import parse_polynomial
+
+    L = make_field(parse_polynomial(text))
+    norms = []
+    real = poly._factor_squarefree_monic_int
+
+    def spy(G):
+        norms.append(list(G))
+        return real(G)
+
+    monkeypatch.setattr(poly, "_factor_squarefree_monic_int", spy)
+    factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+    assert norms
+    for G in norms:
+        scanned = itertools.islice(poly._squarefree_primes(G), poly._BZ_PRIME_TRIES)
+        for p, gp in scanned:
+            count = poly._factor_count(poly._pddf(gp, p))
+            assert count == len(factor_mod_p(Poly.from_ints(GF(p), G)).factors)
