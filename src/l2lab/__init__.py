@@ -10,16 +10,16 @@ Two engines share an exact-arithmetic core:
 """
 
 from .errors import CapExceeded, ConsistencyError, ParseError
-from .exact import Rational, RationalMatrix, echelon_reduce, kernel_basis, next_prime
+from .exact import Rational, next_prime
 from .poly import (GF, QQ, Factorization, Poly, factor_mod_p, factor_over_Q,
                    factor_over_number_field, is_separable, poly_gcd)
 from .numberfield import (NFElement, NumberField, Subfield, intersect_subfields,
-                          make_field, min_poly_over, nf_mul, subfield_generated)
+                          make_field, subfield_generated)
 from .principal import (FactorSystem, PrincipalSubfieldSet, K_g_of_product,
                         compute_principal_subfields, index_set_I,
                         principal_subfield_of_factor)
-from .fieldlattice import (FieldLattice, build_lattice, galois_length_two_check,
-                           is_length_two, is_minimal_extension, lattice_length)
+from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
+                           is_minimal_extension)
 from .finitealg import (FiniteAlgebra, Ideal, Subalgebra, classify_minimal_type,
                         conductor, crucial_ideal, enumerate_subalgebras,
                         field_algebra, maximal_ideals, product_algebra,

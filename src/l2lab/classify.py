@@ -117,10 +117,7 @@ def is_copointwise_minimal(a):
         T = Subalgebra.from_generators(S, list(R.basis) + [x])
         if T.is_whole():
             return False
-        i = node_index[T.key()]
-        above = [j for j in range(len(a.lattice.nodes))
-                 if j != i and a.lattice.nodes[j].contains_sub(T)]
-        if above != [len(a.lattice.nodes) - 1]:
+        if a.lattice.up[node_index[T.key()]] != 1 << (len(a.lattice) - 1):
             return False
     return True
 
@@ -368,15 +365,12 @@ def _closure_extremality(a):
     chain-type characterization (all covers ramified / all covers
     ramified-or-decomposed)."""
     types = cover_types(a)
-    nodes = a.lattice.nodes
-
-    def edge_types_within(T):
-        inside = {i for i, n in enumerate(nodes) if T.contains_sub(n)}
-        return [t for (i, j), t in types.items() if i in inside and j in inside]
+    lat = a.lattice
 
     ok = True
-    for n in nodes:
-        ets = edge_types_within(n)
+    for k, n in enumerate(lat.nodes):
+        inside = lat.down[k] | 1 << k
+        ets = [t for (i, j), t in types.items() if inside >> i & 1 and inside >> j & 1]
         subint = all(t == "ramified" for t in ets)
         infra = all(t in ("ramified", "decomposed") for t in ets)
         if subint != a.seminormalization.contains_sub(n):

@@ -212,48 +212,3 @@ def in_row_space(vec, echelon_rows):
             f = v[pc] / row[pc]
             v = [a - f * b for a, b in zip(v, row)]
     return not any(v)
-
-
-class RationalMatrix:
-    """Dense matrix of Fractions, row-major."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows, ncols, entries):
-        entries = [Fraction(e) for e in entries]
-        if len(entries) != nrows * ncols:
-            raise ValueError("entry count %d != %d x %d" % (len(entries), nrows, ncols))
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, ncols, [e for row in rows for e in row])
-
-    def rows(self):
-        n = self.ncols
-        return [self.entries[i * n:(i + 1) * n] for i in range(self.nrows)]
-
-    def mul_vector(self, v):
-        return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.rows()]
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
-
-    def __repr__(self):
-        return "RationalMatrix(%d, %d, %r)" % (self.nrows, self.ncols, self.entries)
-
-
-def echelon_reduce(m):
-    """Unique reduced row-echelon form of a RationalMatrix."""
-    red, _ = rref(m.rows())
-    return RationalMatrix.from_rows(red) if red else RationalMatrix(m.nrows, m.ncols, [])
-
-
-def kernel_basis(m):
-    """Reduced-echelon basis of the right null space of a RationalMatrix."""
-    return kernel(m.rows(), m.ncols, Fraction(1))

@@ -2,35 +2,16 @@
 
 Every proper intermediate field is an intersection of the E_beta, so the
 node set is the intersection closure of {E_1, ..., E_t} plus L itself;
-covering edges and the longest-chain length are computed on the finished
-node list.
+``lattice.hasse`` computes covering edges and the longest chain on it.
 """
 
 from .errors import CapExceeded, ConsistencyError
-from .numberfield import intersect_subfields, prime_subfield, whole_field
+from .lattice import hasse
+from .numberfield import Subfield, intersect_subfields, prime_subfield, whole_field
 from .principal import index_set_I
 from .poly import Poly
 
 NODE_CAP = 4096
-
-
-class FieldLattice:
-    def __init__(self, nodes, covers, length, t):
-        self.nodes = nodes          # sorted by (dim, basis), k first, L last
-        self.covers = covers        # set of (i, j): nodes[i] covered by nodes[j]
-        self.length = length
-        self.t = t
-
-    @property
-    def bottom(self):
-        return self.nodes[0]
-
-    @property
-    def top(self):
-        return self.nodes[-1]
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 def build_lattice(ps):
@@ -50,42 +31,7 @@ def build_lattice(ps):
                 seen[meet.key()] = meet
                 work.append(meet)
     nodes = sorted(seen.values(), key=lambda s: s.key())
-    incl = _inclusions(nodes)
-    covers = _covering(nodes, incl)
-    length = _longest_chain(nodes, covers)
-    return FieldLattice(nodes, covers, length, ps.t)
-
-
-def _inclusions(nodes):
-    incl = set()
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and a.dim < b.dim and b.dim % a.dim == 0 and b.contains_subfield(a):
-                incl.add((i, j))
-    return incl
-
-
-def _covering(nodes, incl):
-    covers = set()
-    for (i, j) in incl:
-        if not any((i, w) in incl and (w, j) in incl for w in range(len(nodes))):
-            covers.add((i, j))
-    return covers
-
-
-def _longest_chain(nodes, covers):
-    # nodes are sorted by dimension, so indices are already topological
-    dist = [0] * len(nodes)
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            if (i, j) in covers:
-                dist[j] = max(dist[j], dist[i] + 1)
-    return dist[-1] if nodes else 0
-
-
-def lattice_length(lat):
-    """Edge count of the longest chain from k to L."""
-    return lat.length
+    return hasse(nodes, Subfield.contains_subfield)
 
 
 def is_minimal_extension(ps, lat=None):

@@ -13,7 +13,8 @@ import itertools
 from . import exact
 from .caps import check_candidates, check_elements
 from .errors import ConsistencyError
-from .poly import GF, Poly, factor_mod_p
+from .lattice import hasse
+from .poly import Poly, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,8 @@ class SmallField:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            self.modpoly = _find_irreducible_prime_field(p, k)
+            # lex-least monic irreducible of degree k, low coefficients first
+            self.modpoly = [c.i for c in irreducible_over(small_field(p), k).cs[:k]]
             tuples = list(itertools.product(range(p), repeat=k))
             # index = sum c_i p^i with c_0 the constant coefficient
             idx = {t: sum(c * p ** i for i, c in enumerate(t)) for t in tuples}
@@ -180,19 +182,6 @@ def _prime_power(q):
     return q, 1
 
 
-def _find_irreducible_prime_field(p, k):
-    """Lex-least monic irreducible of degree k over F_p, low coefficients first."""
-    dom = GF(p)
-    for tail in itertools.product(range(p), repeat=k):
-        f = Poly.from_ints(dom, list(tail) + [1])
-        if f.degree != k or not f.cs[0]:
-            continue
-        fac = factor_mod_p(f)
-        if len(fac.factors) == 1 and fac.factors[0][1] == 1:
-            return list(tail)
-    raise ConsistencyError("no irreducible polynomial found")
-
-
 def irreducible_over(Fq, k):
     """Lex-least monic irreducible of degree k over an arbitrary SmallField."""
     if k == 1:
@@ -216,7 +205,6 @@ def _is_irreducible_gf(f, Fq):
         return False
     for ell in set(_prime_divisors(k)):
         g = x.pow_mod(Fq.q ** (k // ell), f) - x
-        from .poly import poly_gcd
         if g.is_zero or poly_gcd(g, f).degree != 0:
             return False
     return True
@@ -1038,26 +1026,6 @@ def is_simple_extension(R, S):
 # ---------------------------------------------------------------------------
 # Brute-force subalgebra enumeration
 
-class AlgebraLattice:
-    """The poset [R, S]: nodes sorted by (dim, basis), R first, S last."""
-
-    def __init__(self, nodes, covers, length):
-        self.nodes = nodes
-        self.covers = covers
-        self.length = length
-
-    @property
-    def bottom(self):
-        return self.nodes[0]
-
-    @property
-    def top(self):
-        return self.nodes[-1]
-
-    def __len__(self):
-        return len(self.nodes)
-
-
 def _gaussian_binomial(c, k, q):
     num = 1
     den = 1
@@ -1068,7 +1036,7 @@ def _gaussian_binomial(c, k, q):
 
 
 def enumerate_subalgebras(R, S):
-    """All subalgebras between R and S, with covering relation and length.
+    """The lattice of all subalgebras between R and S.
 
     Candidates are the echelon bases of the subspaces of S/R (lifted back
     and filtered by multiplicative closure), so the count is a sum of
@@ -1098,23 +1066,7 @@ def enumerate_subalgebras(R, S):
                 if _closed_under_mul(S, basis):
                     found.append(Subalgebra(S, basis, check=False))
     found.sort(key=lambda T: T.key())
-    nodes = found
-    incl = set()
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and a.dim < b.dim and b.contains_sub(a):
-                incl.add((i, j))
-    covers = set()
-    for (i, j) in incl:
-        if not any((i, w) in incl and (w, j) in incl for w in range(len(nodes))):
-            covers.add((i, j))
-    dist = [0] * len(nodes)
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            if (i, j) in covers:
-                dist[j] = max(dist[j], dist[i] + 1)
-    length = dist[-1] if nodes else 0
-    return AlgebraLattice(nodes, covers, length)
+    return hasse(found, Subalgebra.contains_sub)
 
 
 def _closed_under_mul(S, basis):

@@ -247,12 +247,6 @@ def make_field(f):
     return NumberField(f)
 
 
-def nf_mul(a, b):
-    if a.field != b.field:
-        raise ValueError("elements of different fields")
-    return a * b
-
-
 class Subfield:
     """An intermediate field k <= K <= L: echelon basis plus min poly of x."""
 
@@ -364,11 +358,6 @@ def min_poly_over_basis(L, basis):
             raise ConsistencyError("minimal polynomial does not kill x")
         return mp
     raise ConsistencyError("no minimal polynomial found")
-
-
-def min_poly_over(K):
-    """Monic minimal polynomial of x over the subfield K, as a poly over L."""
-    return K.min_poly
 
 
 def subfield_generated(L, gens):

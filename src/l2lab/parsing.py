@@ -14,7 +14,19 @@ from .poly import Poly, QQ
 from .finitealg import (FiniteAlgebra, Subalgebra, product_algebra,
                         quotient_algebra, small_field)
 
+# Largest exponent, and largest degree a power may expand to.  Powers are
+# expanded by repeated multiplication, so this is checked first.
+MAX_POWER = 256
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()])|(\S))")
+
+
+def _check_power(e, degree, pos):
+    if e < 0:
+        raise ParseError("negative exponent at position %d" % pos)
+    if max(e, e * degree) > MAX_POWER:
+        raise ParseError("power too large at position %d: exponent and resulting "
+                         "degree are limited to %d" % (pos, MAX_POWER))
 
 
 def _unexpected(kind, val, pos):
@@ -172,8 +184,7 @@ class _QPolySemantics:
         return a.mul_scalar(Fraction(1) / b.cs[0])
 
     def pow(self, a, e, pos):
-        if e < 0:
-            raise ParseError("negative exponent at position %d" % pos)
+        _check_power(e, a.degree, pos)
         out = Poly(QQ, [Fraction(1)])
         for _ in range(e):
             out = out * a
@@ -250,8 +261,7 @@ class _MPolySemantics:
         return {m: c * inv for m, c in a.items()}
 
     def pow(self, a, e, pos):
-        if e < 0:
-            raise ParseError("negative exponent at position %d" % pos)
+        _check_power(e, max(map(sum, a), default=0), pos)
         out = self._c(self.F.one)
         for _ in range(e):
             out = self.mul(out, a)

@@ -118,11 +118,6 @@ class Poly:
     def coeff(self, i):
         return self.cs[i] if i < len(self.cs) else self.dom.zero
 
-    def constant_value(self):
-        if self.degree > 0:
-            raise ValueError("not a constant")
-        return self.cs[0] if self.cs else self.dom.zero
-
     def __bool__(self):
         return bool(self.cs)
 

@@ -10,7 +10,8 @@ import time
 from .errors import ConsistencyError
 from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
                            is_minimal_extension, verify_minpoly_product_identity)
-from .numberfield import make_field, nf_str, poly_str
+from .lattice import lattice_data
+from .numberfield import Subfield, make_field, nf_str, poly_str
 from .principal import compute_principal_subfields, index_set_I
 from .classify import analyze_extension, classify_extension
 
@@ -50,7 +51,7 @@ def field_report(f, input_text=None):
         report["status"] = "FAILED"
         raise ConsistencyError("predicted %d != observed %d"
                                % (report["count_predicted"], report["count_observed"]))
-    report["lattice"] = field_lattice_data(lat)
+    report["lattice"] = lattice_data(lat, Subfield.describe, nf_str)
     return report
 
 
@@ -73,14 +74,6 @@ def _field_witnesses(ps, lat):
             "I": sorted(index_set_I(e, sysf)),
         })
     return w
-
-
-def field_lattice_data(lat):
-    nodes = []
-    for n in lat.nodes:
-        nodes.append({"dim": n.dim, "label": n.describe(),
-                      "basis": [nf_str(v) for v in n.basis]})
-    return {"nodes": nodes, "covers": sorted(lat.covers), "length": lat.length}
 
 
 def algebra_report(S, R, input_echo):
@@ -107,28 +100,20 @@ def algebra_report(S, R, input_echo):
     }
     if "minimal_type" in verdict:
         report["minimal_type"] = verdict["minimal_type"]
-    report["lattice"] = algebra_lattice_data(a.lattice, S)
+    report["lattice"] = lattice_data(a.lattice, lambda n: "dim %d" % n.dim,
+                                     S.element_str)
     return report, a
 
 
-def algebra_lattice_data(lat, S):
-    nodes = []
-    for n in lat.nodes:
-        nodes.append({"dim": n.dim,
-                      "label": "dim %d" % n.dim,
-                      "basis": [S.element_str(b) for b in n.basis]})
-    return {"nodes": nodes, "covers": sorted(lat.covers), "length": lat.length}
-
-
-def lattice_to_dot(lattice_data, title="lattice"):
+def lattice_to_dot(data, title="lattice"):
     """DOT digraph; edges point from the smaller to the larger node."""
     lines = ["digraph \"%s\" {" % title, "  rankdir=BT;",
              "  node [shape=box, fontname=\"monospace\"];"]
-    nodes = lattice_data["nodes"]
+    nodes = data["nodes"]
     for i, n in enumerate(nodes):
         label = "%s\\n(dim %d)" % (_dot_escape(_node_label(n)), n["dim"])
         lines.append("  n%d [label=\"%s\"];" % (i, label))
-    for (i, j) in lattice_data["covers"]:
+    for (i, j) in data["covers"]:
         lines.append("  n%d -> n%d;" % (i, j))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import l2lab
 from l2lab.cli import main
+from l2lab.parsing import MAX_POWER
 
 
 def run(capsys, *argv):
@@ -68,6 +73,15 @@ def test_algebra_file(tmp_path, capsys):
 def test_parse_error_exit_code_1(capsys):
     code, out, err = run(capsys, "classify", "X +")
     assert code == 1 and "error" in err
+
+
+def test_huge_exponent_exit_code_1_at_once():
+    # the power is refused before it is expanded, so this returns at once
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(l2lab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "l2lab.cli", "length", "X^100000000"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1
+    assert "limited to %d" % MAX_POWER in proc.stderr
 
 
 def test_reducible_polynomial_exit_code_1(capsys):

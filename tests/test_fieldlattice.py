@@ -4,8 +4,7 @@ from l2lab.poly import QQ, Poly
 from l2lab.numberfield import make_field
 from l2lab.principal import compute_principal_subfields, index_set_I
 from l2lab.fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
-                                is_minimal_extension, lattice_length,
-                                verify_minpoly_product_identity)
+                                is_minimal_extension, verify_minpoly_product_identity)
 
 
 def Q(*ints):
@@ -47,9 +46,9 @@ def test_biquad_is_a_diamond(biquad):
 
 
 def test_lengths(quartic, biquad, sextic):
-    assert lattice_length(quartic[1]) == 2
-    assert lattice_length(biquad[1]) == 2
-    assert lattice_length(sextic[1]) == 2
+    assert quartic[1].length == 2
+    assert biquad[1].length == 2
+    assert sextic[1].length == 2
 
 
 def test_minimal_cyclic_cubic():
@@ -57,7 +56,7 @@ def test_minimal_cyclic_cubic():
     ps, lat = pipeline(1, -3, 0, 1)
     assert all(sub.dim == 1 for sub in ps.L_alpha)
     assert is_minimal_extension(ps, lat)
-    assert lattice_length(lat) == 1
+    assert lat.length == 1
 
 
 def test_minimal_quadratic():

@@ -65,6 +65,13 @@ def test_small_field_f9():
         assert a ** 8 == F9.one
 
 
+@pytest.mark.parametrize("p,kmax", [(2, 7), (3, 4), (5, 3), (7, 2)])
+def test_small_field_modulus_matches_factoring_oracle(p, kmax):
+    for k in range(2, kmax + 1):
+        expect = [c.v for c in first_irreducible(p, k).cs[:k]]
+        assert small_field(p ** k).modpoly == expect
+
+
 def test_small_field_rejects_non_prime_power():
     with pytest.raises(ValueError):
         small_field(6)

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from l2lab.poly import QQ, Poly
-from l2lab.numberfield import (intersect_subfields, make_field, min_poly_over,
-                               nf_mul, poly_str, prime_subfield, subfield_generated,
-                               whole_field)
+from l2lab.numberfield import (intersect_subfields, make_field, poly_str, prime_subfield,
+                               subfield_generated, whole_field)
 
 
 def Q(*ints):
@@ -44,12 +43,12 @@ def test_make_field_degree_six():
 
 def test_nf_mul_sqrt2(L2):
     x = L2.gen()
-    assert nf_mul(x, x) == L2.from_int(2)
+    assert x * x == L2.from_int(2)
 
 
 def test_nf_mul_identity(L4):
     a = L4.element([1, 2, 3, 4])
-    assert nf_mul(a, L4.one) == a
+    assert a * L4.one == a
 
 
 def test_nf_mul_power_reduction(L4):
@@ -72,17 +71,17 @@ def test_min_poly_of_sqrt2_subfield(L4):
     assert K.dim == 2
     # X^2 - x^2
     expect = Poly(L4, [-(x * x), L4.zero, L4.one])
-    assert min_poly_over(K) == expect
+    assert K.min_poly == expect
 
 
 def test_min_poly_of_whole_field(L4):
     W = whole_field(L4)
-    assert min_poly_over(W) == Poly(L4, [-L4.gen(), L4.one])
+    assert W.min_poly == Poly(L4, [-L4.gen(), L4.one])
 
 
 def test_min_poly_of_prime_field(L4):
     K = prime_subfield(L4)
-    assert min_poly_over(K) == L4.defining.map_coeffs(L4, L4.from_rational)
+    assert K.min_poly == L4.defining.map_coeffs(L4, L4.from_rational)
 
 
 def test_subfield_generated_empty_is_Q(L4):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from l2lab.errors import ParseError
-from l2lab.parsing import parse_algebra, parse_polynomial
+from l2lab.finitealg import small_field
+from l2lab.parsing import MAX_POWER, parse_algebra, parse_polynomial, parse_relation
 from l2lab.poly import QQ, Poly
 from l2lab.numberfield import poly_str
 from l2lab.report import (algebra_report, field_report, lattice_to_dot,
@@ -50,6 +51,18 @@ def test_parse_error_reports_position():
         parse_polynomial("X + $")
     with pytest.raises(ParseError, match="position 9: unexpected end of input"):
         parse_polynomial("X^2 - 2 +")
+
+
+def test_power_limit():
+    assert parse_polynomial("(X + 1)^%d" % MAX_POWER).degree == MAX_POWER
+    for text in ["X^%d" % (MAX_POWER + 1), "1^100000000",
+                 "(X^2 + 1)^%d" % (MAX_POWER // 2 + 1)]:
+        with pytest.raises(ParseError, match="limited to %d" % MAX_POWER):
+            parse_polynomial(text)
+    F = small_field(2)
+    with pytest.raises(ParseError, match="limited to %d" % MAX_POWER):
+        parse_relation("(X*Y + 1)^%d" % (MAX_POWER // 2 + 1), F, ["X", "Y"])
+    assert len(parse_relation("(X*Y)^%d" % (MAX_POWER // 2), F, ["X", "Y"])) == 1
 
 
 # --- algebra documents -------------------------------------------------------
