@@ -11,11 +11,12 @@ ConsistencyError, which the command line reports as exit code 3.
 """
 
 from .errors import ConsistencyError
+from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
     Ideal, Subalgebra, algebra_on_subspace, _minimal_type_of_pair, conductor,
-    crucial_ideal, echelon, enumerate_subalgebras, ideal_generated,
+    crucial_ideal, enumerate_subalgebras, ideal_generated,
     is_simple_extension, localize, maximal_ideals, maximal_ideals_of_sub, msupp,
-    nilradical, quotient_by_ideal, seminormalize, t_close, whole_algebra,
+    nilradical, quotient_by_ideal, radical_in, seminormalize, t_close, whole_algebra,
 )
 
 
@@ -35,7 +36,15 @@ class ExtensionAnalysis:
         self.crucial = crucial_ideal(R, S) if len(self.support) == 1 else None
         self.seminormalization = seminormalize(R, S)
         self.t_closure = t_close(R, S)
+        self._once = {}
         _check_canonical_decomposition(self)
+
+    def once(self, fn):
+        """fn(self), computed at most once per analysis: the element scans
+        serve both the predicate battery and the case dispatcher."""
+        if fn not in self._once:
+            self._once[fn] = fn(self)
+        return self._once[fn]
 
     @property
     def is_trivial(self):
@@ -62,13 +71,6 @@ def ideal_MS(a):
     return Ideal(S, ideal_generated(S, full, list(a.crucial.basis)))
 
 
-def radical_ideal_in_algebra(S, ideal_basis):
-    """sqrt(I) for an ideal of the full algebra S."""
-    Q, project, lift = quotient_by_ideal(S, ideal_basis)
-    nil = nilradical(Q)
-    return Ideal(S, [lift(v) for v in nil] + list(echelon(ideal_basis)))
-
-
 def v_of_ideal(a, ideal):
     """Maximal ideals of S containing the given ideal of S."""
     return [N for N in a.max_S if all(N.member(b) for b in ideal.basis)]
@@ -82,12 +84,12 @@ def module_length_at(a, M, V, W):
     """
     S = a.S
     resdim = a.R.dim - M.dim
-    cur = echelon(list(V) + list(W))
-    floor = echelon(W)
+    cur = Echelon(list(V) + list(W))
+    floor = Echelon(W)
     total = 0
     guard = 0
     while len(cur) != len(floor):
-        nxt = echelon([S.mul(m, v) for m in M.basis for v in cur] + list(floor))
+        nxt = Echelon([S.mul(m, v) for m in M.basis for v in cur] + list(floor))
         layer = len(cur) - len(nxt)
         if layer % resdim != 0:
             raise ConsistencyError("module layer is not an R/M-vector space")
@@ -105,6 +107,11 @@ def is_locally_minimal(a):
         if len(enumerate_subalgebras(RM, SM)) != 2:
             return False
     return True
+
+
+def _simple_generator(a):
+    """A generator x with S = R[x], or None."""
+    return is_simple_extension(a.R, a.S)
 
 
 def is_copointwise_minimal(a):
@@ -129,7 +136,7 @@ def copointwise_shape_check(a):
     if M is None:
         return False
     S = a.S
-    ms = ideal_MS(a)
+    ms = a.once(ideal_MS)
     if ms.key() != Ideal(S, list(M.basis)).key():
         return False
     Q, project, lift = quotient_by_ideal(S, list(M.basis))
@@ -160,19 +167,6 @@ def cover_types(a):
 
 def divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
-
-
-def prime_omega(n):
-    count = 0
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            count += 1
-            n //= d
-        d += 1
-    if n > 1:
-        count += 1
-    return count
 
 
 def analyze_extension(R, S):
@@ -214,7 +208,7 @@ def classify_extension(a):
         _settle(out, a)
         return out
     if len(a.support) == 2:
-        locally_min = is_locally_minimal(a)
+        locally_min = a.once(is_locally_minimal)
         out["locally_minimal"] = locally_min
         if a.length == 2:
             out["case"] = "(1)"
@@ -247,8 +241,8 @@ def classify_extension(a):
         if l2 != (a.length == 2):
             raise ConsistencyError("seminormalization-proper case mismatch")
     elif P.is_whole():
-        simple = is_simple_extension(a.R, a.S)
-        copw = is_copointwise_minimal(a)
+        simple = a.once(_simple_generator)
+        copw = a.once(is_copointwise_minimal)
         out["simple"] = simple is not None
         out["copointwise"] = copw
         if simple is not None and copw:
@@ -271,7 +265,7 @@ def classify_extension(a):
             raise ConsistencyError("subintegral case mismatch")
     elif T.is_whole() and P == a.R:
         l2 = a.count == 5
-        vms = v_of_ideal(a, ideal_MS(a))
+        vms = v_of_ideal(a, a.once(ideal_MS))
         out["v_of_MS"] = len(vms)
         out["case"] = "(7)" if l2 else "not length 2"
         if l2:
@@ -291,7 +285,7 @@ def classify_extension(a):
         out["residue_degree"] = m
         out["count_predicted"] = ndiv
         out["t"] = ndiv - 1
-        l2 = prime_omega(m) == 2
+        l2 = len(prime_factors(m)) == 2
         out["case"] = "(8d)" if l2 else "not length 2"
         if a.count != ndiv:
             raise ConsistencyError("finite-field residue lattice count mismatch")
@@ -345,7 +339,7 @@ def check_length_two_predicates(a):
         checks.append(_closure_extremality(a))
 
     if len(a.support) == 2:
-        lm = is_locally_minimal(a)
+        lm = a.once(is_locally_minimal)
         checks.append(("Prop 3.1: two-element support: length 2 <=> locally "
                        "minimal <=> count 4",
                        True, (l2 == lm == (a.count == 4)), {"locally_minimal": lm}))
@@ -407,14 +401,13 @@ def _crucial_predicates(a, l2):
         checks.append(("Prop 3.6: t-closure proper: length 2 <=> count 3",
                        True, holds, {}))
         if _is_minimal_pair_nodes(a, T):
-            vms = v_of_ideal(a, ideal_MS(a))
+            vms = v_of_ideal(a, a.once(ideal_MS))
             if len(vms) == 1:
                 lr = module_length_at(a, M, vms[0].basis, M.basis)
                 cond62 = (lr == 1)
                 det = {"V(MS)": 1, "L_R(N/M)": lr}
             elif len(vms) == 2:
-                inter = _subspace_intersection(vms[0].basis, vms[1].basis, S)
-                cond62 = (echelon(inter) == echelon(M.basis))
+                cond62 = intersection(vms[0].basis, vms[1].basis) == M.basis
                 det = {"V(MS)": 2, "M_is_intersection": cond62}
             else:
                 cond62 = False
@@ -423,7 +416,7 @@ def _crucial_predicates(a, l2):
                            True, l2 == cond62, det))
 
     if infra and not tclosed:
-        N = radical_ideal_in_algebra(S, list(ideal_MS(a).basis))
+        N = radical_in(whole_algebra(S), a.once(ideal_MS).basis)
         vn = v_of_ideal(a, N)
         lr = module_length_at(a, M, N.basis, M.basis)
         holds = (l2 == (lr + len(vn) == 3))
@@ -442,15 +435,15 @@ def _crucial_predicates(a, l2):
                        {"count": a.count, "conductor_is_M": cond_is_M}))
 
     if seminormal and infra and not subint:
-        vms = v_of_ideal(a, ideal_MS(a))
+        vms = v_of_ideal(a, a.once(ideal_MS))
         holds = (l2 == (len(vms) == 3) == (a.count == 5))
         checks.append(("Prop 3.141: seminormal infra-integral: length 2 <=> "
                        "|V(MS)| = 3 <=> count 5",
                        True, holds, {"|V(MS)|": len(vms)}))
 
     if subint:
-        simple = is_simple_extension(a.R, a.S)
-        copw = is_copointwise_minimal(a)
+        simple = a.once(_simple_generator)
+        copw = a.once(is_copointwise_minimal)
         expected = (simple is not None and a.count == 3) or \
                    (copw and a.count == a.residue_size(M) + 3)
         checks.append(("Prop 3.81: subintegral: length 2 <=> (simple, count 3) "
@@ -466,24 +459,6 @@ def _crucial_predicates(a, l2):
         cond_is_M = a.conductor.key() == Ideal(S, list(M.basis)).key()
         checks.append(("t-closed crucial: M = (R:S)", True, cond_is_M, {}))
     return checks
-
-
-def _subspace_intersection(b1, b2, S):
-    from . import exact
-    rows = []
-    n = S.dim
-    for c in range(n):
-        rows.append([v[c] for v in b1] + [v[c] for v in b2])
-    kern = exact.kernel(rows, len(b1) + len(b2), S.field.one)
-    out = []
-    for v in kern:
-        w = S.zero_vec()
-        for i, b in enumerate(b1):
-            if v[i]:
-                from .finitealg import vadd, vscale
-                w = vadd(w, vscale(b, v[i]))
-        out.append(w)
-    return echelon(out)
 
 
 def _is_minimal_pair_nodes(a, T):
@@ -504,12 +479,12 @@ def _cor_3_132(a, l2):
         return None
     N = over[0]
     C = a.conductor
-    msq = echelon([S.mul(x, y) for x in M.basis for y in M.basis])
+    msq = Echelon([S.mul(x, y) for x in M.basis for y in M.basis])
     m2_in_C = all(C.member(v) for v in msq)
     C_in_M = all(M.member(v) for v in C.basis)
     cond_is_M = C.key() == Ideal(S, list(M.basis)).key()
-    n2 = echelon([S.mul(x, y) for x in N.basis for y in N.basis])
-    n3 = echelon([S.mul(x, y) for x in n2 for y in N.basis])
+    n2 = Echelon([S.mul(x, y) for x in N.basis for y in N.basis])
+    n3 = Echelon([S.mul(x, y) for x in n2 for y in N.basis])
     subcases = {}
     # (1): C = M, N^2 not inside M, N^3 inside M
     subcases[1] = (cond_is_M and not all(M.member(v) for v in n2)
@@ -517,19 +492,19 @@ def _cor_3_132(a, l2):
     # (2) and (3) quantify over a generator y in N with S = R[y]
     sub2 = sub3 = False
     if not cond_is_M:
-        ms = echelon(ideal_MS(a).basis)
+        ms = a.once(ideal_MS).basis
         for y in _generators_in(a, N):
             y2 = S.mul(y, y)
             if not a.R.member(y2):
-                m_n2 = echelon(list(M.basis) + list(n2))
-                m_ry2 = echelon(list(M.basis) + [y2])
+                m_n2 = Echelon(list(M.basis) + list(n2))
+                m_ry2 = Echelon(list(M.basis) + [y2])
                 mn2 = [S.mul(x, v) for x in M.basis for v in n2]
                 if (ms == m_n2 and ms == m_ry2 and len(ms) < N.dim
                         and all(M.member(v) for v in mn2)):
                     sub2 = True
                     break
             else:
-                my = echelon(list(M.basis) + [S.mul(x, y) for x in M.basis])
+                my = Echelon(list(M.basis) + [S.mul(x, y) for x in M.basis])
                 resdim = a.R.dim - M.dim
                 if (len(my) - M.dim) == resdim:
                     sub3 = True

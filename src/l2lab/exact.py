@@ -6,6 +6,16 @@ always reduced, positive denominator).  The row-reduction routines are
 generic over any field whose elements support ``+ - * /``, truth-test
 as "nonzero" and ``==``; they are shared by the rational, prime-field
 and number-field layers.
+
+Every subspace in the package -- subfields over Q, subalgebras, ideals
+and quotients over F_q -- is an ``Echelon``: the nonzero rows of its
+reduced row-echelon form together with their pivot columns, as ``rref``
+finds them.  Row i is 1 at its own pivot and 0 at every other pivot, so
+one reduction (``Echelon.residue``) decides membership, gives the
+coordinates of a member (the vector read at the pivots) and projects
+onto the quotient (the residue read off the non-pivot columns).
+``intersection`` and ``Echelon.combine`` are the only intersection and
+linear-combination routines.
 """
 
 from fractions import Fraction
@@ -155,12 +165,6 @@ def rref(rows):
     return m[:r] + [[x - x for x in row] for row in m[r:]], pivots
 
 
-def row_space_basis(rows):
-    """Nonzero rows of the reduced echelon form, as tuples."""
-    red, pivots = rref(rows)
-    return [tuple(red[i]) for i in range(len(pivots))]
-
-
 def kernel(rows, ncols, one):
     """Reduced-echelon basis of the right null space of the matrix.
 
@@ -197,18 +201,82 @@ def solve(rows, rhs, one):
     return x
 
 
-def rank(rows):
-    return len(rref(rows)[1])
+class Echelon(tuple):
+    """A subspace: the nonzero rows of its reduced row-echelon form, as a
+    tuple of tuples, with their pivot columns in ``pivots``.
+
+    Equal subspaces give equal tuples, so an ``Echelon`` serves directly
+    as a canonical basis and key.
+    """
+
+    def __new__(cls, vectors):
+        red, pivots = rref(vectors)
+        span = super().__new__(cls, (tuple(row) for row in red[:len(pivots)]))
+        span.pivots = tuple(pivots)
+        return span
+
+    def residue(self, v):
+        """v minus its part in the span: zero at every pivot, and zero
+        everywhere exactly when v lies in the span."""
+        v = list(v)
+        for row, p in zip(self, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return v
+
+    def contains(self, v):
+        return not any(self.residue(v))
+
+    def coords(self, v):
+        """Coefficients of v over the rows, or None if v is outside."""
+        if any(self.residue(v)):
+            return None
+        return tuple(v[p] for p in self.pivots)
+
+    def project(self, v):
+        """The image of v in the quotient by the span, in coordinates on
+        the non-pivot columns (ascending)."""
+        r = self.residue(v)
+        for p in reversed(self.pivots):
+            del r[p]
+        return tuple(r)
+
+    def combine(self, coeffs):
+        """sum_i coeffs[i] * row_i, over a nonzero span."""
+        one = self[0][self.pivots[0]]
+        v = [one - one] * len(self[0])
+        for c, row in zip(coeffs, self):
+            if c:
+                v = [a + c * b for a, b in zip(v, row)]
+        return tuple(v)
 
 
-def in_row_space(vec, echelon_rows):
-    """Membership of vec in the span of rows already in reduced echelon form."""
-    v = list(vec)
-    for row in echelon_rows:
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is None:
-            continue
-        if v[pc]:
-            f = v[pc] / row[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+def intersection(A, B):
+    """A meet B for two Echelon spans of the same space.
+
+    A kernel vector (x, y) of the matrix whose columns are the rows of A
+    and then of B gives sum x_i A_i = -sum y_j B_j, and these sums span
+    the intersection.
+    """
+    if not A or not B:
+        return Echelon(())
+    one = A[0][A.pivots[0]]
+    rows = [[a[c] for a in A] + [b[c] for b in B] for c in range(len(A[0]))]
+    k = len(A)
+    return Echelon(A.combine(v[:k]) for v in kernel(rows, k + len(B), one))
+
+
+def prime_factors(n):
+    """Prime factors of n with multiplicity, ascending (trial division);
+    empty for n < 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out

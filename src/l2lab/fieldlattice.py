@@ -6,6 +6,7 @@ node set is the intersection closure of {E_1, ..., E_t} plus L itself;
 """
 
 from .errors import CapExceeded, ConsistencyError
+from .exact import prime_factors
 from .lattice import hasse
 from .numberfield import Subfield, intersect_subfields, prime_subfield, whole_field
 from .principal import index_set_I
@@ -81,7 +82,7 @@ def galois_length_two_check(lat, ps):
     splits = all(f.degree == 1 for f in ps.system.factors) and ps.system.r == n - 1
     if not splits:
         raise ValueError("not Galois: defining polynomial does not split over L")
-    primes = _prime_multiset(n)
+    primes = prime_factors(n)
     report = {"galois": True, "degree": n, "degree_primes": primes,
               "count_observed": len(lat), "bound_n_plus_1": n + 1,
               "bound_ok": len(lat) <= n + 1}
@@ -98,19 +99,6 @@ def galois_length_two_check(lat, ps):
     else:
         report["two_prime_degree"] = False
     return report
-
-
-def _prime_multiset(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def verify_minpoly_product_identity(ps, lat):

@@ -11,6 +11,7 @@ uses these as its oracles.
 import itertools
 
 from . import exact
+from .exact import Echelon, prime_factors
 from .caps import check_candidates, check_elements
 from .errors import ConsistencyError
 from .lattice import hasse
@@ -159,27 +160,11 @@ _small_fields = {}
 
 def small_field(q):
     if q not in _small_fields:
-        p, k = _prime_power(q)
-        _small_fields[q] = SmallField(p, k)
+        ps = prime_factors(q)
+        if not ps or ps.count(ps[0]) != len(ps):
+            raise ValueError("%d is not a prime power" % q)
+        _small_fields[q] = SmallField(ps[0], len(ps))
     return _small_fields[q]
-
-
-def _prime_power(q):
-    if q < 2:
-        raise ValueError("%d is not a prime power" % q)
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, k
-        p += 1
-    return q, 1
 
 
 def irreducible_over(Fq, k):
@@ -203,66 +188,18 @@ def _is_irreducible_gf(f, Fq):
     h = x.pow_mod(Fq.q ** k, f)
     if h != x % f:
         return False
-    for ell in set(_prime_divisors(k)):
+    for ell in set(prime_factors(k)):
         g = x.pow_mod(Fq.q ** (k // ell), f) - x
         if g.is_zero or poly_gcd(g, f).degree != 0:
             return False
     return True
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Vectors over F_q (plain tuples of GFElem)
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
+# Vectors over F_q are plain tuples of GFElem; subspaces are exact.Echelon.
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(u, c):
-    return tuple(a * c for a in u)
-
-
-def echelon(vectors):
-    return tuple(exact.row_space_basis([list(v) for v in vectors]))
-
-
-def in_span(vec, echelon_basis):
-    return exact.in_row_space(list(vec), [list(b) for b in echelon_basis])
-
-
-def coords_in_span(vec, echelon_basis):
-    """Coefficients of vec over an echelon basis, or None."""
-    v = list(vec)
-    coeffs = []
-    for row in echelon_basis:
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is None:
-            coeffs.append(v[0] - v[0] if v else None)
-            continue
-        c = v[pc] / row[pc]
-        coeffs.append(c)
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    if any(v):
-        return None
-    return coeffs
 
 
 def vec_key(v):
@@ -304,9 +241,6 @@ class FiniteAlgebra:
                     if left != right:
                         raise ValueError("multiplication table is not associative")
 
-    def zero_vec(self):
-        return (self.field.zero,) * self.dim
-
     def basis_vector(self, i):
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
@@ -336,9 +270,6 @@ class FiniteAlgebra:
             base = self.mul(base, base)
             e >>= 1
         return acc
-
-    def scalar(self, c):
-        return vscale(self.unit, c)
 
     def elements(self, what="element enumeration"):
         check_elements(self.size, what)
@@ -603,25 +534,22 @@ class Subalgebra:
 
     def __init__(self, ambient, basis, check=True):
         self.ambient = ambient
-        self.basis = echelon(basis)
+        self.basis = Echelon(basis)
         if check:
-            if not in_span(ambient.unit, self.basis):
+            if not self.member(ambient.unit):
                 raise ValueError("subalgebra does not contain 1")
-            for i in range(len(self.basis)):
-                for j in range(i, len(self.basis)):
-                    p = ambient.mul(self.basis[i], self.basis[j])
-                    if not in_span(p, self.basis):
-                        raise ValueError("subalgebra is not closed under multiplication")
+            if not self.is_closed():
+                raise ValueError("subalgebra is not closed under multiplication")
 
     @classmethod
     def from_generators(cls, ambient, gens):
-        basis = echelon([ambient.unit] + list(gens))
+        basis = Echelon([ambient.unit] + list(gens))
         while True:
             prods = list(basis)
             for i in range(len(basis)):
                 for j in range(i, len(basis)):
                     prods.append(ambient.mul(basis[i], basis[j]))
-            nb = echelon(prods)
+            nb = Echelon(prods)
             if len(nb) == len(basis):
                 break
             basis = nb
@@ -636,7 +564,13 @@ class Subalgebra:
         return self.ambient.field.q ** self.dim
 
     def member(self, v):
-        return in_span(v, self.basis)
+        return self.basis.contains(v)
+
+    def is_closed(self):
+        """Whether every product of two basis vectors lies in the span."""
+        b = self.basis
+        return all(self.member(self.ambient.mul(b[i], b[j]))
+                   for i in range(len(b)) for j in range(i, len(b)))
 
     def contains_sub(self, other):
         return all(self.member(b) for b in other.basis)
@@ -647,14 +581,8 @@ class Subalgebra:
     def elements(self, what="subalgebra element enumeration"):
         check_elements(self.size, what)
         F = self.ambient.field
-        out = []
-        for coeffs in itertools.product(F.elements(), repeat=self.dim):
-            v = self.ambient.zero_vec()
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    v = vadd(v, vscale(b, c))
-            out.append(v)
-        return out
+        return [self.basis.combine(coeffs)
+                for coeffs in itertools.product(F.elements(), repeat=self.dim)]
 
     def is_whole(self):
         return self.dim == self.ambient.dim
@@ -685,37 +613,26 @@ def algebra_on_subspace(A, basis, unit_vec, names=None):
     Returns (algebra, lift, project): lift maps local coordinate vectors
     to ambient vectors, project the other way (None if outside).
     """
-    basis = echelon(basis)
-    F = A.field
-    d = len(basis)
+    basis = Echelon(basis)
+    if names is None:
+        names = ["[%s]" % A.element_str(b) for b in basis]
+    alg = _induced_algebra(A, basis, basis.coords, unit_vec, names)
+    return alg, basis.combine, basis.coords
 
-    def project(v):
-        cs = coords_in_span(v, basis)
-        return tuple(cs) if cs is not None else None
 
-    def lift(coords):
-        v = A.zero_vec()
-        for c, b in zip(coords, basis):
-            if c:
-                v = vadd(v, vscale(b, c))
-        return v
-
+def _induced_algebra(A, basis, project, unit_vec, names):
+    """The algebra on the coordinates given by ``project``, whose i-th
+    unit vector is ``basis[i]``: e_i * e_j = project(basis[i] * basis[j])."""
     table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            p = project(A.mul(basis[i], basis[j]))
-            if p is None:
-                raise ValueError("subspace is not closed under multiplication")
-            row.append(p)
+    for a in basis:
+        row = [project(A.mul(a, b)) for b in basis]
+        if any(p is None for p in row):
+            raise ValueError("subspace is not closed under multiplication")
         table.append(row)
     unit = project(unit_vec)
     if unit is None:
         raise ValueError("unit does not lie in the subspace")
-    if names is None:
-        names = ["[%s]" % A.element_str(b) for b in basis]
-    alg = FiniteAlgebra(F, table, unit, names, check=False)
-    return alg, lift, project
+    return FiniteAlgebra(A.field, table, unit, names, check=False)
 
 
 class Ideal:
@@ -724,14 +641,14 @@ class Ideal:
 
     def __init__(self, of, basis):
         self.of = of
-        self.basis = echelon(basis)
+        self.basis = Echelon(basis)
 
     @property
     def dim(self):
         return len(self.basis)
 
     def member(self, v):
-        return in_span(v, self.basis)
+        return self.basis.contains(v)
 
     def key(self):
         return (self.dim, tuple(vec_key(b) for b in self.basis))
@@ -750,13 +667,13 @@ class Ideal:
 
 def ideal_generated(A, ring_basis, gens):
     """Smallest subspace containing gens and closed under ring_basis-mult."""
-    basis = echelon(gens)
+    basis = Echelon(gens)
     while True:
         prods = list(basis)
         for b in basis:
             for r in ring_basis:
                 prods.append(A.mul(b, r))
-        nb = echelon(prods)
+        nb = Echelon(prods)
         if len(nb) == len(basis):
             return nb
         basis = nb
@@ -768,58 +685,33 @@ def ideal_generated(A, ring_basis, gens):
 def nilradical(A):
     """Echelon basis of the set of nilpotents (= Jacobson radical here)."""
     nil = [v for v in A.elements("nilradical") if A.is_nilpotent(v)]
-    return echelon(nil)
+    return Echelon(nil)
 
 
 def subspace_complement(A, basis):
-    """(project, lift, codim) for the quotient vector space A / span(basis).
+    """(project, lift, free) for the quotient vector space A / span(basis).
 
-    Quotient coordinates are the non-pivot positions of the echelon form.
+    Quotient coordinates are the non-pivot positions ``free`` of the
+    echelon form; ``lift`` puts them back with zeros at the pivots.
     """
-    F = A.field
-    red = echelon(basis)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
-    comp = [j for j in range(A.dim) if j not in pivots]
-
-    def project(v):
-        v = list(v)
-        for row, pc in zip(red, pivots):
-            if v[pc]:
-                c = v[pc] / row[pc]
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v[j] for j in comp)
+    red = Echelon(basis)
+    free = [j for j in range(A.dim) if j not in red.pivots]
 
     def lift(qv):
-        v = [F.zero] * A.dim
-        for c, j in zip(qv, comp):
+        v = [A.field.zero] * A.dim
+        for c, j in zip(qv, free):
             v[j] = c
         return tuple(v)
 
-    return project, lift, len(comp)
+    return red.project, lift, free
 
 
 def quotient_by_ideal(A, ideal_basis):
     """(Q, project, lift): Q = A / ideal, on complement coordinates."""
-    F = A.field
-    red = echelon(ideal_basis)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
-    comp = [j for j in range(A.dim) if j not in pivots]
-    project, lift, d = subspace_complement(A, red)
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(project(A.mul(lift(_unit_coords(F, d, i)),
-                                     lift(_unit_coords(F, d, j)))))
-        table.append(row)
-    unit = project(A.unit)
-    names = [A.names[j] for j in comp]
-    Q = FiniteAlgebra(F, table, unit, names, check=False)
+    project, lift, free = subspace_complement(A, ideal_basis)
+    Q = _induced_algebra(A, [A.basis_vector(j) for j in free], project, A.unit,
+                         [A.names[j] for j in free])
     return Q, project, lift
-
-
-def _unit_coords(F, d, i):
-    return tuple(F.one if j == i else F.zero for j in range(d))
 
 
 def idempotents(A):
@@ -872,16 +764,15 @@ def maximal_ideals_of_sub(R):
 def conductor(R, S):
     """(R : S) = {s in S : s*S is contained in R}, the largest common ideal."""
     F = S.field
-    project, _, qdim = subspace_complement(S, R.basis)
+    project, _, free = subspace_complement(S, R.basis)
+    qdim = len(free)
     rows = []
     basis = [S.basis_vector(i) for i in range(S.dim)]
     for j in range(S.dim):
         prods = [project(S.mul(basis[c], basis[j])) for c in range(S.dim)]
         for t in range(qdim):
             rows.append([prods[c][t] for c in range(S.dim)])
-    kern = exact.kernel(rows, S.dim, F.one)
-    basis_vecs = [tuple(v) for v in kern]
-    cond = Ideal(S, basis_vecs)
+    cond = Ideal(S, exact.kernel(rows, S.dim, F.one))
     for b in cond.basis:
         if not R.member(b):
             raise ConsistencyError("conductor is not contained in R")
@@ -894,10 +785,9 @@ def radical_in(R, ideal_basis):
     local_ideal = [project(b) for b in ideal_basis]
     if any(v is None for v in local_ideal):
         raise ValueError("ideal is not contained in R")
-    Q, qproject, qlift = quotient_by_ideal(alg, echelon(local_ideal))
-    nil = nilradical(Q)
-    out = [lift(qlift(v)) for v in nil] + [lift(v) for v in echelon(local_ideal)]
-    return Ideal(R, [v for v in out if any(v)])
+    Q, _, qlift = quotient_by_ideal(alg, local_ideal)
+    return Ideal(R, [lift(qlift(v)) for v in nilradical(Q)]
+                 + [lift(v) for v in local_ideal])
 
 
 def msupp(R, S):
@@ -1047,7 +937,7 @@ def enumerate_subalgebras(R, S):
     c = S.dim - R.dim
     total = sum(_gaussian_binomial(c, k, q) for k in range(c + 1))
     check_candidates(total, "subalgebra enumeration")
-    project, lift, _ = subspace_complement(S, R.basis)
+    _, lift, _ = subspace_complement(S, R.basis)
     found = []
     for k in range(c + 1):
         for piv in itertools.combinations(range(c), k):
@@ -1062,20 +952,12 @@ def enumerate_subalgebras(R, S):
                     rows[r_i][pc] = F.one
                 for (r_i, col), val in zip(free_pos, fill):
                     rows[r_i][col] = val
-                basis = list(R.basis) + [lift(tuple(row)) for row in rows]
-                if _closed_under_mul(S, basis):
-                    found.append(Subalgebra(S, basis, check=False))
+                T = Subalgebra(S, list(R.basis) + [lift(row) for row in rows],
+                               check=False)
+                if T.is_closed():
+                    found.append(T)
     found.sort(key=lambda T: T.key())
     return hasse(found, Subalgebra.contains_sub)
-
-
-def _closed_under_mul(S, basis):
-    eb = echelon(basis)
-    for i in range(len(eb)):
-        for j in range(i, len(eb)):
-            if not in_span(S.mul(eb[i], eb[j]), eb):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -248,24 +248,26 @@ def make_field(f):
 
 
 class Subfield:
-    """An intermediate field k <= K <= L: echelon basis plus min poly of x."""
+    """An intermediate field k <= K <= L: the Echelon span of its
+    coordinate vectors, the same rows as elements, and the min poly of x."""
 
-    __slots__ = ("ambient", "basis", "min_poly")
+    __slots__ = ("ambient", "span", "basis", "min_poly")
 
-    def __init__(self, ambient, basis, min_poly):
+    def __init__(self, ambient, span, min_poly):
         self.ambient = ambient
-        self.basis = tuple(basis)
+        self.span = span
+        self.basis = tuple(NFElement(ambient, row) for row in span)
         self.min_poly = min_poly
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.span)
 
     def key(self):
-        return (self.dim, tuple(b.coords for b in self.basis))
+        return (self.dim, self.span)
 
     def contains(self, elem):
-        return exact.in_row_space(elem.coords, [b.coords for b in self.basis])
+        return self.span.contains(elem.coords)
 
     def contains_subfield(self, other):
         return all(self.contains(b) for b in other.basis)
@@ -278,10 +280,10 @@ class Subfield:
 
     def __eq__(self, other):
         return (isinstance(other, Subfield) and self.ambient == other.ambient
-                and tuple(b.coords for b in self.basis) == tuple(b.coords for b in other.basis))
+                and self.span == other.span)
 
     def __hash__(self):
-        return hash(tuple(b.coords for b in self.basis))
+        return hash(self.span)
 
     def __repr__(self):
         return "Subfield(dim %d: %s)" % (self.dim, ", ".join(nf_str(b) for b in self.basis))
@@ -295,44 +297,42 @@ class Subfield:
         return "Q(" + ", ".join(gens) + ")"
 
 
-def _echelon_elements(L, elems):
-    rows = [e.coords for e in elems]
-    basis = exact.row_space_basis(rows)
-    return [NFElement(L, b) for b in basis]
-
-
-def _check_subspace_is_subfield(L, basis):
-    rows = [b.coords for b in basis]
-    if not exact.in_row_space(L.one.coords, rows):
+def _check_subspace_is_subfield(L, span):
+    if not span.contains(L.one.coords):
         raise ConsistencyError("subspace does not contain 1")
+    basis = [NFElement(L, row) for row in span]
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            if not exact.in_row_space((basis[i] * basis[j]).coords, rows):
+            if not span.contains((basis[i] * basis[j]).coords):
                 raise ConsistencyError("subspace is not closed under multiplication")
     if L.n % max(1, len(basis)) != 0:
         raise ConsistencyError("subfield dimension does not divide the field degree")
 
 
-def subfield_from_subspace(L, elems, check=True):
-    """Wrap an echelonized Q-subspace of L as a Subfield.
+def subfield_from_subspace(L, vectors, check=True):
+    """The Q-span of the coordinate vectors and 1, as a Subfield.
 
     With check=True the multiplicative closure is asserted, not imposed.
     """
-    basis = _echelon_elements(L, list(elems) + [L.one])
+    return _subfield(L, exact.Echelon(list(vectors) + [L.one.coords]), check)
+
+
+def _subfield(L, span, check):
     if check:
-        _check_subspace_is_subfield(L, basis)
-    mp = min_poly_over_basis(L, basis)
-    return Subfield(L, basis, mp)
+        _check_subspace_is_subfield(L, span)
+    return Subfield(L, span, min_poly_over_basis(L, span))
 
 
-def min_poly_over_basis(L, basis):
-    """Monic minimal polynomial of x over the subfield spanned by basis.
+def min_poly_over_basis(L, span):
+    """Monic minimal polynomial of x over the subfield with Echelon span.
 
     Finds the least d such that x^d is a combination of b_j * x^i
     (i < d) with rational weights: pure linear algebra, independent of
     any factorization of the defining polynomial.
     """
     n = L.n
+    k = len(span)
+    basis = [NFElement(L, row) for row in span]
     pows = L.gen_powers
     cols = []
     for d in range(1, n + 1):
@@ -343,16 +343,9 @@ def min_poly_over_basis(L, basis):
         sol = exact.solve(rows, rhs, Fraction(1))
         if sol is None:
             continue
-        coeffs = []
-        for i in range(d):
-            c = L.zero
-            for j, b in enumerate(basis):
-                w = sol[i * len(basis) + j]
-                if w:
-                    c = c + b.scale(w)
-            coeffs.append(c)
+        coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
         mp = Poly(L, [-c for c in coeffs] + [L.one])
-        if d * len(basis) != n:
+        if d * k != n:
             raise ConsistencyError("deg(f_K) * dim(K) != n")
         if mp.evaluate(L.gen()):
             raise ConsistencyError("minimal polynomial does not kill x")
@@ -367,43 +360,32 @@ def subfield_generated(L, gens):
     stabilizes; terminates in at most n rounds since the dimension
     strictly increases.
     """
-    basis = _echelon_elements(L, [L.one] + list(gens))
+    span = exact.Echelon([L.one.coords] + [g.coords for g in gens])
     while True:
-        prods = list(basis)
+        basis = [NFElement(L, row) for row in span]
+        prods = list(span)
         for i in range(len(basis)):
             for j in range(i, len(basis)):
-                prods.append(basis[i] * basis[j])
-        newbasis = _echelon_elements(L, prods)
-        if len(newbasis) == len(basis):
+                prods.append((basis[i] * basis[j]).coords)
+        grown = exact.Echelon(prods)
+        if len(grown) == len(span):
             break
-        basis = newbasis
-    return subfield_from_subspace(L, basis, check=True)
+        span = grown
+    return _subfield(L, span, check=True)
 
 
 def intersect_subfields(A, B):
     """Exact subspace intersection of two subfields of the same field."""
     if A.ambient != B.ambient:
         raise ValueError("subfields of different ambient fields")
-    L = A.ambient
-    rows = []
-    for c in range(L.n):
-        rows.append([b.coords[c] for b in A.basis] + [-b.coords[c] for b in B.basis])
-    elems = []
-    for v in exact.kernel(rows, A.dim + B.dim, Fraction(1)):
-        e = L.zero
-        for i, b in enumerate(A.basis):
-            if v[i]:
-                e = e + b.scale(v[i])
-        elems.append(e)
-    return subfield_from_subspace(L, elems, check=True)
+    return _subfield(A.ambient, exact.intersection(A.span, B.span), check=True)
 
 
 def whole_field(L):
-    basis = [NFElement(L, [Fraction(1 if i == j else 0) for i in range(L.n)])
-             for j in range(L.n)]
-    mp = Poly(L, [-L.gen(), L.one])
-    return Subfield(L, basis, mp)
+    span = exact.Echelon([[Fraction(1 if i == j else 0) for i in range(L.n)]
+                          for j in range(L.n)])
+    return Subfield(L, span, Poly(L, [-L.gen(), L.one]))
 
 
 def prime_subfield(L):
-    return subfield_from_subspace(L, [L.one], check=True)
+    return subfield_from_subspace(L, [], check=True)

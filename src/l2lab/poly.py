@@ -30,6 +30,7 @@ import random
 from fractions import Fraction
 
 from .errors import ConsistencyError
+from .exact import ModularInt, is_prime, next_prime
 
 
 class RationalField:
@@ -55,7 +56,6 @@ class PrimeField:
     """Domain descriptor for the field with p elements, p prime."""
 
     def __init__(self, p):
-        from .exact import ModularInt, is_prime
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p
@@ -64,7 +64,6 @@ class PrimeField:
         self.one = ModularInt(1, p)
 
     def from_int(self, n):
-        from .exact import ModularInt
         return ModularInt(n, self.p)
 
     def __repr__(self):
@@ -638,7 +637,6 @@ _BZ_PRIME_TRIES = 8
 def _squarefree_primes(G):
     """(p, G mod p) for the primes p, in increasing order, where monic G
     stays squarefree mod p."""
-    from .exact import next_prime
     p = 1
     while True:
         p = next_prime(p)

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from . import exact
 from .errors import ConsistencyError
-from .numberfield import NFElement, subfield_from_subspace, subfield_generated
+from .numberfield import (NFElement, intersect_subfields, subfield_from_subspace,
+                          subfield_generated)
 from .poly import Poly, factor_over_number_field
 
 
@@ -72,9 +73,7 @@ def principal_subfield_of_factor(L, f_alpha):
     for t in range(d):
         for c in range(n):
             rows.append([rems[j].coeff(t).coords[c] for j in range(n)])
-    kern = exact.kernel(rows, n, Fraction(1))
-    elems = [NFElement(L, v) for v in kern]
-    return subfield_from_subspace(L, elems, check=True)
+    return subfield_from_subspace(L, exact.kernel(rows, n, Fraction(1)), check=True)
 
 
 class PrincipalSubfieldSet:
@@ -133,7 +132,6 @@ def _check_principal_set(ps):
     if ps.E:
         inter = ps.E[0]
         for e in ps.E[1:]:
-            from .numberfield import intersect_subfields
             inter = intersect_subfields(inter, e)
         if inter.dim != 1:
             raise ConsistencyError("intersection of principal subfields is not k")
@@ -153,9 +151,7 @@ def _pullback_cross_check(ps):
     L = ps.field
     rng = random.Random(0xE5)
     for b, e in enumerate(ps.E):
-        g = L.zero
-        for base in e.basis:
-            g = g + base.scale(Fraction(rng.randrange(1, 50)))
+        g = NFElement(L, e.span.combine([Fraction(rng.randrange(1, 50)) for _ in e.span]))
         gpoly = Poly(L, [L.from_rational(c) for c in g.coords])
         diff = gpoly - Poly.const(L, g)
         for a in ps.gamma[b]:

@@ -208,3 +208,38 @@ def test_copointwise_brute_force_matches_shape():
     a = analyze_extension(prime_algebra(S), S)
     from l2lab.classify import copointwise_shape_check
     assert is_copointwise_minimal(a) and copointwise_shape_check(a)
+
+
+def test_element_scans_run_once_per_analysis(monkeypatch):
+    """The case dispatcher reuses the predicate battery's element scans."""
+    import l2lab.classify as classify
+    calls = {}
+
+    def counted(name):
+        fn = getattr(classify, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(classify, name, wrapper)
+
+    for name in ("is_locally_minimal", "is_simple_extension",
+                 "is_copointwise_minimal", "ideal_MS"):
+        counted(name)
+    plane = quotient_algebra(F2, ["X", "Y"],
+                             [{(2, 0): F2.one}, {(1, 1): F2.one}, {(0, 2): F2.one}])
+    cubic = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
+    crosswise = product_algebra(F2, [2, 2])
+    bell = product_algebra(F2, [1, 1, 1])
+    cases = [(prime_algebra(plane), plane, {"is_simple_extension", "is_copointwise_minimal",
+                                           "ideal_MS"}),
+             (prime_algebra(cubic), cubic, {"is_simple_extension", "is_copointwise_minimal",
+                                           "ideal_MS"}),
+             (Subalgebra.from_generators(crosswise, [crosswise.basis_vector(0)]), crosswise,
+              {"is_locally_minimal"}),
+             (prime_algebra(bell), bell, {"ideal_MS"})]
+    for R, S, scanned in cases:
+        calls.clear()
+        classify_extension(analyze_extension(R, S))
+        assert set(calls) == scanned
+        assert all(n == 1 for n in calls.values()), calls

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.exact import ModularInt, in_row_space, kernel, next_prime, rank, rref, solve
+from l2lab.exact import Echelon, ModularInt, kernel, next_prime, prime_factors, rref, solve
 
 ONE = Fraction(1)
 
@@ -81,7 +81,7 @@ def test_kernel_exactness_and_rank_nullity():
         basis = kernel(m, cols, ONE)
         for v in basis:
             assert all(x == 0 for x in _mul_vector(m, v))
-        assert rank(m) + len(basis) == cols
+        assert len(rref(m)[1]) + len(basis) == cols
 
 
 def test_echelon_idempotent():
@@ -111,11 +111,11 @@ def test_solve_inconsistent():
 
 
 def test_in_row_space():
-    red, _ = rref([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
-    assert in_row_space([Fraction(3), Fraction(4)], red)
-    red2, _ = rref([[Fraction(1), Fraction(1)]])
-    assert in_row_space([Fraction(2), Fraction(2)], red2)
-    assert not in_row_space([Fraction(1), Fraction(0)], red2)
+    red = Echelon([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    assert red.contains([Fraction(3), Fraction(4)])
+    red2 = Echelon([[Fraction(1), Fraction(1)]])
+    assert red2.contains([Fraction(2), Fraction(2)])
+    assert not red2.contains([Fraction(1), Fraction(0)])
 
 
 def test_modular_int_field_axioms():
@@ -134,3 +134,18 @@ def test_modular_int_mixed_moduli_rejected():
     with pytest.raises(ValueError):
         ModularInt(1, 5) + ModularInt(1, 7)
 
+
+
+def test_prime_factors_against_naive_oracle():
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, p))]
+
+    def naive(n):
+        out = []
+        for p in primes:
+            while n % p == 0:
+                out.append(p)
+                n //= p
+        return out
+    assert prime_factors(0) == prime_factors(1) == []
+    for n in range(1, 2001):
+        assert prime_factors(n) == naive(n), n

@@ -73,8 +73,9 @@ def test_small_field_modulus_matches_factoring_oracle(p, kmax):
 
 
 def test_small_field_rejects_non_prime_power():
-    with pytest.raises(ValueError):
-        small_field(6)
+    for q in (6, 12, 1):
+        with pytest.raises(ValueError, match="%d is not a prime power" % q):
+            small_field(q)
 
 
 def test_maximal_ideals_product_of_fields():
