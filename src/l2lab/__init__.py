@@ -10,8 +10,8 @@ Two engines share an exact-arithmetic core:
 """
 
 from .errors import CapExceeded, ConsistencyError, ParseError
-from .exact import Rational, next_prime
-from .poly import (GF, QQ, Factorization, Poly, factor_mod_p, factor_over_Q,
+from .exact import next_prime
+from .poly import (QQ, Factorization, Poly, factor_mod_p, factor_over_Q,
                    factor_over_number_field, is_separable, poly_gcd)
 from .numberfield import (NFElement, NumberField, Subfield, intersect_subfields,
                           make_field, subfield_generated)

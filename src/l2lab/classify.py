@@ -137,7 +137,7 @@ def copointwise_shape_check(a):
         return False
     S = a.S
     ms = a.once(ideal_MS)
-    if ms.key() != Ideal(S, list(M.basis)).key():
+    if ms.key() != M.key():
         return False
     Q, project, lift = quotient_by_ideal(S, list(M.basis))
     resdim = a.R.dim - M.dim
@@ -230,7 +230,7 @@ def classify_extension(a):
         if l2 != (a.length == 2):
             raise ConsistencyError("t-closure-proper case count/length mismatch")
     elif T.is_whole() and P != a.R and not P.is_whole():
-        cond_is_M = a.conductor.key() == Ideal(S, list(M.basis)).key()
+        cond_is_M = a.conductor.key() == M.key()
         l2 = a.count == 3 or (a.count == 4 and cond_is_M)
         out["case"] = "(5)" if l2 else "not length 2"
         if l2:
@@ -274,7 +274,7 @@ def classify_extension(a):
             raise ConsistencyError("seminormal infra-integral case mismatch")
     else:
         # t-closed: reduces to the residue field extension at M = (R:S)
-        if a.conductor.key() != Ideal(S, list(M.basis)).key():
+        if a.conductor.key() != M.key():
             raise ConsistencyError("t-closed crucial extension must have M = (R:S)")
         resdim = a.R.dim - M.dim
         sdim = S.dim - M.dim
@@ -424,7 +424,7 @@ def _crucial_predicates(a, l2):
                        True, holds, {"L_R(N/M)": lr, "|V(N)|": len(vn)}))
 
     if infra and P != a.R and not P.is_whole():
-        cond_is_M = a.conductor.key() == Ideal(S, list(M.basis)).key()
+        cond_is_M = a.conductor.key() == M.key()
         rule = (3 <= a.count <= 4) and (a.count != 4 or cond_is_M)
         extra_ok = True
         if l2 and a.count == 3 and cond_is_M:
@@ -456,7 +456,7 @@ def _crucial_predicates(a, l2):
                 checks.append(sub)
 
     if tclosed:
-        cond_is_M = a.conductor.key() == Ideal(S, list(M.basis)).key()
+        cond_is_M = a.conductor.key() == M.key()
         checks.append(("t-closed crucial: M = (R:S)", True, cond_is_M, {}))
     return checks
 
@@ -474,7 +474,7 @@ def _cor_3_132(a, l2):
     """Simple subintegral crucial case: the three-subcase criterion."""
     S = a.S
     M = a.crucial
-    over = v_of_ideal(a, Ideal(S, list(M.basis)))
+    over = v_of_ideal(a, M)
     if len(over) != 1:
         return None
     N = over[0]
@@ -482,7 +482,7 @@ def _cor_3_132(a, l2):
     msq = Echelon([S.mul(x, y) for x in M.basis for y in M.basis])
     m2_in_C = all(C.member(v) for v in msq)
     C_in_M = all(M.member(v) for v in C.basis)
-    cond_is_M = C.key() == Ideal(S, list(M.basis)).key()
+    cond_is_M = C.key() == M.key()
     n2 = Echelon([S.mul(x, y) for x in N.basis for y in N.basis])
     n3 = Echelon([S.mul(x, y) for x in n2 for y in N.basis])
     subcases = {}

@@ -1,10 +1,10 @@
-"""Exact arithmetic kernels: rationals, prime-field residues, linear algebra.
+"""Exact arithmetic kernels: primes and linear algebra over any exact field.
 
 Everything here is exact; no floating point is used anywhere in the
 package.  Rationals are ``fractions.Fraction`` (arbitrary precision,
 always reduced, positive denominator).  The row-reduction routines are
 generic over any field whose elements support ``+ - * /``, truth-test
-as "nonzero" and ``==``; they are shared by the rational, prime-field
+as "nonzero" and ``==``; they are shared by the rational, finite-field
 and number-field layers.
 
 Every subspace in the package -- subfields over Q, subalgebras, ideals
@@ -17,94 +17,6 @@ onto the quotient (the residue read off the non-pivot columns).
 ``intersection`` and ``Echelon.combine`` are the only intersection and
 linear-combination routines.
 """
-
-from fractions import Fraction
-
-Rational = Fraction
-
-
-class ModularInt:
-    """A residue in Z/pZ for a prime p."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, ModularInt):
-            if other.p != self.p:
-                raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModularInt(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModularInt(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModularInt(w - self.v, self.p)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModularInt(self.v * w, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModularInt(self.v * pow(w, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModularInt(w * pow(self.v, -1, self.p), self.p)
-
-    def __neg__(self):
-        return ModularInt(-self.v, self.p)
-
-    def __pow__(self, e):
-        return ModularInt(pow(self.v, e, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, ModularInt):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __lt__(self, other):
-        return self.v < self._coerce(other)
-
-    def __repr__(self):
-        return "%d" % self.v
 
 
 def is_prime(n):

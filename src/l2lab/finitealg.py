@@ -71,7 +71,12 @@ class GFElem:
 
 
 class SmallField:
-    """F_q with precomputed arithmetic tables; q = p^k, q small."""
+    """F_q with precomputed arithmetic tables; q = p^k, q small.
+
+    Element i is the residue sum c_t u^t with i = sum c_t p^t; for k > 1
+    the tables come from polynomial arithmetic over F_p modulo the
+    lex-least monic irreducible of degree k.
+    """
 
     def __init__(self, p, k):
         self.p = p
@@ -83,31 +88,15 @@ class SmallField:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            # lex-least monic irreducible of degree k, low coefficients first
-            self.modpoly = [c.i for c in irreducible_over(small_field(p), k).cs[:k]]
-            tuples = list(itertools.product(range(p), repeat=k))
-            # index = sum c_i p^i with c_0 the constant coefficient
-            idx = {t: sum(c * p ** i for i, c in enumerate(t)) for t in tuples}
-            by_idx = sorted(tuples, key=lambda t: idx[t])
-            add = [[idx[tuple((a[i] + b[i]) % p for i in range(k))] for b in by_idx]
-                   for a in by_idx]
-            mul = []
-            for a in by_idx:
-                row = []
-                for b in by_idx:
-                    prod = [0] * (2 * k - 1)
-                    for i, ai in enumerate(a):
-                        if ai:
-                            for j, bj in enumerate(b):
-                                prod[i + j] = (prod[i + j] + ai * bj) % p
-                    while len(prod) > k:
-                        top = prod.pop()
-                        if top:
-                            off = len(prod) - k
-                            for i in range(k):
-                                prod[off + i] = (prod[off + i] - top * self.modpoly[i]) % p
-                    row.append(idx[tuple(prod)])
-                mul.append(row)
+            Fp = small_field(p)
+            m = irreducible_over(Fp, k)
+            # low coefficients first, without the leading 1
+            self.modpoly = [c.i for c in m.cs[:k]]
+            polys = [Poly(Fp, [Fp.element(i // p ** t) for t in range(k)])
+                     for i in range(self.q)]
+            index = {f.cs: i for i, f in enumerate(polys)}
+            add = [[index[(a + b).cs] for b in polys] for a in polys]
+            mul = [[index[(a * b % m).cs] for b in polys] for a in polys]
         self.add_t = add
         self.mul_t = mul
         self.neg_t = [add[a].index(0) for a in range(self.q)]
@@ -159,6 +148,7 @@ _small_fields = {}
 
 
 def small_field(q):
+    check_elements(q * q, "F_%d arithmetic tables" % q)
     if q not in _small_fields:
         ps = prime_factors(q)
         if not ps or ps.count(ps[0]) != len(ps):
@@ -306,72 +296,45 @@ class FiniteAlgebra:
         return "FiniteAlgebra(F%d, dim %d)" % (self.field.q, self.dim)
 
 
+def _power_table(F, m):
+    """Structure constants of F[u]/(m) on the basis 1, u, ..., u^(k-1):
+    entry (i, j) is the coefficient vector of u^(i+j) mod m."""
+    k = m.degree
+    x = Poly.x(F)
+    powers = []
+    r = Poly.const(F, F.one)
+    for _ in range(2 * k - 1):
+        powers.append(tuple(r.coeff(t) for t in range(k)))
+        r = r * x % m
+    return [[powers[i + j] for j in range(k)] for i in range(k)]
+
+
 def product_algebra(F, factor_degrees):
     """Direct product of fields F_{q^k}, each realized as F_q[W]/(m_k)."""
-    blocks = []
-    names = []
-    offset = 0
-    for s, k in enumerate(factor_degrees, start=1):
-        m = irreducible_over(F, k)
-        blocks.append((offset, k, m))
-        for j in range(k):
-            if j == 0:
-                names.append("e%d" % s)
-            elif j == 1:
-                names.append("u%d" % s)
-            else:
-                names.append("u%d^%d" % (s, j))
-        offset += k
-    dim = offset
-    zero = [F.zero] * dim
-
-    def block_mul(off, k, m, i, j):
-        prod = [F.zero] * (2 * k - 1)
-        prod[i + j] = F.one
-        pr = Poly(F, prod) % m
-        out = list(zero)
-        for t in range(k):
-            out[off + t] = pr.coeff(t)
-        return tuple(out)
-
-    table = [[None] * dim for _ in range(dim)]
-    for (off, k, m) in blocks:
-        for a in range(dim):
-            for b in range(dim):
-                if table[a][b] is not None:
-                    continue
-                ina = off <= a < off + k
-                inb = off <= b < off + k
-                if ina and inb:
-                    table[a][b] = block_mul(off, k, m, a - off, b - off)
-                elif ina or inb:
-                    pass
-    for a in range(dim):
-        for b in range(dim):
-            if table[a][b] is None:
-                table[a][b] = tuple(zero)
+    dim = sum(factor_degrees)
+    zero = (F.zero,) * dim
+    table = [[zero] * dim for _ in range(dim)]
     unit = list(zero)
-    for (off, k, m) in blocks:
+    names = []
+    off = 0
+    for s, k in enumerate(factor_degrees, start=1):
+        block = _power_table(F, irreducible_over(F, k))
+        for i in range(k):
+            for j in range(k):
+                table[off + i][off + j] = zero[:off] + block[i][j] + zero[off + k:]
         unit[off] = F.one
+        names += ["e%d" % s] + ["u%d" % s if j == 1 else "u%d^%d" % (s, j)
+                                for j in range(1, k)]
+        off += k
     return FiniteAlgebra(F, table, unit, names)
 
 
 def field_algebra(F, defining):
     """F_q[X]/(f) for a monic f over F_q, as an F_q-algebra of dim deg f."""
-    k = defining.degree
-    dim = k
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            prod = [F.zero] * (i + j + 1)
-            prod[i + j] = F.one
-            pr = Poly(F, prod) % defining
-            row.append(tuple(pr.coeff(t) for t in range(dim)))
-        table.append(row)
+    dim = defining.degree
     unit = tuple(F.one if t == 0 else F.zero for t in range(dim))
     names = ["1"] + ["x" if i == 1 else "x^%d" % i for i in range(1, dim)]
-    return FiniteAlgebra(F, table, unit, names)
+    return FiniteAlgebra(F, _power_table(F, defining), unit, names)
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +953,7 @@ def _minimal_type_of_pair(R, S):
     if len(over) != 1:
         raise ConsistencyError("minimal extension with |V(M)| not in {1, 2}")
     N = over[0]
-    if N.key() == Ideal(S, list(M.basis)).key():
+    if N.key() == M.key():
         if S.dim - N.dim <= qdim_RM:
             raise ConsistencyError("inert case without residue field growth")
         return "inert"

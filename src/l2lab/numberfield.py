@@ -81,9 +81,6 @@ class NFElement:
     def __repr__(self):
         return nf_str(self)
 
-    def as_poly(self):
-        return Poly(QQ, self.coords)
-
 
 def nf_str(e, var="x"):
     terms = []

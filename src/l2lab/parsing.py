@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .poly import Poly, QQ
-from .finitealg import (FiniteAlgebra, Subalgebra, product_algebra,
-                        quotient_algebra, small_field)
+from .finitealg import (FiniteAlgebra, Subalgebra, _mp_add_term, _mp_combine,
+                        _mp_mul_term, product_algebra, quotient_algebra,
+                        small_field)
 
 # Largest exponent, and largest degree a power may expand to.  Powers are
 # expanded by repeated multiplication, so this is checked first.
@@ -225,31 +226,19 @@ class _MPolySemantics:
         return {mono: self.F.one}
 
     def add(self, a, b):
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m, self.F.zero) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return out
+        return _mp_combine(a, b, self.F.one)
 
     def sub(self, a, b):
-        return self.add(a, {m: -c for m, c in b.items()})
+        return _mp_combine(a, b, -self.F.one)
 
     def neg(self, a):
-        return {m: -c for m, c in a.items()}
+        return _mp_mul_term(a, (0,) * self.nvars, -self.F.one)
 
     def mul(self, a, b):
         out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(m, self.F.zero) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+        for mono, c in b.items():
+            for m, t in _mp_mul_term(a, mono, c).items():
+                _mp_add_term(out, m, t)
         return out
 
     def div(self, a, b, pos):
@@ -257,8 +246,7 @@ class _MPolySemantics:
             raise ParseError("division by a non-constant at position %d" % pos)
         if not b:
             raise ParseError("division by zero at position %d" % pos)
-        inv = self.F.one / b[(0,) * self.nvars]
-        return {m: c * inv for m, c in a.items()}
+        return _mp_mul_term(a, (0,) * self.nvars, self.F.one / b[(0,) * self.nvars])
 
     def pow(self, a, e, pos):
         _check_power(e, max(map(sum, a), default=0), pos)
@@ -303,9 +291,8 @@ def parse_algebra(doc):
         raise ParseError("algebra document must be a JSON object")
     if "q" not in doc:
         raise ParseError("algebra document is missing the base size q")
-    try:
-        q = int(doc["q"])
-    except (TypeError, ValueError):
+    q = doc["q"]
+    if type(q) is not int:
         raise ParseError("q must be an integer prime power")
     try:
         F = small_field(q)
@@ -374,25 +361,39 @@ def _algebra_from_product(F, q, factors):
     return S, blocks
 
 
+def _element(F, c):
+    """The element with index c: a JSON integer (not a bool) in [0, q)."""
+    if type(c) is not int or not 0 <= c < F.q:
+        raise ParseError("field elements are integer indices in [0, %d), got %r"
+                         % (F.q, c))
+    return F.element(c)
+
+
 def _algebra_from_table(F, spec):
     if not isinstance(spec, dict) or "table" not in spec or "unit" not in spec:
         raise ParseError("table presentation needs unit and table entries")
     table = spec["table"]
+    if not isinstance(table, list) or not table:
+        raise ParseError("table must be a non-empty list of rows")
     d = len(table)
 
     def vec(entry):
         if not isinstance(entry, list) or len(entry) != d:
             raise ParseError("table entries must be length-%d vectors" % d)
-        return tuple(F.element(int(c)) for c in entry)
+        return tuple(_element(F, c) for c in entry)
 
     rows = []
     for row in table:
-        if len(row) != d:
+        if not isinstance(row, list) or len(row) != d:
             raise ParseError("table must be %d x %d" % (d, d))
         rows.append([vec(e) for e in row])
     unit = vec(spec["unit"])
+    names = spec.get("names")
+    if names is not None and not (isinstance(names, list) and len(names) == d
+                                  and all(isinstance(n, str) for n in names)):
+        raise ParseError("names must be a list of %d strings" % d)
     try:
-        return FiniteAlgebra(F, rows, unit, spec.get("names"))
+        return FiniteAlgebra(F, rows, unit, names)
     except ValueError as e:
         raise ParseError("invalid table: %s" % e)
 
@@ -463,5 +464,6 @@ def _subring_from_table_generators(S, F, spec):
         comps = _split_top_commas(body)
         if len(comps) != S.dim:
             raise ParseError("table-algebra generators need %d coordinates" % S.dim)
-        gens.append(tuple(F.element(int(c)) for c in comps))
+        gens.append(tuple(_element(F, int(c) if re.fullmatch("[0-9]+", c) else c)
+                          for c in comps))
     return Subalgebra.from_generators(S, gens)

@@ -1,8 +1,8 @@
 """Dense univariate polynomial arithmetic and exact factorization.
 
 Polynomials are immutable coefficient tuples, lowest degree first, over a
-coefficient field described by a small domain object (``QQ``, ``GF(p)``,
-or a number field).  The factorization entry points are:
+coefficient field described by a small domain object (``QQ``, a finite
+field ``small_field(q)``, or a number field).  The factorization entry points are:
 
 * ``factor_mod_p``        -- Cantor-Zassenhaus over a prime field,
 * ``factor_over_Q``       -- Berlekamp-Zassenhaus (squarefree decomposition,
@@ -14,7 +14,7 @@ All modular work runs in one layer on plain integer coefficient lists,
 lowest degree first (entries in [0, p) mod p): squarefree decomposition,
 distinct-degree factoring, equal-degree splitting, the Hensel Bezout
 pair, Hensel lifting and recombination.  ``factor_mod_p`` is a thin
-facade over it for ``Poly`` inputs over ``GF(p)``; ``factor_over_Q``
+facade over it for ``Poly`` inputs over ``small_field(p)``; ``factor_over_Q``
 calls the layer directly and ranks its candidate primes by
 distinct-degree counts, splitting only the prime it keeps.
 
@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exact import ModularInt, is_prime, next_prime
+from .exact import next_prime
 
 
 class RationalField:
@@ -48,32 +48,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-_prime_fields = {}
-
-
-class PrimeField:
-    """Domain descriptor for the field with p elements, p prime."""
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
-        self.p = p
-        self.characteristic = p
-        self.zero = ModularInt(0, p)
-        self.one = ModularInt(1, p)
-
-    def from_int(self, n):
-        return ModularInt(n, self.p)
-
-    def __repr__(self):
-        return "GF(%d)" % self.p
-
-
-def GF(p):
-    if p not in _prime_fields:
-        _prime_fields[p] = PrimeField(p)
-    return _prime_fields[p]
 
 
 class Poly:
@@ -246,9 +220,6 @@ class Poly:
 def _coeff_key(c):
     if isinstance(c, Fraction):
         return (c.numerator, c.denominator)
-    v = getattr(c, "v", None)
-    if v is not None:
-        return v
     coords = getattr(c, "coords", None)
     if coords is not None:
         return tuple((q.numerator, q.denominator) for q in coords)
@@ -393,7 +364,7 @@ def _zmod(a, m):
 
 
 # ---------------------------------------------------------------------------
-# Cantor-Zassenhaus over GF(p), on integer lists with entries in [0, p)
+# Cantor-Zassenhaus over F_p, on integer lists with entries in [0, p)
 #
 # Squarefree decomposition with p-th roots, distinct-degree factoring and
 # equal-degree splitting (von zur Gathen & Gerhard, Modern Computer
@@ -402,7 +373,7 @@ def _zmod(a, m):
 # that follows it, which reduces only what it reads or returns.
 
 def _pdivmod(a, b, p):
-    """Quotient and remainder of a by nonzero b over GF(p)."""
+    """Quotient and remainder of a by nonzero b over F_p."""
     db = len(b) - 1
     if len(a) <= db:
         return [], _zmod(a, p)
@@ -428,14 +399,14 @@ def _pmonic(a, p):
 
 
 def _pgcd(a, b, p):
-    """Monic gcd over GF(p); [] when both are zero."""
+    """Monic gcd over F_p; [] when both are zero."""
     while b:
         a, b = b, _prem(a, b, p)
     return _pmonic(a, p) if a else a
 
 
 def _ppowmod(a, e, m, p):
-    """a**e reduced modulo m over GF(p), by binary exponentiation."""
+    """a**e reduced modulo m over F_p, by binary exponentiation."""
     result = _prem([1], m, p)
     base = _prem(a, m, p)
     while e:
@@ -452,7 +423,7 @@ def _pderiv(a, p):
 
 
 def _pbezout(a, b, p):
-    """s, t with s*a + t*b = 1 over GF(p), for coprime a, b."""
+    """s, t with s*a + t*b = 1 over F_p, for coprime a, b."""
     r0, r1 = a, b
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -471,7 +442,7 @@ def _psquarefree(f, p):
     """Squarefree decomposition of monic f: pairwise coprime [(u, m)].
 
     The loop finds the parts whose multiplicity p does not divide.  What
-    is left is c = g(X^p) = g(X)^p, since Frobenius fixes GF(p); g takes
+    is left is c = g(X^p) = g(X)^p, since Frobenius fixes F_p; g takes
     every p-th coefficient of c, and its parts count p times.
     """
     out = []
@@ -555,14 +526,16 @@ def _psplit(ddf, p):
 
 
 def factor_mod_p(f):
-    """Complete factorization over a prime field."""
+    """Complete factorization over a prime field ``small_field(p)``."""
+    dom = f.dom
+    if dom.k != 1:
+        raise ValueError("factor_mod_p needs a prime field, not %r" % dom)
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    dom = f.dom
     if f.degree == 0:
         return Factorization(dom, f.cs[0], []).verify(f)
     p = dom.p
-    monic = _pmonic([c.v for c in f.cs], p)
+    monic = _pmonic([c.i for c in f.cs], p)
     parts = [(Poly.from_ints(dom, h), m)
              for u, m in _psquarefree(monic, p)
              for h in _psplit(_pddf(u, p), p)]

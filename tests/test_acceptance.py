@@ -10,7 +10,7 @@ import json
 import random
 
 from l2lab.cli import main
-from l2lab.poly import GF, QQ, Poly, factor_mod_p
+from l2lab.poly import QQ, Poly, factor_mod_p
 from l2lab.numberfield import make_field
 from l2lab.principal import compute_principal_subfields, index_set_I
 from l2lab.fieldlattice import (build_lattice, is_length_two,
@@ -102,7 +102,7 @@ def test_criterion_4_minimal_cubic(capsys):
 
 
 def _first_irreducible(p, n):
-    dom = GF(p)
+    dom = small_field(p)
     for tail in itertools.product(range(p), repeat=n):
         f = Poly.from_ints(dom, list(tail) + [1])
         fac = factor_mod_p(f)
@@ -117,11 +117,11 @@ def _poly_text(f):
         if not c:
             continue
         if i == 0:
-            terms.append(str(c.v))
-        elif c.v == 1:
+            terms.append(str(c.i))
+        elif c.i == 1:
             terms.append("X^%d" % i if i > 1 else "X")
         else:
-            terms.append("%d*X^%d" % (c.v, i) if i > 1 else "%d*X" % c.v)
+            terms.append("%d*X^%d" % (c.i, i) if i > 1 else "%d*X" % c.i)
     return " + ".join(terms)
 
 

@@ -1,6 +1,6 @@
 import itertools
 
-from l2lab.poly import GF, Poly, factor_mod_p
+from l2lab.poly import Poly, factor_mod_p
 from l2lab.classify import (analyze_extension, classify_extension, cover_types,
                             is_copointwise_minimal, module_length_at)
 from l2lab.finitealg import (Subalgebra, enumerate_subalgebras, field_algebra,
@@ -12,7 +12,7 @@ F3 = small_field(3)
 
 
 def first_irreducible(p, n):
-    dom = GF(p)
+    dom = small_field(p)
     for tail in itertools.product(range(p), repeat=n):
         f = Poly.from_ints(dom, list(tail) + [1])
         fac = factor_mod_p(f)
@@ -107,9 +107,7 @@ def test_case_1_crosswise():
 
 def test_case_8d_towers():
     for (p, n, count) in [(2, 4, 3), (2, 6, 4), (3, 4, 3)]:
-        F = small_field(p)
-        f = first_irreducible(p, n)
-        S = field_algebra(F, Poly(F, [F.element(c.v) for c in f.cs]))
+        S = field_algebra(small_field(p), first_irreducible(p, n))
         a = analyze_extension(prime_algebra(S), S)
         v = classify_extension(a)
         assert v["case"] == "(8d)"
@@ -166,9 +164,7 @@ def test_cover_types_match_prop_3_5():
     a = analyze_extension(prime_algebra(S), S)
     assert set(cover_types(a).values()) == {"decomposed"}
     # t-closed: every cover inert
-    F = small_field(2)
-    f = first_irreducible(2, 4)
-    S = field_algebra(F, Poly(F, [F.element(c.v) for c in f.cs]))
+    S = field_algebra(F2, first_irreducible(2, 4))
     a = analyze_extension(prime_algebra(S), S)
     assert set(cover_types(a).values()) == {"inert"}
 

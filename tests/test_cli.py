@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import l2lab
 from l2lab.cli import main
 from l2lab.parsing import MAX_POWER
@@ -82,6 +84,72 @@ def test_huge_exponent_exit_code_1_at_once():
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 1
     assert "limited to %d" % MAX_POWER in proc.stderr
+
+
+def _doc(tmp_path, doc):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_field_table_cap_exit_code_2(tmp_path, capsys):
+    # the q x q tables of F_1009 are refused before they are built
+    path = _doc(tmp_path, {"q": 1009, "product": ["F1009"], "R": "diagonal"})
+    code, out, err = run(capsys, "length", "--algebra", path)
+    assert code == 2 and "F_1009 arithmetic tables" in err
+
+
+def test_huge_prime_q_exit_code_2_at_once(tmp_path):
+    # refused before trial division could factor q = 2^61 - 1
+    q = 2 ** 61 - 1
+    path = _doc(tmp_path, {"q": q, "product": ["F%d" % q], "R": "diagonal"})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(l2lab.__file__)))
+    env.pop("L2LAB_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "l2lab.cli", "length", "--algebra", path],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "F_%d arithmetic tables" % q in proc.stderr
+
+
+def test_non_prime_power_q_exit_code_1(tmp_path, capsys):
+    path = _doc(tmp_path, {"q": 6, "product": ["F6"], "R": "diagonal"})
+    code, out, err = run(capsys, "length", "--algebra", path)
+    assert code == 1 and "6 is not a prime power" in err
+
+
+GOOD_TABLE = {"unit": [1], "table": [[[1]]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"q": 2, "table": {"unit": [1], "table": [[[5]]]}},
+    {"q": 2, "table": {"unit": [1], "table": [[[-1]]]}},
+    {"q": 2, "table": {"unit": [1], "table": [[["a"]]]}},
+    {"q": 2, "table": {"unit": [1], "table": [[[[1]]]]}},
+    {"q": 2, "table": {"unit": [1], "table": [[[True]]]}},
+    {"q": 2, "table": {"unit": [1], "table": [[[1.0]]]}},
+    {"q": 2, "table": {"unit": [1], "table": [[[None]]]}},
+    {"q": 2, "table": {"unit": [1], "table": 5}},
+    {"q": 2, "table": {"unit": [1], "table": "a"}},
+    {"q": 2, "table": {"unit": [1], "table": []}},
+    {"q": 2, "table": {"unit": [1], "table": [5]}},
+    {"q": 2, "table": {"unit": [1], "table": [[[1, 0]]]}},
+    {"q": 2, "table": {"unit": 1, "table": [[[1]]]}},
+    {"q": 2, "table": {"unit": [2], "table": [[[1]]]}},
+    {"q": 2, "table": dict(GOOD_TABLE, names=5)},
+    {"q": 2, "table": dict(GOOD_TABLE, names=[1])},
+    {"q": 2, "table": GOOD_TABLE, "R": ["(5)"]},
+    {"q": 2, "table": GOOD_TABLE, "R": ["(a)"]},
+    {"q": 2, "table": GOOD_TABLE, "R": [[1]]},
+    {"q": 2, "table": GOOD_TABLE, "R": ["(-1)"]},
+    {"q": float("inf"), "table": GOOD_TABLE},
+    {"q": 2.5, "table": GOOD_TABLE},
+    {"q": "2", "table": GOOD_TABLE},
+    {"q": True, "table": GOOD_TABLE},
+])
+def test_bad_table_document_exit_code_1(tmp_path, capsys, doc):
+    code, out, err = run(capsys, "length", "--algebra", _doc(tmp_path, doc))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_reducible_polynomial_exit_code_1(capsys):

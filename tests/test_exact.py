@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.exact import Echelon, ModularInt, kernel, next_prime, prime_factors, rref, solve
+from l2lab.exact import Echelon, kernel, next_prime, prime_factors, rref, solve
 
 ONE = Fraction(1)
 
@@ -116,24 +116,6 @@ def test_in_row_space():
     red2 = Echelon([[Fraction(1), Fraction(1)]])
     assert red2.contains([Fraction(2), Fraction(2)])
     assert not red2.contains([Fraction(1), Fraction(0)])
-
-
-def test_modular_int_field_axioms():
-    p = 7
-    elems = [ModularInt(i, p) for i in range(p)]
-    for a in elems:
-        for b in elems:
-            assert (a + b) - b == a
-            assert a * b == b * a
-            if b:
-                assert (a / b) * b == a
-    assert ModularInt(3, 7) ** 6 == 1
-
-
-def test_modular_int_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        ModularInt(1, 5) + ModularInt(1, 7)
-
 
 
 def test_prime_factors_against_naive_oracle():

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from l2lab.errors import CapExceeded
-from l2lab.poly import GF, Poly, factor_mod_p
+from l2lab import poly
+from l2lab.poly import Poly, factor_mod_p
 from l2lab.finitealg import (Subalgebra, classify_minimal_type, conductor,
                              crucial_ideal, enumerate_subalgebras, field_algebra,
                              maximal_ideals, maximal_ideals_of_sub, msupp,
@@ -17,7 +18,7 @@ F4 = small_field(4)
 
 
 def first_irreducible(p, n):
-    dom = GF(p)
+    dom = small_field(p)
     for tail in itertools.product(range(p), repeat=n):
         f = Poly.from_ints(dom, list(tail) + [1])
         fac = factor_mod_p(f)
@@ -26,9 +27,7 @@ def first_irreducible(p, n):
 
 
 def gf_tower(p, n):
-    F = small_field(p)
-    f = first_irreducible(p, n)
-    S = field_algebra(F, Poly(F, [F.element(c.v) for c in f.cs]))
+    S = field_algebra(small_field(p), first_irreducible(p, n))
     return prime_algebra(S), S
 
 
@@ -66,10 +65,48 @@ def test_small_field_f9():
 
 
 @pytest.mark.parametrize("p,kmax", [(2, 7), (3, 4), (5, 3), (7, 2)])
-def test_small_field_modulus_matches_factoring_oracle(p, kmax):
+def test_small_field_modulus_matches_factoring_oracle(p, kmax, monkeypatch):
+    monkeypatch.setenv("L2LAB_CAP", str((p ** kmax) ** 2))
     for k in range(2, kmax + 1):
-        expect = [c.v for c in first_irreducible(p, k).cs[:k]]
+        expect = [c.i for c in first_irreducible(p, k).cs[:k]]
         assert small_field(p ** k).modpoly == expect
+
+
+def test_prime_field_axioms():
+    F7 = small_field(7)
+    elems = F7.elements()
+    for a in elems:
+        for b in elems:
+            assert (a + b) - b == a
+            assert a * b == b * a
+            if b:
+                assert (a / b) * b == a
+    assert F7.element(3) ** 6 == F7.one
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_small_field_tables_match_int_list_layer(q):
+    """Every table entry against F_p[u]/(m) on plain coefficient lists."""
+    F = small_field(q)
+    p, k = F.p, F.k
+    m = F.modpoly + [1]
+
+    def coeffs(i):
+        return [i // p ** t % p for t in range(k)]
+
+    def index(cs):
+        return sum(c * p ** t for t, c in enumerate(cs))
+
+    assert F.inv_t[0] is None
+    for a in range(q):
+        A = coeffs(a)
+        assert F.neg_t[a] == index([-c % p for c in A])
+        if a:
+            assert poly._prem(poly._zmul(A, coeffs(F.inv_t[a])), m, p) == [1]
+        for b in range(q):
+            B = coeffs(b)
+            assert F.add_t[a][b] == index([(x + y) % p for x, y in zip(A, B)])
+            assert F.mul_t[a][b] == index(poly._prem(poly._zmul(A, B), m, p))
 
 
 def test_small_field_rejects_non_prime_power():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from l2lab.exact import next_prime
-from l2lab.poly import (GF, QQ, Poly, factor_mod_p, factor_over_Q,
+from l2lab.finitealg import small_field
+from l2lab.poly import (QQ, Poly, factor_mod_p, factor_over_Q,
                         factor_over_number_field, interpolate, is_separable,
                         poly_gcd, resultant_monic)
 
@@ -47,9 +48,9 @@ def test_is_separable(coeffs, expected):
 # --- factorization over prime fields --------------------------------------
 
 def _brute_force_irreducibles(p, maxdeg):
-    """All monic irreducibles of degree <= maxdeg over GF(p), by trial
+    """All monic irreducibles of degree <= maxdeg over F_p, by trial
     division against every lower-degree monic polynomial."""
-    dom = GF(p)
+    dom = small_field(p)
     by_degree = {0: [Poly.from_ints(dom, [1])]}
     monics = {}
     for d in range(1, maxdeg + 1):
@@ -73,7 +74,7 @@ def _brute_force_irreducibles(p, maxdeg):
 
 
 def test_factor_x2_plus_1_mod_5_exhaustive():
-    dom = GF(5)
+    dom = small_field(5)
     f = Poly.from_ints(dom, [1, 0, 1])
     roots = [r for r in range(5) if (r * r + 1) % 5 == 0]
     assert sorted(roots) == [2, 3]
@@ -85,7 +86,7 @@ def test_factor_x2_plus_1_mod_5_exhaustive():
 
 
 def test_factor_x2_plus_1_mod_3_irreducible():
-    dom = GF(3)
+    dom = small_field(3)
     f = Poly.from_ints(dom, [1, 0, 1])
     assert all((r * r + 1) % 3 != 0 for r in range(3))
     fac = factor_mod_p(f)
@@ -93,7 +94,7 @@ def test_factor_x2_plus_1_mod_3_irreducible():
 
 
 def test_factor_x_mod_7():
-    dom = GF(7)
+    dom = small_field(7)
     f = Poly.x(dom)
     fac = factor_mod_p(f)
     assert fac.factors == [(f, 1)]
@@ -109,7 +110,7 @@ def test_factor_mod_p_recovers_known_products(p):
         for _ in range(rng.randrange(1, 4)):
             g = pool[rng.randrange(len(pool))]
             chosen[g.cs] = (g, chosen.get(g.cs, (g, 0))[1] + rng.randrange(1, 3))
-        f = Poly.from_ints(GF(p), [1])
+        f = Poly.from_ints(small_field(p), [1])
         for g, m in chosen.values():
             for _ in range(m):
                 f = f * g
@@ -120,11 +121,17 @@ def test_factor_mod_p_recovers_known_products(p):
 
 
 def test_factor_mod_p_pth_power():
-    dom = GF(2)
+    dom = small_field(2)
     g = Poly.from_ints(dom, [1, 1])          # X + 1
     f = g * g * g * g                         # (X+1)^4, derivative 0
     fac = factor_mod_p(f)
     assert fac.factors == [(g, 4)]
+
+
+def test_factor_mod_p_refuses_non_prime_field():
+    F4 = small_field(4)
+    with pytest.raises(ValueError, match="prime field"):
+        factor_mod_p(Poly.from_ints(F4, [1, 1, 1]))
 
 
 # --- factorization over Q --------------------------------------------------
@@ -182,7 +189,7 @@ def test_factor_over_Q_refines_mod_good_prime():
     p = 1
     while True:
         p = next_prime(p + rng.randrange(0, 10))
-        dom = GF(p)
+        dom = small_field(p)
         fp = f.map_coeffs(dom, lambda c: dom.from_int(c.numerator)
                           * dom.from_int(c.denominator) ** (p - 2))
         if fp.degree == f.degree and poly_gcd(fp, fp.derivative()).degree == 0:
@@ -329,4 +336,4 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
         scanned = itertools.islice(poly._squarefree_primes(G), poly._BZ_PRIME_TRIES)
         for p, gp in scanned:
             count = poly._factor_count(poly._pddf(gp, p))
-            assert count == len(factor_mod_p(Poly.from_ints(GF(p), G)).factors)
+            assert count == len(factor_mod_p(Poly.from_ints(small_field(p), G)).factors)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from l2lab.poly import QQ, GF, Poly, factor_mod_p
+from l2lab.poly import QQ, Poly, factor_mod_p
 from l2lab.numberfield import intersect_subfields, make_field
 from l2lab.principal import compute_principal_subfields, index_set_I
 from l2lab.fieldlattice import (build_lattice, is_length_two, is_minimal_extension,
@@ -172,7 +172,7 @@ def test_mod_p_factor_multiplicative_property():
     rng = random.Random(5)
     for _ in range(20):
         p = rng.choice([2, 3, 5])
-        dom = GF(p)
+        dom = small_field(p)
         f = Poly.from_ints(dom, [rng.randrange(p) for _ in range(rng.randrange(2, 8))])
         if f.is_zero:
             continue

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.poly import GF, QQ, Poly, factor_mod_p, factor_over_Q
+from l2lab.finitealg import small_field
+from l2lab.poly import QQ, Poly, factor_mod_p, factor_over_Q
 
 sympy = pytest.importorskip("sympy")
 x = sympy.Symbol("x")
@@ -34,7 +35,7 @@ def _sympy_mod_p(ints, p):
 def _random_mod_p_input(rng, p):
     """A product of random pieces of total degree <= 40, with repeated
     factors and, where it fits, a p-th power."""
-    F = GF(p)
+    F = small_field(p)
     f = Poly.from_ints(F, [rng.randrange(1, p)])
     while f.degree < 40:
         d = rng.randrange(1, 7)
@@ -46,7 +47,7 @@ def _random_mod_p_input(rng, p):
             f = f * piece
         if rng.random() < 0.3:
             break
-    return [c.v for c in f.cs]
+    return [c.i for c in f.cs]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -58,11 +59,11 @@ def test_factor_mod_p_matches_sympy(p):
         n = rng.randrange(1, 41)
         inputs.append([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
     for ints in inputs:
-        f = Poly.from_ints(GF(p), ints)
+        f = Poly.from_ints(small_field(p), ints)
         if f.degree < 1:
             continue
         fac = factor_mod_p(f)
-        ours = sorted((tuple(c.v for c in g.cs), m) for g, m in fac.factors)
+        ours = sorted((tuple(c.i for c in g.cs), m) for g, m in fac.factors)
         assert ours == _sympy_mod_p(ints, p), (p, ints)
         assert fac.unit == f.lc
 
