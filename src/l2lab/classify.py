@@ -13,10 +13,10 @@ ConsistencyError, which the command line reports as exit code 3.
 from .errors import ConsistencyError
 from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
-    Ideal, Subalgebra, algebra_on_subspace, _minimal_type_of_pair, conductor,
-    crucial_ideal, enumerate_subalgebras, ideal_generated,
-    is_simple_extension, localize, maximal_ideals, maximal_ideals_of_sub, msupp,
-    nilradical, quotient_by_ideal, radical_in, seminormalize, t_close, whole_algebra,
+    Ideal, Subalgebra, _minimal_type_of_pair, conductor, crucial_ideal,
+    enumerate_subalgebras, ideal_generated, is_simple_extension, localize,
+    maximal_ideals, msupp, nilradical, quotient_by_ideal, radical_in,
+    seminormalize, t_close, whole_algebra,
 )
 
 
@@ -26,14 +26,16 @@ class ExtensionAnalysis:
     def __init__(self, R, S):
         self.R = R
         self.S = S
+        self.whole = whole_algebra(S)
         self.lattice = enumerate_subalgebras(R, S)
         self.count = len(self.lattice)
         self.length = self.lattice.length
-        self.conductor = conductor(R, S)
-        self.max_R = maximal_ideals_of_sub(R)
-        self.max_S = maximal_ideals(S)
-        self.support = msupp(R, S)
-        self.crucial = crucial_ideal(R, S) if len(self.support) == 1 else None
+        self.conductor = conductor(R, self.whole)
+        self.max_R = maximal_ideals(R)
+        self.max_S = maximal_ideals(self.whole)
+        self.support = msupp(R, self.whole)
+        self.crucial = (crucial_ideal(R, self.conductor, self.support)
+                        if len(self.support) == 1 else None)
         self.seminormalization = seminormalize(R, S)
         self.t_closure = t_close(R, S)
         self._once = {}
@@ -66,9 +68,7 @@ def _check_canonical_decomposition(a):
 
 def ideal_MS(a):
     """The extension ideal M*S for the crucial maximal ideal M."""
-    S = a.S
-    full = [S.basis_vector(i) for i in range(S.dim)]
-    return Ideal(S, ideal_generated(S, full, list(a.crucial.basis)))
+    return Ideal(a.whole, ideal_generated(a.S, a.whole.basis, list(a.crucial.basis)))
 
 
 def v_of_ideal(a, ideal):
@@ -103,7 +103,7 @@ def module_length_at(a, M, V, W):
 
 def is_locally_minimal(a):
     for M in a.support:
-        SM, RM = localize(a.R, a.S, M)
+        SM, RM = localize(a.R, a.whole, M)
         if len(enumerate_subalgebras(RM, SM)) != 2:
             return False
     return True
@@ -143,7 +143,7 @@ def copointwise_shape_check(a):
     resdim = a.R.dim - M.dim
     if Q.dim != 3 * resdim:
         return False
-    nil = nilradical(Q)
+    nil = nilradical(whole_algebra(Q))
     if len(nil) != 2 * resdim:
         return False
     for u in nil:
@@ -155,14 +155,9 @@ def copointwise_shape_check(a):
 
 def cover_types(a):
     """Minimal-extension type of every covering edge of the lattice."""
-    out = {}
-    for (i, j) in a.lattice.covers:
-        lo = a.lattice.nodes[i]
-        hi = a.lattice.nodes[j]
-        hi_alg, lift, project = algebra_on_subspace(a.S, hi.basis, a.S.unit)
-        lo_in_hi = Subalgebra.from_generators(hi_alg, [project(b) for b in lo.basis])
-        out[(i, j)] = _minimal_type_of_pair(lo_in_hi, hi_alg)
-    return out
+    nodes = a.lattice.nodes
+    return {(i, j): _minimal_type_of_pair(nodes[i], nodes[j])
+            for (i, j) in a.lattice.covers}
 
 
 def divisor_count(n):
@@ -195,7 +190,7 @@ def classify_extension(a):
         _settle(out, a)
         return out
     if a.is_minimal:
-        out["minimal_type"] = _minimal_type_of_pair(a.R, a.S)
+        out["minimal_type"] = _minimal_type_of_pair(a.R, a.whole)
         out["case"] = "not length 2 (minimal extension)"
         out["count_predicted"] = 2
         _settle(out, a)
@@ -416,7 +411,7 @@ def _crucial_predicates(a, l2):
                            True, l2 == cond62, det))
 
     if infra and not tclosed:
-        N = radical_in(whole_algebra(S), a.once(ideal_MS).basis)
+        N = radical_in(a.whole, a.once(ideal_MS).basis)
         vn = v_of_ideal(a, N)
         lr = module_length_at(a, M, N.basis, M.basis)
         holds = (l2 == (lr + len(vn) == 3))
@@ -517,7 +512,7 @@ def _cor_3_132(a, l2):
     if l2:
         expected_nodes = {a.R.key(),
                           Subalgebra.from_generators(S, list(a.R.basis) + list(n2)).key(),
-                          whole_algebra(S).key()}
+                          a.whole.key()}
         got = {n.key() for n in a.lattice.nodes}
         holds = holds and (expected_nodes == got)
         details["lattice_is_R_RN2_S"] = expected_nodes == got

@@ -58,7 +58,7 @@ def _load_report(args):
                 raise ParseError("cannot read %s: %s" % (algebra_file, e))
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:     # JSONDecodeError, or an over-long integer
             raise ParseError("invalid JSON in %s: %s" % (algebra_file, e))
         S, R = parse_algebra(doc)
         echo = json.dumps(doc, sort_keys=True)

@@ -493,11 +493,16 @@ def _mono_name(mono, varnames):
 # Subalgebras and ideals
 
 class Subalgebra:
-    """Unital subalgebra of a FiniteAlgebra, as an echelon basis."""
+    """Unital subalgebra of a FiniteAlgebra, as an echelon basis.
+
+    Its nilradical, primitive idempotents and maximal ideals are computed
+    on first request (``structure``) and kept, in ambient coordinates.
+    """
 
     def __init__(self, ambient, basis, check=True):
         self.ambient = ambient
         self.basis = Echelon(basis)
+        self._structure = None
         if check:
             if not self.member(ambient.unit):
                 raise ValueError("subalgebra does not contain 1")
@@ -550,6 +555,13 @@ class Subalgebra:
     def is_whole(self):
         return self.dim == self.ambient.dim
 
+    def structure(self):
+        """(nilradical, primitive idempotents, maximal ideals), computed
+        once by ``subalgebra_structure``."""
+        if self._structure is None:
+            self._structure = subalgebra_structure(self)
+        return self._structure
+
     def __eq__(self, other):
         return (isinstance(other, Subalgebra) and self.ambient is other.ambient
                 and self.key() == other.key())
@@ -599,8 +611,8 @@ def _induced_algebra(A, basis, project, unit_vec, names):
 
 
 class Ideal:
-    """An ideal of an algebra or subalgebra, as an echelon basis of
-    ambient coordinate vectors."""
+    """An ideal of a subalgebra, as an echelon basis of ambient
+    coordinate vectors."""
 
     def __init__(self, of, basis):
         self.of = of
@@ -623,9 +635,8 @@ class Ideal:
         return hash(self.key())
 
     def __repr__(self):
-        A = self.of.ambient if isinstance(self.of, Subalgebra) else self.of
         return "Ideal(dim %d: %s)" % (
-            self.dim, "; ".join(A.element_str(b) for b in self.basis))
+            self.dim, "; ".join(self.of.ambient.element_str(b) for b in self.basis))
 
 
 def ideal_generated(A, ring_basis, gens):
@@ -643,12 +654,46 @@ def ideal_generated(A, ring_basis, gens):
 
 
 # ---------------------------------------------------------------------------
-# Structure: nilradical, idempotents, maximal ideals, quotients
+# Structure: nilradical, primitive idempotents, maximal ideals, quotients
 
-def nilradical(A):
-    """Echelon basis of the set of nilpotents (= Jacobson radical here)."""
-    nil = [v for v in A.elements("nilradical") if A.is_nilpotent(v)]
-    return Echelon(nil)
+def subalgebra_structure(T):
+    """Nilradical, primitive idempotents and maximal ideals of T, in
+    ambient coordinates, from one scan of its elements.
+
+    T is a product of local rings, one per primitive idempotent e, so
+    its maximal ideals are the M_e = (1 - e)T + nil(T).  Read them
+    through ``T.structure()``, which computes this once per subalgebra.
+    """
+    A = T.ambient
+    nil = []
+    idems = []
+    for v in T.elements("nilradical and idempotent search"):
+        if A.is_nilpotent(v):
+            nil.append(v)
+        elif A.is_idempotent(v):
+            idems.append(v)
+    nil = Echelon(nil)
+    prim = tuple(sorted((e for e in idems
+                         if not any(f != e and A.mul(e, f) == f for f in idems)),
+                        key=vec_key))
+    maxes = tuple(sorted((Ideal(T, list(nil) + [A.mul(vsub(A.unit, e), b) for b in T.basis])
+                          for e in prim), key=Ideal.key))
+    return nil, prim, maxes
+
+
+def nilradical(T):
+    """Echelon basis of the nilpotents of T (its Jacobson radical)."""
+    return T.structure()[0]
+
+
+def primitive_idempotents(T):
+    """The minimal nonzero idempotents of T, as a sorted tuple."""
+    return T.structure()[1]
+
+
+def maximal_ideals(T):
+    """The maximal ideals of T, as a tuple sorted by key."""
+    return T.structure()[2]
 
 
 def subspace_complement(A, basis):
@@ -677,67 +722,19 @@ def quotient_by_ideal(A, ideal_basis):
     return Q, project, lift
 
 
-def idempotents(A):
-    return [v for v in A.elements("idempotent search") if A.is_idempotent(v)]
-
-
-def primitive_idempotents(A):
-    idems = [v for v in idempotents(A) if any(v)]
-    prim = []
-    for e in idems:
-        smaller = [f for f in idems if f != e and A.mul(e, f) == f]
-        if not smaller:
-            prim.append(e)
-    return sorted(prim, key=vec_key)
-
-
-def maximal_ideals(A):
-    """All maximal ideals: nilradical, then idempotent decomposition of
-    the semisimple quotient.  Accepts an algebra or a subalgebra (for a
-    subalgebra the ideal bases come back in ambient coordinates)."""
-    if isinstance(A, Subalgebra):
-        return maximal_ideals_of_sub(A)
-    nil = nilradical(A)
-    Q, project, lift = quotient_by_ideal(A, nil)
-    prim = primitive_idempotents(Q)
-    out = []
-    for e in prim:
-        rows = []
-        basis = [Q.basis_vector(i) for i in range(Q.dim)]
-        prods = [Q.mul(b, e) for b in basis]
-        for c in range(Q.dim):
-            rows.append([prods[j][c] for j in range(Q.dim)])
-        kern = exact.kernel(rows, Q.dim, A.field.one)
-        mbasis = list(nil) + [lift(v) for v in kern]
-        out.append(Ideal(A, mbasis))
-    out.sort(key=lambda m: m.key())
-    return out
-
-
-def maximal_ideals_of_sub(R):
-    """Maximal ideals of a subalgebra, as ambient coordinate bases."""
-    alg, lift, project = algebra_on_subspace(R.ambient, R.basis, R.ambient.unit)
-    out = []
-    for M in maximal_ideals(alg):
-        out.append(Ideal(R, [lift(b) for b in M.basis]))
-    out.sort(key=lambda m: m.key())
-    return out
-
-
-def conductor(R, S):
-    """(R : S) = {s in S : s*S is contained in R}, the largest common ideal."""
-    F = S.field
-    project, _, free = subspace_complement(S, R.basis)
-    qdim = len(free)
+def conductor(lo, hi):
+    """(lo : hi) = {a in hi : a*hi is contained in lo}, the largest ideal
+    of hi inside lo, for subalgebras of one algebra: the kernel of
+    a |-> (a*h_j mod lo)_j over the basis h of hi."""
+    A = hi.ambient
+    H = hi.basis
     rows = []
-    basis = [S.basis_vector(i) for i in range(S.dim)]
-    for j in range(S.dim):
-        prods = [project(S.mul(basis[c], basis[j])) for c in range(S.dim)]
-        for t in range(qdim):
-            rows.append([prods[c][t] for c in range(S.dim)])
-    cond = Ideal(S, exact.kernel(rows, S.dim, F.one))
+    for hj in H:
+        prods = [lo.basis.project(A.mul(hc, hj)) for hc in H]
+        rows += [[v[t] for v in prods] for t in range(A.dim - lo.dim)]
+    cond = Ideal(hi, [H.combine(x) for x in exact.kernel(rows, hi.dim, A.field.one)])
     for b in cond.basis:
-        if not R.member(b):
+        if not lo.member(b):
             raise ConsistencyError("conductor is not contained in R")
     return cond
 
@@ -749,32 +746,27 @@ def radical_in(R, ideal_basis):
     if any(v is None for v in local_ideal):
         raise ValueError("ideal is not contained in R")
     Q, _, qlift = quotient_by_ideal(alg, local_ideal)
-    return Ideal(R, [lift(qlift(v)) for v in nilradical(Q)]
+    return Ideal(R, [lift(qlift(v)) for v in nilradical(whole_algebra(Q))]
                  + [lift(v) for v in local_ideal])
 
 
-def msupp(R, S):
-    """MSupp(S/R): maximal ideals of R containing the conductor.
+def msupp(R, T):
+    """MSupp(T/R): maximal ideals of R containing the conductor.
 
     Cross-checked against the direct localization route: M is in the
     support iff the primitive idempotent of R attached to M moves some
-    element of S outside R.
+    element of T outside R.
     """
-    cond = conductor(R, S)
-    maxes = maximal_ideals_of_sub(R)
+    A = R.ambient
+    cond = conductor(R, T)
+    maxes = maximal_ideals(R)
     via_conductor = [M for M in maxes
                      if all(M.member(b) for b in cond.basis)]
-    # direct route by idempotent splitting
-    alg, lift, project = algebra_on_subspace(S, R.basis, S.unit)
-    prim = primitive_idempotents(alg)
     direct = []
-    sbasis = [S.basis_vector(i) for i in range(S.dim)]
-    for e in prim:
-        ea = lift(e)
-        moves = any(not R.member(S.mul(ea, b)) for b in sbasis)
-        if moves:
+    for e in primitive_idempotents(R):
+        if any(not R.member(A.mul(e, b)) for b in T.basis):
             for M in maxes:
-                if not M.member(ea):
+                if not M.member(e):
                     direct.append(M)
                     break
     if sorted(m.key() for m in via_conductor) != sorted(m.key() for m in direct):
@@ -782,42 +774,36 @@ def msupp(R, S):
     return via_conductor
 
 
-def crucial_ideal(R, S):
-    """The crucial maximal ideal, or None: sqrt(R:S) when it is maximal."""
-    cond = conductor(R, S)
+def crucial_ideal(R, cond, support):
+    """The crucial maximal ideal of R < T, or None: sqrt(R:T) when it is
+    maximal.  ``cond`` and ``support`` are (R:T) and MSupp(T/R), as
+    ``conductor`` and ``msupp`` give them; the radical is checked
+    against the support."""
     rad = radical_in(R, cond.basis)
-    maxes = maximal_ideals_of_sub(R)
-    hit = [M for M in maxes if M.key() == rad.key()]
-    supp = msupp(R, S)
+    hit = [M for M in maximal_ideals(R) if M.key() == rad.key()]
     if hit:
-        if len(supp) != 1 or supp[0].key() != rad.key():
+        if len(support) != 1 or support[0].key() != rad.key():
             raise ConsistencyError("crucial ideal disagrees with the support")
         return hit[0]
-    if len(supp) == 1:
+    if len(support) == 1:
         raise ConsistencyError("one-element support but sqrt(R:S) not maximal")
     return None
 
 
-def localize(R, S, M):
-    """Localization at M in MSupp(S/R) by idempotent splitting.
+def localize(R, T, M):
+    """Localization at M in MSupp(T/R) by idempotent splitting.
 
-    Returns (S_M, R_M) where S_M is the algebra e*S with unit e, for the
+    Returns (T_M, R_M) where T_M is the algebra e*T with unit e, for the
     primitive idempotent e of R outside M.
     """
-    alg, lift, project = algebra_on_subspace(S, R.basis, S.unit)
-    prim = primitive_idempotents(alg)
-    e = None
-    for cand in prim:
-        if not M.member(lift(cand)):
-            e = lift(cand)
-            break
+    A = R.ambient
+    e = next((e for e in primitive_idempotents(R) if not M.member(e)), None)
     if e is None:
         raise ConsistencyError("no primitive idempotent outside M")
-    sbasis = [S.mul(e, S.basis_vector(i)) for i in range(S.dim)]
-    SM, slift, sproject = algebra_on_subspace(S, sbasis, e)
-    rbasis = [sproject(S.mul(e, b)) for b in R.basis]
-    RM = Subalgebra.from_generators(SM, [v for v in rbasis if v is not None])
-    return SM, RM
+    TM, _, tproject = algebra_on_subspace(A, [A.mul(e, b) for b in T.basis], e)
+    rbasis = [tproject(A.mul(e, b)) for b in R.basis]
+    RM = Subalgebra.from_generators(TM, [v for v in rbasis if v is not None])
+    return TM, RM
 
 
 # ---------------------------------------------------------------------------
@@ -933,37 +919,36 @@ def classify_minimal_type(R, S, lattice=None):
         lattice = enumerate_subalgebras(R, S)
     if len(lattice) != 2:
         return "not-minimal"
-    return _minimal_type_of_pair(R, S)
+    return _minimal_type_of_pair(R, whole_algebra(S))
 
 
-def _minimal_type_of_pair(R, S):
-    """Type of a known-minimal R < S via the conductor and Max(S)."""
-    cond = conductor(R, S)
-    maxesR = maximal_ideals_of_sub(R)
-    if not any(M.key() == cond.key() for M in maxesR):
+def _minimal_type_of_pair(lo, hi):
+    """Type of a known-minimal lo < hi, subalgebras of one algebra, via
+    the conductor and Max(hi)."""
+    A = hi.ambient
+    M = conductor(lo, hi)
+    if not any(N.key() == M.key() for N in maximal_ideals(lo)):
         raise ConsistencyError("conductor of a minimal extension is not maximal in R")
-    M = cond
-    over = [N for N in maximal_ideals(S) if all(N.member(b) for b in M.basis)]
-    qdim_RM = R.dim - M.dim
+    over = [N for N in maximal_ideals(hi) if all(N.member(b) for b in M.basis)]
+    qdim_RM = lo.dim - M.dim
     if len(over) == 2:
         for N in over:
-            if S.dim - N.dim != qdim_RM:
+            if hi.dim - N.dim != qdim_RM:
                 raise ConsistencyError("decomposed residue map is not an isomorphism")
         return "decomposed"
     if len(over) != 1:
         raise ConsistencyError("minimal extension with |V(M)| not in {1, 2}")
     N = over[0]
     if N.key() == M.key():
-        if S.dim - N.dim <= qdim_RM:
+        if hi.dim - N.dim <= qdim_RM:
             raise ConsistencyError("inert case without residue field growth")
         return "inert"
-    # ramified: N^2 <= M < N and [S/M : R/M] = 2
-    n2 = ideal_generated(S, [S.basis_vector(i) for i in range(S.dim)],
-                         [S.mul(a, b) for a in N.basis for b in N.basis])
+    # ramified: N^2 <= M < N and [hi/M : lo/M] = 2
+    n2 = ideal_generated(A, hi.basis, [A.mul(a, b) for a in N.basis for b in N.basis])
     if not all(M.member(v) for v in n2):
         raise ConsistencyError("ramified case: N^2 not inside M")
-    if S.dim - N.dim != qdim_RM:
+    if hi.dim - N.dim != qdim_RM:
         raise ConsistencyError("ramified residue map is not an isomorphism")
-    if (S.dim - M.dim) != 2 * qdim_RM:
+    if (hi.dim - M.dim) != 2 * qdim_RM:
         raise ConsistencyError("ramified case: [S/M : R/M] != 2")
     return "ramified"

@@ -9,6 +9,7 @@ relation parser used by algebra presentations.
 import re
 from fractions import Fraction
 
+from .caps import check_elements
 from .errors import ParseError
 from .poly import Poly, QQ
 from .finitealg import (FiniteAlgebra, Subalgebra, _mp_add_term, _mp_combine,
@@ -19,6 +20,10 @@ from .finitealg import (FiniteAlgebra, Subalgebra, _mp_add_term, _mp_combine,
 # expanded by repeated multiplication, so this is checked first.
 MAX_POWER = 256
 
+# Longest integer literal, in decimal digits.  Longer digit strings are
+# refused before int() converts them.
+MAX_DIGITS = 1000
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()])|(\S))")
 
 
@@ -28,6 +33,13 @@ def _check_power(e, degree, pos):
     if max(e, e * degree) > MAX_POWER:
         raise ParseError("power too large at position %d: exponent and resulting "
                          "degree are limited to %d" % (pos, MAX_POWER))
+
+
+def _int_literal(digits, where):
+    if len(digits) > MAX_DIGITS:
+        raise ParseError("integer literal %s has %d digits, the limit is %d"
+                         % (where, len(digits), MAX_DIGITS))
+    return int(digits)
 
 
 def _unexpected(kind, val, pos):
@@ -47,7 +59,7 @@ def _tokenize(text):
         if bad:
             raise _unexpected("char", bad, tokpos)
         if num:
-            out.append(("num", int(num), tokpos))
+            out.append(("num", _int_literal(num, "at position %d" % tokpos), tokpos))
         elif name:
             out.append(("name", name, tokpos))
         else:
@@ -320,7 +332,7 @@ def _algebra_from_quotient(F, q, text):
     m = _QUOTIENT.match(text)
     if not m:
         raise ParseError("quotient must look like Fq[X,Y]/(rel, rel, ...)")
-    if int(m.group(1)) != q:
+    if _int_literal(m.group(1), "in the quotient base") != q:
         raise ParseError("quotient base F%s does not match q = %d" % (m.group(1), q))
     varnames = [v.strip() for v in m.group(2).split(",") if v.strip()]
     if not varnames:
@@ -343,7 +355,7 @@ def _algebra_from_product(F, q, factors):
         m = re.match(r"^\s*F(\d+)\s*$", str(name))
         if not m:
             raise ParseError("product factor %r is not of the form F<size>" % name)
-        size = int(m.group(1))
+        size = _int_literal(m.group(1), "in product factor F<size>")
         k = 0
         s = 1
         while s < size:
@@ -352,6 +364,9 @@ def _algebra_from_product(F, q, factors):
         if s != size or k == 0:
             raise ParseError("product factor %r is not a power of q = %d" % (name, q))
         degrees.append(k)
+        # |S| so far, checked per factor so that neither the irreducible
+        # search nor this power runs on a size past the cap
+        check_elements(q ** sum(degrees), "product algebra construction")
     S = product_algebra(F, degrees)
     blocks = []
     off = 0
@@ -464,6 +479,7 @@ def _subring_from_table_generators(S, F, spec):
         comps = _split_top_commas(body)
         if len(comps) != S.dim:
             raise ParseError("table-algebra generators need %d coordinates" % S.dim)
-        gens.append(tuple(_element(F, int(c) if re.fullmatch("[0-9]+", c) else c)
+        gens.append(tuple(_element(F, _int_literal(c, "in a generator")
+                                   if re.fullmatch("[0-9]+", c) else c)
                           for c in comps))
     return Subalgebra.from_generators(S, gens)

@@ -5,7 +5,7 @@ from l2lab.classify import (analyze_extension, classify_extension, cover_types,
                             is_copointwise_minimal, module_length_at)
 from l2lab.finitealg import (Subalgebra, enumerate_subalgebras, field_algebra,
                              localize, prime_algebra, product_algebra,
-                             quotient_algebra, small_field)
+                             quotient_algebra, small_field, whole_algebra)
 
 F2 = small_field(2)
 F3 = small_field(3)
@@ -145,7 +145,7 @@ def test_localize_poset_isomorphism():
     R = Subalgebra.from_generators(S, [S.basis_vector(0)])
     a = analyze_extension(R, S)
     assert len(a.support) == 1
-    SM, RM = localize(R, S, a.support[0])
+    SM, RM = localize(R, whole_algebra(S), a.support[0])
     lat_local = enumerate_subalgebras(RM, SM)
     assert len(lat_local) == len(a.lattice)
     assert lat_local.length == a.lattice.length

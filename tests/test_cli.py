@@ -7,13 +7,21 @@ import pytest
 
 import l2lab
 from l2lab.cli import main
-from l2lab.parsing import MAX_POWER
+from l2lab.parsing import MAX_DIGITS, MAX_POWER
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI as its own process, under the default cap, for 10 s at most."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(l2lab.__file__)))
+    env.pop("L2LAB_CAP", None)
+    return subprocess.run([sys.executable, "-m", "l2lab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
 
 
 def test_classify_polynomial(capsys):
@@ -79,9 +87,7 @@ def test_parse_error_exit_code_1(capsys):
 
 def test_huge_exponent_exit_code_1_at_once():
     # the power is refused before it is expanded, so this returns at once
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(l2lab.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "l2lab.cli", "length", "X^100000000"],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = run_process("length", "X^100000000")
     assert proc.returncode == 1
     assert "limited to %d" % MAX_POWER in proc.stderr
 
@@ -103,12 +109,47 @@ def test_huge_prime_q_exit_code_2_at_once(tmp_path):
     # refused before trial division could factor q = 2^61 - 1
     q = 2 ** 61 - 1
     path = _doc(tmp_path, {"q": q, "product": ["F%d" % q], "R": "diagonal"})
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(l2lab.__file__)))
-    env.pop("L2LAB_CAP", None)
-    proc = subprocess.run([sys.executable, "-m", "l2lab.cli", "length", "--algebra", path],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = run_process("length", "--algebra", path)
     assert proc.returncode == 2
     assert "F_%d arithmetic tables" % q in proc.stderr
+
+
+def test_huge_product_factor_exit_code_2_at_once(tmp_path):
+    # |S| = 2^64 is refused before the search for an irreducible of degree 64
+    path = _doc(tmp_path, {"q": 2, "product": ["F%d" % 2 ** 64]})
+    proc = run_process("length", "--algebra", path)
+    assert proc.returncode == 2
+    assert "product algebra construction" in proc.stderr
+
+
+LONG = "1" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["X^2 - " + "1" * 5000], None),
+    (["X^2 - " + LONG], None),
+    ([], {"q": 2, "product": ["F" + "1" * 4400]}),
+    ([], {"q": 2, "product": ["F" + LONG]}),
+    ([], {"q": 2, "quotient": "F%s[X]/(X^2)" % LONG}),
+    ([], {"q": 2, "quotient": "F2[X]/(X^2 + %s)" % LONG}),
+    ([], {"q": 2, "table": {"unit": [1], "table": [[[1]]]}, "R": ["(%s)" % LONG]}),
+], ids=["poly-5000", "poly-over-limit", "product-4400", "product-over-limit",
+        "quotient-base", "quotient-relation", "table-generator"])
+def test_over_long_integer_literal_exit_code_1(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        argv = ["--algebra", _doc(tmp_path, doc)]
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "limit is %d" % MAX_DIGITS in err
+    assert "Traceback" not in err
+
+
+def test_over_long_json_integer_exit_code_1(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text('{"q": 1%s, "product": ["F2"]}' % ("0" * 5000))
+    code, out, err = run(capsys, "classify", "--algebra", str(path))
+    assert code == 1
+    assert err.startswith("error: invalid JSON") and "Traceback" not in err
 
 
 def test_non_prime_power_q_exit_code_1(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""Contract fuzz test of ``table`` algebra documents.
+"""Contract fuzz test of ``table`` and ``product`` algebra documents.
 
 Random base sizes q (prime powers, other integers, huge values and
 non-integers), random table shapes and entries (indices, strings,
-nesting) and random R specs go through the in-process command line with
-``L2LAB_CAP=64``.  Every document must end in exit 0, 1 or 2: a
-consistency failure (exit 3) or an escaping exception breaks the
-contract.  The polynomial grammar is left out here.
+nesting), random product factor names (valid, not a power of q, of huge
+degree, with over-long digit strings) and random R specs go through the
+in-process command line with ``L2LAB_CAP=64``.  Every document must end
+in exit 0, 1 or 2: a consistency failure (exit 3) or an escaping
+exception breaks the contract.  Quotient documents and the polynomial
+grammar are left out here.
 
 While a document runs, the address space of the test process is capped
 about 1 GB above its current size, so a document that makes the program
@@ -22,6 +24,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from l2lab import cli
+from l2lab.parsing import MAX_DIGITS
 
 JUNK = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
@@ -93,11 +96,48 @@ def table_docs(draw):
     return doc
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=table_docs())
-def test_table_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
+def _length_exit_code(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "alg.json"
     path.write_text(json.dumps(doc))
     with mock.patch.dict(os.environ, {"L2LAB_CAP": "64"}), _memory_headroom():
-        code = cli.main(["length", "--algebra", str(path)])
-    assert code in (0, 1, 2), doc
+        return cli.main(["length", "--algebra", str(path)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=table_docs())
+def test_table_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
+    assert _length_exit_code(tmp_path_factory, doc) in (0, 1, 2), doc
+
+
+@st.composite
+def factor_names(draw, q):
+    kind = draw(st.sampled_from(["valid", "non-power", "huge", "long", "junk"]))
+    if kind == "valid":
+        return "F%d" % q ** draw(st.integers(1, 4))
+    if kind == "non-power":
+        return "F%d" % draw(st.integers(0, 100))
+    if kind == "huge":
+        return "F%d" % q ** draw(st.integers(5, 3000))
+    if kind == "long":
+        return "F" + "1" * draw(st.integers(MAX_DIGITS - 2, 4 * MAX_DIGITS))
+    return draw(st.one_of(st.text(max_size=4), JUNK))
+
+
+@st.composite
+def product_docs(draw):
+    q = draw(st.sampled_from([2, 3, 4]) if draw(st.integers(0, 3)) else OTHER_Q)
+    base = q if type(q) is int and 2 <= q <= 16 else 2
+    factors = draw(st.one_of(st.lists(factor_names(base), max_size=4), JUNK))
+    doc = {"q": q, "product": factors}
+    R = draw(st.one_of(st.just(None), st.sampled_from(["diagonal", "(1,0)", "(u,0)"]),
+                       st.lists(st.sampled_from(["(1,0)", "(u,1)", "(u^2,u)", "(1)"]),
+                                max_size=2), JUNK))
+    if R is not None:
+        doc["R"] = R
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=product_docs())
+def test_product_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
+    assert _length_exit_code(tmp_path_factory, doc) in (0, 1, 2), doc

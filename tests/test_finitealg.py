@@ -7,7 +7,7 @@ from l2lab import poly
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.finitealg import (Subalgebra, classify_minimal_type, conductor,
                              crucial_ideal, enumerate_subalgebras, field_algebra,
-                             maximal_ideals, maximal_ideals_of_sub, msupp,
+                             maximal_ideals, msupp,
                              prime_algebra, product_algebra, quotient_algebra,
                              seminormalize, small_field, t_close, whole_algebra)
 
@@ -117,52 +117,54 @@ def test_small_field_rejects_non_prime_power():
 
 def test_maximal_ideals_product_of_fields():
     S = product_algebra(F2, [1, 1])
-    assert len(maximal_ideals(S)) == 2
+    assert len(maximal_ideals(whole_algebra(S))) == 2
 
 
 def test_maximal_ideals_local():
     S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
-    ms = maximal_ideals(S)
+    ms = maximal_ideals(whole_algebra(S))
     assert len(ms) == 1 and ms[0].dim == 1
 
 
 def test_maximal_ideals_f2_times_f4():
     S = product_algebra(F2, [1, 2])
-    assert len(maximal_ideals(S)) == 2
+    assert len(maximal_ideals(whole_algebra(S))) == 2
 
 
 def test_conductor_diagonal_in_product_is_zero():
     S = product_algebra(F2, [1, 1])
     R = prime_algebra(S)
-    assert conductor(R, S).dim == 0
+    assert conductor(R, whole_algebra(S)).dim == 0
 
 
 def test_conductor_spir_example_zero_but_M_nonzero():
     R, S = spir_model()
-    C = conductor(R, S)
+    T = whole_algebra(S)
+    C = conductor(R, T)
     assert C.dim == 0
-    M = crucial_ideal(R, S)
+    M = crucial_ideal(R, C, msupp(R, T))
     assert M is not None and M.dim == 1
 
 
 def test_conductor_of_equal_rings_is_unit_ideal():
     S = product_algebra(F2, [1, 1])
     R = whole_algebra(S)
-    assert conductor(R, S).dim == S.dim
+    assert conductor(R, R).dim == S.dim
 
 
 def test_crucial_ideal_field_base():
     S = product_algebra(F2, [2])
-    R = prime_algebra(S)
-    M = crucial_ideal(R, S)
+    R, T = prime_algebra(S), whole_algebra(S)
+    M = crucial_ideal(R, conductor(R, T), msupp(R, T))
     assert M is not None and M.dim == 0
 
 
 def test_crucial_ideal_two_element_support_is_none():
     S = product_algebra(F2, [2, 2])
     R = Subalgebra.from_generators(S, [S.basis_vector(0)])
-    assert crucial_ideal(R, S) is None
-    assert len(msupp(R, S)) == 2
+    T = whole_algebra(S)
+    assert crucial_ideal(R, conductor(R, T), msupp(R, T)) is None
+    assert len(msupp(R, T)) == 2
 
 
 @pytest.mark.parametrize("build,expected", [
@@ -287,7 +289,7 @@ def test_product_algebra_over_prime_power_base():
     # F4-algebra F4 x F16
     S = product_algebra(F4, [1, 2])
     assert S.dim == 3 and S.field.q == 4
-    assert len(maximal_ideals(S)) == 2
+    assert len(maximal_ideals(whole_algebra(S))) == 2
 
 
 def test_caps_respected(monkeypatch):
