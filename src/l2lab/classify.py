@@ -15,8 +15,7 @@ from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
     Ideal, Subalgebra, _minimal_type_of_pair, conductor, crucial_ideal,
     enumerate_subalgebras, ideal_generated, is_simple_extension, localize,
-    maximal_ideals, msupp, nilradical, quotient_by_ideal, radical_in,
-    seminormalize, t_close, whole_algebra,
+    maximal_ideals, msupp, radical, seminormalize, t_close, whole_algebra,
 )
 
 
@@ -33,7 +32,7 @@ class ExtensionAnalysis:
         self.conductor = conductor(R, self.whole)
         self.max_R = maximal_ideals(R)
         self.max_S = maximal_ideals(self.whole)
-        self.support = msupp(R, self.whole)
+        self.support = msupp(R, self.whole, self.conductor)
         self.crucial = (crucial_ideal(R, self.conductor, self.support)
                         if len(self.support) == 1 else None)
         self.seminormalization = seminormalize(R, S)
@@ -139,18 +138,13 @@ def copointwise_shape_check(a):
     ms = a.once(ideal_MS)
     if ms.key() != M.key():
         return False
-    Q, project, lift = quotient_by_ideal(S, list(M.basis))
     resdim = a.R.dim - M.dim
-    if Q.dim != 3 * resdim:
+    if S.dim - M.dim != 3 * resdim:
         return False
-    nil = nilradical(whole_algebra(Q))
-    if len(nil) != 2 * resdim:
+    N = radical(a.whole, M.basis)      # N/M is the nilradical of S/M
+    if len(N) - M.dim != 2 * resdim:
         return False
-    for u in nil:
-        for v in nil:
-            if any(Q.mul(u, v)):
-                return False
-    return True
+    return all(M.member(S.mul(u, v)) for u in N for v in N)
 
 
 def cover_types(a):
@@ -411,7 +405,7 @@ def _crucial_predicates(a, l2):
                            True, l2 == cond62, det))
 
     if infra and not tclosed:
-        N = radical_in(a.whole, a.once(ideal_MS).basis)
+        N = Ideal(a.whole, radical(a.whole, a.once(ideal_MS).basis))
         vn = v_of_ideal(a, N)
         lr = module_length_at(a, M, N.basis, M.basis)
         holds = (l2 == (lr + len(vn) == 3))

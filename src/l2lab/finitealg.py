@@ -6,6 +6,11 @@ F_q.  Everything an analysis needs -- maximal ideals, conductor, crucial
 ideal, seminormalization, t-closure, brute-force subalgebra enumeration
 -- lives here; the theorem-level classification sits in classify.py and
 uses these as its oracles.
+
+Structure is linear algebra, not an element scan: x |-> x^q is
+F_q-linear, so a radical sqrt(I) is the kernel of x |-> x^(q^k) mod I
+and the primitive idempotents split off the fixed space of x |-> x^q
+(the Berlekamp subalgebra).
 """
 
 import itertools
@@ -266,17 +271,6 @@ class FiniteAlgebra:
         F = self.field
         elems = F.elements()
         return [tuple(t) for t in itertools.product(elems, repeat=self.dim)]
-
-    def is_nilpotent(self, v):
-        w = v
-        e = 1
-        while e <= self.dim:
-            w = self.mul(w, w)
-            e *= 2
-        return not any(w)
-
-    def is_idempotent(self, v):
-        return self.mul(v, v) == v
 
     def element_str(self, v):
         terms = []
@@ -582,32 +576,25 @@ def prime_algebra(S):
     return Subalgebra(S, [S.unit], check=False)
 
 
-def algebra_on_subspace(A, basis, unit_vec, names=None):
-    """The subspace as an algebra in its own basis.
+def algebra_on_subspace(A, basis, unit_vec):
+    """The subspace as an algebra in its own basis, with unit ``unit_vec``.
 
     Returns (algebra, lift, project): lift maps local coordinate vectors
     to ambient vectors, project the other way (None if outside).
     """
     basis = Echelon(basis)
-    if names is None:
-        names = ["[%s]" % A.element_str(b) for b in basis]
-    alg = _induced_algebra(A, basis, basis.coords, unit_vec, names)
-    return alg, basis.combine, basis.coords
-
-
-def _induced_algebra(A, basis, project, unit_vec, names):
-    """The algebra on the coordinates given by ``project``, whose i-th
-    unit vector is ``basis[i]``: e_i * e_j = project(basis[i] * basis[j])."""
     table = []
     for a in basis:
-        row = [project(A.mul(a, b)) for b in basis]
+        row = [basis.coords(A.mul(a, b)) for b in basis]
         if any(p is None for p in row):
             raise ValueError("subspace is not closed under multiplication")
         table.append(row)
-    unit = project(unit_vec)
+    unit = basis.coords(unit_vec)
     if unit is None:
         raise ValueError("unit does not lie in the subspace")
-    return FiniteAlgebra(A.field, table, unit, names, check=False)
+    names = ["[%s]" % A.element_str(b) for b in basis]
+    alg = FiniteAlgebra(A.field, table, unit, names, check=False)
+    return alg, basis.combine, basis.coords
 
 
 class Ideal:
@@ -654,28 +641,56 @@ def ideal_generated(A, ring_basis, gens):
 
 
 # ---------------------------------------------------------------------------
-# Structure: nilradical, primitive idempotents, maximal ideals, quotients
+# Structure: radicals, primitive idempotents, maximal ideals, conductors,
+# each the kernel of an F_q-linear map on a subalgebra
+
+def _kernel_over(T, image):
+    """Ambient basis of {x in T : image(x) = 0} for an F_q-linear
+    ``image``, given by its values on ``T.basis`` (equal-length tuples)."""
+    cols = [image(b) for b in T.basis]
+    rows = [[col[t] for col in cols] for t in range(len(cols[0]))]
+    return [T.basis.combine(x)
+            for x in exact.kernel(rows, T.dim, T.ambient.field.one)]
+
+
+def radical(T, I):
+    """sqrt(I) in T, for an ideal I of T given by an ambient basis (``()``
+    for the zero ideal), as an echelon basis in ambient coordinates.
+
+    x |-> x^e is F_q-linear for e = q^k, and a nilpotent of T/I has
+    index at most dim T, so with q^k >= dim T the radical is the kernel
+    of x |-> x^e mod I.
+    """
+    A = T.ambient
+    e = A.field.q
+    while e < T.dim:
+        e *= A.field.q
+    I = Echelon(I)
+    return Echelon(_kernel_over(T, lambda b: I.project(A.power(b, e))))
+
 
 def subalgebra_structure(T):
     """Nilradical, primitive idempotents and maximal ideals of T, in
-    ambient coordinates, from one scan of its elements.
+    ambient coordinates, by linear algebra.
 
-    T is a product of local rings, one per primitive idempotent e, so
-    its maximal ideals are the M_e = (1 - e)T + nil(T).  Read them
-    through ``T.structure()``, which computes this once per subalgebra.
+    The Berlekamp subalgebra B = {b : b^q = b} is a copy of F_q^m, one
+    factor per primitive idempotent.  For b in B and c in F_q,
+    1 - (b - c)^(q-1) is the idempotent where b takes the value c, so
+    splitting 1 by these over a basis of B yields the primitive
+    idempotents.  T is a product of local rings, one per primitive
+    idempotent e, so its maximal ideals are the M_e = (1 - e)T + nil(T).
+    Read them through ``T.structure()``, which computes this once per
+    subalgebra.
     """
     A = T.ambient
-    nil = []
-    idems = []
-    for v in T.elements("nilradical and idempotent search"):
-        if A.is_nilpotent(v):
-            nil.append(v)
-        elif A.is_idempotent(v):
-            idems.append(v)
-    nil = Echelon(nil)
-    prim = tuple(sorted((e for e in idems
-                         if not any(f != e and A.mul(e, f) == f for f in idems)),
-                        key=vec_key))
+    F = A.field
+    nil = radical(T, ())
+    prim = [A.unit]
+    for b in _kernel_over(T, lambda x: vsub(A.power(x, F.q), x)):
+        splits = [vsub(A.unit, A.power(vsub(b, tuple(c * u for u in A.unit)), F.q - 1))
+                  for c in F.elements()]
+        prim = [f for e in prim for f in (A.mul(e, s) for s in splits) if any(f)]
+    prim = tuple(sorted(prim, key=vec_key))
     maxes = tuple(sorted((Ideal(T, list(nil) + [A.mul(vsub(A.unit, e), b) for b in T.basis])
                           for e in prim), key=Ideal.key))
     return nil, prim, maxes
@@ -696,69 +711,31 @@ def maximal_ideals(T):
     return T.structure()[2]
 
 
-def subspace_complement(A, basis):
-    """(project, lift, free) for the quotient vector space A / span(basis).
-
-    Quotient coordinates are the non-pivot positions ``free`` of the
-    echelon form; ``lift`` puts them back with zeros at the pivots.
-    """
-    red = Echelon(basis)
-    free = [j for j in range(A.dim) if j not in red.pivots]
-
-    def lift(qv):
-        v = [A.field.zero] * A.dim
-        for c, j in zip(qv, free):
-            v[j] = c
-        return tuple(v)
-
-    return red.project, lift, free
-
-
-def quotient_by_ideal(A, ideal_basis):
-    """(Q, project, lift): Q = A / ideal, on complement coordinates."""
-    project, lift, free = subspace_complement(A, ideal_basis)
-    Q = _induced_algebra(A, [A.basis_vector(j) for j in free], project, A.unit,
-                         [A.names[j] for j in free])
-    return Q, project, lift
-
-
 def conductor(lo, hi):
     """(lo : hi) = {a in hi : a*hi is contained in lo}, the largest ideal
     of hi inside lo, for subalgebras of one algebra: the kernel of
     a |-> (a*h_j mod lo)_j over the basis h of hi."""
     A = hi.ambient
-    H = hi.basis
-    rows = []
-    for hj in H:
-        prods = [lo.basis.project(A.mul(hc, hj)) for hc in H]
-        rows += [[v[t] for v in prods] for t in range(A.dim - lo.dim)]
-    cond = Ideal(hi, [H.combine(x) for x in exact.kernel(rows, hi.dim, A.field.one)])
+
+    def image(a):
+        return tuple(c for hj in hi.basis for c in lo.basis.project(A.mul(a, hj)))
+
+    cond = Ideal(hi, _kernel_over(hi, image))
     for b in cond.basis:
         if not lo.member(b):
             raise ConsistencyError("conductor is not contained in R")
     return cond
 
 
-def radical_in(R, ideal_basis):
-    """sqrt(I) inside the subalgebra R: preimage of the nilradical of R/I."""
-    alg, lift, project = algebra_on_subspace(R.ambient, R.basis, R.ambient.unit)
-    local_ideal = [project(b) for b in ideal_basis]
-    if any(v is None for v in local_ideal):
-        raise ValueError("ideal is not contained in R")
-    Q, _, qlift = quotient_by_ideal(alg, local_ideal)
-    return Ideal(R, [lift(qlift(v)) for v in nilradical(whole_algebra(Q))]
-                 + [lift(v) for v in local_ideal])
-
-
-def msupp(R, T):
-    """MSupp(T/R): maximal ideals of R containing the conductor.
+def msupp(R, T, cond):
+    """MSupp(T/R): maximal ideals of R containing the conductor
+    ``cond`` = (R:T).
 
     Cross-checked against the direct localization route: M is in the
     support iff the primitive idempotent of R attached to M moves some
     element of T outside R.
     """
     A = R.ambient
-    cond = conductor(R, T)
     maxes = maximal_ideals(R)
     via_conductor = [M for M in maxes
                      if all(M.member(b) for b in cond.basis)]
@@ -779,7 +756,7 @@ def crucial_ideal(R, cond, support):
     maximal.  ``cond`` and ``support`` are (R:T) and MSupp(T/R), as
     ``conductor`` and ``msupp`` give them; the radical is checked
     against the support."""
-    rad = radical_in(R, cond.basis)
+    rad = Ideal(R, radical(R, cond.basis))
     hit = [M for M in maximal_ideals(R) if M.key() == rad.key()]
     if hit:
         if len(support) != 1 or support[0].key() != rad.key():
@@ -886,7 +863,8 @@ def enumerate_subalgebras(R, S):
     c = S.dim - R.dim
     total = sum(_gaussian_binomial(c, k, q) for k in range(c + 1))
     check_candidates(total, "subalgebra enumeration")
-    _, lift, _ = subspace_complement(S, R.basis)
+    # S/R has coordinates on the non-pivot columns of R's echelon basis
+    free = [j for j in range(S.dim) if j not in R.basis.pivots]
     found = []
     for k in range(c + 1):
         for piv in itertools.combinations(range(c), k):
@@ -896,13 +874,12 @@ def enumerate_subalgebras(R, S):
                     if col not in piv:
                         free_pos.append((r_i, col))
             for fill in itertools.product(F.elements(), repeat=len(free_pos)):
-                rows = [[F.zero] * c for _ in range(k)]
+                rows = [[F.zero] * S.dim for _ in range(k)]
                 for r_i, pc in enumerate(piv):
-                    rows[r_i][pc] = F.one
+                    rows[r_i][free[pc]] = F.one
                 for (r_i, col), val in zip(free_pos, fill):
-                    rows[r_i][col] = val
-                T = Subalgebra(S, list(R.basis) + [lift(row) for row in rows],
-                               check=False)
+                    rows[r_i][free[col]] = val
+                T = Subalgebra(S, list(R.basis) + rows, check=False)
                 if T.is_closed():
                     found.append(T)
     found.sort(key=lambda T: T.key())

@@ -142,7 +142,7 @@ def test_conductor_spir_example_zero_but_M_nonzero():
     T = whole_algebra(S)
     C = conductor(R, T)
     assert C.dim == 0
-    M = crucial_ideal(R, C, msupp(R, T))
+    M = crucial_ideal(R, C, msupp(R, T, C))
     assert M is not None and M.dim == 1
 
 
@@ -155,7 +155,8 @@ def test_conductor_of_equal_rings_is_unit_ideal():
 def test_crucial_ideal_field_base():
     S = product_algebra(F2, [2])
     R, T = prime_algebra(S), whole_algebra(S)
-    M = crucial_ideal(R, conductor(R, T), msupp(R, T))
+    C = conductor(R, T)
+    M = crucial_ideal(R, C, msupp(R, T, C))
     assert M is not None and M.dim == 0
 
 
@@ -163,8 +164,9 @@ def test_crucial_ideal_two_element_support_is_none():
     S = product_algebra(F2, [2, 2])
     R = Subalgebra.from_generators(S, [S.basis_vector(0)])
     T = whole_algebra(S)
-    assert crucial_ideal(R, conductor(R, T), msupp(R, T)) is None
-    assert len(msupp(R, T)) == 2
+    C = conductor(R, T)
+    assert crucial_ideal(R, C, msupp(R, T, C)) is None
+    assert len(msupp(R, T, C)) == 2
 
 
 @pytest.mark.parametrize("build,expected", [

@@ -1,14 +1,16 @@
 """The structure a subalgebra keeps (nilradical, primitive idempotents,
-maximal ideals) and the conductor of a pair, against the element-scan
-routes they replaced.
+maximal ideals), its radicals and the conductor of a pair, against the
+element-scan and quotient routes they replaced.
 
-The oracle copies each subalgebra into an algebra of its own (local
-coordinates), scans that for nilpotents, takes the quotient by the
-nilradical, splits it by its primitive idempotents and lifts the kernels
-back.  The conductor oracle transplants each covering edge lo < hi into
-hi's own coordinates in the same way.  Both run on every lattice node of
-the named benchmark algebras of at most 2^5 elements and of seeded
-random algebras over F_2, F_3 and F_4.
+The structure oracle copies each subalgebra into an algebra of its own
+(local coordinates), scans that for nilpotents, takes the quotient by
+the nilradical, splits it by its primitive idempotents and lifts the
+kernels back.  The radical oracles scan T for the r with r^(dim T) in I
+and take the nilradical of the quotient algebra T/I.  The conductor
+oracle transplants each covering edge lo < hi into hi's own coordinates.
+All of them run on every lattice node and covering edge of the named
+benchmark algebras of at most 2^5 elements and of seeded random algebras
+over F_2, F_3, F_4, F_8 and F_9.
 """
 
 import collections
@@ -21,11 +23,12 @@ import pytest
 from l2lab import exact, finitealg
 from l2lab.classify import analyze_extension, classify_extension
 from l2lab.exact import Echelon
-from l2lab.finitealg import (Subalgebra, algebra_on_subspace, conductor,
-                             enumerate_subalgebras, field_algebra, maximal_ideals,
-                             nilradical, prime_algebra, primitive_idempotents,
-                             product_algebra, quotient_algebra, quotient_by_ideal,
-                             small_field, subspace_complement, vec_key)
+from l2lab.finitealg import (FiniteAlgebra, Subalgebra, algebra_on_subspace,
+                             conductor, crucial_ideal, enumerate_subalgebras,
+                             field_algebra, maximal_ideals, msupp, nilradical,
+                             prime_algebra, primitive_idempotents, product_algebra,
+                             quotient_algebra, radical, small_field, vec_key,
+                             whole_algebra)
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
@@ -36,15 +39,56 @@ import corpus  # noqa: E402
 # ---------------------------------------------------------------------------
 # Oracles: the element-scan and quotient routes, in local coordinates.
 
+def is_nilpotent(A, v):
+    w = v
+    e = 1
+    while e <= A.dim:
+        w = A.mul(w, w)
+        e *= 2
+    return not any(w)
+
+
+def subspace_complement(A, basis):
+    """(project, lift, free) for the quotient vector space A / span(basis).
+
+    Quotient coordinates are the non-pivot positions ``free`` of the
+    echelon form; ``lift`` puts them back with zeros at the pivots.
+    """
+    red = Echelon(basis)
+    free = [j for j in range(A.dim) if j not in red.pivots]
+
+    def lift(qv):
+        v = [A.field.zero] * A.dim
+        for c, j in zip(qv, free):
+            v[j] = c
+        return tuple(v)
+
+    return red.project, lift, free
+
+
+def quotient_by_ideal(A, ideal_basis):
+    """(Q, project, lift): Q = A / ideal, on complement coordinates."""
+    project, lift, free = subspace_complement(A, ideal_basis)
+    table = [[project(A.mul(A.basis_vector(i), A.basis_vector(j))) for j in free]
+             for i in free]
+    Q = FiniteAlgebra(A.field, table, project(A.unit), [A.names[j] for j in free],
+                      check=False)
+    return Q, project, lift
+
+
+def _nilradical_by_scan(A):
+    return Echelon([v for v in A.elements() if is_nilpotent(A, v)])
+
+
 def _primitive_idempotents_by_scan(A):
-    idems = [v for v in A.elements() if any(v) and A.is_idempotent(v)]
+    idems = [v for v in A.elements() if any(v) and A.mul(v, v) == v]
     return [e for e in idems if not any(f != e and A.mul(e, f) == f for f in idems)]
 
 
 def _maximal_ideals_by_quotient(A):
     """Max(A) for an algebra: nilradical, then the kernels of the
     primitive idempotents of A/nil(A), lifted back."""
-    nil = Echelon([v for v in A.elements() if A.is_nilpotent(v)])
+    nil = _nilradical_by_scan(A)
     Q, _, lift = quotient_by_ideal(A, nil)
     out = []
     for e in _primitive_idempotents_by_scan(Q):
@@ -66,6 +110,23 @@ def oracle_structure(T):
     return Echelon([lift(b) for b in nil]), prim, maxes
 
 
+def radical_by_scan(T, I):
+    """{r in T : r^(dim T) in I}."""
+    A = T.ambient
+    I = Echelon(I)
+    return Echelon([r for r in T.elements() if I.contains(A.power(r, T.dim))])
+
+
+def radical_by_quotient(T, I):
+    """sqrt(I) in T as the preimage of the nilradical of T/I, with T
+    copied into its own coordinates."""
+    alg, lift, project = algebra_on_subspace(T.ambient, T.basis, T.ambient.unit)
+    local_ideal = [project(b) for b in I]
+    Q, _, qlift = quotient_by_ideal(alg, local_ideal)
+    return Echelon([lift(qlift(v)) for v in _nilradical_by_scan(Q)]
+                   + [lift(v) for v in local_ideal])
+
+
 def _conductor_of_algebra(R, S):
     """(R : S) for R inside the whole algebra S, on S's coordinates."""
     project, _, free = subspace_complement(S, R.basis)
@@ -85,8 +146,15 @@ def oracle_conductor(lo, hi):
     return Echelon([lift(b) for b in _conductor_of_algebra(lo_in_hi, hi_alg)])
 
 
+def check_radical(T, I):
+    rad = radical(T, I)
+    assert rad == radical_by_scan(T, I) == radical_by_quotient(T, I)
+    return rad
+
+
 def check_lattice(R, S):
-    """Compare structure and conductors on every node and covering edge."""
+    """Compare structure, radicals and conductors on every node and
+    covering edge."""
     lat = enumerate_subalgebras(R, S)
     for T in lat.nodes:
         nil, prim, maxes = oracle_structure(T)
@@ -102,9 +170,15 @@ def check_lattice(R, S):
             if i:
                 total = tuple(a + b for a, b in zip(total, e))
         assert total == S.unit
+        assert check_radical(T, ()) == nil
+        for M in maximal_ideals(T):
+            assert check_radical(T, M.basis) == M.basis
     for i, j in lat.covers:
         lo, hi = lat.nodes[i], lat.nodes[j]
-        assert conductor(lo, hi).basis == oracle_conductor(lo, hi)
+        cond = conductor(lo, hi)
+        assert cond.basis == oracle_conductor(lo, hi)
+        check_radical(lo, cond.basis)
+        check_radical(hi, cond.basis)
     return len(lat)
 
 
@@ -124,10 +198,12 @@ def test_structure_matches_oracle_on_named_algebras(S, R):
     assert check_lattice(R, S) >= 2
 
 
-def _random_algebra(rng):
-    q = rng.choice([2, 3, 4])
+def _random_algebra(rng, maxdims):
+    """A random algebra S over F_q, q drawn from ``maxdims`` (q -> largest
+    dimension), and a random subalgebra R < S."""
+    q = rng.choice(sorted(maxdims))
     F = small_field(q)
-    maxdim = {2: 5, 3: 4, 4: 3}[q]
+    maxdim = maxdims[q]
     kind = rng.randrange(3)
     if kind == 0:
         degrees = [rng.choice([1, 1, 2]) for _ in range(rng.randrange(1, 4))]
@@ -153,10 +229,56 @@ def test_structure_matches_oracle_on_random_algebras():
     rng = random.Random(6062)
     qs = collections.Counter()
     for _ in range(60):
-        R, S = _random_algebra(rng)
+        R, S = _random_algebra(rng, {2: 5, 3: 4, 4: 3})
         check_lattice(R, S)
         qs[S.field.q] += 1
     assert set(qs) == {2, 3, 4}
+
+
+def test_structure_matches_oracle_over_f8_and_f9():
+    """Splitting raises b - c to the power q - 1 for all q values of c:
+    over F_8 and F_9 that is 8 or 9 values and powers 7 and 8."""
+    rng = random.Random(89)
+    qs = collections.Counter()
+    for _ in range(16):
+        R, S = _random_algebra(rng, {8: 2, 9: 2})
+        check_lattice(R, S)
+        qs[S.field.q] += 1
+    assert set(qs) == {8, 9}
+    for q in (8, 9):
+        S, R = parse_algebra({"q": q, "product": ["F%d" % q, "F%d" % q ** 2],
+                              "R": "diagonal"})
+        assert check_lattice(R, S) == 3
+        assert len(primitive_idempotents(whole_algebra(S))) == 2
+
+
+def test_structure_lists_no_elements(monkeypatch):
+    """Structure, radicals, support and crucial ideal are linear algebra:
+    they run with element listing switched off."""
+    F2 = small_field(2)
+    S5 = product_algebra(F2, [1] * 5)
+    S7 = product_algebra(F2, [1] * 7)
+    S, R = parse_algebra({"q": 8, "product": ["F8", "F64"], "R": "diagonal"})
+    lattices = [enumerate_subalgebras(prime_algebra(S5), S5).nodes,
+                [prime_algebra(S7), whole_algebra(S7)],
+                enumerate_subalgebras(R, S).nodes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element listing in the structure layer")
+
+    monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+    monkeypatch.setattr(Subalgebra, "elements", refuse)
+    for nodes in lattices:
+        for T in nodes:
+            nil, prim, maxes = T.structure()
+            assert radical(T, ()) == nil
+            assert len(prim) == len(maxes)
+        # the bottom is a field, so its zero ideal is the crucial ideal
+        bottom, top = nodes[0], nodes[-1]
+        cond = conductor(bottom, top)
+        crucial = crucial_ideal(bottom, cond, msupp(bottom, top, cond))
+        assert crucial == maximal_ideals(bottom)[0] and crucial.dim == 0
+    assert len(primitive_idempotents(whole_algebra(S7))) == 7
 
 
 def test_structure_computed_once_per_node(monkeypatch):
