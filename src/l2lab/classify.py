@@ -35,8 +35,8 @@ class ExtensionAnalysis:
         self.support = msupp(R, self.whole, self.conductor)
         self.crucial = (crucial_ideal(R, self.conductor, self.support)
                         if len(self.support) == 1 else None)
-        self.seminormalization = seminormalize(R, S)
-        self.t_closure = t_close(R, S)
+        self.seminormalization = seminormalize(R, self.whole)
+        self.t_closure = t_close(R, self.whole)
         self._once = {}
         _check_canonical_decomposition(self)
 

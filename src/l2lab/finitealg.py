@@ -10,7 +10,9 @@ uses these as its oracles.
 Structure is linear algebra, not an element scan: x |-> x^q is
 F_q-linear, so a radical sqrt(I) is the kernel of x |-> x^(q^k) mod I
 and the primitive idempotents split off the fixed space of x |-> x^q
-(the Berlekamp subalgebra).
+(the Berlekamp subalgebra).  The closure operators are spans of that
+structure: the seminormalization of R in T is R + nil(T), the t-closure
+is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
 """
 
 import itertools
@@ -87,7 +89,6 @@ class SmallField:
         self.p = p
         self.k = k
         self.q = p ** k
-        self.characteristic = p
         if k == 1:
             self.modpoly = None
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
@@ -786,44 +787,41 @@ def localize(R, T, M):
 # ---------------------------------------------------------------------------
 # Closure operators
 
-def seminormalize(R, S):
-    """Smallest T >= R with T <= S seminormal: adjoin every b with
-    b^2, b^3 in T, to a fixpoint."""
-    T = R
-    elems = S.elements("seminormalization")
-    while True:
-        adjoin = []
-        for b in elems:
-            if T.member(b):
-                continue
-            b2 = S.mul(b, b)
-            if T.member(b2) and T.member(S.mul(b2, b)):
-                adjoin.append(b)
-        if not adjoin:
-            return T
-        T = Subalgebra.from_generators(S, list(T.basis) + adjoin)
+def _closure_span(T, vectors, what):
+    """The subalgebra spanned by ``vectors``, which must contain 1 and be
+    closed under multiplication; a failure is a consistency error."""
+    U = Subalgebra(T.ambient, vectors, check=False)
+    if not U.member(T.ambient.unit) or not U.is_closed():
+        raise ConsistencyError("%s span is not a subalgebra" % what)
+    return U
 
 
-def t_close(R, S):
-    """Smallest T >= R with T <= S t-closed: adjoin every b admitting
-    r in T with b^2 - r*b in T and b^3 - r*b^2 in T, to a fixpoint."""
-    T = R
-    elems = S.elements("t-closure")
-    while True:
-        adjoin = []
-        telems = T.elements("t-closure witness scan")
-        for b in elems:
-            if T.member(b):
-                continue
-            b2 = S.mul(b, b)
-            b3 = S.mul(b2, b)
-            for r in telems:
-                if T.member(vsub(b2, S.mul(r, b))) and T.member(vsub(b3, S.mul(r, b2))):
-                    adjoin.append(b)
-                    break
-        if not adjoin:
-            return T
-        T = Subalgebra.from_generators(S, list(T.basis) + adjoin)
+def seminormalize(R, T):
+    """The seminormalization of R in T (R <= T subalgebras of one
+    algebra): R + nil(T).
+
+    T is Artinian.  P = R + nil(T) is a ring (nil(T) is an ideal of T),
+    nil(P) = nil(T) and P/nil(P) = R/nil(R), so R <= P is subintegral.
+    A subintegral R <= P' <= T has P'_red = R_red, so P' = R + nil(P')
+    lies in P: P is the largest subintegral subextension (Swan 1980).
+    """
+    return _closure_span(T, list(R.basis) + list(nilradical(T)), "seminormalization")
+
+
+def t_close(R, T):
+    """The t-closure of R in T (R <= T subalgebras of one algebra):
+    the sum of e*R over the primitive idempotents e of T, plus nil(T).
+
+    U = sum_e e*R + nil(T) is a ring, and U_red is the product over e of
+    the image of R in the residue field of e*T, so no residue field
+    grows and R <= U is infra-integral.  An infra-integral R <= U' <= T
+    maps at each e into that same image, so U' lies in U: U is the
+    largest infra-integral subextension (Picavet & Picavet-L'Hermitte
+    1993).
+    """
+    A = T.ambient
+    vectors = [A.mul(e, r) for e in primitive_idempotents(T) for r in R.basis]
+    return _closure_span(T, vectors + list(nilradical(T)), "t-closure")
 
 
 def is_simple_extension(R, S):
@@ -889,12 +887,10 @@ def enumerate_subalgebras(R, S):
 # ---------------------------------------------------------------------------
 # Minimal-extension types (inert / decomposed / ramified)
 
-def classify_minimal_type(R, S, lattice=None):
+def classify_minimal_type(R, S):
     """Type of a minimal extension, or 'not-minimal' (verified by
     enumeration)."""
-    if lattice is None:
-        lattice = enumerate_subalgebras(R, S)
-    if len(lattice) != 2:
+    if len(enumerate_subalgebras(R, S)) != 2:
         return "not-minimal"
     return _minimal_type_of_pair(R, whole_algebra(S))
 

@@ -108,8 +108,6 @@ def nf_str(e, var="x"):
 class NumberField:
     """L = Q[x]/(f) for a monic irreducible separable f."""
 
-    characteristic = 0
-
     def __init__(self, defining):
         self.defining = defining
         self.n = defining.degree
@@ -271,9 +269,6 @@ class Subfield:
 
     def is_full(self):
         return self.dim == self.ambient.n
-
-    def is_prime_field(self):
-        return self.dim == 1
 
     def __eq__(self, other):
         return (isinstance(other, Subfield) and self.ambient == other.ambient

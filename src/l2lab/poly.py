@@ -36,7 +36,6 @@ from .exact import next_prime
 class RationalField:
     """Domain descriptor for Q."""
 
-    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 

@@ -191,18 +191,18 @@ def test_classify_not_minimal():
 
 def test_seminormalize_ramified_goes_up():
     S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
-    assert seminormalize(prime_algebra(S), S).is_whole()
+    assert seminormalize(prime_algebra(S), whole_algebra(S)).is_whole()
 
 
 def test_seminormalize_decomposed_stays():
     S = product_algebra(F2, [1, 1])
     R = prime_algebra(S)
-    assert seminormalize(R, S) == R
+    assert seminormalize(R, whole_algebra(S)) == R
 
 
 def test_seminormalize_spir_example():
     R, S = spir_model()
-    P = seminormalize(R, S)
+    P = seminormalize(R, whole_algebra(S))
     assert P.dim == 3
     ty = S.mul(S.basis_vector(S.names.index("t")), S.basis_vector(S.names.index("y")))
     assert P.member(ty)
@@ -211,18 +211,18 @@ def test_seminormalize_spir_example():
 
 def test_t_close_decomposed_goes_up():
     S = product_algebra(F2, [1, 1])
-    assert t_close(prime_algebra(S), S).is_whole()
+    assert t_close(prime_algebra(S), whole_algebra(S)).is_whole()
 
 
 def test_t_close_inert_stays():
     S = product_algebra(F2, [2])
     R = prime_algebra(S)
-    assert t_close(R, S) == R
+    assert t_close(R, whole_algebra(S)) == R
 
 
 def test_t_close_f2_in_f2xf4():
     S = product_algebra(F2, [1, 2])
-    T = t_close(prime_algebra(S), S)
+    T = t_close(prime_algebra(S), whole_algebra(S))
     assert T.dim == 2
     # F2 x F2 inside F2 x F4: spanned by the two unit idempotents
     assert T.member(S.basis_vector(0)) and T.member(S.basis_vector(1))

@@ -8,9 +8,13 @@ the nilradical, splits it by its primitive idempotents and lifts the
 kernels back.  The radical oracles scan T for the r with r^(dim T) in I
 and take the nilradical of the quotient algebra T/I.  The conductor
 oracle transplants each covering edge lo < hi into hi's own coordinates.
-All of them run on every lattice node and covering edge of the named
-benchmark algebras of at most 2^5 elements and of seeded random algebras
-over F_2, F_3, F_4, F_8 and F_9.
+The closure oracles are the pointwise definitions, run to a fixpoint
+over the elements of T: the seminormalization adjoins every b with
+b^2, b^3 inside, the t-closure every b with some r inside such that
+b^2 - rb and b^3 - rb^2 are inside.  All of them run on every lattice
+node and covering edge (the closures of every node in the top, and of
+every covering edge) of the named benchmark algebras of at most 2^5
+elements and of seeded random algebras over F_2, F_3, F_4, F_8 and F_9.
 """
 
 import collections
@@ -27,8 +31,8 @@ from l2lab.finitealg import (FiniteAlgebra, Subalgebra, algebra_on_subspace,
                              conductor, crucial_ideal, enumerate_subalgebras,
                              field_algebra, maximal_ideals, msupp, nilradical,
                              prime_algebra, primitive_idempotents, product_algebra,
-                             quotient_algebra, radical, small_field, vec_key,
-                             whole_algebra)
+                             quotient_algebra, radical, seminormalize, small_field,
+                             t_close, vec_key, vsub, whole_algebra)
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
@@ -146,6 +150,54 @@ def oracle_conductor(lo, hi):
     return Echelon([lift(b) for b in _conductor_of_algebra(lo_in_hi, hi_alg)])
 
 
+def seminormalize_by_scan(R, T):
+    """Smallest P >= R inside T that is seminormal in T: adjoin every b
+    of T with b^2, b^3 in P, to a fixpoint."""
+    A = T.ambient
+    P = R
+    elems = T.elements()
+    while True:
+        adjoin = []
+        for b in elems:
+            if P.member(b):
+                continue
+            b2 = A.mul(b, b)
+            if P.member(b2) and P.member(A.mul(b2, b)):
+                adjoin.append(b)
+        if not adjoin:
+            return P
+        P = Subalgebra.from_generators(A, list(P.basis) + adjoin)
+
+
+def t_close_by_scan(R, T):
+    """Smallest U >= R inside T that is t-closed in T: adjoin every b of
+    T admitting r in U with b^2 - r*b and b^3 - r*b^2 in U, to a
+    fixpoint."""
+    A = T.ambient
+    U = R
+    elems = T.elements()
+    while True:
+        adjoin = []
+        uelems = U.elements()
+        for b in elems:
+            if U.member(b):
+                continue
+            b2 = A.mul(b, b)
+            b3 = A.mul(b2, b)
+            for r in uelems:
+                if U.member(vsub(b2, A.mul(r, b))) and U.member(vsub(b3, A.mul(r, b2))):
+                    adjoin.append(b)
+                    break
+        if not adjoin:
+            return U
+        U = Subalgebra.from_generators(A, list(U.basis) + adjoin)
+
+
+def check_closures(R, T):
+    assert seminormalize(R, T) == seminormalize_by_scan(R, T)
+    assert t_close(R, T) == t_close_by_scan(R, T)
+
+
 def check_radical(T, I):
     rad = radical(T, I)
     assert rad == radical_by_scan(T, I) == radical_by_quotient(T, I)
@@ -153,10 +205,13 @@ def check_radical(T, I):
 
 
 def check_lattice(R, S):
-    """Compare structure, radicals and conductors on every node and
-    covering edge."""
+    """Compare structure, radicals, conductors and closures on every node
+    and covering edge (closures of every node in the top, and of every
+    covering edge)."""
     lat = enumerate_subalgebras(R, S)
+    top = lat.nodes[-1]
     for T in lat.nodes:
+        check_closures(T, top)
         nil, prim, maxes = oracle_structure(T)
         assert nilradical(T) == nil
         assert primitive_idempotents(T) == prim
@@ -179,6 +234,7 @@ def check_lattice(R, S):
         assert cond.basis == oracle_conductor(lo, hi)
         check_radical(lo, cond.basis)
         check_radical(hi, cond.basis)
+        check_closures(lo, hi)
     return len(lat)
 
 
@@ -253,8 +309,8 @@ def test_structure_matches_oracle_over_f8_and_f9():
 
 
 def test_structure_lists_no_elements(monkeypatch):
-    """Structure, radicals, support and crucial ideal are linear algebra:
-    they run with element listing switched off."""
+    """Structure, radicals, closures, support and crucial ideal are
+    linear algebra: they run with element listing switched off."""
     F2 = small_field(2)
     S5 = product_algebra(F2, [1] * 5)
     S7 = product_algebra(F2, [1] * 7)
@@ -269,12 +325,15 @@ def test_structure_lists_no_elements(monkeypatch):
     monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
     monkeypatch.setattr(Subalgebra, "elements", refuse)
     for nodes in lattices:
+        bottom, top = nodes[0], nodes[-1]
         for T in nodes:
             nil, prim, maxes = T.structure()
             assert radical(T, ()) == nil
             assert len(prim) == len(maxes)
+            # the tops are reduced, so every node is seminormal in them
+            assert seminormalize(T, top) == T
+            assert t_close(T, top).contains_sub(T)
         # the bottom is a field, so its zero ideal is the crucial ideal
-        bottom, top = nodes[0], nodes[-1]
         cond = conductor(bottom, top)
         crucial = crucial_ideal(bottom, cond, msupp(bottom, top, cond))
         assert crucial == maximal_ideals(bottom)[0] and crucial.dim == 0
