@@ -5,8 +5,9 @@ Two engines share an exact-arithmetic core:
 * number fields  -- principal subfields of Q < Q[x]/(f), the complete
   lattice of intermediate fields, minimality and length;
 * finite algebras -- conductors, crucial ideals, seminormalization,
-  t-closure and brute-force subalgebra enumeration over F_q, with the
-  exhaustive length-2 case classification.
+  t-closure and the subalgebra lattice over F_q, enumerated by
+  one-element adjunctions T[s], with the exhaustive length-2 case
+  classification.
 """
 
 from .errors import CapExceeded, ConsistencyError, ParseError

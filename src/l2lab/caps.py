@@ -2,8 +2,8 @@
 
 The element cap bounds |S| = q^dim wherever an operation walks every
 element of an algebra; L2LAB_CAP overrides it (lowering is always safe).
-The candidate cap bounds the number of echelon bases the subalgebra
-enumeration may examine.
+The candidate cap bounds the number of one-element adjunctions T[s]
+the subalgebra enumeration may make.
 """
 
 import os
@@ -11,7 +11,7 @@ import os
 from .errors import CapExceeded, ParseError
 
 DEFAULT_ELEMENT_CAP = 4096
-CANDIDATE_CAP = 1_000_000
+CANDIDATE_CAP = 100_000
 
 
 def element_cap():
@@ -33,5 +33,5 @@ def check_elements(count, what):
 
 def check_candidates(count, what):
     if count > CANDIDATE_CAP:
-        raise CapExceeded("%s would examine %d candidate subspaces, cap is %d"
+        raise CapExceeded("%s needs at least %d adjunctions, cap is %d"
                           % (what, count, CANDIDATE_CAP))

@@ -1,11 +1,11 @@
 """Length-2 classification of finite integral extensions R < S over F_q.
 
 The dispatcher computes the canonical decomposition
-R <= seminormalization <= t-closure <= S, the support, and the
-brute-force lattice, then matches the extension against the exhaustive
-case list (two-element support; t-closure proper; seminormalization
-proper; subintegral; seminormal infra-integral; t-closed, which reduces
-to a residue field extension).  Every applicable theorem predicate is
+R <= seminormalization <= t-closure <= S, the support, and the full
+lattice [R, S] (enumerated by one-element adjunctions), then matches the
+extension against the exhaustive case list (two-element support;
+t-closure proper; seminormalization proper; subintegral; seminormal
+infra-integral; t-closed, which reduces to a residue field extension).  Every applicable theorem predicate is
 evaluated and compared with the enumeration; any disagreement raises
 ConsistencyError, which the command line reports as exit code 3.
 """
@@ -13,7 +13,7 @@ ConsistencyError, which the command line reports as exit code 3.
 from .errors import ConsistencyError
 from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
-    Ideal, Subalgebra, _minimal_type_of_pair, conductor, crucial_ideal,
+    Ideal, Subalgebra, _minimal_type_of_pair, adjoin, conductor, crucial_ideal,
     enumerate_subalgebras, ideal_generated, is_simple_extension, localize,
     maximal_ideals, msupp, radical, seminormalize, t_close, whole_algebra,
 )
@@ -114,13 +114,13 @@ def _simple_generator(a):
 
 
 def is_copointwise_minimal(a):
-    """Brute force: R[x] < S is minimal for every x outside R."""
+    """Element scan: R[x] < S is minimal for every x outside R."""
     R, S = a.R, a.S
     node_index = {n.key(): i for i, n in enumerate(a.lattice.nodes)}
     for x in S.elements("co-pointwise check"):
         if R.member(x):
             continue
-        T = Subalgebra.from_generators(S, list(R.basis) + [x])
+        T = adjoin(R, x)
         if T.is_whole():
             return False
         if a.lattice.up[node_index[T.key()]] != 1 << (len(a.lattice) - 1):
@@ -167,7 +167,7 @@ def classify_extension(a):
 
     Returns a dict with the case label, predicted and observed counts,
     and the witnesses; raises ConsistencyError when a prediction and the
-    brute-force lattice disagree.
+    enumerated lattice disagree.
     """
     S = a.S
     out = {
@@ -520,6 +520,5 @@ def _generators_in(a, N):
             continue
         if a.R.member(y):
             continue
-        T = Subalgebra.from_generators(S, list(a.R.basis) + [y])
-        if T.is_whole():
+        if adjoin(a.R, y).is_whole():
             yield y

@@ -2,8 +2,8 @@
 
 Subcommands: subfields, minimal, length, classify, lattice.  Exit codes:
 0 success, 1 parse or input error, 2 enumeration cap exceeded,
-3 internal consistency failure (a theorem prediction disagreed with a
-brute-force observation, which is always a bug).
+3 internal consistency failure (a theorem prediction disagreed with the
+enumerated lattice, which is always a bug).
 """
 
 import argparse

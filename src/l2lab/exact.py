@@ -113,6 +113,17 @@ def solve(rows, rhs, one):
     return x
 
 
+def _residue(rows, pivots, v):
+    """v reduced by rows that are each 1 at their own pivot and 0 at the
+    other pivots."""
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b if b else a for a, b in zip(v, row)]
+    return v
+
+
 class Echelon(tuple):
     """A subspace: the nonzero rows of its reduced row-echelon form, as a
     tuple of tuples, with their pivot columns in ``pivots``.
@@ -123,19 +134,42 @@ class Echelon(tuple):
 
     def __new__(cls, vectors):
         red, pivots = rref(vectors)
-        span = super().__new__(cls, (tuple(row) for row in red[:len(pivots)]))
+        return cls._reduced(red[:len(pivots)], pivots)
+
+    @classmethod
+    def _reduced(cls, rows, pivots):
+        span = super().__new__(cls, (tuple(row) for row in rows))
         span.pivots = tuple(pivots)
         return span
+
+    def extend(self, vectors):
+        """The span of the rows and ``vectors``, reducing only the new
+        vectors: each residue that is not zero becomes a row, scaled to 1
+        at its first nonzero column, which is cleared from the others."""
+        rows, pivots = list(self), list(self.pivots)
+        for v in vectors:
+            r = _residue(rows, pivots, v)
+            p = next((j for j, c in enumerate(r) if c), None)
+            if p is None:
+                continue
+            inv = r[p]
+            if inv != inv / inv:            # scale unless already 1
+                r = [a / inv for a in r]
+            for i, row in enumerate(rows):
+                c = row[p]
+                if c:
+                    rows[i] = [a - c * b if b else a for a, b in zip(row, r)]
+            rows.append(r)
+            pivots.append(p)
+        if len(rows) == len(self):
+            return self
+        merged = sorted(zip(pivots, rows))
+        return self._reduced([row for _, row in merged], [p for p, _ in merged])
 
     def residue(self, v):
         """v minus its part in the span: zero at every pivot, and zero
         everywhere exactly when v lies in the span."""
-        v = list(v)
-        for row, p in zip(self, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b if b else a for a, b in zip(v, row)]
-        return v
+        return _residue(self, self.pivots, v)
 
     def contains(self, v):
         return not any(self.residue(v))

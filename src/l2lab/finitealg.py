@@ -3,9 +3,9 @@
 An algebra is a dimension, a symmetric d x d table of coordinate
 vectors and a unit vector; subalgebras and ideals are echelon bases over
 F_q.  Everything an analysis needs -- maximal ideals, conductor, crucial
-ideal, seminormalization, t-closure, brute-force subalgebra enumeration
--- lives here; the theorem-level classification sits in classify.py and
-uses these as its oracles.
+ideal, seminormalization, t-closure, the subalgebra lattice -- lives
+here; the theorem-level classification sits in classify.py and uses
+these as its oracles.
 
 Structure is linear algebra, not an element scan: x |-> x^q is
 F_q-linear, so a radical sqrt(I) is the kernel of x |-> x^(q^k) mod I
@@ -13,6 +13,11 @@ and the primitive idempotents split off the fixed space of x |-> x^q
 (the Berlekamp subalgebra).  The closure operators are spans of that
 structure: the seminormalization of R in T is R + nil(T), the t-closure
 is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
+
+The lattice [R, S] is built by adjunction: T[s] is the T-span of the
+powers of s, and every node is extended by one s per point of the
+projective space of S/T.  Multiplication reads a sparse list of the
+nonzero structure constants on field-element indices.
 """
 
 import itertools
@@ -36,21 +41,23 @@ class GFElem:
         self.i = i
 
     def __add__(self, other):
-        return GFElem(self.field, self.field.add_t[self.i][other.i])
+        return self.field.elems[self.field.add_t[self.i][other.i]]
 
     def __sub__(self, other):
-        return GFElem(self.field, self.field.add_t[self.i][self.field.neg_t[other.i]])
+        F = self.field
+        return F.elems[F.add_t[self.i][F.neg_t[other.i]]]
 
     def __neg__(self):
-        return GFElem(self.field, self.field.neg_t[self.i])
+        return self.field.elems[self.field.neg_t[self.i]]
 
     def __mul__(self, other):
-        return GFElem(self.field, self.field.mul_t[self.i][other.i])
+        return self.field.elems[self.field.mul_t[self.i][other.i]]
 
     def __truediv__(self, other):
         if other.i == 0:
             raise ZeroDivisionError("division by zero in GF(%d)" % self.field.q)
-        return GFElem(self.field, self.field.mul_t[self.i][self.field.inv_t[other.i]])
+        F = self.field
+        return F.elems[F.mul_t[self.i][F.inv_t[other.i]]]
 
     def __pow__(self, e):
         acc = self.field.one
@@ -110,17 +117,17 @@ class SmallField:
         for a in range(1, self.q):
             inv[a] = mul[a].index(1)
         self.inv_t = inv
-        self.zero = GFElem(self, 0)
-        self.one = GFElem(self, 1)
+        self.elems = tuple(GFElem(self, i) for i in range(self.q))
+        self.zero, self.one = self.elems[0], self.elems[1]
 
     def from_int(self, n):
-        return GFElem(self, n % self.p)
+        return self.elems[n % self.p]
 
     def element(self, i):
-        return GFElem(self, i % self.q)
+        return self.elems[i % self.q]
 
     def elements(self):
-        return [GFElem(self, i) for i in range(self.q)]
+        return list(self.elems)
 
     def elem_name(self, i):
         if self.k == 1:
@@ -215,6 +222,9 @@ class FiniteAlgebra:
         self.unit = tuple(unit)
         self.names = list(names) if names else ["e%d" % i for i in range(self.dim)]
         self.size = field.q ** self.dim
+        # terms[i][j]: the nonzero structure constants (k, index of c_ijk)
+        self.terms = [[tuple((k, c.i) for k, c in enumerate(v) if c) for v in row]
+                      for row in self.table]
         if check:
             check_elements(self.size, "algebra construction")
             self._check_axioms()
@@ -242,20 +252,21 @@ class FiniteAlgebra:
                      for j in range(self.dim))
 
     def mul(self, u, v):
+        """u*v, read off the sparse structure constants on field-element
+        indices."""
         F = self.field
-        out = [F.zero] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
+        add, mul = F.add_t, F.mul_t
+        out = [0] * self.dim
+        vs = [(j, b.i) for j, b in enumerate(v) if b.i]
+        for a, row in zip(u, self.terms):
+            if not a.i:
                 continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                row = self.table[i][j]
-                for k2, t in enumerate(row):
-                    if t:
-                        out[k2] = out[k2] + c * t
-        return tuple(out)
+            ma = mul[a.i]
+            for j, b in vs:
+                mc = mul[ma[b]]
+                for k, t in row[j]:
+                    out[k] = add[out[k]][mc[t]]
+        return tuple(map(F.elems.__getitem__, out))
 
     def power(self, v, e):
         acc = self.unit
@@ -496,7 +507,7 @@ class Subalgebra:
 
     def __init__(self, ambient, basis, check=True):
         self.ambient = ambient
-        self.basis = Echelon(basis)
+        self.basis = basis if isinstance(basis, Echelon) else Echelon(basis)
         self._structure = None
         if check:
             if not self.member(ambient.unit):
@@ -824,6 +835,27 @@ def t_close(R, T):
     return _closure_span(T, vectors + list(nilradical(T)), "t-closure")
 
 
+def adjoin(T, s):
+    """T[s], the smallest subalgebra containing T and s: the T-span of
+    1, s, s^2, ..., up to the first power already in the span.
+
+    Let V_k be the F_q-span of the t*s^i, t in T and i <= k: a T-module
+    containing 1.  If s^(k+1) = sum_i t_i s^i lies in V_k, then
+    t*s^(k+1) = sum_i (t t_i) s^i lies in V_k for every t in T, so
+    s*V_k <= V_k.  V_k is then closed under multiplication by T and by s,
+    hence by every element of V_k, so it is a ring; it contains T and s
+    and lies in every ring that does, so V_k = T[s].  The powers stop by
+    dim A at the latest, as V_k grows with every power outside it.
+    """
+    A = T.ambient
+    span = T.basis
+    power = s
+    while not span.contains(power):
+        span = span.extend([A.mul(t, power) for t in T.basis])
+        power = A.mul(power, s)
+    return Subalgebra(A, span, check=False)
+
+
 def is_simple_extension(R, S):
     """A generator x with S = R[x], or None."""
     if R.is_whole():
@@ -831,57 +863,66 @@ def is_simple_extension(R, S):
     for b in S.elements("simple-generator search"):
         if R.member(b):
             continue
-        T = Subalgebra.from_generators(S, list(R.basis) + [b])
-        if T.is_whole():
+        if adjoin(R, b).is_whole():
             return b
     return None
 
 
 # ---------------------------------------------------------------------------
-# Brute-force subalgebra enumeration
+# Subalgebra enumeration by adjunction
 
-def _gaussian_binomial(c, k, q):
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (c - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
+def _points(F, c):
+    """One vector per point of the projective space of F^c: those whose
+    first nonzero entry is 1."""
+    for lead in range(c):
+        head = (F.zero,) * lead + (F.one,)
+        for tail in itertools.product(F.elems, repeat=c - lead - 1):
+            yield head + tail
 
 
 def enumerate_subalgebras(R, S):
     """The lattice of all subalgebras between R and S.
 
-    Candidates are the echelon bases of the subspaces of S/R (lifted back
-    and filtered by multiplicative closure), so the count is a sum of
-    Gaussian binomials; the candidate cap guards it.
+    Every node T is extended by the T[s], one s per point of the
+    projective space of S/T.  That reaches every subalgebra U of [R, S]:
+    U is the end of a chain R = U_0 < U_1 < ... with U_(i+1) = U_i[u_i],
+    and U_i[u] = U_i[s] for the representative s of the point of u, as
+    T[c*u + t] = T[u] for c != 0 and t in T.  The same argument from any
+    node T < U gives a chain of adjunction edges T -> T[s] from T to U,
+    so inclusion is the transitive closure of those edges, and no pair of
+    nodes is compared.  The candidate cap bounds the adjunctions, checked
+    before each node's points are walked.
     """
+    check_elements(S.size, "subalgebra enumeration")
     F = S.field
-    q = F.q
-    c = S.dim - R.dim
-    total = sum(_gaussian_binomial(c, k, q) for k in range(c + 1))
-    check_candidates(total, "subalgebra enumeration")
-    # S/R has coordinates on the non-pivot columns of R's echelon basis
-    free = [j for j in range(S.dim) if j not in R.basis.pivots]
-    found = []
-    for k in range(c + 1):
-        for piv in itertools.combinations(range(c), k):
-            free_pos = []
-            for r_i, pc in enumerate(piv):
-                for col in range(pc + 1, c):
-                    if col not in piv:
-                        free_pos.append((r_i, col))
-            for fill in itertools.product(F.elements(), repeat=len(free_pos)):
-                rows = [[F.zero] * S.dim for _ in range(k)]
-                for r_i, pc in enumerate(piv):
-                    rows[r_i][free[pc]] = F.one
-                for (r_i, col), val in zip(free_pos, fill):
-                    rows[r_i][free[col]] = val
-                T = Subalgebra(S, list(R.basis) + rows, check=False)
-                if T.is_closed():
-                    found.append(T)
-    found.sort(key=lambda T: T.key())
-    return hasse(found, Subalgebra.contains_sub)
+    found = {R.key(): R}
+    edges = {}              # id(T) -> ids of the distinct T[s], nodes of found
+    todo = [R]
+    adjunctions = 0
+    while todo:
+        T = todo.pop()
+        free = [j for j in range(S.dim) if j not in T.basis.pivots]
+        adjunctions += (F.q ** len(free) - 1) // (F.q - 1)
+        check_candidates(adjunctions, "subalgebra enumeration")
+        children = edges[id(T)] = set()
+        for point in _points(F, len(free)):
+            s = [F.zero] * S.dim
+            for j, c in zip(free, point):
+                s[j] = c
+            U = adjoin(T, tuple(s))
+            node = found.setdefault(U.key(), U)
+            if node is U:
+                todo.append(U)
+            children.add(id(node))
+    nodes = sorted(found.values(), key=Subalgebra.key)
+    position = {id(T): i for i, T in enumerate(nodes)}
+    # an edge goes up in dimension, so to a later node: fill from the top
+    above = [0] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        for child in edges[id(nodes[i])]:
+            j = position[child]
+            above[i] |= 1 << j | above[j]
+    return hasse(nodes, lambda b, a: above[position[id(a)]] >> position[id(b)] & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import l2lab
+from l2lab import caps
 from l2lab.cli import main
 from l2lab.parsing import MAX_DIGITS, MAX_POWER
 
@@ -103,6 +104,23 @@ def test_field_table_cap_exit_code_2(tmp_path, capsys):
     path = _doc(tmp_path, {"q": 1009, "product": ["F1009"], "R": "diagonal"})
     code, out, err = run(capsys, "length", "--algebra", path)
     assert code == 2 and "F_1009 arithmetic tables" in err
+
+
+def test_enumeration_adjunction_cap_exit_code_2(tmp_path, capsys, monkeypatch):
+    # F2^5 over F2 needs more adjunctions T[s] than a lowered cap allows
+    monkeypatch.setattr(caps, "CANDIDATE_CAP", 50)
+    path = _doc(tmp_path, {"q": 2, "product": ["F2"] * 5, "R": "diagonal"})
+    code, out, err = run(capsys, "classify", "--algebra", path)
+    assert code == 2 and "subalgebra enumeration" in err and "adjunctions" in err
+
+
+def test_f4096_over_f2_classifies(tmp_path, capsys):
+    # one node per divisor of 12; the candidate scan would test 8.9e9 subspaces
+    path = _doc(tmp_path, {"q": 2, "product": ["F4096"], "R": "diagonal"})
+    code, out, err = run(capsys, "classify", "--json", "--algebra", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count_observed"] == 6 and payload["length"] == 3
 
 
 def test_huge_prime_q_exit_code_2_at_once(tmp_path):

@@ -1,10 +1,10 @@
 """Differential tests of the exact span core.
 
 ``exact.Echelon`` (membership, coordinates, complement projection,
-linear combination) and ``exact.intersection`` are checked on seeded
-random subspaces: over F_2, F_3 and F_4 against brute-force enumeration
-of every linear combination, and over Q against recombination and
-rank counts.
+linear combination, extension by new vectors) and ``exact.intersection``
+are checked on seeded random subspaces: over F_2, F_3 and F_4 against
+brute-force enumeration of every linear combination, and over Q against
+recombination and rank counts.
 """
 
 import itertools
@@ -105,6 +105,18 @@ def test_projection_kernel_is_the_span(q, n):
 
 
 @pytest.mark.parametrize("q,n", FIELDS)
+def test_extend_is_the_echelon_of_the_union(q, n):
+    for F, rng, _, gens in _cases(q, n, 5):
+        E = Echelon(gens)
+        more = _random_gens(rng, F, n)
+        if gens and rng.random() < 0.5:
+            more.append(rng.choice(gens))       # a vector already inside
+        grown = E.extend(more)
+        assert grown == Echelon(gens + more)
+        assert grown.pivots == Echelon(gens + more).pivots
+
+
+@pytest.mark.parametrize("q,n", FIELDS)
 def test_intersection_matches_set_intersection(q, n):
     for F, rng, _, gens in _cases(q, n, 4):
         other = _random_gens(rng, F, n)
@@ -157,6 +169,17 @@ def test_rational_membership_and_coords_by_recombination():
             assert (E.coords(v) is None) == grows
             assert (not any(E.project(v))) != grows
             assert E.project(v) == E.project(tuple(a + b for a, b in zip(v, w)))
+
+
+def test_rational_extend_is_the_echelon_of_the_union():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        gens = _qspan(rng, n, rng.randrange(n + 1))
+        more = _qspan(rng, n, rng.randrange(n + 1), gens[:1])
+        grown = Echelon(gens).extend(more)
+        assert grown == Echelon(gens + more)
+        assert grown.pivots == Echelon(gens + more).pivots
 
 
 def test_rational_intersection_dimension_and_containment():

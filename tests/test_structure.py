@@ -15,9 +15,18 @@ b^2 - rb and b^3 - rb^2 are inside.  All of them run on every lattice
 node and covering edge (the closures of every node in the top, and of
 every covering edge) of the named benchmark algebras of at most 2^5
 elements and of seeded random algebras over F_2, F_3, F_4, F_8 and F_9.
+
+The lattice itself is checked against the candidate scan it replaced:
+every echelon basis of a subspace of S/R, lifted back over R and kept
+when closed under multiplication.  On the same inputs every adjunction
+T[s] the enumeration can make (every node T, every point s of the
+projective space of S/T) is checked against the multiplicative closure
+``Subalgebra.from_generators``; F2^6 and F2[X]/(X^8) are checked
+against the scan alone.
 """
 
 import collections
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -27,12 +36,13 @@ import pytest
 from l2lab import exact, finitealg
 from l2lab.classify import analyze_extension, classify_extension
 from l2lab.exact import Echelon
-from l2lab.finitealg import (FiniteAlgebra, Subalgebra, algebra_on_subspace,
+from l2lab.finitealg import (FiniteAlgebra, Subalgebra, adjoin, algebra_on_subspace,
                              conductor, crucial_ideal, enumerate_subalgebras,
                              field_algebra, maximal_ideals, msupp, nilradical,
                              prime_algebra, primitive_idempotents, product_algebra,
                              quotient_algebra, radical, seminormalize, small_field,
                              t_close, vec_key, vsub, whole_algebra)
+from l2lab.lattice import hasse
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
@@ -193,6 +203,71 @@ def t_close_by_scan(R, T):
         U = Subalgebra.from_generators(A, list(U.basis) + adjoin)
 
 
+def _gaussian_binomial(c, k, q):
+    num = 1
+    den = 1
+    for i in range(k):
+        num *= q ** (c - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def enumerate_by_candidates(R, S):
+    """The lattice [R, S] by scanning every subspace of S/R: the echelon
+    bases on R's non-pivot columns, lifted back and filtered by
+    multiplicative closure (a sum of Gaussian binomials of them)."""
+    F = S.field
+    c = S.dim - R.dim
+    assert sum(_gaussian_binomial(c, k, F.q) for k in range(c + 1)) <= 10 ** 5
+    free = [j for j in range(S.dim) if j not in R.basis.pivots]
+    found = []
+    for k in range(c + 1):
+        for piv in itertools.combinations(range(c), k):
+            free_pos = [(r_i, col) for r_i, pc in enumerate(piv)
+                        for col in range(pc + 1, c) if col not in piv]
+            for fill in itertools.product(F.elements(), repeat=len(free_pos)):
+                rows = [[F.zero] * S.dim for _ in range(k)]
+                for r_i, pc in enumerate(piv):
+                    rows[r_i][free[pc]] = F.one
+                for (r_i, col), val in zip(free_pos, fill):
+                    rows[r_i][free[col]] = val
+                T = Subalgebra(S, list(R.basis) + rows, check=False)
+                if T.is_closed():
+                    found.append(T)
+    found.sort(key=lambda T: T.key())
+    return hasse(found, Subalgebra.contains_sub)
+
+
+def projective_points(T):
+    """One lift per point of the projective space of S/T: a vector on T's
+    non-pivot columns whose first nonzero entry is 1."""
+    S = T.ambient
+    F = S.field
+    free = [j for j in range(S.dim) if j not in T.basis.pivots]
+    for point in itertools.product(F.elements(), repeat=len(free)):
+        if any(point) and next(c for c in point if c) == F.one:
+            s = [F.zero] * S.dim
+            for j, c in zip(free, point):
+                s[j] = c
+            yield tuple(s)
+
+
+def check_enumeration(R, S, adjunctions=True):
+    """The adjunction lattice equals the candidate scan: the same node
+    keys in the same order, the same inclusions, covers and length; with
+    ``adjunctions``, also every T[s] against the multiplicative closure."""
+    lat = enumerate_subalgebras(R, S)
+    oracle = enumerate_by_candidates(R, S)
+    assert [T.key() for T in lat.nodes] == [T.key() for T in oracle.nodes]
+    assert lat.up == oracle.up and lat.down == oracle.down
+    assert lat.covers == oracle.covers and lat.length == oracle.length
+    if adjunctions:
+        for T in lat.nodes:
+            for s in projective_points(T):
+                assert adjoin(T, s) == Subalgebra.from_generators(S, list(T.basis) + [s])
+    return lat
+
+
 def check_closures(R, T):
     assert seminormalize(R, T) == seminormalize_by_scan(R, T)
     assert t_close(R, T) == t_close_by_scan(R, T)
@@ -207,8 +282,9 @@ def check_radical(T, I):
 def check_lattice(R, S):
     """Compare structure, radicals, conductors and closures on every node
     and covering edge (closures of every node in the top, and of every
-    covering edge)."""
-    lat = enumerate_subalgebras(R, S)
+    covering edge), after checking the lattice against the candidate
+    scan."""
+    lat = check_enumeration(R, S)
     top = lat.nodes[-1]
     for T in lat.nodes:
         check_closures(T, top)
@@ -252,6 +328,14 @@ def _small_named_documents():
 @pytest.mark.parametrize("S,R", _small_named_documents())
 def test_structure_matches_oracle_on_named_algebras(S, R):
     assert check_lattice(R, S) >= 2
+
+
+@pytest.mark.parametrize("ident", ["f2^6", "f2[x]/x^8"])
+def test_enumeration_matches_candidate_scan_on_large_named(ident):
+    doc = {i: d for i, d, _, _ in corpus.ALG_SPLIT + corpus.ALG_LOCAL}[ident]
+    S, R = parse_algebra(doc)
+    lat = check_enumeration(R, S, adjunctions=False)
+    assert (len(lat), lat.length) == {"f2^6": (203, 5), "f2[x]/x^8": (110, 7)}[ident]
 
 
 def _random_algebra(rng, maxdims):
