@@ -3,7 +3,9 @@
 The element cap bounds |S| = q^dim wherever an operation walks every
 element of an algebra; L2LAB_CAP overrides it (lowering is always safe).
 The candidate cap bounds the number of one-element adjunctions T[s]
-the subalgebra enumeration may make.
+the subalgebra enumeration may make.  The norm degree cap bounds the
+degree deg(fL) * deg(f) of the Trager norm, checked before any norm is
+computed.
 """
 
 import os
@@ -12,6 +14,7 @@ from .errors import CapExceeded, ParseError
 
 DEFAULT_ELEMENT_CAP = 4096
 CANDIDATE_CAP = 100_000
+NORM_DEGREE_CAP = 1024
 
 
 def element_cap():
@@ -35,3 +38,9 @@ def check_candidates(count, what):
     if count > CANDIDATE_CAP:
         raise CapExceeded("%s needs at least %d adjunctions, cap is %d"
                           % (what, count, CANDIDATE_CAP))
+
+
+def check_norm_degree(degree):
+    if degree > NORM_DEGREE_CAP:
+        raise CapExceeded("Trager norm needs degree %d, cap is %d"
+                          % (degree, NORM_DEGREE_CAP))

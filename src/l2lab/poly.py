@@ -8,7 +8,9 @@ field ``small_field(q)``, or a number field).  The factorization entry points ar
 * ``factor_over_Q``       -- Berlekamp-Zassenhaus (squarefree decomposition,
                              modular factorization, Hensel lifting, subset
                              recombination) over the rationals,
-* ``factor_over_number_field`` -- Trager's norm method over Q[x]/(f).
+* ``factor_over_number_field`` -- Trager's norm method over Q[x]/(f), for
+                             polynomials with rational coefficients; the
+                             norm is a composed sum of integer power sums.
 
 All modular work runs in one layer on plain integer coefficient lists,
 lowest degree first (entries in [0, p) mod p): squarefree decomposition,
@@ -16,12 +18,17 @@ distinct-degree factoring, equal-degree splitting, the Hensel Bezout
 pair, Hensel lifting and recombination.  ``factor_mod_p`` is a thin
 facade over it for ``Poly`` inputs over ``small_field(p)``; ``factor_over_Q``
 calls the layer directly and ranks its candidate primes by
-distinct-degree counts, splitting only the prime it keeps.
+distinct-degree counts, splitting only the prime it keeps.  A monic
+integer polynomial that is squarefree modulo a prime is squarefree over
+Q; that certificate spares the exact gcd over Q in Trager's shift search
+and Yun's decomposition in ``factor_over_Q``, which run only when no
+prime certifies.
 
 Every returned factorization is re-multiplied and compared with its input
 before being handed back; a mismatch raises ``ConsistencyError``.  The
 modular factors of the chosen prime, and their Hensel lifts, are checked
-the same way.
+the same way, and every division in the norm's Newton identities must be
+exact.
 """
 
 import itertools
@@ -29,6 +36,7 @@ import math
 import random
 from fractions import Fraction
 
+from .caps import check_norm_degree
 from .errors import ConsistencyError
 from .exact import next_prime
 
@@ -242,43 +250,6 @@ def is_separable(f):
         return True
     g = poly_gcd(f, f.derivative())
     return g.degree == 0
-
-
-def resultant_monic(a, b):
-    """prod of b over the roots of a, for monic a (counting multiplicity).
-
-    Equals Res(a, b) since a is monic.  Computed by the Euclidean
-    recurrence, entirely in the coefficient field.
-    """
-    dom = a.dom
-    if a.degree == 0:
-        return dom.one
-    r = b % a
-    if r.is_zero:
-        return dom.zero
-    if r.degree == 0:
-        return r.cs[0] ** a.degree
-    c = r.lc
-    sign = dom.one if (a.degree * r.degree) % 2 == 0 else -dom.one
-    return (c ** a.degree) * sign * resultant_monic(r.monic(), a)
-
-
-def interpolate(dom, xs, ys):
-    """The unique polynomial of degree < len(xs) through the given points.
-
-    Newton divided differences; all arithmetic exact in the domain.
-    """
-    n = len(xs)
-    dd = list(ys)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    acc = Poly(dom, [])
-    basis = Poly.const(dom, dom.one)
-    for k in range(n):
-        acc = acc + basis.mul_scalar(dd[k])
-        basis = basis * Poly(dom, [-xs[k], dom.one])
-    return acc
 
 
 class Factorization:
@@ -710,6 +681,50 @@ def _yun_squarefree_Q(f):
     return out
 
 
+def _denominator_lcm(cs):
+    d = 1
+    for c in cs:
+        d = d * c.denominator // math.gcd(d, c.denominator)
+    return d
+
+
+def _scale_monic(g, d):
+    """d^m * g(X/d) as an integer list, for monic g in Q[X] of degree m
+    whose denominators all divide d: monic, with roots d times g's."""
+    m = g.degree
+    return [int(g.cs[i] * d ** (m - i)) for i in range(m + 1)]
+
+
+_SQUAREFREE_PRIME_TRIES = 5
+
+
+def _certified_squarefree(g):
+    """True if monic g in Q[X], scaled to the monic integer polynomial
+    G(X) = d^m g(X/d), is squarefree modulo one of the first few primes
+    above 2^16 that do not divide d.
+
+    Reduction mod p keeps a monic G's degree, so a squarefree image means
+    p does not divide the discriminant, which is then nonzero: g is
+    squarefree over Q.  False proves nothing; an exact gcd must decide.
+    Small primes often divide the discriminant of a Trager norm (on the
+    benchmark fields the first good prime ranges from 5 to 23), hence the
+    large ones.
+    """
+    d = _denominator_lcm(g.cs)
+    G = _scale_monic(g, d)
+    p = 1 << 16
+    tried = 0
+    while tried < _SQUAREFREE_PRIME_TRIES:
+        p = next_prime(p)
+        if d % p == 0:
+            continue
+        tried += 1
+        gp = _zmod(G, p)
+        if len(_pgcd(gp, _pderiv(gp, p), p)) == 1:
+            return True
+    return False
+
+
 def factor_over_Q(f):
     """Complete factorization into monic irreducibles over Q, times a unit."""
     if f.is_zero:
@@ -720,16 +735,16 @@ def factor_over_Q(f):
         return Factorization(QQ, f.cs[0], []).verify(f)
     unit = f.lc
     monic = f.monic()
+    if _certified_squarefree(monic):
+        parts = [(monic, 1)]
+    else:
+        parts = _yun_squarefree_Q(monic)
     factors = []
-    for g, mult in _yun_squarefree_Q(monic):
+    for g, mult in parts:
         # Clear denominators while keeping the polynomial monic:
         # substitute X -> X/d and rescale, factor over Z, undo.
-        m = g.degree
-        d = 1
-        for c in g.cs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        Gz = [int(g.cs[i] * d ** (m - i)) for i in range(m + 1)]
-        for H in _factor_squarefree_monic_int(Gz):
+        d = _denominator_lcm(g.cs)
+        for H in _factor_squarefree_monic_int(_scale_monic(g, d)):
             k = len(H) - 1
             back = Poly(QQ, [Fraction(H[i] * d ** i, d ** k) for i in range(k + 1)])
             factors.append((back, mult))
@@ -738,43 +753,73 @@ def factor_over_Q(f):
 
 # ---------------------------------------------------------------------------
 # Trager's method over a number field L = Q[x]/(fL)
+#
+# For monic f in Q[X] the norm of f(X - s*x) is the composed sum
+# prod (X - b - s*a) over the roots b of f and a of fL.  Its power sums
+# are binomial convolutions of those of f and fL, so Newton's identities
+# give it from the coefficients and back, without resultants (Bostan,
+# Flajolet, Salvy & Schost, "Fast computation of special resultants",
+# JSC 41, 2006).  Scaling X -> X/d first makes every root an algebraic
+# integer, so all of it runs on integers.
+
+def _power_sums(G, count):
+    """Power sums p_0, ..., p_count of the roots of monic G in Z[X]."""
+    m = len(G) - 1
+    e = G[::-1]                 # e[k] is the coefficient of X^(m-k)
+    p = [m]
+    for k in range(1, count + 1):
+        top = min(k - 1, m)
+        acc = sum(a * b for a, b in zip(e[1:top + 1], reversed(p[k - top:k])))
+        p.append(-(acc + k * e[k] if k <= m else acc))
+    return p
+
+
+def _from_power_sums(P):
+    """The monic integer polynomial of degree D = len(P) - 1 whose roots
+    have the power sums P[1], ..., P[D].
+
+    Newton's identities divide by k at step k.  The roots are algebraic
+    integers, so every division is exact; a remainder means the power
+    sums are wrong, a ConsistencyError.
+    """
+    e = [1]
+    for k in range(1, len(P)):
+        acc = P[k] + sum(a * b for a, b in zip(e[1:k], reversed(P[1:k])))
+        q, r = divmod(-acc, k)
+        if r:
+            raise ConsistencyError("norm power sums are not integral")
+        e.append(q)
+    return e[::-1]
+
 
 def _norm_with_shift(f, L, s):
-    """Res_y(fL(y), f(X - s*y)) in Q[X], by evaluation and interpolation.
+    """Res_y(fL(y), f(X - s*y)) in Q[X], for monic f in Q[X].
 
-    ``f`` is monic over L.  The result is the norm of f(X - s*x), monic
-    of degree deg(fL) * deg(f).
+    This is the norm of f(X - s*x) from L[X] to Q[X], monic of degree
+    deg(fL) * deg(f), computed as a composed sum on integers.
     """
     fL = L.defining
-    n = fL.degree
-    m = f.degree
-    D = n * m
-    coeff_reps = [Poly(QQ, c.coords) for c in f.cs]
-    xs = []
-    ys = []
-    c = 0
-    while len(xs) <= D:
-        for point in ([Fraction(0)] if c == 0 else [Fraction(c), Fraction(-c)]):
-            if len(xs) > D:
-                break
-            # G(y) = sum_i A_i(y) * (point - s*y)^i
-            base = Poly(QQ, [point, Fraction(-s)])
-            acc = Poly(QQ, [])
-            power = Poly.const(QQ, Fraction(1))
-            for rep in coeff_reps:
-                acc = acc + power * rep
-                power = power * base
-            xs.append(point)
-            ys.append(resultant_monic(fL, acc))
-        c += 1
-    N = interpolate(QQ, xs, ys)
+    D = fL.degree * f.degree
+    d = _denominator_lcm(f.cs + fL.cs)
+    scaled = [pt * s ** t for t, pt in enumerate(_power_sums(_scale_monic(fL, d), D))]
+    q = _power_sums(_scale_monic(f, d), D)
+    P = []
+    row = [1]                   # the binomials C(k, t), t = 0..k
+    for k in range(D + 1):
+        P.append(sum(c * a * b for c, a, b in zip(row, scaled, reversed(q[:k + 1]))))
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    M = _from_power_sums(P)
+    N = Poly(QQ, [Fraction(c, d ** (D - i)) for i, c in enumerate(M)])
     if N.degree != D or N.lc != 1:
         raise ConsistencyError("norm polynomial has wrong shape")
     return N
 
 
 def factor_over_number_field(f, L):
-    """Factor a squarefree f in L[X] into monic irreducibles over L."""
+    """Factor a squarefree f in L[X] into monic irreducibles over L.
+
+    f of degree at least 2 must have rational coefficients.
+    """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree >= 1:
@@ -786,10 +831,15 @@ def factor_over_number_field(f, L):
     if f.degree <= 1:
         facs = [(fm, 1)] if f.degree == 1 else []
         return Factorization(L, unit, facs).verify(f)
+    if any(any(c.coords[1:]) for c in fm.cs):
+        raise ValueError("factoring over a number field requires rational "
+                         "coefficients from degree 2 on")
+    check_norm_degree(L.n * f.degree)
+    fq = Poly(QQ, [c.coords[0] for c in fm.cs])
     s = 0
     while True:
-        N = _norm_with_shift(fm, L, s)
-        if poly_gcd(N, N.derivative()).degree == 0:
+        N = _norm_with_shift(fq, L, s)
+        if _certified_squarefree(N) or poly_gcd(N, N.derivative()).degree == 0:
             break
         s += 1
     nf = factor_over_Q(N)

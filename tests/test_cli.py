@@ -93,6 +93,14 @@ def test_huge_exponent_exit_code_1_at_once():
     assert "limited to %d" % MAX_POWER in proc.stderr
 
 
+def test_huge_trager_norm_exit_code_2_at_once():
+    # deg 256 gives a norm of degree 65536, refused before it is computed
+    proc = run_process("length", "X^256 - 2")
+    assert proc.returncode == 2
+    assert "Trager norm needs degree 65536, cap is %d" % caps.NORM_DEGREE_CAP \
+        in proc.stderr
+
+
 def _doc(tmp_path, doc):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))

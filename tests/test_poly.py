@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from l2lab import caps, poly
+from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab.exact import next_prime
 from l2lab.finitealg import small_field
+from l2lab.numberfield import NumberField, make_field
+from l2lab.parsing import parse_polynomial
 from l2lab.poly import (QQ, Poly, factor_mod_p, factor_over_Q,
-                        factor_over_number_field, interpolate, is_separable,
-                        poly_gcd, resultant_monic)
+                        factor_over_number_field, is_separable, poly_gcd)
 
 
 def Q(*ints):
@@ -200,7 +203,71 @@ def test_factor_over_Q_refines_mod_good_prime():
         assert (fp % gp).is_zero
 
 
-# --- resultants and interpolation ------------------------------------------
+# --- the evaluation/interpolation norm: the oracle of the composed sum -----
+
+def resultant_monic(a, b):
+    """prod of b over the roots of a, for monic a (counting multiplicity).
+
+    Equals Res(a, b) since a is monic.  Computed by the Euclidean
+    recurrence, entirely in the coefficient field.
+    """
+    dom = a.dom
+    if a.degree == 0:
+        return dom.one
+    r = b % a
+    if r.is_zero:
+        return dom.zero
+    if r.degree == 0:
+        return r.cs[0] ** a.degree
+    c = r.lc
+    sign = dom.one if (a.degree * r.degree) % 2 == 0 else -dom.one
+    return (c ** a.degree) * sign * resultant_monic(r.monic(), a)
+
+
+def interpolate(dom, xs, ys):
+    """The unique polynomial of degree < len(xs) through the given points.
+
+    Newton divided differences; all arithmetic exact in the domain.
+    """
+    n = len(xs)
+    dd = list(ys)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    acc = Poly(dom, [])
+    basis = Poly.const(dom, dom.one)
+    for k in range(n):
+        acc = acc + basis.mul_scalar(dd[k])
+        basis = basis * Poly(dom, [-xs[k], dom.one])
+    return acc
+
+
+def norm_by_evaluation(f, L, s):
+    """Res_y(fL(y), f(X - s*y)) in Q[X] for monic f in L[X]: the norm
+    evaluated at deg(fL) * deg(f) + 1 rational points, one resultant
+    over Q each, and interpolated."""
+    fL = L.defining
+    D = fL.degree * f.degree
+    coeff_reps = [Poly(QQ, c.coords) for c in f.cs]
+    xs = []
+    ys = []
+    c = 0
+    while len(xs) <= D:
+        for point in ([Fraction(0)] if c == 0 else [Fraction(c), Fraction(-c)]):
+            if len(xs) > D:
+                break
+            # G(y) = sum_i A_i(y) * (point - s*y)^i
+            base = Poly(QQ, [point, Fraction(-s)])
+            acc = Poly(QQ, [])
+            power = Poly.const(QQ, Fraction(1))
+            for rep in coeff_reps:
+                acc = acc + power * rep
+                power = power * base
+            xs.append(point)
+            ys.append(resultant_monic(fL, acc))
+        c += 1
+    return interpolate(QQ, xs, ys)
+
 
 def test_resultant_is_product_over_roots():
     rng = random.Random(3)
@@ -227,10 +294,83 @@ def test_interpolation_roundtrip():
         assert interpolate(QQ, xs, ys) == f
 
 
+def _assert_norms_agree(f, L):
+    fL = f.map_coeffs(L, L.from_rational)
+    for s in range(4):
+        assert poly._norm_with_shift(f, L, s) == norm_by_evaluation(fL, L, s), s
+
+
+NORM_FIELDS = ["X^4-2", "X^4-10*X^2+1", "X^3-3*X+1", "X^6+108", "X^6-2", "X^8-2",
+               "X^2-1/2", "X^3-X/3+5/7"]
+
+
+@pytest.mark.parametrize("text", NORM_FIELDS)
+def test_composed_sum_norm_matches_evaluation(text):
+    L = make_field(parse_polynomial(text))
+    _assert_norms_agree(L.defining, L)
+
+
+def test_composed_sum_norm_of_other_polynomial():
+    # (X^2-2)(X^2-3) over Q(sqrt2+sqrt3)
+    _assert_norms_agree(Q(-2, 0, 1) * Q(-3, 0, 1), make_field(Q(1, 0, -10, 0, 1)))
+
+
+def _random_monic(rng, degree):
+    cs = [Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3, 4, 6]))
+          for _ in range(degree)]
+    return Poly(QQ, cs + [Fraction(1)])
+
+
+def test_composed_sum_norm_random_pairs():
+    # The norm is Res_y(fL(y), f(X - s*y)) for any monic fL, so the
+    # random fL need not be irreducible.
+    rng = random.Random(20)
+    for _ in range(20):
+        fL = _random_monic(rng, rng.randrange(1, 6))
+        f = _random_monic(rng, rng.randrange(1, 6))
+        _assert_norms_agree(f, NumberField(fL))
+
+
+def test_norm_newton_division_must_be_exact():
+    # no monic integer quadratic has power sums p1 = 1, p2 = 0
+    with pytest.raises(ConsistencyError, match="not integral"):
+        poly._from_power_sums([2, 1, 0])
+
+
+# --- the modular squarefree certificate -------------------------------------
+
+PHI11 = Poly(QQ, [Fraction(1)] * 11)
+
+
+def test_certificate_on_phi11_norms():
+    L = NumberField(PHI11)
+    assert poly._certified_squarefree(poly._norm_with_shift(PHI11, L, 2))
+    power = Q(1)
+    for _ in range(10):
+        power = power * PHI11
+    assert poly._norm_with_shift(PHI11, L, 0) == power
+    assert poly._certified_squarefree(power) is False
+
+
+def test_certificate_never_holds_with_a_square_factor():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = _random_monic(rng, rng.randrange(0, 5))
+        h = _random_monic(rng, rng.randrange(1, 4))
+        assert poly._certified_squarefree(g * h * h) is False
+
+
+@pytest.mark.parametrize("text", NORM_FIELDS)
+def test_certificate_holds_on_squarefree_trager_norms(text):
+    L = make_field(parse_polynomial(text))
+    N = poly._norm_with_shift(L.defining, L, 3)
+    assert poly_gcd(N, N.derivative()).degree == 0
+    assert poly._certified_squarefree(N)
+
+
 # --- factorization over number fields --------------------------------------
 
 def test_trager_x4_minus_2():
-    from l2lab.numberfield import make_field
     L = make_field(Q(-2, 0, 0, 0, 1))
     fL = L.defining.map_coeffs(L, L.from_rational)
     fac = factor_over_number_field(fL, L)
@@ -245,7 +385,6 @@ def test_trager_x4_minus_2():
 
 
 def test_trager_biquadratic_has_inverse_root_factor():
-    from l2lab.numberfield import make_field
     L = make_field(Q(1, 0, -10, 0, 1))
     fL = L.defining.map_coeffs(L, L.from_rational)
     fac = factor_over_number_field(fL, L)
@@ -256,7 +395,6 @@ def test_trager_biquadratic_has_inverse_root_factor():
 
 
 def test_trager_linear_input():
-    from l2lab.numberfield import make_field
     L = make_field(Q(-2, 0, 1))
     f = Poly(L, [L.gen(), L.one])
     fac = factor_over_number_field(f, L)
@@ -264,7 +402,6 @@ def test_trager_linear_input():
 
 
 def test_trager_rejects_non_squarefree():
-    from l2lab.numberfield import make_field
     L = make_field(Q(-2, 0, 1))
     f = Poly(L, [L.gen(), L.one])
     with pytest.raises(ValueError, match="squarefree"):
@@ -273,7 +410,6 @@ def test_trager_rejects_non_squarefree():
 
 def test_trager_composite_input_over_biquadratic():
     # (X^2-2)(X^2-3) splits into four linear factors over Q(sqrt2+sqrt3)
-    from l2lab.numberfield import make_field
     L = make_field(Q(1, 0, -10, 0, 1))
     f = (Q(-2, 0, 1) * Q(-3, 0, 1)).map_coeffs(L, L.from_rational)
     fac = factor_over_number_field(f, L)
@@ -282,7 +418,6 @@ def test_trager_composite_input_over_biquadratic():
 
 
 def test_trager_keeps_irreducible():
-    from l2lab.numberfield import make_field
     L = make_field(Q(-2, 0, 1))
     g = Q(1, 0, 1).map_coeffs(L, L.from_rational)   # X^2 + 1 over a real field
     fac = factor_over_number_field(g, L)
@@ -290,7 +425,6 @@ def test_trager_keeps_irreducible():
 
 
 def test_trager_non_monic_unit():
-    from l2lab.numberfield import make_field
     L = make_field(Q(-2, 0, 1))
     h = Q(1, 0, 1).map_coeffs(L, L.from_rational).mul_scalar(L.from_int(3))
     fac = factor_over_number_field(h, L)
@@ -300,13 +434,39 @@ def test_trager_non_monic_unit():
 def test_trager_nontrivial_shift_needed():
     # Over Q(sqrt2), X^2 - 2 = (X - x)(X + x): the zero shift has a
     # repeated norm root, so the shift search must move past s = 0.
-    from l2lab.numberfield import make_field
     L = make_field(Q(-2, 0, 1))
     x = L.gen()
     f = Poly(L, [L.from_int(-2), L.zero, L.one])
     fac = factor_over_number_field(f, L)
     assert {g.cs for g, _ in fac.factors} == \
         {Poly(L, [-x, L.one]).cs, Poly(L, [x, L.one]).cs}
+
+
+def test_trager_requires_rational_coefficients():
+    # x^2 + 1 (= 3) is squarefree over Q(sqrt2) but not rational
+    L = make_field(Q(-2, 0, 1))
+    x = L.gen()
+    f = Poly(L, [L.one, x, L.one])
+    with pytest.raises(ValueError, match="rational coefficients"):
+        factor_over_number_field(f, L)
+
+
+def test_trager_norm_degree_cap(monkeypatch):
+    monkeypatch.setattr(caps, "NORM_DEGREE_CAP", 15)
+    L = make_field(Q(-2, 0, 0, 0, 1))
+    with pytest.raises(CapExceeded, match="Trager norm needs degree 16, cap is 15"):
+        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+
+
+def test_factor_over_Q_skips_yun_when_certified(monkeypatch):
+    def refuse(f):
+        raise AssertionError("Yun's decomposition should not run")
+
+    monkeypatch.setattr(poly, "_yun_squarefree_Q", refuse)
+    f = Q(-1, 1) * Q(1, 1, 1) * Q(3, 0, 1)
+    assert factor_over_Q(f).expand() == f
+    monkeypatch.undo()
+    assert factor_over_Q(f * Q(-1, 1)).factors[0][1] == 2
 
 
 # --- prime choice for Berlekamp-Zassenhaus ---------------------------------
@@ -317,10 +477,6 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
     # factor_over_Q ranks candidate primes by distinct-degree counts; on
     # each Trager norm those counts must equal the full factor counts, so
     # the prime it keeps is the one the full factorizations would pick.
-    from l2lab import poly
-    from l2lab.numberfield import make_field
-    from l2lab.parsing import parse_polynomial
-
     L = make_field(parse_polynomial(text))
     norms = []
     real = poly._factor_squarefree_monic_int

@@ -8,11 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+from l2lab import poly
 from l2lab.finitealg import small_field
+from l2lab.numberfield import make_field
+from l2lab.parsing import parse_polynomial
 from l2lab.poly import QQ, Poly, factor_mod_p, factor_over_Q
 
 sympy = pytest.importorskip("sympy")
 x = sympy.Symbol("x")
+y = sympy.Symbol("y")
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -95,3 +99,19 @@ def test_factor_over_Q_matches_sympy(seed):
             expect.append((tuple(c / cs[-1] for c in cs), m))
         assert sorted((g.cs, m) for g, m in fac.factors) == sorted(expect)
         assert fac.unit == f.lc
+
+
+def _rational_expr(f, var):
+    return sum(sympy.Rational(c.numerator, c.denominator) * var ** i
+               for i, c in enumerate(f.cs))
+
+
+@pytest.mark.parametrize("text", ["X^4-2", "X^3-X/3+5/7", "X^6+108"])
+def test_trager_norm_matches_sympy_resultant(text):
+    L = make_field(parse_polynomial(text))
+    for s in range(3):
+        N = poly._norm_with_shift(L.defining, L, s)
+        res = sympy.resultant(_rational_expr(L.defining, y),
+                              _rational_expr(L.defining, x - s * y), y)
+        cs = reversed(sympy.Poly(res, x).all_coeffs())
+        assert N.cs == tuple(Fraction(int(c.p), int(c.q)) for c in cs), s
