@@ -1,7 +1,7 @@
 """Enumeration size caps.
 
-The element cap bounds |S| = q^dim wherever an operation walks every
-element of an algebra; L2LAB_CAP overrides it (lowering is always safe).
+The element cap bounds |S| = q^dim of every algebra built, and q^2 of
+the F_q tables; L2LAB_CAP overrides it (lowering is always safe).
 The candidate cap bounds the number of one-element adjunctions T[s]
 the subalgebra enumeration may make.  The norm degree cap bounds the
 degree deg(fL) * deg(f) of the Trager norm, checked before any norm is

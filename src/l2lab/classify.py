@@ -5,17 +5,21 @@ R <= seminormalization <= t-closure <= S, the support, and the full
 lattice [R, S] (enumerated by one-element adjunctions), then matches the
 extension against the exhaustive case list (two-element support;
 t-closure proper; seminormalization proper; subintegral; seminormal
-infra-integral; t-closed, which reduces to a residue field extension).  Every applicable theorem predicate is
-evaluated and compared with the enumeration; any disagreement raises
-ConsistencyError, which the command line reports as exit code 3.
+infra-integral; t-closed, which reduces to a residue field extension).
+Every applicable theorem predicate is evaluated and compared with the
+enumeration; any disagreement raises ConsistencyError, which the
+command line reports as exit code 3.  The subintegral "some / every x"
+questions read R[s] once per point s of S/R; no element is listed.
 """
 
 from .errors import ConsistencyError
+from . import exact
 from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
-    Ideal, Subalgebra, _minimal_type_of_pair, adjoin, conductor, crucial_ideal,
-    enumerate_subalgebras, ideal_generated, is_simple_extension, localize,
-    maximal_ideals, msupp, radical, seminormalize, t_close, whole_algebra,
+    Ideal, Subalgebra, _minimal_type_of_pair, adjunctions, conductor,
+    crucial_ideal, enumerate_subalgebras, ideal_generated, is_simple_extension,
+    localize, maximal_ideals, msupp, radical, seminormalize, t_close, vsub,
+    whole_algebra,
 )
 
 
@@ -40,12 +44,14 @@ class ExtensionAnalysis:
         self._once = {}
         _check_canonical_decomposition(self)
 
-    def once(self, fn):
-        """fn(self), computed at most once per analysis: the element scans
-        serve both the predicate battery and the case dispatcher."""
-        if fn not in self._once:
-            self._once[fn] = fn(self)
-        return self._once[fn]
+    def once(self, fn, *args):
+        """fn(*args), by default fn(self), computed at most once per
+        analysis: the point walks, the local lattices and M*S serve both
+        the predicate battery and the case dispatcher."""
+        key = (fn,) + args
+        if key not in self._once:
+            self._once[key] = fn(*(args or (self,)))
+        return self._once[key]
 
     @property
     def is_trivial(self):
@@ -108,24 +114,13 @@ def is_locally_minimal(a):
     return True
 
 
-def _simple_generator(a):
-    """A generator x with S = R[x], or None."""
-    return is_simple_extension(a.R, a.S)
-
-
 def is_copointwise_minimal(a):
-    """Element scan: R[x] < S is minimal for every x outside R."""
-    R, S = a.R, a.S
-    node_index = {n.key(): i for i, n in enumerate(a.lattice.nodes)}
-    for x in S.elements("co-pointwise check"):
-        if R.member(x):
-            continue
-        T = adjoin(R, x)
-        if T.is_whole():
-            return False
-        if a.lattice.up[node_index[T.key()]] != 1 << (len(a.lattice) - 1):
-            return False
-    return True
+    """R[x] < S is minimal for every x outside R: every R[s], one per
+    point s of S/R, is a coatom of [R, S] (so none is S itself)."""
+    top = 1 << (len(a.lattice) - 1)
+    index = {n.key(): i for i, n in enumerate(a.lattice.nodes)}
+    return all(not U.is_whole() and a.lattice.up[index[U.key()]] == top
+               for _, U in adjunctions(a.R))
 
 
 def copointwise_shape_check(a):
@@ -230,13 +225,13 @@ def classify_extension(a):
         if l2 != (a.length == 2):
             raise ConsistencyError("seminormalization-proper case mismatch")
     elif P.is_whole():
-        simple = a.once(_simple_generator)
+        simple = bool(a.once(is_simple_extension, a.R))
         copw = a.once(is_copointwise_minimal)
-        out["simple"] = simple is not None
+        out["simple"] = simple
         out["copointwise"] = copw
-        if simple is not None and copw:
+        if simple and copw:
             raise ConsistencyError("simple and co-pointwise are exclusive")
-        if simple is not None:
+        if simple:
             l2 = a.count == 3
             if l2:
                 out["count_predicted"] = 3
@@ -431,15 +426,15 @@ def _crucial_predicates(a, l2):
                        True, holds, {"|V(MS)|": len(vms)}))
 
     if subint:
-        simple = a.once(_simple_generator)
+        simple = bool(a.once(is_simple_extension, a.R))
         copw = a.once(is_copointwise_minimal)
-        expected = (simple is not None and a.count == 3) or \
+        expected = (simple and a.count == 3) or \
                    (copw and a.count == a.residue_size(M) + 3)
         checks.append(("Prop 3.81: subintegral: length 2 <=> (simple, count 3) "
                        "or (co-pointwise, count |R/M|+3)",
                        True, l2 == expected,
-                       {"simple": simple is not None, "copointwise": copw}))
-        if simple is not None:
+                       {"simple": simple, "copointwise": copw}))
+        if simple:
             sub = _cor_3_132(a, l2)
             if sub is not None:
                 checks.append(sub)
@@ -460,8 +455,19 @@ def _is_minimal_pair_nodes(a, T):
 
 
 def _cor_3_132(a, l2):
-    """Simple subintegral crucial case: the three-subcase criterion."""
-    S = a.S
+    """Simple subintegral crucial case: the three-subcase criterion.
+
+    Subcases (2) and (3) each ask for some generator y in N with
+    R[y] = S.  As R/M = S/N, a generating point s of S/R has one
+    representative y_s = s - r in N up to M (r = s mod N, one solve), and
+    the generators in N are the y = c*(y_s + m), c != 0, m in M.  For
+    them M + M*y = M + M*y_s, as M*m lies in M, and
+    y^2 = c^2 (y_s^2 + 2 y_s m + m^2) with m^2 in M and 2 y_s m in MS.
+    So some m puts y^2 in R iff y_s^2 lies in R + 2 y_s M, every m does
+    iff y_s^2 and 2 y_s M lie in R, and for y^2 outside R (so outside M)
+    M + F*y^2 = MS iff y_s^2 lies in MS and dim MS = dim M + 1.
+    """
+    S, R = a.S, a.R
     M = a.crucial
     over = v_of_ideal(a, M)
     if len(over) != 1:
@@ -474,51 +480,39 @@ def _cor_3_132(a, l2):
     cond_is_M = C.key() == M.key()
     n2 = Echelon([S.mul(x, y) for x in N.basis for y in N.basis])
     n3 = Echelon([S.mul(x, y) for x in n2 for y in N.basis])
-    subcases = {}
     # (1): C = M, N^2 not inside M, N^3 inside M
-    subcases[1] = (cond_is_M and not all(M.member(v) for v in n2)
-                   and all(M.member(v) for v in n3))
-    # (2) and (3) quantify over a generator y in N with S = R[y]
+    sub1 = (cond_is_M and not all(M.member(v) for v in n2)
+            and all(M.member(v) for v in n3))
     sub2 = sub3 = False
     if not cond_is_M:
         ms = a.once(ideal_MS).basis
-        for y in _generators_in(a, N):
+        # (2): y^2 outside R, M + F*y^2 = MS = M + N^2 < N, M*N^2 inside M
+        sub2_free = (ms == M.basis.extend(n2) and M.dim + 1 == len(ms) < N.dim
+                     and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
+        rows = list(zip(*(N.basis.project(r) for r in R.basis)))
+        for s in a.once(is_simple_extension, R):
+            coeffs = exact.solve(rows, N.basis.project(s), S.field.one)
+            if coeffs is None:
+                raise ConsistencyError("R/M does not map onto S/N")
+            y = vsub(s, R.basis.combine(coeffs))
             y2 = S.mul(y, y)
-            if not a.R.member(y2):
-                m_n2 = Echelon(list(M.basis) + list(n2))
-                m_ry2 = Echelon(list(M.basis) + [y2])
-                mn2 = [S.mul(x, v) for x in M.basis for v in n2]
-                if (ms == m_n2 and ms == m_ry2 and len(ms) < N.dim
-                        and all(M.member(v) for v in mn2)):
-                    sub2 = True
-                    break
-            else:
-                my = Echelon(list(M.basis) + [S.mul(x, y) for x in M.basis])
-                resdim = a.R.dim - M.dim
-                if (len(my) - M.dim) == resdim:
-                    sub3 = True
-                    break
-    subcases[2] = sub2
-    subcases[3] = sub3
-    criterion = m2_in_C and C_in_M and (subcases[1] or subcases[2] or subcases[3])
+            two_yM = [S.mul(tuple(c + c for c in y), x) for x in M.basis]
+            sub2 = sub2 or (sub2_free and ms.contains(y2)
+                            and not (R.member(y2) and all(map(R.member, two_yM))))
+            # (3): y^2 in R, (M + M*y)/M of dimension [R/M : F]
+            my = M.basis.extend([S.mul(x, y) for x in M.basis])
+            sub3 = sub3 or (R.basis.extend(two_yM).contains(y2)
+                            and len(my) - M.dim == R.dim - M.dim)
+    subcases = {1: sub1, 2: sub2, 3: sub3}
+    criterion = m2_in_C and C_in_M and (sub1 or sub2 or sub3)
     holds = (l2 == criterion)
     details = {"M2_in_C": m2_in_C, "C_in_M": C_in_M, "subcases": subcases}
     if l2:
-        expected_nodes = {a.R.key(),
-                          Subalgebra.from_generators(S, list(a.R.basis) + list(n2)).key(),
+        expected_nodes = {R.key(),
+                          Subalgebra.from_generators(S, list(R.basis) + list(n2)).key(),
                           a.whole.key()}
         got = {n.key() for n in a.lattice.nodes}
         holds = holds and (expected_nodes == got)
         details["lattice_is_R_RN2_S"] = expected_nodes == got
     return ("Cor 3.132: simple subintegral criterion", True, holds, details)
 
-
-def _generators_in(a, N):
-    S = a.S
-    for y in S.elements("generator scan"):
-        if not N.member(y):
-            continue
-        if a.R.member(y):
-            continue
-        if adjoin(a.R, y).is_whole():
-            yield y

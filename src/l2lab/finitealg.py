@@ -16,8 +16,9 @@ is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
 
 The lattice [R, S] is built by adjunction: T[s] is the T-span of the
 powers of s, and every node is extended by one s per point of the
-projective space of S/T.  Multiplication reads a sparse list of the
-nonzero structure constants on field-element indices.
+projective space of S/T (``adjunctions``).  Multiplication reads a
+sparse list of the nonzero structure constants on field-element
+indices.  Only the test oracles list the elements of an algebra.
 """
 
 import itertools
@@ -125,9 +126,6 @@ class SmallField:
 
     def element(self, i):
         return self.elems[i % self.q]
-
-    def elements(self):
-        return list(self.elems)
 
     def elem_name(self, i):
         if self.k == 1:
@@ -280,9 +278,7 @@ class FiniteAlgebra:
 
     def elements(self, what="element enumeration"):
         check_elements(self.size, what)
-        F = self.field
-        elems = F.elements()
-        return [tuple(t) for t in itertools.product(elems, repeat=self.dim)]
+        return list(itertools.product(self.field.elems, repeat=self.dim))
 
     def element_str(self, v):
         terms = []
@@ -554,9 +550,8 @@ class Subalgebra:
 
     def elements(self, what="subalgebra element enumeration"):
         check_elements(self.size, what)
-        F = self.ambient.field
-        return [self.basis.combine(coeffs)
-                for coeffs in itertools.product(F.elements(), repeat=self.dim)]
+        coords = itertools.product(self.ambient.field.elems, repeat=self.dim)
+        return [self.basis.combine(coeffs) for coeffs in coords]
 
     def is_whole(self):
         return self.dim == self.ambient.dim
@@ -700,7 +695,7 @@ def subalgebra_structure(T):
     prim = [A.unit]
     for b in _kernel_over(T, lambda x: vsub(A.power(x, F.q), x)):
         splits = [vsub(A.unit, A.power(vsub(b, tuple(c * u for u in A.unit)), F.q - 1))
-                  for c in F.elements()]
+                  for c in F.elems]
         prim = [f for e in prim for f in (A.mul(e, s) for s in splits) if any(f)]
     prim = tuple(sorted(prim, key=vec_key))
     maxes = tuple(sorted((Ideal(T, list(nil) + [A.mul(vsub(A.unit, e), b) for b in T.basis])
@@ -856,18 +851,6 @@ def adjoin(T, s):
     return Subalgebra(A, span, check=False)
 
 
-def is_simple_extension(R, S):
-    """A generator x with S = R[x], or None."""
-    if R.is_whole():
-        return None
-    for b in S.elements("simple-generator search"):
-        if R.member(b):
-            continue
-        if adjoin(R, b).is_whole():
-            return b
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Subalgebra enumeration by adjunction
 
@@ -880,36 +863,53 @@ def _points(F, c):
             yield head + tail
 
 
+def adjunctions(T):
+    """(s, T[s]) for one s per point of the projective space of A/T, A
+    the ambient algebra: s is zero on T's pivot columns and 1 at its
+    first nonzero free column.  Every T[u] with u outside T is one of
+    these, as T[c*u + t] = T[u] for c != 0 and t in T."""
+    A = T.ambient
+    free = [j for j in range(A.dim) if j not in T.basis.pivots]
+    for point in _points(A.field, len(free)):
+        s = [A.field.zero] * A.dim
+        for j, c in zip(free, point):
+            s[j] = c
+        s = tuple(s)
+        yield s, adjoin(T, s)
+
+
+def is_simple_extension(R):
+    """The points s of A/R with R[s] = A, A the ambient algebra: A is a
+    simple extension of R iff the list is not empty, and every x with
+    R[x] = A is c*s + r for one of them, c != 0 and r in R."""
+    return [s for s, U in adjunctions(R) if U.is_whole()]
+
+
 def enumerate_subalgebras(R, S):
     """The lattice of all subalgebras between R and S.
 
-    Every node T is extended by the T[s], one s per point of the
-    projective space of S/T.  That reaches every subalgebra U of [R, S]:
-    U is the end of a chain R = U_0 < U_1 < ... with U_(i+1) = U_i[u_i],
-    and U_i[u] = U_i[s] for the representative s of the point of u, as
-    T[c*u + t] = T[u] for c != 0 and t in T.  The same argument from any
-    node T < U gives a chain of adjunction edges T -> T[s] from T to U,
-    so inclusion is the transitive closure of those edges, and no pair of
-    nodes is compared.  The candidate cap bounds the adjunctions, checked
-    before each node's points are walked.
+    Every node T is extended by its ``adjunctions``, the T[s] for one s
+    per point of the projective space of S/T.  That reaches every
+    subalgebra U of [R, S]: U is the end of a chain R = U_0 < U_1 < ...
+    with U_(i+1) = U_i[u_i], and U_i[u] is the adjunction of the point
+    of u.  The same argument from any node T < U gives a chain of
+    adjunction edges T -> T[s] from T to U, so inclusion is the
+    transitive closure of those edges, and no pair of nodes is compared.
+    The candidate cap bounds the adjunctions, checked before each node's
+    points are walked.
     """
     check_elements(S.size, "subalgebra enumeration")
-    F = S.field
+    q = S.field.q
     found = {R.key(): R}
     edges = {}              # id(T) -> ids of the distinct T[s], nodes of found
     todo = [R]
-    adjunctions = 0
+    count = 0
     while todo:
         T = todo.pop()
-        free = [j for j in range(S.dim) if j not in T.basis.pivots]
-        adjunctions += (F.q ** len(free) - 1) // (F.q - 1)
-        check_candidates(adjunctions, "subalgebra enumeration")
+        count += (q ** (S.dim - T.dim) - 1) // (q - 1)
+        check_candidates(count, "subalgebra enumeration")
         children = edges[id(T)] = set()
-        for point in _points(F, len(free)):
-            s = [F.zero] * S.dim
-            for j, c in zip(free, point):
-                s[j] = c
-            U = adjoin(T, tuple(s))
+        for _, U in adjunctions(T):
             node = found.setdefault(U.key(), U)
             if node is U:
                 todo.append(U)

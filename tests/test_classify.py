@@ -207,7 +207,8 @@ def test_copointwise_brute_force_matches_shape():
 
 
 def test_element_scans_run_once_per_analysis(monkeypatch):
-    """The case dispatcher reuses the predicate battery's element scans."""
+    """The case dispatcher and Cor 3.132 reuse the predicate battery's
+    point walks over S/R, local lattices and M*S."""
     import l2lab.classify as classify
     calls = {}
 
@@ -227,10 +228,12 @@ def test_element_scans_run_once_per_analysis(monkeypatch):
     cubic = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
     crosswise = product_algebra(F2, [2, 2])
     bell = product_algebra(F2, [1, 1, 1])
-    cases = [(prime_algebra(plane), plane, {"is_simple_extension", "is_copointwise_minimal",
-                                           "ideal_MS"}),
-             (prime_algebra(cubic), cubic, {"is_simple_extension", "is_copointwise_minimal",
-                                           "ideal_MS"}),
+    quartic = quotient_algebra(F3, ["X"], [{(4,): F3.one}])
+    over_x2 = Subalgebra.from_generators(quartic, [quartic.basis_vector(2)])
+    walks = {"is_simple_extension", "is_copointwise_minimal", "ideal_MS"}
+    cases = [(over_x2, quartic, walks),      # Cor 3.132 reads the simple walk
+             (prime_algebra(plane), plane, walks),
+             (prime_algebra(cubic), cubic, walks),
              (Subalgebra.from_generators(crosswise, [crosswise.basis_vector(0)]), crosswise,
               {"is_locally_minimal"}),
              (prime_algebra(bell), bell, {"ideal_MS"})]

@@ -1,10 +1,12 @@
-"""Source-level invariants of the package: exact arithmetic only and no
-runtime dependencies.
+"""Source-level invariants of the package: exact arithmetic only, no
+element listing and no runtime dependencies.
 
 Every module under src/l2lab is parsed and walked: no float literal and
 no ``float(...)`` call may appear, ``math`` may only supply the exact
 integer routines ``gcd`` and ``isqrt``, and imports are limited to the
-package itself and a fixed set of standard-library modules.  The
+package itself and a fixed set of standard-library modules.  No code
+calls an attribute named ``elements`` outside the bodies of the two
+listing methods the tests use as oracles.  The
 ``[project].dependencies`` list of pyproject.toml must stay empty.
 """
 
@@ -18,6 +20,9 @@ SOURCES = sorted((ROOT / "src" / "l2lab").glob("*.py"))
 STDLIB = {"argparse", "fractions", "itertools", "json", "math", "os", "random",
           "re", "sys", "time"}
 MATH_NAMES = {"gcd", "isqrt"}
+# (module, class, method): the element listings kept for test oracles
+LISTINGS = {("finitealg.py", "FiniteAlgebra", "elements"),
+            ("finitealg.py", "Subalgebra", "elements")}
 
 
 def _tree(path):
@@ -62,6 +67,27 @@ def test_imports_are_package_or_allowed_stdlib(path):
             continue
         assert tops <= STDLIB | {"l2lab"}, "%s:%d imports %s" % (
             path.name, node.lineno, sorted(tops - STDLIB - {"l2lab"}))
+
+
+def test_listing_methods_found():
+    found = {(path.name, cls.name, fn.name) for path in SOURCES
+             for cls in _tree(path).body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    assert LISTINGS <= found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_element_listing(path):
+    tree = _tree(path)
+    exempt = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if (path.name, cls.name, getattr(fn, "name", None)) in LISTINGS
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "elements"):
+            assert id(node) in exempt, "%s:%d calls .elements()" % (path.name,
+                                                                    node.lineno)
 
 
 def test_no_runtime_dependencies():

@@ -35,12 +35,12 @@ def _lin(F, coeffs, vectors, n):
 
 def _span_keys(F, vectors, n):
     return {_key(_lin(F, cs, vectors, n))
-            for cs in itertools.product(F.elements(), repeat=len(vectors))}
+            for cs in itertools.product(F.elems, repeat=len(vectors))}
 
 
 def _random_gens(rng, F, n):
     """0..n random vectors, sometimes with a zero or a repeated one."""
-    els = F.elements()
+    els = F.elems
     gens = [tuple(rng.choice(els) for _ in range(n)) for _ in range(rng.randrange(n + 1))]
     if gens and rng.random() < 0.3:
         gens.append(rng.choice(gens))
@@ -52,7 +52,7 @@ def _random_gens(rng, F, n):
 def _cases(q, n, seed):
     F = small_field(q)
     rng = random.Random(seed * 1000 + q)
-    space = [tuple(t) for t in itertools.product(F.elements(), repeat=n)]
+    space = [tuple(t) for t in itertools.product(F.elems, repeat=n)]
     for _ in range(TRIALS):
         yield F, rng, space, _random_gens(rng, F, n)
 

@@ -23,6 +23,11 @@ T[s] the enumeration can make (every node T, every point s of the
 projective space of S/T) is checked against the multiplicative closure
 ``Subalgebra.from_generators``; F2^6 and F2[X]/(X^8) are checked
 against the scan alone.
+
+The subintegral questions that read R[s] once per point of S/R (simple,
+co-pointwise, Cor 3.132's subcases (2) and (3)) are checked against the
+element scans they replaced: every x of S, every x outside R, every
+generator y in N with R[y] = S.
 """
 
 import collections
@@ -34,14 +39,16 @@ from pathlib import Path
 import pytest
 
 from l2lab import exact, finitealg
-from l2lab.classify import analyze_extension, classify_extension
+from l2lab.classify import (analyze_extension, classify_extension, ideal_MS,
+                            is_copointwise_minimal, v_of_ideal)
 from l2lab.exact import Echelon
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, adjoin, algebra_on_subspace,
                              conductor, crucial_ideal, enumerate_subalgebras,
-                             field_algebra, maximal_ideals, msupp, nilradical,
-                             prime_algebra, primitive_idempotents, product_algebra,
-                             quotient_algebra, radical, seminormalize, small_field,
-                             t_close, vec_key, vsub, whole_algebra)
+                             field_algebra, irreducible_over, is_simple_extension,
+                             maximal_ideals, msupp, nilradical, prime_algebra,
+                             primitive_idempotents, product_algebra, quotient_algebra,
+                             radical, seminormalize, small_field, t_close, vec_key,
+                             vsub, whole_algebra)
 from l2lab.lattice import hasse
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
@@ -203,6 +210,51 @@ def t_close_by_scan(R, T):
         U = Subalgebra.from_generators(A, list(U.basis) + adjoin)
 
 
+def generators_by_scan(R, S):
+    """Every x of S with R[x] = S."""
+    return [x for x in S.elements() if not R.member(x) and adjoin(R, x).is_whole()]
+
+
+def copointwise_by_scan(a):
+    """R[x] < S is minimal for every x outside R, with each R[x] looked up
+    in the lattice."""
+    index = {n.key(): i for i, n in enumerate(a.lattice.nodes)}
+    top = 1 << (len(a.lattice) - 1)
+    for x in a.S.elements():
+        if not a.R.member(x):
+            T = adjoin(a.R, x)
+            if T.is_whole() or a.lattice.up[index[T.key()]] != top:
+                return False
+    return True
+
+
+def cor_3_132_by_scan(a):
+    """Subcases (2) and (3) of Cor 3.132: whether some y in N with
+    R[y] = S has y^2 outside R and M + F*y^2 = MS = M + N^2 < N with
+    M*N^2 in M, and whether some has y^2 in R and
+    dim(M + M*y) - dim M = [R/M : F].  Both are false when (R:S) = M."""
+    S, R, M = a.S, a.R, a.crucial
+    if a.conductor.key() == M.key():
+        return False, False
+    N, = v_of_ideal(a, M)
+    n2 = Echelon([S.mul(x, y) for x in N.basis for y in N.basis])
+    ms = ideal_MS(a).basis
+    sub2 = sub3 = False
+    for y in generators_by_scan(R, S):
+        if not N.member(y):
+            continue
+        y2 = S.mul(y, y)
+        if not R.member(y2):
+            sub2 = sub2 or (ms == Echelon(list(M.basis) + list(n2))
+                            and ms == Echelon(list(M.basis) + [y2])
+                            and len(ms) < N.dim
+                            and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
+        else:
+            my = Echelon(list(M.basis) + [S.mul(x, y) for x in M.basis])
+            sub3 = sub3 or len(my) - M.dim == R.dim - M.dim
+    return sub2, sub3
+
+
 def _gaussian_binomial(c, k, q):
     num = 1
     den = 1
@@ -225,7 +277,7 @@ def enumerate_by_candidates(R, S):
         for piv in itertools.combinations(range(c), k):
             free_pos = [(r_i, col) for r_i, pc in enumerate(piv)
                         for col in range(pc + 1, c) if col not in piv]
-            for fill in itertools.product(F.elements(), repeat=len(free_pos)):
+            for fill in itertools.product(F.elems, repeat=len(free_pos)):
                 rows = [[F.zero] * S.dim for _ in range(k)]
                 for r_i, pc in enumerate(piv):
                     rows[r_i][free[pc]] = F.one
@@ -244,7 +296,7 @@ def projective_points(T):
     S = T.ambient
     F = S.field
     free = [j for j in range(S.dim) if j not in T.basis.pivots]
-    for point in itertools.product(F.elements(), repeat=len(free)):
+    for point in itertools.product(F.elems, repeat=len(free)):
         if any(point) and next(c for c in point if c) == F.one:
             s = [F.zero] * S.dim
             for j, c in zip(free, point):
@@ -443,3 +495,110 @@ def test_structure_computed_once_per_node(monkeypatch):
     ends = (a.R.key(), a.whole.key())
     assert all(calls[k] <= (2 if k in ends else 1) for k in keys)
     assert sum(calls.values()) <= len(keys) + 2
+
+
+def _cor_3_132_details(verdict):
+    return next((p["details"] for p in verdict["predicates"]
+                 if p["name"] == "Cor 3.132: simple subintegral criterion"), None)
+
+
+def check_point_walks(R, S):
+    """Simple, co-pointwise and Cor 3.132's subcase flags against the
+    element scans; returns the Cor 3.132 details, or None when the
+    generator subcases are not reached."""
+    a = analyze_extension(R, S)
+    verdict = classify_extension(a)
+    generators = generators_by_scan(R, S)
+    points = is_simple_extension(R)
+    assert bool(points) == bool(generators)
+    # one point per class c*x + R of generators
+    assert len(points) * (S.field.q - 1) * R.size == len(generators)
+    assert all(adjoin(R, s).is_whole() for s in points)
+    assert is_copointwise_minimal(a) == copointwise_by_scan(a)
+    details = _cor_3_132_details(verdict)
+    if details is None or a.conductor.key() == a.crucial.key():
+        return None
+    subcases = details["subcases"]
+    assert (subcases[2], subcases[3]) == cor_3_132_by_scan(a)
+    return details
+
+
+def _random_local_extension(rng):
+    """R < S over F_2, F_3 or F_4, S local: F_q[x]/(x^n),
+    F_q[x,y]/(x^a, x*y, y^b), or F_q[u,x]/(m(u), x^n) with m the
+    irreducible quadratic; R is generated by up to two random elements."""
+    q = rng.choice([2, 3, 4])
+    F = small_field(q)
+    maxdim = {2: 7, 3: 5, 4: 4}[q]
+    kind = rng.choice([0, 0, 1, 2])
+    if kind == 0:
+        S = quotient_algebra(F, ["x"], [{(rng.randrange(3, maxdim + 1),): F.one}])
+    elif kind == 1:
+        a = rng.randrange(2, maxdim)
+        b = rng.randrange(1, maxdim - a + 1)
+        S = quotient_algebra(F, ["x", "y"],
+                             [{(a, 0): F.one}, {(1, 1): F.one}, {(0, b + 1): F.one}])
+    else:
+        m = irreducible_over(F, 2)
+        S = quotient_algebra(F, ["u", "x"],
+                             [{(i, 0): c for i, c in enumerate(m.cs) if c},
+                              {(0, rng.randrange(2, maxdim // 2 + 1)): F.one}])
+    # leaving out x keeps R = S from being the rule (in F_q[x]/(x^n), any
+    # element with an x term generates S)
+    skip = {"x"} if kind == 0 or rng.randrange(2) else set()
+    gens = [tuple(F.zero if name in skip else F.element(rng.randrange(q))
+                  for name in S.names)
+            for _ in range(rng.randrange(1, 3))]
+    R = Subalgebra.from_generators(S, gens)
+    return (prime_algebra(S) if R.is_whole() else R), S
+
+
+def test_point_walks_match_element_scans_on_random_local_extensions():
+    rng = random.Random(3132)
+    qs = collections.Counter()
+    flags = set()
+    for _ in range(120):
+        R, S = _random_local_extension(rng)
+        assert S.size <= 4096
+        details = check_point_walks(R, S)
+        if details is not None:
+            qs[S.field.q] += 1
+            flags.update((k, v) for k, v in details["subcases"].items() if k > 1)
+    # the generator subcases were reached over every field, and each
+    # flag was seen both ways
+    assert set(qs) == {2, 3, 4}
+    assert flags == {(k, v) for k in (2, 3) for v in (False, True)}
+
+
+@pytest.mark.parametrize("doc,subcases", [
+    ({"q": 3, "quotient": "F3[X]/(X^4)", "R": ["X^2"]}, {1: False, 2: True, 3: True}),
+    ({"q": 3, "quotient": "F3[X]/(X^5)", "R": ["X^2"]}, {1: False, 2: True, 3: True}),
+    # characteristic 2: 2*y_s*M vanishes
+    ({"q": 2, "quotient": "F2[X]/(X^5)", "R": ["X^2"]}, None),
+    ({"q": 4, "quotient": "F4[X]/(X^4)", "R": ["X^2"]}, None),
+], ids=["f3[x]/x^4", "f3[x]/x^5", "f2[x]/x^5", "f4[x]/x^4"])
+def test_point_walks_match_element_scans_on_named(doc, subcases):
+    S, R = parse_algebra(doc)
+    details = check_point_walks(R, S)
+    assert details is not None
+    if subcases is not None:
+        assert details["subcases"] == subcases
+
+
+@pytest.mark.parametrize("doc", [
+    {"q": 3, "quotient": "F3[X,Y]/(X^2,X*Y,Y^2)", "R": "diagonal"},
+    {"q": 2, "quotient": "F2[X]/(X^8)", "R": "diagonal"},
+    {"q": 3, "quotient": "F3[X]/(X^4)", "R": ["X^2"]},
+], ids=["f3-copointwise", "f2[x]/x^8", "f3[x]/x^4-over-x^2"])
+def test_classify_lists_no_elements(doc, monkeypatch):
+    """The whole analysis and verdict, the subintegral point walks
+    included, run with element listing switched off."""
+    S, R = parse_algebra(doc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element listing in the analysis")
+
+    monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+    monkeypatch.setattr(Subalgebra, "elements", refuse)
+    verdict = classify_extension(analyze_extension(R, S))
+    assert verdict["ok"] and "simple" in verdict
