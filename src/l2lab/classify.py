@@ -16,7 +16,7 @@ from .errors import ConsistencyError
 from . import exact
 from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
-    Ideal, Subalgebra, _minimal_type_of_pair, adjunctions, conductor,
+    Ideal, Subalgebra, _minimal_type_of_pair, conductor,
     crucial_ideal, enumerate_subalgebras, ideal_generated, is_simple_extension,
     localize, maximal_ideals, msupp, radical, seminormalize, t_close, vsub,
     whole_algebra,
@@ -116,11 +116,11 @@ def is_locally_minimal(a):
 
 def is_copointwise_minimal(a):
     """R[x] < S is minimal for every x outside R: every R[s], one per
-    point s of S/R, is a coatom of [R, S] (so none is S itself)."""
-    top = 1 << (len(a.lattice) - 1)
-    index = {n.key(): i for i, n in enumerate(a.lattice.nodes)}
-    return all(not U.is_whole() and a.lattice.up[index[U.key()]] == top
-               for _, U in adjunctions(a.R))
+    point s of S/R as the enumeration walked them, is a coatom of [R, S]
+    (so none is S itself)."""
+    lat = a.lattice
+    top = 1 << (len(lat) - 1)
+    return all(lat.up[j] == top for _, j in lat.points)
 
 
 def copointwise_shape_check(a):
@@ -225,7 +225,7 @@ def classify_extension(a):
         if l2 != (a.length == 2):
             raise ConsistencyError("seminormalization-proper case mismatch")
     elif P.is_whole():
-        simple = bool(a.once(is_simple_extension, a.R))
+        simple = bool(a.once(is_simple_extension, a.lattice))
         copw = a.once(is_copointwise_minimal)
         out["simple"] = simple
         out["copointwise"] = copw
@@ -341,22 +341,41 @@ def _closure_extremality(a):
     """Seminormalization and t-closure are the greatest subintegral and
     infra-integral subextensions, read off the lattice by the
     chain-type characterization (all covers ramified / all covers
-    ramified-or-decomposed)."""
-    types = cover_types(a)
-    lat = a.lattice
+    ramified-or-decomposed).
 
-    ok = True
-    for k, n in enumerate(lat.nodes):
-        inside = lat.down[k] | 1 << k
-        ets = [t for (i, j), t in types.items() if inside >> i & 1 and inside >> j & 1]
-        subint = all(t == "ramified" for t in ets)
-        infra = all(t in ("ramified", "decomposed") for t in ets)
-        if subint != a.seminormalization.contains_sub(n):
-            ok = False
-        if infra != a.t_closure.contains_sub(n):
-            ok = False
+    Every cover u < v inside [R, k] lies inside [R, i] for some lower
+    cover i of k, or is the edge i < k itself: if v < k, a maximal chain
+    from v to k ends in a lower cover i >= v.  So whether [R, k] has a
+    cover that is not ramified (not ramified or decomposed) is an OR over
+    the lower covers i of k, of the flag of i and the type of i < k,
+    taken in index order, which is a topological order
+    (``_chain_type_flags``).  Every cover is typed once, with all the
+    checks of ``_minimal_type_of_pair``.
+    """
+    not_sub, not_infra = _chain_type_flags(a.lattice, cover_types(a))
+    ok = all(not_sub[k] != a.seminormalization.contains_sub(n)
+             and not_infra[k] != a.t_closure.contains_sub(n)
+             for k, n in enumerate(a.lattice.nodes))
     return ("Def 3.4 / Prop 3.5: closures are extremal for their chain types",
             True, ok, {})
+
+
+def _chain_type_flags(lat, types):
+    """For each node k, whether [R, k] has a cover that is not ramified,
+    and whether it has one that is neither ramified nor decomposed, given
+    the ``types`` of the covers: one pass over the covers, by lower cover
+    (see ``_closure_extremality``)."""
+    lower = [[] for _ in lat.nodes]
+    for (i, j), t in types.items():
+        lower[j].append((i, t))
+    not_sub = [False] * len(lat)
+    not_infra = [False] * len(lat)
+    for k in range(len(lat)):
+        for i, t in lower[k]:
+            not_sub[k] = not_sub[k] or not_sub[i] or t != "ramified"
+            not_infra[k] = (not_infra[k] or not_infra[i]
+                            or t not in ("ramified", "decomposed"))
+    return not_sub, not_infra
 
 
 def _theorem_2_1_dual_path(a):
@@ -426,7 +445,7 @@ def _crucial_predicates(a, l2):
                        True, holds, {"|V(MS)|": len(vms)}))
 
     if subint:
-        simple = bool(a.once(is_simple_extension, a.R))
+        simple = bool(a.once(is_simple_extension, a.lattice))
         copw = a.once(is_copointwise_minimal)
         expected = (simple and a.count == 3) or \
                    (copw and a.count == a.residue_size(M) + 3)
@@ -490,7 +509,7 @@ def _cor_3_132(a, l2):
         sub2_free = (ms == M.basis.extend(n2) and M.dim + 1 == len(ms) < N.dim
                      and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
         rows = list(zip(*(N.basis.project(r) for r in R.basis)))
-        for s in a.once(is_simple_extension, R):
+        for s in a.once(is_simple_extension, a.lattice):
             coeffs = exact.solve(rows, N.basis.project(s), S.field.one)
             if coeffs is None:
                 raise ConsistencyError("R/M does not map onto S/N")

@@ -174,6 +174,14 @@ class Echelon(tuple):
     def contains(self, v):
         return not any(self.residue(v))
 
+    def contains_span(self, other):
+        """Whether the span ``other``, an Echelon of the same space, lies
+        in this one.  The pivots of a subspace are pivots of the whole (a
+        vector's first nonzero column is a pivot of any span holding
+        it), so most spans that are not inside fail on the pivots alone,
+        before any row is reduced."""
+        return set(other.pivots) <= set(self.pivots) and all(map(self.contains, other))
+
     def coords(self, v):
         """Coefficients of v over the rows, or None if v is outside."""
         if any(self.residue(v)):

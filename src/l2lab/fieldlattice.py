@@ -1,14 +1,17 @@
 """The complete poset [k, L] built from principal subfields.
 
 Every proper intermediate field is an intersection of the E_beta, so the
-node set is the intersection closure of {E_1, ..., E_t} plus L itself;
-``lattice.hasse`` computes covering edges and the longest chain on it.
+node set is the intersection closure of {E_1, ..., E_t} plus L itself.
+Its inclusions are decided pairwise, and each node's full up-set is
+passed to ``lattice.from_edges`` as its generating set, which it is: the
+nodes above a node of the up-set are in the up-set too.  The builder
+finds the covers and the longest chain from it.
 """
 
 from .errors import CapExceeded, ConsistencyError
 from .exact import prime_factors
-from .lattice import hasse
-from .numberfield import Subfield, intersect_subfields, prime_subfield, whole_field
+from .lattice import from_edges
+from .numberfield import intersect_subfields, prime_subfield, whole_field
 from .principal import index_set_I
 from .poly import Poly
 
@@ -32,7 +35,10 @@ def build_lattice(ps):
                 seen[meet.key()] = meet
                 work.append(meet)
     nodes = sorted(seen.values(), key=lambda s: s.key())
-    return hasse(nodes, Subfield.contains_subfield)
+    up = [sum(1 << j for j in range(i + 1, len(nodes))
+              if a.dim < nodes[j].dim and nodes[j].contains_subfield(a))
+          for i, a in enumerate(nodes)]
+    return from_edges(nodes, up)
 
 
 def is_minimal_extension(ps, lat=None):

@@ -27,7 +27,7 @@ from . import exact
 from .exact import Echelon, prime_factors
 from .caps import check_candidates, check_elements
 from .errors import ConsistencyError
-from .lattice import hasse
+from .lattice import from_edges
 from .poly import Poly, poly_gcd
 
 
@@ -267,14 +267,16 @@ class FiniteAlgebra:
         return tuple(map(F.elems.__getitem__, out))
 
     def power(self, v, e):
-        acc = self.unit
-        base = v
+        """v^e by squaring, with no product by 1 and no square past the
+        top bit of e."""
+        acc = None
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = v if acc is None else self.mul(acc, v)
             e >>= 1
-        return acc
+            if e:
+                v = self.mul(v, v)
+        return self.unit if acc is None else acc
 
     def elements(self, what="element enumeration"):
         check_elements(self.size, what)
@@ -543,7 +545,7 @@ class Subalgebra:
                    for i in range(len(b)) for j in range(i, len(b)))
 
     def contains_sub(self, other):
-        return all(self.member(b) for b in other.basis)
+        return self.basis.contains_span(other.basis)
 
     def key(self):
         return (self.dim, tuple(vec_key(b) for b in self.basis))
@@ -720,18 +722,28 @@ def maximal_ideals(T):
 
 def conductor(lo, hi):
     """(lo : hi) = {a in hi : a*hi is contained in lo}, the largest ideal
-    of hi inside lo, for subalgebras of one algebra: the kernel of
-    a |-> (a*h_j mod lo)_j over the basis h of hi."""
+    of hi inside lo, for subalgebras lo <= hi of one algebra.
+
+    As 1 lies in hi, the conductor lies in lo, and for a in lo,
+    a*lo <= lo already.  The rows h of hi's echelon basis whose pivots
+    are not pivots of lo span hi modulo lo (lo's pivots are pivots of hi,
+    and a vector of lo vanishing on them is zero), so the conductor is
+    the kernel of a |-> (a*h mod lo)_h over the basis of lo alone.  The
+    residue of a*h by lo lies in hi and vanishes on lo's pivots, so it is
+    zero exactly when its entries on the other pivots of hi are.
+    """
     A = hi.ambient
+    free = [p for p in hi.basis.pivots if p not in lo.basis.pivots]
+    extra = [h for h, p in zip(hi.basis, hi.basis.pivots) if p in free]
 
     def image(a):
-        return tuple(c for hj in hi.basis for c in lo.basis.project(A.mul(a, hj)))
+        out = []
+        for h in extra:
+            r = lo.basis.residue(A.mul(a, h))
+            out.extend(r[p] for p in free)
+        return tuple(out)
 
-    cond = Ideal(hi, _kernel_over(hi, image))
-    for b in cond.basis:
-        if not lo.member(b):
-            raise ConsistencyError("conductor is not contained in R")
-    return cond
+    return Ideal(hi, _kernel_over(lo, image))
 
 
 def msupp(R, T, cond):
@@ -878,11 +890,13 @@ def adjunctions(T):
         yield s, adjoin(T, s)
 
 
-def is_simple_extension(R):
-    """The points s of A/R with R[s] = A, A the ambient algebra: A is a
-    simple extension of R iff the list is not empty, and every x with
-    R[x] = A is c*s + r for one of them, c != 0 and r in R."""
-    return [s for s, U in adjunctions(R) if U.is_whole()]
+def is_simple_extension(lat):
+    """The points s of S/R with R[s] = S, for the lattice [R, S] that
+    ``enumerate_subalgebras`` built: S is a simple extension of R iff the
+    list is not empty, and every x with R[x] = S is c*s + r for one of
+    them, c != 0 and r in R."""
+    top = len(lat) - 1
+    return [s for s, j in lat.points if j == top]
 
 
 def enumerate_subalgebras(R, S):
@@ -893,15 +907,17 @@ def enumerate_subalgebras(R, S):
     subalgebra U of [R, S]: U is the end of a chain R = U_0 < U_1 < ...
     with U_(i+1) = U_i[u_i], and U_i[u] is the adjunction of the point
     of u.  The same argument from any node T < U gives a chain of
-    adjunction edges T -> T[s] from T to U, so inclusion is the
-    transitive closure of those edges, and no pair of nodes is compared.
-    The candidate cap bounds the adjunctions, checked before each node's
-    points are walked.
+    adjunction edges T -> T[s] from T to U, so the edges generate the
+    order, and ``lattice.from_edges`` builds the diagram from them with
+    no pair of nodes compared.  The bottom's walk is kept as the
+    lattice's ``points``, (s, index of R[s]).  The candidate cap bounds
+    the adjunctions, checked before each node's points are walked.
     """
     check_elements(S.size, "subalgebra enumeration")
     q = S.field.q
     found = {R.key(): R}
     edges = {}              # id(T) -> ids of the distinct T[s], nodes of found
+    points = []             # (s, id of R[s]) over the bottom's points
     todo = [R]
     count = 0
     while todo:
@@ -909,20 +925,19 @@ def enumerate_subalgebras(R, S):
         count += (q ** (S.dim - T.dim) - 1) // (q - 1)
         check_candidates(count, "subalgebra enumeration")
         children = edges[id(T)] = set()
-        for _, U in adjunctions(T):
+        for s, U in adjunctions(T):
             node = found.setdefault(U.key(), U)
             if node is U:
                 todo.append(U)
             children.add(id(node))
+            if T is R:
+                points.append((s, id(node)))
     nodes = sorted(found.values(), key=Subalgebra.key)
     position = {id(T): i for i, T in enumerate(nodes)}
-    # an edge goes up in dimension, so to a later node: fill from the top
-    above = [0] * len(nodes)
-    for i in reversed(range(len(nodes))):
-        for child in edges[id(nodes[i])]:
-            j = position[child]
-            above[i] |= 1 << j | above[j]
-    return hasse(nodes, lambda b, a: above[position[id(a)]] >> position[id(b)] & 1)
+    gen = [sum(1 << position[c] for c in edges[id(T)]) for T in nodes]
+    lat = from_edges(nodes, gen)
+    lat.points = [(s, position[u]) for s, u in points]
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +956,9 @@ def _minimal_type_of_pair(lo, hi):
     the conductor and Max(hi)."""
     A = hi.ambient
     M = conductor(lo, hi)
-    if not any(N.key() == M.key() for N in maximal_ideals(lo)):
+    if not any(N.basis == M.basis for N in maximal_ideals(lo)):
         raise ConsistencyError("conductor of a minimal extension is not maximal in R")
-    over = [N for N in maximal_ideals(hi) if all(N.member(b) for b in M.basis)]
+    over = [N for N in maximal_ideals(hi) if N.basis.contains_span(M.basis)]
     qdim_RM = lo.dim - M.dim
     if len(over) == 2:
         for N in over:
@@ -957,9 +972,10 @@ def _minimal_type_of_pair(lo, hi):
         if hi.dim - N.dim <= qdim_RM:
             raise ConsistencyError("inert case without residue field growth")
         return "inert"
-    # ramified: N^2 <= M < N and [hi/M : lo/M] = 2
-    n2 = ideal_generated(A, hi.basis, [A.mul(a, b) for a in N.basis for b in N.basis])
-    if not all(M.member(v) for v in n2):
+    # ramified: N^2 <= M < N and [hi/M : lo/M] = 2; N is an ideal of hi,
+    # so N^2 is the span of the products of N's basis
+    if not all(M.member(A.mul(N.basis[i], N.basis[j]))
+               for i in range(N.dim) for j in range(i, N.dim)):
         raise ConsistencyError("ramified case: N^2 not inside M")
     if hi.dim - N.dim != qdim_RM:
         raise ConsistencyError("ramified residue map is not an isomorphism")

@@ -1,11 +1,20 @@
 """The poset [R, S] of intermediate rings, shared by both engines.
 
-The number-field and finite-algebra sides only produce the nodes; this
-module builds the Hasse diagram.  Nodes arrive sorted by ``key()``,
-dimension first, so a node can only lie inside a later one and index
-order is a topological order.  Strict inclusion is kept as int bitsets:
-bit j of ``up[i]`` (and bit i of ``down[j]``) is set when nodes[i] is a
-proper subring of nodes[j].
+The number-field and finite-algebra sides only produce the nodes and,
+for each node, some nodes above it; this module builds the Hasse
+diagram.  Nodes arrive sorted by ``key()``, dimension first, so a node
+can only lie inside a later one and index order is a topological order.
+Strict inclusion is kept as int bitsets: bit j of ``up[i]`` (and bit i
+of ``down[j]``) is set when nodes[i] is a proper subring of nodes[j].
+
+``from_edges`` takes, for each node i, a bitset ``gen[i]`` of nodes
+above it that generates the order: the nodes above i are those of
+gen[i] and the nodes above them.  The finite-algebra side passes the
+adjunction edges T -> T[s]; every node above T is reached by a chain of
+them.  The field side passes the full up-sets from pairwise inclusion,
+which generate the order trivially.  Every cover i < j lies in any
+generating set of i (j is above i, and not above any node above i), so
+the covers of i are the j in gen[i] above no other node of gen[i].
 """
 
 
@@ -16,6 +25,9 @@ class Lattice:
         self.down = down
         self.covers = covers        # set of (i, j): nodes[i] covered by nodes[j]
         self.length = length        # edges on the longest chain, bottom to top
+        # finite-algebra side: (s, index of R[s]) for one s per point of
+        # the projective space of S/R, R the bottom; None on the field side
+        self.points = None
 
     @property
     def bottom(self):
@@ -37,30 +49,32 @@ def bits(x):
         x ^= low
 
 
-def hasse(nodes, contains):
-    """Inclusions, covering pairs and longest chain of nodes sorted by key().
+def from_edges(nodes, gen):
+    """Inclusions, covering pairs and longest chain of nodes sorted by
+    key(), from generating bitsets: ``gen[i]`` holds only nodes after i,
+    and the nodes above i are those of gen[i] and the nodes above them.
 
-    ``contains(b, a)`` decides whether node b contains node a; it is only
-    asked when a.dim < b.dim.
+    ``up`` is filled from the top, with the covers of i (the j in gen[i]
+    outside the up-sets of gen[i]) and the longest chain upwards from i;
+    ``down`` is filled from the bottom along the same edges.
     """
     n = len(nodes)
     up = [0] * n
-    down = [0] * n
-    for i, a in enumerate(nodes):
-        for j in range(i + 1, n):
-            if a.dim < nodes[j].dim and contains(nodes[j], a):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    height = [0] * n
     covers = set()
-    dist = [0] * n
-    for i in range(n):
+    for i in reversed(range(n)):
         above = 0
-        for w in bits(up[i]):
-            above |= up[w]
-        for j in bits(up[i] & ~above):
+        for j in bits(gen[i]):
+            above |= up[j]
+        up[i] = gen[i] | above
+        for j in bits(gen[i] & ~above):
             covers.add((i, j))
-            dist[j] = max(dist[j], dist[i] + 1)
-    return Lattice(nodes, up, down, covers, dist[-1] if nodes else 0)
+            height[i] = max(height[i], height[j] + 1)
+    down = [0] * n
+    for i in range(n):
+        for j in bits(gen[i]):
+            down[j] |= down[i] | 1 << i
+    return Lattice(nodes, up, down, covers, height[0] if nodes else 0)
 
 
 def lattice_data(lat, label, basis_str):

@@ -208,7 +208,8 @@ def test_copointwise_brute_force_matches_shape():
 
 def test_element_scans_run_once_per_analysis(monkeypatch):
     """The case dispatcher and Cor 3.132 reuse the predicate battery's
-    point walks over S/R, local lattices and M*S."""
+    point walks over S/R, local lattices and M*S, and the point walks
+    read the enumeration's walk of the bottom node."""
     import l2lab.classify as classify
     calls = {}
 
@@ -237,8 +238,19 @@ def test_element_scans_run_once_per_analysis(monkeypatch):
              (Subalgebra.from_generators(crosswise, [crosswise.basis_vector(0)]), crosswise,
               {"is_locally_minimal"}),
              (prime_algebra(bell), bell, {"ideal_MS"})]
+    # the points of S/R themselves are walked once, by the enumeration
+    import l2lab.finitealg as finitealg
+    walked = []
+    adjunctions = finitealg.adjunctions
+
+    def counted_walk(T):
+        walked.append(T)
+        return adjunctions(T)
+    monkeypatch.setattr(finitealg, "adjunctions", counted_walk)
     for R, S, scanned in cases:
         calls.clear()
+        walked.clear()
         classify_extension(analyze_extension(R, S))
         assert set(calls) == scanned
         assert all(n == 1 for n in calls.values()), calls
+        assert sum(T is R for T in walked) == 1

@@ -17,12 +17,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """The CLI as its own process, under the default cap, for 10 s at most."""
+def run_process(*argv, timeout=10):
+    """The CLI as its own process, under the default cap, for ``timeout``
+    seconds at most."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(l2lab.__file__)))
     env.pop("L2LAB_CAP", None)
     return subprocess.run([sys.executable, "-m", "l2lab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=10)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_classify_polynomial(capsys):
@@ -120,6 +121,15 @@ def test_enumeration_adjunction_cap_exit_code_2(tmp_path, capsys, monkeypatch):
     path = _doc(tmp_path, {"q": 2, "product": ["F2"] * 5, "R": "diagonal"})
     code, out, err = run(capsys, "classify", "--algebra", path)
     assert code == 2 and "subalgebra enumeration" in err and "adjunctions" in err
+
+
+def test_f2_7_classifies(tmp_path):
+    # the partition lattice of a 7-set: Bell(7) nodes, rank 6
+    path = _doc(tmp_path, {"q": 2, "product": ["F2"] * 7, "R": "diagonal"})
+    proc = run_process("classify", "--json", "--algebra", path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["count_observed"] == 877 and payload["length"] == 6
 
 
 def test_f4096_over_f2_classifies(tmp_path, capsys):

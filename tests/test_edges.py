@@ -1,0 +1,194 @@
+"""The per-edge fast paths of the lattice battery against the routes they
+replaced, and a guard that every covering edge is still checked.
+
+* The lattice builder ``from_edges`` (adjunction edges on the algebra
+  side, full up-sets on the field side) against ``hasse_by_pairs``, the
+  pairwise builder, on ``up``, ``down``, ``covers`` and ``length``.
+* The one-pass chain-type flags against the per-node scan: for every
+  node k, the covers with both ends in [R, k] and their types.
+* ``_minimal_type_of_pair`` against the Ferrand-Olivier counts (J.
+  Algebra 16, 1970): a minimal extension is decomposed iff hi has one
+  more primitive idempotent than lo, and otherwise inert iff the reduced
+  dimension dim - dim nil grows.  The rule skips every consistency check
+  of the production route, so it is only a cross-check here.
+
+They run on the named benchmark algebras, the benchmark's seeded random
+extensions, seeded random algebras over F_2, F_3 and F_4, and the six
+benchmark fields.  (The conductor over lo alone is compared with the
+full kernel over hi on every covering edge in test_structure.py.)
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import l2lab.classify as classify
+from l2lab.classify import (_chain_type_flags, analyze_extension, classify_extension,
+                            cover_types)
+from l2lab.cli import main
+from l2lab.errors import ConsistencyError
+from l2lab.fieldlattice import build_lattice
+from l2lab.finitealg import Subalgebra, _minimal_type_of_pair, enumerate_subalgebras
+from l2lab.numberfield import make_field
+from l2lab.parsing import parse_algebra, parse_polynomial
+from l2lab.principal import compute_principal_subfields
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+from test_lattice import (assert_same_lattice, build, hasse_by_pairs, nodes_of,  # noqa: E402
+                          random_family)
+from test_structure import _random_algebra, _random_local_extension  # noqa: E402
+
+F2_5 = {"q": 2, "product": ["F2"] * 5, "R": "diagonal"}
+F2_X8 = {"q": 2, "quotient": "F2[X]/(X^8)", "R": "diagonal"}
+
+
+def chain_type_flags_by_scan(lat, types):
+    """For each node k, the types of the covers with both ends in [R, k]:
+    whether one is not ramified, and whether one is neither ramified nor
+    decomposed."""
+    not_sub, not_infra = [], []
+    for k in range(len(lat)):
+        inside = lat.down[k] | 1 << k
+        ets = [t for (i, j), t in types.items() if inside >> i & 1 and inside >> j & 1]
+        not_sub.append(not all(t == "ramified" for t in ets))
+        not_infra.append(not all(t in ("ramified", "decomposed") for t in ets))
+    return not_sub, not_infra
+
+
+def type_by_counts(lo, hi):
+    """The Ferrand-Olivier type of a minimal extension lo < hi from the
+    counts of primitive idempotents and the reduced dimensions."""
+    nil_lo, prim_lo, _ = lo.structure()
+    nil_hi, prim_hi, _ = hi.structure()
+    if len(prim_hi) == len(prim_lo) + 1:
+        return "decomposed"
+    if hi.dim - len(nil_hi) > lo.dim - len(nil_lo):
+        return "inert"
+    return "ramified"
+
+
+def check_edges(R, S):
+    """Lattice builder, chain-type flags and cover types against their
+    oracles on [R, S]; returns the set of cover types seen."""
+    a = analyze_extension(R, S)
+    lat = a.lattice
+    assert_same_lattice(lat, hasse_by_pairs(lat.nodes, Subalgebra.contains_sub))
+    types = cover_types(a)
+    assert set(types) == lat.covers
+    assert _chain_type_flags(lat, types) == chain_type_flags_by_scan(lat, types)
+    for (i, j), t in types.items():
+        assert type_by_counts(lat.nodes[i], lat.nodes[j]) == t
+    return set(types.values())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chain_type_flags_match_scan_on_any_types(seed):
+    """On algebra lattices the flags of k are already decided by the
+    edges into k (a cover of another type below k forces one into k, by
+    Prop 3.5), so the propagation from the lower covers is checked here
+    on set families with the types drawn at random."""
+    rng = random.Random(seed)
+    lat = build(nodes_of(random_family(rng)))
+    types = {e: rng.choice(["ramified", "ramified", "decomposed", "inert"])
+             for e in lat.covers}
+    assert _chain_type_flags(lat, types) == chain_type_flags_by_scan(lat, types)
+
+
+def _named_documents():
+    return [pytest.param(doc, id=ident)
+            for ident, doc, _, _ in corpus.ALG_SPLIT + corpus.ALG_LOCAL]
+
+
+@pytest.mark.parametrize("doc", _named_documents())
+def test_edges_match_oracles_on_named_algebras(doc):
+    S, R = parse_algebra(doc)
+    assert check_edges(R, S)
+
+
+def test_edges_match_oracles_on_benchmark_random_extensions():
+    types = set()
+    for seed in range(1, 21):
+        for inp in corpus.random_extensions(seed):
+            S, R = parse_algebra(json.loads(inp.stdin))
+            types |= check_edges(R, S)
+    assert types == {"decomposed", "inert", "ramified"}
+
+
+def test_edges_match_oracles_on_random_algebras():
+    rng = random.Random(4970)
+    qs = set()
+    types = set()
+    for _ in range(40):
+        R, S = _random_algebra(rng, {2: 5, 3: 4, 4: 3})
+        types |= check_edges(R, S)
+        qs.add(S.field.q)
+    for _ in range(30):
+        R, S = _random_local_extension(rng)
+        types |= check_edges(R, S)
+        qs.add(S.field.q)
+    assert qs == {2, 3, 4}
+    assert types == {"decomposed", "inert", "ramified"}
+
+
+@pytest.mark.parametrize("ident,f", [(i, f) for i, f, _, _ in corpus.FIELDS])
+def test_field_lattice_matches_pairwise_builder(ident, f):
+    ps = compute_principal_subfields(make_field(parse_polynomial(f)))
+    lat = build_lattice(ps)
+    assert_same_lattice(lat, hasse_by_pairs(lat.nodes, lambda b, a: b.contains_subfield(a)))
+
+
+def test_local_lattices_match_pairwise_builder():
+    """The lattice that ``is_locally_minimal`` enumerates at each point of
+    a two-element support, and its bottom's points."""
+    S, R = parse_algebra({"q": 2, "product": ["F4", "F4"], "R": ["(1,0)"]})
+    lat = enumerate_subalgebras(R, S)
+    assert_same_lattice(lat, hasse_by_pairs(lat.nodes, Subalgebra.contains_sub))
+    assert all(lat.nodes[j] == Subalgebra.from_generators(S, list(R.basis) + [s])
+               for s, j in lat.points)
+
+
+# ---------------------------------------------------------------------------
+# Every covering edge still runs the checks of _minimal_type_of_pair
+
+@pytest.mark.parametrize("doc", [F2_5, F2_X8], ids=["f2^5", "f2[x]/x^8"])
+def test_every_cover_is_typed_by_the_checked_route(doc, monkeypatch):
+    calls = []
+
+    def counted(lo, hi):
+        calls.append((lo.key(), hi.key()))
+        return _minimal_type_of_pair(lo, hi)
+
+    monkeypatch.setattr(classify, "_minimal_type_of_pair", counted)
+    S, R = parse_algebra(doc)
+    a = analyze_extension(R, S)
+    classify_extension(a)
+    nodes = a.lattice.nodes
+    assert len(calls) == len(a.lattice.covers) > 0
+    assert set(calls) == {(nodes[i].key(), nodes[j].key()) for i, j in a.lattice.covers}
+
+
+@pytest.mark.parametrize("doc,wrong", [(F2_5, "inert"), (F2_X8, "decomposed")],
+                         ids=["f2^5", "f2[x]/x^8"])
+def test_one_wrong_cover_type_is_a_consistency_error(doc, wrong, monkeypatch, capsys,
+                                                     tmp_path):
+    S, R = parse_algebra(doc)
+    lat = enumerate_subalgebras(R, S)
+    i, j = max(lat.covers)
+    target = (lat.nodes[i].key(), lat.nodes[j].key())
+
+    def mistyped(lo, hi):
+        right = _minimal_type_of_pair(lo, hi)
+        assert right != wrong
+        return wrong if (lo.key(), hi.key()) == target else right
+
+    monkeypatch.setattr(classify, "_minimal_type_of_pair", mistyped)
+    with pytest.raises(ConsistencyError, match="Def 3.4"):
+        classify_extension(analyze_extension(R, S))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--json", "--algebra", str(path)]) == 3
+    assert "CONSISTENCY" in capsys.readouterr().err

@@ -1,11 +1,19 @@
-"""The shared Hasse-diagram builder against the definitions, on set families."""
+"""The shared Hasse-diagram builder against the definitions, on set families.
+
+``from_edges`` is run on two generating sets per family: the full
+up-sets, as the field side passes them, and the covers plus a random
+part of the up-sets, which generate the order as the algebra side's
+adjunction edges do.  ``hasse_by_pairs``, the pairwise builder it
+replaced, is kept here as the oracle; the field and algebra lattices are
+compared against it in their own test files.
+"""
 
 import itertools
 import random
 
 import pytest
 
-from l2lab.lattice import bits, hasse, lattice_data
+from l2lab.lattice import Lattice, bits, from_edges, lattice_data
 
 FULL = frozenset(range(5))
 
@@ -26,8 +34,59 @@ class SetNode:
 
 
 def contains(b, a):
-    assert a.dim < b.dim, "hasse asked about a pair it should skip"
+    assert a.dim < b.dim, "hasse_by_pairs asked about a pair it should skip"
     return a.elems <= b.elems
+
+
+def hasse_by_pairs(nodes, contains):
+    """Inclusions, covering pairs and longest chain of nodes sorted by
+    key(), asking ``contains(b, a)`` for every pair with a.dim < b.dim."""
+    n = len(nodes)
+    up = [0] * n
+    down = [0] * n
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, n):
+            if a.dim < nodes[j].dim and contains(nodes[j], a):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    covers = set()
+    dist = [0] * n
+    for i in range(n):
+        above = 0
+        for w in bits(up[i]):
+            above |= up[w]
+        for j in bits(up[i] & ~above):
+            covers.add((i, j))
+            dist[j] = max(dist[j], dist[i] + 1)
+    return Lattice(nodes, up, down, covers, dist[-1] if nodes else 0)
+
+
+def assert_same_lattice(lat, oracle):
+    assert [n.key() for n in lat.nodes] == [n.key() for n in oracle.nodes]
+    assert lat.up == oracle.up and lat.down == oracle.down
+    assert lat.covers == oracle.covers and lat.length == oracle.length
+
+
+def up_sets(nodes):
+    return [sum(1 << j for j in range(i + 1, len(nodes)) if a.elems < nodes[j].elems)
+            for i, a in enumerate(nodes)]
+
+
+def sparse_generators(nodes, rng):
+    """The covers of each node plus a random part of its up-set."""
+    up = up_sets(nodes)
+    gen = []
+    for i in range(len(nodes)):
+        above = 0
+        for w in bits(up[i]):
+            above |= up[w]
+        extra = sum(1 << j for j in bits(above) if rng.random() < 0.3)
+        gen.append((up[i] & ~above) | extra)
+    return gen
+
+
+def build(nodes):
+    return from_edges(nodes, up_sets(nodes))
 
 
 def nodes_of(family):
@@ -57,38 +116,41 @@ def random_family(rng):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_hasse_matches_definitions(seed):
-    nodes = nodes_of(random_family(random.Random(seed)))
-    lat = hasse(nodes, contains)
+    rng = random.Random(seed)
+    nodes = nodes_of(random_family(rng))
     incl, covers, length = naive(nodes)
-    assert lat.covers == covers
-    assert lat.length == length
-    assert {(i, j) for i in range(len(nodes)) for j in bits(lat.up[i])} == incl
-    assert {(i, j) for j in range(len(nodes)) for i in bits(lat.down[j])} == incl
-    assert len(lat) == len(nodes)
-    assert lat.bottom.elems == frozenset() and lat.top.elems == FULL
+    oracle = hasse_by_pairs(nodes, contains)
+    for lat in (build(nodes), from_edges(nodes, sparse_generators(nodes, rng)), oracle):
+        assert lat.covers == covers
+        assert lat.length == length
+        assert {(i, j) for i in range(len(nodes)) for j in bits(lat.up[i])} == incl
+        assert {(i, j) for j in range(len(nodes)) for i in bits(lat.down[j])} == incl
+        assert len(lat) == len(nodes)
+        assert lat.bottom.elems == frozenset() and lat.top.elems == FULL
+        assert_same_lattice(lat, oracle)
 
 
 def test_boolean_lattice():
     family = {frozenset(c) for k in range(6) for c in itertools.combinations(range(5), k)}
-    lat = hasse(nodes_of(family), contains)
+    lat = build(nodes_of(family))
     assert len(lat) == 32 and lat.length == 5
     assert len(lat.covers) == 5 * 2 ** 4      # each set covered by one fewer element
 
 
 def test_one_node():
-    lat = hasse(nodes_of([FULL]), contains)
+    lat = build(nodes_of([FULL]))
     assert len(lat) == 1 and lat.covers == set() and lat.length == 0
     assert lat.up == [0] and lat.down == [0]
 
 
 def test_two_nodes():
-    lat = hasse(nodes_of([frozenset(), FULL]), contains)
+    lat = build(nodes_of([frozenset(), FULL]))
     assert lat.covers == {(0, 1)} and lat.length == 1
     assert lat.up == [0b10, 0] and lat.down == [0, 0b01]
 
 
 def test_lattice_data():
-    lat = hasse(nodes_of([frozenset(), {0}, {1}, {0, 1}]), contains)
+    lat = build(nodes_of([frozenset(), {0}, {1}, {0, 1}]))
     data = lattice_data(lat, lambda n: "dim %d" % n.dim, str)
     assert data == {
         "nodes": [{"dim": 0, "label": "dim 0", "basis": []},

@@ -1,7 +1,7 @@
 """Differential tests of the exact span core.
 
-``exact.Echelon`` (membership, coordinates, complement projection,
-linear combination, extension by new vectors) and ``exact.intersection``
+``exact.Echelon`` (membership, span containment, coordinates,
+complement projection, linear combination, extension by new vectors) and ``exact.intersection``
 are checked on seeded random subspaces: over F_2, F_3 and F_4 against
 brute-force enumeration of every linear combination, and over Q against
 recombination and rank counts.
@@ -83,6 +83,21 @@ def test_membership_and_coords_match_enumeration(q, n):
                 assert _lin(F, cs, E, n) == v
                 if E:
                     assert E.combine(cs) == v
+
+
+@pytest.mark.parametrize("q,n", FIELDS)
+def test_span_containment_matches_enumeration(q, n):
+    """``contains_span`` against element sets, on random pairs and on
+    subspaces of each space (half of them spanned by its elements)."""
+    for F, rng, space, gens in _cases(q, n, 6):
+        E = Echelon(gens)
+        inside = _span_keys(F, gens, n)
+        members = [v for v in space if _key(v) in inside]
+        for sub_gens in (_random_gens(rng, F, n),
+                         [rng.choice(members) for _ in range(rng.randrange(n + 1))]):
+            sub = Echelon(sub_gens)
+            assert E.contains_span(sub) == (_span_keys(F, sub_gens, n) <= inside)
+        assert E.contains_span(E) and E.contains_span(Echelon(()))
 
 
 @pytest.mark.parametrize("q,n", FIELDS)

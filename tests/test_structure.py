@@ -7,7 +7,9 @@ The structure oracle copies each subalgebra into an algebra of its own
 the nilradical, splits it by its primitive idempotents and lifts the
 kernels back.  The radical oracles scan T for the r with r^(dim T) in I
 and take the nilradical of the quotient algebra T/I.  The conductor
-oracle transplants each covering edge lo < hi into hi's own coordinates.
+oracles transplant each covering edge lo < hi into hi's own coordinates,
+and take the kernel over all of hi instead of over lo alone; the second
+also runs on (R : S).
 The closure oracles are the pointwise definitions, run to a fixpoint
 over the elements of T: the seminormalization adjoins every b with
 b^2, b^3 inside, the t-closure every b with some r inside such that
@@ -49,12 +51,12 @@ from l2lab.finitealg import (FiniteAlgebra, Subalgebra, adjoin, algebra_on_subsp
                              primitive_idempotents, product_algebra, quotient_algebra,
                              radical, seminormalize, small_field, t_close, vec_key,
                              vsub, whole_algebra)
-from l2lab.lattice import hasse
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
+from test_lattice import hasse_by_pairs  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +159,19 @@ def _conductor_of_algebra(R, S):
         prods = [project(S.mul(basis[c], basis[j])) for c in range(S.dim)]
         rows += [[prods[c][t] for c in range(S.dim)] for t in range(len(free))]
     return Echelon(exact.kernel(rows, S.dim, S.field.one))
+
+
+def conductor_by_full_kernel(lo, hi):
+    """(lo : hi) as the kernel of a |-> (a*h mod lo)_h over all of hi,
+    h running over every row of hi's basis, checked to lie in lo."""
+    A = hi.ambient
+
+    def image(a):
+        return tuple(c for h in hi.basis for c in lo.basis.project(A.mul(a, h)))
+
+    cond = Echelon(finitealg._kernel_over(hi, image))
+    assert all(lo.member(b) for b in cond)
+    return cond
 
 
 def oracle_conductor(lo, hi):
@@ -287,7 +302,7 @@ def enumerate_by_candidates(R, S):
                 if T.is_closed():
                     found.append(T)
     found.sort(key=lambda T: T.key())
-    return hasse(found, Subalgebra.contains_sub)
+    return hasse_by_pairs(found, Subalgebra.contains_sub)
 
 
 def projective_points(T):
@@ -356,10 +371,12 @@ def check_lattice(R, S):
         assert check_radical(T, ()) == nil
         for M in maximal_ideals(T):
             assert check_radical(T, M.basis) == M.basis
+    bottom = lat.nodes[0]
+    assert conductor(bottom, top).basis == conductor_by_full_kernel(bottom, top)
     for i, j in lat.covers:
         lo, hi = lat.nodes[i], lat.nodes[j]
         cond = conductor(lo, hi)
-        assert cond.basis == oracle_conductor(lo, hi)
+        assert cond.basis == oracle_conductor(lo, hi) == conductor_by_full_kernel(lo, hi)
         check_radical(lo, cond.basis)
         check_radical(hi, cond.basis)
         check_closures(lo, hi)
@@ -509,7 +526,7 @@ def check_point_walks(R, S):
     a = analyze_extension(R, S)
     verdict = classify_extension(a)
     generators = generators_by_scan(R, S)
-    points = is_simple_extension(R)
+    points = is_simple_extension(a.lattice)
     assert bool(points) == bool(generators)
     # one point per class c*x + R of generators
     assert len(points) * (S.field.q - 1) * R.size == len(generators)
