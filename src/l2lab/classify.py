@@ -1,15 +1,19 @@
 """Length-2 classification of finite integral extensions R < S over F_q.
 
-The dispatcher computes the canonical decomposition
+The analysis computes the canonical decomposition
 R <= seminormalization <= t-closure <= S, the support, and the full
-lattice [R, S] (enumerated by one-element adjunctions), then matches the
-extension against the exhaustive case list (two-element support;
-t-closure proper; seminormalization proper; subintegral; seminormal
-infra-integral; t-closed, which reduces to a residue field extension).
-Every applicable theorem predicate is evaluated and compared with the
-enumeration; any disagreement raises ConsistencyError, which the
-command line reports as exit code 3.  The subintegral "some / every x"
-questions read R[s] once per point s of S/R; no element is listed.
+lattice [R, S] (enumerated by one-element adjunctions).  One walk then
+goes down the exhaustive case list (trivial; minimal; support of three
+or more; two-element support; and with one crucial ideal M: t-closure
+proper; t-closed, which reduces to a residue field extension; and the
+infra-integral cases, seminormal, seminormalization proper and
+subintegral) and evaluates each applicable theorem once.  That one
+value is both the theorem's entry in the predicate battery of the
+report and what the case label and the predicted count are read from.
+A battery entry that fails against the enumeration, or a check that
+only its case makes, raises ConsistencyError, which the command line
+reports as exit code 3.  The subintegral "some / every x" questions
+read R[s] once per point s of S/R; no element is listed.
 """
 
 from .errors import ConsistencyError
@@ -17,9 +21,9 @@ from . import exact
 from .exact import Echelon, intersection, prime_factors
 from .finitealg import (
     Ideal, Subalgebra, _minimal_type_of_pair, conductor,
-    crucial_ideal, enumerate_subalgebras, ideal_generated, is_simple_extension,
-    localize, maximal_ideals, msupp, radical, seminormalize, t_close, vsub,
-    whole_algebra,
+    crucial_ideal, enumerate_subalgebras, is_simple_extension, localize,
+    maximal_ideals, maximal_ideals_over, msupp, radical, seminormalize, t_close,
+    vsub, whole_algebra,
 )
 
 
@@ -41,17 +45,7 @@ class ExtensionAnalysis:
                         if len(self.support) == 1 else None)
         self.seminormalization = seminormalize(R, self.whole)
         self.t_closure = t_close(R, self.whole)
-        self._once = {}
         _check_canonical_decomposition(self)
-
-    def once(self, fn, *args):
-        """fn(*args), by default fn(self), computed at most once per
-        analysis: the point walks, the local lattices and M*S serve both
-        the predicate battery and the case dispatcher."""
-        key = (fn,) + args
-        if key not in self._once:
-            self._once[key] = fn(*(args or (self,)))
-        return self._once[key]
 
     @property
     def is_trivial(self):
@@ -72,13 +66,12 @@ def _check_canonical_decomposition(a):
 
 
 def ideal_MS(a):
-    """The extension ideal M*S for the crucial maximal ideal M."""
-    return Ideal(a.whole, ideal_generated(a.S, a.whole.basis, list(a.crucial.basis)))
-
-
-def v_of_ideal(a, ideal):
-    """Maximal ideals of S containing the given ideal of S."""
-    return [N for N in a.max_S if all(N.member(b) for b in ideal.basis)]
+    """The extension ideal M*S for the crucial maximal ideal M: the span
+    of the products m*b, m in M and b in a basis of S, in one pass.  That
+    span is an ideal of S already: S contains 1, so it contains M, and S
+    is closed under multiplication, so s*(m*b) = m*(s*b) lies in it."""
+    S = a.S
+    return Ideal(a.whole, [S.mul(m, b) for m in a.crucial.basis for b in a.whole.basis])
 
 
 def module_length_at(a, M, V, W):
@@ -123,14 +116,12 @@ def is_copointwise_minimal(a):
     return all(lat.up[j] == top for _, j in lat.points)
 
 
-def copointwise_shape_check(a):
+def copointwise_shape_check(a, ms):
     """Prop-2.4-style structural test for the subintegral co-pointwise case:
-    M*S = M and S/M isomorphic to k[X,Y]/(X^2, XY, Y^2)."""
+    M*S = M and S/M isomorphic to k[X,Y]/(X^2, XY, Y^2).  ``ms`` is M*S
+    (``ideal_MS``)."""
     M = a.crucial
-    if M is None:
-        return False
     S = a.S
-    ms = a.once(ideal_MS)
     if ms.key() != M.key():
         return False
     resdim = a.R.dim - M.dim
@@ -161,130 +152,22 @@ def classify_extension(a):
     """Theorem 3.19 verdict for the finite-algebra engine.
 
     Returns a dict with the case label, predicted and observed counts,
-    and the witnesses; raises ConsistencyError when a prediction and the
-    enumerated lattice disagree.
+    the predicate battery and the witnesses; raises ConsistencyError when
+    a prediction and the enumerated lattice disagree.
     """
-    S = a.S
     out = {
         "engine": "finite-algebra",
         "count_observed": a.count,
         "length": a.length,
         "support_size": len(a.support),
         "minimal": a.is_minimal,
-        "predicates": check_length_two_predicates(a),
     }
-    if a.is_trivial:
-        out["case"] = "trivial (R = S)"
-        out["count_predicted"] = 1
-        _settle(out, a)
-        return out
-    if a.is_minimal:
-        out["minimal_type"] = _minimal_type_of_pair(a.R, a.whole)
-        out["case"] = "not length 2 (minimal extension)"
-        out["count_predicted"] = 2
-        _settle(out, a)
-        return out
-    P, T = a.seminormalization, a.t_closure
-    if len(a.support) >= 3:
-        out["case"] = "not length 2"
-        if a.length == 2:
-            raise ConsistencyError("length 2 with support larger than 2")
-        _settle(out, a)
-        return out
-    if len(a.support) == 2:
-        locally_min = a.once(is_locally_minimal)
-        out["locally_minimal"] = locally_min
-        if a.length == 2:
-            out["case"] = "(1)"
-            out["count_predicted"] = 4
-        else:
-            out["case"] = "not length 2"
-        if locally_min != (a.length == 2) or locally_min != (a.count == 4):
-            raise ConsistencyError("two-element-support equivalences fail")
-        _settle(out, a)
-        return out
-    # M-crucial from here on
-    M = a.crucial
-    out["crucial"] = True
-    if not T.is_whole() and T != a.R:
-        l2 = a.count == 3
-        out["case"] = "(4)" if l2 else "not length 2"
-        if l2:
-            out["count_predicted"] = 3
-        if l2 != (a.length == 2):
-            raise ConsistencyError("t-closure-proper case count/length mismatch")
-    elif T.is_whole() and P != a.R and not P.is_whole():
-        cond_is_M = a.conductor.key() == M.key()
-        l2 = a.count == 3 or (a.count == 4 and cond_is_M)
-        out["case"] = "(5)" if l2 else "not length 2"
-        if l2:
-            out["count_predicted"] = 4 if cond_is_M else 3
-            if a.count == 3 and cond_is_M:
-                raise ConsistencyError("count 3 requires (R:S) != M in the "
-                                       "seminormalization-proper case")
-        if l2 != (a.length == 2):
-            raise ConsistencyError("seminormalization-proper case mismatch")
-    elif P.is_whole():
-        simple = bool(a.once(is_simple_extension, a.lattice))
-        copw = a.once(is_copointwise_minimal)
-        out["simple"] = simple
-        out["copointwise"] = copw
-        if simple and copw:
-            raise ConsistencyError("simple and co-pointwise are exclusive")
-        if simple:
-            l2 = a.count == 3
-            if l2:
-                out["count_predicted"] = 3
-        else:
-            predicted = a.residue_size(M) + 3
-            l2 = copw
-            if l2:
-                out["count_predicted"] = predicted
-                if a.count != predicted:
-                    raise ConsistencyError("co-pointwise count formula fails")
-                if not copointwise_shape_check(a):
-                    raise ConsistencyError("co-pointwise structural test fails")
-        out["case"] = "(6)" if l2 else "not length 2"
-        if l2 != (a.length == 2):
-            raise ConsistencyError("subintegral case mismatch")
-    elif T.is_whole() and P == a.R:
-        l2 = a.count == 5
-        vms = v_of_ideal(a, a.once(ideal_MS))
-        out["v_of_MS"] = len(vms)
-        out["case"] = "(7)" if l2 else "not length 2"
-        if l2:
-            out["count_predicted"] = 5
-        if l2 != (a.length == 2) or l2 != (len(vms) == 3):
-            raise ConsistencyError("seminormal infra-integral case mismatch")
-    else:
-        # t-closed: reduces to the residue field extension at M = (R:S)
-        if a.conductor.key() != M.key():
-            raise ConsistencyError("t-closed crucial extension must have M = (R:S)")
-        resdim = a.R.dim - M.dim
-        sdim = S.dim - M.dim
-        if sdim % resdim != 0:
-            raise ConsistencyError("residue extension dimension mismatch")
-        m = sdim // resdim
-        ndiv = divisor_count(m)
-        out["residue_degree"] = m
-        out["count_predicted"] = ndiv
-        out["t"] = ndiv - 1
-        l2 = len(prime_factors(m)) == 2
-        out["case"] = "(8d)" if l2 else "not length 2"
-        if a.count != ndiv:
-            raise ConsistencyError("finite-field residue lattice count mismatch")
-        if l2 != (a.length == 2):
-            raise ConsistencyError("t-closed residue case mismatch")
-    _settle(out, a)
-    return out
-
-
-def _settle(out, a):
+    out["predicates"] = check_length_two_predicates(a, out)
     pred = out.get("count_predicted")
-    out["ok"] = pred is None or pred == a.count
-    if not out["ok"]:
+    if pred is not None and pred != a.count:
         raise ConsistencyError("predicted count %s != observed %d" % (pred, a.count))
     out["witnesses"] = _witnesses(a)
+    return out
 
 
 def _witnesses(a):
@@ -306,35 +189,153 @@ def _witnesses(a):
 
 
 # ---------------------------------------------------------------------------
-# The predicate battery (each entry: name, applicable, holds, details)
+# The walk down the case list: the predicate battery (each entry: name,
+# applicable, holds, details) and the case verdict in one pass
 
-def check_length_two_predicates(a):
+def check_length_two_predicates(a, out):
+    """Walk the case list once and return the predicate battery.
+
+    Each applicable theorem is evaluated once; its value becomes its
+    battery entry and sets the verdict fields of ``out`` (case,
+    count_predicted and the case's own flags).  A check that only one
+    case makes raises at once; a battery entry that is applicable but
+    fails raises at the end of the walk, the first in battery order.
+    """
     checks = []
     l2 = a.length == 2
 
-    checks.append(("Prop 2.3: length 2 => |Supp| <= 2",
-                   l2, (not l2) or len(a.support) <= 2, {}))
+    def entry(name, holds, details=None, applicable=True):
+        checks.append({"name": name, "applicable": applicable, "holds": holds,
+                       "details": {} if details is None else details})
 
-    mid_ok = _theorem_2_1_dual_path(a)
-    checks.append(("Thm 2.1: length 2 <=> minimal pair <=> co-minimal pair",
-                   not a.is_trivial and not a.is_minimal, mid_ok, {}))
-
+    entry("Prop 2.3: length 2 => |Supp| <= 2", (not l2) or len(a.support) <= 2,
+          applicable=l2)
+    entry("Thm 2.1: length 2 <=> minimal pair <=> co-minimal pair",
+          _theorem_2_1_dual_path(a), applicable=not a.is_trivial and not a.is_minimal)
     if not a.is_trivial:
-        checks.append(_closure_extremality(a))
+        entry("Def 3.4 / Prop 3.5: closures are extremal for their chain types",
+              _closure_extremality(a))
 
-    if len(a.support) == 2:
-        lm = a.once(is_locally_minimal)
-        checks.append(("Prop 3.1: two-element support: length 2 <=> locally "
-                       "minimal <=> count 4",
-                       True, (l2 == lm == (a.count == 4)), {"locally_minimal": lm}))
-    if a.crucial is not None and not a.is_minimal and not a.is_trivial:
-        checks.extend(_crucial_predicates(a, l2))
+    if a.is_trivial:
+        out["case"] = "trivial (R = S)"
+        out["count_predicted"] = 1
+    elif a.is_minimal:
+        out["minimal_type"] = _minimal_type_of_pair(a.R, a.whole)
+        out["case"] = "not length 2 (minimal extension)"
+        out["count_predicted"] = 2
+    elif len(a.support) >= 3:
+        out["case"] = "not length 2"
+    elif len(a.support) == 2:
+        lm = is_locally_minimal(a)
+        out["locally_minimal"] = lm
+        entry("Prop 3.1: two-element support: length 2 <=> locally "
+              "minimal <=> count 4", l2 == lm == (a.count == 4), {"locally_minimal": lm})
+        _case(out, l2, "(1)", 4)
+    else:
+        _crucial_case(a, l2, out, entry)
 
-    for name, applicable, holds, details in checks:
-        if applicable and not holds:
-            raise ConsistencyError("theorem predicate failed: %s %r" % (name, details))
-    return [{"name": n, "applicable": ap, "holds": h, "details": d}
-            for (n, ap, h, d) in checks]
+    for c in checks:
+        if c["applicable"] and not c["holds"]:
+            raise ConsistencyError("theorem predicate failed: %s %r"
+                                   % (c["name"], c["details"]))
+    return checks
+
+
+def _case(out, l2, label, predicted):
+    out["case"] = label if l2 else "not length 2"
+    if l2:
+        out["count_predicted"] = predicted
+
+
+def _crucial_case(a, l2, out, entry):
+    """The M-crucial cases: MSupp(S/R) = {M}, R < S not minimal."""
+    M = a.crucial
+    P, T = a.seminormalization, a.t_closure
+    cond_is_M = a.conductor.key() == M.key()
+
+    if not T.is_whole() and T != a.R:
+        entry("Prop 3.6: t-closure proper: length 2 <=> count 3", l2 == (a.count == 3))
+        if _is_minimal_pair_nodes(a, T):
+            vms = maximal_ideals_over(a.whole, ideal_MS(a).basis)
+            if len(vms) == 1:
+                lr = module_length_at(a, M, vms[0].basis, M.basis)
+                cond62 = (lr == 1)
+                det = {"V(MS)": 1, "L_R(N/M)": lr}
+            elif len(vms) == 2:
+                cond62 = intersection(vms[0].basis, vms[1].basis) == M.basis
+                det = {"V(MS)": 2, "M_is_intersection": cond62}
+            else:
+                cond62 = False
+                det = {"V(MS)": len(vms)}
+            entry("Cor 3.62: proper t-closure with minimal top step", l2 == cond62, det)
+        _case(out, l2, "(4)", 3)
+        return
+
+    if T == a.R:
+        # t-closed: reduces to the residue field extension at M = (R:S)
+        entry("t-closed crucial: M = (R:S)", cond_is_M)
+        resdim = a.R.dim - M.dim
+        sdim = a.S.dim - M.dim
+        if sdim % resdim != 0:
+            raise ConsistencyError("residue extension dimension mismatch")
+        m = sdim // resdim
+        ndiv = divisor_count(m)
+        if a.count != ndiv:
+            raise ConsistencyError("finite-field residue lattice count mismatch")
+        if (len(prime_factors(m)) == 2) != l2:
+            raise ConsistencyError("t-closed residue case mismatch")
+        out["residue_degree"] = m
+        out["count_predicted"] = ndiv
+        out["t"] = ndiv - 1
+        out["case"] = "(8d)" if l2 else "not length 2"
+        return
+
+    # infra-integral: T = S
+    ms = ideal_MS(a)
+    N = radical(a.whole, ms.basis)
+    lr = module_length_at(a, M, N, M.basis)
+    vn = maximal_ideals_over(a.whole, N)
+    entry("Prop 3.63: infra-integral: length 2 <=> L_R(N/M) + |V(N)| = 3",
+          l2 == (lr + len(vn) == 3), {"L_R(N/M)": lr, "|V(N)|": len(vn)})
+
+    if P == a.R:
+        vms = maximal_ideals_over(a.whole, ms.basis)
+        entry("Prop 3.141: seminormal infra-integral: length 2 <=> "
+              "|V(MS)| = 3 <=> count 5",
+              l2 == (len(vms) == 3) == (a.count == 5), {"|V(MS)|": len(vms)})
+        _case(out, l2, "(7)", 5)
+    elif not P.is_whole():
+        rule = (3 <= a.count <= 4) and (a.count != 4 or cond_is_M)
+        extra_ok = not (l2 and a.count == 3 and cond_is_M)
+        entry("Prop 3.7: seminormalization proper: length 2 <=> "
+              "count in {3,4}, conductor = M when count 4",
+              (l2 == rule) and extra_ok, {"count": a.count, "conductor_is_M": cond_is_M})
+        _case(out, l2, "(5)", 4 if cond_is_M else 3)
+    else:
+        gens = is_simple_extension(a.lattice)
+        simple = bool(gens)
+        copw = is_copointwise_minimal(a)
+        out["simple"] = simple
+        out["copointwise"] = copw
+        if simple and copw:
+            raise ConsistencyError("simple and co-pointwise are exclusive")
+        copw_count = a.residue_size(M) + 3
+        if not simple:
+            if copw and a.count != copw_count:
+                raise ConsistencyError("co-pointwise count formula fails")
+            if copw and not copointwise_shape_check(a, ms):
+                raise ConsistencyError("co-pointwise structural test fails")
+            if copw != l2:
+                raise ConsistencyError("subintegral case mismatch")
+        expected = (simple and a.count == 3) or (copw and a.count == copw_count)
+        entry("Prop 3.81: subintegral: length 2 <=> (simple, count 3) "
+              "or (co-pointwise, count |R/M|+3)",
+              l2 == expected, {"simple": simple, "copointwise": copw})
+        if simple:
+            sub = _cor_3_132(a, l2, ms, gens)
+            if sub is not None:
+                entry(*sub)
+        _case(out, l2, "(6)", 3 if simple else copw_count)
 
 
 def _closure_extremality(a):
@@ -353,11 +354,9 @@ def _closure_extremality(a):
     checks of ``_minimal_type_of_pair``.
     """
     not_sub, not_infra = _chain_type_flags(a.lattice, cover_types(a))
-    ok = all(not_sub[k] != a.seminormalization.contains_sub(n)
-             and not_infra[k] != a.t_closure.contains_sub(n)
-             for k, n in enumerate(a.lattice.nodes))
-    return ("Def 3.4 / Prop 3.5: closures are extremal for their chain types",
-            True, ok, {})
+    return all(not_sub[k] != a.seminormalization.contains_sub(n)
+               and not_infra[k] != a.t_closure.contains_sub(n)
+               for k, n in enumerate(a.lattice.nodes))
 
 
 def _chain_type_flags(lat, types):
@@ -389,81 +388,6 @@ def _theorem_2_1_dual_path(a):
     return pair_property == (a.length == 2)
 
 
-def _crucial_predicates(a, l2):
-    S = a.S
-    M = a.crucial
-    P, T = a.seminormalization, a.t_closure
-    checks = []
-    infra = T.is_whole()
-    subint = P.is_whole()
-    seminormal = (P == a.R)
-    tclosed = (T == a.R)
-
-    if T != a.R and not T.is_whole():
-        holds = (l2 == (a.count == 3))
-        checks.append(("Prop 3.6: t-closure proper: length 2 <=> count 3",
-                       True, holds, {}))
-        if _is_minimal_pair_nodes(a, T):
-            vms = v_of_ideal(a, a.once(ideal_MS))
-            if len(vms) == 1:
-                lr = module_length_at(a, M, vms[0].basis, M.basis)
-                cond62 = (lr == 1)
-                det = {"V(MS)": 1, "L_R(N/M)": lr}
-            elif len(vms) == 2:
-                cond62 = intersection(vms[0].basis, vms[1].basis) == M.basis
-                det = {"V(MS)": 2, "M_is_intersection": cond62}
-            else:
-                cond62 = False
-                det = {"V(MS)": len(vms)}
-            checks.append(("Cor 3.62: proper t-closure with minimal top step",
-                           True, l2 == cond62, det))
-
-    if infra and not tclosed:
-        N = Ideal(a.whole, radical(a.whole, a.once(ideal_MS).basis))
-        vn = v_of_ideal(a, N)
-        lr = module_length_at(a, M, N.basis, M.basis)
-        holds = (l2 == (lr + len(vn) == 3))
-        checks.append(("Prop 3.63: infra-integral: length 2 <=> L_R(N/M) + |V(N)| = 3",
-                       True, holds, {"L_R(N/M)": lr, "|V(N)|": len(vn)}))
-
-    if infra and P != a.R and not P.is_whole():
-        cond_is_M = a.conductor.key() == M.key()
-        rule = (3 <= a.count <= 4) and (a.count != 4 or cond_is_M)
-        extra_ok = True
-        if l2 and a.count == 3 and cond_is_M:
-            extra_ok = False
-        checks.append(("Prop 3.7: seminormalization proper: length 2 <=> "
-                       "count in {3,4}, conductor = M when count 4",
-                       True, (l2 == rule) and extra_ok,
-                       {"count": a.count, "conductor_is_M": cond_is_M}))
-
-    if seminormal and infra and not subint:
-        vms = v_of_ideal(a, a.once(ideal_MS))
-        holds = (l2 == (len(vms) == 3) == (a.count == 5))
-        checks.append(("Prop 3.141: seminormal infra-integral: length 2 <=> "
-                       "|V(MS)| = 3 <=> count 5",
-                       True, holds, {"|V(MS)|": len(vms)}))
-
-    if subint:
-        simple = bool(a.once(is_simple_extension, a.lattice))
-        copw = a.once(is_copointwise_minimal)
-        expected = (simple and a.count == 3) or \
-                   (copw and a.count == a.residue_size(M) + 3)
-        checks.append(("Prop 3.81: subintegral: length 2 <=> (simple, count 3) "
-                       "or (co-pointwise, count |R/M|+3)",
-                       True, l2 == expected,
-                       {"simple": simple, "copointwise": copw}))
-        if simple:
-            sub = _cor_3_132(a, l2)
-            if sub is not None:
-                checks.append(sub)
-
-    if tclosed:
-        cond_is_M = a.conductor.key() == M.key()
-        checks.append(("t-closed crucial: M = (R:S)", True, cond_is_M, {}))
-    return checks
-
-
 def _is_minimal_pair_nodes(a, T):
     """Is T < S minimal inside the enumerated lattice?"""
     nodes = a.lattice.nodes
@@ -473,8 +397,10 @@ def _is_minimal_pair_nodes(a, T):
     return (ti, len(nodes) - 1) in a.lattice.covers
 
 
-def _cor_3_132(a, l2):
+def _cor_3_132(a, l2, ms, gens):
     """Simple subintegral crucial case: the three-subcase criterion.
+    ``ms`` is M*S (``ideal_MS``) and ``gens`` the generating points of
+    S/R (``is_simple_extension``).
 
     Subcases (2) and (3) each ask for some generator y in N with
     R[y] = S.  As R/M = S/N, a generating point s of S/R has one
@@ -488,7 +414,7 @@ def _cor_3_132(a, l2):
     """
     S, R = a.S, a.R
     M = a.crucial
-    over = v_of_ideal(a, M)
+    over = maximal_ideals_over(a.whole, M.basis)
     if len(over) != 1:
         return None
     N = over[0]
@@ -504,19 +430,18 @@ def _cor_3_132(a, l2):
             and all(M.member(v) for v in n3))
     sub2 = sub3 = False
     if not cond_is_M:
-        ms = a.once(ideal_MS).basis
         # (2): y^2 outside R, M + F*y^2 = MS = M + N^2 < N, M*N^2 inside M
-        sub2_free = (ms == M.basis.extend(n2) and M.dim + 1 == len(ms) < N.dim
+        sub2_free = (ms.basis == M.basis.extend(n2) and M.dim + 1 == ms.dim < N.dim
                      and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
         rows = list(zip(*(N.basis.project(r) for r in R.basis)))
-        for s in a.once(is_simple_extension, a.lattice):
+        for s in gens:
             coeffs = exact.solve(rows, N.basis.project(s), S.field.one)
             if coeffs is None:
                 raise ConsistencyError("R/M does not map onto S/N")
             y = vsub(s, R.basis.combine(coeffs))
             y2 = S.mul(y, y)
             two_yM = [S.mul(tuple(c + c for c in y), x) for x in M.basis]
-            sub2 = sub2 or (sub2_free and ms.contains(y2)
+            sub2 = sub2 or (sub2_free and ms.member(y2)
                             and not (R.member(y2) and all(map(R.member, two_yM))))
             # (3): y^2 in R, (M + M*y)/M of dimension [R/M : F]
             my = M.basis.extend([S.mul(x, y) for x in M.basis])
@@ -533,5 +458,4 @@ def _cor_3_132(a, l2):
         got = {n.key() for n in a.lattice.nodes}
         holds = holds and (expected_nodes == got)
         details["lattice_is_R_RN2_S"] = expected_nodes == got
-    return ("Cor 3.132: simple subintegral criterion", True, holds, details)
-
+    return ("Cor 3.132: simple subintegral criterion", holds, details)

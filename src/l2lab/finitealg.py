@@ -515,17 +515,12 @@ class Subalgebra:
 
     @classmethod
     def from_generators(cls, ambient, gens):
-        basis = Echelon([ambient.unit] + list(gens))
-        while True:
-            prods = list(basis)
-            for i in range(len(basis)):
-                for j in range(i, len(basis)):
-                    prods.append(ambient.mul(basis[i], basis[j]))
-            nb = Echelon(prods)
-            if len(nb) == len(basis):
-                break
-            basis = nb
-        return cls(ambient, basis, check=False)
+        """The subalgebra generated by gens: the prime ring with each
+        generator adjoined in turn (``adjoin``)."""
+        T = prime_algebra(ambient)
+        for g in gens:
+            T = adjoin(T, g)
+        return T
 
     @property
     def dim(self):
@@ -635,20 +630,6 @@ class Ideal:
             self.dim, "; ".join(self.of.ambient.element_str(b) for b in self.basis))
 
 
-def ideal_generated(A, ring_basis, gens):
-    """Smallest subspace containing gens and closed under ring_basis-mult."""
-    basis = Echelon(gens)
-    while True:
-        prods = list(basis)
-        for b in basis:
-            for r in ring_basis:
-                prods.append(A.mul(b, r))
-        nb = Echelon(prods)
-        if len(nb) == len(basis):
-            return nb
-        basis = nb
-
-
 # ---------------------------------------------------------------------------
 # Structure: radicals, primitive idempotents, maximal ideals, conductors,
 # each the kernel of an F_q-linear map on a subalgebra
@@ -720,6 +701,13 @@ def maximal_ideals(T):
     return T.structure()[2]
 
 
+def maximal_ideals_over(T, I):
+    """V(I): the maximal ideals of T that contain the span I (an
+    ``Echelon`` in ambient coordinates), in the order of
+    ``maximal_ideals``."""
+    return [N for N in maximal_ideals(T) if N.basis.contains_span(I)]
+
+
 def conductor(lo, hi):
     """(lo : hi) = {a in hi : a*hi is contained in lo}, the largest ideal
     of hi inside lo, for subalgebras lo <= hi of one algebra.
@@ -756,8 +744,7 @@ def msupp(R, T, cond):
     """
     A = R.ambient
     maxes = maximal_ideals(R)
-    via_conductor = [M for M in maxes
-                     if all(M.member(b) for b in cond.basis)]
+    via_conductor = maximal_ideals_over(R, cond.basis)
     direct = []
     for e in primitive_idempotents(R):
         if any(not R.member(A.mul(e, b)) for b in T.basis):
@@ -958,7 +945,7 @@ def _minimal_type_of_pair(lo, hi):
     M = conductor(lo, hi)
     if not any(N.basis == M.basis for N in maximal_ideals(lo)):
         raise ConsistencyError("conductor of a minimal extension is not maximal in R")
-    over = [N for N in maximal_ideals(hi) if N.basis.contains_span(M.basis)]
+    over = maximal_ideals_over(hi, M.basis)
     qdim_RM = lo.dim - M.dim
     if len(over) == 2:
         for N in over:

@@ -4,8 +4,8 @@ The number-field and finite-algebra sides only produce the nodes and,
 for each node, some nodes above it; this module builds the Hasse
 diagram.  Nodes arrive sorted by ``key()``, dimension first, so a node
 can only lie inside a later one and index order is a topological order.
-Strict inclusion is kept as int bitsets: bit j of ``up[i]`` (and bit i
-of ``down[j]``) is set when nodes[i] is a proper subring of nodes[j].
+Strict inclusion is kept as int bitsets: bit j of ``up[i]`` is set
+when nodes[i] is a proper subring of nodes[j].
 
 ``from_edges`` takes, for each node i, a bitset ``gen[i]`` of nodes
 above it that generates the order: the nodes above i are those of
@@ -19,23 +19,14 @@ the covers of i are the j in gen[i] above no other node of gen[i].
 
 
 class Lattice:
-    def __init__(self, nodes, up, down, covers, length):
+    def __init__(self, nodes, up, covers, length):
         self.nodes = nodes          # sorted by key(): bottom first, top last
         self.up = up
-        self.down = down
         self.covers = covers        # set of (i, j): nodes[i] covered by nodes[j]
         self.length = length        # edges on the longest chain, bottom to top
         # finite-algebra side: (s, index of R[s]) for one s per point of
         # the projective space of S/R, R the bottom; None on the field side
         self.points = None
-
-    @property
-    def bottom(self):
-        return self.nodes[0]
-
-    @property
-    def top(self):
-        return self.nodes[-1]
 
     def __len__(self):
         return len(self.nodes)
@@ -55,8 +46,7 @@ def from_edges(nodes, gen):
     and the nodes above i are those of gen[i] and the nodes above them.
 
     ``up`` is filled from the top, with the covers of i (the j in gen[i]
-    outside the up-sets of gen[i]) and the longest chain upwards from i;
-    ``down`` is filled from the bottom along the same edges.
+    outside the up-sets of gen[i]) and the longest chain upwards from i.
     """
     n = len(nodes)
     up = [0] * n
@@ -70,11 +60,7 @@ def from_edges(nodes, gen):
         for j in bits(gen[i] & ~above):
             covers.add((i, j))
             height[i] = max(height[i], height[j] + 1)
-    down = [0] * n
-    for i in range(n):
-        for j in bits(gen[i]):
-            down[j] |= down[i] | 1 << i
-    return Lattice(nodes, up, down, covers, height[0] if nodes else 0)
+    return Lattice(nodes, up, covers, height[0] if nodes else 0)
 
 
 def lattice_data(lat, label, basis_str):

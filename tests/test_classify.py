@@ -1,5 +1,13 @@
 import itertools
+import json
 
+import pytest
+
+import l2lab.classify as classify
+from l2lab.cli import main
+from l2lab.errors import ConsistencyError
+from l2lab.finitealg import Ideal
+from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.classify import (analyze_extension, classify_extension, cover_types,
                             is_copointwise_minimal, module_length_at)
@@ -192,8 +200,9 @@ def test_module_length_dobbs_example():
     R = Subalgebra.from_generators(S, [S.basis_vector(S.names.index("X"))])
     a = analyze_extension(R, S)
     M = a.crucial
-    from l2lab.classify import v_of_ideal, ideal_MS
-    vns = v_of_ideal(a, ideal_MS(a))
+    from l2lab.classify import ideal_MS
+    from l2lab.finitealg import maximal_ideals_over
+    vns = maximal_ideals_over(a.whole, ideal_MS(a).basis)
     assert len(vns) == 1
     assert module_length_at(a, M, vns[0].basis, M.basis) == 1
 
@@ -202,14 +211,14 @@ def test_copointwise_brute_force_matches_shape():
     S = quotient_algebra(F2, ["X", "Y"],
                          [{(2, 0): F2.one}, {(1, 1): F2.one}, {(0, 2): F2.one}])
     a = analyze_extension(prime_algebra(S), S)
-    from l2lab.classify import copointwise_shape_check
-    assert is_copointwise_minimal(a) and copointwise_shape_check(a)
+    from l2lab.classify import copointwise_shape_check, ideal_MS
+    assert is_copointwise_minimal(a) and copointwise_shape_check(a, ideal_MS(a))
 
 
 def test_element_scans_run_once_per_analysis(monkeypatch):
-    """The case dispatcher and Cor 3.132 reuse the predicate battery's
-    point walks over S/R, local lattices and M*S, and the point walks
-    read the enumeration's walk of the bottom node."""
+    """The one walk down the case list reads each point walk over S/R,
+    each local lattice and M*S once, Cor 3.132 included, and the point
+    walks read the enumeration's walk of the bottom node."""
     import l2lab.classify as classify
     calls = {}
 
@@ -254,3 +263,94 @@ def test_element_scans_run_once_per_analysis(monkeypatch):
         assert set(calls) == scanned
         assert all(n == 1 for n in calls.values()), calls
         assert sum(T is R for T in walked) == 1
+
+
+# ---------------------------------------------------------------------------
+# The checks that only their case makes: each is forced to disagree once
+
+Y_CUBED = {"q": 2, "quotient": "F2[Y]/(Y^3)", "R": "diagonal"}
+PLANE = {"q": 2, "quotient": "F2[X,Y]/(X^2,X*Y,Y^2)", "R": "diagonal"}
+SQUARES = {"q": 2, "quotient": "F2[X,Y]/(X^2,Y^2)", "R": "diagonal"}
+F3_COPOINTWISE = {"q": 3, "quotient": "F3[X,Y]/(X^2,X*Y,Y^2)", "R": "diagonal"}
+F16 = {"q": 2, "product": ["F16"], "R": "diagonal"}
+
+
+def classify_doc(doc):
+    S, R = parse_algebra(doc)
+    return classify_extension(analyze_extension(R, S))
+
+
+def exit_code(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["classify", "--json", "--algebra", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_simple_and_copointwise_are_exclusive(monkeypatch):
+    assert classify_doc(Y_CUBED)["simple"]
+    monkeypatch.setattr(classify, "is_copointwise_minimal", lambda a: True)
+    with pytest.raises(ConsistencyError, match="simple and co-pointwise are exclusive"):
+        classify_doc(Y_CUBED)
+
+
+def test_copointwise_count_is_residue_size_plus_three(monkeypatch):
+    # F2[X,Y]/(X^2,Y^2) is subintegral and not simple, with 12 nodes
+    v = classify_doc(SQUARES)
+    assert not v["simple"] and not v["copointwise"] and v["count_observed"] != 5
+    monkeypatch.setattr(classify, "is_copointwise_minimal", lambda a: True)
+    with pytest.raises(ConsistencyError, match="co-pointwise count formula fails"):
+        classify_doc(SQUARES)
+
+
+def test_copointwise_shape_is_checked(monkeypatch, tmp_path, capsys):
+    assert classify_doc(F3_COPOINTWISE)["copointwise"]
+    monkeypatch.setattr(classify, "copointwise_shape_check", lambda a, ms: False)
+    code, err = exit_code(F3_COPOINTWISE, tmp_path, capsys)
+    assert code == 3 and "co-pointwise structural test fails" in err
+
+
+def test_not_simple_subintegral_copointwise_iff_length_two(monkeypatch):
+    v = classify_doc(PLANE)
+    assert v["copointwise"] and v["length"] == 2
+    monkeypatch.setattr(classify, "is_copointwise_minimal", lambda a: False)
+    with pytest.raises(ConsistencyError, match="subintegral case mismatch"):
+        classify_doc(PLANE)
+
+
+def test_t_closed_residue_dimensions_divide(monkeypatch):
+    # F2 x F2 < F2 x F16 is t-closed at M = F2 x 0; with the zero ideal
+    # in its place, [S/M : F2] = 5 is not a multiple of [R/M : F2] = 2
+    S, R = parse_algebra({"q": 2, "product": ["F2", "F16"], "R": ["(1,0)"]})
+    a = analyze_extension(R, S)
+    assert classify_extension(a)["case"] == "(8d)" and a.crucial.dim == 1
+    monkeypatch.setattr(a, "crucial", Ideal(R, ()))
+    with pytest.raises(ConsistencyError, match="residue extension dimension mismatch"):
+        classify_extension(a)
+
+
+def test_t_closed_count_is_divisor_count(monkeypatch, tmp_path, capsys):
+    divisor_count = classify.divisor_count
+    monkeypatch.setattr(classify, "divisor_count", lambda n: divisor_count(n) + 1)
+    code, err = exit_code(F16, tmp_path, capsys)
+    assert code == 3 and "finite-field residue lattice count mismatch" in err
+
+
+def test_t_closed_length_two_iff_two_prime_factors(monkeypatch):
+    assert classify_doc(F16)["case"] == "(8d)"
+    monkeypatch.setattr(classify, "prime_factors", lambda n: [n])
+    with pytest.raises(ConsistencyError, match="t-closed residue case mismatch"):
+        classify_doc(F16)
+
+
+def test_predicted_count_is_checked_against_the_lattice(monkeypatch, tmp_path, capsys):
+    walk = classify.check_length_two_predicates
+
+    def miscounted(a, out):
+        checks = walk(a, out)
+        out["count_predicted"] += 1
+        return checks
+
+    monkeypatch.setattr(classify, "check_length_two_predicates", miscounted)
+    code, err = exit_code(PLANE, tmp_path, capsys)
+    assert code == 3 and "predicted count 6 != observed 5" in err

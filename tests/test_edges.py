@@ -38,9 +38,10 @@ from l2lab.principal import compute_principal_subfields
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
-from test_lattice import (assert_same_lattice, build, hasse_by_pairs, nodes_of,  # noqa: E402
-                          random_family)
-from test_structure import _random_algebra, _random_local_extension  # noqa: E402
+from test_lattice import (assert_same_lattice, build, down_sets, hasse_by_pairs,  # noqa: E402
+                          nodes_of, random_family)
+from test_structure import (_random_algebra, _random_local_extension,  # noqa: E402
+                            closure_by_products)
 
 F2_5 = {"q": 2, "product": ["F2"] * 5, "R": "diagonal"}
 F2_X8 = {"q": 2, "quotient": "F2[X]/(X^8)", "R": "diagonal"}
@@ -51,8 +52,9 @@ def chain_type_flags_by_scan(lat, types):
     whether one is not ramified, and whether one is neither ramified nor
     decomposed."""
     not_sub, not_infra = [], []
+    down = down_sets(lat.up)
     for k in range(len(lat)):
-        inside = lat.down[k] | 1 << k
+        inside = down[k] | 1 << k
         ets = [t for (i, j), t in types.items() if inside >> i & 1 and inside >> j & 1]
         not_sub.append(not all(t == "ramified" for t in ets))
         not_infra.append(not all(t in ("ramified", "decomposed") for t in ets))
@@ -147,7 +149,7 @@ def test_local_lattices_match_pairwise_builder():
     S, R = parse_algebra({"q": 2, "product": ["F4", "F4"], "R": ["(1,0)"]})
     lat = enumerate_subalgebras(R, S)
     assert_same_lattice(lat, hasse_by_pairs(lat.nodes, Subalgebra.contains_sub))
-    assert all(lat.nodes[j] == Subalgebra.from_generators(S, list(R.basis) + [s])
+    assert all(lat.nodes[j] == closure_by_products(S, list(R.basis) + [s])
                for s, j in lat.points)
 
 

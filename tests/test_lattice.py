@@ -43,12 +43,10 @@ def hasse_by_pairs(nodes, contains):
     key(), asking ``contains(b, a)`` for every pair with a.dim < b.dim."""
     n = len(nodes)
     up = [0] * n
-    down = [0] * n
     for i, a in enumerate(nodes):
         for j in range(i + 1, n):
             if a.dim < nodes[j].dim and contains(nodes[j], a):
                 up[i] |= 1 << j
-                down[j] |= 1 << i
     covers = set()
     dist = [0] * n
     for i in range(n):
@@ -58,12 +56,22 @@ def hasse_by_pairs(nodes, contains):
         for j in bits(up[i] & ~above):
             covers.add((i, j))
             dist[j] = max(dist[j], dist[i] + 1)
-    return Lattice(nodes, up, down, covers, dist[-1] if nodes else 0)
+    return Lattice(nodes, up, covers, dist[-1] if nodes else 0)
+
+
+def down_sets(up):
+    """The transpose of ``up``: bit i of ``down[j]`` is set when bit j of
+    ``up[i]`` is, that is, when nodes[i] lies strictly inside nodes[j]."""
+    down = [0] * len(up)
+    for i, above in enumerate(up):
+        for j in bits(above):
+            down[j] |= 1 << i
+    return down
 
 
 def assert_same_lattice(lat, oracle):
     assert [n.key() for n in lat.nodes] == [n.key() for n in oracle.nodes]
-    assert lat.up == oracle.up and lat.down == oracle.down
+    assert lat.up == oracle.up
     assert lat.covers == oracle.covers and lat.length == oracle.length
 
 
@@ -124,9 +132,10 @@ def test_hasse_matches_definitions(seed):
         assert lat.covers == covers
         assert lat.length == length
         assert {(i, j) for i in range(len(nodes)) for j in bits(lat.up[i])} == incl
-        assert {(i, j) for j in range(len(nodes)) for i in bits(lat.down[j])} == incl
+        down = down_sets(lat.up)
+        assert {(i, j) for j in range(len(nodes)) for i in bits(down[j])} == incl
         assert len(lat) == len(nodes)
-        assert lat.bottom.elems == frozenset() and lat.top.elems == FULL
+        assert lat.nodes[0].elems == frozenset() and lat.nodes[-1].elems == FULL
         assert_same_lattice(lat, oracle)
 
 
@@ -140,13 +149,13 @@ def test_boolean_lattice():
 def test_one_node():
     lat = build(nodes_of([FULL]))
     assert len(lat) == 1 and lat.covers == set() and lat.length == 0
-    assert lat.up == [0] and lat.down == [0]
+    assert lat.up == [0] and down_sets(lat.up) == [0]
 
 
 def test_two_nodes():
     lat = build(nodes_of([frozenset(), FULL]))
     assert lat.covers == {(0, 1)} and lat.length == 1
-    assert lat.up == [0b10, 0] and lat.down == [0, 0b01]
+    assert lat.up == [0b10, 0] and down_sets(lat.up) == [0, 0b01]
 
 
 def test_lattice_data():
