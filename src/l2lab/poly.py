@@ -6,8 +6,9 @@ field ``small_field(q)``, or a number field).  The factorization entry points ar
 
 * ``factor_mod_p``        -- Cantor-Zassenhaus over a prime field,
 * ``factor_over_Q``       -- Berlekamp-Zassenhaus (squarefree decomposition,
-                             modular factorization, Hensel lifting, subset
-                             recombination) over the rationals,
+                             modular factorization, quadratic Hensel
+                             lifting, subset recombination behind a trace
+                             pre-test) over the rationals,
 * ``factor_over_number_field`` -- Trager's norm method over Q[x]/(f), for
                              polynomials with rational coefficients; the
                              norm is a composed sum of integer power sums.
@@ -18,11 +19,16 @@ distinct-degree factoring, equal-degree splitting, the Hensel Bezout
 pair, Hensel lifting and recombination.  ``factor_mod_p`` is a thin
 facade over it for ``Poly`` inputs over ``small_field(p)``; ``factor_over_Q``
 calls the layer directly and ranks its candidate primes by
-distinct-degree counts, splitting only the prime it keeps.  A monic
-integer polynomial that is squarefree modulo a prime is squarefree over
-Q; that certificate spares the exact gcd over Q in Trager's shift search
-and Yun's decomposition in ``factor_over_Q``, which run only when no
-prime certifies.
+distinct-degree counts, splitting only the prime it keeps.  Hensel
+lifting squares the modulus at each step, lifting the Bezout pair with
+the factors.  The subset search adds up the lifted factors'
+second-highest coefficients, and multiplies out a subset only when that
+trace and the product of constant terms fit a true divisor's bounds.  A
+monic integer polynomial that is squarefree modulo a prime is squarefree
+over Q; that certificate spares the exact gcd over Q in Trager's shift
+search and Yun's decomposition in ``factor_over_Q``, which run only when
+no prime certifies.  Factoring L's own defining polynomial, the shift
+search starts at 2: the norms of shifts 0 and 1 have repeated roots.
 
 Every returned factorization is re-multiplied and compared with its input
 before being handed back; a mismatch raises ``ConsistencyError``.  The
@@ -541,20 +547,31 @@ def _zsym(a, m):
 
 
 def _hensel_pair(f, g, h, s, t, p, K):
-    """Lift f = g*h from mod p to mod p^K (g, h monic, s*g + t*h = 1 mod p).
+    """Lift f = g*h from mod p to mod p^K (g, h monic, s*g + t*h = 1 mod p,
+    deg s < deg h, deg t < deg g).
 
-    Linear lifting: one Bezout pair serves every step.
+    Quadratic lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
+    Alg. 15.10): g, h and the Bezout pair s, t are lifted together, and
+    the modulus squares at each step, capped at p^K.  A step from m to M
+    with M | m^2 is sound, since its congruences hold mod m^2.  Monic
+    factors coprime mod p have unique lifts mod p^K (ibid., Thm. 15.14),
+    so the result is the one any lifting gives.  The division by monic h
+    is ``_pdivmod`` over Z/M, which needs only h's leading coefficient
+    to be a unit.
     """
+    pK = p ** K
     m = p
-    while m < p ** K:
-        # e = (f - g*h) / m  (exact over Z), then everything mod p
-        diff = _zsub(f, _zmul(g, h))
-        e = _zmod([c // m for c in diff], p)
-        q, w = _pdivmod(_zmul(s, e), _zmod(h, p), p)
-        u = _zmod(_zadd(_zmul(t, e), _zmul(q, g)), p)
-        g = _zmod(_zadd(g, [c * m for c in u]), m * p)
-        h = _zmod(_zadd(h, [c * m for c in w]), m * p)
-        m *= p
+    while m < pK:
+        m = min(m * m, pK)
+        e = _zmod(_zsub(f, _zmul(g, h)), m)
+        q, r = _pdivmod(_zmul(s, e), h, m)
+        g = _zmod(_zadd(g, _zadd(_zmul(t, e), _zmul(q, g))), m)
+        h = _zmod(_zadd(h, r), m)
+        if m < pK:
+            b = _zmod(_zsub(_zadd(_zmul(s, g), _zmul(t, h)), [1]), m)
+            c, d = _pdivmod(_zmul(s, b), h, m)
+            s = _zmod(_zsub(s, d), m)
+            t = _zmod(_zsub(t, _zadd(_zmul(t, b), _zmul(c, g))), m)
     return g, h
 
 
@@ -632,7 +649,35 @@ def _factor_squarefree_monic_int(G):
 
 
 def _recombine(G, lifted, pK):
-    """Zassenhaus subset search over the lifted modular factors."""
+    """Zassenhaus subset search over the lifted modular factors.
+
+    G is monic of degree n, and pK > 2^n * ||G||_2, so a monic divisor
+    of G is the symmetric residue mod pK of the product of its modular
+    factors.  Two tests on a subset of total degree m run before its
+    factors are multiplied; neither rejects a true divisor F:
+
+    * trace: the coefficient of X^(m-1) in a product of monic factors is
+      the sum of theirs, so its symmetric residue t is computed from the
+      factors' second-highest coefficients.  F's roots lie within the
+      Cauchy bound rho = 1 + max |G_i| (i < n), so |F_(m-1)| <= m*rho.
+      A subset leaves at least one factor out, so m <= n - 1.  As
+      ||G||_2 >= sqrt(1 + max G_i^2) >= rho / sqrt(2), and
+      2^(n-3/2) >= n - 1 for n >= 2,
+      2*m*rho <= 2*(n-1)*rho <= 2^(n-1/2) * rho <= 2^n * ||G||_2 < pK.
+      So F_(m-1) is its own symmetric residue, t, and a subset with
+      |t| > m*rho is no divisor (Abbott, Shoup & Zimmermann, ISSAC 2000).
+    * constant term: F(0) divides G(0); when G(0) != 0, F(0) is nonzero
+      too.  F(0) is the symmetric residue of the factors' product of
+      constant terms.
+
+    Exact division certifies every subset that passes.
+    """
+    n = len(G) - 1
+    rho = 1 + max(abs(c) for c in G[:n])
+    half = pK // 2
+    degree = [len(g) - 1 for g in lifted]
+    second = [g[-2] for g in lifted]
+    const = [g[0] for g in lifted]
     out = []
     live = list(range(len(lifted)))
     s = 1
@@ -640,12 +685,22 @@ def _recombine(G, lifted, pK):
     while 2 * s <= len(live):
         found = False
         for combo in itertools.combinations(live, s):
+            t = sum(second[i] for i in combo) % pK
+            # min(t, pK - t) is the absolute value of t's symmetric residue
+            if min(t, pK - t) > rho * sum(degree[i] for i in combo):
+                continue
+            if tc:
+                c = 1
+                for i in combo:
+                    c = c * const[i] % pK
+                if c > half:
+                    c -= pK
+                if c == 0 or tc % c:
+                    continue
             cand = [1]
             for i in combo:
                 cand = _zmod(_zmul(cand, lifted[i]), pK)
             cand = _zsym(cand, pK)
-            if tc != 0 and cand[0] != 0 and tc % cand[0] != 0:
-                continue
             q, r = _zdivmod_monic(G, cand)
             if not r:
                 out.append(cand)
@@ -836,7 +891,9 @@ def factor_over_number_field(f, L):
                          "coefficients from degree 2 on")
     check_norm_degree(L.n * f.degree)
     fq = Poly(QQ, [c.coords[0] for c in fm.cs])
-    s = 0
+    # For f = fL the shift-0 norm is fL^n, and the shift-1 norm has the
+    # roots x_i + x_j = x_j + x_i, repeated: neither is squarefree.
+    s = 2 if fq == L.defining else 0
     while True:
         N = _norm_with_shift(fq, L, s)
         if _certified_squarefree(N) or poly_gcd(N, N.derivative()).degree == 0:

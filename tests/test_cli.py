@@ -102,6 +102,13 @@ def test_huge_trager_norm_exit_code_2_at_once():
         in proc.stderr
 
 
+def test_x9_minus_2_length_in_a_process():
+    # factors a degree-81 Trager norm over Q, from 9 modular factors
+    proc = run_process("length", "X^9-2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "length of [R, S] for X^9-2: 2"
+
+
 def _doc(tmp_path, doc):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))

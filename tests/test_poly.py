@@ -300,8 +300,9 @@ def _assert_norms_agree(f, L):
         assert poly._norm_with_shift(f, L, s) == norm_by_evaluation(fL, L, s), s
 
 
-NORM_FIELDS = ["X^4-2", "X^4-10*X^2+1", "X^3-3*X+1", "X^6+108", "X^6-2", "X^8-2",
-               "X^2-1/2", "X^3-X/3+5/7"]
+# the fields of the benchmark's ``fields`` workload
+FIELDS = ["X^4-2", "X^4-10*X^2+1", "X^3-3*X+1", "X^6+108", "X^6-2", "X^8-2"]
+NORM_FIELDS = FIELDS + ["X^2-1/2", "X^3-X/3+5/7"]
 
 
 @pytest.mark.parametrize("text", NORM_FIELDS)
@@ -471,8 +472,7 @@ def test_factor_over_Q_skips_yun_when_certified(monkeypatch):
 
 # --- prime choice for Berlekamp-Zassenhaus ---------------------------------
 
-@pytest.mark.parametrize("text", ["X^4-2", "X^4-10*X^2+1", "X^3-3*X+1",
-                                  "X^6+108", "X^6-2", "X^8-2"])
+@pytest.mark.parametrize("text", FIELDS)
 def test_trager_norm_distinct_degree_counts(text, monkeypatch):
     # factor_over_Q ranks candidate primes by distinct-degree counts; on
     # each Trager norm those counts must equal the full factor counts, so
@@ -493,3 +493,193 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
         for p, gp in scanned:
             count = poly._factor_count(poly._pddf(gp, p))
             assert count == len(factor_mod_p(Poly.from_ints(small_field(p), G)).factors)
+
+
+# --- Berlekamp-Zassenhaus: linear lifting and the unfiltered subset search --
+#
+# The slow paths production replaced, kept as oracles: they must give the
+# same lifts and the same factor lists on what production feeds them.
+
+def hensel_pair_linear(f, g, h, s, t, p, K):
+    """Lift f = g*h from mod p to mod p^K (g, h monic, s*g + t*h = 1 mod p),
+    one p-adic digit per step with the one Bezout pair mod p."""
+    m = p
+    while m < p ** K:
+        # e = (f - g*h) / m  (exact over Z), then everything mod p
+        diff = poly._zsub(f, poly._zmul(g, h))
+        e = poly._zmod([c // m for c in diff], p)
+        q, w = poly._pdivmod(poly._zmul(s, e), poly._zmod(h, p), p)
+        u = poly._zmod(poly._zadd(poly._zmul(t, e), poly._zmul(q, g)), p)
+        g = poly._zmod(poly._zadd(g, [c * m for c in u]), m * p)
+        h = poly._zmod(poly._zadd(h, [c * m for c in w]), m * p)
+        m *= p
+    return g, h
+
+
+def recombine_by_trial_division(G, lifted, pK):
+    """Zassenhaus subset search that trial-divides by every subset's
+    product whose constant term passes the divisibility test."""
+    out = []
+    live = list(range(len(lifted)))
+    s = 1
+    tc = G[0]
+    while 2 * s <= len(live):
+        found = False
+        for combo in itertools.combinations(live, s):
+            cand = [1]
+            for i in combo:
+                cand = poly._zmod(poly._zmul(cand, lifted[i]), pK)
+            cand = poly._zsym(cand, pK)
+            if tc != 0 and cand[0] != 0 and tc % cand[0] != 0:
+                continue
+            q, r = poly._zdivmod_monic(G, cand)
+            if not r:
+                out.append(cand)
+                G = q
+                tc = G[0] if G else 0
+                live = [i for i in live if i not in combo]
+                found = True
+                break
+        if not found:
+            s += 1
+    if len(G) - 1 > 0:
+        out.append(G)
+    return out
+
+
+def _record(monkeypatch, name):
+    """Wrap poly.<name>; the list it returns fills with (args, result)."""
+    calls = []
+    real = getattr(poly, name)
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(poly, name, spy)
+    return calls
+
+
+def _bz_calls(monkeypatch, text):
+    """The Hensel and recombination calls made while factoring the
+    polynomial ``text`` over its own field."""
+    lifts = _record(monkeypatch, "_hensel_pair")
+    recombinations = _record(monkeypatch, "_recombine")
+    L = make_field(parse_polynomial(text))
+    factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+    monkeypatch.undo()
+    return lifts, recombinations
+
+
+def _assert_matches_oracles(lifts, recombinations):
+    for args, result in lifts:
+        assert hensel_pair_linear(*args) == result
+    for args, result in recombinations:
+        assert recombine_by_trial_division(*args) == result
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_bz_matches_slow_paths_on_fields_norms(text, monkeypatch):
+    lifts, recombinations = _bz_calls(monkeypatch, text)
+    assert lifts and recombinations
+    _assert_matches_oracles(lifts, recombinations)
+
+
+SHIFTED_SPLITTERS = [[1, 0, -10, 0, 1], [1, 0, 0, 0, 1], [4, 0, 0, 0, 1], [1, 1, 1, 1, 1]]
+
+
+def _random_monic_product(rng):
+    """A squarefree monic integer product of at least 8 factors, degree
+    <= 40: random small ones and shifts of quartics that split modulo
+    every prime (X^4-10X^2+1, X^4+1) or often (X^4+4, Phi_5)."""
+    while True:
+        f = Q(1)
+        count = 0
+        while True:
+            if rng.random() < 0.4:
+                g = Q(*rng.choice(SHIFTED_SPLITTERS)).shift(Fraction(rng.randrange(-3, 4)))
+            else:
+                d = rng.randrange(1, 4)
+                g = Q(*([rng.randrange(-9, 10) for _ in range(d)] + [1]))
+            if f.degree + g.degree > 40:
+                break
+            f = f * g
+            count += 1
+        # squarefree mod a prime proves squarefree; Euclid over Q on
+        # degree 40 would take seconds
+        if count >= 8 and poly._certified_squarefree(f):
+            return f
+
+
+def test_bz_matches_slow_paths_on_random_products(monkeypatch):
+    rng = random.Random(44)
+    lifts = _record(monkeypatch, "_hensel_pair")
+    recombinations = _record(monkeypatch, "_recombine")
+    for _ in range(10):
+        f = _random_monic_product(rng)
+        del lifts[:], recombinations[:]
+        fac = factor_over_Q(f)
+        assert fac.expand() == f
+        (G, lifted, pK), factors = recombinations[0]
+        assert len(recombinations) == 1 and len(lifted) >= 8
+        assert len(lifts) == len(lifted) - 1
+        _assert_matches_oracles(lifts, recombinations)
+
+
+def _symmetric(c, m):
+    c %= m
+    return c - m if c > m // 2 else c
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_trace_pretest_keeps_every_true_factor(text, monkeypatch):
+    _, recombinations = _bz_calls(monkeypatch, text)
+    for (G, lifted, pK), factors in recombinations:
+        n = len(G) - 1
+        rho = 1 + max(abs(c) for c in G[:n])
+        for F in factors:
+            # F's modular factors: a lifted factor divides F mod p^K
+            # exactly when it is one of them
+            subset = [g for g in lifted if not poly._pdivmod(F, g, pK)[1]]
+            product = [1]
+            for g in subset:
+                product = poly._zmod(poly._zmul(product, g), pK)
+            assert product == poly._zmod(F, pK)
+            if len(subset) == len(lifted):
+                continue
+            m = len(F) - 1
+            t = _symmetric(sum(g[-2] for g in subset), pK)
+            assert t == F[m - 1] and abs(t) <= m * rho < pK // 2
+
+
+def test_trace_pretest_saves_trial_divisions(monkeypatch):
+    _, recombinations = _bz_calls(monkeypatch, "X^6-2")
+    divisions = _record(monkeypatch, "_zdivmod_monic")
+    counts = []
+    for recombine in (poly._recombine, recombine_by_trial_division):
+        del divisions[:]
+        for args, result in recombinations:
+            assert recombine(*args) == result
+        counts.append(len(divisions))
+    assert counts[0] < counts[1]
+
+
+def test_trager_skips_only_shifts_that_cannot_work(monkeypatch):
+    norms = _record(monkeypatch, "_norm_with_shift")
+    for text in FIELDS:
+        L = make_field(parse_polynomial(text))
+        # the shifts the search skips for L's own defining polynomial
+        for s in (0, 1):
+            N = poly._norm_with_shift(L.defining, L, s)
+            assert poly_gcd(N, N.derivative()).degree > 0, (text, s)
+        del norms[:]
+        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+        (_, _, first), _ = norms[0]
+        assert first == 2, text
+    # any other polynomial starts the search at shift 0
+    L = make_field(Q(1, 0, -10, 0, 1))
+    del norms[:]
+    factor_over_number_field((Q(-2, 0, 1) * Q(-3, 0, 1)).map_coeffs(L, L.from_rational), L)
+    (_, _, first), _ = norms[0]
+    assert first == 0

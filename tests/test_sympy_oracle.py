@@ -15,6 +15,7 @@ from l2lab.parsing import parse_polynomial
 from l2lab.poly import QQ, Poly, factor_mod_p, factor_over_Q
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.specialpolys import swinnerton_dyer_poly  # noqa: E402
 x = sympy.Symbol("x")
 y = sympy.Symbol("y")
 
@@ -89,16 +90,30 @@ def test_factor_over_Q_matches_sympy(seed):
             g = Poly.from_ints(QQ, _random_irreducible(rng))
             for _ in range(rng.choice([1, 1, 2])):
                 f = f * g
-        fac = factor_over_Q(f)
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-                   for i, c in enumerate(f.cs))
-        _, facs = sympy.factor_list(expr, x)
-        expect = []
-        for g, m in facs:
-            cs = [Fraction(int(c)) for c in reversed(sympy.Poly(g, x).all_coeffs())]
-            expect.append((tuple(c / cs[-1] for c in cs), m))
-        assert sorted((g.cs, m) for g, m in fac.factors) == sorted(expect)
-        assert fac.unit == f.lc
+        _assert_factor_over_Q_matches_sympy(f)
+
+
+def _assert_factor_over_Q_matches_sympy(f):
+    fac = factor_over_Q(f)
+    _, facs = sympy.factor_list(_rational_expr(f, x), x)
+    expect = []
+    for g, m in facs:
+        cs = [Fraction(int(c)) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        expect.append((tuple(c / cs[-1] for c in cs), m))
+    assert sorted((g.cs, m) for g, m in fac.factors) == sorted(expect)
+    assert fac.unit == f.lc
+    return fac
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_swinnerton_dyer_irreducible(n):
+    # S_n, irreducible of degree 2^n, has at least 2^(n-1) factors modulo
+    # every prime, so the subset search must reject every subset of up to
+    # half of them
+    sd = sympy.Poly(swinnerton_dyer_poly(n, x), x)
+    f = Poly(QQ, [Fraction(int(c)) for c in reversed(sd.all_coeffs())])
+    fac = _assert_factor_over_Q_matches_sympy(f)
+    assert fac.factors == [(f, 1)]
 
 
 def _rational_expr(f, var):
