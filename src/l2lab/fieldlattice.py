@@ -2,16 +2,18 @@
 
 Every proper intermediate field is an intersection of the E_beta, so the
 node set is the intersection closure of {E_1, ..., E_t} plus L itself.
-Its inclusions are decided pairwise, and each node's full up-set is
-passed to ``lattice.from_edges`` as its generating set, which it is: the
-nodes above a node of the up-set are in the up-set too.  The builder
-finds the covers and the longest chain from it.
+Each meet is an ``exact.intersection`` of spans, made a checked
+subfield only when its span is new.  Inclusions are decided pairwise,
+and each node's full up-set is passed to ``lattice.from_edges`` as its
+generating set, which it is: the nodes above a node of the up-set are
+in the up-set too.  The builder finds the covers and the longest chain
+from it.
 """
 
 from .errors import CapExceeded, ConsistencyError
-from .exact import prime_factors
+from .exact import intersection, prime_factors
 from .lattice import from_edges
-from .numberfield import intersect_subfields, prime_subfield, whole_field
+from .numberfield import prime_subfield, subfield_of_span, whole_field
 from .principal import index_set_I
 from .poly import Poly
 
@@ -28,10 +30,11 @@ def build_lattice(ps):
     while work:
         cur = work.pop()
         for other in list(seen.values()):
-            meet = intersect_subfields(cur, other)
-            if meet.key() not in seen:
+            span = intersection(cur.span, other.span)
+            if (len(span), span) not in seen:
                 if len(seen) >= NODE_CAP:
                     raise CapExceeded("lattice exceeds %d nodes" % NODE_CAP)
+                meet = subfield_of_span(L, span)
                 seen[meet.key()] = meet
                 work.append(meet)
     nodes = sorted(seen.values(), key=lambda s: s.key())
@@ -65,7 +68,7 @@ def is_length_two(ps, lat=None):
     if verdict:
         for i in range(ps.t):
             for j in range(i + 1, ps.t):
-                if intersect_subfields(ps.E[i], ps.E[j]).dim != 1:
+                if len(intersection(ps.E[i].span, ps.E[j].span)) != 1:
                     verdict = False
                     break
             if not verdict:

@@ -306,10 +306,12 @@ def subfield_from_subspace(L, vectors, check=True):
 
     With check=True the multiplicative closure is asserted, not imposed.
     """
-    return _subfield(L, exact.Echelon(list(vectors) + [L.one.coords]), check)
+    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.one.coords]), check)
 
 
-def _subfield(L, span, check):
+def subfield_of_span(L, span, check=True):
+    """The Subfield with Echelon span ``span``: its multiplicative
+    closure asserted (with check=True) and the min poly of x found."""
     if check:
         _check_subspace_is_subfield(L, span)
     return Subfield(L, span, min_poly_over_basis(L, span))
@@ -318,31 +320,31 @@ def _subfield(L, span, check):
 def min_poly_over_basis(L, span):
     """Monic minimal polynomial of x over the subfield with Echelon span.
 
-    Finds the least d such that x^d is a combination of b_j * x^i
-    (i < d) with rational weights: pure linear algebra, independent of
-    any factorization of the defining polynomial.
+    For a subfield K of dimension k, the min poly has degree d = n/k, and
+    the products b_j * x^i (b_j the basis of K, i < d) are a Q-basis of
+    L; one exact solve writes x^d over them, with rational weights: pure
+    linear algebra, independent of any factorization of the defining
+    polynomial.  A k that does not divide n, or products of lower rank,
+    mean the span is no subfield.
     """
     n = L.n
     k = len(span)
+    if n % k:
+        raise ConsistencyError("deg(f_K) * dim(K) != n")
+    d = n // k
     basis = [NFElement(L, row) for row in span]
     pows = L.gen_powers
-    cols = []
-    for d in range(1, n + 1):
-        for b in basis:
-            cols.append((b * pows[d - 1]).coords)
-        rows = [[col[c] for col in cols] for c in range(n)]
-        rhs = list(pows[d].coords)
-        sol = exact.solve(rows, rhs, Fraction(1))
-        if sol is None:
-            continue
-        coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
-        mp = Poly(L, [-c for c in coeffs] + [L.one])
-        if d * k != n:
-            raise ConsistencyError("deg(f_K) * dim(K) != n")
-        if mp.evaluate(L.gen()):
-            raise ConsistencyError("minimal polynomial does not kill x")
-        return mp
-    raise ConsistencyError("no minimal polynomial found")
+    cols = [(b * pows[i]).coords for i in range(d) for b in basis]
+    rows = [[col[c] for col in cols] + [pows[d].coords[c]] for c in range(n)]
+    red, pivots = exact.rref(rows)
+    if pivots != list(range(n)):
+        raise ConsistencyError("deg(f_K) * dim(K) != n")
+    sol = [row[n] for row in red]
+    coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
+    mp = Poly(L, [-c for c in coeffs] + [L.one])
+    if mp.evaluate(L.gen()):
+        raise ConsistencyError("minimal polynomial does not kill x")
+    return mp
 
 
 def subfield_generated(L, gens):
@@ -363,14 +365,14 @@ def subfield_generated(L, gens):
         if len(grown) == len(span):
             break
         span = grown
-    return _subfield(L, span, check=True)
+    return subfield_of_span(L, span)
 
 
 def intersect_subfields(A, B):
     """Exact subspace intersection of two subfields of the same field."""
     if A.ambient != B.ambient:
         raise ValueError("subfields of different ambient fields")
-    return _subfield(A.ambient, exact.intersection(A.span, B.span), check=True)
+    return subfield_of_span(A.ambient, exact.intersection(A.span, B.span))
 
 
 def whole_field(L):

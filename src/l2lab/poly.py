@@ -11,7 +11,8 @@ field ``small_field(q)``, or a number field).  The factorization entry points ar
                              pre-test) over the rationals,
 * ``factor_over_number_field`` -- Trager's norm method over Q[x]/(f), for
                              polynomials with rational coefficients; the
-                             norm is a composed sum of integer power sums.
+                             norm is a composed sum of integer power sums,
+                             and each gcd over L is taken modulo primes.
 
 All modular work runs in one layer on plain integer coefficient lists,
 lowest degree first (entries in [0, p) mod p): squarefree decomposition,
@@ -23,12 +24,23 @@ distinct-degree counts, splitting only the prime it keeps.  Hensel
 lifting squares the modulus at each step, lifting the Bezout pair with
 the factors.  The subset search adds up the lifted factors'
 second-highest coefficients, and multiplies out a subset only when that
-trace and the product of constant terms fit a true divisor's bounds.  A
-monic integer polynomial that is squarefree modulo a prime is squarefree
-over Q; that certificate spares the exact gcd over Q in Trager's shift
-search and Yun's decomposition in ``factor_over_Q``, which run only when
-no prime certifies.  Factoring L's own defining polynomial, the shift
-search starts at 2: the norms of shifts 0 and 1 have repeated roots.
+trace and the product of constant terms fit a true divisor's bounds; its
+trial division stops once a quotient coefficient passes the Mignotte
+bound, which no exact quotient can.  A monic integer polynomial that is
+squarefree modulo a prime is squarefree over Q; that certificate spares
+the exact gcd over Q in Trager's shift search and Yun's decomposition in
+``factor_over_Q``, which run only when no prime certifies.  Factoring
+L's own defining polynomial, the shift search starts at 2: the norms of
+shifts 0 and 1 have repeated roots.
+
+Trager's gcd of f and each norm factor N_i(X + s*x) over L runs in
+(F_p[y]/(fL mod p))[X] on the same int lists, for primes where fL stays
+squarefree; N_i(X + s*y) is formed by Horner modulo f, so no Taylor
+shift over L is made.  The images are combined by CRT and rational
+reconstruction.  A result is accepted once there are as many nonconstant
+monic factors as the norm has irreducible factors over Q and they
+multiply back to f: by Trager's theorem that many factors of f over L
+are its irreducible ones, so no trial division is needed.
 
 Every returned factorization is re-multiplied and compared with its input
 before being handed back; a mismatch raises ``ConsistencyError``.  The
@@ -149,7 +161,8 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         q = [self.dom.zero] * max(0, self.degree - other.degree + 1)
         r = list(self.cs)
-        inv = self.dom.one / other.lc
+        one = self.dom.one
+        inv = None if other.lc == one else one / other.lc
         d = other.degree
         while len(r) - 1 >= d and any(r):
             while r and not r[-1]:
@@ -157,7 +170,7 @@ class Poly:
             if len(r) - 1 < d:
                 break
             k = len(r) - 1 - d
-            c = r[-1] * inv
+            c = r[-1] if inv is None else r[-1] * inv
             q[k] = c
             for i, oc in enumerate(other.cs):
                 r[k + i] = r[k + i] - c * oc
@@ -301,7 +314,7 @@ class Factorization:
 # zeros; conversions to and from Poly happen only at the boundaries.
 
 def _ztrim(a):
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -521,17 +534,26 @@ def factor_mod_p(f):
 # ---------------------------------------------------------------------------
 # Berlekamp-Zassenhaus over Q
 
-def _zdivmod_monic(a, b):
-    """Quotient and remainder by monic b over Z."""
+def _zdivmod_monic(a, b, bound=None):
+    """Quotient and remainder by monic b over Z; None as soon as a
+    quotient coefficient exceeds ``bound`` in absolute value."""
     r = list(a)
     db = len(b) - 1
     q = [0] * max(0, len(r) - db)
     for k in range(len(q) - 1, -1, -1):
         c = r[k + db]
+        if bound is not None and abs(c) > bound:
+            return None
         q[k] = c
         if c:
             r[k:k + db] = [x - c * y for x, y in zip(r[k:k + db], b)]
     return _ztrim(q), _ztrim(r[:db])
+
+
+def _mignotte_bound(G):
+    """2^(n-1) * ||G||_2 rounded up, for G of degree n: no coefficient of
+    a monic proper divisor of G exceeds it (Mignotte)."""
+    return 2 ** max(len(G) - 2, 0) * (math.isqrt(sum(c * c for c in G)) + 1)
 
 
 def _zsym(a, m):
@@ -631,10 +653,8 @@ def _factor_squarefree_monic_int(G):
         check = _zmod(_zmul(check, g), p)
     if check != _zmod(G, p):
         raise ConsistencyError("modular factors do not reproduce the input mod %d" % p)
-    # Mignotte bound: coefficients of any monic divisor of G are below
-    # 2^(n-1) * ||G||_2; lift until p^K exceeds twice that.
-    norm2 = math.isqrt(sum(c * c for c in G)) + 1
-    bound = 2 * (2 ** (n - 1)) * norm2 + 1
+    # lift until p^K exceeds twice the Mignotte bound
+    bound = 2 * _mignotte_bound(G) + 1
     K = 1
     while p ** K <= bound:
         K += 1
@@ -670,10 +690,14 @@ def _recombine(G, lifted, pK):
       too.  F(0) is the symmetric residue of the factors' product of
       constant terms.
 
-    Exact division certifies every subset that passes.
+    Exact division certifies every subset that passes.  It stops as soon
+    as a quotient coefficient exceeds the Mignotte bound of G: long
+    division finds the quotient's coefficients from the top, and an exact
+    quotient is itself a monic proper divisor of G, bound by it too.
     """
     n = len(G) - 1
     rho = 1 + max(abs(c) for c in G[:n])
+    bound = _mignotte_bound(G)
     half = pK // 2
     degree = [len(g) - 1 for g in lifted]
     second = [g[-2] for g in lifted]
@@ -701,10 +725,11 @@ def _recombine(G, lifted, pK):
             for i in combo:
                 cand = _zmod(_zmul(cand, lifted[i]), pK)
             cand = _zsym(cand, pK)
-            q, r = _zdivmod_monic(G, cand)
-            if not r:
+            division = _zdivmod_monic(G, cand, bound)
+            if division and not division[1]:
                 out.append(cand)
-                G = q
+                G = division[0]
+                bound = _mignotte_bound(G)
                 tc = G[0] if G else 0
                 live = [i for i in live if i not in combo]
                 found = True
@@ -870,6 +895,156 @@ def _norm_with_shift(f, L, s):
     return N
 
 
+# ---------------------------------------------------------------------------
+# Trager's gcd over L, modulo primes
+#
+# h = gcd(f, N_i(X + s*x)) is computed in (F_p[y]/(fL mod p))[X] for
+# several primes p, its coordinates are combined by the Chinese remainder
+# theorem and recovered as rationals (Encarnacion, "Computing GCDs of
+# polynomials over algebraic number fields", JSC 20, 1995).  An element
+# of F_p[y]/(fL mod p) is an int list of degree below deg fL, reduced
+# mod p; a polynomial over that ring is a list of them, lowest degree
+# first, with a nonzero top.
+
+def _qmod(cs, p):
+    """Rationals whose denominators p does not divide, as an int list mod p."""
+    return _ztrim([c.numerator * pow(c.denominator, -1, p) % p for c in cs])
+
+
+def _lgcd(a, b, fp, p):
+    """Monic gcd of monic a and b by Euclid, each remainder made monic;
+    None when a leading coefficient is not a unit."""
+    while b:
+        if b[-1] != [1]:
+            try:
+                inv = _pbezout(b[-1], fp, p)[0]
+            except ValueError:
+                return None
+            b = [_prem(_zmul(c, inv), fp, p) for c in b[:-1]] + [[1]]
+        r = list(a)
+        db = len(b) - 1
+        for k in range(len(r) - 1 - db, -1, -1):
+            c = r[k + db]
+            if c:
+                for i in range(db):
+                    r[k + i] = _prem(_zsub(r[k + i], _zmul(c, b[i])), fp, p)
+        a, b = b, _ztrim(r[:db])
+    return a
+
+
+def _lshift_mod(N, s, fq, fp, p):
+    """N(X + s*y) reduced modulo monic fq(X), by Horner: N and fq are int
+    lists mod p, and X^m is replaced by -(fq - X^m) at each step."""
+    sy = _prem([0, s], fp, p)
+    acc = [[]] * (len(fq) - 1)
+    for c in reversed(N):
+        top = acc[-1]
+        acc = [_prem(_zsub(_zadd(u, _zmul(sy, v)), [k * t for t in top]), fp, p)
+               for u, v, k in zip([[]] + acc[:-1], acc, fq)]
+        acc[0] = _zmod(_zadd(acc[0], [c]), p)
+    return _ztrim(acc)
+
+
+def _gcds_mod_p(fq, norms, s, fp, p):
+    """gcd(fq, N(X + s*y)) in (F_p[y]/(fp))[X] for each N in norms, or
+    None when a leading coefficient in Euclid is not a unit."""
+    fqp = _qmod(fq.cs, p)
+    a = [[c] if c else [] for c in fqp]
+    out = []
+    for N in norms:
+        h = _lgcd(a, _lshift_mod(_qmod(N.cs, p), s, fqp, fp, p), fp, p)
+        if h is None:
+            return None
+        out.append(h)
+    return out
+
+
+# Trial division in next_prime costs about 0.5 ms a prime here (3.3 ms
+# near 2^31), and one prime already recovers coordinates up to 4096.
+_GCD_PRIME_START = 1 << 25
+
+
+def _gcd_primes():
+    """The primes the modular gcd over L tries, in order."""
+    p = _GCD_PRIME_START
+    while True:
+        p = next_prime(p)
+        yield p
+
+
+def _rational_reconstruction(a, m):
+    """The fraction u/v with u = a*v mod m and |u|, v <= sqrt(m/2), or None."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _gcds_over_L(fq, norms, s, L):
+    """The monic h_i = gcd(f, N_i(X + s*x)) over L, for monic f = fq in
+    Q[X] and the irreducible factors N_i of the squarefree norm of
+    f(X - s*x).
+
+    A prime p is used only if it divides no denominator of fL, fq or the
+    N_i and fL is squarefree mod p.  Then Z_(p)[y]/(fL) is integrally
+    closed, so it holds the coefficients of every h_i and of its
+    cofactor in N_i(X + s*x), both monic with integral roots; so h_i mod p
+    divides both arguments, and the gcd mod p has at least h_i's degree,
+    with equality only if it is h_i mod p.  The h_i's degrees add up to
+    deg f, so a prime whose gcd degrees add up to more is unlucky and is
+    dropped, and every prime kept gives the images of the h_i themselves.
+    Their coordinates are combined by CRT and recovered by rational
+    reconstruction, until the recovered h_i multiply back to f.
+
+    That product is the certificate: by Trager's theorem f has as many
+    irreducible factors over L as the squarefree norm has over Q, so r
+    nonconstant monic factors of f whose product is f are its r
+    irreducible factors.  Only finitely many primes are unlucky or have
+    a leading coefficient that is not a unit in Euclid, so the loop ends.
+    """
+    fL = L.defining
+    n, m = L.n, fq.degree
+    f = fq.map_coeffs(L, L.from_rational)
+    den = _denominator_lcm(fL.cs + fq.cs + tuple(c for N in norms for c in N.cs))
+    degrees = None
+    M = 1
+    for p in _gcd_primes():
+        if den % p == 0:
+            continue
+        fp = _qmod(fL.cs, p)
+        if len(_pgcd(fp, _pderiv(fp, p), p)) != 1:
+            continue
+        hs = _gcds_mod_p(fq, norms, s, fp, p)
+        if hs is None or sum(len(h) - 1 for h in hs) != m:
+            continue
+        if degrees is None:
+            degrees = [len(h) - 1 for h in hs]
+            residues = [0] * (m * n)
+        if degrees != [len(h) - 1 for h in hs] or 0 in degrees:
+            raise ConsistencyError("modular gcds over L contradict Trager's theorem")
+        flat = [c for h in hs for a in h[:-1] for c in a + [0] * (n - len(a))]
+        u = pow(M, -1, p)
+        residues = [a + M * ((b - a) * u % p) for a, b in zip(residues, flat)]
+        M *= p
+        coords = [_rational_reconstruction(a, M) for a in residues]
+        if None in coords:
+            continue
+        out = []
+        for d in degrees:
+            cs = [L.element(coords[i * n:(i + 1) * n]) for i in range(d)]
+            out.append(Poly(L, cs + [L.one]))
+            coords = coords[d * n:]
+        prod = Poly.const(L, L.one)
+        for h in out:
+            prod = prod * h
+        if prod == f:
+            return out
+
+
 def factor_over_number_field(f, L):
     """Factor a squarefree f in L[X] into monic irreducibles over L.
 
@@ -899,15 +1074,6 @@ def factor_over_number_field(f, L):
         if _certified_squarefree(N) or poly_gcd(N, N.derivative()).degree == 0:
             break
         s += 1
-    nf = factor_over_Q(N)
-    sx = L.gen().scale(Fraction(s)) if s else L.zero
-    out = []
-    for Ni, _ in nf.factors:
-        lifted = Ni.map_coeffs(L, L.from_rational)
-        shifted = lifted.shift(sx)
-        h = poly_gcd(fm, shifted)
-        if h.degree > 0:
-            out.append((h.monic(), 1))
-    fac = Factorization(L, unit, out)
-    fac.verify(f)
-    return fac
+    norms = [Ni for Ni, _ in factor_over_Q(N).factors]
+    hs = _gcds_over_L(fq, norms, s, L)
+    return Factorization(L, unit, [(h, 1) for h in hs]).verify(f)

@@ -109,6 +109,25 @@ def test_x9_minus_2_length_in_a_process():
     assert proc.stdout.strip() == "length of [R, S] for X^9-2: 2"
 
 
+def _cyclotomic(p):
+    return "+".join("X^%d" % k for k in range(p - 1, 1, -1)) + "+X+1"
+
+
+def test_phi11_length_in_a_process():
+    # ten gcds over Q(zeta_11), one per factor of a degree-100 norm
+    proc = run_process("length", _cyclotomic(11), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith(": 2")
+
+
+def test_phi13_classify_in_a_process():
+    # Q(zeta_13) is cyclic of degree 12: one node per divisor of 12
+    proc = run_process("classify", "--json", _cyclotomic(13), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["count_observed"] == 6 and payload["length"] == 3
+
+
 def _doc(tmp_path, doc):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))

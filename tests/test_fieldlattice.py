@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
+from l2lab import exact, fieldlattice
+from l2lab.errors import ConsistencyError
+from l2lab.parsing import parse_polynomial
 from l2lab.poly import QQ, Poly
-from l2lab.numberfield import make_field
+from l2lab.numberfield import NFElement, make_field, min_poly_over_basis
 from l2lab.principal import compute_principal_subfields, index_set_I
 from l2lab.fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
                                 is_minimal_extension, verify_minpoly_product_identity)
@@ -173,3 +178,46 @@ def test_eighth_cyclotomic():
     # X^4 + 1: three quadratic subfields, count 5
     ps, lat = pipeline(1, 0, 0, 0, 1)
     assert ps.t == 3 and len(lat) == 5 and lat.length == 2
+
+
+def min_poly_by_search(L, span):
+    """The least d for which x^d is a rational combination of the
+    b_j * x^i (i < d), found by solving for d = 1, 2, ... in turn."""
+    k = len(span)
+    basis = [NFElement(L, row) for row in span]
+    cols = []
+    for d in range(1, L.n + 1):
+        cols += [(b * L.gen_powers[d - 1]).coords for b in basis]
+        rows = [[col[c] for col in cols] for c in range(L.n)]
+        sol = exact.solve(rows, list(L.gen_powers[d].coords), Fraction(1))
+        if sol is not None:
+            coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
+            return Poly(L, [-c for c in coeffs] + [L.one])
+
+
+@pytest.mark.parametrize("text", ["X^4-2", "X^4-10*X^2+1", "X^3-3*X+1", "X^6+108",
+                                  "X^6-2", "X^8-2"])
+def test_each_meet_built_once_with_the_searched_min_poly(text, monkeypatch):
+    ps = compute_principal_subfields(make_field(parse_polynomial(text)))
+    built = []
+    real = fieldlattice.subfield_of_span
+
+    def spy(L, span):
+        built.append(span)
+        return real(L, span)
+
+    monkeypatch.setattr(fieldlattice, "subfield_of_span", spy)
+    lat = build_lattice(ps)
+    seeds = {K.span for K in ps.E} | {lat.nodes[0].span, lat.nodes[-1].span}
+    assert sorted(built) == sorted(K.span for K in lat.nodes if K.span not in seeds)
+    for K in lat.nodes:
+        assert K.min_poly == min_poly_by_search(ps.field, K.span)
+
+
+def test_min_poly_refuses_a_span_that_is_no_subfield(quartic):
+    L = quartic[0].field
+    x = L.gen()
+    for gens in ([x], [x, x * x]):      # spans of dimension 2 and 3
+        span = exact.Echelon([L.one.coords] + [g.coords for g in gens])
+        with pytest.raises(ConsistencyError, match=r"deg\(f_K\) \* dim\(K\) != n"):
+            min_poly_over_basis(L, span)

@@ -5,8 +5,10 @@ a subset J of the factors of f over L, and K is generated by the
 coefficients of f_K (van Hoeij, Klueners & Novocin, "Generating
 subfields", JSC 52, 2013).  So [Q, L] is the set of
 K_J = Q(coeffs of g_J), g_J = (X - x) prod_J f_j, over the 2^r subsets J,
-kept when the minimal polynomial of x over K_J is g_J itself.  That set
-is compared with the intersection closure of `build_lattice`.
+kept when the minimal polynomial of x over K_J is g_J itself.  That
+degree is n / dim K_J, so a J with deg g_J not dividing n is skipped
+unbuilt.  That set is compared with the intersection closure of
+`build_lattice`.
 """
 
 import random
@@ -24,6 +26,8 @@ from l2lab.principal import compute_principal_subfields
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
+PHI11 = "+".join("X^%d" % k for k in range(10, 1, -1)) + "+X+1"
+
 
 def brute_force_nodes(ps):
     """The keys of the K_J whose minimal polynomial of x is g_J."""
@@ -31,10 +35,12 @@ def brute_force_nodes(ps):
     factors = ps.system.factors
     keys = set()
     for mask in range(1 << len(factors)):
+        J = [f for j, f in enumerate(factors) if mask >> j & 1]
+        if L.n % (1 + sum(f.degree for f in J)):
+            continue
         g = Poly(L, [-L.gen(), L.one])
-        for j, f in enumerate(factors):
-            if mask >> j & 1:
-                g = g * f
+        for f in J:
+            g = g * f
         K = subfield_generated(L, list(g.cs))
         if K.min_poly == g:
             keys.add(K.key())
@@ -52,6 +58,12 @@ def assert_lattice_matches(f):
                          ids=[i for i, _, _, _ in corpus.FIELDS])
 def test_field_lattice_matches_oracle_on_benchmark_fields(text, count):
     assert assert_lattice_matches(parse_polynomial(text)) == count
+
+
+def test_field_lattice_matches_oracle_on_phi11():
+    # Q(zeta_11) is cyclic of degree 10: r = 9 linear factors, and the
+    # subfields Q, Q(sqrt(-11)), the real subfield and L
+    assert assert_lattice_matches(parse_polynomial(PHI11)) == 4
 
 
 def _random_polynomial(rng):

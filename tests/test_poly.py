@@ -683,3 +683,157 @@ def test_trager_skips_only_shifts_that_cannot_work(monkeypatch):
     factor_over_number_field((Q(-2, 0, 1) * Q(-3, 0, 1)).map_coeffs(L, L.from_rational), L)
     (_, _, first), _ = norms[0]
     assert first == 0
+
+
+def test_early_stop_keeps_every_true_factor_of_fields_norms(monkeypatch):
+    # a true factor's quotient never exceeds the Mignotte bound, so the
+    # bounded division accepts every factor the recombination found
+    for text in FIELDS:
+        _, recombinations = _bz_calls(monkeypatch, text)
+        assert recombinations
+        for (G, _, _), factors in recombinations:
+            bound = poly._mignotte_bound(G)
+            for F in factors[:-1]:
+                assert poly._zdivmod_monic(G, F, bound) == poly._zdivmod_monic(G, F)
+                assert not poly._zdivmod_monic(G, F)[1]
+
+
+def test_early_stop_rejects_a_quotient_over_the_bound():
+    G = [-2, 0, 0, 0, 1]                      # X^4 - 2
+    bound = poly._mignotte_bound(G)
+    assert poly._zdivmod_monic(G, [bound + 1, 1], bound) is None
+    assert poly._zdivmod_monic(G, [bound + 1, 1])[1]
+
+
+# --- the modular gcd over L: Euclid over L is the oracle ---------------------
+
+def gcds_by_euclid(f, norms, s, L):
+    """gcd(f, N(X + s*x)) for each N, by Euclid on Fraction coordinates
+    after an exact Taylor shift over L."""
+    sx = L.gen().scale(Fraction(s))
+    return [poly_gcd(f, N.map_coeffs(L, L.from_rational).shift(sx)) for N in norms]
+
+
+def _factor_recording_gcds(monkeypatch, f, L):
+    """factor_over_number_field(f, L), and the (args, result) of its
+    modular gcd call."""
+    calls = _record(monkeypatch, "_gcds_over_L")
+    fac = factor_over_number_field(f, L)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return fac, calls[0]
+
+
+@pytest.mark.parametrize("text", NORM_FIELDS)
+def test_modular_gcd_matches_euclid_on_fields(text, monkeypatch):
+    L = make_field(parse_polynomial(text))
+    fL = L.defining.map_coeffs(L, L.from_rational)
+    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fL, L)
+    assert hs == gcds_by_euclid(fL, norms, s, L)
+    assert len(hs) == len(norms) and {h.cs for h in hs} == {g.cs for g, _ in fac}
+
+
+def test_modular_gcd_matches_euclid_on_phi11(monkeypatch):
+    # Euclid over L takes seconds per norm factor here, so one is checked
+    # against it; the others against the factors X - x^k that Phi11 has
+    L = NumberField(PHI11)
+    fL = PHI11.map_coeffs(L, L.from_rational)
+    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fL, L)
+    assert len(norms) == 10
+    assert hs[:1] == gcds_by_euclid(fL, norms[:1], s, L)
+    x = L.gen()
+    assert {h.cs for h in hs} == {Poly(L, [-(x ** k), L.one]).cs for k in range(1, 11)}
+
+
+def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
+    rng = random.Random(1995)
+    done = 0
+    while done < 12:
+        fL = _random_monic(rng, rng.randrange(2, 7))
+        fac = factor_over_Q(fL)
+        if len(fac.factors) != 1 or fac.factors[0][1] != 1:
+            continue
+        L = NumberField(fL)
+        fq = _random_monic(rng, rng.randrange(2, 5))
+        if poly_gcd(fq, fq.derivative()).degree:
+            continue
+        f = fq.map_coeffs(L, L.from_rational)
+        fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, f, L)
+        assert hs == gcds_by_euclid(f, norms, s, L)
+        assert fac.expand() == f
+        done += 1
+
+
+def _feed_primes(monkeypatch, first):
+    """The modular gcd tries the primes ``first``, then its own."""
+    real = poly._gcd_primes
+
+    def primes():
+        yield from first
+        yield from real()
+
+    monkeypatch.setattr(poly, "_gcd_primes", primes)
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("X^2-1/2", {2: "denominator"}),
+    ("X^3-X/3+5/7", {3: "denominator", 7: "denominator", 11: "not squarefree",
+                     5: "not a unit", 2: "unlucky"}),
+    ("X^4-2", {2: "not squarefree", 5: "unlucky", 13: "unlucky"}),
+    ("X^4-10*X^2+1", {3: "not squarefree", 5: "not a unit", 19: "not a unit"}),
+])
+def test_modular_gcd_skips_bad_primes(text, bad, monkeypatch):
+    L = make_field(parse_polynomial(text))
+    fL = L.defining.map_coeffs(L, L.from_rational)
+    expected = factor_over_number_field(fL, L).factors
+    _feed_primes(monkeypatch, list(bad))
+    tried = _record(monkeypatch, "_gcds_mod_p")
+    assert factor_over_number_field(fL, L).factors == expected
+    seen = {args[4]: result for args, result in tried}
+    m = L.n
+    for p, why in bad.items():
+        if why in ("denominator", "not squarefree"):
+            assert p not in seen, (p, why)
+        elif why == "not a unit":
+            assert seen[p] is None, p
+        else:
+            assert sum(len(h) - 1 for h in seen[p]) > m, p
+    assert all(p > 2 ** 25 for p, hs in seen.items() if hs and p not in bad)
+
+
+def test_modular_gcd_combines_several_small_primes(monkeypatch):
+    # the factors of X^6+108 have coordinates up to 12, which primes
+    # below 300 recover only together
+    L = make_field(parse_polynomial("X^6+108"))
+    fL = L.defining.map_coeffs(L, L.from_rational)
+    expected = factor_over_number_field(fL, L).factors
+    small, p = [], 1
+    while p < 300:
+        p = next_prime(p)
+        small.append(p)
+    _feed_primes(monkeypatch, small)
+    tried = _record(monkeypatch, "_gcds_mod_p")
+    assert factor_over_number_field(fL, L).factors == expected
+    used = [args[4] for args, hs in tried if hs and sum(len(h) - 1 for h in hs) == L.n]
+    assert len(used) > 1 and all(p in small for p in used)
+
+
+def test_no_gcd_or_shift_over_L_after_the_squarefree_check(monkeypatch):
+    calls = []
+    real_gcd, real_shift = poly.poly_gcd, Poly.shift
+
+    def gcd_spy(a, b):
+        calls.append(("gcd", a.dom))
+        return real_gcd(a, b)
+
+    def shift_spy(self, c):
+        calls.append(("shift", self.dom))
+        return real_shift(self, c)
+
+    monkeypatch.setattr(poly, "poly_gcd", gcd_spy)
+    monkeypatch.setattr(Poly, "shift", shift_spy)
+    for text in FIELDS:
+        L = make_field(parse_polynomial(text))
+        del calls[:]
+        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+        assert [c for c in calls if c[1] is not QQ] == [("gcd", L)], text
