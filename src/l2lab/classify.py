@@ -18,12 +18,12 @@ read R[s] once per point s of S/R; no element is listed.
 
 from .errors import ConsistencyError
 from . import exact
-from .exact import Echelon, intersection, prime_factors
+from .exact import intersection, prime_factors
 from .finitealg import (
     Ideal, Subalgebra, _minimal_type_of_pair, conductor,
     crucial_ideal, enumerate_subalgebras, is_simple_extension, localize,
     maximal_ideals, maximal_ideals_over, msupp, radical, seminormalize, t_close,
-    vsub, whole_algebra,
+    whole_algebra,
 )
 
 
@@ -82,12 +82,12 @@ def module_length_at(a, M, V, W):
     """
     S = a.S
     resdim = a.R.dim - M.dim
-    cur = Echelon(list(V) + list(W))
-    floor = Echelon(W)
+    cur = S.span(list(V) + list(W))
+    floor = S.span(W)
     total = 0
     guard = 0
     while len(cur) != len(floor):
-        nxt = Echelon([S.mul(m, v) for m in M.basis for v in cur] + list(floor))
+        nxt = S.span([S.mul(m, v) for m in M.basis for v in cur] + list(floor))
         layer = len(cur) - len(nxt)
         if layer % resdim != 0:
             raise ConsistencyError("module layer is not an R/M-vector space")
@@ -419,12 +419,12 @@ def _cor_3_132(a, l2, ms, gens):
         return None
     N = over[0]
     C = a.conductor
-    msq = Echelon([S.mul(x, y) for x in M.basis for y in M.basis])
+    msq = S.span([S.mul(x, y) for x in M.basis for y in M.basis])
     m2_in_C = all(C.member(v) for v in msq)
     C_in_M = all(M.member(v) for v in C.basis)
     cond_is_M = C.key() == M.key()
-    n2 = Echelon([S.mul(x, y) for x in N.basis for y in N.basis])
-    n3 = Echelon([S.mul(x, y) for x in n2 for y in N.basis])
+    n2 = S.span([S.mul(x, y) for x in N.basis for y in N.basis])
+    n3 = S.span([S.mul(x, y) for x in n2 for y in N.basis])
     # (1): C = M, N^2 not inside M, N^3 inside M
     sub1 = (cond_is_M and not all(M.member(v) for v in n2)
             and all(M.member(v) for v in n3))
@@ -433,14 +433,16 @@ def _cor_3_132(a, l2, ms, gens):
         # (2): y^2 outside R, M + F*y^2 = MS = M + N^2 < N, M*N^2 inside M
         sub2_free = (ms.basis == M.basis.extend(n2) and M.dim + 1 == ms.dim < N.dim
                      and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
+        ops = S.field.ops
         rows = list(zip(*(N.basis.project(r) for r in R.basis)))
         for s in gens:
-            coeffs = exact.solve(rows, N.basis.project(s), S.field.one)
+            coeffs = exact.solve(rows, N.basis.project(s), ops)
             if coeffs is None:
                 raise ConsistencyError("R/M does not map onto S/N")
-            y = vsub(s, R.basis.combine(coeffs))
+            y = ops.sub(s, ops.one, R.basis.combine(coeffs))
             y2 = S.mul(y, y)
-            two_yM = [S.mul(tuple(c + c for c in y), x) for x in M.basis]
+            two_y = ops.sub(y, ops.neg(ops.one), y)
+            two_yM = [S.mul(two_y, x) for x in M.basis]
             sub2 = sub2 or (sub2_free and ms.member(y2)
                             and not (R.member(y2) and all(map(R.member, two_yM))))
             # (3): y^2 in R, (M + M*y)/M of dimension [R/M : F]

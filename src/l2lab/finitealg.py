@@ -7,6 +7,17 @@ ideal, seminormalization, t-closure, the subalgebra lattice -- lives
 here; the theorem-level classification sits in classify.py and uses
 these as its oracles.
 
+A vector is a tuple of ``int`` element indices in ``range(q)``, in
+``SmallField``'s numbering (0 is the zero, 1 the one).  All arithmetic
+on entries reads the field's lookup tables: ``FiniteAlgebra.mul`` reads
+a sparse list of the nonzero structure constants, and every
+``exact.Echelon`` here is reduced with ``SmallField.ops``, the field
+protocol on indices.  Plain ``+ - *`` on entries would compute over Z,
+so none is applied to them.  ``GFElem`` is only the element type of
+``Poly`` over F_q (field tables, irreducibles, the Groebner completion
+of a quotient presentation); the builders below turn its coefficients
+into indices once, where they hand on a table, a unit or a vector.
+
 Structure is linear algebra, not an element scan: x |-> x^q is
 F_q-linear, so a radical sqrt(I) is the kernel of x |-> x^(q^k) mod I
 and the primitive idempotents split off the fixed space of x |-> x^q
@@ -16,9 +27,8 @@ is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
 
 The lattice [R, S] is built by adjunction: T[s] is the T-span of the
 powers of s, and every node is extended by one s per point of the
-projective space of S/T (``adjunctions``).  Multiplication reads a
-sparse list of the nonzero structure constants on field-element
-indices.  Only the test oracles list the elements of an algebra.
+projective space of S/T (``adjunctions``).  Only the test oracles list
+the elements of an algebra.
 """
 
 import itertools
@@ -90,7 +100,9 @@ class SmallField:
 
     Element i is the residue sum c_t u^t with i = sum c_t p^t; for k > 1
     the tables come from polynomial arithmetic over F_p modulo the
-    lex-least monic irreducible of degree k.
+    lex-least monic irreducible of degree k.  ``elems`` are the elements
+    as ``GFElem`` (the coefficients of ``Poly``); ``ops`` is the ``exact``
+    field protocol on the indices themselves (``IndexOps``).
     """
 
     def __init__(self, p, k):
@@ -120,6 +132,7 @@ class SmallField:
         self.inv_t = inv
         self.elems = tuple(GFElem(self, i) for i in range(self.q))
         self.zero, self.one = self.elems[0], self.elems[1]
+        self.ops = IndexOps(self)
 
     def from_int(self, n):
         return self.elems[n % self.p]
@@ -153,6 +166,29 @@ class SmallField:
 
     def __repr__(self):
         return "F%d" % self.q
+
+
+class IndexOps:
+    """The ``exact`` field protocol on the element indices of a
+    SmallField: a row operation looks up one row of ``mul_t``, then one
+    ``add_t`` entry per column."""
+
+    zero, one = 0, 1
+
+    def __init__(self, F):
+        self.add_t, self.mul_t, self.neg_t, self.inv_t = F.add_t, F.mul_t, F.neg_t, F.inv_t
+
+    def neg(self, c):
+        return self.neg_t[c]
+
+    def sub(self, v, c, row):
+        add = self.add_t
+        mc = self.mul_t[self.neg_t[c]]
+        return [add[a][mc[b]] for a, b in zip(v, row)]
+
+    def div(self, v, c):
+        mc = self.mul_t[self.inv_t[c]]
+        return [mc[a] for a in v]
 
 
 _small_fields = {}
@@ -197,17 +233,6 @@ def _is_irreducible_gf(f, Fq):
 
 
 # ---------------------------------------------------------------------------
-# Vectors over F_q are plain tuples of GFElem; subspaces are exact.Echelon.
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_key(v):
-    return tuple(c.i for c in v)
-
-
-# ---------------------------------------------------------------------------
 # Algebras
 
 class FiniteAlgebra:
@@ -220,8 +245,8 @@ class FiniteAlgebra:
         self.unit = tuple(unit)
         self.names = list(names) if names else ["e%d" % i for i in range(self.dim)]
         self.size = field.q ** self.dim
-        # terms[i][j]: the nonzero structure constants (k, index of c_ijk)
-        self.terms = [[tuple((k, c.i) for k, c in enumerate(v) if c) for v in row]
+        # terms[i][j]: the nonzero structure constants (k, c_ijk)
+        self.terms = [[tuple((k, c) for k, c in enumerate(v) if c) for v in row]
                       for row in self.table]
         if check:
             check_elements(self.size, "algebra construction")
@@ -246,25 +271,27 @@ class FiniteAlgebra:
                         raise ValueError("multiplication table is not associative")
 
     def basis_vector(self, i):
-        return tuple(self.field.one if j == i else self.field.zero
-                     for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
+
+    def span(self, vectors):
+        """The Echelon of ``vectors`` over the field of the algebra."""
+        return Echelon(vectors, self.field.ops)
 
     def mul(self, u, v):
-        """u*v, read off the sparse structure constants on field-element
-        indices."""
+        """u*v, read off the sparse structure constants."""
         F = self.field
         add, mul = F.add_t, F.mul_t
         out = [0] * self.dim
-        vs = [(j, b.i) for j, b in enumerate(v) if b.i]
+        vs = [(j, b) for j, b in enumerate(v) if b]
         for a, row in zip(u, self.terms):
-            if not a.i:
+            if not a:
                 continue
-            ma = mul[a.i]
+            ma = mul[a]
             for j, b in vs:
                 mc = mul[ma[b]]
                 for k, t in row[j]:
                     out[k] = add[out[k]][mc[t]]
-        return tuple(map(F.elems.__getitem__, out))
+        return tuple(out)
 
     def power(self, v, e):
         """v^e by squaring, with no product by 1 and no square past the
@@ -280,14 +307,14 @@ class FiniteAlgebra:
 
     def elements(self, what="element enumeration"):
         check_elements(self.size, what)
-        return list(itertools.product(self.field.elems, repeat=self.dim))
+        return list(itertools.product(range(self.field.q), repeat=self.dim))
 
     def element_str(self, v):
         terms = []
         for c, name in zip(v, self.names):
             if not c:
                 continue
-            cn = repr(c)
+            cn = self.field.elem_name(c)
             if cn == "1":
                 terms.append(name)
             elif name == "1":
@@ -308,7 +335,7 @@ def _power_table(F, m):
     powers = []
     r = Poly.const(F, F.one)
     for _ in range(2 * k - 1):
-        powers.append(tuple(r.coeff(t) for t in range(k)))
+        powers.append(tuple(r.coeff(t).i for t in range(k)))
         r = r * x % m
     return [[powers[i + j] for j in range(k)] for i in range(k)]
 
@@ -316,7 +343,7 @@ def _power_table(F, m):
 def product_algebra(F, factor_degrees):
     """Direct product of fields F_{q^k}, each realized as F_q[W]/(m_k)."""
     dim = sum(factor_degrees)
-    zero = (F.zero,) * dim
+    zero = (0,) * dim
     table = [[zero] * dim for _ in range(dim)]
     unit = list(zero)
     names = []
@@ -326,7 +353,7 @@ def product_algebra(F, factor_degrees):
         for i in range(k):
             for j in range(k):
                 table[off + i][off + j] = zero[:off] + block[i][j] + zero[off + k:]
-        unit[off] = F.one
+        unit[off] = 1
         names += ["e%d" % s] + ["u%d" % s if j == 1 else "u%d^%d" % (s, j)
                                 for j in range(1, k)]
         off += k
@@ -336,7 +363,7 @@ def product_algebra(F, factor_degrees):
 def field_algebra(F, defining):
     """F_q[X]/(f) for a monic f over F_q, as an F_q-algebra of dim deg f."""
     dim = defining.degree
-    unit = tuple(F.one if t == 0 else F.zero for t in range(dim))
+    unit = tuple(int(t == 0) for t in range(dim))
     names = ["1"] + ["x" if i == 1 else "x^%d" % i for i in range(1, dim)]
     return FiniteAlgebra(F, _power_table(F, defining), unit, names)
 
@@ -462,11 +489,11 @@ def quotient_algebra(F, varnames, relations):
 
     def nf_vector(f):
         r = _mp_normal_form(f, G)
-        out = [F.zero] * dim
+        out = [0] * dim
         for m, c in r.items():
             if m not in index:
                 raise ConsistencyError("normal form contains a non-standard monomial")
-            out[index[m]] = c
+            out[index[m]] = c.i
         return tuple(out)
 
     table = []
@@ -505,7 +532,7 @@ class Subalgebra:
 
     def __init__(self, ambient, basis, check=True):
         self.ambient = ambient
-        self.basis = basis if isinstance(basis, Echelon) else Echelon(basis)
+        self.basis = basis if isinstance(basis, Echelon) else ambient.span(basis)
         self._structure = None
         if check:
             if not self.member(ambient.unit):
@@ -543,11 +570,11 @@ class Subalgebra:
         return self.basis.contains_span(other.basis)
 
     def key(self):
-        return (self.dim, tuple(vec_key(b) for b in self.basis))
+        return (self.dim, self.basis)
 
     def elements(self, what="subalgebra element enumeration"):
         check_elements(self.size, what)
-        coords = itertools.product(self.ambient.field.elems, repeat=self.dim)
+        coords = itertools.product(range(self.ambient.field.q), repeat=self.dim)
         return [self.basis.combine(coeffs) for coeffs in coords]
 
     def is_whole(self):
@@ -586,7 +613,7 @@ def algebra_on_subspace(A, basis, unit_vec):
     Returns (algebra, lift, project): lift maps local coordinate vectors
     to ambient vectors, project the other way (None if outside).
     """
-    basis = Echelon(basis)
+    basis = A.span(basis)
     table = []
     for a in basis:
         row = [basis.coords(A.mul(a, b)) for b in basis]
@@ -607,7 +634,7 @@ class Ideal:
 
     def __init__(self, of, basis):
         self.of = of
-        self.basis = Echelon(basis)
+        self.basis = of.ambient.span(basis)
 
     @property
     def dim(self):
@@ -617,7 +644,7 @@ class Ideal:
         return self.basis.contains(v)
 
     def key(self):
-        return (self.dim, tuple(vec_key(b) for b in self.basis))
+        return (self.dim, self.basis)
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.key() == other.key()
@@ -640,7 +667,7 @@ def _kernel_over(T, image):
     cols = [image(b) for b in T.basis]
     rows = [[col[t] for col in cols] for t in range(len(cols[0]))]
     return [T.basis.combine(x)
-            for x in exact.kernel(rows, T.dim, T.ambient.field.one)]
+            for x in exact.kernel(rows, T.dim, T.ambient.field.ops)]
 
 
 def radical(T, I):
@@ -655,8 +682,8 @@ def radical(T, I):
     e = A.field.q
     while e < T.dim:
         e *= A.field.q
-    I = Echelon(I)
-    return Echelon(_kernel_over(T, lambda b: I.project(A.power(b, e))))
+    I = A.span(I)
+    return A.span(_kernel_over(T, lambda b: I.project(A.power(b, e))))
 
 
 def subalgebra_structure(T):
@@ -673,15 +700,14 @@ def subalgebra_structure(T):
     subalgebra.
     """
     A = T.ambient
-    F = A.field
+    q, sub = A.field.q, A.field.ops.sub
     nil = radical(T, ())
     prim = [A.unit]
-    for b in _kernel_over(T, lambda x: vsub(A.power(x, F.q), x)):
-        splits = [vsub(A.unit, A.power(vsub(b, tuple(c * u for u in A.unit)), F.q - 1))
-                  for c in F.elems]
+    for b in _kernel_over(T, lambda x: sub(A.power(x, q), 1, x)):
+        splits = [sub(A.unit, 1, A.power(sub(b, c, A.unit), q - 1)) for c in range(q)]
         prim = [f for e in prim for f in (A.mul(e, s) for s in splits) if any(f)]
-    prim = tuple(sorted(prim, key=vec_key))
-    maxes = tuple(sorted((Ideal(T, list(nil) + [A.mul(vsub(A.unit, e), b) for b in T.basis])
+    prim = tuple(sorted(prim))
+    maxes = tuple(sorted((Ideal(T, list(nil) + [A.mul(sub(A.unit, 1, e), b) for b in T.basis])
                           for e in prim), key=Ideal.key))
     return nil, prim, maxes
 
@@ -853,12 +879,12 @@ def adjoin(T, s):
 # ---------------------------------------------------------------------------
 # Subalgebra enumeration by adjunction
 
-def _points(F, c):
-    """One vector per point of the projective space of F^c: those whose
+def _points(q, c):
+    """One vector per point of the projective space of F_q^c: those whose
     first nonzero entry is 1."""
     for lead in range(c):
-        head = (F.zero,) * lead + (F.one,)
-        for tail in itertools.product(F.elems, repeat=c - lead - 1):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(q), repeat=c - lead - 1):
             yield head + tail
 
 
@@ -869,8 +895,8 @@ def adjunctions(T):
     these, as T[c*u + t] = T[u] for c != 0 and t in T."""
     A = T.ambient
     free = [j for j in range(A.dim) if j not in T.basis.pivots]
-    for point in _points(A.field, len(free)):
-        s = [A.field.zero] * A.dim
+    for point in _points(A.field.q, len(free)):
+        s = [0] * A.dim
         for j, c in zip(free, point):
             s[j] = c
         s = tuple(s)

@@ -306,7 +306,8 @@ def subfield_from_subspace(L, vectors, check=True):
 
     With check=True the multiplicative closure is asserted, not imposed.
     """
-    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.one.coords]), check)
+    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.one.coords], exact.QQ_OPS),
+                           check)
 
 
 def subfield_of_span(L, span, check=True):
@@ -336,7 +337,7 @@ def min_poly_over_basis(L, span):
     pows = L.gen_powers
     cols = [(b * pows[i]).coords for i in range(d) for b in basis]
     rows = [[col[c] for col in cols] + [pows[d].coords[c]] for c in range(n)]
-    red, pivots = exact.rref(rows)
+    red, pivots = exact.rref(rows, exact.QQ_OPS)
     if pivots != list(range(n)):
         raise ConsistencyError("deg(f_K) * dim(K) != n")
     sol = [row[n] for row in red]
@@ -354,14 +355,14 @@ def subfield_generated(L, gens):
     stabilizes; terminates in at most n rounds since the dimension
     strictly increases.
     """
-    span = exact.Echelon([L.one.coords] + [g.coords for g in gens])
+    span = exact.Echelon([L.one.coords] + [g.coords for g in gens], exact.QQ_OPS)
     while True:
         basis = [NFElement(L, row) for row in span]
         prods = list(span)
         for i in range(len(basis)):
             for j in range(i, len(basis)):
                 prods.append((basis[i] * basis[j]).coords)
-        grown = exact.Echelon(prods)
+        grown = exact.Echelon(prods, exact.QQ_OPS)
         if len(grown) == len(span):
             break
         span = grown
@@ -377,7 +378,7 @@ def intersect_subfields(A, B):
 
 def whole_field(L):
     span = exact.Echelon([[Fraction(1 if i == j else 0) for i in range(L.n)]
-                          for j in range(L.n)])
+                          for j in range(L.n)], exact.QQ_OPS)
     return Subfield(L, span, Poly(L, [-L.gen(), L.one]))
 
 

@@ -377,11 +377,11 @@ def _algebra_from_product(F, q, factors):
 
 
 def _element(F, c):
-    """The element with index c: a JSON integer (not a bool) in [0, q)."""
+    """The element index c: a JSON integer (not a bool) in [0, q)."""
     if type(c) is not int or not 0 <= c < F.q:
         raise ParseError("field elements are integer indices in [0, %d), got %r"
                          % (F.q, c))
-    return F.element(c)
+    return c
 
 
 def _algebra_from_table(F, spec):
@@ -445,29 +445,27 @@ def _subring_from_generators_product(S, F, blocks, spec):
         if len(comps) != len(blocks):
             raise ParseError("generator %r has %d components, product has %d"
                              % (text, len(comps), len(blocks)))
-        v = [F.zero] * S.dim
+        v = [0] * S.dim
         for comp, (off, k) in zip(comps, blocks):
             mp = parse_relation(comp, F, ["u"])
             for mono, c in mp.items():
-                e = mono[0]
-                if e >= k:
-                    # reduce u^e by the factor's defining polynomial
-                    red = _reduce_power(F, S, off, k, e)
-                    for t in range(k):
-                        v[off + t] = v[off + t] + c * red[t]
-                else:
-                    v[off + e] = v[off + e] + c
+                # the coefficient of u^e, times u^e reduced by the
+                # factor's defining polynomial, added on the factor's
+                # coordinates
+                red = _reduce_power(S, off, k, mono[0])
+                v[off:off + k] = F.ops.sub(v[off:off + k], F.ops.neg(c.i), red)
         gens.append(tuple(v))
     return Subalgebra.from_generators(S, gens)
 
 
-def _reduce_power(F, S, off, k, e):
-    # multiply out u^e inside the factor via the algebra itself
+def _reduce_power(S, off, k, e):
+    """u^e in the factor at ``off`` of dimension k, on its k coordinates,
+    multiplied out in the algebra itself."""
     u = S.basis_vector(off + 1) if k > 1 else S.basis_vector(off)
     acc = S.basis_vector(off)
     for _ in range(e):
         acc = S.mul(acc, u)
-    return [acc[off + t] for t in range(k)]
+    return acc[off:off + k]
 
 
 def _subring_from_table_generators(S, F, spec):

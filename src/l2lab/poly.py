@@ -213,15 +213,6 @@ class Poly:
             acc = acc * c + a
         return acc
 
-    def shift(self, c):
-        """Taylor shift: the polynomial self(X + c)."""
-        dom = self.dom
-        acc = Poly(dom, [])
-        xpc = Poly(dom, [c, dom.one])
-        for a in reversed(self.cs):
-            acc = acc * xpc + Poly.const(dom, a)
-        return acc
-
     def map_coeffs(self, dom2, fn):
         return Poly(dom2, [fn(c) for c in self.cs])
 

@@ -73,7 +73,7 @@ def principal_subfield_of_factor(L, f_alpha):
     for t in range(d):
         for c in range(n):
             rows.append([rems[j].coeff(t).coords[c] for j in range(n)])
-    return subfield_from_subspace(L, exact.kernel(rows, n, Fraction(1)), check=True)
+    return subfield_from_subspace(L, exact.kernel(rows, n, exact.QQ_OPS), check=True)
 
 
 class PrincipalSubfieldSet:

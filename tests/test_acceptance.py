@@ -301,7 +301,7 @@ def _random_small_algebra(rng):
         S = quotient_algebra(F, ["x"], [{(rng.choice([2, 3, 4]),): F.one}])
     if S.dim > 5 or S.size > 256:
         return None
-    gens = [tuple(F.element(rng.randrange(F.q)) for _ in range(S.dim))
+    gens = [tuple(rng.randrange(F.q) for _ in range(S.dim))
             for _ in range(rng.randrange(0, 3))]
     R = Subalgebra.from_generators(S, gens)
     if R.is_whole():

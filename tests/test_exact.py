@@ -3,9 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.exact import Echelon, kernel, next_prime, prime_factors, rref, solve
-
-ONE = Fraction(1)
+from l2lab.exact import QQ_OPS, Echelon, kernel, next_prime, prime_factors, rref, solve
 
 
 def _rows(nrows, ncols, entries):
@@ -19,11 +17,11 @@ def _mul_vector(rows, v):
 
 
 def test_kernel_full_rank_1x1():
-    assert kernel(_rows(1, 1, [1]), 1, ONE) == []
+    assert kernel(_rows(1, 1, [1]), 1, QQ_OPS) == []
 
 
 def test_kernel_of_empty_matrix_is_standard_basis():
-    assert kernel([], 3, ONE) == [
+    assert kernel([], 3, QQ_OPS) == [
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
@@ -31,26 +29,26 @@ def test_kernel_of_empty_matrix_is_standard_basis():
 
 
 def test_kernel_1x2_symmetry():
-    assert kernel(_rows(1, 2, [1, -1]), 2, ONE) == [(Fraction(1), Fraction(1))]
+    assert kernel(_rows(1, 2, [1, -1]), 2, QQ_OPS) == [(Fraction(1), Fraction(1))]
 
 
 def test_kernel_2x3_hand_elimination():
     # [[1,0,1],[0,1,1]] is already reduced; the free column gives (-1,-1,1).
-    assert kernel(_rows(2, 3, [1, 0, 1, 0, 1, 1]), 3, ONE) == [
+    assert kernel(_rows(2, 3, [1, 0, 1, 0, 1, 1]), 3, QQ_OPS) == [
         (Fraction(-1), Fraction(-1), Fraction(1))]
 
 
 def test_echelon_identity():
     m = _rows(2, 2, [1, 0, 0, 1])
-    assert rref(m) == (m, [0, 1])
+    assert rref(m, QQ_OPS) == (m, [0, 1])
 
 
 def test_echelon_scaling():
-    assert rref(_rows(1, 2, [2, 4])) == (_rows(1, 2, [1, 2]), [0])
+    assert rref(_rows(1, 2, [2, 4]), QQ_OPS) == (_rows(1, 2, [1, 2]), [0])
 
 
 def test_echelon_duplicate_row():
-    assert rref(_rows(2, 2, [1, 1, 1, 1])) == (_rows(2, 2, [1, 1, 0, 0]), [0])
+    assert rref(_rows(2, 2, [1, 1, 1, 1]), QQ_OPS) == (_rows(2, 2, [1, 1, 0, 0]), [0])
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (7, 11), (100, 101), (0, 2), (2, 3)])
@@ -78,18 +76,18 @@ def test_kernel_exactness_and_rank_nullity():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 6)
         m = _random_matrix(rng, rows, cols)
-        basis = kernel(m, cols, ONE)
+        basis = kernel(m, cols, QQ_OPS)
         for v in basis:
             assert all(x == 0 for x in _mul_vector(m, v))
-        assert len(rref(m)[1]) + len(basis) == cols
+        assert len(rref(m, QQ_OPS)[1]) + len(basis) == cols
 
 
 def test_echelon_idempotent():
     rng = random.Random(13)
     for _ in range(25):
         m = _random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
-        e, pivots = rref(m)
-        assert rref(e) == (e, pivots)
+        e, pivots = rref(m, QQ_OPS)
+        assert rref(e, QQ_OPS) == (e, pivots)
 
 
 def test_solve_roundtrip():
@@ -100,20 +98,19 @@ def test_solve_roundtrip():
         m = _random_matrix(rng, rows, cols)
         x = [Fraction(rng.randrange(-4, 5)) for _ in range(cols)]
         rhs = _mul_vector(m, x)
-        got = solve(m, rhs, ONE)
+        got = solve(m, rhs, QQ_OPS)
         assert got is not None
         assert _mul_vector(m, got) == rhs
 
 
 def test_solve_inconsistent():
-    assert solve([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)],
-                 Fraction(1)) is None
+    assert solve([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)], QQ_OPS) is None
 
 
 def test_in_row_space():
-    red = Echelon([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    red = Echelon([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], QQ_OPS)
     assert red.contains([Fraction(3), Fraction(4)])
-    red2 = Echelon([[Fraction(1), Fraction(1)]])
+    red2 = Echelon([[Fraction(1), Fraction(1)]], QQ_OPS)
     assert red2.contains([Fraction(2), Fraction(2)])
     assert not red2.contains([Fraction(1), Fraction(0)])
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from l2lab import exact, fieldlattice
@@ -189,7 +187,7 @@ def min_poly_by_search(L, span):
     for d in range(1, L.n + 1):
         cols += [(b * L.gen_powers[d - 1]).coords for b in basis]
         rows = [[col[c] for col in cols] for c in range(L.n)]
-        sol = exact.solve(rows, list(L.gen_powers[d].coords), Fraction(1))
+        sol = exact.solve(rows, list(L.gen_powers[d].coords), exact.QQ_OPS)
         if sol is not None:
             coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
             return Poly(L, [-c for c in coeffs] + [L.one])
@@ -218,6 +216,6 @@ def test_min_poly_refuses_a_span_that_is_no_subfield(quartic):
     L = quartic[0].field
     x = L.gen()
     for gens in ([x], [x, x * x]):      # spans of dimension 2 and 3
-        span = exact.Echelon([L.one.coords] + [g.coords for g in gens])
+        span = exact.Echelon([L.one.coords] + [g.coords for g in gens], exact.QQ_OPS)
         with pytest.raises(ConsistencyError, match=r"deg\(f_K\) \* dim\(K\) != n"):
             min_poly_over_basis(L, span)

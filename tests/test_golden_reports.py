@@ -1,10 +1,19 @@
-"""Every named benchmark input replayed through the command line against
-its stored report.
+"""Every named benchmark input, and the random extensions of seeds 1-60,
+replayed through the command line against their stored reports.
 
 ``perfbench/expected.json`` holds the ``classify --json`` report of each
 named input of ``perfbench/corpus.py``, without ``timing_ms``.  A report
 that changes, a predicate entry included, fails here before the
 benchmark counts the input as undecided.  Both files are only read.
+
+``golden_random_reports.json`` beside this file holds, one line each,
+the reports of ``corpus.random_extensions(seed)`` for seeds 1-60 (180
+small algebras over F_2 and F_3), likewise without ``timing_ms``.  They
+catch a flag that changes on inputs the named corpus does not reach.
+Rewrite the file only from a checkout whose reports are known to be
+right:
+
+    PYTHONPATH=src python3 tests/test_golden_reports.py --write
 """
 
 import io
@@ -23,15 +32,51 @@ import corpus  # noqa: E402
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
 NAMED = [inp for workload in corpus.WORKLOADS for inp in corpus.named_inputs(workload)]
 
+RANDOM_FILE = Path(__file__).resolve().parent / "golden_random_reports.json"
+RANDOM = [inp for seed in range(1, 61) for inp in corpus.random_extensions(seed)]
+
+
+def _report(inp):
+    """The ``classify`` report of ``inp`` without ``timing_ms``, run in
+    this process."""
+    stdin, stdout = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO((inp.stdin or b"").decode()), io.StringIO()
+    try:
+        code = main(inp.argv)
+        out = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = stdin, stdout
+    assert code == 0, inp.id
+    report = json.loads(out)
+    del report["timing_ms"]
+    return report
+
 
 def test_every_named_input_has_a_stored_report():
     assert sorted(inp.id for inp in NAMED) == sorted(EXPECTED)
 
 
 @pytest.mark.parametrize("inp", NAMED, ids=[inp.id for inp in NAMED])
-def test_report_matches_stored(inp, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO((inp.stdin or b"").decode()))
-    assert main(inp.argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    del report["timing_ms"]
-    assert report == EXPECTED[inp.id]
+def test_report_matches_stored(inp):
+    assert _report(inp) == EXPECTED[inp.id]
+
+
+@pytest.fixture(scope="module")
+def random_expected():
+    return json.loads(RANDOM_FILE.read_text(encoding="utf-8"))
+
+
+def test_every_random_extension_has_a_stored_report(random_expected):
+    assert len(RANDOM) == 180
+    assert sorted(inp.id for inp in RANDOM) == sorted(random_expected)
+
+
+@pytest.mark.parametrize("inp", RANDOM, ids=[inp.id for inp in RANDOM])
+def test_random_report_matches_stored(inp, random_expected):
+    assert _report(inp) == random_expected[inp.id]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    lines = ["%s: %s" % (json.dumps(inp.id), json.dumps(_report(inp), separators=(",", ":")))
+             for inp in sorted(RANDOM, key=lambda inp: inp.id)]
+    RANDOM_FILE.write_text("{\n%s\n}\n" % ",\n".join(lines), encoding="utf-8")

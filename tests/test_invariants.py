@@ -6,8 +6,10 @@ no ``float(...)`` call may appear, ``math`` may only supply the exact
 integer routines ``gcd`` and ``isqrt``, and imports are limited to the
 package itself and a fixed set of standard-library modules.  No code
 calls an attribute named ``elements`` outside the bodies of the two
-listing methods the tests use as oracles.  The
-``[project].dependencies`` list of pyproject.toml must stay empty.
+listing methods the tests use as oracles.  ``classify.py`` and
+``report.py`` never name ``GFElem``, ``vsub`` or ``vec_key``: the vector
+representation of an algebra lives in ``finitealg`` and ``exact`` alone.
+The ``[project].dependencies`` list of pyproject.toml must stay empty.
 """
 
 import ast
@@ -88,6 +90,22 @@ def test_no_element_listing(path):
                 and node.func.attr == "elements"):
             assert id(node) in exempt, "%s:%d calls .elements()" % (path.name,
                                                                     node.lineno)
+
+
+@pytest.mark.parametrize("name", ["classify.py", "report.py"])
+def test_vector_representation_stays_in_finitealg_and_exact(name):
+    path = ROOT / "src" / "l2lab" / name
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        else:
+            continue
+        assert not names & {"GFElem", "vsub", "vec_key"}, "%s:%d names %s" % (
+            name, node.lineno, sorted(names))
 
 
 def test_no_runtime_dependencies():

@@ -97,7 +97,7 @@ def _random_algebra(rng):
         return None
     gens = []
     for _ in range(rng.randrange(0, 3)):
-        v = tuple(F.element(rng.randrange(F.q)) for _ in range(S.dim))
+        v = tuple(rng.randrange(F.q) for _ in range(S.dim))
         gens.append(v)
     R = Subalgebra.from_generators(S, gens)
     if R.is_whole():

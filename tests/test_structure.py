@@ -43,14 +43,13 @@ import pytest
 from l2lab import exact, finitealg
 from l2lab.classify import (analyze_extension, classify_extension, ideal_MS,
                             is_copointwise_minimal)
-from l2lab.exact import Echelon
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, adjoin, algebra_on_subspace,
                              conductor, crucial_ideal, enumerate_subalgebras,
                              field_algebra, irreducible_over, is_simple_extension,
                              maximal_ideals, maximal_ideals_over, msupp, nilradical,
                              prime_algebra, primitive_idempotents, product_algebra,
                              quotient_algebra, radical, seminormalize, small_field,
-                             t_close, vec_key, vsub, whole_algebra)
+                             t_close, whole_algebra)
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
@@ -77,11 +76,11 @@ def subspace_complement(A, basis):
     Quotient coordinates are the non-pivot positions ``free`` of the
     echelon form; ``lift`` puts them back with zeros at the pivots.
     """
-    red = Echelon(basis)
+    red = A.span(basis)
     free = [j for j in range(A.dim) if j not in red.pivots]
 
     def lift(qv):
-        v = [A.field.zero] * A.dim
+        v = [0] * A.dim
         for c, j in zip(qv, free):
             v[j] = c
         return tuple(v)
@@ -100,7 +99,7 @@ def quotient_by_ideal(A, ideal_basis):
 
 
 def _nilradical_by_scan(A):
-    return Echelon([v for v in A.elements() if is_nilpotent(A, v)])
+    return A.span([v for v in A.elements() if is_nilpotent(A, v)])
 
 
 def _primitive_idempotents_by_scan(A):
@@ -117,8 +116,8 @@ def _maximal_ideals_by_quotient(A):
     for e in _primitive_idempotents_by_scan(Q):
         prods = [Q.mul(Q.basis_vector(j), e) for j in range(Q.dim)]
         rows = [[prods[j][c] for j in range(Q.dim)] for c in range(Q.dim)]
-        kern = exact.kernel(rows, Q.dim, A.field.one)
-        out.append(Echelon(list(nil) + [lift(v) for v in kern]))
+        kern = exact.kernel(rows, Q.dim, A.field.ops)
+        out.append(A.span(list(nil) + [lift(v) for v in kern]))
     return nil, out
 
 
@@ -128,16 +127,16 @@ def oracle_structure(T):
     A = T.ambient
     alg, lift, _ = algebra_on_subspace(A, T.basis, A.unit)
     nil, maxes = _maximal_ideals_by_quotient(alg)
-    prim = tuple(sorted((lift(e) for e in _primitive_idempotents_by_scan(alg)), key=vec_key))
-    maxes = sorted(Echelon([lift(b) for b in M]) for M in maxes)
-    return Echelon([lift(b) for b in nil]), prim, maxes
+    prim = tuple(sorted(lift(e) for e in _primitive_idempotents_by_scan(alg)))
+    maxes = sorted(A.span([lift(b) for b in M]) for M in maxes)
+    return A.span([lift(b) for b in nil]), prim, maxes
 
 
 def radical_by_scan(T, I):
     """{r in T : r^(dim T) in I}."""
     A = T.ambient
-    I = Echelon(I)
-    return Echelon([r for r in T.elements() if I.contains(A.power(r, T.dim))])
+    I = A.span(I)
+    return A.span([r for r in T.elements() if I.contains(A.power(r, T.dim))])
 
 
 def radical_by_quotient(T, I):
@@ -146,8 +145,8 @@ def radical_by_quotient(T, I):
     alg, lift, project = algebra_on_subspace(T.ambient, T.basis, T.ambient.unit)
     local_ideal = [project(b) for b in I]
     Q, _, qlift = quotient_by_ideal(alg, local_ideal)
-    return Echelon([lift(qlift(v)) for v in _nilradical_by_scan(Q)]
-                   + [lift(v) for v in local_ideal])
+    return T.ambient.span([lift(qlift(v)) for v in _nilradical_by_scan(Q)]
+                          + [lift(v) for v in local_ideal])
 
 
 def _conductor_of_algebra(R, S):
@@ -158,7 +157,7 @@ def _conductor_of_algebra(R, S):
     for j in range(S.dim):
         prods = [project(S.mul(basis[c], basis[j])) for c in range(S.dim)]
         rows += [[prods[c][t] for c in range(S.dim)] for t in range(len(free))]
-    return Echelon(exact.kernel(rows, S.dim, S.field.one))
+    return S.span(exact.kernel(rows, S.dim, S.field.ops))
 
 
 def conductor_by_full_kernel(lo, hi):
@@ -169,7 +168,7 @@ def conductor_by_full_kernel(lo, hi):
     def image(a):
         return tuple(c for h in hi.basis for c in lo.basis.project(A.mul(a, h)))
 
-    cond = Echelon(finitealg._kernel_over(hi, image))
+    cond = A.span(finitealg._kernel_over(hi, image))
     assert all(lo.member(b) for b in cond)
     return cond
 
@@ -179,7 +178,7 @@ def oracle_conductor(lo, hi):
     A = hi.ambient
     hi_alg, lift, project = algebra_on_subspace(A, hi.basis, A.unit)
     lo_in_hi = Subalgebra.from_generators(hi_alg, [project(b) for b in lo.basis])
-    return Echelon([lift(b) for b in _conductor_of_algebra(lo_in_hi, hi_alg)])
+    return A.span([lift(b) for b in _conductor_of_algebra(lo_in_hi, hi_alg)])
 
 
 def seminormalize_by_scan(R, T):
@@ -206,6 +205,7 @@ def t_close_by_scan(R, T):
     T admitting r in U with b^2 - r*b and b^3 - r*b^2 in U, to a
     fixpoint."""
     A = T.ambient
+    sub = A.field.ops.sub
     U = R
     elems = T.elements()
     while True:
@@ -217,7 +217,7 @@ def t_close_by_scan(R, T):
             b2 = A.mul(b, b)
             b3 = A.mul(b2, b)
             for r in uelems:
-                if U.member(vsub(b2, A.mul(r, b))) and U.member(vsub(b3, A.mul(r, b2))):
+                if U.member(sub(b2, 1, A.mul(r, b))) and U.member(sub(b3, 1, A.mul(r, b2))):
                     adjoin.append(b)
                     break
         if not adjoin:
@@ -252,7 +252,7 @@ def cor_3_132_by_scan(a):
     if a.conductor.key() == M.key():
         return False, False
     N, = maximal_ideals_over(a.whole, M.basis)
-    n2 = Echelon([S.mul(x, y) for x in N.basis for y in N.basis])
+    n2 = S.span([S.mul(x, y) for x in N.basis for y in N.basis])
     ms = ideal_MS(a).basis
     sub2 = sub3 = False
     for y in generators_by_scan(R, S):
@@ -260,12 +260,12 @@ def cor_3_132_by_scan(a):
             continue
         y2 = S.mul(y, y)
         if not R.member(y2):
-            sub2 = sub2 or (ms == Echelon(list(M.basis) + list(n2))
-                            and ms == Echelon(list(M.basis) + [y2])
+            sub2 = sub2 or (ms == S.span(list(M.basis) + list(n2))
+                            and ms == S.span(list(M.basis) + [y2])
                             and len(ms) < N.dim
                             and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
         else:
-            my = Echelon(list(M.basis) + [S.mul(x, y) for x in M.basis])
+            my = S.span(list(M.basis) + [S.mul(x, y) for x in M.basis])
             sub3 = sub3 or len(my) - M.dim == R.dim - M.dim
     return sub2, sub3
 
@@ -292,10 +292,10 @@ def enumerate_by_candidates(R, S):
         for piv in itertools.combinations(range(c), k):
             free_pos = [(r_i, col) for r_i, pc in enumerate(piv)
                         for col in range(pc + 1, c) if col not in piv]
-            for fill in itertools.product(F.elems, repeat=len(free_pos)):
-                rows = [[F.zero] * S.dim for _ in range(k)]
+            for fill in itertools.product(range(F.q), repeat=len(free_pos)):
+                rows = [[0] * S.dim for _ in range(k)]
                 for r_i, pc in enumerate(piv):
-                    rows[r_i][free[pc]] = F.one
+                    rows[r_i][free[pc]] = 1
                 for (r_i, col), val in zip(free_pos, fill):
                     rows[r_i][free[col]] = val
                 T = Subalgebra(S, list(R.basis) + rows, check=False)
@@ -308,9 +308,9 @@ def enumerate_by_candidates(R, S):
 def closure_by_products(S, gens):
     """The subalgebra generated by gens, as the span of 1 and gens
     closed under the products of pairs of its basis, to a fixpoint."""
-    basis = Echelon([S.unit] + list(gens))
+    basis = S.span([S.unit] + list(gens))
     while True:
-        grown = Echelon(list(basis) + [S.mul(basis[i], basis[j])
+        grown = S.span(list(basis) + [S.mul(basis[i], basis[j])
                                        for i in range(len(basis))
                                        for j in range(i, len(basis))])
         if len(grown) == len(basis):
@@ -324,9 +324,9 @@ def projective_points(T):
     S = T.ambient
     F = S.field
     free = [j for j in range(S.dim) if j not in T.basis.pivots]
-    for point in itertools.product(F.elems, repeat=len(free)):
-        if any(point) and next(c for c in point if c) == F.one:
-            s = [F.zero] * S.dim
+    for point in itertools.product(range(F.q), repeat=len(free)):
+        if any(point) and next(c for c in point if c) == 1:
+            s = [0] * S.dim
             for j, c in zip(free, point):
                 s[j] = c
             yield tuple(s)
@@ -377,11 +377,12 @@ def check_lattice(R, S):
         keys = [M.key() for M in maximal_ideals(T)]
         assert keys == sorted(keys)
         # the primitive idempotents are orthogonal and sum to 1
+        ops = S.field.ops
         total = prim[0]
         for i, e in enumerate(prim):
             assert all(not any(S.mul(e, f)) for f in prim[i + 1:])
             if i:
-                total = tuple(a + b for a, b in zip(total, e))
+                total = tuple(ops.sub(total, ops.neg(1), e))
         assert total == S.unit
         assert check_radical(T, ()) == nil
         for M in maximal_ideals(T):
@@ -443,7 +444,7 @@ def _random_algebra(rng, maxdims):
         a = rng.randrange(1, maxdim)
         S = quotient_algebra(F, ["x", "y"],
                              [{(a, 0): F.one}, {(1, 1): F.one}, {(0, 2): F.one}])
-    gens = [tuple(F.element(rng.randrange(q)) for _ in range(S.dim))
+    gens = [tuple(rng.randrange(q) for _ in range(S.dim))
             for _ in range(rng.randrange(0, 3))]
     R = Subalgebra.from_generators(S, gens)
     return (prime_algebra(S) if R.is_whole() else R), S
@@ -578,8 +579,7 @@ def _random_local_extension(rng):
     # leaving out x keeps R = S from being the rule (in F_q[x]/(x^n), any
     # element with an x term generates S)
     skip = {"x"} if kind == 0 or rng.randrange(2) else set()
-    gens = [tuple(F.zero if name in skip else F.element(rng.randrange(q))
-                  for name in S.names)
+    gens = [tuple(0 if name in skip else rng.randrange(q) for name in S.names)
             for _ in range(rng.randrange(1, 3))]
     R = Subalgebra.from_generators(S, gens)
     return (prime_algebra(S) if R.is_whole() else R), S
