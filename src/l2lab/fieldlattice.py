@@ -44,10 +44,8 @@ def build_lattice(ps):
     return from_edges(nodes, up)
 
 
-def is_minimal_extension(ps, lat=None):
+def is_minimal_extension(ps, lat):
     """t = 1, cross-checked against the lattice having exactly two nodes."""
-    if lat is None:
-        lat = build_lattice(ps)
     by_t = ps.t == 1
     by_lattice = len(lat) == 2
     if by_t != by_lattice:
@@ -55,15 +53,13 @@ def is_minimal_extension(ps, lat=None):
     return by_t
 
 
-def is_length_two(ps, lat=None):
+def is_length_two(ps, lat):
     """Theorem test: t > 1 and all pairwise E-intersections equal k.
 
     Returns (verdict, info); info carries whether k itself is one of the
     E_beta and the predicted |[k, L]| (t+1 or t+2) when the verdict
     holds.  The verdict is asserted equal to the direct chain length.
     """
-    if lat is None:
-        lat = build_lattice(ps)
     verdict = ps.t > 1
     if verdict:
         for i in range(ps.t):
@@ -111,16 +107,19 @@ def galois_length_two_check(lat, ps):
 
 
 def verify_minpoly_product_identity(ps, lat):
-    """Thm-style identity on every node: f_K = (X - x) prod_{a in I(K)} f_a."""
+    """Thm-style identity on every node: f_K = (X - x) prod_{a in I(K)} f_a,
+    with I(E_beta) read from ``ps.I``."""
     L = ps.field
     xlin = Poly(L, [-L.gen(), L.one])
+    I_of = {e.key(): I for e, I in zip(ps.E, ps.I)}
     for K in lat.nodes:
         if K.is_full():
             if K.min_poly != xlin:
                 raise ConsistencyError("f_L != X - x")
             continue
+        I = I_of.get(K.key())
         prod = xlin
-        for a in sorted(index_set_I(K, ps.system)):
+        for a in sorted(index_set_I(K, ps.system) if I is None else I):
             prod = prod * ps.system.factors[a]
         if prod != K.min_poly:
             raise ConsistencyError("product identity fails for a lattice node")

@@ -301,20 +301,18 @@ def _check_subspace_is_subfield(L, span):
         raise ConsistencyError("subfield dimension does not divide the field degree")
 
 
-def subfield_from_subspace(L, vectors, check=True):
+def subfield_from_subspace(L, vectors):
     """The Q-span of the coordinate vectors and 1, as a Subfield.
 
-    With check=True the multiplicative closure is asserted, not imposed.
+    The multiplicative closure is asserted, not imposed.
     """
-    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.one.coords], exact.QQ_OPS),
-                           check)
+    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.one.coords], exact.QQ_OPS))
 
 
-def subfield_of_span(L, span, check=True):
+def subfield_of_span(L, span):
     """The Subfield with Echelon span ``span``: its multiplicative
-    closure asserted (with check=True) and the min poly of x found."""
-    if check:
-        _check_subspace_is_subfield(L, span)
+    closure asserted and the min poly of x found."""
+    _check_subspace_is_subfield(L, span)
     return Subfield(L, span, min_poly_over_basis(L, span))
 
 
@@ -383,4 +381,4 @@ def whole_field(L):
 
 
 def prime_subfield(L):
-    return subfield_from_subspace(L, [], check=True)
+    return subfield_from_subspace(L, [])

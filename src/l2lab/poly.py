@@ -42,11 +42,11 @@ monic factors as the norm has irreducible factors over Q and they
 multiply back to f: by Trager's theorem that many factors of f over L
 are its irreducible ones, so no trial division is needed.
 
-Every returned factorization is re-multiplied and compared with its input
-before being handed back; a mismatch raises ``ConsistencyError``.  The
-modular factors of the chosen prime, and their Hensel lifts, are checked
-the same way, and every division in the norm's Newton identities must be
-exact.
+A factorization over Q or F_p is re-multiplied and compared with its
+input, and over L the modular gcd's product is that comparison; a
+mismatch raises ``ConsistencyError``.  The modular factors of the chosen
+prime, and their Hensel lifts, are checked the same way, and every
+division in the norm's Newton identities must be exact.
 """
 
 import itertools
@@ -402,6 +402,11 @@ def _pderiv(a, p):
     return _zmod([i * a[i] for i in range(1, len(a))], p)
 
 
+def _psquarefree_image(a, p):
+    """gcd(a, a') = 1 over F_p, for a with a nonzero leading coefficient."""
+    return len(_pgcd(a, _pderiv(a, p), p)) == 1
+
+
 def _pbezout(a, b, p):
     """s, t with s*a + t*b = 1 over F_p, for coprime a, b."""
     r0, r1 = a, b
@@ -614,7 +619,7 @@ def _squarefree_primes(G):
     while True:
         p = next_prime(p)
         gp = _zmod(G, p)
-        if len(_pgcd(gp, _pderiv(gp, p), p)) == 1:
+        if _psquarefree_image(gp, p):
             yield p, gp
 
 
@@ -790,8 +795,7 @@ def _certified_squarefree(g):
         if d % p == 0:
             continue
         tried += 1
-        gp = _zmod(G, p)
-        if len(_pgcd(gp, _pderiv(gp, p), p)) == 1:
+        if _psquarefree_image(_zmod(G, p), p):
             return True
     return False
 
@@ -994,8 +998,9 @@ def _gcds_over_L(fq, norms, s, L):
     That product is the certificate: by Trager's theorem f has as many
     irreducible factors over L as the squarefree norm has over Q, so r
     nonconstant monic factors of f whose product is f are its r
-    irreducible factors.  Only finitely many primes are unlucky or have
-    a leading coefficient that is not a unit in Euclid, so the loop ends.
+    irreducible factors, none repeated as f is squarefree.  Only finitely
+    many primes are unlucky or have a leading coefficient that is not a
+    unit in Euclid, so the loop ends.
     """
     fL = L.defining
     n, m = L.n, fq.degree
@@ -1007,7 +1012,7 @@ def _gcds_over_L(fq, norms, s, L):
         if den % p == 0:
             continue
         fp = _qmod(fL.cs, p)
-        if len(_pgcd(fp, _pderiv(fp, p), p)) != 1:
+        if not _psquarefree_image(fp, p):
             continue
         hs = _gcds_mod_p(fq, norms, s, fp, p)
         if hs is None or sum(len(h) - 1 for h in hs) != m:
@@ -1039,7 +1044,8 @@ def _gcds_over_L(fq, norms, s, L):
 def factor_over_number_field(f, L):
     """Factor a squarefree f in L[X] into monic irreducibles over L.
 
-    f of degree at least 2 must have rational coefficients.
+    f of degree at least 2 must have rational coefficients.  The factors
+    are not multiplied out again: the modular gcd's product is monic f.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -1051,7 +1057,7 @@ def factor_over_number_field(f, L):
     fm = f.monic()
     if f.degree <= 1:
         facs = [(fm, 1)] if f.degree == 1 else []
-        return Factorization(L, unit, facs).verify(f)
+        return Factorization(L, unit, facs)
     if any(any(c.coords[1:]) for c in fm.cs):
         raise ValueError("factoring over a number field requires rational "
                          "coefficients from degree 2 on")
@@ -1067,4 +1073,4 @@ def factor_over_number_field(f, L):
         s += 1
     norms = [Ni for Ni, _ in factor_over_Q(N).factors]
     hs = _gcds_over_L(fq, norms, s, L)
-    return Factorization(L, unit, [(h, 1) for h in hs]).verify(f)
+    return Factorization(L, unit, [(h, 1) for h in hs])

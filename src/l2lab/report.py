@@ -12,7 +12,7 @@ from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two
                            is_minimal_extension, verify_minpoly_product_identity)
 from .lattice import lattice_data
 from .numberfield import Subfield, make_field, nf_str, poly_str
-from .principal import compute_principal_subfields, index_set_I
+from .principal import compute_principal_subfields
 from .classify import analyze_extension, classify_extension
 
 
@@ -70,7 +70,7 @@ def _field_witnesses(ps, lat):
             "basis": [nf_str(v) for v in e.basis],
             "min_poly": poly_str(ps.m[b]),
             "Gamma": list(ps.gamma[b]),
-            "I": sorted(index_set_I(e, sysf)),
+            "I": sorted(ps.I[b]),
         })
     return w
 

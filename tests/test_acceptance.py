@@ -97,7 +97,7 @@ def test_criterion_4_minimal_cubic(capsys):
     assert ps.t == 1
     # brute-force confirmation: every principal subfield collapses to Q
     assert all(sub.dim == 1 for sub in ps.L_alpha)
-    assert is_minimal_extension(ps)
+    assert is_minimal_extension(ps, build_lattice(ps))
     _passed(4, "minimal \"X^3 - 3*X + 1\": t=1, minimal (all L_alpha = Q)")
 
 

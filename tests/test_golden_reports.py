@@ -10,8 +10,10 @@ benchmark counts the input as undecided.  Both files are only read.
 the reports of ``corpus.random_extensions(seed)`` for seeds 1-60 (180
 small algebras over F_2 and F_3), likewise without ``timing_ms``.  They
 catch a flag that changes on inputs the named corpus does not reach.
-Rewrite the file only from a checkout whose reports are known to be
-right:
+``golden_field_reports.json`` does the same for the number fields in
+``FIELD_INPUTS`` below: Galois and non-Galois extensions, with k among
+the principal subfields and without.  Rewrite both files only from a
+checkout whose reports are known to be right:
 
     PYTHONPATH=src python3 tests/test_golden_reports.py --write
 """
@@ -34,6 +36,25 @@ NAMED = [inp for workload in corpus.WORKLOADS for inp in corpus.named_inputs(wor
 
 RANDOM_FILE = Path(__file__).resolve().parent / "golden_random_reports.json"
 RANDOM = [inp for seed in range(1, 61) for inp in corpus.random_extensions(seed)]
+
+FIELD_FILE = Path(__file__).resolve().parent / "golden_field_reports.json"
+FIELD_INPUTS = [
+    "X^2-2",                                  # Galois, minimal
+    "X^5-2",                                  # non-Galois, minimal
+    "X^4+X+1",                                # non-Galois (S_4), minimal
+    "X^4+3",                                  # non-Galois, length 2, k in E
+    "X^4+1",                                  # Galois (Phi_8), length 2, k not in E
+    "X^6+3",                                  # Galois, length 2, k not in E
+    "X^6-3",                                  # non-Galois, length 2, k in E
+    "X^6-9*X^4-4*X^3+27*X^2-36*X-23",         # Q(2^(1/3), 3^(1/2)), non-Galois
+    "X^6+X^5+X^4+X^3+X^2+X+1",                # Phi_7, Galois, length 2, k in E
+    "X^6+X^3+1",                              # Phi_9, Galois, length 2, k in E
+    "X^8+1",                                  # Phi_16, Galois, length 3
+    "X^8-3",                                  # non-Galois, length 3
+    "X^9-2",                                  # non-Galois, length 2, k in E
+    "X^10+X^9+X^8+X^7+X^6+X^5+X^4+X^3+X^2+X+1",  # Phi_11, Galois, length 2
+]
+FIELDS = [corpus.Input(f, ["classify", "--json", f]) for f in FIELD_INPUTS]
 
 
 def _report(inp):
@@ -76,7 +97,26 @@ def test_random_report_matches_stored(inp, random_expected):
     assert _report(inp) == random_expected[inp.id]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+@pytest.fixture(scope="module")
+def field_expected():
+    return json.loads(FIELD_FILE.read_text(encoding="utf-8"))
+
+
+def test_every_field_input_has_a_stored_report(field_expected):
+    assert sorted(FIELD_INPUTS) == sorted(field_expected)
+
+
+@pytest.mark.parametrize("inp", FIELDS, ids=FIELD_INPUTS)
+def test_field_report_matches_stored(inp, field_expected):
+    assert _report(inp) == field_expected[inp.id]
+
+
+def _write(path, inputs):
     lines = ["%s: %s" % (json.dumps(inp.id), json.dumps(_report(inp), separators=(",", ":")))
-             for inp in sorted(RANDOM, key=lambda inp: inp.id)]
-    RANDOM_FILE.write_text("{\n%s\n}\n" % ",\n".join(lines), encoding="utf-8")
+             for inp in sorted(inputs, key=lambda inp: inp.id)]
+    path.write_text("{\n%s\n}\n" % ",\n".join(lines), encoding="utf-8")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    _write(RANDOM_FILE, RANDOM)
+    _write(FIELD_FILE, FIELDS)

@@ -10,9 +10,18 @@ listing methods the tests use as oracles.  ``classify.py`` and
 ``report.py`` never name ``GFElem``, ``vsub`` or ``vec_key``: the vector
 representation of an algebra lives in ``finitealg`` and ``exact`` alone.
 The ``[project].dependencies`` list of pyproject.toml must stay empty.
+
+The benchmark's tracer (``perfbench/tracing.py``, only read here) names
+its targets by string: every ``EXTRA_TARGETS`` entry, every ``CHECKS``
+name and every function behind a per-layer metric of BENCHMARK.json
+must be a function the tracer wraps, or the trace crashes or reads 0.
 """
 
 import ast
+import importlib
+import inspect
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +122,52 @@ def test_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import tracing  # noqa: E402
+
+
+def _resolve(layer, path):
+    owner = importlib.import_module("l2lab." + layer)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def _traced(name):
+    """True iff the tracer wraps the l2lab function called ``name``."""
+    layer, _, path = name.partition(".")
+    if (layer, path) in tracing.EXTRA_TARGETS:
+        return True
+    if layer not in tracing.LAYERS or "." in path or path.startswith("_"):
+        return False
+    fn = getattr(importlib.import_module("l2lab." + layer), path, None)
+    return (inspect.isfunction(fn) and fn.__module__ == "l2lab." + layer
+            and not inspect.isgeneratorfunction(fn)
+            and path not in tracing.LEAF_HELPERS.get(layer, ()))
+
+
+@pytest.mark.parametrize("layer, path", tracing.EXTRA_TARGETS,
+                         ids=[".".join(t) for t in tracing.EXTRA_TARGETS])
+def test_extra_trace_targets_resolve(layer, path):
+    assert callable(_resolve(layer, path))
+
+
+@pytest.mark.parametrize("name", sorted(tracing.CHECKS))
+def test_checks_are_traced_functions(name):
+    assert _traced(name)
+
+
+# Per-layer metrics of functions that the resultant-free Trager norm
+# removed; they read 0 until BENCHMARK.json drops them.
+GONE_FROM_POLY = ["poly.interpolate", "poly.resultant_monic"]
+
+
+def test_per_layer_metrics_name_traced_functions():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"].rpartition(".")[0] for m in bench["per_layer"]
+             if m["name"] not in tracing.COUNT_NAMES}
+    names = {n for n in names if n.partition(".")[0] in tracing.LAYERS}
+    assert "principal.FactorSystem" in names
+    assert [n for n in sorted(names) if not _traced(n)] == GONE_FROM_POLY
