@@ -16,8 +16,7 @@ from .poly import (QQ, Factorization, Poly, factor_mod_p, factor_over_Q,
                    factor_over_number_field, is_separable, poly_gcd)
 from .numberfield import (NFElement, NumberField, Subfield, intersect_subfields,
                           make_field, subfield_generated)
-from .principal import (FactorSystem, PrincipalSubfieldSet, K_g_of_product,
-                        compute_principal_subfields, index_set_I,
+from .principal import (FactorSystem, PrincipalSubfieldSet, compute_principal_subfields,
                         principal_subfield_of_factor)
 from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
                            is_minimal_extension)

@@ -1,7 +1,8 @@
 """Enumeration size caps.
 
 The element cap bounds |S| = q^dim of every algebra built, and q^2 of
-the F_q tables; L2LAB_CAP overrides it (lowering is always safe).
+the F_q tables; L2LAB_CAP overrides it (lowering is always safe).  A
+quotient is bounded while its basis is listed.
 The candidate cap bounds the number of one-element adjunctions T[s]
 the subalgebra enumeration may make.  The norm degree cap bounds the
 degree deg(fL) * deg(f) of the Trager norm, checked before any norm is
@@ -27,11 +28,12 @@ def element_cap():
         raise ParseError("L2LAB_CAP must be an integer, got %r" % v)
 
 
-def check_elements(count, what):
+def check_elements(q, dim, what):
+    """The element cap on q^dim; dim may be a lower bound found so far."""
     cap = element_cap()
-    if count > cap:
-        raise CapExceeded("%s needs %d element enumeration, cap is %d "
-                          "(raise L2LAB_CAP to override)" % (what, count, cap))
+    if q ** dim > cap:
+        raise CapExceeded("%s needs at least %d^%d elements, cap is %d "
+                          "(raise L2LAB_CAP to override)" % (what, q, dim, cap))
 
 
 def check_candidates(count, what):

@@ -3,18 +3,21 @@
 Every proper intermediate field is an intersection of the E_beta, so the
 node set is the intersection closure of {E_1, ..., E_t} plus L itself.
 Each meet is an ``exact.intersection`` of spans, made a checked
-subfield only when its span is new.  Inclusions are decided pairwise,
-and each node's full up-set is passed to ``lattice.from_edges`` as its
-generating set, which it is: the nodes above a node of the up-set are
-in the up-set too.  The builder finds the covers and the longest chain
-from it.
+subfield only when its span is new.  Inclusions are decided pairwise by
+``Echelon.contains_span``, and each node's full up-set is passed to
+``lattice.from_edges`` as its generating set, which it is: the nodes
+above a node of the up-set are in the up-set too.  Every other order
+fact is read off the up-sets: the meets of the E_beta (``lattice.meet``)
+and each I(K) = {alpha : K inside L_alpha}, which the product identity
+certifies (van Hoeij, Klueners & Novocin, JSC 52, 2013).
 """
+
+from itertools import combinations
 
 from .errors import CapExceeded, ConsistencyError
 from .exact import intersection, prime_factors
-from .lattice import from_edges
+from .lattice import from_edges, meet
 from .numberfield import prime_subfield, subfield_of_span, whole_field
-from .principal import index_set_I
 from .poly import Poly
 
 NODE_CAP = 4096
@@ -34,14 +37,23 @@ def build_lattice(ps):
             if (len(span), span) not in seen:
                 if len(seen) >= NODE_CAP:
                     raise CapExceeded("lattice exceeds %d nodes" % NODE_CAP)
-                meet = subfield_of_span(L, span)
-                seen[meet.key()] = meet
-                work.append(meet)
+                sub = subfield_of_span(L, span)
+                seen[sub.key()] = sub
+                work.append(sub)
     nodes = sorted(seen.values(), key=lambda s: s.key())
     up = [sum(1 << j for j in range(i + 1, len(nodes))
-              if a.dim < nodes[j].dim and nodes[j].contains_subfield(a))
+              if a.dim < nodes[j].dim and nodes[j].span.contains_span(a.span))
           for i, a in enumerate(nodes)]
-    return from_edges(nodes, up)
+    lat = from_edges(nodes, up)
+    if ps.E and meet(lat, _node_indices(lat, ps.E)) != 0:
+        raise ConsistencyError("intersection of principal subfields is not k")
+    return lat
+
+
+def _node_indices(lat, subfields):
+    """The index of each subfield among the lattice nodes."""
+    index = {K.key(): i for i, K in enumerate(lat.nodes)}
+    return [index[K.key()] for K in subfields]
 
 
 def is_minimal_extension(ps, lat):
@@ -54,21 +66,14 @@ def is_minimal_extension(ps, lat):
 
 
 def is_length_two(ps, lat):
-    """Theorem test: t > 1 and all pairwise E-intersections equal k.
+    """Theorem test: t > 1 and all pairwise E-meets equal k.
 
     Returns (verdict, info); info carries whether k itself is one of the
     E_beta and the predicted |[k, L]| (t+1 or t+2) when the verdict
     holds.  The verdict is asserted equal to the direct chain length.
     """
-    verdict = ps.t > 1
-    if verdict:
-        for i in range(ps.t):
-            for j in range(i + 1, ps.t):
-                if len(intersection(ps.E[i].span, ps.E[j].span)) != 1:
-                    verdict = False
-                    break
-            if not verdict:
-                break
+    verdict = ps.t > 1 and all(meet(lat, pair) == 0
+                               for pair in combinations(_node_indices(lat, ps.E), 2))
     info = {"t": ps.t}
     if verdict:
         k_in_E = any(e.dim == 1 for e in ps.E)
@@ -106,21 +111,26 @@ def galois_length_two_check(lat, ps):
     return report
 
 
+def index_sets(ps, lat):
+    """I(K) = {alpha : K inside L_alpha} for every node K, ascending,
+    read off the up-sets; L_alpha is the node of E_Phi(alpha)."""
+    E = _node_indices(lat, ps.E)
+    where = [E[b] for b in ps.phi]
+    return [[a for a, j in enumerate(where) if j == i or lat.up[i] >> j & 1]
+            for i in range(len(lat))]
+
+
 def verify_minpoly_product_identity(ps, lat):
-    """Thm-style identity on every node: f_K = (X - x) prod_{a in I(K)} f_a,
-    with I(E_beta) read from ``ps.I``."""
+    """f_K = (X - x) prod_{alpha in I(K)} f_alpha on every node K; returns
+    I(E_beta) for each beta.  The f_alpha are distinct irreducibles, so
+    this also proves I(K) = {alpha : f_alpha | f_K}, which holds Gamma(beta)
+    at K = E_beta: f_alpha | f_{L_alpha} for every alpha."""
     L = ps.field
-    xlin = Poly(L, [-L.gen(), L.one])
-    I_of = {e.key(): I for e, I in zip(ps.E, ps.I)}
-    for K in lat.nodes:
-        if K.is_full():
-            if K.min_poly != xlin:
-                raise ConsistencyError("f_L != X - x")
-            continue
-        I = I_of.get(K.key())
-        prod = xlin
-        for a in sorted(index_set_I(K, ps.system) if I is None else I):
+    I = index_sets(ps, lat)
+    for K, I_K in zip(lat.nodes, I):
+        prod = Poly(L, [-L.gen(), L.one])
+        for a in I_K:
             prod = prod * ps.system.factors[a]
         if prod != K.min_poly:
             raise ConsistencyError("product identity fails for a lattice node")
-    return True
+    return [I[i] for i in _node_indices(lat, ps.E)]

@@ -195,7 +195,7 @@ _small_fields = {}
 
 
 def small_field(q):
-    check_elements(q * q, "F_%d arithmetic tables" % q)
+    check_elements(q, 2, "F_%d arithmetic tables" % q)
     if q not in _small_fields:
         ps = prime_factors(q)
         if not ps or ps.count(ps[0]) != len(ps):
@@ -249,7 +249,7 @@ class FiniteAlgebra:
         self.terms = [[tuple((k, c) for k, c in enumerate(v) if c) for v in row]
                       for row in self.table]
         if check:
-            check_elements(self.size, "algebra construction")
+            check_elements(field.q, self.dim, "algebra construction")
             self._check_axioms()
 
     def _check_axioms(self):
@@ -306,7 +306,7 @@ class FiniteAlgebra:
         return self.unit if acc is None else acc
 
     def elements(self, what="element enumeration"):
-        check_elements(self.size, what)
+        check_elements(self.field.q, self.dim, what)
         return list(itertools.product(range(self.field.q), repeat=self.dim))
 
     def element_str(self, v):
@@ -466,26 +466,29 @@ def _buchberger(gens, nvars, F):
 
 
 def quotient_algebra(F, varnames, relations):
-    """F_q[vars]/(relations) as a finite algebra; errors if not finite."""
+    """F_q[vars]/(relations) as a finite algebra; errors if not finite.
+
+    The standard monomials (no lead monomial divides them) are closed
+    under division, so they are listed degree by degree from 1, and the
+    element cap fires as soon as q^(monomials listed) passes it.
+    """
     nvars = len(varnames)
     G = _buchberger(relations, nvars, F)
     leads = [_mp_lead(g) for g in G]
-    bounds = []
     for v in range(nvars):
-        pure = [lm[v] for lm in leads
-                if all(lm[w] == 0 for w in range(nvars) if w != v) and lm[v] > 0]
-        if not pure:
+        if not any(lm[v] and sum(lm) == lm[v] for lm in leads):
             raise ValueError("quotient is not finite-dimensional "
                              "(no pure power of %s in the ideal)" % varnames[v])
-        bounds.append(min(pure))
-    standard = []
-    for mono in itertools.product(*[range(b) for b in bounds]):
-        if not any(_mono_divides(lm, mono) for lm in leads):
-            standard.append(mono)
+    standard, layer = [], {(0,) * nvars}
+    while layer:
+        standard += layer
+        check_elements(F.q, len(standard), "quotient algebra construction")
+        layer = {up for m in layer for up in (m[:v] + (m[v] + 1,) + m[v + 1:]
+                                              for v in range(nvars))
+                 if not any(_mono_divides(lm, up) for lm in leads)}
     standard.sort(key=_deglex_key)
     index = {m: i for i, m in enumerate(standard)}
     dim = len(standard)
-    check_elements(F.q ** dim, "quotient algebra construction")
 
     def nf_vector(f):
         r = _mp_normal_form(f, G)
@@ -573,7 +576,7 @@ class Subalgebra:
         return (self.dim, self.basis)
 
     def elements(self, what="subalgebra element enumeration"):
-        check_elements(self.size, what)
+        check_elements(self.ambient.field.q, self.dim, what)
         coords = itertools.product(range(self.ambient.field.q), repeat=self.dim)
         return [self.basis.combine(coeffs) for coeffs in coords]
 
@@ -926,7 +929,7 @@ def enumerate_subalgebras(R, S):
     lattice's ``points``, (s, index of R[s]).  The candidate cap bounds
     the adjunctions, checked before each node's points are walked.
     """
-    check_elements(S.size, "subalgebra enumeration")
+    check_elements(S.field.q, S.dim, "subalgebra enumeration")
     q = S.field.q
     found = {R.key(): R}
     edges = {}              # id(T) -> ids of the distinct T[s], nodes of found

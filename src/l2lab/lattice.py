@@ -15,6 +15,7 @@ them.  The field side passes the full up-sets from pairwise inclusion,
 which generate the order trivially.  Every cover i < j lies in any
 generating set of i (j is above i, and not above any node above i), so
 the covers of i are the j in gen[i] above no other node of gen[i].
+``meet`` reads greatest lower bounds off the finished up-sets.
 """
 
 
@@ -61,6 +62,15 @@ def from_edges(nodes, gen):
             covers.add((i, j))
             height[i] = max(height[i], height[j] + 1)
     return Lattice(nodes, up, covers, height[0] if nodes else 0)
+
+
+def meet(lat, idx):
+    """The greatest node below every node of ``idx`` (indices): the last
+    common lower bound in index order, which is topological.  The top for
+    an empty ``idx``, None when no node lies below them all."""
+    mask = sum(1 << j for j in set(idx))
+    return next((i for i in reversed(range(len(lat)))
+                 if (lat.up[i] | 1 << i) & mask == mask), None)
 
 
 def lattice_data(lat, label, basis_str):

@@ -261,12 +261,6 @@ class Subfield:
     def key(self):
         return (self.dim, self.span)
 
-    def contains(self, elem):
-        return self.span.contains(elem.coords)
-
-    def contains_subfield(self, other):
-        return all(self.contains(b) for b in other.basis)
-
     def is_full(self):
         return self.dim == self.ambient.n
 

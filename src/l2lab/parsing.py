@@ -337,6 +337,9 @@ def _algebra_from_quotient(F, q, text):
     varnames = [v.strip() for v in m.group(2).split(",") if v.strip()]
     if not varnames:
         raise ParseError("quotient presentation declares no generators")
+    twice = sorted({v for v in varnames if varnames.count(v) > 1})
+    if twice:
+        raise ParseError("quotient presentation declares generator %s twice" % twice[0])
     rel_texts = _split_top_commas(m.group(3))
     rels = [parse_relation(t, F, varnames) for t in rel_texts]
     try:
@@ -366,7 +369,7 @@ def _algebra_from_product(F, q, factors):
         degrees.append(k)
         # |S| so far, checked per factor so that neither the irreducible
         # search nor this power runs on a size past the cap
-        check_elements(q ** sum(degrees), "product algebra construction")
+        check_elements(q, sum(degrees), "product algebra construction")
     S = product_algebra(F, degrees)
     blocks = []
     off = 0

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import ConsistencyError
-from .numberfield import (NFElement, intersect_subfields, subfield_from_subspace,
-                          subfield_generated)
+from .numberfield import NFElement, subfield_from_subspace
 from .poly import Poly, factor_over_number_field
 
 
@@ -73,7 +72,8 @@ def principal_subfield_of_factor(L, f_alpha):
 
 
 class PrincipalSubfieldSet:
-    """The L_alpha, the deduplicated E_1..E_t, Phi, Gamma, m_beta, I(E_beta)."""
+    """The L_alpha, the deduplicated E_1..E_t, Phi, Gamma and m_beta.  The
+    index sets I(K) are read off the lattice (``fieldlattice.index_sets``)."""
 
     def __init__(self, system, L_alpha, E, phi, gamma):
         self.system = system
@@ -82,7 +82,6 @@ class PrincipalSubfieldSet:
         self.phi = phi            # alpha index -> beta index
         self.gamma = gamma        # beta index -> sorted tuple of alpha indices
         self.m = [e.min_poly for e in E]
-        self.I = [index_set_I(e, system) for e in E]   # beta index -> set
 
     @property
     def t(self):
@@ -91,18 +90,6 @@ class PrincipalSubfieldSet:
     @property
     def field(self):
         return self.system.field
-
-
-def index_set_I(K, sys):
-    """{alpha : f_alpha divides the minimal polynomial of x over K}."""
-    return set(a for a, f in enumerate(sys.factors) if f.divides(K.min_poly))
-
-
-def K_g_of_product(alpha, sys):
-    """Subfield generated by the coefficients of (X - x) * f_alpha."""
-    L = sys.field
-    g = Poly(L, [-L.gen(), L.one]) * sys.factors[alpha]
-    return subfield_generated(L, list(g.cs))
 
 
 def compute_principal_subfields(L):
@@ -122,28 +109,15 @@ def compute_principal_subfields(L):
 
 
 def _check_principal_set(ps):
-    for e in ps.E:
-        if e.is_full():
-            raise ConsistencyError("a principal subfield equals L")
-    if ps.E:
-        inter = ps.E[0]
-        for e in ps.E[1:]:
-            inter = intersect_subfields(inter, e)
-        if inter.dim != 1:
-            raise ConsistencyError("intersection of principal subfields is not k")
-    # L_alpha is E_Phi(alpha), so this is f_alpha | f_{L_alpha} for every alpha
-    for b in range(ps.t):
-        if not set(ps.gamma[b]) <= ps.I[b]:
-            raise ConsistencyError("Gamma(beta) not contained in I(E_beta)")
-    _pullback_cross_check(ps)
-
-
-def _pullback_cross_check(ps):
-    # One pseudo-random element per E_beta must satisfy the defining
-    # congruence of every factor mapped to that subfield.
+    # No E_beta is L, and one pseudo-random element of each must satisfy
+    # the defining congruence of every factor mapped to it.  That the
+    # E_beta meet in k, and f_alpha | f_{L_alpha}, are checked on the
+    # lattice, by build_lattice and the product identity.
     L = ps.field
     rng = random.Random(0xE5)
     for b, e in enumerate(ps.E):
+        if e.is_full():
+            raise ConsistencyError("a principal subfield equals L")
         g = NFElement(L, e.span.combine([Fraction(rng.randrange(1, 50)) for _ in e.span]))
         gpoly = Poly(L, [L.from_rational(c) for c in g.coords])
         diff = gpoly - Poly.const(L, g)

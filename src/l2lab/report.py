@@ -22,7 +22,7 @@ def field_report(f, input_text=None):
     L = make_field(f)
     ps = compute_principal_subfields(L)
     lat = build_lattice(ps)
-    verify_minpoly_product_identity(ps, lat)
+    I_E = verify_minpoly_product_identity(ps, lat)
     minimal = is_minimal_extension(ps, lat)
     l2, info = is_length_two(ps, lat)
     report = {
@@ -37,7 +37,7 @@ def field_report(f, input_text=None):
         "t": ps.t,
         "case": "(8d)" if l2 else (
             "not length 2 (minimal extension)" if minimal else "not length 2"),
-        "witnesses": _field_witnesses(ps, lat),
+        "witnesses": _field_witnesses(ps, I_E),
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     if l2:
@@ -54,7 +54,7 @@ def field_report(f, input_text=None):
     return report
 
 
-def _field_witnesses(ps, lat):
+def _field_witnesses(ps, I_E):
     sysf = ps.system
     w = {
         "defining": poly_str(sysf.defining),
@@ -70,7 +70,7 @@ def _field_witnesses(ps, lat):
             "basis": [nf_str(v) for v in e.basis],
             "min_poly": poly_str(ps.m[b]),
             "Gamma": list(ps.gamma[b]),
-            "I": sorted(ps.I[b]),
+            "I": I_E[b],
         })
     return w
 

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -182,6 +184,30 @@ def test_huge_product_factor_exit_code_2_at_once(tmp_path):
     proc = run_process("length", "--algebra", path)
     assert proc.returncode == 2
     assert "product algebra construction" in proc.stderr
+
+
+@pytest.mark.parametrize("quotient", [
+    "F2[X,Y,Z,W]/(X^256,Y^256,Z^256,W^256)",
+    "F2[X,Y,Z,W]/(X^256,Y^256,Z^256,W^256,X*Y,X*Z,X*W,Y*Z,Y*W,Z*W)",
+    "F2[X,Y]/(X^256-Y,Y^256-X)",
+    "F2[X,Y]/(X^200,Y^200)",
+], ids=["box-256^4", "axes-dim-1021", "binomials-dim-65536", "box-200^2"])
+def test_huge_quotient_exit_code_2_at_once(tmp_path, quotient):
+    # the standard monomials are counted against the cap as they are
+    # listed, and the message names q^dim as a power, not its decimal digits
+    path = _doc(tmp_path, {"q": 2, "quotient": quotient})
+    start = time.perf_counter()
+    proc = run_process("length", "--algebra", path)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert re.search(r"quotient algebra construction needs at least 2\^1[3-9] "
+                     r"elements, cap is %d " % caps.DEFAULT_ELEMENT_CAP, proc.stderr)
+
+
+def test_duplicate_generator_exit_code_1(tmp_path, capsys):
+    path = _doc(tmp_path, {"q": 2, "quotient": "F2[X,X]/(X^2)"})
+    code, out, err = run(capsys, "length", "--algebra", path)
+    assert code == 1 and "quotient presentation declares generator X twice" in err
 
 
 LONG = "1" * (MAX_DIGITS + 1)

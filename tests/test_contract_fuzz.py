@@ -1,13 +1,16 @@
-"""Contract fuzz test of ``table`` and ``product`` algebra documents.
+"""Contract fuzz test of ``table``, ``product`` and ``quotient`` algebra
+documents.
 
 Random base sizes q (prime powers, other integers, huge values and
 non-integers), random table shapes and entries (indices, strings,
 nesting), random product factor names (valid, not a power of q, of huge
-degree, with over-long digit strings) and random R specs go through the
-in-process command line with ``L2LAB_CAP=64``.  Every document must end
-in exit 0, 1 or 2: a consistency failure (exit 3) or an escaping
-exception breaks the contract.  Quotient documents and the polynomial
-grammar are left out here.
+degree, with over-long digit strings), random quotient presentations
+(1-4 generators, repeated names among them, pure powers up to
+``MAX_POWER`` and random monomial and binomial relations) and random R
+specs go through the in-process command line with ``L2LAB_CAP=64``.
+Every document must end in exit 0, 1 or 2: a consistency failure
+(exit 3) or an escaping exception breaks the contract.  The polynomial
+grammar is left out here.
 
 While a document runs, the address space of the test process is capped
 about 1 GB above its current size, so a document that makes the program
@@ -24,7 +27,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from l2lab import cli
-from l2lab.parsing import MAX_DIGITS
+from l2lab.parsing import MAX_DIGITS, MAX_POWER
 
 JUNK = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
@@ -140,4 +143,49 @@ def product_docs(draw):
 @settings(max_examples=150, deadline=None)
 @given(doc=product_docs())
 def test_product_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
+    assert _length_exit_code(tmp_path_factory, doc) in (0, 1, 2), doc
+
+
+@st.composite
+def exponents(draw):
+    kind = draw(st.sampled_from(["small", "small", "any", "max"]))
+    if kind == "small":
+        return draw(st.integers(1, 3))
+    return MAX_POWER if kind == "max" else draw(st.integers(1, MAX_POWER))
+
+
+@st.composite
+def monomials(draw, names):
+    chosen = [v for v in names if draw(st.booleans())] or [draw(st.sampled_from(names))]
+    return "*".join("%s^%d" % (v, draw(exponents())) for v in chosen)
+
+
+@st.composite
+def quotient_docs(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    names = draw(st.lists(st.sampled_from("XYZWT"), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 7)) == 3:
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    # most generators get a pure power, which makes the quotient finite
+    rels = ["%s^%d" % (v, draw(exponents())) for v in names if draw(st.integers(0, 7)) != 3]
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(monomials(names))
+        if draw(st.booleans()):
+            m += " %s %d*%s" % (draw(st.sampled_from("+-")), draw(st.integers(1, q - 1)),
+                                draw(monomials(names)))
+        rels.insert(draw(st.integers(0, len(rels))), m)
+    doc = {"q": q, "quotient": "F%d[%s]/(%s)" % (q, ",".join(names), ", ".join(rels))}
+    R = draw(st.one_of(st.just(None), st.just("diagonal"),
+                       st.lists(st.one_of(monomials(names), st.text("XYZ^*+-01() ",
+                                                                    max_size=6)),
+                                max_size=2),
+                       JUNK))
+    if R is not None:
+        doc["R"] = R
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=quotient_docs())
+def test_quotient_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
     assert _length_exit_code(tmp_path_factory, doc) in (0, 1, 2), doc

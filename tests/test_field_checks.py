@@ -3,7 +3,9 @@ field-side fact is computed once.
 
 Every kept check of the field path is made to fail by patching one of
 its inputs, and must reach the command line as a ``ConsistencyError``
-with exit code 3.  The spies count ``I(K)`` per lattice node and the
+with exit code 3.  The spies count the divisions over L, the subfields
+built from spans and the span intersections of a pass over the benchmark
+fields (the order facts come from the lattice's up-sets), and the
 products over L per ``FactorSystem``.
 """
 
@@ -12,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from l2lab import fieldlattice, principal, report
+from l2lab import exact, fieldlattice, numberfield, principal, report
 from l2lab.cli import main
-from l2lab.numberfield import NFElement, make_field, whole_field
+from l2lab.numberfield import NFElement, NumberField, make_field, whole_field
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import Factorization, Poly
 
@@ -55,15 +57,9 @@ def test_principal_subfield_is_proper(monkeypatch, capsys):
 
 
 def test_principal_subfields_meet_in_k(monkeypatch, capsys):
-    monkeypatch.setattr(principal, "intersect_subfields", lambda A, B: A)
+    monkeypatch.setattr(fieldlattice, "meet", lambda lat, idx: len(lat) - 1)
     code, err = failure(capsys, BIQUADRATIC)
     assert code == 3 and "intersection of principal subfields is not k" in err
-
-
-def test_gamma_inside_I(monkeypatch, capsys):
-    monkeypatch.setattr(principal, "index_set_I", lambda K, sys: set())
-    code, err = failure(capsys, "X^4-2")
-    assert code == 3 and "Gamma(beta) not contained in I(E_beta)" in err
 
 
 def test_pullback_membership(monkeypatch, capsys):
@@ -74,16 +70,21 @@ def test_pullback_membership(monkeypatch, capsys):
     assert code == 3 and "pullback membership failed" in err
 
 
-@pytest.mark.parametrize("module", [principal, fieldlattice],
+@pytest.mark.parametrize("node, flip", [(1, 1 << 2), (0, 1 << 1)],
                          ids=["I(E_beta)", "I(K) of a meet"])
-def test_product_identity(module, monkeypatch, capsys):
-    # principal's I(E_beta) keeps Gamma(beta) inside it, but the product
-    # over every factor is f_K for K = k only; on the biquadratic field k
-    # is a meet, whose I(K) fieldlattice computes.
-    if module is principal:
-        monkeypatch.setattr(module, "index_set_I", lambda K, sys: set(range(sys.r)))
-    else:
-        monkeypatch.setattr(module, "index_set_I", lambda K, sys: set())
+def test_product_identity(node, flip, monkeypatch, capsys):
+    # The biquadratic lattice is k < E_1, E_2, E_3 < L, with k the meet of
+    # the E_beta.  One inclusion is made wrong after the lattice is built:
+    # E_1 inside E_2 adds Gamma(2) to I(E_1); k outside E_1 drops Gamma(1)
+    # from I(k).
+    build_lattice = report.build_lattice
+
+    def one_inclusion_wrong(ps):
+        lat = build_lattice(ps)
+        lat.up[node] ^= flip
+        return lat
+
+    monkeypatch.setattr(report, "build_lattice", one_inclusion_wrong)
     code, err = failure(capsys, BIQUADRATIC)
     assert code == 3 and "product identity fails for a lattice node" in err
 
@@ -104,23 +105,48 @@ def test_predicted_count_is_checked(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # Each fact once
 
-def test_one_I_per_node_below_L(monkeypatch):
-    index_set_I = principal.index_set_I
-    keys = []
+def test_order_facts_come_from_the_lattice(monkeypatch):
+    # Per pass over the benchmark fields, the only divisions over L are
+    # principal_subfield_of_factor's f_alpha | f (one per factor), the
+    # only span intersections are build_lattice's, and the subfields
+    # built from spans are its new meets plus the E_beta and k.
+    divides, of_span, intersection = (Poly.divides, numberfield.subfield_of_span,
+                                      exact.intersection)
+    build = fieldlattice.build_lattice
+    inside, calls = [], {"divides": 0, "of_span": 0, "inside": 0, "outside": 0}
 
-    def counted(K, sys):
-        keys.append(K.key())
-        return index_set_I(K, sys)
+    def counted_divides(a, b):
+        calls["divides"] += isinstance(a.dom, NumberField)
+        return divides(a, b)
 
-    monkeypatch.setattr(principal, "index_set_I", counted)
-    monkeypatch.setattr(fieldlattice, "index_set_I", counted)
-    total = 0
+    def counted_of_span(L, span):
+        calls["of_span"] += 1
+        return of_span(L, span)
+
+    def counted_intersection(A, B):
+        calls["inside" if inside else "outside"] += 1
+        return intersection(A, B)
+
+    def build_lattice(ps):
+        inside.append(ps)
+        try:
+            return build(ps)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Poly, "divides", counted_divides)
+    for module in (numberfield, fieldlattice):
+        monkeypatch.setattr(module, "subfield_of_span", counted_of_span)
+    for module in (exact, fieldlattice):
+        monkeypatch.setattr(module, "intersection", counted_intersection)
+    monkeypatch.setattr(report, "build_lattice", build_lattice)
+    r = 0
     for f in FIELDS:
-        keys.clear()
         rep = report.field_report(parse_polynomial(f))
-        assert len(keys) == len(set(keys)) == rep["count_observed"] - 1, f
-        total += len(keys)
-    assert total == 18
+        r += len(rep["witnesses"]["factors_over_L"])
+    assert calls["divides"] == r == 19
+    assert calls["of_span"] == 25
+    assert calls["outside"] == 0 and calls["inside"] > 0
 
 
 def test_one_product_over_L_per_factor_system(monkeypatch):

@@ -9,6 +9,11 @@ kept when the minimal polynomial of x over K_J is g_J itself.  That
 degree is n / dim K_J, so a J with deg g_J not dividing n is skipped
 unbuilt.  That set is compared with the intersection closure of
 `build_lattice`.
+
+``index_set_I`` finds I(K) = {alpha : f_alpha divides f_K} by division
+over L, as the production path did before it read I(K) off the lattice's
+up-sets (``fieldlattice.index_sets``); the two are compared on every
+proper node of the benchmark fields and the golden fields.
 """
 
 import random
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from l2lab.fieldlattice import build_lattice
+from l2lab.fieldlattice import build_lattice, index_sets
 from l2lab.numberfield import make_field, subfield_generated
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import QQ, Poly, factor_over_Q
@@ -25,6 +30,7 @@ from l2lab.principal import compute_principal_subfields
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
+from test_golden_reports import FIELD_INPUTS  # noqa: E402
 
 PHI11 = "+".join("X^%d" % k for k in range(10, 1, -1)) + "+X+1"
 
@@ -45,6 +51,11 @@ def brute_force_nodes(ps):
         if K.min_poly == g:
             keys.add(K.key())
     return keys
+
+
+def index_set_I(K, sys):
+    """{alpha : f_alpha divides the minimal polynomial of x over K}."""
+    return set(a for a, f in enumerate(sys.factors) if f.divides(K.min_poly))
 
 
 def assert_lattice_matches(f):
@@ -94,3 +105,14 @@ def test_field_lattice_matches_oracle_on_random_irreducibles():
         assert sympy.Poly(expr, X).is_irreducible
         sizes.append(assert_lattice_matches(f))
     assert max(sizes) > 2         # some input has a proper subfield
+
+
+def test_index_sets_match_division_oracle():
+    nodes = 0
+    for text in [f for _, f, _, _ in corpus.FIELDS] + FIELD_INPUTS:
+        ps = compute_principal_subfields(make_field(parse_polynomial(text)))
+        lat = build_lattice(ps)
+        for K, I in list(zip(lat.nodes, index_sets(ps, lat)))[:-1]:
+            assert set(I) == index_set_I(K, ps.system), (text, K)
+            nodes += 1
+    assert nodes == 59           # 18 on the benchmark fields, 41 on the golden ones

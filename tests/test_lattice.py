@@ -5,7 +5,9 @@ up-sets, as the field side passes them, and the covers plus a random
 part of the up-sets, which generate the order as the algebra side's
 adjunction edges do.  ``hasse_by_pairs``, the pairwise builder it
 replaced, is kept here as the oracle; the field and algebra lattices are
-compared against it in their own test files.
+compared against it in their own test files.  ``meet`` is checked
+against the greatest lower bound found by comparing every node with
+every other, on enumerated subalgebra lattices.
 """
 
 import itertools
@@ -13,7 +15,9 @@ import random
 
 import pytest
 
-from l2lab.lattice import Lattice, bits, from_edges, lattice_data
+from l2lab.finitealg import enumerate_subalgebras
+from l2lab.lattice import Lattice, bits, from_edges, lattice_data, meet
+from l2lab.parsing import parse_algebra
 
 FULL = frozenset(range(5))
 
@@ -169,3 +173,40 @@ def test_lattice_data():
         "covers": [(0, 1), (0, 2), (1, 3), (2, 3)],
         "length": 2,
     }
+
+
+def glb_by_comparison(nodes, idx):
+    """The node below every node of idx that holds every other such node."""
+    lower = [i for i, a in enumerate(nodes)
+             if all(nodes[j].basis.contains_span(a.basis) for j in idx)]
+    greatest = [i for i in lower
+                if all(nodes[i].basis.contains_span(nodes[k].basis) for k in lower)]
+    assert len(greatest) == 1
+    return greatest[0]
+
+
+@pytest.mark.parametrize("doc", [
+    {"q": 2, "product": ["F2"] * 4, "R": "diagonal"},
+    {"q": 2, "product": ["F8", "F8"], "R": "diagonal"},
+    {"q": 2, "product": ["F4", "F4"], "R": ["(1,0)"]},
+    {"q": 2, "quotient": "F2[X,Y]/(X^3,Y^2)", "R": "diagonal"},
+    {"q": 3, "quotient": "F3[X,Y]/(X^2,X*Y,Y^2)", "R": "diagonal"},
+    {"q": 2, "quotient": "F2[X]/(X^6)", "R": "diagonal"},
+], ids=["F2^4", "F8xF8", "F4xF4-crosswise", "F2[X,Y]/(X^3,Y^2)", "F3-copointwise",
+        "F2[X]/(X^6)"])
+def test_meet_is_the_greatest_lower_bound(doc):
+    S, R = parse_algebra(doc)
+    lat = enumerate_subalgebras(R, S)
+    n = len(lat)
+    sets = [[i] for i in range(n)] + [list(c) for c in itertools.combinations(range(n), 2)]
+    triples = [list(c) for c in itertools.combinations(range(n), 3)]
+    sets += random.Random(n).sample(triples, min(200, len(triples)))
+    for idx in sets:
+        assert meet(lat, idx) == glb_by_comparison(lat.nodes, idx), idx
+    assert meet(lat, range(n)) == 0 and meet(lat, []) == n - 1
+
+
+def test_meet_without_lower_bound():
+    # two incomparable nodes and nothing below them: no meet
+    lat = from_edges([SetNode({0}), SetNode({1})], [0, 0])
+    assert meet(lat, [0, 1]) is None and meet(lat, [1]) == 1
