@@ -20,7 +20,7 @@ from .principal import (FactorSystem, PrincipalSubfieldSet, compute_principal_su
                         principal_subfield_of_factor)
 from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
                            is_minimal_extension)
-from .finitealg import (FiniteAlgebra, Ideal, Subalgebra, classify_minimal_type,
+from .finitealg import (FiniteAlgebra, Subalgebra, classify_minimal_type,
                         conductor, crucial_ideal, enumerate_subalgebras,
                         field_algebra, maximal_ideals, product_algebra,
                         quotient_algebra, seminormalize, small_field, t_close)

@@ -20,7 +20,7 @@ from .errors import ConsistencyError
 from . import exact
 from .exact import intersection, prime_factors
 from .finitealg import (
-    Ideal, Subalgebra, _minimal_type_of_pair, conductor,
+    Subalgebra, _minimal_type_of_pair, conductor,
     crucial_ideal, enumerate_subalgebras, is_simple_extension, localize,
     maximal_ideals, maximal_ideals_over, msupp, radical, seminormalize, t_close,
     whole_algebra,
@@ -71,7 +71,7 @@ def ideal_MS(a):
     span is an ideal of S already: S contains 1, so it contains M, and S
     is closed under multiplication, so s*(m*b) = m*(s*b) lies in it."""
     S = a.S
-    return Ideal(a.whole, [S.mul(m, b) for m in a.crucial.basis for b in a.whole.basis])
+    return S.span([S.mul(m, b) for m in a.crucial for b in a.whole.basis])
 
 
 def module_length_at(a, M, V, W):
@@ -87,7 +87,7 @@ def module_length_at(a, M, V, W):
     total = 0
     guard = 0
     while len(cur) != len(floor):
-        nxt = S.span([S.mul(m, v) for m in M.basis for v in cur] + list(floor))
+        nxt = S.span([S.mul(m, v) for m in M for v in cur] + list(floor))
         layer = len(cur) - len(nxt)
         if layer % resdim != 0:
             raise ConsistencyError("module layer is not an R/M-vector space")
@@ -122,15 +122,15 @@ def copointwise_shape_check(a, ms):
     (``ideal_MS``)."""
     M = a.crucial
     S = a.S
-    if ms.key() != M.key():
+    if ms != M:
         return False
     resdim = a.R.dim - M.dim
     if S.dim - M.dim != 3 * resdim:
         return False
-    N = radical(a.whole, M.basis)      # N/M is the nilradical of S/M
+    N = radical(a.whole, M)            # N/M is the nilradical of S/M
     if len(N) - M.dim != 2 * resdim:
         return False
-    return all(M.member(S.mul(u, v)) for u in N for v in N)
+    return all(M.contains(S.mul(u, v)) for u in N for v in N)
 
 
 def cover_types(a):
@@ -173,7 +173,7 @@ def classify_extension(a):
 def _witnesses(a):
     S = a.S
     def ideal_str(I):
-        return [S.element_str(b) for b in I.basis]
+        return [S.element_str(b) for b in I]
     w = {
         "R_basis": [S.element_str(b) for b in a.R.basis],
         "conductor": ideal_str(a.conductor),
@@ -251,18 +251,18 @@ def _crucial_case(a, l2, out, entry):
     """The M-crucial cases: MSupp(S/R) = {M}, R < S not minimal."""
     M = a.crucial
     P, T = a.seminormalization, a.t_closure
-    cond_is_M = a.conductor.key() == M.key()
+    cond_is_M = a.conductor == M
 
     if not T.is_whole() and T != a.R:
         entry("Prop 3.6: t-closure proper: length 2 <=> count 3", l2 == (a.count == 3))
         if _is_minimal_pair_nodes(a, T):
-            vms = maximal_ideals_over(a.whole, ideal_MS(a).basis)
+            vms = maximal_ideals_over(a.whole, ideal_MS(a))
             if len(vms) == 1:
-                lr = module_length_at(a, M, vms[0].basis, M.basis)
+                lr = module_length_at(a, M, vms[0], M)
                 cond62 = (lr == 1)
                 det = {"V(MS)": 1, "L_R(N/M)": lr}
             elif len(vms) == 2:
-                cond62 = intersection(vms[0].basis, vms[1].basis) == M.basis
+                cond62 = intersection(vms[0], vms[1]) == M
                 det = {"V(MS)": 2, "M_is_intersection": cond62}
             else:
                 cond62 = False
@@ -292,14 +292,14 @@ def _crucial_case(a, l2, out, entry):
 
     # infra-integral: T = S
     ms = ideal_MS(a)
-    N = radical(a.whole, ms.basis)
-    lr = module_length_at(a, M, N, M.basis)
+    N = radical(a.whole, ms)
+    lr = module_length_at(a, M, N, M)
     vn = maximal_ideals_over(a.whole, N)
     entry("Prop 3.63: infra-integral: length 2 <=> L_R(N/M) + |V(N)| = 3",
           l2 == (lr + len(vn) == 3), {"L_R(N/M)": lr, "|V(N)|": len(vn)})
 
     if P == a.R:
-        vms = maximal_ideals_over(a.whole, ms.basis)
+        vms = maximal_ideals_over(a.whole, ms)
         entry("Prop 3.141: seminormal infra-integral: length 2 <=> "
               "|V(MS)| = 3 <=> count 5",
               l2 == (len(vms) == 3) == (a.count == 5), {"|V(MS)|": len(vms)})
@@ -391,7 +391,7 @@ def _theorem_2_1_dual_path(a):
 def _is_minimal_pair_nodes(a, T):
     """Is T < S minimal inside the enumerated lattice?"""
     nodes = a.lattice.nodes
-    ti = next((i for i, n in enumerate(nodes) if n.key() == T.key()), None)
+    ti = next((i for i, n in enumerate(nodes) if n == T), None)
     if ti is None:
         return False
     return (ti, len(nodes) - 1) in a.lattice.covers
@@ -414,39 +414,38 @@ def _cor_3_132(a, l2, ms, gens):
     """
     S, R = a.S, a.R
     M = a.crucial
-    over = maximal_ideals_over(a.whole, M.basis)
+    over = maximal_ideals_over(a.whole, M)
     if len(over) != 1:
         return None
     N = over[0]
     C = a.conductor
-    msq = S.span([S.mul(x, y) for x in M.basis for y in M.basis])
-    m2_in_C = all(C.member(v) for v in msq)
-    C_in_M = all(M.member(v) for v in C.basis)
-    cond_is_M = C.key() == M.key()
-    n2 = S.span([S.mul(x, y) for x in N.basis for y in N.basis])
-    n3 = S.span([S.mul(x, y) for x in n2 for y in N.basis])
+    msq = S.span([S.mul(x, y) for x in M for y in M])
+    m2_in_C = C.contains_span(msq)
+    C_in_M = M.contains_span(C)
+    cond_is_M = C == M
+    n2 = S.span([S.mul(x, y) for x in N for y in N])
+    n3 = S.span([S.mul(x, y) for x in n2 for y in N])
     # (1): C = M, N^2 not inside M, N^3 inside M
-    sub1 = (cond_is_M and not all(M.member(v) for v in n2)
-            and all(M.member(v) for v in n3))
+    sub1 = cond_is_M and not M.contains_span(n2) and M.contains_span(n3)
     sub2 = sub3 = False
     if not cond_is_M:
         # (2): y^2 outside R, M + F*y^2 = MS = M + N^2 < N, M*N^2 inside M
-        sub2_free = (ms.basis == M.basis.extend(n2) and M.dim + 1 == ms.dim < N.dim
-                     and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
+        sub2_free = (ms == M.extend(n2) and M.dim + 1 == ms.dim < N.dim
+                     and all(M.contains(S.mul(x, v)) for x in M for v in n2))
         ops = S.field.ops
-        rows = list(zip(*(N.basis.project(r) for r in R.basis)))
+        rows = list(zip(*(N.project(r) for r in R.basis)))
         for s in gens:
-            coeffs = exact.solve(rows, N.basis.project(s), ops)
+            coeffs = exact.solve(rows, N.project(s), ops)
             if coeffs is None:
                 raise ConsistencyError("R/M does not map onto S/N")
             y = ops.sub(s, ops.one, R.basis.combine(coeffs))
             y2 = S.mul(y, y)
             two_y = ops.sub(y, ops.neg(ops.one), y)
-            two_yM = [S.mul(two_y, x) for x in M.basis]
-            sub2 = sub2 or (sub2_free and ms.member(y2)
+            two_yM = [S.mul(two_y, x) for x in M]
+            sub2 = sub2 or (sub2_free and ms.contains(y2)
                             and not (R.member(y2) and all(map(R.member, two_yM))))
             # (3): y^2 in R, (M + M*y)/M of dimension [R/M : F]
-            my = M.basis.extend([S.mul(x, y) for x in M.basis])
+            my = M.extend([S.mul(x, y) for x in M])
             sub3 = sub3 or (R.basis.extend(two_yM).contains(y2)
                             and len(my) - M.dim == R.dim - M.dim)
     subcases = {1: sub1, 2: sub2, 3: sub3}

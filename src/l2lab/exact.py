@@ -28,7 +28,8 @@ own pivot and 0 at every other pivot, so one reduction
 member (the vector read at the pivots) and projects onto the quotient
 (the residue read off the non-pivot columns).  ``intersection`` and
 ``Echelon.combine`` are the only intersection and linear-combination
-routines.
+routines; ``Echelon.subspace`` turns a reduced basis of coordinates
+over the rows into the reduced span, so no span is reduced twice.
 """
 
 from fractions import Fraction
@@ -201,6 +202,20 @@ class Echelon(tuple):
             return self
         merged = sorted(zip(pivots, rows))
         return self._reduced([row for _, row in merged], [p for p, _ in merged], ops)
+
+    @property
+    def dim(self):
+        return len(self)
+
+    def subspace(self, coords):
+        """The span of the combinations of the rows by ``coords``, a
+        reduced echelon basis of coefficient vectors, with no reduction: a
+        combination is its i-th coefficient at the i-th pivot and the rows
+        are ordered by pivot, so a coefficient vector led by 1 at j, and 0
+        at the other leading columns of ``coords``, gives a vector led by 1
+        at pivot j and 0 at the other pivots so taken."""
+        pivots = [self.pivots[next(j for j, c in enumerate(x) if c)] for x in coords]
+        return self._reduced([self.combine(x) for x in coords], pivots, self.ops)
 
     def residue(self, v):
         """v minus its part in the span: zero at every pivot, and zero

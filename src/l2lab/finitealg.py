@@ -1,11 +1,13 @@
 """Finite commutative algebras over F_q as structure-constant tables.
 
 An algebra is a dimension, a symmetric d x d table of coordinate
-vectors and a unit vector; subalgebras and ideals are echelon bases over
-F_q.  Everything an analysis needs -- maximal ideals, conductor, crucial
-ideal, seminormalization, t-closure, the subalgebra lattice -- lives
-here; the theorem-level classification sits in classify.py and uses
-these as its oracles.
+vectors and a unit vector.  A subalgebra keeps an echelon basis over
+F_q; an ideal is one, an ``exact.Echelon`` in ambient coordinates,
+compared with ``==`` and tested with ``contains``.  Everything an
+analysis needs -- maximal ideals, conductor, crucial ideal,
+seminormalization, t-closure, the subalgebra lattice -- lives here; the
+theorem-level classification sits in classify.py and uses these as its
+oracles.
 
 A vector is a tuple of ``int`` element indices in ``range(q)``, in
 ``SmallField``'s numbering (0 is the zero, 1 the one).  All arithmetic
@@ -274,7 +276,10 @@ class FiniteAlgebra:
         return tuple(int(j == i) for j in range(self.dim))
 
     def span(self, vectors):
-        """The Echelon of ``vectors`` over the field of the algebra."""
+        """The Echelon of ``vectors`` over the field of the algebra; an
+        Echelon is returned as it is, not reduced again."""
+        if isinstance(vectors, Echelon):
+            return vectors
         return Echelon(vectors, self.field.ops)
 
     def mul(self, u, v):
@@ -509,7 +514,6 @@ def quotient_algebra(F, varnames, relations):
     names = [_mono_name(m, varnames) for m in standard]
     alg = FiniteAlgebra(F, table, unit, names)
     alg.mp_to_vector = nf_vector
-    alg.varnames = list(varnames)
     return alg
 
 
@@ -524,7 +528,7 @@ def _mono_name(mono, varnames):
 
 
 # ---------------------------------------------------------------------------
-# Subalgebras and ideals
+# Subalgebras
 
 class Subalgebra:
     """Unital subalgebra of a FiniteAlgebra, as an echelon basis.
@@ -535,7 +539,7 @@ class Subalgebra:
 
     def __init__(self, ambient, basis, check=True):
         self.ambient = ambient
-        self.basis = basis if isinstance(basis, Echelon) else ambient.span(basis)
+        self.basis = ambient.span(basis)
         self._structure = None
         if check:
             if not self.member(ambient.unit):
@@ -631,51 +635,31 @@ def algebra_on_subspace(A, basis, unit_vec):
     return alg, basis.combine, basis.coords
 
 
-class Ideal:
-    """An ideal of a subalgebra, as an echelon basis of ambient
-    coordinate vectors."""
-
-    def __init__(self, of, basis):
-        self.of = of
-        self.basis = of.ambient.span(basis)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def member(self, v):
-        return self.basis.contains(v)
-
-    def key(self):
-        return (self.dim, self.basis)
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "Ideal(dim %d: %s)" % (
-            self.dim, "; ".join(self.of.ambient.element_str(b) for b in self.basis))
-
-
 # ---------------------------------------------------------------------------
 # Structure: radicals, primitive idempotents, maximal ideals, conductors,
 # each the kernel of an F_q-linear map on a subalgebra
 
 def _kernel_over(T, image):
-    """Ambient basis of {x in T : image(x) = 0} for an F_q-linear
-    ``image``, given by its values on ``T.basis`` (equal-length tuples)."""
-    cols = [image(b) for b in T.basis]
+    """The Echelon of {x in T : image(x) = 0} in ambient coordinates, for
+    an F_q-linear ``image`` given by its values on ``T.basis``
+    (equal-length tuples).
+
+    The kernel is eliminated right to left: with the columns reversed,
+    each vector ``exact.kernel`` gives is 1 at its own free column, 0 at
+    the other free columns and 0 after its own.  Reversed back, each is
+    1 at its first nonzero entry, its free column, and 0 at the others:
+    a reduced echelon basis of coordinates, which ``Echelon.subspace``
+    carries into ambient coordinates with no second reduction."""
+    cols = [image(b) for b in reversed(T.basis)]
     rows = [[col[t] for col in cols] for t in range(len(cols[0]))]
-    return [T.basis.combine(x)
-            for x in exact.kernel(rows, T.dim, T.ambient.field.ops)]
+    kern = exact.kernel(rows, T.dim, T.ambient.field.ops)
+    return T.basis.subspace([x[::-1] for x in reversed(kern)])
 
 
 def radical(T, I):
-    """sqrt(I) in T, for an ideal I of T given by an ambient basis (``()``
-    for the zero ideal), as an echelon basis in ambient coordinates.
+    """sqrt(I) in T, for an ideal I of T given by an ambient basis or an
+    Echelon (``()`` for the zero ideal), as an Echelon in ambient
+    coordinates.
 
     x |-> x^e is F_q-linear for e = q^k, and a nilpotent of T/I has
     index at most dim T, so with q^k >= dim T the radical is the kernel
@@ -686,7 +670,7 @@ def radical(T, I):
     while e < T.dim:
         e *= A.field.q
     I = A.span(I)
-    return A.span(_kernel_over(T, lambda b: I.project(A.power(b, e))))
+    return _kernel_over(T, lambda b: I.project(A.power(b, e)))
 
 
 def subalgebra_structure(T):
@@ -710,8 +694,8 @@ def subalgebra_structure(T):
         splits = [sub(A.unit, 1, A.power(sub(b, c, A.unit), q - 1)) for c in range(q)]
         prim = [f for e in prim for f in (A.mul(e, s) for s in splits) if any(f)]
     prim = tuple(sorted(prim))
-    maxes = tuple(sorted((Ideal(T, list(nil) + [A.mul(sub(A.unit, 1, e), b) for b in T.basis])
-                          for e in prim), key=Ideal.key))
+    maxes = tuple(sorted((A.span(list(nil) + [A.mul(sub(A.unit, 1, e), b) for b in T.basis])
+                          for e in prim), key=lambda M: (M.dim, M)))
     return nil, prim, maxes
 
 
@@ -726,7 +710,8 @@ def primitive_idempotents(T):
 
 
 def maximal_ideals(T):
-    """The maximal ideals of T, as a tuple sorted by key."""
+    """The maximal ideals of T, as a tuple of Echelons sorted by
+    (dimension, rows)."""
     return T.structure()[2]
 
 
@@ -734,7 +719,7 @@ def maximal_ideals_over(T, I):
     """V(I): the maximal ideals of T that contain the span I (an
     ``Echelon`` in ambient coordinates), in the order of
     ``maximal_ideals``."""
-    return [N for N in maximal_ideals(T) if N.basis.contains_span(I)]
+    return [N for N in maximal_ideals(T) if N.contains_span(I)]
 
 
 def conductor(lo, hi):
@@ -747,7 +732,8 @@ def conductor(lo, hi):
     and a vector of lo vanishing on them is zero), so the conductor is
     the kernel of a |-> (a*h mod lo)_h over the basis of lo alone.  The
     residue of a*h by lo lies in hi and vanishes on lo's pivots, so it is
-    zero exactly when its entries on the other pivots of hi are.
+    zero exactly when its entries on the other pivots of hi are.  The
+    result is ``_kernel_over``'s Echelon, reduced once.
     """
     A = hi.ambient
     free = [p for p in hi.basis.pivots if p not in lo.basis.pivots]
@@ -760,7 +746,7 @@ def conductor(lo, hi):
             out.extend(r[p] for p in free)
         return tuple(out)
 
-    return Ideal(hi, _kernel_over(lo, image))
+    return _kernel_over(lo, image)
 
 
 def msupp(R, T, cond):
@@ -773,15 +759,15 @@ def msupp(R, T, cond):
     """
     A = R.ambient
     maxes = maximal_ideals(R)
-    via_conductor = maximal_ideals_over(R, cond.basis)
+    via_conductor = maximal_ideals_over(R, cond)
     direct = []
     for e in primitive_idempotents(R):
         if any(not R.member(A.mul(e, b)) for b in T.basis):
             for M in maxes:
-                if not M.member(e):
+                if not M.contains(e):
                     direct.append(M)
                     break
-    if sorted(m.key() for m in via_conductor) != sorted(m.key() for m in direct):
+    if sorted(via_conductor) != sorted(direct):
         raise ConsistencyError("support by conductor disagrees with localization")
     return via_conductor
 
@@ -791,12 +777,11 @@ def crucial_ideal(R, cond, support):
     maximal.  ``cond`` and ``support`` are (R:T) and MSupp(T/R), as
     ``conductor`` and ``msupp`` give them; the radical is checked
     against the support."""
-    rad = Ideal(R, radical(R, cond.basis))
-    hit = [M for M in maximal_ideals(R) if M.key() == rad.key()]
-    if hit:
-        if len(support) != 1 or support[0].key() != rad.key():
+    rad = radical(R, cond)
+    if rad in maximal_ideals(R):
+        if len(support) != 1 or support[0] != rad:
             raise ConsistencyError("crucial ideal disagrees with the support")
-        return hit[0]
+        return rad
     if len(support) == 1:
         raise ConsistencyError("one-element support but sqrt(R:S) not maximal")
     return None
@@ -809,7 +794,7 @@ def localize(R, T, M):
     primitive idempotent e of R outside M.
     """
     A = R.ambient
-    e = next((e for e in primitive_idempotents(R) if not M.member(e)), None)
+    e = next((e for e in primitive_idempotents(R) if not M.contains(e)), None)
     if e is None:
         raise ConsistencyError("no primitive idempotent outside M")
     TM, _, tproject = algebra_on_subspace(A, [A.mul(e, b) for b in T.basis], e)
@@ -972,9 +957,9 @@ def _minimal_type_of_pair(lo, hi):
     the conductor and Max(hi)."""
     A = hi.ambient
     M = conductor(lo, hi)
-    if not any(N.basis == M.basis for N in maximal_ideals(lo)):
+    if M not in maximal_ideals(lo):
         raise ConsistencyError("conductor of a minimal extension is not maximal in R")
-    over = maximal_ideals_over(hi, M.basis)
+    over = maximal_ideals_over(hi, M)
     qdim_RM = lo.dim - M.dim
     if len(over) == 2:
         for N in over:
@@ -984,13 +969,13 @@ def _minimal_type_of_pair(lo, hi):
     if len(over) != 1:
         raise ConsistencyError("minimal extension with |V(M)| not in {1, 2}")
     N = over[0]
-    if N.key() == M.key():
+    if N == M:
         if hi.dim - N.dim <= qdim_RM:
             raise ConsistencyError("inert case without residue field growth")
         return "inert"
     # ramified: N^2 <= M < N and [hi/M : lo/M] = 2; N is an ideal of hi,
     # so N^2 is the span of the products of N's basis
-    if not all(M.member(A.mul(N.basis[i], N.basis[j]))
+    if not all(M.contains(A.mul(N[i], N[j]))
                for i in range(N.dim) for j in range(i, N.dim)):
         raise ConsistencyError("ramified case: N^2 not inside M")
     if hi.dim - N.dim != qdim_RM:

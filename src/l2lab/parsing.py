@@ -346,7 +346,6 @@ def _algebra_from_quotient(F, q, text):
         S = quotient_algebra(F, varnames, rels)
     except ValueError as e:
         raise ParseError(str(e))
-    S.varnames = varnames
     return S, varnames
 
 
@@ -462,13 +461,11 @@ def _subring_from_generators_product(S, F, blocks, spec):
 
 
 def _reduce_power(S, off, k, e):
-    """u^e in the factor at ``off`` of dimension k, on its k coordinates,
-    multiplied out in the algebra itself."""
+    """u^e in the factor at ``off`` of dimension k, on its k coordinates:
+    the power in the algebra itself, times the factor's unit so that
+    u^0 is that unit (u is the unit itself when k = 1)."""
     u = S.basis_vector(off + 1) if k > 1 else S.basis_vector(off)
-    acc = S.basis_vector(off)
-    for _ in range(e):
-        acc = S.mul(acc, u)
-    return acc[off:off + k]
+    return S.mul(S.basis_vector(off), S.power(u, e))[off:off + k]
 
 
 def _subring_from_table_generators(S, F, spec):

@@ -6,7 +6,6 @@ import pytest
 import l2lab.classify as classify
 from l2lab.cli import main
 from l2lab.errors import ConsistencyError
-from l2lab.finitealg import Ideal
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.classify import (analyze_extension, classify_extension, cover_types,
@@ -202,9 +201,9 @@ def test_module_length_dobbs_example():
     M = a.crucial
     from l2lab.classify import ideal_MS
     from l2lab.finitealg import maximal_ideals_over
-    vns = maximal_ideals_over(a.whole, ideal_MS(a).basis)
+    vns = maximal_ideals_over(a.whole, ideal_MS(a))
     assert len(vns) == 1
-    assert module_length_at(a, M, vns[0].basis, M.basis) == 1
+    assert module_length_at(a, M, vns[0], M) == 1
 
 
 def test_copointwise_brute_force_matches_shape():
@@ -324,7 +323,7 @@ def test_t_closed_residue_dimensions_divide(monkeypatch):
     S, R = parse_algebra({"q": 2, "product": ["F2", "F16"], "R": ["(1,0)"]})
     a = analyze_extension(R, S)
     assert classify_extension(a)["case"] == "(8d)" and a.crucial.dim == 1
-    monkeypatch.setattr(a, "crucial", Ideal(R, ()))
+    monkeypatch.setattr(a, "crucial", S.span(()))
     with pytest.raises(ConsistencyError, match="residue extension dimension mismatch"):
         classify_extension(a)
 

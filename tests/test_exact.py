@@ -90,6 +90,23 @@ def test_echelon_idempotent():
         assert rref(e, QQ_OPS) == (e, pivots)
 
 
+def test_subspace_carries_a_reduced_basis_over_unreduced():
+    """``Echelon.subspace`` combines the rows by a reduced coordinate
+    basis and reduces nothing; the result is what reducing the
+    combinations once more would give, rows and pivots alike."""
+    rng = random.Random(29)
+    for _ in range(40):
+        ncols = rng.randrange(1, 6)
+        E = Echelon(_random_matrix(rng, rng.randrange(1, 5), ncols), QQ_OPS)
+        if not E:
+            continue
+        C = Echelon(_random_matrix(rng, rng.randrange(1, 4), E.dim), QQ_OPS)
+        got = E.subspace(C)
+        want = Echelon([E.combine(c) for c in C], QQ_OPS)
+        assert got == want and got.pivots == want.pivots
+        assert got.dim == C.dim and E.contains_span(got)
+
+
 def test_solve_roundtrip():
     rng = random.Random(99)
     for _ in range(30):

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from l2lab.errors import CapExceeded
-from l2lab import poly
+from l2lab.errors import CapExceeded, ConsistencyError
+from l2lab import finitealg, poly
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.finitealg import (Subalgebra, classify_minimal_type, conductor,
                              crucial_ideal, enumerate_subalgebras, field_algebra,
@@ -313,3 +313,124 @@ def test_subalgebra_must_contain_unit():
     e1 = S.basis_vector(0)
     with pytest.raises(ValueError, match="contain 1"):
         Subalgebra(S, [e1], check=True)
+
+
+# ---------------------------------------------------------------------------
+# Every ideal comparison behind a ConsistencyError fires: each test below
+# falsifies one input of msupp, crucial_ideal or _minimal_type_of_pair and
+# asserts the message.  The false inputs are built from the package's own
+# ideals, so the tests do not depend on how an ideal is represented.
+
+def test_msupp_checks_the_conductor_route_against_localization(monkeypatch):
+    R, S = spir_model()
+    T = whole_algebra(S)
+    C = conductor(R, T)
+    over = finitealg.maximal_ideals_over
+    monkeypatch.setattr(finitealg, "maximal_ideals_over", lambda T, I: over(T, I)[:-1])
+    with pytest.raises(ConsistencyError, match="support by conductor disagrees "
+                                               "with localization"):
+        msupp(R, T, C)
+
+
+def _f2xf4_over_f2xf2():
+    """F2 x F2 < F2 x F4: one-element support, the maximal ideal F2 x 0."""
+    S = product_algebra(F2, [1, 2])
+    R = Subalgebra.from_generators(S, [S.basis_vector(0)])
+    T = whole_algebra(S)
+    return R, T, conductor(R, T)
+
+
+def test_crucial_ideal_checks_the_support():
+    R, T, C = _f2xf4_over_f2xf2()
+    support = msupp(R, T, C)
+    assert crucial_ideal(R, C, support) == support[0]
+    other = [N for N in maximal_ideals(R) if N != support[0]]
+    assert len(other) == 1
+    with pytest.raises(ConsistencyError, match="crucial ideal disagrees with the support"):
+        crucial_ideal(R, C, other)
+
+
+def test_crucial_ideal_checks_a_one_element_support():
+    S = product_algebra(F2, [2, 2])
+    R = Subalgebra.from_generators(S, [S.basis_vector(0)])
+    T = whole_algebra(S)
+    C = conductor(R, T)
+    support = msupp(R, T, C)
+    assert len(support) == 2
+    with pytest.raises(ConsistencyError, match="one-element support but "
+                                               r"sqrt\(R:S\) not maximal"):
+        crucial_ideal(R, C, support[:1])
+
+
+def _pair(S, gens=()):
+    return Subalgebra.from_generators(S, list(gens)), whole_algebra(S)
+
+
+def test_minimal_type_checks_the_conductor_is_maximal(monkeypatch):
+    lo, hi = _pair(product_algebra(F2, [2]))
+    assert finitealg._minimal_type_of_pair(lo, hi) == "inert"
+    monkeypatch.setattr(finitealg, "conductor", lambda lo, hi: conductor(hi, hi))
+    with pytest.raises(ConsistencyError, match="conductor of a minimal extension "
+                                               "is not maximal in R"):
+        finitealg._minimal_type_of_pair(lo, hi)
+
+
+def test_minimal_type_checks_the_decomposed_residue_maps(monkeypatch):
+    lo, hi = _pair(product_algebra(F2, [1, 1]))
+    assert finitealg._minimal_type_of_pair(lo, hi) == "decomposed"
+    over = finitealg.maximal_ideals_over
+    monkeypatch.setattr(finitealg, "maximal_ideals_over",
+                        lambda T, I: [over(T, I)[0], conductor(hi, hi)])
+    with pytest.raises(ConsistencyError, match="decomposed residue map is not "
+                                               "an isomorphism"):
+        finitealg._minimal_type_of_pair(lo, hi)
+
+
+def test_minimal_type_checks_the_number_of_ideals_over_the_conductor(monkeypatch):
+    lo, hi = _pair(product_algebra(F2, [1, 1]))
+    monkeypatch.setattr(finitealg, "maximal_ideals_over", lambda T, I: [])
+    with pytest.raises(ConsistencyError, match=r"\|V\(M\)\| not in \{1, 2\}"):
+        finitealg._minimal_type_of_pair(lo, hi)
+
+
+def test_minimal_type_checks_the_inert_residue_field_grows(monkeypatch):
+    # an equal pair F4 = F4 with the zero ideal as its conductor passes
+    # every check up to the residue fields, which are the same
+    T = whole_algebra(product_algebra(F2, [2]))
+    monkeypatch.setattr(finitealg, "conductor", lambda lo, hi: maximal_ideals(lo)[0])
+    with pytest.raises(ConsistencyError, match="inert case without residue field growth"):
+        finitealg._minimal_type_of_pair(T, T)
+
+
+def test_minimal_type_checks_the_ramified_square(monkeypatch):
+    S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
+    lo, hi = _pair(S)
+    assert finitealg._minimal_type_of_pair(lo, hi) == "ramified"
+    monkeypatch.setattr(finitealg, "maximal_ideals_over", lambda T, I: [conductor(hi, hi)])
+    with pytest.raises(ConsistencyError, match="ramified case: N\\^2 not inside M"):
+        finitealg._minimal_type_of_pair(lo, hi)
+
+
+def test_minimal_type_checks_the_ramified_residue_map(monkeypatch):
+    # F2 + F2 x^2 < F2[X]/(X^3) is ramified at M = (x^2), N = (x, x^2);
+    # the zero ideal in N's place squares into M but has the wrong size
+    S = quotient_algebra(F2, ["X"], [{(3,): F2.one}])
+    lo, hi = _pair(S, [S.basis_vector(2)])
+    assert finitealg._minimal_type_of_pair(lo, hi) == "ramified"
+    zero = maximal_ideals(prime_algebra(S))[0]
+    assert zero.dim == 0
+    monkeypatch.setattr(finitealg, "maximal_ideals_over", lambda T, I: [zero])
+    with pytest.raises(ConsistencyError, match="ramified residue map is not "
+                                               "an isomorphism"):
+        finitealg._minimal_type_of_pair(lo, hi)
+
+
+def test_minimal_type_checks_the_ramified_degree(monkeypatch):
+    # F2 < F2[X,Y]/(X^2, XY, Y^2) has length 2; taken for minimal, its
+    # conductor 0 and N = (x, y) pass every check but [S/M : R/M] = 3
+    S = quotient_algebra(F2, ["X", "Y"], [{(2, 0): F2.one}, {(1, 1): F2.one},
+                                          {(0, 2): F2.one}])
+    assert classify_minimal_type(prime_algebra(S), S) == "not-minimal"
+    monkeypatch.setattr(finitealg, "enumerate_subalgebras", lambda R, S: [R, S])
+    with pytest.raises(ConsistencyError, match=r"ramified case: \[S/M : R/M\] != 2"):
+        classify_minimal_type(prime_algebra(S), S)

@@ -9,6 +9,8 @@ calls an attribute named ``elements`` outside the bodies of the two
 listing methods the tests use as oracles.  ``classify.py`` and
 ``report.py`` never name ``GFElem``, ``vsub`` or ``vec_key``: the vector
 representation of an algebra lives in ``finitealg`` and ``exact`` alone.
+No module names ``Ideal``: an ideal is an ``exact.Echelon``, with no
+wrapper class around it.
 The ``[project].dependencies`` list of pyproject.toml must stay empty.
 
 The benchmark's tracer (``perfbench/tracing.py``, only read here) names
@@ -101,9 +103,11 @@ def test_no_element_listing(path):
                                                                     node.lineno)
 
 
-@pytest.mark.parametrize("name", ["classify.py", "report.py"])
-def test_vector_representation_stays_in_finitealg_and_exact(name):
-    path = ROOT / "src" / "l2lab" / name
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_vector_representation_stays_in_finitealg_and_exact(path):
+    banned = {"Ideal"}
+    if path.name in ("classify.py", "report.py"):
+        banned |= {"GFElem", "vsub", "vec_key"}
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name):
             names = {node.id}
@@ -111,10 +115,12 @@ def test_vector_representation_stays_in_finitealg_and_exact(name):
             names = {node.attr}
         elif isinstance(node, ast.ImportFrom):
             names = {a.name for a in node.names}
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names = {node.name}
         else:
             continue
-        assert not names & {"GFElem", "vsub", "vec_key"}, "%s:%d names %s" % (
-            name, node.lineno, sorted(names))
+        assert not names & banned, "%s:%d names %s" % (
+            path.name, node.lineno, sorted(names & banned))
 
 
 def test_no_runtime_dependencies():

@@ -26,6 +26,13 @@ projective space of S/T) is checked against the multiplicative closure
 ``closure_by_products`` and against ``Subalgebra.from_generators``;
 F2^6 and F2[X]/(X^8) are checked against the scan alone.
 
+The conductors, radicals and Berlekamp kernels, which ``_kernel_over``
+eliminates right to left and hands on reduced, are checked against the
+left-to-right route they replaced (``exact.kernel``, ``combine``, then
+one more reduction) in rows and pivots, on every node and covering edge
+of the named benchmark algebras and of seeded random algebras over F_2,
+F_3 and F_4.
+
 The subintegral questions that read R[s] once per point of S/R (simple,
 co-pointwise, Cor 3.132's subcases (2) and (3)) are checked against the
 element scans they replaced: every x of S, every x outside R, every
@@ -249,23 +256,23 @@ def cor_3_132_by_scan(a):
     M*N^2 in M, and whether some has y^2 in R and
     dim(M + M*y) - dim M = [R/M : F].  Both are false when (R:S) = M."""
     S, R, M = a.S, a.R, a.crucial
-    if a.conductor.key() == M.key():
+    if a.conductor == M:
         return False, False
-    N, = maximal_ideals_over(a.whole, M.basis)
-    n2 = S.span([S.mul(x, y) for x in N.basis for y in N.basis])
-    ms = ideal_MS(a).basis
+    N, = maximal_ideals_over(a.whole, M)
+    n2 = S.span([S.mul(x, y) for x in N for y in N])
+    ms = ideal_MS(a)
     sub2 = sub3 = False
     for y in generators_by_scan(R, S):
-        if not N.member(y):
+        if not N.contains(y):
             continue
         y2 = S.mul(y, y)
         if not R.member(y2):
-            sub2 = sub2 or (ms == S.span(list(M.basis) + list(n2))
-                            and ms == S.span(list(M.basis) + [y2])
+            sub2 = sub2 or (ms == S.span(list(M) + list(n2))
+                            and ms == S.span(list(M) + [y2])
                             and len(ms) < N.dim
-                            and all(M.member(S.mul(x, v)) for x in M.basis for v in n2))
+                            and all(M.contains(S.mul(x, v)) for x in M for v in n2))
         else:
-            my = S.span(list(M.basis) + [S.mul(x, y) for x in M.basis])
+            my = S.span(list(M) + [S.mul(x, y) for x in M])
             sub3 = sub3 or len(my) - M.dim == R.dim - M.dim
     return sub2, sub3
 
@@ -373,8 +380,8 @@ def check_lattice(R, S):
         nil, prim, maxes = oracle_structure(T)
         assert nilradical(T) == nil
         assert primitive_idempotents(T) == prim
-        assert sorted(M.basis for M in maximal_ideals(T)) == maxes
-        keys = [M.key() for M in maximal_ideals(T)]
+        assert sorted(maximal_ideals(T)) == maxes
+        keys = [(M.dim, M) for M in maximal_ideals(T)]
         assert keys == sorted(keys)
         # the primitive idempotents are orthogonal and sum to 1
         ops = S.field.ops
@@ -386,15 +393,15 @@ def check_lattice(R, S):
         assert total == S.unit
         assert check_radical(T, ()) == nil
         for M in maximal_ideals(T):
-            assert check_radical(T, M.basis) == M.basis
+            assert check_radical(T, M) == M
     bottom = lat.nodes[0]
-    assert conductor(bottom, top).basis == conductor_by_full_kernel(bottom, top)
+    assert conductor(bottom, top) == conductor_by_full_kernel(bottom, top)
     for i, j in lat.covers:
         lo, hi = lat.nodes[i], lat.nodes[j]
         cond = conductor(lo, hi)
-        assert cond.basis == oracle_conductor(lo, hi) == conductor_by_full_kernel(lo, hi)
-        check_radical(lo, cond.basis)
-        check_radical(hi, cond.basis)
+        assert cond == oracle_conductor(lo, hi) == conductor_by_full_kernel(lo, hi)
+        check_radical(lo, cond)
+        check_radical(hi, cond)
         check_closures(lo, hi)
     return len(lat)
 
@@ -530,6 +537,100 @@ def test_structure_computed_once_per_node(monkeypatch):
     assert sum(calls.values()) <= len(keys) + 2
 
 
+# ---------------------------------------------------------------------------
+# The reduced kernel.  ``_kernel_over`` eliminates right to left and carries
+# its coordinate basis into ambient coordinates with no second reduction;
+# the left-to-right route it replaced is the oracle.
+
+def kernel_left_to_right(T, image):
+    """{x in T : image(x) = 0} by the old route: ``exact.kernel`` on the
+    columns in order, each vector combined over ``T.basis``, and the
+    combinations reduced again by ``span``."""
+    A = T.ambient
+    cols = [image(b) for b in T.basis]
+    rows = [[col[t] for col in cols] for t in range(len(cols[0]))]
+    return A.span([T.basis.combine(x) for x in exact.kernel(rows, T.dim, A.field.ops)])
+
+
+def assert_same_echelon(got, want):
+    assert isinstance(got, exact.Echelon)
+    assert got == want and got.pivots == want.pivots
+
+
+def check_reduced_kernels(lat):
+    """The Berlekamp kernel and the nilradical of every node, and the
+    conductor of every covering edge and of the bottom in the top with
+    its radicals in both ends, against ``kernel_left_to_right``.  The
+    oracle's radical raises to q^(dim T), a larger power than the one
+    ``radical`` picks, with the same kernel; its conductor reduces a*h
+    by lo for every row h of hi, not only the rows off lo's pivots."""
+    A = lat.nodes[0].ambient
+    q, ops = A.field.q, A.field.ops
+
+    def radical_by_oracle(T, I):
+        return kernel_left_to_right(T, lambda b: I.project(A.power(b, q ** T.dim)))
+
+    def berlekamp(x):
+        return tuple(ops.sub(A.power(x, q), 1, x))
+
+    for T in lat.nodes:
+        assert_same_echelon(finitealg._kernel_over(T, berlekamp),
+                            kernel_left_to_right(T, berlekamp))
+        assert_same_echelon(radical(T, ()), radical_by_oracle(T, A.span(())))
+    for i, j in sorted(lat.covers) + [(0, len(lat) - 1)]:
+        lo, hi = lat.nodes[i], lat.nodes[j]
+        cond = conductor(lo, hi)
+        assert_same_echelon(cond, kernel_left_to_right(
+            lo, lambda a: tuple(c for h in hi.basis for c in lo.basis.project(A.mul(a, h)))))
+        for T in (lo, hi):
+            assert_same_echelon(radical(T, cond), radical_by_oracle(T, cond))
+
+
+@pytest.mark.parametrize("ident,doc", [pytest.param(i, d, id=i) for i, d, _, _
+                                       in corpus.ALG_SPLIT + corpus.ALG_LOCAL])
+def test_reduced_kernels_match_the_left_to_right_route_on_named(ident, doc):
+    S, R = parse_algebra(doc)
+    check_reduced_kernels(enumerate_subalgebras(R, S))
+
+
+def test_reduced_kernels_match_the_left_to_right_route_on_random():
+    rng = random.Random(4733)
+    qs = collections.Counter()
+    for _ in range(40):
+        R, S = _random_algebra(rng, {2: 5, 3: 4, 4: 3})
+        check_reduced_kernels(enumerate_subalgebras(R, S))
+        qs[S.field.q] += 1
+    assert set(qs) == {2, 3, 4}
+
+
+def test_conductor_and_radical_reduce_once(monkeypatch):
+    """``conductor(lo, hi)``, and ``radical(T, I)`` for an Echelon I, run
+    one ``exact.rref``: the kernel's.  Neither reduces its result again,
+    and a span of an Echelon is the Echelon itself."""
+    S, R = parse_algebra({"q": 2, "quotient": "F2[X,Y]/(X^3,Y^2)", "R": "diagonal"})
+    lat = enumerate_subalgebras(R, S)
+    rref = exact.rref
+    calls = []
+
+    def counting(rows, ops):
+        calls.append(len(rows))
+        return rref(rows, ops)
+
+    monkeypatch.setattr(exact, "rref", counting)
+    for i, j in lat.covers:
+        lo, hi = lat.nodes[i], lat.nodes[j]
+        calls.clear()
+        cond = conductor(lo, hi)
+        assert len(calls) == 1
+        for T in (lo, hi):
+            calls.clear()
+            radical(T, cond)
+            assert len(calls) == 1
+        calls.clear()
+        assert S.span(cond) is cond and Subalgebra(S, hi.basis).basis is hi.basis
+        assert calls == []
+
+
 def _cor_3_132_details(verdict):
     return next((p["details"] for p in verdict["predicates"]
                  if p["name"] == "Cor 3.132: simple subintegral criterion"), None)
@@ -549,7 +650,7 @@ def check_point_walks(R, S):
     assert all(adjoin(R, s).is_whole() for s in points)
     assert is_copointwise_minimal(a) == copointwise_by_scan(a)
     details = _cor_3_132_details(verdict)
-    if details is None or a.conductor.key() == a.crucial.key():
+    if details is None or a.conductor == a.crucial:
         return None
     subcases = details["subcases"]
     assert (subcases[2], subcases[3]) == cor_3_132_by_scan(a)
