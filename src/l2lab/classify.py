@@ -21,9 +21,9 @@ from . import exact
 from .exact import intersection, prime_factors
 from .finitealg import (
     Subalgebra, _minimal_type_of_pair, conductor,
-    crucial_ideal, enumerate_subalgebras, is_simple_extension, localize,
-    maximal_ideals, maximal_ideals_over, msupp, radical, seminormalize, t_close,
-    whole_algebra,
+    crucial_ideal, enumerate_subalgebras, is_simple_extension,
+    maximal_ideals, maximal_ideals_over, msupp, primitive_idempotents, radical,
+    seminormalize, t_close,
 )
 
 
@@ -33,8 +33,8 @@ class ExtensionAnalysis:
     def __init__(self, R, S):
         self.R = R
         self.S = S
-        self.whole = whole_algebra(S)
         self.lattice = enumerate_subalgebras(R, S)
+        self.whole = self.lattice.nodes[-1]      # S, the top node
         self.count = len(self.lattice)
         self.length = self.lattice.length
         self.conductor = conductor(R, self.whole)
@@ -100,11 +100,25 @@ def module_length_at(a, M, V, W):
 
 
 def is_locally_minimal(a):
-    for M in a.support:
-        SM, RM = localize(a.R, a.whole, M)
-        if len(enumerate_subalgebras(RM, SM)) != 2:
-            return False
-    return True
+    """R_M < S_M is minimal for every M in MSupp(S/R): the interval
+    [``local_base(a, M)``, S] has two nodes."""
+    return all(len(enumerate_subalgebras(local_base(a, M), a.S)) == 2
+               for M in a.support)
+
+
+def local_base(a, M):
+    """R + (1-e)S, for the primitive idempotent e of R outside M, whose
+    interval in S is [R_M, S_M].
+
+    S is the product eS x (1-e)S, and R_M < S_M is eR < eS.  A ring
+    between R + (1-e)S and S is eT x (1-e)S with eR <= eT <= eS, so
+    T |-> eT maps [R + (1-e)S, S] onto [R_M, S_M]."""
+    S = a.S
+    e = next((e for e in primitive_idempotents(a.R) if not M.contains(e)), None)
+    if e is None:
+        raise ConsistencyError("no primitive idempotent outside M")
+    f = S.field.ops.sub(S.unit, 1, e)
+    return Subalgebra(S, a.R.basis.extend([S.mul(f, b) for b in a.whole.basis]))
 
 
 def is_copointwise_minimal(a):
@@ -212,15 +226,16 @@ def check_length_two_predicates(a, out):
           applicable=l2)
     entry("Thm 2.1: length 2 <=> minimal pair <=> co-minimal pair",
           _theorem_2_1_dual_path(a), applicable=not a.is_trivial and not a.is_minimal)
+    types = cover_types(a)
     if not a.is_trivial:
         entry("Def 3.4 / Prop 3.5: closures are extremal for their chain types",
-              _closure_extremality(a))
+              _closure_extremality(a, types))
 
     if a.is_trivial:
         out["case"] = "trivial (R = S)"
         out["count_predicted"] = 1
     elif a.is_minimal:
-        out["minimal_type"] = _minimal_type_of_pair(a.R, a.whole)
+        out["minimal_type"] = types[(0, 1)]
         out["case"] = "not length 2 (minimal extension)"
         out["count_predicted"] = 2
     elif len(a.support) >= 3:
@@ -255,7 +270,7 @@ def _crucial_case(a, l2, out, entry):
 
     if not T.is_whole() and T != a.R:
         entry("Prop 3.6: t-closure proper: length 2 <=> count 3", l2 == (a.count == 3))
-        if _is_minimal_pair_nodes(a, T):
+        if (a.lattice.nodes.index(T), len(a.lattice) - 1) in a.lattice.covers:
             vms = maximal_ideals_over(a.whole, ideal_MS(a))
             if len(vms) == 1:
                 lr = module_length_at(a, M, vms[0], M)
@@ -338,7 +353,7 @@ def _crucial_case(a, l2, out, entry):
         _case(out, l2, "(6)", 3 if simple else copw_count)
 
 
-def _closure_extremality(a):
+def _closure_extremality(a, types):
     """Seminormalization and t-closure are the greatest subintegral and
     infra-integral subextensions, read off the lattice by the
     chain-type characterization (all covers ramified / all covers
@@ -350,10 +365,10 @@ def _closure_extremality(a):
     cover that is not ramified (not ramified or decomposed) is an OR over
     the lower covers i of k, of the flag of i and the type of i < k,
     taken in index order, which is a topological order
-    (``_chain_type_flags``).  Every cover is typed once, with all the
-    checks of ``_minimal_type_of_pair``.
+    (``_chain_type_flags``).  ``types`` is ``cover_types(a)``: every
+    cover typed once, with all the checks of ``_minimal_type_of_pair``.
     """
-    not_sub, not_infra = _chain_type_flags(a.lattice, cover_types(a))
+    not_sub, not_infra = _chain_type_flags(a.lattice, types)
     return all(not_sub[k] != a.seminormalization.contains_sub(n)
                and not_infra[k] != a.t_closure.contains_sub(n)
                for k, n in enumerate(a.lattice.nodes))
@@ -386,15 +401,6 @@ def _theorem_2_1_dual_path(a):
     pair_property = all((bot, i) in a.lattice.covers and (i, top) in a.lattice.covers
                         for i in mids)
     return pair_property == (a.length == 2)
-
-
-def _is_minimal_pair_nodes(a, T):
-    """Is T < S minimal inside the enumerated lattice?"""
-    nodes = a.lattice.nodes
-    ti = next((i for i, n in enumerate(nodes) if n == T), None)
-    if ti is None:
-        return False
-    return (ti, len(nodes) - 1) in a.lattice.covers
 
 
 def _cor_3_132(a, l2, ms, gens):

@@ -531,21 +531,18 @@ def _mono_name(mono, varnames):
 # Subalgebras
 
 class Subalgebra:
-    """Unital subalgebra of a FiniteAlgebra, as an echelon basis.
+    """Unital subalgebra of a FiniteAlgebra, as an echelon basis.  The
+    constructor trusts its caller that the span holds 1 and is closed
+    under multiplication (``member``, ``is_closed``).
 
     Its nilradical, primitive idempotents and maximal ideals are computed
     on first request (``structure``) and kept, in ambient coordinates.
     """
 
-    def __init__(self, ambient, basis, check=True):
+    def __init__(self, ambient, basis):
         self.ambient = ambient
         self.basis = ambient.span(basis)
         self._structure = None
-        if check:
-            if not self.member(ambient.unit):
-                raise ValueError("subalgebra does not contain 1")
-            if not self.is_closed():
-                raise ValueError("subalgebra is not closed under multiplication")
 
     @classmethod
     def from_generators(cls, ambient, gens):
@@ -607,15 +604,18 @@ class Subalgebra:
 
 
 def whole_algebra(S):
-    return Subalgebra(S, [S.basis_vector(i) for i in range(S.dim)], check=False)
+    return Subalgebra(S, [S.basis_vector(i) for i in range(S.dim)])
 
 
 def prime_algebra(S):
-    return Subalgebra(S, [S.unit], check=False)
+    return Subalgebra(S, [S.unit])
 
 
 def algebra_on_subspace(A, basis, unit_vec):
     """The subspace as an algebra in its own basis, with unit ``unit_vec``.
+    No analysis builds a second algebra (a localization is an interval
+    of the ambient one, ``classify.local_base``); the test oracles use
+    this.
 
     Returns (algebra, lift, project): lift maps local coordinate vectors
     to ambient vectors, project the other way (None if outside).
@@ -657,9 +657,9 @@ def _kernel_over(T, image):
 
 
 def radical(T, I):
-    """sqrt(I) in T, for an ideal I of T given by an ambient basis or an
-    Echelon (``()`` for the zero ideal), as an Echelon in ambient
-    coordinates.
+    """sqrt(I) in T, for an ideal I of T given by an Echelon in ambient
+    coordinates (``T.basis.subspace(())`` for the zero ideal) or by an
+    ambient basis, reduced here, as an Echelon in ambient coordinates.
 
     x |-> x^e is F_q-linear for e = q^k, and a nilpotent of T/I has
     index at most dim T, so with q^k >= dim T the radical is the kernel
@@ -688,7 +688,7 @@ def subalgebra_structure(T):
     """
     A = T.ambient
     q, sub = A.field.q, A.field.ops.sub
-    nil = radical(T, ())
+    nil = radical(T, T.basis.subspace(()))
     prim = [A.unit]
     for b in _kernel_over(T, lambda x: sub(A.power(x, q), 1, x)):
         splits = [sub(A.unit, 1, A.power(sub(b, c, A.unit), q - 1)) for c in range(q)]
@@ -787,29 +787,13 @@ def crucial_ideal(R, cond, support):
     return None
 
 
-def localize(R, T, M):
-    """Localization at M in MSupp(T/R) by idempotent splitting.
-
-    Returns (T_M, R_M) where T_M is the algebra e*T with unit e, for the
-    primitive idempotent e of R outside M.
-    """
-    A = R.ambient
-    e = next((e for e in primitive_idempotents(R) if not M.contains(e)), None)
-    if e is None:
-        raise ConsistencyError("no primitive idempotent outside M")
-    TM, _, tproject = algebra_on_subspace(A, [A.mul(e, b) for b in T.basis], e)
-    rbasis = [tproject(A.mul(e, b)) for b in R.basis]
-    RM = Subalgebra.from_generators(TM, [v for v in rbasis if v is not None])
-    return TM, RM
-
-
 # ---------------------------------------------------------------------------
 # Closure operators
 
 def _closure_span(T, vectors, what):
     """The subalgebra spanned by ``vectors``, which must contain 1 and be
     closed under multiplication; a failure is a consistency error."""
-    U = Subalgebra(T.ambient, vectors, check=False)
+    U = Subalgebra(T.ambient, vectors)
     if not U.member(T.ambient.unit) or not U.is_closed():
         raise ConsistencyError("%s span is not a subalgebra" % what)
     return U
@@ -861,7 +845,7 @@ def adjoin(T, s):
     while not span.contains(power):
         span = span.extend([A.mul(t, power) for t in T.basis])
         power = A.mul(power, s)
-    return Subalgebra(A, span, check=False)
+    return Subalgebra(A, span)
 
 
 # ---------------------------------------------------------------------------
@@ -947,9 +931,10 @@ def enumerate_subalgebras(R, S):
 def classify_minimal_type(R, S):
     """Type of a minimal extension, or 'not-minimal' (verified by
     enumeration)."""
-    if len(enumerate_subalgebras(R, S)) != 2:
+    lat = enumerate_subalgebras(R, S)
+    if len(lat) != 2:
         return "not-minimal"
-    return _minimal_type_of_pair(R, whole_algebra(S))
+    return _minimal_type_of_pair(R, lat.nodes[-1])
 
 
 def _minimal_type_of_pair(lo, hi):

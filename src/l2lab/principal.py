@@ -8,12 +8,9 @@ explicit rational matrix; every intermediate field of k < L is an
 intersection of the deduplicated principal subfields E_1, ..., E_t.
 """
 
-import random
-from fractions import Fraction
-
 from . import exact
 from .errors import ConsistencyError
-from .numberfield import NFElement, subfield_from_subspace
+from .numberfield import subfield_from_subspace
 from .poly import Poly, factor_over_number_field
 
 
@@ -109,18 +106,11 @@ def compute_principal_subfields(L):
 
 
 def _check_principal_set(ps):
-    # No E_beta is L, and one pseudo-random element of each must satisfy
-    # the defining congruence of every factor mapped to it.  That the
-    # E_beta meet in k, and f_alpha | f_{L_alpha}, are checked on the
-    # lattice, by build_lattice and the product identity.
-    L = ps.field
-    rng = random.Random(0xE5)
-    for b, e in enumerate(ps.E):
+    # No E_beta is L.  That the E_beta meet in k is checked by
+    # build_lattice, and E_beta <= L_alpha for alpha in Gamma(beta) by
+    # the product identity at E_beta, which proves f_alpha | f_{E_beta}:
+    # for a subfield K, f_alpha | f_K iff K <= L_alpha (van Hoeij,
+    # Klueners & Novocin, JSC 52, 2013).
+    for e in ps.E:
         if e.is_full():
             raise ConsistencyError("a principal subfield equals L")
-        g = NFElement(L, e.span.combine([Fraction(rng.randrange(1, 50)) for _ in e.span]))
-        gpoly = Poly(L, [L.from_rational(c) for c in g.coords])
-        diff = gpoly - Poly.const(L, g)
-        for a in ps.gamma[b]:
-            if not (diff % ps.system.factors[a]).is_zero:
-                raise ConsistencyError("pullback membership failed for E_beta element")

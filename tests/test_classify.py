@@ -11,8 +11,9 @@ from l2lab.poly import Poly, factor_mod_p
 from l2lab.classify import (analyze_extension, classify_extension, cover_types,
                             is_copointwise_minimal, module_length_at)
 from l2lab.finitealg import (Subalgebra, enumerate_subalgebras, field_algebra,
-                             localize, prime_algebra, product_algebra,
+                             prime_algebra, product_algebra,
                              quotient_algebra, small_field, whole_algebra)
+from test_localization import localize
 
 F2 = small_field(2)
 F3 = small_field(3)
@@ -262,6 +263,55 @@ def test_element_scans_run_once_per_analysis(monkeypatch):
         assert set(calls) == scanned
         assert all(n == 1 for n in calls.values()), calls
         assert sum(T is R for T in walked) == 1
+
+
+def test_each_node_structured_and_each_cover_typed_once(monkeypatch):
+    """On the named benchmark inputs and one minimal extension, the
+    structure of a subalgebra is computed for the lattice nodes of the
+    analysis alone, once each, and each cover is typed once: the top node
+    is S, and the local lattices of a two-element support are intervals
+    of S that need no structure."""
+    import l2lab.finitealg as finitealg
+    import l2lab.report as report
+    from test_golden_reports import NAMED, _report
+    import corpus
+    structure, typed, analyses = [], [], []
+    subalgebra_structure = finitealg.subalgebra_structure
+    minimal_type = classify._minimal_type_of_pair
+
+    def counted_structure(T):
+        structure.append(T)
+        return subalgebra_structure(T)
+
+    def counted_type(lo, hi):
+        typed.append((lo, hi))
+        return minimal_type(lo, hi)
+
+    def kept(R, S):
+        analyses.append(analyze_extension(R, S))
+        return analyses[-1]
+
+    monkeypatch.setattr(finitealg, "subalgebra_structure", counted_structure)
+    monkeypatch.setattr(classify, "_minimal_type_of_pair", counted_type)
+    monkeypatch.setattr(report, "analyze_extension", kept)
+    minimal = corpus._algebra_input("f2<f4", {"q": 2, "product": ["F4"]})
+    for inp in NAMED + [minimal]:
+        _report(inp)
+    nodes = [id(n) for a in analyses for n in a.lattice.nodes]
+    covers = [(id(a.lattice.nodes[i]), id(a.lattice.nodes[j]))
+              for a in analyses for i, j in a.lattice.covers]
+    assert analyses[-1].count == 2 and len(analyses) == 14
+    assert sorted(id(T) for T in structure) == sorted(nodes)
+    assert sorted((id(lo), id(hi)) for lo, hi in typed) == sorted(covers)
+
+
+def test_local_base_needs_an_idempotent_outside_M(monkeypatch):
+    S = product_algebra(F2, [2, 2])
+    a = analyze_extension(Subalgebra.from_generators(S, [S.basis_vector(0)]), S)
+    assert len(a.support) == 2
+    monkeypatch.setattr(classify, "primitive_idempotents", lambda R: ())
+    with pytest.raises(ConsistencyError, match="no primitive idempotent outside M"):
+        classify_extension(a)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from l2lab import exact, fieldlattice, numberfield, principal, report
 from l2lab.cli import main
-from l2lab.numberfield import NFElement, NumberField, make_field, whole_field
+from l2lab.numberfield import NumberField, make_field, whole_field
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import Factorization, Poly
 
@@ -62,12 +62,22 @@ def test_principal_subfields_meet_in_k(monkeypatch, capsys):
     assert code == 3 and "intersection of principal subfields is not k" in err
 
 
-def test_pullback_membership(monkeypatch, capsys):
-    # g + x lies in no proper subfield, so no f_alpha kills g(X) - g(x)
-    monkeypatch.setattr(principal, "NFElement",
-                        lambda L, coords: NFElement(L, coords) + L.gen())
-    code, err = failure(capsys, "X^4-2")
-    assert code == 3 and "pullback membership failed" in err
+def test_principal_subfield_inside_its_factors_field(monkeypatch, capsys):
+    # The second factor gets the first factor's subfield, so E_1 is not
+    # inside the principal subfield of the second factor, and f_2 does not
+    # divide f_{E_1}: the product identity at E_1 is the check that
+    # catches it.
+    of_factor = principal.principal_subfield_of_factor
+    seen = []
+
+    def first_factors_subfield(L, f_alpha):
+        seen.append(of_factor(L, f_alpha))
+        return seen[0 if len(seen) == 2 else -1]
+
+    monkeypatch.setattr(principal, "principal_subfield_of_factor", first_factors_subfield)
+    code, err = failure(capsys, BIQUADRATIC)
+    assert len(seen) == 3
+    assert code == 3 and "product identity fails for a lattice node" in err
 
 
 @pytest.mark.parametrize("node, flip", [(1, 1 << 2), (0, 1 << 1)],

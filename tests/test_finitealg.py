@@ -4,6 +4,7 @@ import pytest
 
 from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab import finitealg, poly
+from l2lab.lattice import from_edges
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.finitealg import (Subalgebra, classify_minimal_type, conductor,
                              crucial_ideal, enumerate_subalgebras, field_algebra,
@@ -301,18 +302,20 @@ def test_caps_respected(monkeypatch):
 
 
 def test_subalgebra_rejects_non_closed():
-    # span{1, y} in F2[Y]/(Y^3) misses y^2
+    # span{1, y} in F2[Y]/(Y^3) misses y^2; span{1, y^2} is closed
     S3 = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
-    y = S3.basis_vector(1)
-    with pytest.raises(ValueError, match="closed"):
-        Subalgebra(S3, [S3.unit, y], check=True)
+    y, y2 = S3.basis_vector(1), S3.basis_vector(2)
+    assert not Subalgebra(S3, [S3.unit, y]).is_closed()
+    assert Subalgebra(S3, [S3.unit, y2]).is_closed()
 
 
 def test_subalgebra_must_contain_unit():
+    # span{e1} in F2 x F2 is closed but misses 1 = e1 + e2
     S = product_algebra(F2, [1, 1])
     e1 = S.basis_vector(0)
-    with pytest.raises(ValueError, match="contain 1"):
-        Subalgebra(S, [e1], check=True)
+    T = Subalgebra(S, [e1])
+    assert T.is_closed() and not T.member(S.unit)
+    assert Subalgebra(S, [S.unit, e1]).member(S.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +434,22 @@ def test_minimal_type_checks_the_ramified_degree(monkeypatch):
     S = quotient_algebra(F2, ["X", "Y"], [{(2, 0): F2.one}, {(1, 1): F2.one},
                                           {(0, 2): F2.one}])
     assert classify_minimal_type(prime_algebra(S), S) == "not-minimal"
-    monkeypatch.setattr(finitealg, "enumerate_subalgebras", lambda R, S: [R, S])
+    monkeypatch.setattr(finitealg, "enumerate_subalgebras",
+                        lambda R, S: from_edges([R, whole_algebra(S)], [0b10, 0]))
     with pytest.raises(ConsistencyError, match=r"ramified case: \[S/M : R/M\] != 2"):
         classify_minimal_type(prime_algebra(S), S)
+
+
+def test_closure_span_checks_the_span_is_a_subalgebra(monkeypatch):
+    # F2 < F2[Y]/(Y^3): with only y taken for the nilradical, the
+    # seminormalization's span {1, y} misses y^2
+    S = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
+    R, T = prime_algebra(S), whole_algebra(S)
+    assert seminormalize(R, T).is_whole()
+    y = S.basis_vector(S.names.index("Y"))
+    monkeypatch.setattr(finitealg, "nilradical", lambda T: S.span([y]))
+    with pytest.raises(ConsistencyError, match="seminormalization span is not "
+                                               "a subalgebra"):
+        seminormalize(R, T)
+    with pytest.raises(ConsistencyError, match="t-closure span is not a subalgebra"):
+        t_close(R, T)

@@ -10,7 +10,11 @@ listing methods the tests use as oracles.  ``classify.py`` and
 ``report.py`` never name ``GFElem``, ``vsub`` or ``vec_key``: the vector
 representation of an algebra lives in ``finitealg`` and ``exact`` alone.
 No module names ``Ideal``: an ideal is an ``exact.Echelon``, with no
-wrapper class around it.
+wrapper class around it.  No module names ``localize``: a localization
+is an interval of S itself (``classify.local_base``), not a second
+algebra.  ``Subalgebra.__init__`` takes no ``check`` parameter: the
+constructor trusts its caller, and ``_closure_span`` makes the one
+closure check of an analysis.
 The ``[project].dependencies`` list of pyproject.toml must stay empty.
 
 The benchmark's tracer (``perfbench/tracing.py``, only read here) names
@@ -105,7 +109,7 @@ def test_no_element_listing(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_vector_representation_stays_in_finitealg_and_exact(path):
-    banned = {"Ideal"}
+    banned = {"Ideal", "localize"}
     if path.name in ("classify.py", "report.py"):
         banned |= {"GFElem", "vsub", "vec_key"}
     for node in ast.walk(_tree(path)):
@@ -121,6 +125,18 @@ def test_vector_representation_stays_in_finitealg_and_exact(path):
             continue
         assert not names & banned, "%s:%d names %s" % (
             path.name, node.lineno, sorted(names & banned))
+
+
+def test_subalgebra_constructor_has_no_check():
+    tree = _tree(ROOT / "src" / "l2lab" / "finitealg.py")
+    init = next(fn for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "Subalgebra"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == [
+        "self", "ambient", "basis"]
+    assert args.vararg is None and args.kwarg is None
 
 
 def test_no_runtime_dependencies():

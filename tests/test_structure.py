@@ -305,7 +305,7 @@ def enumerate_by_candidates(R, S):
                     rows[r_i][free[pc]] = 1
                 for (r_i, col), val in zip(free_pos, fill):
                     rows[r_i][free[col]] = val
-                T = Subalgebra(S, list(R.basis) + rows, check=False)
+                T = Subalgebra(S, list(R.basis) + rows)
                 if T.is_closed():
                     found.append(T)
     found.sort(key=lambda T: T.key())
