@@ -13,16 +13,14 @@ Two engines share an exact-arithmetic core:
 from .errors import CapExceeded, ConsistencyError, ParseError
 from .exact import next_prime
 from .poly import (QQ, Factorization, Poly, factor_mod_p, factor_over_Q,
-                   factor_over_number_field, is_separable, poly_gcd)
-from .numberfield import (NFElement, NumberField, Subfield, intersect_subfields,
-                          make_field, subfield_generated)
+                   factor_over_number_field, poly_gcd)
+from .numberfield import NFElement, NumberField, Subfield, make_field
 from .principal import (FactorSystem, PrincipalSubfieldSet, compute_principal_subfields,
                         principal_subfield_of_factor)
 from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
                            is_minimal_extension)
-from .finitealg import (FiniteAlgebra, Subalgebra, classify_minimal_type,
-                        conductor, crucial_ideal, enumerate_subalgebras,
-                        field_algebra, maximal_ideals, product_algebra,
+from .finitealg import (FiniteAlgebra, Subalgebra, conductor, crucial_ideal,
+                        enumerate_subalgebras, maximal_ideals, product_algebra,
                         quotient_algebra, seminormalize, small_field, t_close)
 from .classify import analyze_extension, check_length_two_predicates, classify_extension
 from .parsing import parse_algebra, parse_polynomial

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: subfields, minimal, length, classify, lattice.  Exit codes:
-0 success, 1 parse or input error, 2 enumeration cap exceeded,
+0 success, 1 parse, input or usage error, 2 enumeration cap exceeded,
 3 internal consistency failure (a theorem prediction disagreed with the
 enumerated lattice, which is always a bug).
 """
@@ -16,8 +16,16 @@ from .report import (algebra_report, field_report, lattice_to_dot, report_to_jso
                      report_to_text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as bad input (exit 1), not
+    exited with 2, which is the cap code; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="l2lab",
         description="Exact length-2 analysis of field and finite-algebra extensions")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -31,8 +39,9 @@ def _build_parser():
         if fmt:
             c.add_argument("--format", choices=["dot", "json", "text"],
                            default="text")
-        c.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the JSON report")
+        else:
+            c.add_argument("--json", action="store_true", dest="as_json",
+                           help="emit the JSON report")
         return c
 
     add_poly_cmd("subfields", "principal subfields of Q < Q[x]/(f)")
@@ -68,7 +77,7 @@ def _load_report(args):
         raise ParseError("a polynomial argument is required (or --algebra FILE)")
     f = parse_polynomial(args.poly)
     try:
-        return field_report(f, input_text=args.poly)
+        return field_report(f, args.poly)
     except ValueError as e:
         raise ParseError(str(e))
 
@@ -77,7 +86,7 @@ def _run(args):
     if args.command == "lattice":
         report = _load_report(args)
         if args.format == "dot":
-            return lattice_to_dot(report["lattice"], title=report["input"])
+            return lattice_to_dot(report["lattice"], report["input"])
         if args.format == "json":
             return report_to_json({"input": report["input"],
                                    "engine": report["engine"],
@@ -125,10 +134,8 @@ def _run(args):
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
-        out = _run(args)
+        out = _run(_build_parser().parse_args(argv))
     except ParseError as e:
         sys.stderr.write("error: %s\n" % e)
         return 1

@@ -112,14 +112,11 @@ class SmallField:
         self.k = k
         self.q = p ** k
         if k == 1:
-            self.modpoly = None
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
             Fp = small_field(p)
             m = irreducible_over(Fp, k)
-            # low coefficients first, without the leading 1
-            self.modpoly = [c.i for c in m.cs[:k]]
             polys = [Poly(Fp, [Fp.element(i // p ** t) for t in range(k)])
                      for i in range(self.q)]
             index = {f.cs: i for i, f in enumerate(polys)}
@@ -240,19 +237,17 @@ def _is_irreducible_gf(f, Fq):
 class FiniteAlgebra:
     """Commutative unital F_q-algebra by structure constants."""
 
-    def __init__(self, field, table, unit, names=None, check=True):
+    def __init__(self, field, table, unit, names=None):
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
         self.unit = tuple(unit)
         self.names = list(names) if names else ["e%d" % i for i in range(self.dim)]
-        self.size = field.q ** self.dim
         # terms[i][j]: the nonzero structure constants (k, c_ijk)
         self.terms = [[tuple((k, c) for k, c in enumerate(v) if c) for v in row]
                       for row in self.table]
-        if check:
-            check_elements(field.q, self.dim, "algebra construction")
-            self._check_axioms()
+        check_elements(field.q, self.dim, "algebra construction")
+        self._check_axioms()
 
     def _check_axioms(self):
         d = self.dim
@@ -363,14 +358,6 @@ def product_algebra(F, factor_degrees):
                                 for j in range(1, k)]
         off += k
     return FiniteAlgebra(F, table, unit, names)
-
-
-def field_algebra(F, defining):
-    """F_q[X]/(f) for a monic f over F_q, as an F_q-algebra of dim deg f."""
-    dim = defining.degree
-    unit = tuple(int(t == 0) for t in range(dim))
-    names = ["1"] + ["x" if i == 1 else "x^%d" % i for i in range(1, dim)]
-    return FiniteAlgebra(F, _power_table(F, defining), unit, names)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +544,6 @@ class Subalgebra:
     def dim(self):
         return len(self.basis)
 
-    @property
-    def size(self):
-        return self.ambient.field.q ** self.dim
-
     def member(self, v):
         return self.basis.contains(v)
 
@@ -603,10 +586,6 @@ class Subalgebra:
             self.dim, "; ".join(self.ambient.element_str(b) for b in self.basis))
 
 
-def whole_algebra(S):
-    return Subalgebra(S, [S.basis_vector(i) for i in range(S.dim)])
-
-
 def prime_algebra(S):
     return Subalgebra(S, [S.unit])
 
@@ -631,7 +610,7 @@ def algebra_on_subspace(A, basis, unit_vec):
     if unit is None:
         raise ValueError("unit does not lie in the subspace")
     names = ["[%s]" % A.element_str(b) for b in basis]
-    alg = FiniteAlgebra(A.field, table, unit, names, check=False)
+    alg = FiniteAlgebra(A.field, table, unit, names)
     return alg, basis.combine, basis.coords
 
 
@@ -927,15 +906,6 @@ def enumerate_subalgebras(R, S):
 
 # ---------------------------------------------------------------------------
 # Minimal-extension types (inert / decomposed / ramified)
-
-def classify_minimal_type(R, S):
-    """Type of a minimal extension, or 'not-minimal' (verified by
-    enumeration)."""
-    lat = enumerate_subalgebras(R, S)
-    if len(lat) != 2:
-        return "not-minimal"
-    return _minimal_type_of_pair(R, lat.nodes[-1])
-
 
 def _minimal_type_of_pair(lo, hi):
     """Type of a known-minimal lo < hi, subalgebras of one algebra, via

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import ConsistencyError
-from .poly import QQ, Poly, factor_over_Q, is_separable
+from .poly import QQ, Poly, factor_over_Q
 
 
 class NFElement:
@@ -82,7 +82,7 @@ class NFElement:
         return nf_str(self)
 
 
-def nf_str(e, var="x"):
+def nf_str(e):
     terms = []
     for i, c in enumerate(e.coords):
         if not c:
@@ -90,7 +90,7 @@ def nf_str(e, var="x"):
         if i == 0:
             terms.append(str(c))
         else:
-            mono = var if i == 1 else "%s^%d" % (var, i)
+            mono = "x" if i == 1 else "x^%d" % i
             if c == 1:
                 terms.append(mono)
             elif c == -1:
@@ -190,7 +190,7 @@ class NumberField:
         return "NumberField(x: %s = 0, degree %d)" % (poly_str(self.defining), self.n)
 
 
-def poly_str(f, var="X"):
+def poly_str(f):
     """Canonical text form, printable and re-parsable."""
     if f.is_zero:
         return "0"
@@ -202,7 +202,7 @@ def poly_str(f, var="X"):
         if i == 0:
             body = _coeff_str(c)
         else:
-            mono = var if i == 1 else "%s^%d" % (var, i)
+            mono = "X" if i == 1 else "X^%d" % i
             if _is_unit_coeff(c, 1):
                 body = mono
             elif _is_unit_coeff(c, -1):
@@ -234,10 +234,10 @@ def make_field(f):
         raise ValueError("defining polynomial must have degree >= 1")
     if f.lc != 1:
         raise ValueError("defining polynomial must be monic")
-    if not is_separable(f):
-        raise ValueError("separable required")
     fac = factor_over_Q(f)
-    if len(fac.factors) != 1 or fac.factors[0][1] != 1:
+    if any(m > 1 for _, m in fac.factors):
+        raise ValueError("separable required")
+    if len(fac.factors) != 1:
         raise ValueError("not a field: defining polynomial is reducible")
     return NumberField(f)
 
@@ -338,27 +338,6 @@ def min_poly_over_basis(L, span):
     if mp.evaluate(L.gen()):
         raise ConsistencyError("minimal polynomial does not kill x")
     return mp
-
-
-def subfield_generated(L, gens):
-    """Smallest subfield of L containing Q and the given elements.
-
-    Adjoins pairwise products and re-echelonizes until the dimension
-    stabilizes; terminates in at most n rounds since the dimension
-    strictly increases.
-    """
-    span = exact.Echelon([L.one.coords] + [g.coords for g in gens], exact.QQ_OPS)
-    while True:
-        basis = [NFElement(L, row) for row in span]
-        prods = list(span)
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                prods.append((basis[i] * basis[j]).coords)
-        grown = exact.Echelon(prods, exact.QQ_OPS)
-        if len(grown) == len(span):
-            break
-        span = grown
-    return subfield_of_span(L, span)
 
 
 def intersect_subfields(A, B):

@@ -81,7 +81,6 @@ class _ExprParser:
         self.toks = _tokenize(text)
         self.i = 0
         self.sem = sem
-        self.text = text
 
     def peek(self):
         return self.toks[self.i]
@@ -297,10 +296,12 @@ def parse_algebra(doc):
     """Build (S, R) from an algebra document (already-decoded JSON dict).
 
     Keys: q (prime power), exactly one of quotient / product / table,
-    and R (either "diagonal" or a list of generator expressions).
+    and R (either "diagonal" or a list of generator expressions); any
+    other key is refused.
     """
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be a JSON object")
+    _known_keys(doc, ("q", "quotient", "product", "table", "R"), "algebra document")
     if "q" not in doc:
         raise ParseError("algebra document is missing the base size q")
     q = doc["q"]
@@ -324,6 +325,13 @@ def parse_algebra(doc):
         S = _algebra_from_table(F, doc["table"])
         R = _subring_from_table_generators(S, F, doc.get("R", "diagonal"))
     return S, R
+
+
+def _known_keys(spec, keys, where):
+    unknown = [k for k in spec if k not in keys]
+    if unknown:
+        raise ParseError("unknown key %r in the %s (allowed: %s)"
+                         % (unknown[0], where, ", ".join(keys)))
 
 
 def _algebra_from_quotient(F, q, text):
@@ -389,6 +397,7 @@ def _element(F, c):
 def _algebra_from_table(F, spec):
     if not isinstance(spec, dict) or "table" not in spec or "unit" not in spec:
         raise ParseError("table presentation needs unit and table entries")
+    _known_keys(spec, ("unit", "table", "names"), "table presentation")
     table = spec["table"]
     if not isinstance(table, list) or not table:
         raise ParseError("table must be a non-empty list of rows")

@@ -252,16 +252,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-def is_separable(f):
-    """True iff gcd(f, f') = 1."""
-    if f.is_zero:
-        raise ValueError("separability of the zero polynomial is undefined")
-    if f.degree == 0:
-        return True
-    g = poly_gcd(f, f.derivative())
-    return g.degree == 0
-
-
 class Factorization:
     """unit * prod(factor^multiplicity), factors monic irreducible."""
 

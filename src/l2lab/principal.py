@@ -69,12 +69,12 @@ def principal_subfield_of_factor(L, f_alpha):
 
 
 class PrincipalSubfieldSet:
-    """The L_alpha, the deduplicated E_1..E_t, Phi, Gamma and m_beta.  The
-    index sets I(K) are read off the lattice (``fieldlattice.index_sets``)."""
+    """The E_1..E_t (the L_alpha deduplicated, L_alpha = E_Phi(alpha)),
+    Phi, Gamma and m_beta.  The index sets I(K) are read off the lattice
+    (``fieldlattice.index_sets``)."""
 
-    def __init__(self, system, L_alpha, E, phi, gamma):
+    def __init__(self, system, E, phi, gamma):
         self.system = system
-        self.L_alpha = L_alpha
         self.E = E
         self.phi = phi            # alpha index -> beta index
         self.gamma = gamma        # beta index -> sorted tuple of alpha indices
@@ -100,7 +100,7 @@ def compute_principal_subfields(L):
     index_of = {e.key(): b for b, e in enumerate(E)}
     phi = [index_of[sub.key()] for sub in L_alpha]
     gamma = {b: tuple(a for a, pb in enumerate(phi) if pb == b) for b in range(len(E))}
-    ps = PrincipalSubfieldSet(sys, L_alpha, E, phi, gamma)
+    ps = PrincipalSubfieldSet(sys, E, phi, gamma)
     _check_principal_set(ps)
     return ps
 

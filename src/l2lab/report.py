@@ -16,7 +16,7 @@ from .principal import compute_principal_subfields
 from .classify import analyze_extension, classify_extension
 
 
-def field_report(f, input_text=None):
+def field_report(f, input_text):
     """Full classification of Q < Q[x]/(f) via principal subfields."""
     t0 = time.perf_counter()
     L = make_field(f)
@@ -26,7 +26,7 @@ def field_report(f, input_text=None):
     minimal = is_minimal_extension(ps, lat)
     l2, info = is_length_two(ps, lat)
     report = {
-        "input": input_text if input_text is not None else poly_str(f),
+        "input": input_text,
         "engine": "number-field",
         "status": "ok",
         "degree": L.n,
@@ -104,9 +104,9 @@ def algebra_report(S, R, input_echo):
     return report, a
 
 
-def lattice_to_dot(data, title="lattice"):
+def lattice_to_dot(data, title):
     """DOT digraph; edges point from the smaller to the larger node."""
-    lines = ["digraph \"%s\" {" % title, "  rankdir=BT;",
+    lines = ["digraph \"%s\" {" % _dot_escape(title), "  rankdir=BT;",
              "  node [shape=box, fontname=\"monospace\"];"]
     nodes = data["nodes"]
     for i, n in enumerate(nodes):

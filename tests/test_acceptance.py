@@ -97,7 +97,7 @@ def test_criterion_4_minimal_cubic(capsys):
     ps = compute_principal_subfields(L)
     assert ps.t == 1
     # brute-force confirmation: every principal subfield collapses to Q
-    assert all(sub.dim == 1 for sub in ps.L_alpha)
+    assert all(sub.dim == 1 for sub in ps.E)
     assert is_minimal_extension(ps, build_lattice(ps))
     _passed(4, "minimal \"X^3 - 3*X + 1\": t=1, minimal (all L_alpha = Q)")
 
@@ -300,7 +300,7 @@ def _random_small_algebra(rng):
                               {(1, 1): F.one}, {(0, 2): F.one}])
     else:
         S = quotient_algebra(F, ["x"], [{(rng.choice([2, 3, 4]),): F.one}])
-    if S.dim > 5 or S.size > 256:
+    if S.dim > 5 or S.field.q ** S.dim > 256:
         return None
     gens = [tuple(rng.randrange(F.q) for _ in range(S.dim))
             for _ in range(rng.randrange(0, 3))]

@@ -10,9 +10,9 @@ from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.classify import (analyze_extension, classify_extension, cover_types,
                             is_copointwise_minimal, module_length_at)
-from l2lab.finitealg import (Subalgebra, enumerate_subalgebras, field_algebra,
-                             prime_algebra, product_algebra,
-                             quotient_algebra, small_field, whole_algebra)
+from l2lab.finitealg import (Subalgebra, enumerate_subalgebras, prime_algebra,
+                             product_algebra, quotient_algebra, small_field)
+from test_finitealg import field_algebra, whole_algebra
 from test_localization import localize
 
 F2 = small_field(2)

@@ -84,6 +84,58 @@ def test_algebra_file(tmp_path, capsys):
     assert len(payload["lattice"]["nodes"]) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["classify", "--bogus", "X"],
+    ["frobnicate", "X"],
+    ["lattice", "--format", "xml", "X"],
+    ["lattice", "--json", "X^4 - 2"],       # --format json does that job
+])
+def test_usage_error_exit_code_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_usage_error_exit_code_1_in_a_process():
+    proc = run_process("classify", "--bogus", "X")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: l2lab: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lattice", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert "usage: l2lab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("poly", ["X^2", "(X^2 - 2)^2"])
+def test_inseparable_polynomial_exit_code_1(capsys, poly):
+    code, out, err = run(capsys, "classify", poly)
+    assert code == 1 and err == "error: separable required\n"
+
+
+def test_algebra_dot_title_is_escaped(tmp_path, capsys):
+    doc = {"q": 2, "quotient": "F2[T,Y]/(T^2, Y^2 + Y)", "R": ["T"]}
+    code, out, _ = run(capsys, "lattice", "--algebra", _doc(tmp_path, doc),
+                       "--format", "dot")
+    assert code == 0
+    assert re.fullmatch(r'digraph "(?:[^"\\]|\\.)*" \{', out.splitlines()[0])
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"q": 2, "quotient": "F2[T,Y]/(T^2,Y^2+Y)", "r": ["T"]}, "r"),
+    ({"q": 2, "product": ["F2"], "R": "diagonal", "comment": "x"}, "comment"),
+    ({"q": 2, "table": {"unit": [1], "table": [[[1]]], "name": ["a"]}}, "name"),
+])
+def test_unknown_document_key_exit_code_1(tmp_path, capsys, doc, key):
+    code, out, err = run(capsys, "length", "--algebra", _doc(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown key %r" % key)
+
+
 def test_parse_error_exit_code_1(capsys):
     code, out, err = run(capsys, "classify", "X +")
     assert code == 1 and "error" in err
@@ -326,7 +378,7 @@ def test_consistency_failure_exit_code_3(capsys, monkeypatch):
     from l2lab.errors import ConsistencyError
     import l2lab.cli as cli_mod
 
-    def boom(f, input_text=None):
+    def boom(f, input_text):
         raise ConsistencyError("forced for the exit-code test")
 
     monkeypatch.setattr(cli_mod, "field_report", boom)

@@ -152,7 +152,7 @@ def test_order_facts_come_from_the_lattice(monkeypatch):
     monkeypatch.setattr(report, "build_lattice", build_lattice)
     r = 0
     for f in FIELDS:
-        rep = report.field_report(parse_polynomial(f))
+        rep = report.field_report(parse_polynomial(f), f)
         r += len(rep["witnesses"]["factors_over_L"])
     assert calls["divides"] == r == 19
     assert calls["of_span"] == 25

@@ -58,7 +58,7 @@ def test_lengths(quartic, biquad, sextic):
 def test_minimal_cyclic_cubic():
     # brute-force confirmation: every principal subfield collapses to Q
     ps, lat = pipeline(1, -3, 0, 1)
-    assert all(sub.dim == 1 for sub in ps.L_alpha)
+    assert all(sub.dim == 1 for sub in ps.E)
     assert is_minimal_extension(ps, lat)
     assert lat.length == 1
 

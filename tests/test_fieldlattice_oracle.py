@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from l2lab.fieldlattice import build_lattice, index_sets
-from l2lab.numberfield import make_field, subfield_generated
+from l2lab.numberfield import make_field
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import QQ, Poly, factor_over_Q
 from l2lab.principal import compute_principal_subfields
@@ -31,6 +31,7 @@ from l2lab.principal import compute_principal_subfields
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 from test_golden_reports import FIELD_INPUTS  # noqa: E402
+from test_numberfield import subfield_generated  # noqa: E402
 
 PHI11 = "+".join("X^%d" % k for k in range(10, 1, -1)) + "+X+1"
 

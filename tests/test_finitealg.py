@@ -6,16 +6,36 @@ from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab import finitealg, poly
 from l2lab.lattice import from_edges
 from l2lab.poly import Poly, factor_mod_p
-from l2lab.finitealg import (Subalgebra, classify_minimal_type, conductor,
-                             crucial_ideal, enumerate_subalgebras, field_algebra,
+from l2lab.finitealg import (FiniteAlgebra, Subalgebra, _power_table, conductor,
+                             crucial_ideal, enumerate_subalgebras, irreducible_over,
                              maximal_ideals, msupp,
                              prime_algebra, product_algebra, quotient_algebra,
-                             seminormalize, small_field, t_close, whole_algebra)
+                             seminormalize, small_field, t_close)
 
 
 F2 = small_field(2)
 F3 = small_field(3)
 F4 = small_field(4)
+
+
+def whole_algebra(S):
+    return Subalgebra(S, [S.basis_vector(i) for i in range(S.dim)])
+
+
+def field_algebra(F, defining):
+    """F_q[X]/(f) for a monic f over F_q, as an F_q-algebra of dim deg f."""
+    dim = defining.degree
+    unit = tuple(int(t == 0) for t in range(dim))
+    names = ["1"] + ["x" if i == 1 else "x^%d" % i for i in range(1, dim)]
+    return FiniteAlgebra(F, _power_table(F, defining), unit, names)
+
+
+def classify_minimal_type(R, S):
+    """Type of a minimal extension, or 'not-minimal', by enumeration."""
+    lat = finitealg.enumerate_subalgebras(R, S)
+    if len(lat) != 2:
+        return "not-minimal"
+    return finitealg._minimal_type_of_pair(R, lat.nodes[-1])
 
 
 def first_irreducible(p, n):
@@ -69,8 +89,11 @@ def test_small_field_f9():
 def test_small_field_modulus_matches_factoring_oracle(p, kmax, monkeypatch):
     monkeypatch.setenv("L2LAB_CAP", str((p ** kmax) ** 2))
     for k in range(2, kmax + 1):
-        expect = [c.i for c in first_irreducible(p, k).cs[:k]]
-        assert small_field(p ** k).modpoly == expect
+        expect = first_irreducible(p, k)
+        F = small_field(p ** k)
+        u = F.elems[p]          # the residue of W in F_p[W]/(m)
+        assert sum((F.elems[c.i] * u ** t for t, c in enumerate(expect.cs[:k])),
+                   u ** k) == F.zero
 
 
 def test_prime_field_axioms():
@@ -90,7 +113,7 @@ def test_small_field_tables_match_int_list_layer(q):
     """Every table entry against F_p[u]/(m) on plain coefficient lists."""
     F = small_field(q)
     p, k = F.p, F.k
-    m = F.modpoly + [1]
+    m = [c.i for c in irreducible_over(small_field(p), k).cs]
 
     def coeffs(i):
         return [i // p ** t % p for t in range(k)]

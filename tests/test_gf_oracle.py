@@ -28,11 +28,12 @@ import pytest
 
 from l2lab import exact
 from l2lab.exact import Echelon, Ops, intersection
-from l2lab.finitealg import (enumerate_subalgebras, field_algebra, prime_algebra,
-                             product_algebra, quotient_algebra, small_field)
+from l2lab.finitealg import (enumerate_subalgebras, prime_algebra, product_algebra,
+                             quotient_algebra, small_field)
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
+from test_finitealg import field_algebra
 from test_structure import _random_algebra
 
 

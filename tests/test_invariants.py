@@ -21,6 +21,13 @@ The benchmark's tracer (``perfbench/tracing.py``, only read here) names
 its targets by string: every ``EXTRA_TARGETS`` entry, every ``CHECKS``
 name and every function behind a per-layer metric of BENCHMARK.json
 must be a function the tracer wraps, or the trace crashes or reads 0.
+
+``src`` holds only what production runs: every module-level function
+and class, every method and every attribute a method stores on ``self``
+is reached from ``cli.main``, from code that runs on import, or from a
+name the benchmark resolves.  A helper that only the tests call lives in
+the tests; once the benchmark stops naming a function, this test puts
+it out of ``src`` too.
 """
 
 import ast
@@ -186,10 +193,102 @@ def test_checks_are_traced_functions(name):
 GONE_FROM_POLY = ["poly.interpolate", "poly.resultant_monic"]
 
 
-def test_per_layer_metrics_name_traced_functions():
+def _per_layer_functions():
+    """The l2lab functions behind the per-layer metrics of BENCHMARK.json."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = {m["name"].rpartition(".")[0] for m in bench["per_layer"]
              if m["name"] not in tracing.COUNT_NAMES}
-    names = {n for n in names if n.partition(".")[0] in tracing.LAYERS}
+    return {n for n in names if n.partition(".")[0] in tracing.LAYERS}
+
+
+def test_per_layer_metrics_name_traced_functions():
+    names = _per_layer_functions()
     assert "principal.FactorSystem" in names
     assert [n for n in sorted(names) if not _traced(n)] == GONE_FROM_POLY
+
+
+def _reads(nodes):
+    """(names, attributes) the code under ``nodes`` loads."""
+    names, attrs = set(), set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _definitions():
+    """Each definition of src/l2lab by qualified name ("finitealg.adjoin",
+    "finitealg.Subalgebra.dim"), with the nodes it runs once reached, and
+    the module-level statements that run on import.  Imports are not
+    reads: an export of ``l2lab`` counts only if production reaches it."""
+    defs, on_import = {}, []
+    for path in SOURCES:
+        for stmt in _tree(path).body:
+            name = "%s.%s" % (path.stem, getattr(stmt, "name", ""))
+            if isinstance(stmt, ast.FunctionDef):
+                defs[name] = [stmt]
+            elif isinstance(stmt, ast.ClassDef):
+                methods = [f for f in stmt.body if isinstance(f, ast.FunctionDef)]
+                defs[name] = stmt.bases + stmt.decorator_list + [
+                    s for s in stmt.body if s not in methods]
+                for fn in methods:
+                    defs["%s.%s" % (name, fn.name)] = [fn]
+                    for node in ast.walk(fn):
+                        if (isinstance(node, ast.Attribute)
+                                and isinstance(node.ctx, ast.Store)
+                                and getattr(node.value, "id", None) == "self"):
+                            defs.setdefault("%s.%s" % (name, node.attr), [])
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                on_import.append(stmt)
+    return defs, on_import
+
+
+def _called_by_base(module, owner, member):
+    """Whether ``member`` of class ``owner`` overrides an attribute of a
+    base class outside l2lab (``argparse.ArgumentParser.error``), which
+    that base then calls."""
+    cls = getattr(importlib.import_module("l2lab." + module), owner)
+    return any(hasattr(base, member) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("l2lab"))
+
+
+def _unreached(roots):
+    """The definitions that no path from ``roots`` or import-time code
+    reads.  A module-level name is reached by a load of its name or of an
+    attribute of that name; a member, once its class is, by an attribute
+    load, or by its class alone if it is a dunder or overrides a base
+    outside l2lab."""
+    defs, on_import = _definitions()
+    names, attrs = _reads(on_import)
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for name, nodes in defs.items():
+            if name in reached:
+                continue
+            module, _, path = name.partition(".")
+            owner, _, member = path.rpartition(".")
+            if owner:
+                hit = "%s.%s" % (module, owner) in reached and (
+                    name in roots or member in attrs
+                    or (member.startswith("__") and member.endswith("__"))
+                    or _called_by_base(module, owner, member))
+            else:
+                hit = name in roots or member in names or member in attrs
+            if hit:
+                reached.add(name)
+                more_names, more_attrs = _reads(nodes)
+                names |= more_names
+                attrs |= more_attrs
+                grew = True
+    return sorted(set(defs) - reached)
+
+
+def test_src_holds_only_what_production_reaches():
+    roots = {"cli.main"} | _per_layer_functions() | set(tracing.CHECKS)
+    roots |= {"%s.%s" % target for target in tracing.EXTRA_TARGETS}
+    assert _unreached(roots) == []

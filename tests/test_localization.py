@@ -20,8 +20,9 @@ from l2lab.classify import analyze_extension, is_locally_minimal, local_base
 from l2lab.errors import ConsistencyError
 from l2lab.finitealg import (Subalgebra, algebra_on_subspace, conductor,
                              enumerate_subalgebras, msupp, primitive_idempotents,
-                             product_algebra, small_field, whole_algebra)
+                             product_algebra, small_field)
 from l2lab.parsing import parse_algebra
+from test_finitealg import whole_algebra
 
 from test_golden_reports import NAMED, RANDOM
 

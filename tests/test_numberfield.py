@@ -3,9 +3,31 @@ from fractions import Fraction
 
 import pytest
 
+from l2lab import exact
 from l2lab.poly import QQ, Poly
-from l2lab.numberfield import (intersect_subfields, make_field, poly_str, prime_subfield,
-                               subfield_generated, whole_field)
+from l2lab.numberfield import (NFElement, intersect_subfields, make_field, poly_str,
+                               prime_subfield, subfield_of_span, whole_field)
+
+
+def subfield_generated(L, gens):
+    """Smallest subfield of L containing Q and the given elements.
+
+    Adjoins pairwise products and re-echelonizes until the dimension
+    stabilizes; terminates in at most n rounds since the dimension
+    strictly increases.
+    """
+    span = exact.Echelon([L.one.coords] + [g.coords for g in gens], exact.QQ_OPS)
+    while True:
+        basis = [NFElement(L, row) for row in span]
+        prods = list(span)
+        for i in range(len(basis)):
+            for j in range(i, len(basis)):
+                prods.append((basis[i] * basis[j]).coords)
+        grown = exact.Echelon(prods, exact.QQ_OPS)
+        if len(grown) == len(span):
+            break
+        span = grown
+    return subfield_of_span(L, span)
 
 
 def Q(*ints):
@@ -134,6 +156,21 @@ def test_min_poly_divides_defining(L4):
               whole_field(L4)]:
         assert (f_over_L % K.min_poly).is_zero
         assert K.min_poly.degree * K.dim == L4.n
+
+
+@pytest.mark.parametrize("coeffs,separable", [
+    ([-2, 0, 0, 0, 1], True),        # X^4 - 2
+    ([0, 0, 1], False),              # X^2
+    ([1, 0, -10, 0, 1], True),       # X^4 - 10 X^2 + 1
+    ([4, 0, -4, 0, 1], False),       # (X^2 - 2)^2
+])
+def test_make_field_reads_separability_off_the_factorization(coeffs, separable):
+    f = Q(*coeffs)
+    if separable:
+        assert make_field(f).defining == f
+    else:
+        with pytest.raises(ValueError, match="separable required"):
+            make_field(f)
 
 
 def test_poly_str_roundtrippable_forms():

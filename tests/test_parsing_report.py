@@ -194,7 +194,7 @@ def test_text_report_mentions_key_facts():
 
 def test_dot_output_is_wellformed_and_matches_order():
     rep = field_report(Q(1, 0, -10, 0, 1), "X^4 - 10*X^2 + 1")
-    dot = lattice_to_dot(rep["lattice"], title=rep["input"])
+    dot = lattice_to_dot(rep["lattice"], rep["input"])
     assert dot.startswith("digraph")
     assert dot.count("->") == len(rep["lattice"]["covers"])
     # transitive closure of the DOT edges equals the inclusion order

@@ -11,7 +11,7 @@ from l2lab.finitealg import small_field
 from l2lab.numberfield import NumberField, make_field
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import (QQ, Poly, factor_mod_p, factor_over_Q,
-                        factor_over_number_field, is_separable, poly_gcd)
+                        factor_over_number_field, poly_gcd)
 
 
 def shift(f, c):
@@ -47,15 +47,6 @@ def test_gcd_certifies_squarefree():
 def test_gcd_both_zero():
     with pytest.raises(ValueError):
         poly_gcd(Q(), Q())
-
-
-@pytest.mark.parametrize("coeffs,expected", [
-    ([-2, 0, 0, 0, 1], True),        # X^4 - 2
-    ([0, 0, 1], False),              # X^2
-    ([1, 0, -10, 0, 1], True),       # X^4 - 10 X^2 + 1
-])
-def test_is_separable(coeffs, expected):
-    assert is_separable(Q(*coeffs)) is expected
 
 
 # --- factorization over prime fields --------------------------------------

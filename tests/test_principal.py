@@ -1,9 +1,10 @@
 import pytest
 
 from l2lab.poly import QQ, Poly
-from l2lab.numberfield import make_field, subfield_generated
+from l2lab.numberfield import make_field
 from l2lab.principal import compute_principal_subfields, principal_subfield_of_factor
 from test_fieldlattice_oracle import index_set_I
+from test_numberfield import subfield_generated
 
 
 def Q(*ints):

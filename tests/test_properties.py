@@ -19,8 +19,9 @@ from l2lab.fieldlattice import (build_lattice, is_length_two, is_minimal_extensi
                                 verify_minpoly_product_identity)
 from l2lab.classify import analyze_extension, classify_extension, cover_types
 from l2lab.finitealg import (Subalgebra, prime_algebra, product_algebra,
-                             quotient_algebra, small_field, whole_algebra)
+                             quotient_algebra, small_field)
 from test_fieldlattice_oracle import index_set_I
+from test_finitealg import whole_algebra
 
 FIELD_POLYS = [
     [-2, 0, 1],                  # X^2 - 2
@@ -94,7 +95,7 @@ def _random_algebra(rng):
         rels = [{(e1,): F.one}] if rng.random() < 0.5 else \
             [{(e1,): F.one, (1,): F.one}]
         S = quotient_algebra(F, ["x"], rels)
-    if S.dim > 5 or S.size > 256:
+    if S.dim > 5 or S.field.q ** S.dim > 256:
         return None
     gens = []
     for _ in range(rng.randrange(0, 3)):

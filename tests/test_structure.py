@@ -52,16 +52,17 @@ from l2lab.classify import (analyze_extension, classify_extension, ideal_MS,
                             is_copointwise_minimal)
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, adjoin, algebra_on_subspace,
                              conductor, crucial_ideal, enumerate_subalgebras,
-                             field_algebra, irreducible_over, is_simple_extension,
+                             irreducible_over, is_simple_extension,
                              maximal_ideals, maximal_ideals_over, msupp, nilradical,
                              prime_algebra, primitive_idempotents, product_algebra,
                              quotient_algebra, radical, seminormalize, small_field,
-                             t_close, whole_algebra)
+                             t_close)
 from l2lab.parsing import parse_algebra
 from l2lab.poly import Poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
+from test_finitealg import field_algebra, whole_algebra  # noqa: E402
 from test_lattice import hasse_by_pairs  # noqa: E402
 
 
@@ -100,8 +101,7 @@ def quotient_by_ideal(A, ideal_basis):
     project, lift, free = subspace_complement(A, ideal_basis)
     table = [[project(A.mul(A.basis_vector(i), A.basis_vector(j))) for j in free]
              for i in free]
-    Q = FiniteAlgebra(A.field, table, project(A.unit), [A.names[j] for j in free],
-                      check=False)
+    Q = FiniteAlgebra(A.field, table, project(A.unit), [A.names[j] for j in free])
     return Q, project, lift
 
 
@@ -412,7 +412,7 @@ def _small_named_documents():
     out = []
     for ident, doc, _, _ in corpus.ALG_SPLIT + corpus.ALG_LOCAL:
         S, R = parse_algebra(doc)
-        if S.size <= 2 ** 5:
+        if S.field.q ** S.dim <= 2 ** 5:
             out.append(pytest.param(S, R, id=ident))
     return out
 
@@ -646,7 +646,7 @@ def check_point_walks(R, S):
     points = is_simple_extension(a.lattice)
     assert bool(points) == bool(generators)
     # one point per class c*x + R of generators
-    assert len(points) * (S.field.q - 1) * R.size == len(generators)
+    assert len(points) * (S.field.q - 1) * S.field.q ** R.dim == len(generators)
     assert all(adjoin(R, s).is_whole() for s in points)
     assert is_copointwise_minimal(a) == copointwise_by_scan(a)
     details = _cor_3_132_details(verdict)
@@ -692,7 +692,7 @@ def test_point_walks_match_element_scans_on_random_local_extensions():
     flags = set()
     for _ in range(120):
         R, S = _random_local_extension(rng)
-        assert S.size <= 4096
+        assert S.field.q ** S.dim <= 4096
         details = check_point_walks(R, S)
         if details is not None:
             qs[S.field.q] += 1
