@@ -8,22 +8,35 @@ Two engines share an exact-arithmetic core:
   t-closure and the subalgebra lattice over F_q, enumerated by
   one-element adjunctions T[s], with the exhaustive length-2 case
   classification.
+
+Each export loads its module on first use (PEP 562), so ``import l2lab``
+compiles neither engine.
 """
 
-from .errors import CapExceeded, ConsistencyError, ParseError
-from .exact import next_prime
-from .poly import (QQ, Factorization, Poly, factor_mod_p, factor_over_Q,
-                   factor_over_number_field, poly_gcd)
-from .numberfield import NFElement, NumberField, Subfield, make_field
-from .principal import (FactorSystem, PrincipalSubfieldSet, compute_principal_subfields,
-                        principal_subfield_of_factor)
-from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
-                           is_minimal_extension)
-from .finitealg import (FiniteAlgebra, Subalgebra, conductor, crucial_ideal,
-                        enumerate_subalgebras, maximal_ideals, product_algebra,
-                        quotient_algebra, seminormalize, small_field, t_close)
-from .classify import analyze_extension, check_length_two_predicates, classify_extension
-from .parsing import parse_algebra, parse_polynomial
-from .report import algebra_report, field_report
+_EXPORTS = {
+    "errors": ["CapExceeded", "ConsistencyError", "ParseError"],
+    "exact": ["next_prime"],
+    "poly": ["QQ", "Factorization", "Poly", "factor_mod_p", "factor_over_Q",
+             "factor_over_number_field", "poly_gcd"],
+    "numberfield": ["NFElement", "NumberField", "Subfield", "make_field"],
+    "principal": ["FactorSystem", "PrincipalSubfieldSet", "compute_principal_subfields",
+                  "principal_subfield_of_factor"],
+    "fieldlattice": ["build_lattice", "galois_length_two_check", "is_length_two",
+                     "is_minimal_extension"],
+    "finitealg": ["FiniteAlgebra", "Subalgebra", "conductor", "crucial_ideal",
+                  "enumerate_subalgebras", "maximal_ideals", "product_algebra",
+                  "quotient_algebra", "seminormalize", "small_field", "t_close"],
+    "classify": ["analyze_extension", "check_length_two_predicates", "classify_extension"],
+    "parsing": ["parse_algebra", "parse_polynomial"],
+    "report": ["algebra_report", "field_report"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(__import__(_HOME[name], globals(), None, [name], 1), name)

@@ -262,14 +262,16 @@ def intersection(A, B):
 
     A kernel vector (x, y) of the matrix whose columns are the rows of A
     and then of B gives sum x_i A_i = -sum y_j B_j, and these sums span
-    the intersection.
+    the intersection; with no such sums it is the zero Echelon, made
+    without a reduction.
     """
     ops = A.ops
-    if not A or not B:
-        return Echelon((), ops)
-    rows = [[a[c] for a in A] + [b[c] for b in B] for c in range(len(A[0]))]
-    k = len(A)
-    return Echelon((A.combine(v[:k]) for v in kernel(rows, k + len(B), ops)), ops)
+    meet = []
+    if A and B:
+        rows = [[a[c] for a in A] + [b[c] for b in B] for c in range(len(A[0]))]
+        k = len(A)
+        meet = [A.combine(v[:k]) for v in kernel(rows, k + len(B), ops)]
+    return Echelon(meet, ops) if meet else Echelon._reduced((), (), ops)
 
 
 def prime_factors(n):

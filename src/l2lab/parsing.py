@@ -3,7 +3,9 @@
 The polynomial grammar: integer or rational coefficients, a single
 variable X, operators + - * / ^ with unary minus, parentheses,
 whitespace insensitive.  The same tokenizer drives the multivariate
-relation parser used by algebra presentations.
+relation parser used by algebra presentations.  The algebra side
+imports ``finitealg`` where it first needs it, so parsing a polynomial
+never loads the finite-algebra engine.
 """
 
 import re
@@ -12,9 +14,6 @@ from fractions import Fraction
 from .caps import check_elements
 from .errors import ParseError
 from .poly import Poly, QQ
-from .finitealg import (FiniteAlgebra, Subalgebra, _mp_add_term, _mp_combine,
-                        _mp_mul_term, product_algebra, quotient_algebra,
-                        small_field)
 
 # Largest exponent, and largest degree a power may expand to.  Powers are
 # expanded by repeated multiplication, so this is checked first.
@@ -237,15 +236,19 @@ class _MPolySemantics:
         return {mono: self.F.one}
 
     def add(self, a, b):
+        from .finitealg import _mp_combine
         return _mp_combine(a, b, self.F.one)
 
     def sub(self, a, b):
+        from .finitealg import _mp_combine
         return _mp_combine(a, b, -self.F.one)
 
     def neg(self, a):
+        from .finitealg import _mp_mul_term
         return _mp_mul_term(a, (0,) * self.nvars, -self.F.one)
 
     def mul(self, a, b):
+        from .finitealg import _mp_add_term, _mp_mul_term
         out = {}
         for mono, c in b.items():
             for m, t in _mp_mul_term(a, mono, c).items():
@@ -253,6 +256,7 @@ class _MPolySemantics:
         return out
 
     def div(self, a, b, pos):
+        from .finitealg import _mp_mul_term
         if set(b) - {(0,) * self.nvars}:
             raise ParseError("division by a non-constant at position %d" % pos)
         if not b:
@@ -299,6 +303,7 @@ def parse_algebra(doc):
     and R (either "diagonal" or a list of generator expressions); any
     other key is refused.
     """
+    from .finitealg import Subalgebra, small_field
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be a JSON object")
     _known_keys(doc, ("q", "quotient", "product", "table", "R"), "algebra document")
@@ -317,14 +322,14 @@ def parse_algebra(doc):
                          "product or table")
     if forms[0] == "quotient":
         S, varnames = _algebra_from_quotient(F, q, doc["quotient"])
-        R = _subring_from_generators_quotient(S, F, varnames, doc.get("R", "diagonal"))
+        gens = _generators_quotient(S, F, varnames, doc.get("R", "diagonal"))
     elif forms[0] == "product":
         S, blocks = _algebra_from_product(F, q, doc["product"])
-        R = _subring_from_generators_product(S, F, blocks, doc.get("R", "diagonal"))
+        gens = _generators_product(S, F, blocks, doc.get("R", "diagonal"))
     else:
         S = _algebra_from_table(F, doc["table"])
-        R = _subring_from_table_generators(S, F, doc.get("R", "diagonal"))
-    return S, R
+        gens = _table_generators(S, F, doc.get("R", "diagonal"))
+    return S, Subalgebra.from_generators(S, gens)
 
 
 def _known_keys(spec, keys, where):
@@ -350,6 +355,7 @@ def _algebra_from_quotient(F, q, text):
         raise ParseError("quotient presentation declares generator %s twice" % twice[0])
     rel_texts = _split_top_commas(m.group(3))
     rels = [parse_relation(t, F, varnames) for t in rel_texts]
+    from .finitealg import quotient_algebra
     try:
         S = quotient_algebra(F, varnames, rels)
     except ValueError as e:
@@ -377,6 +383,7 @@ def _algebra_from_product(F, q, factors):
         # |S| so far, checked per factor so that neither the irreducible
         # search nor this power runs on a size past the cap
         check_elements(q, sum(degrees), "product algebra construction")
+    from .finitealg import product_algebra
     S = product_algebra(F, degrees)
     blocks = []
     off = 0
@@ -418,6 +425,7 @@ def _algebra_from_table(F, spec):
     if names is not None and not (isinstance(names, list) and len(names) == d
                                   and all(isinstance(n, str) for n in names)):
         raise ParseError("names must be a list of %d strings" % d)
+    from .finitealg import FiniteAlgebra
     try:
         return FiniteAlgebra(F, rows, unit, names)
     except ValueError as e:
@@ -437,15 +445,11 @@ def _gen_list(spec):
     raise ParseError("R must be \"diagonal\" or a list of generators")
 
 
-def _subring_from_generators_quotient(S, F, varnames, spec):
-    gens = []
-    for text in _gen_list(spec):
-        mp = parse_relation(text, F, varnames)
-        gens.append(S.mp_to_vector(mp))
-    return Subalgebra.from_generators(S, gens)
+def _generators_quotient(S, F, varnames, spec):
+    return [S.mp_to_vector(parse_relation(text, F, varnames)) for text in _gen_list(spec)]
 
 
-def _subring_from_generators_product(S, F, blocks, spec):
+def _generators_product(S, F, blocks, spec):
     gens = []
     for text in _gen_list(spec):
         body = text.strip()
@@ -466,7 +470,7 @@ def _subring_from_generators_product(S, F, blocks, spec):
                 red = _reduce_power(S, off, k, mono[0])
                 v[off:off + k] = F.ops.sub(v[off:off + k], F.ops.neg(c.i), red)
         gens.append(tuple(v))
-    return Subalgebra.from_generators(S, gens)
+    return gens
 
 
 def _reduce_power(S, off, k, e):
@@ -477,7 +481,7 @@ def _reduce_power(S, off, k, e):
     return S.mul(S.basis_vector(off), S.power(u, e))[off:off + k]
 
 
-def _subring_from_table_generators(S, F, spec):
+def _table_generators(S, F, spec):
     gens = []
     for text in _gen_list(spec):
         body = text.strip()
@@ -489,4 +493,4 @@ def _subring_from_table_generators(S, F, spec):
         gens.append(tuple(_element(F, _int_literal(c, "in a generator")
                                    if re.fullmatch("[0-9]+", c) else c)
                           for c in comps))
-    return Subalgebra.from_generators(S, gens)
+    return gens

@@ -2,22 +2,23 @@
 
 The JSON field names here are frozen; docs/report.schema.json in the
 repository describes them and the golden-file tests validate against it.
+``field_report`` and ``algebra_report`` import their engine when called,
+so a process loads only the engine its input needs.
 """
 
 import json
 import time
 
 from .errors import ConsistencyError
-from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
-                           is_minimal_extension, verify_minpoly_product_identity)
 from .lattice import lattice_data
-from .numberfield import Subfield, make_field, nf_str, poly_str
-from .principal import compute_principal_subfields
-from .classify import analyze_extension, classify_extension
 
 
 def field_report(f, input_text):
     """Full classification of Q < Q[x]/(f) via principal subfields."""
+    from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
+                               is_minimal_extension, verify_minpoly_product_identity)
+    from .numberfield import Subfield, make_field, nf_str
+    from .principal import compute_principal_subfields
     t0 = time.perf_counter()
     L = make_field(f)
     ps = compute_principal_subfields(L)
@@ -55,6 +56,7 @@ def field_report(f, input_text):
 
 
 def _field_witnesses(ps, I_E):
+    from .numberfield import nf_str, poly_str
     sysf = ps.system
     w = {
         "defining": poly_str(sysf.defining),
@@ -76,6 +78,7 @@ def _field_witnesses(ps, I_E):
 
 
 def algebra_report(S, R, input_echo):
+    from .classify import analyze_extension, classify_extension
     t0 = time.perf_counter()
     a = analyze_extension(R, S)
     verdict = classify_extension(a)

@@ -272,7 +272,6 @@ def test_each_node_structured_and_each_cover_typed_once(monkeypatch):
     is S, and the local lattices of a two-element support are intervals
     of S that need no structure."""
     import l2lab.finitealg as finitealg
-    import l2lab.report as report
     from test_golden_reports import NAMED, _report
     import corpus
     structure, typed, analyses = [], [], []
@@ -293,7 +292,7 @@ def test_each_node_structured_and_each_cover_typed_once(monkeypatch):
 
     monkeypatch.setattr(finitealg, "subalgebra_structure", counted_structure)
     monkeypatch.setattr(classify, "_minimal_type_of_pair", counted_type)
-    monkeypatch.setattr(report, "analyze_extension", kept)
+    monkeypatch.setattr(classify, "analyze_extension", kept)
     minimal = corpus._algebra_input("f2<f4", {"q": 2, "product": ["F4"]})
     for inp in NAMED + [minimal]:
         _report(inp)
@@ -303,6 +302,28 @@ def test_each_node_structured_and_each_cover_typed_once(monkeypatch):
     assert analyses[-1].count == 2 and len(analyses) == 14
     assert sorted(id(T) for T in structure) == sorted(nodes)
     assert sorted((id(lo), id(hi)) for lo, hi in typed) == sorted(covers)
+
+
+def test_no_reduction_of_an_empty_span(monkeypatch):
+    """When the crucial ideal is 0, M*S, M^2 and the floor of a module
+    length span no vectors; ``FiniteAlgebra.span`` gives them the zero
+    Echelon without a reduction, on every named benchmark algebra."""
+    import l2lab.exact as exact
+    from test_golden_reports import NAMED, _report
+    rref = exact.rref
+    sizes = []
+
+    def counted_rref(rows, ops):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return rref(rows, ops)
+
+    monkeypatch.setattr(exact, "rref", counted_rref)
+    algebras = [inp for inp in NAMED if "--algebra" in inp.argv]
+    for inp in algebras:
+        _report(inp)
+    assert len(algebras) == 13 and sizes
+    assert 0 not in sizes
 
 
 def test_local_base_needs_an_idempotent_outside_M(monkeypatch):

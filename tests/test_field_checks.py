@@ -87,27 +87,27 @@ def test_product_identity(node, flip, monkeypatch, capsys):
     # the E_beta.  One inclusion is made wrong after the lattice is built:
     # E_1 inside E_2 adds Gamma(2) to I(E_1); k outside E_1 drops Gamma(1)
     # from I(k).
-    build_lattice = report.build_lattice
+    build_lattice = fieldlattice.build_lattice
 
     def one_inclusion_wrong(ps):
         lat = build_lattice(ps)
         lat.up[node] ^= flip
         return lat
 
-    monkeypatch.setattr(report, "build_lattice", one_inclusion_wrong)
+    monkeypatch.setattr(fieldlattice, "build_lattice", one_inclusion_wrong)
     code, err = failure(capsys, BIQUADRATIC)
     assert code == 3 and "product identity fails for a lattice node" in err
 
 
 def test_predicted_count_is_checked(monkeypatch, capsys):
-    is_length_two = report.is_length_two
+    is_length_two = fieldlattice.is_length_two
 
     def miscounted(ps, lat):
         verdict, info = is_length_two(ps, lat)
         info["predicted_count"] += 1
         return verdict, info
 
-    monkeypatch.setattr(report, "is_length_two", miscounted)
+    monkeypatch.setattr(fieldlattice, "is_length_two", miscounted)
     code, err = failure(capsys, BIQUADRATIC)
     assert code == 3 and "predicted 6 != observed 5" in err
 
@@ -149,7 +149,7 @@ def test_order_facts_come_from_the_lattice(monkeypatch):
         monkeypatch.setattr(module, "subfield_of_span", counted_of_span)
     for module in (exact, fieldlattice):
         monkeypatch.setattr(module, "intersection", counted_intersection)
-    monkeypatch.setattr(report, "build_lattice", build_lattice)
+    monkeypatch.setattr(fieldlattice, "build_lattice", build_lattice)
     r = 0
     for f in FIELDS:
         rep = report.field_report(parse_polynomial(f), f)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from l2lab.errors import CapExceeded, ConsistencyError
-from l2lab import finitealg, poly
+from l2lab import finitealg, intpoly
 from l2lab.lattice import from_edges
 from l2lab.poly import Poly, factor_mod_p
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, _power_table, conductor,
@@ -126,11 +126,11 @@ def test_small_field_tables_match_int_list_layer(q):
         A = coeffs(a)
         assert F.neg_t[a] == index([-c % p for c in A])
         if a:
-            assert poly._prem(poly._zmul(A, coeffs(F.inv_t[a])), m, p) == [1]
+            assert intpoly._prem(intpoly._zmul(A, coeffs(F.inv_t[a])), m, p) == [1]
         for b in range(q):
             B = coeffs(b)
             assert F.add_t[a][b] == index([(x + y) % p for x, y in zip(A, B)])
-            assert F.mul_t[a][b] == index(poly._prem(poly._zmul(A, B), m, p))
+            assert F.mul_t[a][b] == index(intpoly._prem(intpoly._zmul(A, B), m, p))
 
 
 def test_small_field_rejects_non_prime_power():

@@ -28,12 +28,21 @@ is reached from ``cli.main``, from code that runs on import, or from a
 name the benchmark resolves.  A helper that only the tests call lives in
 the tests; once the benchmark stops naming a function, this test puts
 it out of ``src`` too.
+
+Each module is core or belongs to one engine, and no core module imports
+an engine when it is imported: an engine loads at the call that first
+needs it.  Fresh processes confirm it: ``import l2lab.cli`` loads no
+engine, a polynomial loads the field engine alone, an algebra document
+the algebra engine alone.  ``from l2lab import *`` binds exactly
+``l2lab.__all__``, each name the object its defining module holds.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -255,12 +264,17 @@ def _called_by_base(module, owner, member):
                if not base.__module__.startswith("l2lab"))
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreached(roots):
     """The definitions that no path from ``roots`` or import-time code
     reads.  A module-level name is reached by a load of its name or of an
-    attribute of that name; a member, once its class is, by an attribute
-    load, or by its class alone if it is a dunder or overrides a base
-    outside l2lab."""
+    attribute of that name, or alone if it is a dunder the interpreter
+    calls (the package's ``__getattr__``); a member, once its class is,
+    by an attribute load, or by its class alone if it is a dunder or
+    overrides a base outside l2lab."""
     defs, on_import = _definitions()
     names, attrs = _reads(on_import)
     reached = set()
@@ -274,11 +288,10 @@ def _unreached(roots):
             owner, _, member = path.rpartition(".")
             if owner:
                 hit = "%s.%s" % (module, owner) in reached and (
-                    name in roots or member in attrs
-                    or (member.startswith("__") and member.endswith("__"))
+                    name in roots or member in attrs or _dunder(member)
                     or _called_by_base(module, owner, member))
             else:
-                hit = name in roots or member in names or member in attrs
+                hit = name in roots or member in names or member in attrs or _dunder(member)
             if hit:
                 reached.add(name)
                 more_names, more_attrs = _reads(nodes)
@@ -292,3 +305,108 @@ def test_src_holds_only_what_production_reaches():
     roots = {"cli.main"} | _per_layer_functions() | set(tracing.CHECKS)
     roots |= {"%s.%s" % target for target in tracing.EXTRA_TARGETS}
     assert _unreached(roots) == []
+
+
+# ---------------------------------------------------------------------------
+# Layering: the core loads no engine
+
+CORE = {"__init__", "errors", "caps", "exact", "lattice", "parsing", "poly", "report", "cli"}
+FIELD_ENGINE = {"numberfield", "principal", "fieldlattice", "intpoly"}
+ALGEBRA_ENGINE = {"finitealg", "classify"}
+ENGINES = FIELD_ENGINE | ALGEBRA_ENGINE
+
+
+def test_every_module_is_core_or_engine():
+    assert {path.stem for path in SOURCES} == CORE | ENGINES
+    assert not CORE & ENGINES
+
+
+def _import_time_imports(tree):
+    """The import statements that run when the module is imported: all
+    but those inside function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _l2lab_modules(node):
+    """The l2lab modules an import statement names."""
+    if isinstance(node, ast.Import):
+        dotted = [a.name for a in node.names]
+    elif node.level:
+        base = "l2lab." + node.module if node.module else "l2lab"
+        dotted = [base] + ["%s.%s" % (base, a.name) for a in node.names]
+    else:
+        dotted = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("l2lab.")}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem in CORE],
+                         ids=lambda p: p.name)
+def test_core_imports_no_engine_on_import(path):
+    for node in _import_time_imports(_tree(path)):
+        named = _l2lab_modules(node) & ENGINES
+        assert not named, "%s:%d imports %s" % (path.name, node.lineno, sorted(named))
+
+
+PROBE = """
+import contextlib, io, json, sys
+import l2lab.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert l2lab.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m[6:] for m in sys.modules if m.startswith("l2lab."))))
+"""
+
+
+def _loaded(argv, stdin=None):
+    """The l2lab modules one fresh process has loaded after ``cli.main``
+    ran on ``argv`` (after ``import l2lab.cli`` alone when it is empty)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_bare_cli_import_loads_no_engine():
+    assert not _loaded([]) & ENGINES
+
+
+def test_field_input_loads_only_the_field_engine():
+    loaded = _loaded(["classify", "--json", "X^4-2"])
+    assert FIELD_ENGINE <= loaded and not loaded & ALGEBRA_ENGINE
+
+
+def test_algebra_input_loads_only_the_algebra_engine():
+    doc = json.dumps({"q": 2, "quotient": "F2[X,Y]/(X^2,Y^2)", "R": ["X+Y"]})
+    loaded = _loaded(["classify", "--json", "--algebra", "-"], doc)
+    assert ALGEBRA_ENGINE <= loaded and not loaded & FIELD_ENGINE
+
+
+# ---------------------------------------------------------------------------
+# The package's exports, loaded on first use
+
+def test_star_import_binds_exactly_all():
+    import l2lab
+    namespace = {}
+    exec("from l2lab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(l2lab.__all__)
+
+
+def test_exports_are_their_defining_modules_objects():
+    import l2lab
+    for name in l2lab.__all__:
+        value = getattr(l2lab, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_unknown_attribute_is_named():
+    import l2lab
+    with pytest.raises(AttributeError, match="'nope'"):
+        l2lab.nope

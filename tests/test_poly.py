@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab import caps, poly
+from l2lab import caps, intpoly, poly
 from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab.exact import next_prime
 from l2lab.finitealg import small_field
@@ -298,7 +298,7 @@ def test_interpolation_roundtrip():
 def _assert_norms_agree(f, L):
     fL = f.map_coeffs(L, L.from_rational)
     for s in range(4):
-        assert poly._norm_with_shift(f, L, s) == norm_by_evaluation(fL, L, s), s
+        assert intpoly._norm_with_shift(f, L, s) == norm_by_evaluation(fL, L, s), s
 
 
 # the fields of the benchmark's ``fields`` workload
@@ -336,7 +336,7 @@ def test_composed_sum_norm_random_pairs():
 def test_norm_newton_division_must_be_exact():
     # no monic integer quadratic has power sums p1 = 1, p2 = 0
     with pytest.raises(ConsistencyError, match="not integral"):
-        poly._from_power_sums([2, 1, 0])
+        intpoly._from_power_sums([2, 1, 0])
 
 
 # --- the modular squarefree certificate -------------------------------------
@@ -346,12 +346,12 @@ PHI11 = Poly(QQ, [Fraction(1)] * 11)
 
 def test_certificate_on_phi11_norms():
     L = NumberField(PHI11)
-    assert poly._certified_squarefree(poly._norm_with_shift(PHI11, L, 2))
+    assert intpoly._certified_squarefree(intpoly._norm_with_shift(PHI11, L, 2))
     power = Q(1)
     for _ in range(10):
         power = power * PHI11
-    assert poly._norm_with_shift(PHI11, L, 0) == power
-    assert poly._certified_squarefree(power) is False
+    assert intpoly._norm_with_shift(PHI11, L, 0) == power
+    assert intpoly._certified_squarefree(power) is False
 
 
 def test_certificate_never_holds_with_a_square_factor():
@@ -359,15 +359,15 @@ def test_certificate_never_holds_with_a_square_factor():
     for _ in range(40):
         g = _random_monic(rng, rng.randrange(0, 5))
         h = _random_monic(rng, rng.randrange(1, 4))
-        assert poly._certified_squarefree(g * h * h) is False
+        assert intpoly._certified_squarefree(g * h * h) is False
 
 
 @pytest.mark.parametrize("text", NORM_FIELDS)
 def test_certificate_holds_on_squarefree_trager_norms(text):
     L = make_field(parse_polynomial(text))
-    N = poly._norm_with_shift(L.defining, L, 3)
+    N = intpoly._norm_with_shift(L.defining, L, 3)
     assert poly_gcd(N, N.derivative()).degree == 0
-    assert poly._certified_squarefree(N)
+    assert intpoly._certified_squarefree(N)
 
 
 # --- factorization over number fields --------------------------------------
@@ -464,7 +464,7 @@ def test_factor_over_Q_skips_yun_when_certified(monkeypatch):
     def refuse(f):
         raise AssertionError("Yun's decomposition should not run")
 
-    monkeypatch.setattr(poly, "_yun_squarefree_Q", refuse)
+    monkeypatch.setattr(intpoly, "_yun_squarefree_Q", refuse)
     f = Q(-1, 1) * Q(1, 1, 1) * Q(3, 0, 1)
     assert factor_over_Q(f).expand() == f
     monkeypatch.undo()
@@ -480,20 +480,78 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
     # the prime it keeps is the one the full factorizations would pick.
     L = make_field(parse_polynomial(text))
     norms = []
-    real = poly._factor_squarefree_monic_int
+    real = intpoly._factor_squarefree_monic_int
 
     def spy(G):
         norms.append(list(G))
         return real(G)
 
-    monkeypatch.setattr(poly, "_factor_squarefree_monic_int", spy)
+    monkeypatch.setattr(intpoly, "_factor_squarefree_monic_int", spy)
     factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
     assert norms
     for G in norms:
-        scanned = itertools.islice(poly._squarefree_primes(G), poly._BZ_PRIME_TRIES)
+        scanned = itertools.islice(intpoly._squarefree_primes(G), intpoly._BZ_PRIME_TRIES)
         for p, gp in scanned:
-            count = poly._factor_count(poly._pddf(gp, p))
+            count = intpoly._factor_count(intpoly._pddf(gp, p))
             assert count == len(factor_mod_p(Poly.from_ints(small_field(p), G)).factors)
+
+
+def best_prime_by_full_scan(G):
+    """The prime choice with every candidate's distinct-degree factoring
+    run to the end."""
+    best = None
+    for p, gp in itertools.islice(intpoly._squarefree_primes(G), intpoly._BZ_PRIME_TRIES):
+        ddf = intpoly._pddf(gp, p)
+        count = intpoly._factor_count(ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+        if count == 1:
+            break
+    return best
+
+
+def _count_stops(monkeypatch):
+    """Wrap intpoly._pddf; the list it returns fills with a None per
+    factoring stopped early."""
+    stops = []
+    real = intpoly._pddf
+
+    def spy(u, p, stop=None):
+        ddf = real(u, p, stop)
+        if ddf is None:
+            stops.append(p)
+        return ddf
+
+    monkeypatch.setattr(intpoly, "_pddf", spy)
+    return stops
+
+
+def test_early_stop_keeps_the_prime_on_fields_norms(monkeypatch):
+    norms = []
+    real = intpoly._factor_squarefree_monic_int
+
+    def spy(G):
+        norms.append(list(G))
+        return real(G)
+
+    monkeypatch.setattr(intpoly, "_factor_squarefree_monic_int", spy)
+    for text in FIELDS:
+        L = make_field(parse_polynomial(text))
+        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+    monkeypatch.undo()
+    stops = _count_stops(monkeypatch)
+    for G in norms:
+        assert intpoly._best_prime(G) == best_prime_by_full_scan(G)
+    assert len(norms) >= 6 and stops
+
+
+def test_early_stop_keeps_the_prime_on_random_products(monkeypatch):
+    rng = random.Random(45)
+    stops = _count_stops(monkeypatch)
+    for _ in range(10):
+        G = [int(c) for c in _random_monic_product(rng).cs]
+        assert intpoly._best_prime(G) == best_prime_by_full_scan(G)
+    assert stops
 
 
 # --- Berlekamp-Zassenhaus: linear lifting and the unfiltered subset search --
@@ -507,12 +565,12 @@ def hensel_pair_linear(f, g, h, s, t, p, K):
     m = p
     while m < p ** K:
         # e = (f - g*h) / m  (exact over Z), then everything mod p
-        diff = poly._zsub(f, poly._zmul(g, h))
-        e = poly._zmod([c // m for c in diff], p)
-        q, w = poly._pdivmod(poly._zmul(s, e), poly._zmod(h, p), p)
-        u = poly._zmod(poly._zadd(poly._zmul(t, e), poly._zmul(q, g)), p)
-        g = poly._zmod(poly._zadd(g, [c * m for c in u]), m * p)
-        h = poly._zmod(poly._zadd(h, [c * m for c in w]), m * p)
+        diff = intpoly._zsub(f, intpoly._zmul(g, h))
+        e = intpoly._zmod([c // m for c in diff], p)
+        q, w = intpoly._pdivmod(intpoly._zmul(s, e), intpoly._zmod(h, p), p)
+        u = intpoly._zmod(intpoly._zadd(intpoly._zmul(t, e), intpoly._zmul(q, g)), p)
+        g = intpoly._zmod(intpoly._zadd(g, [c * m for c in u]), m * p)
+        h = intpoly._zmod(intpoly._zadd(h, [c * m for c in w]), m * p)
         m *= p
     return g, h
 
@@ -529,11 +587,11 @@ def recombine_by_trial_division(G, lifted, pK):
         for combo in itertools.combinations(live, s):
             cand = [1]
             for i in combo:
-                cand = poly._zmod(poly._zmul(cand, lifted[i]), pK)
-            cand = poly._zsym(cand, pK)
+                cand = intpoly._zmod(intpoly._zmul(cand, lifted[i]), pK)
+            cand = intpoly._zsym(cand, pK)
             if tc != 0 and cand[0] != 0 and tc % cand[0] != 0:
                 continue
-            q, r = poly._zdivmod_monic(G, cand)
+            q, r = intpoly._zdivmod_monic(G, cand)
             if not r:
                 out.append(cand)
                 G = q
@@ -549,16 +607,16 @@ def recombine_by_trial_division(G, lifted, pK):
 
 
 def _record(monkeypatch, name):
-    """Wrap poly.<name>; the list it returns fills with (args, result)."""
+    """Wrap intpoly.<name>; the list it returns fills with (args, result)."""
     calls = []
-    real = getattr(poly, name)
+    real = getattr(intpoly, name)
 
     def spy(*args):
         result = real(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(poly, name, spy)
+    monkeypatch.setattr(intpoly, name, spy)
     return calls
 
 
@@ -609,7 +667,7 @@ def _random_monic_product(rng):
             count += 1
         # squarefree mod a prime proves squarefree; Euclid over Q on
         # degree 40 would take seconds
-        if count >= 8 and poly._certified_squarefree(f):
+        if count >= 8 and intpoly._certified_squarefree(f):
             return f
 
 
@@ -642,11 +700,11 @@ def test_trace_pretest_keeps_every_true_factor(text, monkeypatch):
         for F in factors:
             # F's modular factors: a lifted factor divides F mod p^K
             # exactly when it is one of them
-            subset = [g for g in lifted if not poly._pdivmod(F, g, pK)[1]]
+            subset = [g for g in lifted if not intpoly._pdivmod(F, g, pK)[1]]
             product = [1]
             for g in subset:
-                product = poly._zmod(poly._zmul(product, g), pK)
-            assert product == poly._zmod(F, pK)
+                product = intpoly._zmod(intpoly._zmul(product, g), pK)
+            assert product == intpoly._zmod(F, pK)
             if len(subset) == len(lifted):
                 continue
             m = len(F) - 1
@@ -658,7 +716,7 @@ def test_trace_pretest_saves_trial_divisions(monkeypatch):
     _, recombinations = _bz_calls(monkeypatch, "X^6-2")
     divisions = _record(monkeypatch, "_zdivmod_monic")
     counts = []
-    for recombine in (poly._recombine, recombine_by_trial_division):
+    for recombine in (intpoly._recombine, recombine_by_trial_division):
         del divisions[:]
         for args, result in recombinations:
             assert recombine(*args) == result
@@ -672,7 +730,7 @@ def test_trager_skips_only_shifts_that_cannot_work(monkeypatch):
         L = make_field(parse_polynomial(text))
         # the shifts the search skips for L's own defining polynomial
         for s in (0, 1):
-            N = poly._norm_with_shift(L.defining, L, s)
+            N = intpoly._norm_with_shift(L.defining, L, s)
             assert poly_gcd(N, N.derivative()).degree > 0, (text, s)
         del norms[:]
         factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
@@ -693,17 +751,17 @@ def test_early_stop_keeps_every_true_factor_of_fields_norms(monkeypatch):
         _, recombinations = _bz_calls(monkeypatch, text)
         assert recombinations
         for (G, _, _), factors in recombinations:
-            bound = poly._mignotte_bound(G)
+            bound = intpoly._mignotte_bound(G)
             for F in factors[:-1]:
-                assert poly._zdivmod_monic(G, F, bound) == poly._zdivmod_monic(G, F)
-                assert not poly._zdivmod_monic(G, F)[1]
+                assert intpoly._zdivmod_monic(G, F, bound) == intpoly._zdivmod_monic(G, F)
+                assert not intpoly._zdivmod_monic(G, F)[1]
 
 
 def test_early_stop_rejects_a_quotient_over_the_bound():
     G = [-2, 0, 0, 0, 1]                      # X^4 - 2
-    bound = poly._mignotte_bound(G)
-    assert poly._zdivmod_monic(G, [bound + 1, 1], bound) is None
-    assert poly._zdivmod_monic(G, [bound + 1, 1])[1]
+    bound = intpoly._mignotte_bound(G)
+    assert intpoly._zdivmod_monic(G, [bound + 1, 1], bound) is None
+    assert intpoly._zdivmod_monic(G, [bound + 1, 1])[1]
 
 
 # --- the modular gcd over L: Euclid over L is the oracle ---------------------
@@ -767,13 +825,13 @@ def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
 
 def _feed_primes(monkeypatch, first):
     """The modular gcd tries the primes ``first``, then its own."""
-    real = poly._gcd_primes
+    real = intpoly._gcd_primes
 
     def primes():
         yield from first
         yield from real()
 
-    monkeypatch.setattr(poly, "_gcd_primes", primes)
+    monkeypatch.setattr(intpoly, "_gcd_primes", primes)
 
 
 @pytest.mark.parametrize("text,bad", [
@@ -827,7 +885,8 @@ def test_no_gcd_or_shift_over_L_after_the_squarefree_check(monkeypatch):
         calls.append(("gcd", a.dom))
         return real_gcd(a, b)
 
-    monkeypatch.setattr(poly, "poly_gcd", gcd_spy)
+    for module in (poly, intpoly):
+        monkeypatch.setattr(module, "poly_gcd", gcd_spy)
     for text in FIELDS:
         L = make_field(parse_polynomial(text))
         del calls[:]

@@ -42,7 +42,7 @@ def test_field_property_suite(coeffs):
     ps = compute_principal_subfields(L)
     lat = build_lattice(ps)
 
-    # factorization re-multiplies (poly._gcds_over_L certifies it; re-check)
+    # factorization re-multiplies (intpoly._gcds_over_L certifies it; re-check)
     xlin = Poly(L, [-L.gen(), L.one])
     prod = xlin
     for g in ps.system.factors:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab import poly
+from l2lab import intpoly
 from l2lab.finitealg import small_field
 from l2lab.numberfield import make_field
 from l2lab.parsing import parse_polynomial
@@ -125,7 +125,7 @@ def _rational_expr(f, var):
 def test_trager_norm_matches_sympy_resultant(text):
     L = make_field(parse_polynomial(text))
     for s in range(3):
-        N = poly._norm_with_shift(L.defining, L, s)
+        N = intpoly._norm_with_shift(L.defining, L, s)
         res = sympy.resultant(_rational_expr(L.defining, y),
                               _rational_expr(L.defining, x - s * y), y)
         cs = reversed(sympy.Poly(res, x).all_coeffs())
