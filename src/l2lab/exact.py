@@ -168,6 +168,8 @@ class Echelon(tuple):
     """
 
     def __new__(cls, vectors, ops):
+        if not vectors:
+            return cls._reduced((), (), ops)
         red, pivots = rref(vectors, ops)
         return cls._reduced(red[:len(pivots)], pivots, ops)
 
@@ -262,16 +264,14 @@ def intersection(A, B):
 
     A kernel vector (x, y) of the matrix whose columns are the rows of A
     and then of B gives sum x_i A_i = -sum y_j B_j, and these sums span
-    the intersection; with no such sums it is the zero Echelon, made
-    without a reduction.
+    the intersection.
     """
     ops = A.ops
-    meet = []
-    if A and B:
-        rows = [[a[c] for a in A] + [b[c] for b in B] for c in range(len(A[0]))]
-        k = len(A)
-        meet = [A.combine(v[:k]) for v in kernel(rows, k + len(B), ops)]
-    return Echelon(meet, ops) if meet else Echelon._reduced((), (), ops)
+    if not A or not B:
+        return Echelon((), ops)
+    rows = [[a[c] for a in A] + [b[c] for b in B] for c in range(len(A[0]))]
+    k = len(A)
+    return Echelon([A.combine(v[:k]) for v in kernel(rows, k + len(B), ops)], ops)
 
 
 def prime_factors(n):

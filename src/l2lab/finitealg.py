@@ -272,12 +272,9 @@ class FiniteAlgebra:
 
     def span(self, vectors):
         """The Echelon of ``vectors`` over the field of the algebra; an
-        Echelon is returned as it is, not reduced again, and no vectors
-        span the zero Echelon with no reduction."""
+        Echelon is returned as it is, not reduced again."""
         if isinstance(vectors, Echelon):
             return vectors
-        if not vectors:
-            return Echelon._reduced((), (), self.field.ops)
         return Echelon(vectors, self.field.ops)
 
     def mul(self, u, v):

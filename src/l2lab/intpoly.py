@@ -10,8 +10,7 @@ this module on their first call, so a process that never factors never
 compiles it.
 
 ``factor_over_Q`` ranks its candidate primes by distinct-degree counts,
-splitting only the prime it keeps; a prime's distinct-degree factoring
-stops as soon as its count can no longer beat the best so far.  Hensel
+splitting only the prime it keeps.  Hensel
 lifting squares the modulus at each step, lifting the Bezout pair with
 the factors.  The subset search adds up the lifted factors'
 second-highest coefficients, and multiplies out a subset only when that
@@ -199,18 +198,15 @@ def _psquarefree(f, p):
     return out
 
 
-def _pddf(u, p, stop=None):
+def _pddf(u, p):
     """Distinct-degree factoring of monic squarefree u: [(g_d, d)].
 
-    g_d is the product of the irreducible factors of degree d.  Given
-    ``stop``, None as soon as u shows at least ``stop`` irreducible
-    factors: those split off so far, plus one if a cofactor is left.
+    g_d is the product of the irreducible factors of degree d.
     """
     out = []
     h = [0, 1]
     v = u
     d = 0
-    count = 0
     while len(v) > 1:
         d += 1
         if 2 * d > len(v) - 1:
@@ -221,9 +217,6 @@ def _pddf(u, p, stop=None):
         if len(g) > 1:
             out.append((g, d))
             v = _pdivmod(v, g, p)[0]
-            count += (len(g) - 1) // d
-            if stop is not None and count + (len(v) > 1) >= stop:
-                return None
             h = _prem(h, v, p)
     return out
 
@@ -366,36 +359,24 @@ def _squarefree_primes(G):
             yield p, gp
 
 
-def _best_prime(G):
-    """(count, p, ddf) for the prime to split monic squarefree G at: of
-    the first ``_BZ_PRIME_TRIES`` primes that keep G squarefree, the
-    first with the fewest factors of G mod p, that number and the
-    distinct-degree factoring.  The scan ends at a prime with one factor.
-
-    A candidate's factoring stops once its count reaches the best so far,
-    as such a prime is never kept; a factoring that runs to the end
-    therefore beats the best.
-    """
-    best = None
-    for p, gp in itertools.islice(_squarefree_primes(G), _BZ_PRIME_TRIES):
-        ddf = _pddf(gp, p, None if best is None else best[0])
-        if ddf is not None:
-            best = (_factor_count(ddf), p, ddf)
-            if best[0] == 1:
-                break
-    return best
-
-
 def _factor_squarefree_monic_int(G):
     """Irreducible monic integer factors of a monic squarefree G in Z[X]."""
     n = len(G) - 1
     if n <= 1:
         return [G]
-    # Keep the small good prime giving the fewest modular factors: the
-    # subset search below is exponential in that count.  Distinct-degree
-    # factoring alone gives the count; only the chosen prime is split
-    # into irreducibles.
-    count, p, ddf = _best_prime(G)
+    # Scan small good primes and keep the one giving the fewest modular
+    # factors: the subset search below is exponential in that count.
+    # Distinct-degree factoring alone gives the count; only the chosen
+    # prime is split into irreducibles.
+    best = None
+    for p, gp in itertools.islice(_squarefree_primes(G), _BZ_PRIME_TRIES):
+        ddf = _pddf(gp, p)
+        count = _factor_count(ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+        if count == 1:
+            break
+    count, p, ddf = best
     if count == 1:
         return [G]
     modfactors = _psplit(ddf, p)

@@ -17,7 +17,7 @@ def field_report(f, input_text):
     """Full classification of Q < Q[x]/(f) via principal subfields."""
     from .fieldlattice import (build_lattice, galois_length_two_check, is_length_two,
                                is_minimal_extension, verify_minpoly_product_identity)
-    from .numberfield import Subfield, make_field, nf_str
+    from .numberfield import Subfield, make_field, nf_str, poly_str
     from .principal import compute_principal_subfields
     t0 = time.perf_counter()
     L = make_field(f)
@@ -26,6 +26,20 @@ def field_report(f, input_text):
     I_E = verify_minpoly_product_identity(ps, lat)
     minimal = is_minimal_extension(ps, lat)
     l2, info = is_length_two(ps, lat)
+    witnesses = {
+        "defining": poly_str(ps.system.defining),
+        "factors_over_L": [poly_str(g) for g in ps.system.factors],
+        "principal_subfields": [{
+            "index": b,
+            "description": e.describe(),
+            "dim": e.dim,
+            "basis": [nf_str(v) for v in e.basis],
+            "min_poly": poly_str(ps.m[b]),
+            "Gamma": list(ps.gamma[b]),
+            "I": I_E[b],
+        } for b, e in enumerate(ps.E)],
+        "Phi": list(ps.phi),
+    }
     report = {
         "input": input_text,
         "engine": "number-field",
@@ -38,7 +52,7 @@ def field_report(f, input_text):
         "t": ps.t,
         "case": "(8d)" if l2 else (
             "not length 2 (minimal extension)" if minimal else "not length 2"),
-        "witnesses": _field_witnesses(ps, I_E),
+        "witnesses": witnesses,
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     if l2:
@@ -53,28 +67,6 @@ def field_report(f, input_text):
                                % (report["count_predicted"], report["count_observed"]))
     report["lattice"] = lattice_data(lat, Subfield.describe, nf_str)
     return report
-
-
-def _field_witnesses(ps, I_E):
-    from .numberfield import nf_str, poly_str
-    sysf = ps.system
-    w = {
-        "defining": poly_str(sysf.defining),
-        "factors_over_L": [poly_str(g) for g in sysf.factors],
-        "principal_subfields": [],
-        "Phi": list(ps.phi),
-    }
-    for b, e in enumerate(ps.E):
-        w["principal_subfields"].append({
-            "index": b,
-            "description": e.describe(),
-            "dim": e.dim,
-            "basis": [nf_str(v) for v in e.basis],
-            "min_poly": poly_str(ps.m[b]),
-            "Gamma": list(ps.gamma[b]),
-            "I": I_E[b],
-        })
-    return w
 
 
 def algebra_report(S, R, input_echo):

@@ -306,8 +306,8 @@ def test_each_node_structured_and_each_cover_typed_once(monkeypatch):
 
 def test_no_reduction_of_an_empty_span(monkeypatch):
     """When the crucial ideal is 0, M*S, M^2 and the floor of a module
-    length span no vectors; ``FiniteAlgebra.span`` gives them the zero
-    Echelon without a reduction, on every named benchmark algebra."""
+    length span no vectors; ``Echelon`` gives them the zero subspace
+    without a reduction, on every named benchmark algebra."""
     import l2lab.exact as exact
     from test_golden_reports import NAMED, _report
     rref = exact.rref

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from l2lab.algdoc import parse_relation
 from l2lab.errors import ParseError
 from l2lab.finitealg import small_field
-from l2lab.parsing import MAX_POWER, parse_algebra, parse_polynomial, parse_relation
+from l2lab.parsing import MAX_POWER, parse_algebra, parse_polynomial
 from l2lab.poly import QQ, Poly
 from l2lab.numberfield import poly_str
 from l2lab.report import (algebra_report, field_report, lattice_to_dot,

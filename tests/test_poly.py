@@ -496,64 +496,6 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
             assert count == len(factor_mod_p(Poly.from_ints(small_field(p), G)).factors)
 
 
-def best_prime_by_full_scan(G):
-    """The prime choice with every candidate's distinct-degree factoring
-    run to the end."""
-    best = None
-    for p, gp in itertools.islice(intpoly._squarefree_primes(G), intpoly._BZ_PRIME_TRIES):
-        ddf = intpoly._pddf(gp, p)
-        count = intpoly._factor_count(ddf)
-        if best is None or count < best[0]:
-            best = (count, p, ddf)
-        if count == 1:
-            break
-    return best
-
-
-def _count_stops(monkeypatch):
-    """Wrap intpoly._pddf; the list it returns fills with a None per
-    factoring stopped early."""
-    stops = []
-    real = intpoly._pddf
-
-    def spy(u, p, stop=None):
-        ddf = real(u, p, stop)
-        if ddf is None:
-            stops.append(p)
-        return ddf
-
-    monkeypatch.setattr(intpoly, "_pddf", spy)
-    return stops
-
-
-def test_early_stop_keeps_the_prime_on_fields_norms(monkeypatch):
-    norms = []
-    real = intpoly._factor_squarefree_monic_int
-
-    def spy(G):
-        norms.append(list(G))
-        return real(G)
-
-    monkeypatch.setattr(intpoly, "_factor_squarefree_monic_int", spy)
-    for text in FIELDS:
-        L = make_field(parse_polynomial(text))
-        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
-    monkeypatch.undo()
-    stops = _count_stops(monkeypatch)
-    for G in norms:
-        assert intpoly._best_prime(G) == best_prime_by_full_scan(G)
-    assert len(norms) >= 6 and stops
-
-
-def test_early_stop_keeps_the_prime_on_random_products(monkeypatch):
-    rng = random.Random(45)
-    stops = _count_stops(monkeypatch)
-    for _ in range(10):
-        G = [int(c) for c in _random_monic_product(rng).cs]
-        assert intpoly._best_prime(G) == best_prime_by_full_scan(G)
-    assert stops
-
-
 # --- Berlekamp-Zassenhaus: linear lifting and the unfiltered subset search --
 #
 # The slow paths production replaced, kept as oracles: they must give the
