@@ -19,6 +19,11 @@ four operations off the field's lookup tables; plain ``+ - *`` on such
 entries would compute over Z, so no routine here applies them to
 entries.
 
+There is one elimination loop, ``_insert``: it reduces each new vector
+by the rows so far and, if anything is left, makes the residue a row
+and clears its pivot column from the others.  ``rref`` runs it from the
+empty span and ``Echelon.extend`` from the rows a span already has.
+
 Every subspace in the package -- subfields over Q, subalgebras, ideals
 and quotients over F_q -- is an ``Echelon``: the nonzero rows of its
 reduced row-echelon form together with their pivot columns, as ``rref``
@@ -59,9 +64,9 @@ def next_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# Exact row reduction.  Rows are sequences of field entries; the pivot is
-# always the first nonzero entry of each column (deterministic tie-break)
-# so the reduced form, hence every derived basis, is canonical.
+# Exact row reduction.  Rows are sequences of field entries; a span has
+# one reduced row-echelon form, so every derived basis is canonical
+# whatever order the vectors come in.
 
 class Ops:
     """The field protocol for entries with their own ``+ - * /``."""
@@ -87,32 +92,13 @@ QQ_OPS = Ops(Fraction(1))
 
 
 def rref(rows, ops):
-    """Reduced row-echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    sub = ops.sub
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        src = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                src = i
-                break
-        if src is None:
-            continue
-        m[r], m[src] = m[src], m[r]
-        m[r] = ops.div(m[r], m[r][c])
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = sub(m[i], m[i][c], m[r])
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r] + [[ops.zero] * ncols for _ in m[r:]], pivots
+    """Reduced row-echelon form.  Returns (new_rows, pivot_columns): the
+    nonzero rows, ordered by pivot, then one zero row for each row that
+    reduced to zero."""
+    rows = [list(r) for r in rows]
+    red, pivots = _insert([], [], rows, ops)
+    ncols = len(rows[0]) if rows else 0
+    return red + [[ops.zero] * ncols for _ in rows[len(red):]], pivots
 
 
 def kernel(rows, ncols, ops):
@@ -158,6 +144,29 @@ def _residue(rows, pivots, v, sub):
     return v
 
 
+def _insert(rows, pivots, vectors, ops):
+    """The one elimination loop.  ``rows`` are reduced and 1 at their
+    ``pivots``; each vector's residue that is not zero becomes a row,
+    scaled to 1 at its first nonzero column, which is cleared from the
+    other rows.  Returns the rows and pivots, ordered by pivot."""
+    sub = ops.sub
+    for v in vectors:
+        r = _residue(rows, pivots, v, sub)
+        p = next((j for j, c in enumerate(r) if c), None)
+        if p is None:
+            continue
+        if r[p] != ops.one:
+            r = ops.div(r, r[p])
+        for i, row in enumerate(rows):
+            c = row[p]
+            if c:
+                rows[i] = sub(row, c, r)
+        rows.append(r)
+        pivots.append(p)
+    merged = sorted(zip(pivots, rows))
+    return [row for _, row in merged], [p for p, _ in merged]
+
+
 class Echelon(tuple):
     """A subspace: the nonzero rows of its reduced row-echelon form, as a
     tuple of tuples, with their pivot columns in ``pivots`` and the field
@@ -182,28 +191,11 @@ class Echelon(tuple):
 
     def extend(self, vectors):
         """The span of the rows and ``vectors``, reducing only the new
-        vectors: each residue that is not zero becomes a row, scaled to 1
-        at its first nonzero column, which is cleared from the others."""
-        ops = self.ops
-        sub = ops.sub
-        rows, pivots = list(self), list(self.pivots)
-        for v in vectors:
-            r = _residue(rows, pivots, v, sub)
-            p = next((j for j, c in enumerate(r) if c), None)
-            if p is None:
-                continue
-            if r[p] != ops.one:
-                r = ops.div(r, r[p])
-            for i, row in enumerate(rows):
-                c = row[p]
-                if c:
-                    rows[i] = sub(row, c, r)
-            rows.append(r)
-            pivots.append(p)
+        vectors."""
+        rows, pivots = _insert(list(self), list(self.pivots), vectors, self.ops)
         if len(rows) == len(self):
             return self
-        merged = sorted(zip(pivots, rows))
-        return self._reduced([row for _, row in merged], [p for p, _ in merged], ops)
+        return self._reduced(rows, pivots, self.ops)
 
     @property
     def dim(self):

@@ -15,10 +15,15 @@ on entries reads the field's lookup tables: ``FiniteAlgebra.mul`` reads
 a sparse list of the nonzero structure constants, and every
 ``exact.Echelon`` here is reduced with ``SmallField.ops``, the field
 protocol on indices.  Plain ``+ - *`` on entries would compute over Z,
-so none is applied to them.  ``GFElem`` is only the element type of
-``Poly`` over F_q (field tables, irreducibles, the Groebner completion
-of a quotient presentation); the builders below turn its coefficients
-into indices once, where they hand on a table, a unit or a vector.
+so none is applied to them.  ``GFElem`` is only the coefficient type of
+the Groebner completion of a quotient presentation (and of
+``factor_mod_p``'s ``Poly``); the builder turns its coefficients into
+indices once, where it hands on a table, a unit or a vector.
+
+F_(q^k) is built once, as the algebra F_q[u]/(m) on 1, u, ...,
+u^(k-1) (``field_extension``), with m found by Rabin's test evaluated
+in that algebra: ``SmallField`` reads its multiplication table off it
+and ``product_algebra`` its blocks, so nothing here uses ``poly``.
 
 Structure is linear algebra, not an element scan: x |-> x^q is
 F_q-linear, so a radical sqrt(I) is the kernel of x |-> x^(q^k) mod I
@@ -40,7 +45,6 @@ from .exact import Echelon, prime_factors
 from .caps import check_candidates, check_elements
 from .errors import ConsistencyError
 from .lattice import from_edges
-from .poly import Poly, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +104,10 @@ class GFElem:
 class SmallField:
     """F_q with precomputed arithmetic tables; q = p^k, q small.
 
-    Element i is the residue sum c_t u^t with i = sum c_t p^t; for k > 1
-    the tables come from polynomial arithmetic over F_p modulo the
-    lex-least monic irreducible of degree k.  ``elems`` are the elements
-    as ``GFElem`` (the coefficients of ``Poly``); ``ops`` is the ``exact``
+    Element i is the residue sum c_t u^t with i = sum c_t p^t: for k > 1
+    its base-p digits are its coordinates in the algebra
+    ``field_extension(F_p, k)``, whose product gives the table.
+    ``elems`` are the elements as ``GFElem``; ``ops`` is the ``exact``
     field protocol on the indices themselves (``IndexOps``).
     """
 
@@ -115,13 +119,12 @@ class SmallField:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            Fp = small_field(p)
-            m = irreducible_over(Fp, k)
-            polys = [Poly(Fp, [Fp.element(i // p ** t) for t in range(k)])
-                     for i in range(self.q)]
-            index = {f.cs: i for i, f in enumerate(polys)}
-            add = [[index[(a + b).cs] for b in polys] for a in polys]
-            mul = [[index[(a * b % m).cs] for b in polys] for a in polys]
+            A = field_extension(small_field(p), k)
+            digits = [tuple(i // p ** t % p for t in range(k)) for i in range(self.q)]
+            index = {v: i for i, v in enumerate(digits)}
+            add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in digits]
+                   for a in digits]
+            mul = [[index[A.mul(a, b)] for b in digits] for a in digits]
         self.add_t = add
         self.mul_t = mul
         self.neg_t = [add[a].index(0) for a in range(self.q)]
@@ -201,34 +204,6 @@ def small_field(q):
             raise ValueError("%d is not a prime power" % q)
         _small_fields[q] = SmallField(ps[0], len(ps))
     return _small_fields[q]
-
-
-def irreducible_over(Fq, k):
-    """Lex-least monic irreducible of degree k over an arbitrary SmallField."""
-    if k == 1:
-        return Poly(Fq, [Fq.one, Fq.one])  # X + 1
-    for tail in itertools.product(range(Fq.q), repeat=k):
-        if tail[0] == 0:
-            continue
-        f = Poly(Fq, [Fq.element(c) for c in tail] + [Fq.one])
-        if f.degree != k:
-            continue
-        if _is_irreducible_gf(f, Fq):
-            return f
-    raise ConsistencyError("no irreducible polynomial found")
-
-
-def _is_irreducible_gf(f, Fq):
-    k = f.degree
-    x = Poly.x(Fq)
-    h = x.pow_mod(Fq.q ** k, f)
-    if h != x % f:
-        return False
-    for ell in set(prime_factors(k)):
-        g = x.pow_mod(Fq.q ** (k // ell), f) - x
-        if g.is_zero or poly_gcd(g, f).degree != 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +303,53 @@ class FiniteAlgebra:
 
 
 def _power_table(F, m):
-    """Structure constants of F[u]/(m) on the basis 1, u, ..., u^(k-1):
-    entry (i, j) is the coefficient vector of u^(i+j) mod m."""
-    k = m.degree
-    x = Poly.x(F)
+    """Structure constants of F[u]/(m) on the basis 1, u, ..., u^(k-1),
+    for a monic m of degree k given by the indices of its coefficients,
+    constant first: entry (i, j) is u^(i+j) mod m.  Each power is the
+    last shifted up one place, less its top coefficient times m."""
+    k = len(m) - 1
+    low = m[:k]
+    r = [1] + [0] * (k - 1)
     powers = []
-    r = Poly.const(F, F.one)
     for _ in range(2 * k - 1):
-        powers.append(tuple(r.coeff(t).i for t in range(k)))
-        r = r * x % m
+        powers.append(tuple(r))
+        top, r = r[-1], [0] + r[:-1]
+        if top:
+            r = F.ops.sub(r, top, low)
     return [[powers[i + j] for j in range(k)] for i in range(k)]
 
 
+def field_extension(F, k):
+    """F_(q^k) as the algebra F[u]/(m) on 1, u, ..., u^(k-1), for m the
+    first monic irreducible of degree k with a nonzero constant term in
+    the lexicographic order of its coefficients, constant term first
+    (X + 1 for k = 1).
+
+    Rabin's test, in the algebra of each candidate: m is irreducible
+    exactly when u^(q^k) = u and, for each prime l dividing k,
+    u^(q^(k/l)) - u is a unit, i.e. its multiples span the algebra.
+    """
+    q = F.q
+    for tail in itertools.product(range(1, q), *[range(q)] * (k - 1)):
+        A = FiniteAlgebra(F, _power_table(F, tail + (1,)), (1,) + (0,) * (k - 1))
+        if k == 1:
+            return A
+        u = A.basis_vector(1)
+        if A.power(u, q ** k) != u:
+            continue
+        basis = [A.basis_vector(i) for i in range(k)]
+        for ell in set(prime_factors(k)):
+            g = F.ops.sub(A.power(u, q ** (k // ell)), F.ops.one, u)
+            if A.span([A.mul(g, b) for b in basis]).dim < k:
+                break
+        else:
+            return A
+    raise ConsistencyError("no irreducible polynomial found")
+
+
 def product_algebra(F, factor_degrees):
-    """Direct product of fields F_{q^k}, each realized as F_q[W]/(m_k)."""
+    """Direct product of fields F_{q^k}, each the ``field_extension``
+    F_q[u]/(m_k)."""
     dim = sum(factor_degrees)
     zero = (0,) * dim
     table = [[zero] * dim for _ in range(dim)]
@@ -349,7 +357,7 @@ def product_algebra(F, factor_degrees):
     names = []
     off = 0
     for s, k in enumerate(factor_degrees, start=1):
-        block = _power_table(F, irreducible_over(F, k))
+        block = field_extension(F, k).table
         for i in range(k):
             for j in range(k):
                 table[off + i][off + j] = zero[:off] + block[i][j] + zero[off + k:]

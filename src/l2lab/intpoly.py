@@ -266,7 +266,7 @@ def _psplit(ddf, p):
 # ---------------------------------------------------------------------------
 # Berlekamp-Zassenhaus over Q
 
-def _zdivmod_monic(a, b, bound=None):
+def _zdivmod_monic(a, b, bound):
     """Quotient and remainder by monic b over Z; None as soon as a
     quotient coefficient exceeds ``bound`` in absolute value."""
     r = list(a)
@@ -274,7 +274,7 @@ def _zdivmod_monic(a, b, bound=None):
     q = [0] * max(0, len(r) - db)
     for k in range(len(q) - 1, -1, -1):
         c = r[k + db]
-        if bound is not None and abs(c) > bound:
+        if abs(c) > bound:
             return None
         q[k] = c
         if c:
@@ -350,13 +350,29 @@ _BZ_PRIME_TRIES = 8
 
 def _squarefree_primes(G):
     """(p, G mod p) for the primes p, in increasing order, where monic G
-    stays squarefree mod p."""
+    stays squarefree mod p.
+
+    A prime fails only if it divides the discriminant of G, which for a
+    squarefree G of degree n is not zero and below
+    n^n * ||G||_2^(2n-2) (Mahler) in absolute value: once the primes that
+    failed multiply past that bound, G is not squarefree.
+    """
+    n = len(G) - 1
+    bits = n * n.bit_length() + (n - 1) * sum(c * c for c in G).bit_length()
+    failed = 1
     p = 1
     while True:
         p = next_prime(p)
         gp = _zmod(G, p)
         if _psquarefree_image(gp, p):
             yield p, gp
+            continue
+        failed *= p
+        if failed.bit_length() > bits:
+            raise ConsistencyError(
+                "mod-p factoring: the primes up to %d that fail to keep the input "
+                "squarefree multiply past its discriminant bound 2^%d, so it is "
+                "not squarefree" % (p, bits))
 
 
 def _factor_squarefree_monic_int(G):

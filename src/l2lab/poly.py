@@ -16,9 +16,9 @@ field ``small_field(q)``, or a number field).  The factorization entry points ar
 
 Each entry point converts its input to integer coefficient lists and
 runs the modular work in ``intpoly``, which it imports on its first
-call: the finite-algebra engine uses ``Poly`` and ``poly_gcd`` alone and
-never loads that kernel.  ``factor_mod_p`` is a thin facade over it for
-``Poly`` inputs over ``small_field(p)``.
+call.  ``factor_mod_p`` is a thin facade over it for ``Poly`` inputs
+over ``small_field(p)``.  The finite-algebra engine uses nothing here:
+it builds F_(q^k) on structure constants.
 
 A factorization over Q or F_p is re-multiplied and compared with its
 input, and over L the modular gcd's product is that comparison; a
@@ -149,9 +149,6 @@ class Poly:
             r.pop()
         return Poly(self.dom, q), Poly(self.dom, r)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -187,17 +184,6 @@ class Poly:
 
     def map_coeffs(self, dom2, fn):
         return Poly(dom2, [fn(c) for c in self.cs])
-
-    def pow_mod(self, e, m):
-        """self**e reduced modulo m, by binary exponentiation."""
-        result = Poly.const(self.dom, self.dom.one) % m
-        base = self % m
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return result
 
     def sort_key(self):
         return (self.degree, tuple(_coeff_key(c) for c in self.cs))
@@ -248,12 +234,6 @@ class Factorization:
                 raise ConsistencyError("repeated factor in factorization")
             seen.add(g.cs)
         return self
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
 
     def __repr__(self):
         return "Factorization(unit=%r, factors=%r)" % (self.unit, self.factors)

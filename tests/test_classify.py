@@ -25,7 +25,7 @@ def first_irreducible(p, n):
         f = Poly.from_ints(dom, list(tail) + [1])
         fac = factor_mod_p(f)
         if len(fac.factors) == 1 and fac.factors[0][1] == 1:
-            return f
+            return tuple(c.i for c in f.cs)
 
 
 def build_spir():

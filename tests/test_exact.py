@@ -145,3 +145,98 @@ def test_prime_factors_against_naive_oracle():
     assert prime_factors(0) == prime_factors(1) == []
     for n in range(1, 2001):
         assert prime_factors(n) == naive(n), n
+
+
+# --- Gauss-Jordan elimination: the oracle of the one insertion loop ----------
+
+def gauss_jordan_rref(rows, ops):
+    """Reduced row-echelon form by column-by-column Gauss-Jordan
+    elimination, the pivot of each column taken from the first row below
+    the last pivot row that is nonzero there; the zero rows stay at the
+    bottom.  Returns (new_rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        src = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        m[r] = ops.div(m[r], m[r][c])
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = ops.sub(m[i], m[i][c], m[r])
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r] + [[ops.zero] * ncols for _ in m[r:]], pivots
+
+
+def _oracle_fields():
+    from l2lab.finitealg import small_field
+    rational = (QQ_OPS, lambda rng: Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)))
+    return [rational] + [(small_field(q).ops, lambda rng, q=q: rng.randrange(q))
+                         for q in (2, 3, 4)]
+
+
+def _oracle_matrices(rng, entry, ops):
+    """Square, tall, wide and rank-deficient matrices, and a zero one."""
+    for nrows, ncols in ((3, 3), (5, 2), (2, 5), (4, 4), (1, 3), (3, 1)):
+        yield [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    for nrows, ncols, rank in ((5, 4, 2), (4, 6, 1), (6, 3, 2)):
+        base = [[entry(rng) for _ in range(ncols)] for _ in range(rank)]
+        rows = []
+        for _ in range(nrows):
+            v = [ops.zero] * ncols
+            for b in base:
+                v = ops.sub(v, entry(rng), b)
+            rows.append(v)
+        yield rows
+    yield [[ops.zero] * 3 for _ in range(2)]
+
+
+def _kernel_from(red, pivots, ncols, ops):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ops.zero] * ncols
+        v[fc] = ops.one
+        for i, pc in enumerate(pivots):
+            v[pc] = ops.neg(red[i][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+@pytest.mark.parametrize("field", range(4), ids=["Q", "F2", "F3", "F4"])
+def test_insertion_loop_matches_gauss_jordan(field):
+    """``rref``, ``Echelon`` (built at once and by ``extend`` in two
+    parts), ``kernel`` and ``solve`` against Gauss-Jordan elimination, on
+    seeded random matrices and the empty one."""
+    ops, entry = _oracle_fields()[field]
+    rng = random.Random(2300 + field)
+    assert rref([], ops) == gauss_jordan_rref([], ops) == ([], [])
+    assert Echelon([], ops) == () and solve([], [], ops) == []
+    for _ in range(20):
+        for rows in _oracle_matrices(rng, entry, ops):
+            ncols = len(rows[0])
+            red, pivots = gauss_jordan_rref(rows, ops)
+            assert rref(rows, ops) == (red, pivots)
+            rank = len(pivots)
+            want = tuple(tuple(r) for r in red[:rank])
+            cut = rng.randrange(len(rows) + 1)
+            for E in (Echelon(rows, ops), Echelon(rows[:cut], ops).extend(rows[cut:])):
+                assert E == want and E.pivots == tuple(pivots)
+            assert kernel(rows, ncols, ops) == _kernel_from(red, pivots, ncols, ops)
+            rhs = [entry(rng) for _ in rows]
+            aug_red, aug_pivots = gauss_jordan_rref(
+                [list(r) + [b] for r, b in zip(rows, rhs)], ops)
+            if ncols in aug_pivots:
+                assert solve(rows, rhs, ops) is None
+            else:
+                x = [ops.zero] * ncols
+                for i, pc in enumerate(aug_pivots):
+                    x[pc] = aug_red[i][ncols]
+                assert solve(rows, rhs, ops) == x

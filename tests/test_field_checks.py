@@ -80,6 +80,29 @@ def test_principal_subfield_inside_its_factors_field(monkeypatch, capsys):
     assert code == 3 and "product identity fails for a lattice node" in err
 
 
+def test_subfield_dimension_divides_the_degree(monkeypatch, capsys):
+    # span{1, x, x^2} of Q(2^(1/4)) is no subfield; with the closure
+    # check skipped, its dimension 3, which does not divide 4, is caught
+    # before the minimal polynomial is solved for: the span's own
+    # reduction is the only one
+    rref, reductions = exact.rref, []
+
+    def counted_rref(rows, ops):
+        reductions.append(len(rows))
+        return rref(rows, ops)
+
+    def three_dimensional(L, f_alpha):
+        monkeypatch.setattr(exact, "rref", counted_rref)
+        return numberfield.subfield_from_subspace(L, [L.gen_powers[1].coords,
+                                                      L.gen_powers[2].coords])
+
+    monkeypatch.setattr(numberfield, "_check_subspace_is_subfield", lambda L, span: None)
+    monkeypatch.setattr(principal, "principal_subfield_of_factor", three_dimensional)
+    code, err = failure(capsys, "X^4-2")
+    assert code == 3 and "deg(f_K) * dim(K) != n" in err
+    assert reductions == [3]
+
+
 @pytest.mark.parametrize("node, flip", [(1, 1 << 2), (0, 1 << 1)],
                          ids=["I(E_beta)", "I(K) of a meet"])
 def test_product_identity(node, flip, monkeypatch, capsys):

@@ -5,9 +5,10 @@ import pytest
 from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab import finitealg, intpoly
 from l2lab.lattice import from_edges
-from l2lab.poly import Poly, factor_mod_p
+from l2lab.exact import prime_factors
+from l2lab.poly import Poly, factor_mod_p, poly_gcd
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, _power_table, conductor,
-                             crucial_ideal, enumerate_subalgebras, irreducible_over,
+                             crucial_ideal, enumerate_subalgebras, field_extension,
                              maximal_ideals, msupp,
                              prime_algebra, product_algebra, quotient_algebra,
                              seminormalize, small_field, t_close)
@@ -22,12 +23,21 @@ def whole_algebra(S):
     return Subalgebra(S, [S.basis_vector(i) for i in range(S.dim)])
 
 
-def field_algebra(F, defining):
-    """F_q[X]/(f) for a monic f over F_q, as an F_q-algebra of dim deg f."""
-    dim = defining.degree
+def field_algebra(F, m):
+    """F_q[X]/(m) for a monic m over F_q, given by the indices of its
+    coefficients (constant first), as an F_q-algebra of dim deg m."""
+    dim = len(m) - 1
     unit = tuple(int(t == 0) for t in range(dim))
     names = ["1"] + ["x" if i == 1 else "x^%d" % i for i in range(1, dim)]
-    return FiniteAlgebra(F, _power_table(F, defining), unit, names)
+    return FiniteAlgebra(F, _power_table(F, m), unit, names)
+
+
+def modulus(A):
+    """The m of an algebra A = F_q[u]/(m) of ``field_extension``, k >= 2,
+    as coefficient indices (constant first): u^k = u * u^(k-1) is minus
+    m's lower part."""
+    k = A.dim
+    return tuple(A.field.neg_t[c] for c in A.table[1][k - 1]) + (1,)
 
 
 def classify_minimal_type(R, S):
@@ -44,7 +54,7 @@ def first_irreducible(p, n):
         f = Poly.from_ints(dom, list(tail) + [1])
         fac = factor_mod_p(f)
         if len(fac.factors) == 1 and fac.factors[0][1] == 1:
-            return f
+            return tuple(c.i for c in f.cs)
 
 
 def gf_tower(p, n):
@@ -92,7 +102,7 @@ def test_small_field_modulus_matches_factoring_oracle(p, kmax, monkeypatch):
         expect = first_irreducible(p, k)
         F = small_field(p ** k)
         u = F.elems[p]          # the residue of W in F_p[W]/(m)
-        assert sum((F.elems[c.i] * u ** t for t, c in enumerate(expect.cs[:k])),
+        assert sum((F.elems[c] * u ** t for t, c in enumerate(expect[:k])),
                    u ** k) == F.zero
 
 
@@ -113,7 +123,7 @@ def test_small_field_tables_match_int_list_layer(q):
     """Every table entry against F_p[u]/(m) on plain coefficient lists."""
     F = small_field(q)
     p, k = F.p, F.k
-    m = [c.i for c in irreducible_over(small_field(p), k).cs]
+    m = list(modulus(field_extension(small_field(p), k)))
 
     def coeffs(i):
         return [i // p ** t % p for t in range(k)]
@@ -131,6 +141,80 @@ def test_small_field_tables_match_int_list_layer(q):
             B = coeffs(b)
             assert F.add_t[a][b] == index([(x + y) % p for x, y in zip(A, B)])
             assert F.mul_t[a][b] == index(intpoly._prem(intpoly._zmul(A, B), m, p))
+
+
+def _pow_mod(a, e, m):
+    """a^e mod m on ``Poly``, by binary exponentiation."""
+    result = Poly.const(a.dom, a.dom.one) % m
+    base = a % m
+    while e:
+        if e & 1:
+            result = (result * base) % m
+        base = (base * base) % m
+        e >>= 1
+    return result
+
+
+def rabin_irreducible(f, F):
+    """Rabin's test on ``Poly`` over F = F_q: monic f of degree k is
+    irreducible iff X^(q^k) = X mod f and gcd(X^(q^(k/l)) - X, f) = 1 for
+    each prime l dividing k."""
+    k = f.degree
+    x = Poly.x(F)
+    if _pow_mod(x, F.q ** k, f) != x % f:
+        return False
+    for ell in set(prime_factors(k)):
+        g = _pow_mod(x, F.q ** (k // ell), f) - x
+        if g.is_zero or poly_gcd(g, f).degree != 0:
+            return False
+    return True
+
+
+def lex_least_irreducible(F, k):
+    """The first monic f = c_0 + ... + c_(k-1) X^(k-1) + X^k with c_0 != 0,
+    in the lexicographic order of (c_0, ..., c_(k-1)), that passes
+    ``rabin_irreducible``, as coefficient indices."""
+    for tail in itertools.product(range(F.q), repeat=k):
+        if tail[0] == 0:
+            continue
+        f = Poly(F, [F.element(c) for c in tail] + [F.one])
+        if rabin_irreducible(f, F):
+            return tuple(c.i for c in f.cs)
+
+
+def poly_power_table(F, m):
+    """Entry (i, j): the coefficient indices of X^(i+j) mod m, on Poly."""
+    f = Poly(F, [F.elems[c] for c in m])
+    k = f.degree
+    powers = [_pow_mod(Poly.x(F), t, f) for t in range(2 * k - 1)]
+    return [[tuple(powers[i + j].coeff(t).i for t in range(k)) for j in range(k)]
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65)
+                               if len(set(prime_factors(q))) == 1])
+def test_extension_search_matches_poly_rabin_test(q):
+    """The search's m, and its table, for every k >= 2 with q^k <= 4096,
+    against Rabin's test and the power table on ``Poly``."""
+    F = small_field(q)
+    k = 2
+    while q ** k <= 4096:
+        A = field_extension(F, k)
+        m = lex_least_irreducible(F, k)
+        assert modulus(A) == m and A.table == tuple(
+            tuple(row) for row in poly_power_table(F, m)), (q, k)
+        k += 1
+    assert field_extension(F, 1).table == (((1,),),)
+
+
+def test_power_table_of_reducible_moduli():
+    """Shift-and-subtract against ``Poly`` on every monic m of degree
+    <= 3 over F_2, F_3 and F_4, reducible ones included."""
+    for F in (F2, F3, F4):
+        for k in (1, 2, 3):
+            for tail in itertools.product(range(F.q), repeat=k):
+                m = tail + (1,)
+                assert _power_table(F, m) == poly_power_table(F, m), (F, m)
 
 
 def test_small_field_rejects_non_prime_power():

@@ -33,7 +33,9 @@ Each module is core or belongs to one engine, and no core module imports
 an engine when it is imported: an engine loads at the call that first
 needs it.  Fresh processes confirm it: ``import l2lab.cli`` loads no
 engine, a polynomial loads the field engine alone, an algebra document
-the algebra engine alone.  ``from l2lab import *`` binds exactly
+the algebra engine alone.  No algebra-engine module imports ``poly``,
+at import or in a function: F_q[u]/(m) is built on structure constants.
+``from l2lab import *`` binds exactly
 ``l2lab.__all__``, each name the object its defining module holds.
 """
 
@@ -348,6 +350,14 @@ def test_core_imports_no_engine_on_import(path):
     for node in _import_time_imports(_tree(path)):
         named = _l2lab_modules(node) & ENGINES
         assert not named, "%s:%d imports %s" % (path.name, node.lineno, sorted(named))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem in ALGEBRA_ENGINE],
+                         ids=lambda p: p.name)
+def test_algebra_engine_imports_nothing_from_poly(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "poly" not in _l2lab_modules(node), "%s:%d" % (path.name, node.lineno)
 
 
 PROBE = """

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -517,6 +521,13 @@ def hensel_pair_linear(f, g, h, s, t, p, K):
     return g, h
 
 
+def _zdivmod(a, b):
+    """``intpoly._zdivmod_monic`` with a bound no quotient coefficient
+    reaches: each step subtracts at most |c| * max|b| from an entry, so no
+    entry passes max|a| * (1 + max|b|)^len(a)."""
+    return intpoly._zdivmod_monic(a, b, max(map(abs, a)) * (1 + max(map(abs, b))) ** len(a))
+
+
 def recombine_by_trial_division(G, lifted, pK):
     """Zassenhaus subset search that trial-divides by every subset's
     product whose constant term passes the divisibility test."""
@@ -533,7 +544,7 @@ def recombine_by_trial_division(G, lifted, pK):
             cand = intpoly._zsym(cand, pK)
             if tc != 0 and cand[0] != 0 and tc % cand[0] != 0:
                 continue
-            q, r = intpoly._zdivmod_monic(G, cand)
+            q, r = _zdivmod(G, cand)
             if not r:
                 out.append(cand)
                 G = q
@@ -593,8 +604,10 @@ SHIFTED_SPLITTERS = [[1, 0, -10, 0, 1], [1, 0, 0, 0, 1], [4, 0, 0, 0, 1], [1, 1,
 def _random_monic_product(rng):
     """A squarefree monic integer product of at least 8 factors, degree
     <= 40: random small ones and shifts of quartics that split modulo
-    every prime (X^4-10X^2+1, X^4+1) or often (X^4+4, Phi_5)."""
-    while True:
+    every prime (X^4-10X^2+1, X^4+1) or often (X^4+4, Phi_5).  At seed
+    44 each product takes at most 9 draws; a certificate that never holds
+    fails after 100."""
+    for _ in range(100):
         f = Q(1)
         count = 0
         while True:
@@ -611,6 +624,22 @@ def _random_monic_product(rng):
         # degree 40 would take seconds
         if count >= 8 and intpoly._certified_squarefree(f):
             return f
+    raise AssertionError("no certified squarefree product of 8 factors in 100 draws")
+
+
+def test_prime_search_on_a_square_ends_with_exit_3():
+    """With the squarefree certificate forced to hold on (X^2-2)^2, no
+    prime keeps the input squarefree; the search stops once the primes
+    that failed multiply past the discriminant bound, and the run exits 3
+    naming the stage, in a process that is killed if it hangs."""
+    code = ("import sys; from l2lab import cli, intpoly; "
+            "intpoly._certified_squarefree = lambda g: True; "
+            "sys.exit(cli.main(['classify', 'X^4-4*X^2+4']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 3
+    assert "mod-p factoring" in proc.stderr and "so it is not squarefree" in proc.stderr
 
 
 def test_bz_matches_slow_paths_on_random_products(monkeypatch):
@@ -695,15 +724,15 @@ def test_early_stop_keeps_every_true_factor_of_fields_norms(monkeypatch):
         for (G, _, _), factors in recombinations:
             bound = intpoly._mignotte_bound(G)
             for F in factors[:-1]:
-                assert intpoly._zdivmod_monic(G, F, bound) == intpoly._zdivmod_monic(G, F)
-                assert not intpoly._zdivmod_monic(G, F)[1]
+                assert intpoly._zdivmod_monic(G, F, bound) == _zdivmod(G, F)
+                assert not _zdivmod(G, F)[1]
 
 
 def test_early_stop_rejects_a_quotient_over_the_bound():
     G = [-2, 0, 0, 0, 1]                      # X^4 - 2
     bound = intpoly._mignotte_bound(G)
     assert intpoly._zdivmod_monic(G, [bound + 1, 1], bound) is None
-    assert intpoly._zdivmod_monic(G, [bound + 1, 1])[1]
+    assert _zdivmod(G, [bound + 1, 1])[1]
 
 
 # --- the modular gcd over L: Euclid over L is the oracle ---------------------
@@ -731,7 +760,7 @@ def test_modular_gcd_matches_euclid_on_fields(text, monkeypatch):
     fL = L.defining.map_coeffs(L, L.from_rational)
     fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fL, L)
     assert hs == gcds_by_euclid(fL, norms, s, L)
-    assert len(hs) == len(norms) and {h.cs for h in hs} == {g.cs for g, _ in fac}
+    assert len(hs) == len(norms) and {h.cs for h in hs} == {g.cs for g, _ in fac.factors}
 
 
 def test_modular_gcd_matches_euclid_on_phi11(monkeypatch):
@@ -742,8 +771,7 @@ def test_modular_gcd_matches_euclid_on_phi11(monkeypatch):
     fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fL, L)
     assert len(norms) == 10
     assert hs[:1] == gcds_by_euclid(fL, norms[:1], s, L)
-    x = L.gen()
-    assert {h.cs for h in hs} == {Poly(L, [-(x ** k), L.one]).cs for k in range(1, 11)}
+    assert {h.cs for h in hs} == {Poly(L, [-L.gen_powers[k], L.one]).cs for k in range(1, 11)}
 
 
 def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):

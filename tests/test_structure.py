@@ -52,17 +52,16 @@ from l2lab.classify import (analyze_extension, classify_extension, ideal_MS,
                             is_copointwise_minimal)
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, adjoin, algebra_on_subspace,
                              conductor, crucial_ideal, enumerate_subalgebras,
-                             irreducible_over, is_simple_extension,
+                             field_extension, is_simple_extension,
                              maximal_ideals, maximal_ideals_over, msupp, nilradical,
                              prime_algebra, primitive_idempotents, product_algebra,
                              quotient_algebra, radical, seminormalize, small_field,
                              t_close)
 from l2lab.parsing import parse_algebra
-from l2lab.poly import Poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
-from test_finitealg import field_algebra, whole_algebra  # noqa: E402
+from test_finitealg import field_algebra, modulus, whole_algebra  # noqa: E402
 from test_lattice import hasse_by_pairs  # noqa: E402
 
 
@@ -445,8 +444,7 @@ def _random_algebra(rng, maxdims):
     elif kind == 1:
         # F_q[x]/(f) for a random monic f: split, inert and ramified parts
         d = rng.randrange(2, maxdim + 1)
-        f = Poly(F, [F.element(rng.randrange(q)) for _ in range(d)] + [F.one])
-        S = field_algebra(F, f)
+        S = field_algebra(F, [rng.randrange(q) for _ in range(d)] + [1])
     else:
         a = rng.randrange(1, maxdim)
         S = quotient_algebra(F, ["x", "y"],
@@ -673,9 +671,9 @@ def _random_local_extension(rng):
         S = quotient_algebra(F, ["x", "y"],
                              [{(a, 0): F.one}, {(1, 1): F.one}, {(0, b + 1): F.one}])
     else:
-        m = irreducible_over(F, 2)
+        m = modulus(field_extension(F, 2))
         S = quotient_algebra(F, ["u", "x"],
-                             [{(i, 0): c for i, c in enumerate(m.cs) if c},
+                             [{(i, 0): F.elems[c] for i, c in enumerate(m) if c},
                               {(0, rng.randrange(2, maxdim // 2 + 1)): F.one}])
     # leaving out x keeps R = S from being the rule (in F_q[x]/(x^n), any
     # element with an x term generates S)
