@@ -3,15 +3,15 @@
 #
 # Run from the repository root:  python3 demos/field_lattices.py
 
-from l2lab import (Poly, QQ, build_lattice, compute_principal_subfields,
-                   galois_length_two_check, is_length_two, make_field)
+from l2lab import (build_lattice, compute_principal_subfields, galois_length_two_check,
+                   is_length_two, make_field, parse_polynomial)
 from l2lab.numberfield import poly_str
 
 
-def walk(name, coeffs):
+def walk(name):
     print("=" * 64)
     print("f =", name)
-    L = make_field(Poly.from_ints(QQ, coeffs))
+    L = make_field(parse_polynomial(name))
     ps = compute_principal_subfields(L)
 
     # f factors over its own root field as (X - x) f_1 ... f_r
@@ -44,13 +44,13 @@ def walk(name, coeffs):
 
 
 # the positive real fourth root of 2: three fields, one of them Q(sqrt 2)
-walk("X^4 - 2", [-2, 0, 0, 0, 1])
+walk("X^4 - 2")
 
 # sqrt2 + sqrt3: the biquadratic diamond with three quadratic subfields
-walk("X^4 - 10*X^2 + 1", [1, 0, -10, 0, 1])
+walk("X^4 - 10*X^2 + 1")
 
 # the splitting field of X^3 - 2, degree 6: four proper subfields
-walk("X^6 + 108", [108, 0, 0, 0, 0, 0, 1])
+walk("X^6 + 108")
 
 # a cyclic cubic is already minimal: no intermediate fields at all
-walk("X^3 - 3*X + 1", [1, -3, 0, 1])
+walk("X^3 - 3*X + 1")

@@ -4,11 +4,11 @@
 #
 # Run from the repository root:  python3 demos/lattice_graphs.py
 
-from l2lab import Poly, QQ, field_report, parse_algebra
+from l2lab import field_report, parse_algebra, parse_polynomial
 from l2lab.report import algebra_report, lattice_to_dot
 
 print("// the biquadratic diamond")
-rep = field_report(Poly.from_ints(QQ, [1, 0, -10, 0, 1]), "X^4 - 10*X^2 + 1")
+rep = field_report(parse_polynomial("X^4 - 10*X^2 + 1"), "X^4 - 10*X^2 + 1")
 print(lattice_to_dot(rep["lattice"], title=rep["input"]))
 
 print("// the Bell-number lattice of F2 inside F2^3")

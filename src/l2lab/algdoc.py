@@ -5,31 +5,31 @@ the generators of ``R``, read into (S, R).
 Part of the finite-algebra engine: ``parsing.parse_algebra`` loads this
 module on its call, so reading a polynomial never loads the engine.
 Relations and generators are parsed by the polynomial grammar of
-``parsing``, with multivariate semantics over F_q.
+``parsing``, with multivariate semantics over F_q: {monomial: index}
+dicts, the form the Groebner completion of ``finitealg`` takes.
 """
 
 import re
 
 from .caps import check_elements
 from .errors import ParseError
-from .finitealg import (FiniteAlgebra, Subalgebra, _mp_add_term, _mp_combine, _mp_mul_term,
-                        product_algebra, quotient_algebra, small_field)
+from .finitealg import (FiniteAlgebra, Subalgebra, _mp_combine, product_algebra,
+                        quotient_algebra, small_field)
 from .parsing import _check_power, _ExprParser, _int_literal
 
 
 class _MPolySemantics:
-    """Builds multivariate {exponent tuple: GFElem} dicts over F_q."""
+    """Builds multivariate {exponent tuple: element index} dicts over F_q."""
 
     def __init__(self, F, varnames):
         self.F = F
         self.vars = {v: i for i, v in enumerate(varnames)}
         self.nvars = len(varnames)
-
-    def _c(self, elem):
-        return {(0,) * self.nvars: elem} if elem else {}
+        self.one = (0,) * self.nvars      # the monomial 1
 
     def const(self, n):
-        return self._c(self.F.from_int(n))
+        n %= self.F.p
+        return {self.one: n} if n else {}
 
     def var(self, name, pos):
         if name in self.vars:
@@ -41,34 +41,33 @@ class _MPolySemantics:
                                  % (pos, name))
             i = matches[0]
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return {mono: self.F.one}
+        return {mono: 1}
 
     def add(self, a, b):
-        return _mp_combine(a, b, self.F.one)
+        return _mp_combine(self.F, a, b, 1, self.one)
 
     def sub(self, a, b):
-        return _mp_combine(a, b, -self.F.one)
+        return _mp_combine(self.F, a, b, self.F.neg_t[1], self.one)
 
     def neg(self, a):
-        return _mp_mul_term(a, (0,) * self.nvars, -self.F.one)
+        return _mp_combine(self.F, {}, a, self.F.neg_t[1], self.one)
 
     def mul(self, a, b):
         out = {}
         for mono, c in b.items():
-            for m, t in _mp_mul_term(a, mono, c).items():
-                _mp_add_term(out, m, t)
+            out = _mp_combine(self.F, out, a, c, mono)
         return out
 
     def div(self, a, b, pos):
-        if set(b) - {(0,) * self.nvars}:
+        if set(b) - {self.one}:
             raise ParseError("division by a non-constant at position %d" % pos)
         if not b:
             raise ParseError("division by zero at position %d" % pos)
-        return _mp_mul_term(a, (0,) * self.nvars, self.F.one / b[(0,) * self.nvars])
+        return _mp_combine(self.F, {}, a, self.F.inv_t[b[self.one]], self.one)
 
     def pow(self, a, e, pos):
         _check_power(e, max(map(sum, a), default=0), pos)
-        out = self._c(self.F.one)
+        out = {self.one: 1}
         for _ in range(e):
             out = self.mul(out, a)
         return out
@@ -267,7 +266,7 @@ def _subring_from_generators_product(S, F, blocks, spec):
                 # factor's defining polynomial, added on the factor's
                 # coordinates
                 red = _reduce_power(S, off, k, mono[0])
-                v[off:off + k] = F.ops.sub(v[off:off + k], F.ops.neg(c.i), red)
+                v[off:off + k] = F.ops.sub(v[off:off + k], F.ops.neg(c), red)
         gens.append(tuple(v))
     return Subalgebra.from_generators(S, gens)
 

@@ -63,11 +63,13 @@ def _load_report(args):
             try:
                 with open(algebra_file, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise ParseError("cannot read %s: %s" % (algebra_file, e))
         try:
             doc = json.loads(text)
-        except ValueError as e:     # JSONDecodeError, or an over-long integer
+        except (ValueError, RecursionError) as e:
+            # JSONDecodeError, an over-long integer, or nesting past the
+            # recursion limit
             raise ParseError("invalid JSON in %s: %s" % (algebra_file, e))
         S, R = parse_algebra(doc)
         echo = json.dumps(doc, sort_keys=True)

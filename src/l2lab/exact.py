@@ -12,12 +12,11 @@ arithmetic from one small field protocol, an object with
   * ``div(v, c)``, the list v / c, for an entry c != 0.
 Entries truth-test as "nonzero" and compare with ``==``.  ``Ops(one)``
 is the protocol of a field whose elements carry their own ``+ - * /``
-(``QQ_OPS`` over ``Fraction``, number-field coordinates, and ``GFElem``
-where a test runs the generic route).  Over F_q the vectors are tuples
-of element indices, and ``finitealg.SmallField.ops`` reads the same
-four operations off the field's lookup tables; plain ``+ - *`` on such
-entries would compute over Z, so no routine here applies them to
-entries.
+(``QQ_OPS`` over ``Fraction``, and number-field coordinates).  Over F_q
+the vectors are tuples of element indices, the one form of an F_q
+element, and ``finitealg.SmallField.ops`` reads the same four operations
+off the field's lookup tables; plain ``+ - *`` on such entries would
+compute over Z, so no routine here applies them to entries.
 
 There is one elimination loop, ``_insert``: it reduces each new vector
 by the rows so far and, if anything is left, makes the residue a row

@@ -15,10 +15,9 @@ on entries reads the field's lookup tables: ``FiniteAlgebra.mul`` reads
 a sparse list of the nonzero structure constants, and every
 ``exact.Echelon`` here is reduced with ``SmallField.ops``, the field
 protocol on indices.  Plain ``+ - *`` on entries would compute over Z,
-so none is applied to them.  ``GFElem`` is only the coefficient type of
-the Groebner completion of a quotient presentation (and of
-``factor_mod_p``'s ``Poly``); the builder turns its coefficients into
-indices once, where it hands on a table, a unit or a vector.
+so none is applied to them.  An element has this one form everywhere:
+the Groebner completion of a quotient presentation keeps its polynomials
+as ``{monomial: index}`` dicts on the same tables.
 
 F_(q^k) is built once, as the algebra F_q[u]/(m) on 1, u, ...,
 u^(k-1) (``field_extension``), with m found by Rabin's test evaluated
@@ -50,65 +49,15 @@ from .lattice import from_edges
 # ---------------------------------------------------------------------------
 # Small finite fields F_q, q = p^k, with full lookup tables.
 
-class GFElem:
-    __slots__ = ("field", "i")
-
-    def __init__(self, field, i):
-        self.field = field
-        self.i = i
-
-    def __add__(self, other):
-        return self.field.elems[self.field.add_t[self.i][other.i]]
-
-    def __sub__(self, other):
-        F = self.field
-        return F.elems[F.add_t[self.i][F.neg_t[other.i]]]
-
-    def __neg__(self):
-        return self.field.elems[self.field.neg_t[self.i]]
-
-    def __mul__(self, other):
-        return self.field.elems[self.field.mul_t[self.i][other.i]]
-
-    def __truediv__(self, other):
-        if other.i == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.field.q)
-        F = self.field
-        return F.elems[F.mul_t[self.i][F.inv_t[other.i]]]
-
-    def __pow__(self, e):
-        acc = self.field.one
-        base = self
-        for bit in bin(e)[2:]:
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * base
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, GFElem) and self.i == other.i and self.field is other.field
-
-    def __hash__(self):
-        return hash((self.field.q, self.i))
-
-    def __bool__(self):
-        return self.i != 0
-
-    def __lt__(self, other):
-        return self.i < other.i
-
-    def __repr__(self):
-        return self.field.elem_name(self.i)
-
-
 class SmallField:
     """F_q with precomputed arithmetic tables; q = p^k, q small.
 
     Element i is the residue sum c_t u^t with i = sum c_t p^t: for k > 1
     its base-p digits are its coordinates in the algebra
-    ``field_extension(F_p, k)``, whose product gives the table.
-    ``elems`` are the elements as ``GFElem``; ``ops`` is the ``exact``
-    field protocol on the indices themselves (``IndexOps``).
+    ``field_extension(F_p, k)``, whose product gives the table.  The
+    elements are the indices themselves: ``add_t``, ``mul_t``, ``neg_t``
+    and ``inv_t`` are their arithmetic, and ``ops`` is the ``exact``
+    field protocol on them (``IndexOps``).
     """
 
     def __init__(self, p, k):
@@ -132,15 +81,7 @@ class SmallField:
         for a in range(1, self.q):
             inv[a] = mul[a].index(1)
         self.inv_t = inv
-        self.elems = tuple(GFElem(self, i) for i in range(self.q))
-        self.zero, self.one = self.elems[0], self.elems[1]
         self.ops = IndexOps(self)
-
-    def from_int(self, n):
-        return self.elems[n % self.p]
-
-    def element(self, i):
-        return self.elems[i % self.q]
 
     def elem_name(self, i):
         if self.k == 1:
@@ -159,12 +100,6 @@ class SmallField:
                     terms.append(mono if c == 1 else "%d*%s" % (c, mono))
             pos += 1
         return " + ".join(terms) if terms else "0"
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash(("SmallField", self.q))
 
     def __repr__(self):
         return "F%d" % self.q
@@ -392,30 +327,23 @@ def _mp_lead(f):
     return max(f, key=_deglex_key)
 
 
-def _mp_add_term(f, mono, c):
-    if mono in f:
-        s = f[mono] + c
-        if s:
-            f[mono] = s
-        else:
-            del f[mono]
-    elif c:
-        f[mono] = c
-
-
-def _mp_combine(f, g, c):
-    """f + c*g, functional."""
+def _mp_combine(F, f, g, c, mono):
+    """f + c * mono * g, functional, for polynomials as {monomial: index}
+    dicts over F; a term that cancels is dropped."""
     out = dict(f)
-    for mono, gc in g.items():
-        _mp_add_term(out, mono, gc * c)
+    add, mc = F.add_t, F.mul_t[c]
+    for m, gc in g.items():
+        m = _mono_mul(m, mono)
+        s = add[out.get(m, 0)][mc[gc]]
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
     return out
 
 
-def _mp_mul_term(f, mono, c):
-    return {_mono_mul(m, mono): fc * c for m, fc in f.items()}
-
-
-def _mp_normal_form(f, basis):
+def _mp_normal_form(F, f, basis):
+    """The remainder of f on division by the monic polynomials ``basis``."""
     rem = {}
     work = dict(f)
     while work:
@@ -424,9 +352,7 @@ def _mp_normal_form(f, basis):
         for g in basis:
             lm = _mp_lead(g)
             if _mono_divides(lm, m):
-                factor = _mono_div(m, lm)
-                work = _mp_combine(work, _mp_mul_term(g, factor, c / g[lm]),
-                                   -(c / c))
+                work = _mp_combine(F, work, g, F.neg_t[c], _mono_div(m, lm))
                 break
         else:
             del work[m]
@@ -434,14 +360,14 @@ def _mp_normal_form(f, basis):
     return rem
 
 
-def _buchberger(gens, nvars, F):
-    G = []
-    for g in gens:
-        g = {m: c for m, c in g.items() if c}
-        if g:
-            lc = g[_mp_lead(g)]
-            G.append({m: c / lc for m, c in g.items()})
-    if any(_mp_lead(g) == (0,) * nvars for g in G):
+def _buchberger(F, gens, nvars):
+    one = (0,) * nvars      # the monomial 1
+
+    def monic(g):
+        return _mp_combine(F, {}, g, F.inv_t[g[_mp_lead(g)]], one)
+
+    G = [monic(g) for g in ({m: c for m, c in g.items() if c} for g in gens) if g]
+    if any(_mp_lead(g) == one for g in G):
         raise ValueError("inconsistent relations: 1 lies in the ideal")
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
@@ -450,30 +376,28 @@ def _buchberger(gens, nvars, F):
         lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
         if lcm == _mono_mul(lmi, lmj):
             continue  # coprime leads
-        si = _mp_mul_term(G[i], _mono_div(lcm, lmi), F.one)
-        sj = _mp_mul_term(G[j], _mono_div(lcm, lmj), F.one)
-        s = _mp_combine(si, sj, -F.one)
-        r = _mp_normal_form(s, G)
+        si = _mp_combine(F, {}, G[i], 1, _mono_div(lcm, lmi))
+        s = _mp_combine(F, si, G[j], F.neg_t[1], _mono_div(lcm, lmj))
+        r = _mp_normal_form(F, s, G)
         if r:
-            lm = _mp_lead(r)
-            if lm == (0,) * nvars:
+            if _mp_lead(r) == one:
                 raise ValueError("inconsistent relations: 1 lies in the ideal")
-            lc = r[lm]
-            r = {m: c / lc for m, c in r.items()}
             pairs.extend((k, len(G)) for k in range(len(G)))
-            G.append(r)
+            G.append(monic(r))
     return G
 
 
 def quotient_algebra(F, varnames, relations):
     """F_q[vars]/(relations) as a finite algebra; errors if not finite.
+    A relation is a {monomial: index} dict, a monomial the tuple of its
+    exponents.
 
     The standard monomials (no lead monomial divides them) are closed
     under division, so they are listed degree by degree from 1, and the
     element cap fires as soon as q^(monomials listed) passes it.
     """
     nvars = len(varnames)
-    G = _buchberger(relations, nvars, F)
+    G = _buchberger(F, relations, nvars)
     leads = [_mp_lead(g) for g in G]
     for v in range(nvars):
         if not any(lm[v] and sum(lm) == lm[v] for lm in leads):
@@ -491,21 +415,15 @@ def quotient_algebra(F, varnames, relations):
     dim = len(standard)
 
     def nf_vector(f):
-        r = _mp_normal_form(f, G)
         out = [0] * dim
-        for m, c in r.items():
+        for m, c in _mp_normal_form(F, f, G).items():
             if m not in index:
                 raise ConsistencyError("normal form contains a non-standard monomial")
-            out[index[m]] = c.i
+            out[index[m]] = c
         return tuple(out)
 
-    table = []
-    for a in standard:
-        row = []
-        for b in standard:
-            row.append(nf_vector({_mono_mul(a, b): F.one}))
-        table.append(row)
-    unit = nf_vector({(0,) * nvars: F.one})
+    table = [[nf_vector({_mono_mul(a, b): 1}) for b in standard] for a in standard]
+    unit = nf_vector({(0,) * nvars: 1})
     names = [_mono_name(m, varnames) for m in standard]
     alg = FiniteAlgebra(F, table, unit, names)
     alg.mp_to_vector = nf_vector

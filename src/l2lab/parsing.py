@@ -19,6 +19,11 @@ from .poly import Poly, QQ
 # expanded by repeated multiplication, so this is checked first.
 MAX_POWER = 256
 
+# Deepest nesting of parentheses and unary signs.  The parser recurses
+# once per level (five frames for a parenthesis), so this keeps it well
+# inside Python's recursion limit of 1000 frames.
+MAX_NESTING = 100
+
 # Longest integer literal, in decimal digits.  Longer digit strings are
 # refused before int() converts them.
 MAX_DIGITS = 1000
@@ -73,13 +78,22 @@ class _ExprParser:
 
     The semantics object supplies: const(int), var(name, pos),
     add(a, b), sub(a, b), mul(a, b), div(a, b, pos), neg(a),
-    pow(a, int, pos).
+    pow(a, int, pos).  Parentheses and unary signs nest at most
+    ``MAX_NESTING`` deep.
     """
 
     def __init__(self, text, sem):
         self.toks = _tokenize(text)
         self.i = 0
         self.sem = sem
+        self.depth = 0
+
+    def nest(self, pos):
+        """Enter one more level of parentheses or unary signs."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting too deep at position %d: parentheses and unary "
+                             "signs nest at most %d levels" % (pos, MAX_NESTING))
 
     def peek(self):
         return self.toks[self.i]
@@ -125,12 +139,12 @@ class _ExprParser:
 
     def factor(self):
         kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
+        if kind == "op" and val in "+-":
             self.take()
-            return self.sem.neg(self.factor())
-        if kind == "op" and val == "+":
-            self.take()
-            return self.factor()
+            self.nest(pos)
+            v = self.factor()
+            self.depth -= 1
+            return self.sem.neg(v) if val == "-" else v
         return self.power()
 
     def power(self):
@@ -156,8 +170,10 @@ class _ExprParser:
         if kind == "name":
             return self.sem.var(val, pos)
         if kind == "op" and val == "(":
+            self.nest(pos)
             v = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return v
         raise _unexpected(kind, val, pos)
 

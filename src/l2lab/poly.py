@@ -1,10 +1,11 @@
 """Dense univariate polynomial arithmetic and exact factorization.
 
 Polynomials are immutable coefficient tuples, lowest degree first, over a
-coefficient field described by a small domain object (``QQ``, a finite
-field ``small_field(q)``, or a number field).  The factorization entry points are:
+coefficient field described by a small domain object (``QQ`` or a number
+field).  The factorization entry points are:
 
-* ``factor_mod_p``        -- Cantor-Zassenhaus over a prime field,
+* ``factor_mod_p``        -- Cantor-Zassenhaus over a prime field, on
+                             integer coefficient lists,
 * ``factor_over_Q``       -- Berlekamp-Zassenhaus (squarefree decomposition,
                              modular factorization, quadratic Hensel
                              lifting, subset recombination behind a trace
@@ -16,9 +17,9 @@ field ``small_field(q)``, or a number field).  The factorization entry points ar
 
 Each entry point converts its input to integer coefficient lists and
 runs the modular work in ``intpoly``, which it imports on its first
-call.  ``factor_mod_p`` is a thin facade over it for ``Poly`` inputs
-over ``small_field(p)``.  The finite-algebra engine uses nothing here:
-it builds F_(q^k) on structure constants.
+call; ``factor_mod_p`` is a thin facade over it, taking and returning
+int lists.  The finite-algebra engine uses nothing here: it builds
+F_(q^k) on structure constants.
 
 A factorization over Q or F_p is re-multiplied and compared with its
 input, and over L the modular gcd's product is that comparison; a
@@ -29,6 +30,7 @@ from fractions import Fraction
 
 from .caps import check_norm_degree
 from .errors import ConsistencyError
+from .exact import is_prime
 
 
 class RationalField:
@@ -58,10 +60,6 @@ class Poly:
             cs.pop()
         self.dom = dom
         self.cs = tuple(cs)
-
-    @classmethod
-    def from_ints(cls, dom, ints):
-        return cls(dom, [dom.from_int(n) for n in ints])
 
     @classmethod
     def x(cls, dom):
@@ -195,10 +193,7 @@ class Poly:
 def _coeff_key(c):
     if isinstance(c, Fraction):
         return (c.numerator, c.denominator)
-    coords = getattr(c, "coords", None)
-    if coords is not None:
-        return tuple((q.numerator, q.denominator) for q in coords)
-    return c
+    return tuple((q.numerator, q.denominator) for q in c.coords)
 
 
 def poly_gcd(a, b):
@@ -239,22 +234,29 @@ class Factorization:
         return "Factorization(unit=%r, factors=%r)" % (self.unit, self.factors)
 
 
-def factor_mod_p(f):
-    """Complete factorization over a prime field ``small_field(p)``."""
-    dom = f.dom
-    if dom.k != 1:
-        raise ValueError("factor_mod_p needs a prime field, not %r" % dom)
-    if f.is_zero:
+def factor_mod_p(coeffs, p):
+    """Complete factorization over F_p of the integer coefficients
+    ``coeffs``, lowest degree first: ``(unit, factors)``, the unit in
+    [0, p) and the factors monic int lists with their multiplicities,
+    sorted by (degree, coefficients)."""
+    if not is_prime(p):
+        raise ValueError("factor_mod_p needs a prime p, not %r" % p)
+    from .intpoly import _pddf, _pmonic, _psplit, _psquarefree, _zmod, _zmul
+    f = _zmod(coeffs, p)
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return Factorization(dom, f.cs[0], []).verify(f)
-    from .intpoly import _pddf, _pmonic, _psplit, _psquarefree
-    p = dom.p
-    monic = _pmonic([c.i for c in f.cs], p)
-    parts = [(Poly.from_ints(dom, h), m)
-             for u, m in _psquarefree(monic, p)
+    parts = [(h, m) for u, m in _psquarefree(_pmonic(f, p), p)
              for h in _psplit(_pddf(u, p), p)]
-    return Factorization(dom, f.lc, parts).verify(f)
+    parts.sort(key=lambda hm: (len(hm[0]), hm[0]))
+    product = [f[-1]]
+    for h, m in parts:
+        for _ in range(m):
+            product = _zmod(_zmul(product, h), p)
+    if product != f:
+        raise ConsistencyError("factorization does not re-multiply to its input")
+    if len({tuple(h) for h, _ in parts}) != len(parts):
+        raise ConsistencyError("repeated factor in factorization")
+    return f[-1], parts
 
 
 def factor_over_Q(f):

@@ -10,7 +10,7 @@ import pytest
 import l2lab
 from l2lab import caps
 from l2lab.cli import main
-from l2lab.parsing import MAX_DIGITS, MAX_POWER
+from l2lab.parsing import MAX_DIGITS, MAX_NESTING, MAX_POWER
 
 
 def run(capsys, *argv):
@@ -348,6 +348,40 @@ def test_bad_json_exit_code_1(tmp_path, capsys):
     doc.write_text("{not json")
     code, out, err = run(capsys, "classify", "--algebra", str(doc))
     assert code == 1 and "invalid JSON" in err
+
+
+def _one_error_line(proc):
+    """The one ``error:`` line of a process that exited 1 without a
+    traceback."""
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+def test_non_utf8_algebra_file_exit_code_1(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"q": 2, "product": ["F2"], "R": "\xff"}')
+    line = _one_error_line(run_process("length", "--algebra", str(path)))
+    assert line.startswith("error: cannot read %s: " % path) and "utf-8" in line
+
+
+@pytest.mark.parametrize("poly", [
+    "(" * 10 ** 4 + "X^2-2" + ")" * 10 ** 4,
+    "X^2" + "-" * 10 ** 4 + "2",
+], ids=["parentheses", "unary-signs"])
+def test_deep_nesting_exit_code_1(poly):
+    line = _one_error_line(run_process("length", poly))
+    assert "nesting too deep at position" in line
+    assert "at most %d levels" % MAX_NESTING in line
+
+
+def test_deep_json_exit_code_1(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10 ** 4 + "]" * 10 ** 4)
+    line = _one_error_line(run_process("length", "--algebra", str(path)))
+    assert line.startswith("error: invalid JSON in %s: " % path)
 
 
 def test_cap_exceeded_exit_code_2(tmp_path, capsys, monkeypatch):

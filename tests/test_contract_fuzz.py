@@ -6,8 +6,9 @@ non-integers), random table shapes and entries (indices, strings,
 nesting), random product factor names (valid, not a power of q, of huge
 degree, with over-long digit strings), random quotient presentations
 (1-4 generators, repeated names among them, pure powers up to
-``MAX_POWER`` and random monomial and binomial relations) and random R
-specs go through the in-process command line with ``L2LAB_CAP=64``.
+``MAX_POWER``, random monomial and binomial relations, and relations and
+R generators nested in parentheses or unary signs up to 3000 deep, near
+and far past ``MAX_NESTING``) and random R specs go through the in-process command line with ``L2LAB_CAP=64``.
 Every document must end in exit 0, 1 or 2: a consistency failure
 (exit 3) or an escaping exception breaks the contract.  The polynomial
 grammar is left out here.
@@ -27,7 +28,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from l2lab import cli
-from l2lab.parsing import MAX_DIGITS, MAX_POWER
+from l2lab.parsing import MAX_DIGITS, MAX_NESTING, MAX_POWER
 
 JUNK = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
@@ -161,6 +162,17 @@ def monomials(draw, names):
 
 
 @st.composite
+def nested(draw, text):
+    """text inside parentheses or behind unary signs, about MAX_NESTING
+    deep or anywhere up to 3000."""
+    depth = draw(st.one_of(st.integers(MAX_NESTING - 2, MAX_NESTING + 2),
+                           st.integers(0, 3000)))
+    if draw(st.booleans()):
+        return "(" * depth + text + ")" * depth
+    return draw(st.sampled_from(["-", "+", "-+"])) * depth + text
+
+
+@st.composite
 def quotient_docs(draw):
     q = draw(st.sampled_from([2, 3, 4]))
     names = draw(st.lists(st.sampled_from("XYZWT"), min_size=1, max_size=4, unique=True))
@@ -174,10 +186,13 @@ def quotient_docs(draw):
             m += " %s %d*%s" % (draw(st.sampled_from("+-")), draw(st.integers(1, q - 1)),
                                 draw(monomials(names)))
         rels.insert(draw(st.integers(0, len(rels))), m)
+    if draw(st.integers(0, 3)) == 0:
+        rels.insert(draw(st.integers(0, len(rels))),
+                    draw(monomials(names).flatmap(nested)))
     doc = {"q": q, "quotient": "F%d[%s]/(%s)" % (q, ",".join(names), ", ".join(rels))}
     R = draw(st.one_of(st.just(None), st.just("diagonal"),
-                       st.lists(st.one_of(monomials(names), st.text("XYZ^*+-01() ",
-                                                                    max_size=6)),
+                       st.lists(st.one_of(monomials(names), monomials(names).flatmap(nested),
+                                          st.text("XYZ^*+-01() ", max_size=6)),
                                 max_size=2),
                        JUNK))
     if R is not None:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from l2lab import exact, fieldlattice
@@ -12,7 +14,7 @@ from test_fieldlattice_oracle import index_set_I
 
 
 def Q(*ints):
-    return Poly.from_ints(QQ, list(ints))
+    return Poly(QQ, map(Fraction, ints))
 
 
 def pipeline(*ints):

@@ -18,6 +18,7 @@ proper node of the benchmark fields and the golden fields.
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,12 +84,12 @@ def _random_polynomial(rng):
     and q quadratic, which has a subfield whenever it is irreducible."""
     if rng.randrange(2):
         d = rng.randrange(2, 6)
-        return Poly.from_ints(QQ, [rng.randrange(-5, 6) for _ in range(d)] + [1])
+        return Poly(QQ, map(Fraction, [rng.randrange(-5, 6) for _ in range(d)] + [1]))
     p = [rng.randrange(-4, 5) for _ in range(rng.choice([2, 3]))] + [1]
-    q = Poly.from_ints(QQ, [rng.randrange(-3, 4), rng.randrange(-2, 3), 1])
-    f = Poly.from_ints(QQ, [0])
+    q = Poly(QQ, map(Fraction, [rng.randrange(-3, 4), rng.randrange(-2, 3), 1]))
+    f = Poly(QQ, [])
     for c in reversed(p):
-        f = f * q + Poly.from_ints(QQ, [c])
+        f = f * q + Poly(QQ, [Fraction(c)])
     return f
 
 

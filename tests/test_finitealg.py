@@ -13,6 +13,8 @@ from l2lab.finitealg import (FiniteAlgebra, Subalgebra, _power_table, conductor,
                              prime_algebra, product_algebra, quotient_algebra,
                              seminormalize, small_field, t_close)
 
+from gfelem import gf
+
 
 F2 = small_field(2)
 F3 = small_field(3)
@@ -49,12 +51,11 @@ def classify_minimal_type(R, S):
 
 
 def first_irreducible(p, n):
-    dom = small_field(p)
     for tail in itertools.product(range(p), repeat=n):
-        f = Poly.from_ints(dom, list(tail) + [1])
-        fac = factor_mod_p(f)
-        if len(fac.factors) == 1 and fac.factors[0][1] == 1:
-            return tuple(c.i for c in f.cs)
+        f = list(tail) + [1]
+        _, factors = factor_mod_p(f, p)
+        if len(factors) == 1 and factors[0][1] == 1:
+            return tuple(f)
 
 
 def gf_tower(p, n):
@@ -64,24 +65,25 @@ def gf_tower(p, n):
 
 def copointwise_model(F):
     S = quotient_algebra(F, ["X", "Y"],
-                         [{(2, 0): F.one}, {(1, 1): F.one}, {(0, 2): F.one}])
+                         [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}])
     return prime_algebra(S), S
 
 
 def spir_model():
     # R = F2[t]/(t^2) inside S = R[Y]/(Y^2 - Y)
     S = quotient_algebra(F2, ["t", "y"],
-                         [{(2, 0): F2.one}, {(0, 2): F2.one, (0, 1): F2.one}])
+                         [{(2, 0): 1}, {(0, 2): 1, (0, 1): 1}])
     R = Subalgebra.from_generators(S, [S.basis_vector(S.names.index("t"))])
     return R, S
 
 
 def test_small_field_f4_arithmetic():
-    u = F4.element(2)
-    assert u * u == u + F4.one          # u^2 = u + 1
-    assert u ** 3 == F4.one
-    for a in F4.elems:
-        for b in F4.elems:
+    G4 = gf(4)
+    u = G4.element(2)
+    assert u * u == u + G4.one          # u^2 = u + 1
+    assert u ** 3 == G4.one
+    for a in G4.elems:
+        for b in G4.elems:
             assert a * b == b * a
             if b:
                 assert (a / b) * b == a
@@ -90,9 +92,10 @@ def test_small_field_f4_arithmetic():
 def test_small_field_f9():
     F9 = small_field(9)
     assert F9.q == 9 and F9.p == 3 and F9.k == 2
-    nonzero = [a for a in F9.elems if a]
+    G9 = gf(9)
+    nonzero = [a for a in G9.elems if a]
     for a in nonzero:
-        assert a ** 8 == F9.one
+        assert a ** 8 == G9.one
 
 
 @pytest.mark.parametrize("p,kmax", [(2, 7), (3, 4), (5, 3), (7, 2)])
@@ -100,14 +103,14 @@ def test_small_field_modulus_matches_factoring_oracle(p, kmax, monkeypatch):
     monkeypatch.setenv("L2LAB_CAP", str((p ** kmax) ** 2))
     for k in range(2, kmax + 1):
         expect = first_irreducible(p, k)
-        F = small_field(p ** k)
+        F = gf(p ** k)
         u = F.elems[p]          # the residue of W in F_p[W]/(m)
         assert sum((F.elems[c] * u ** t for t, c in enumerate(expect[:k])),
                    u ** k) == F.zero
 
 
 def test_prime_field_axioms():
-    F7 = small_field(7)
+    F7 = gf(7)
     elems = F7.elems
     for a in elems:
         for b in elems:
@@ -174,19 +177,21 @@ def lex_least_irreducible(F, k):
     """The first monic f = c_0 + ... + c_(k-1) X^(k-1) + X^k with c_0 != 0,
     in the lexicographic order of (c_0, ..., c_(k-1)), that passes
     ``rabin_irreducible``, as coefficient indices."""
+    G = gf(F.q)
     for tail in itertools.product(range(F.q), repeat=k):
         if tail[0] == 0:
             continue
-        f = Poly(F, [F.element(c) for c in tail] + [F.one])
-        if rabin_irreducible(f, F):
+        f = Poly(G, [G.element(c) for c in tail] + [G.one])
+        if rabin_irreducible(f, G):
             return tuple(c.i for c in f.cs)
 
 
 def poly_power_table(F, m):
     """Entry (i, j): the coefficient indices of X^(i+j) mod m, on Poly."""
-    f = Poly(F, [F.elems[c] for c in m])
+    G = gf(F.q)
+    f = Poly(G, [G.elems[c] for c in m])
     k = f.degree
-    powers = [_pow_mod(Poly.x(F), t, f) for t in range(2 * k - 1)]
+    powers = [_pow_mod(Poly.x(G), t, f) for t in range(2 * k - 1)]
     return [[tuple(powers[i + j].coeff(t).i for t in range(k)) for j in range(k)]
             for i in range(k)]
 
@@ -217,6 +222,15 @@ def test_power_table_of_reducible_moduli():
                 assert _power_table(F, m) == poly_power_table(F, m), (F, m)
 
 
+def test_small_field_elements_are_indices():
+    # no object form of an element: only the tables on range(q)
+    for q in (2, 4, 9):
+        F = small_field(q)
+        for name in ("elems", "zero", "one", "from_int", "element"):
+            assert not hasattr(F, name), (q, name)
+        assert len(F.add_t) == len(F.mul_t) == len(F.neg_t) == len(F.inv_t) == q
+
+
 def test_small_field_rejects_non_prime_power():
     for q in (6, 12, 1):
         with pytest.raises(ValueError, match="%d is not a prime power" % q):
@@ -229,7 +243,7 @@ def test_maximal_ideals_product_of_fields():
 
 
 def test_maximal_ideals_local():
-    S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
+    S = quotient_algebra(F2, ["X"], [{(2,): 1}])
     ms = maximal_ideals(whole_algebra(S))
     assert len(ms) == 1 and ms[0].dim == 1
 
@@ -288,7 +302,7 @@ def test_classify_minimal_types_semisimple(build, expected):
 
 
 def test_classify_minimal_ramified():
-    S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
+    S = quotient_algebra(F2, ["X"], [{(2,): 1}])
     assert classify_minimal_type(prime_algebra(S), S) == "ramified"
 
 
@@ -298,7 +312,7 @@ def test_classify_not_minimal():
 
 
 def test_seminormalize_ramified_goes_up():
-    S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
+    S = quotient_algebra(F2, ["X"], [{(2,): 1}])
     assert seminormalize(prime_algebra(S), whole_algebra(S)).is_whole()
 
 
@@ -350,7 +364,7 @@ def test_enumerate_copointwise_counts():
 
 
 def test_enumerate_y_cubed():
-    S = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
+    S = quotient_algebra(F2, ["Y"], [{(3,): 1}])
     R = prime_algebra(S)
     lat = enumerate_subalgebras(R, S)
     assert len(lat) == 3 and lat.length == 2
@@ -372,7 +386,7 @@ def test_enumerate_towers_divisor_lattice():
 
 def test_quotient_algebra_names_and_dim():
     S = quotient_algebra(F2, ["t", "y"],
-                         [{(2, 0): F2.one}, {(0, 2): F2.one, (0, 1): F2.one}])
+                         [{(2, 0): 1}, {(0, 2): 1, (0, 1): 1}])
     assert S.dim == 4
     assert set(S.names) == {"1", "t", "y", "t*y"}
 
@@ -380,19 +394,19 @@ def test_quotient_algebra_names_and_dim():
 def test_quotient_algebra_buchberger_reduction():
     # relations t^2, t*y^2, t*y + y^2, y^3 collapse to a 4-dim algebra
     S = quotient_algebra(F2, ["t", "y"],
-                         [{(2, 0): F2.one}, {(1, 2): F2.one},
-                          {(1, 1): F2.one, (0, 2): F2.one}, {(0, 3): F2.one}])
+                         [{(2, 0): 1}, {(1, 2): 1},
+                          {(1, 1): 1, (0, 2): 1}, {(0, 3): 1}])
     assert S.dim == 4
 
 
 def test_quotient_algebra_inconsistent():
     with pytest.raises(ValueError, match="inconsistent"):
-        quotient_algebra(F2, ["X"], [{(0,): F2.one}])
+        quotient_algebra(F2, ["X"], [{(0,): 1}])
 
 
 def test_quotient_algebra_infinite():
     with pytest.raises(ValueError, match="finite"):
-        quotient_algebra(F2, ["X", "Y"], [{(2, 0): F2.one}])
+        quotient_algebra(F2, ["X", "Y"], [{(2, 0): 1}])
 
 
 def test_product_algebra_over_prime_power_base():
@@ -410,7 +424,7 @@ def test_caps_respected(monkeypatch):
 
 def test_subalgebra_rejects_non_closed():
     # span{1, y} in F2[Y]/(Y^3) misses y^2; span{1, y^2} is closed
-    S3 = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
+    S3 = quotient_algebra(F2, ["Y"], [{(3,): 1}])
     y, y2 = S3.basis_vector(1), S3.basis_vector(2)
     assert not Subalgebra(S3, [S3.unit, y]).is_closed()
     assert Subalgebra(S3, [S3.unit, y2]).is_closed()
@@ -513,7 +527,7 @@ def test_minimal_type_checks_the_inert_residue_field_grows(monkeypatch):
 
 
 def test_minimal_type_checks_the_ramified_square(monkeypatch):
-    S = quotient_algebra(F2, ["X"], [{(2,): F2.one}])
+    S = quotient_algebra(F2, ["X"], [{(2,): 1}])
     lo, hi = _pair(S)
     assert finitealg._minimal_type_of_pair(lo, hi) == "ramified"
     monkeypatch.setattr(finitealg, "maximal_ideals_over", lambda T, I: [conductor(hi, hi)])
@@ -524,7 +538,7 @@ def test_minimal_type_checks_the_ramified_square(monkeypatch):
 def test_minimal_type_checks_the_ramified_residue_map(monkeypatch):
     # F2 + F2 x^2 < F2[X]/(X^3) is ramified at M = (x^2), N = (x, x^2);
     # the zero ideal in N's place squares into M but has the wrong size
-    S = quotient_algebra(F2, ["X"], [{(3,): F2.one}])
+    S = quotient_algebra(F2, ["X"], [{(3,): 1}])
     lo, hi = _pair(S, [S.basis_vector(2)])
     assert finitealg._minimal_type_of_pair(lo, hi) == "ramified"
     zero = maximal_ideals(prime_algebra(S))[0]
@@ -538,8 +552,8 @@ def test_minimal_type_checks_the_ramified_residue_map(monkeypatch):
 def test_minimal_type_checks_the_ramified_degree(monkeypatch):
     # F2 < F2[X,Y]/(X^2, XY, Y^2) has length 2; taken for minimal, its
     # conductor 0 and N = (x, y) pass every check but [S/M : R/M] = 3
-    S = quotient_algebra(F2, ["X", "Y"], [{(2, 0): F2.one}, {(1, 1): F2.one},
-                                          {(0, 2): F2.one}])
+    S = quotient_algebra(F2, ["X", "Y"], [{(2, 0): 1}, {(1, 1): 1},
+                                          {(0, 2): 1}])
     assert classify_minimal_type(prime_algebra(S), S) == "not-minimal"
     monkeypatch.setattr(finitealg, "enumerate_subalgebras",
                         lambda R, S: from_edges([R, whole_algebra(S)], [0b10, 0]))
@@ -550,7 +564,7 @@ def test_minimal_type_checks_the_ramified_degree(monkeypatch):
 def test_closure_span_checks_the_span_is_a_subalgebra(monkeypatch):
     # F2 < F2[Y]/(Y^3): with only y taken for the nilradical, the
     # seminormalization's span {1, y} misses y^2
-    S = quotient_algebra(F2, ["Y"], [{(3,): F2.one}])
+    S = quotient_algebra(F2, ["Y"], [{(3,): 1}])
     R, T = prime_algebra(S), whole_algebra(S)
     assert seminormalize(R, T).is_whole()
     y = S.basis_vector(S.names.index("Y"))

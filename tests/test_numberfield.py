@@ -31,7 +31,7 @@ def subfield_generated(L, gens):
 
 
 def Q(*ints):
-    return Poly.from_ints(QQ, list(ints))
+    return Poly(QQ, map(Fraction, ints))
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from l2lab.algdoc import parse_relation
 from l2lab.errors import ParseError
 from l2lab.finitealg import small_field
-from l2lab.parsing import MAX_POWER, parse_algebra, parse_polynomial
+from l2lab.parsing import MAX_NESTING, MAX_POWER, parse_algebra, parse_polynomial
 from l2lab.poly import QQ, Poly
 from l2lab.numberfield import poly_str
 from l2lab.report import (algebra_report, field_report, lattice_to_dot,
@@ -15,7 +15,7 @@ from l2lab.report import (algebra_report, field_report, lattice_to_dot,
 
 
 def Q(*ints):
-    return Poly.from_ints(QQ, list(ints))
+    return Poly(QQ, map(Fraction, ints))
 
 
 # --- polynomial parser ------------------------------------------------------
@@ -66,11 +66,52 @@ def test_power_limit():
     assert len(parse_relation("(X*Y)^%d" % (MAX_POWER // 2), F, ["X", "Y"])) == 1
 
 
+def test_nesting_limit():
+    n = MAX_NESTING
+    F = small_field(3)
+    for deep, value in [("(" * n + "X" + ")" * n, Q(0, 1)),
+                        ("-" * n + "X", Q(0, 1)),
+                        ("-(" * (n // 2) + "X + 1" + ")" * (n // 2), Q(1, 1)),
+                        ("X^2" + "-" * (n + 1) + "2", Q(-2, 0, 1))]:
+        assert parse_polynomial(deep) == value
+        assert parse_relation(deep.replace("X", "Y"), F, ["Y"]) == \
+            {(e,): int(c) % 3 for e, c in enumerate(value.cs) if c % 3}
+    # one level more: the error names the position of the sign or
+    # parenthesis that goes past the limit
+    for deeper, pos in [("(" * (n + 1) + "X" + ")" * (n + 1), n),
+                        ("-" * (n + 1) + "X", n),
+                        ("X^2" + "-" * (n + 2) + "2", n + 4),
+                        ("1 + " + "-(" * 60 + "X" + ")" * 60, 4 + n)]:
+        message = "nesting too deep at position %d: parentheses and unary signs " \
+                  "nest at most %d levels" % (pos, n)
+        with pytest.raises(ParseError, match="^%s$" % message):
+            parse_polynomial(deeper)
+        with pytest.raises(ParseError, match="^%s$" % message):
+            parse_relation(deeper, F, ["X"])
+    # the depth is of nesting, not of the count of parentheses
+    wide = " + ".join(["(X)"] * (2 * n))
+    assert parse_polynomial(wide) == Q(0, 2 * n)
+
+
 # --- algebra documents -------------------------------------------------------
 
 def test_parse_algebra_quotient():
     S, R = parse_algebra({"q": 2, "quotient": "F2[X,Y]/(X^2, X*Y, Y^2)", "R": "[1]"})
     assert S.dim == 3 and R.dim == 1
+
+
+def test_product_generator_u_is_one_in_a_degree_one_factor():
+    # in a factor F_q (degree 1) u is that factor's unit, not the root -1
+    # of its modulus W + 1: (u+1, 0) is (2, 0), so R = F3 x F3, not F3
+    def R_of(gen):
+        return parse_algebra({"q": 3, "product": ["F3", "F9"], "R": [gen]})[1]
+    assert R_of("(u+1,0)").basis == R_of("(2,0)").basis
+    assert R_of("(u+1,0)").dim == 2 and R_of("(0,0)").dim == 1
+    for e in range(10):
+        assert R_of("(u^%d,0)" % e).basis == R_of("(1,0)").basis
+    # in F9 = F3[u]/(m) u is the generator u2: (0, u) with 1 spans S
+    S, R = parse_algebra({"q": 3, "product": ["F3", "F9"], "R": ["(0,u)"]})
+    assert S.names == ["e1", "e2", "u2"] and R.dim == 3
 
 
 def test_parse_algebra_product_diagonal():

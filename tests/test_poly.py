@@ -11,11 +11,12 @@ import pytest
 from l2lab import caps, intpoly, poly
 from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab.exact import next_prime
-from l2lab.finitealg import small_field
 from l2lab.numberfield import NumberField, make_field
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import (QQ, Poly, factor_mod_p, factor_over_Q,
                         factor_over_number_field, poly_gcd)
+
+from gfelem import gf
 
 
 def shift(f, c):
@@ -29,7 +30,7 @@ def shift(f, c):
 
 
 def Q(*ints):
-    return Poly.from_ints(QQ, list(ints))
+    return Poly(QQ, map(Fraction, ints))
 
 
 # --- gcd and separability -------------------------------------------------
@@ -57,12 +58,12 @@ def test_gcd_both_zero():
 
 def _brute_force_irreducibles(p, maxdeg):
     """All monic irreducibles of degree <= maxdeg over F_p, by trial
-    division against every lower-degree monic polynomial."""
-    dom = small_field(p)
-    by_degree = {0: [Poly.from_ints(dom, [1])]}
+    division against every lower-degree monic polynomial, as ``Poly``
+    over ``gf(p)``, each degree's list in the order of its coefficients."""
+    dom = gf(p)
     monics = {}
     for d in range(1, maxdeg + 1):
-        monics[d] = [Poly.from_ints(dom, list(tail) + [1])
+        monics[d] = [Poly(dom, map(dom.element, list(tail) + [1]))
                      for tail in itertools.product(range(p), repeat=d)]
     irred = {}
     for d in range(1, maxdeg + 1):
@@ -81,31 +82,25 @@ def _brute_force_irreducibles(p, maxdeg):
     return irred
 
 
+def _ints(f):
+    return [c.i for c in f.cs]
+
+
 def test_factor_x2_plus_1_mod_5_exhaustive():
-    dom = small_field(5)
-    f = Poly.from_ints(dom, [1, 0, 1])
     roots = [r for r in range(5) if (r * r + 1) % 5 == 0]
     assert sorted(roots) == [2, 3]
-    fac = factor_mod_p(f)
-    expect = sorted([Poly.from_ints(dom, [5 - r, 1]) for r in roots],
-                    key=lambda g: g.sort_key())
-    assert [g for g, m in fac.factors] == expect
-    assert all(m == 1 for _, m in fac.factors)
+    unit, factors = factor_mod_p([1, 0, 1], 5)
+    assert unit == 1
+    assert factors == sorted(([5 - r, 1], 1) for r in roots)
 
 
 def test_factor_x2_plus_1_mod_3_irreducible():
-    dom = small_field(3)
-    f = Poly.from_ints(dom, [1, 0, 1])
     assert all((r * r + 1) % 3 != 0 for r in range(3))
-    fac = factor_mod_p(f)
-    assert len(fac.factors) == 1 and fac.factors[0] == (f, 1)
+    assert factor_mod_p([1, 0, 1], 3) == (1, [([1, 0, 1], 1)])
 
 
 def test_factor_x_mod_7():
-    dom = small_field(7)
-    f = Poly.x(dom)
-    fac = factor_mod_p(f)
-    assert fac.factors == [(f, 1)]
+    assert factor_mod_p([0, 1], 7) == (1, [([0, 1], 1)])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -113,33 +108,85 @@ def test_factor_mod_p_recovers_known_products(p):
     irred = _brute_force_irreducibles(p, 3)
     pool = irred[1] + irred[2] + irred[3]
     rng = random.Random(p * 101)
+    dom = gf(p)
     for _ in range(12):
         chosen = {}
         for _ in range(rng.randrange(1, 4)):
             g = pool[rng.randrange(len(pool))]
             chosen[g.cs] = (g, chosen.get(g.cs, (g, 0))[1] + rng.randrange(1, 3))
-        f = Poly.from_ints(small_field(p), [1])
+        f = Poly(dom, [dom.one])
         for g, m in chosen.values():
             for _ in range(m):
                 f = f * g
-        fac = factor_mod_p(f)
-        assert fac.expand() == f
-        assert sorted((g.cs, m) for g, m in fac.factors) == \
-            sorted((g.cs, m) for g, m in chosen.values())
+        unit, factors = factor_mod_p(_ints(f), p)
+        product = Poly(dom, [dom.element(unit)])
+        for g, m in factors:
+            for _ in range(m):
+                product = product * Poly(dom, map(dom.element, g))
+        assert product == f
+        assert sorted((tuple(g), m) for g, m in factors) == \
+            sorted((tuple(_ints(g)), m) for g, m in chosen.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_mod_p_matches_the_poly_oracle_up_to_degree_4(p):
+    """Every monic polynomial of degree <= 4 over F_p, and a non-monic
+    multiple of it, against the products of the brute-force irreducibles
+    on ``Poly``: each is reached once, by its own factorization."""
+    irred = _brute_force_irreducibles(p, 4)
+    pool = [g for d in sorted(irred) for g in irred[d]]
+    dom = gf(p)
+    expect = {}
+
+    def extend(start, f, chosen):
+        key = tuple(_ints(f))
+        assert key not in expect
+        expect[key] = [(_ints(pool[k]), chosen.count(k)) for k in sorted(set(chosen))]
+        for k in range(start, len(pool)):
+            if f.degree + pool[k].degree <= 4:
+                extend(k, f * pool[k], chosen + [k])
+
+    extend(0, Poly(dom, [dom.one]), [])
+    assert len(expect) == sum(p ** d for d in range(5))
+    for key, factors in expect.items():
+        assert factor_mod_p(list(key), p) == (1, factors)
+        unit = len(key) % (p - 1) + 1 if p > 2 else 1
+        assert factor_mod_p([unit * c for c in key], p) == (unit, factors)
 
 
 def test_factor_mod_p_pth_power():
-    dom = small_field(2)
-    g = Poly.from_ints(dom, [1, 1])          # X + 1
-    f = g * g * g * g                         # (X+1)^4, derivative 0
-    fac = factor_mod_p(f)
-    assert fac.factors == [(g, 4)]
+    # (X + 1)^4 = X^4 + 1 over F_2, derivative 0
+    assert factor_mod_p([1, 0, 0, 0, 1], 2) == (1, [([1, 1], 4)])
 
 
 def test_factor_mod_p_refuses_non_prime_field():
-    F4 = small_field(4)
-    with pytest.raises(ValueError, match="prime field"):
-        factor_mod_p(Poly.from_ints(F4, [1, 1, 1]))
+    for p in (4, 1, 0, 9):
+        with pytest.raises(ValueError, match="needs a prime p"):
+            factor_mod_p([1, 1, 1], p)
+
+
+def test_factor_mod_p_refuses_zero():
+    for f in ([], [0, 0], [5, 10], [7]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            factor_mod_p(f, 5 if f != [7] else 7)
+
+
+def test_factor_mod_p_reduces_its_input():
+    # coefficients are integers, reduced mod p first; a constant is a unit
+    assert factor_mod_p([-1, 5, 6], 5) == (1, [([1, 1], 1), ([4, 1], 1)])
+    assert factor_mod_p([13], 5) == (3, [])
+
+
+def test_factor_mod_p_checks_its_product(monkeypatch):
+    monkeypatch.setattr(intpoly, "_psplit", lambda ddf, p: [[1, 1]])
+    with pytest.raises(ConsistencyError, match="does not re-multiply"):
+        factor_mod_p([0, 1, 1], 2)            # X (X + 1), split as X + 1
+
+
+def test_factor_mod_p_checks_for_repeated_factors(monkeypatch):
+    monkeypatch.setattr(intpoly, "_psquarefree", lambda f, p: [([0, 1], 1), ([0, 1], 1)])
+    with pytest.raises(ConsistencyError, match="repeated factor"):
+        factor_mod_p([0, 0, 1], 2)            # X^2, given as X * X
 
 
 # --- factorization over Q --------------------------------------------------
@@ -197,7 +244,7 @@ def test_factor_over_Q_refines_mod_good_prime():
     p = 1
     while True:
         p = next_prime(p + rng.randrange(0, 10))
-        dom = small_field(p)
+        dom = gf(p)
         fp = f.map_coeffs(dom, lambda c: dom.from_int(c.numerator)
                           * dom.from_int(c.denominator) ** (p - 2))
         if fp.degree == f.degree and poly_gcd(fp, fp.derivative()).degree == 0:
@@ -497,7 +544,7 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
         scanned = itertools.islice(intpoly._squarefree_primes(G), intpoly._BZ_PRIME_TRIES)
         for p, gp in scanned:
             count = intpoly._factor_count(intpoly._pddf(gp, p))
-            assert count == len(factor_mod_p(Poly.from_ints(small_field(p), G)).factors)
+            assert count == len(factor_mod_p(G, p)[1])
 
 
 # --- Berlekamp-Zassenhaus: linear lifting and the unfiltered subset search --

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from l2lab.poly import QQ, Poly
@@ -8,7 +10,7 @@ from test_numberfield import subfield_generated
 
 
 def Q(*ints):
-    return Poly.from_ints(QQ, list(ints))
+    return Poly(QQ, map(Fraction, ints))
 
 
 @pytest.fixture(scope="module")

@@ -448,7 +448,7 @@ def _random_algebra(rng, maxdims):
     else:
         a = rng.randrange(1, maxdim)
         S = quotient_algebra(F, ["x", "y"],
-                             [{(a, 0): F.one}, {(1, 1): F.one}, {(0, 2): F.one}])
+                             [{(a, 0): 1}, {(1, 1): 1}, {(0, 2): 1}])
     gens = [tuple(rng.randrange(q) for _ in range(S.dim))
             for _ in range(rng.randrange(0, 3))]
     R = Subalgebra.from_generators(S, gens)
@@ -664,17 +664,17 @@ def _random_local_extension(rng):
     maxdim = {2: 7, 3: 5, 4: 4}[q]
     kind = rng.choice([0, 0, 1, 2])
     if kind == 0:
-        S = quotient_algebra(F, ["x"], [{(rng.randrange(3, maxdim + 1),): F.one}])
+        S = quotient_algebra(F, ["x"], [{(rng.randrange(3, maxdim + 1),): 1}])
     elif kind == 1:
         a = rng.randrange(2, maxdim)
         b = rng.randrange(1, maxdim - a + 1)
         S = quotient_algebra(F, ["x", "y"],
-                             [{(a, 0): F.one}, {(1, 1): F.one}, {(0, b + 1): F.one}])
+                             [{(a, 0): 1}, {(1, 1): 1}, {(0, b + 1): 1}])
     else:
         m = modulus(field_extension(F, 2))
         S = quotient_algebra(F, ["u", "x"],
-                             [{(i, 0): F.elems[c] for i, c in enumerate(m) if c},
-                              {(0, rng.randrange(2, maxdim // 2 + 1)): F.one}])
+                             [{(i, 0): c for i, c in enumerate(m) if c},
+                              {(0, rng.randrange(2, maxdim // 2 + 1)): 1}])
     # leaving out x keeps R = S from being the rule (in F_q[x]/(x^n), any
     # element with an x term generates S)
     skip = {"x"} if kind == 0 or rng.randrange(2) else set()

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from l2lab import intpoly
-from l2lab.finitealg import small_field
 from l2lab.numberfield import make_field
 from l2lab.parsing import parse_polynomial
 from l2lab.poly import QQ, Poly, factor_mod_p, factor_over_Q
+
+from gfelem import gf
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.specialpolys import swinnerton_dyer_poly  # noqa: E402
@@ -40,11 +41,11 @@ def _sympy_mod_p(ints, p):
 def _random_mod_p_input(rng, p):
     """A product of random pieces of total degree <= 40, with repeated
     factors and, where it fits, a p-th power."""
-    F = small_field(p)
-    f = Poly.from_ints(F, [rng.randrange(1, p)])
+    F = gf(p)
+    f = Poly(F, [F.element(rng.randrange(1, p))])
     while f.degree < 40:
         d = rng.randrange(1, 7)
-        piece = Poly.from_ints(F, [rng.randrange(p) for _ in range(d)] + [1])
+        piece = Poly(F, map(F.element, [rng.randrange(p) for _ in range(d)] + [1]))
         mult = rng.choice([1, 1, 2, 3, p])
         if f.degree + d * mult > 40:
             break
@@ -64,13 +65,17 @@ def test_factor_mod_p_matches_sympy(p):
         n = rng.randrange(1, 41)
         inputs.append([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
     for ints in inputs:
-        f = Poly.from_ints(small_field(p), ints)
-        if f.degree < 1:
+        f = [c % p for c in ints]
+        while f and not f[-1]:
+            f.pop()
+        if len(f) < 2:
             continue
-        fac = factor_mod_p(f)
-        ours = sorted((tuple(c.i for c in g.cs), m) for g, m in fac.factors)
+        unit, factors = factor_mod_p(ints, p)
+        ours = sorted((tuple(g), m) for g, m in factors)
         assert ours == _sympy_mod_p(ints, p), (p, ints)
-        assert fac.unit == f.lc
+        assert unit == f[-1]
+        assert [g for g, _ in factors] == sorted((g for g, _ in factors),
+                                                 key=lambda g: (len(g), g))
 
 
 def _random_irreducible(rng):
@@ -87,7 +92,7 @@ def test_factor_over_Q_matches_sympy(seed):
     for _ in range(4):
         f = Poly(QQ, [Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))])
         for _ in range(rng.randrange(1, 5)):
-            g = Poly.from_ints(QQ, _random_irreducible(rng))
+            g = Poly(QQ, map(Fraction, _random_irreducible(rng)))
             for _ in range(rng.choice([1, 1, 2])):
                 f = f * g
         _assert_factor_over_Q_matches_sympy(f)
