@@ -6,9 +6,11 @@ Part of the finite-algebra engine: ``parsing.parse_algebra`` loads this
 module on its call, so reading a polynomial never loads the engine.
 Relations and generators are parsed by the polynomial grammar of
 ``parsing``, with multivariate semantics over F_q: {monomial: index}
-dicts, the form the Groebner completion of ``finitealg`` takes.
+dicts, the form the Groebner completion of ``finitealg`` takes.  A
+parse error names the relation or generator it is in.
 """
 
+import json
 import re
 
 from .caps import check_elements
@@ -75,6 +77,15 @@ class _MPolySemantics:
 
 def parse_relation(text, F, varnames):
     return _ExprParser(text, _MPolySemantics(F, varnames)).parse()
+
+
+def _parse_part(text, F, varnames, where):
+    """``parse_relation`` of one part of a document, a parse error
+    prefixed with which part it is and its text."""
+    try:
+        return parse_relation(text, F, varnames)
+    except ParseError as e:
+        raise ParseError("%s %s: %s" % (where, json.dumps(text), e))
 
 
 _QUOTIENT = re.compile(r"^\s*F(\d+)\s*\[([^\]]*)\]\s*/\s*\((.*)\)\s*$", re.S)
@@ -151,7 +162,8 @@ def _algebra_from_quotient(F, q, text):
     if twice:
         raise ParseError("quotient presentation declares generator %s twice" % twice[0])
     rel_texts = _split_top_commas(m.group(3))
-    rels = [parse_relation(t, F, varnames) for t in rel_texts]
+    rels = [_parse_part(t, F, varnames, "relation %d" % i)
+            for i, t in enumerate(rel_texts, 1)]
     try:
         S = quotient_algebra(F, varnames, rels)
     except ValueError as e:
@@ -241,15 +253,15 @@ def _gen_list(spec):
 
 def _subring_from_generators_quotient(S, F, varnames, spec):
     gens = []
-    for text in _gen_list(spec):
-        mp = parse_relation(text, F, varnames)
+    for i, text in enumerate(_gen_list(spec), 1):
+        mp = _parse_part(text, F, varnames, "R generator %d" % i)
         gens.append(S.mp_to_vector(mp))
     return Subalgebra.from_generators(S, gens)
 
 
 def _subring_from_generators_product(S, F, blocks, spec):
     gens = []
-    for text in _gen_list(spec):
+    for i, text in enumerate(_gen_list(spec), 1):
         body = text.strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise ParseError("product-algebra generators are tuples like (1,0) "
@@ -259,8 +271,8 @@ def _subring_from_generators_product(S, F, blocks, spec):
             raise ParseError("generator %r has %d components, product has %d"
                              % (text, len(comps), len(blocks)))
         v = [0] * S.dim
-        for comp, (off, k) in zip(comps, blocks):
-            mp = parse_relation(comp, F, ["u"])
+        for j, (comp, (off, k)) in enumerate(zip(comps, blocks), 1):
+            mp = _parse_part(comp, F, ["u"], "R generator %d component %d" % (i, j))
             for mono, c in mp.items():
                 # the coefficient of u^e, times u^e reduced by the
                 # factor's defining polynomial, added on the factor's

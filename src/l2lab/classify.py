@@ -101,9 +101,13 @@ def module_length_at(a, M, V, W):
 
 def is_locally_minimal(a):
     """R_M < S_M is minimal for every M in MSupp(S/R): the interval
-    [``local_base(a, M)``, S] has two nodes."""
-    return all(len(enumerate_subalgebras(local_base(a, M), a.S)) == 2
-               for M in a.support)
+    [``local_base(a, M)``, S] of the lattice has two nodes, that is,
+    S is the only node above the local base."""
+    lat = a.lattice
+    bases = [local_base(a, M) for M in a.support]
+    if any(T not in lat.nodes for T in bases):
+        raise ConsistencyError("local base is not a node of the lattice")
+    return all(lat.up[lat.nodes.index(T)] == 1 << (len(lat) - 1) for T in bases)
 
 
 def local_base(a, M):

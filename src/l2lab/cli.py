@@ -135,9 +135,22 @@ def _run(args):
     return report_to_text(report)
 
 
+def _parse_args(argv):
+    """The parsed command line; argparse takes ``-2+X^2`` for an option,
+    so a lone unknown argument that starts with one ``-`` is the polynomial."""
+    ap = _build_parser()
+    args, extra = ap.parse_known_args(argv)
+    if (len(extra) == 1 and extra[0].startswith("-") and not extra[0].startswith("--")
+            and args.poly is None):
+        args.poly = extra[0]
+    elif extra:
+        ap.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
+
+
 def main(argv=None):
     try:
-        out = _run(_build_parser().parse_args(argv))
+        out = _run(_parse_args(argv))
     except ParseError as e:
         sys.stderr.write("error: %s\n" % e)
         return 1

@@ -33,7 +33,7 @@ def build_lattice(ps):
     while work:
         cur = work.pop()
         for other in list(seen.values()):
-            span = intersection(cur.span, other.span)
+            span = intersection(cur.basis, other.basis)
             if (len(span), span) not in seen:
                 if len(seen) >= NODE_CAP:
                     raise CapExceeded("lattice exceeds %d nodes" % NODE_CAP)
@@ -42,7 +42,7 @@ def build_lattice(ps):
                 work.append(sub)
     nodes = sorted(seen.values(), key=lambda s: s.key())
     up = [sum(1 << j for j in range(i + 1, len(nodes))
-              if a.dim < nodes[j].dim and nodes[j].span.contains_span(a.span))
+              if a.dim < nodes[j].dim and nodes[j].basis.contains_span(a.basis))
           for i, a in enumerate(nodes)]
     lat = from_edges(nodes, up)
     if ps.E and meet(lat, _node_indices(lat, ps.E)) != 0:

@@ -1,20 +1,24 @@
 """Number fields L = Q[x]/(f) and their subfields as rational subspaces.
 
-Elements are coordinate vectors in the power basis {1, x, ..., x^(n-1)};
-a subfield is stored as the reduced echelon basis of its coordinate
-subspace together with the minimal polynomial of x over it.  Echelon
-bases are canonical (first-nonzero pivoting), so subfield equality is
-plain data equality.
+Elements are coordinate tuples in the power basis {1, x, ..., x^(n-1)},
+multiplied by ``NumberField.mul``; ``NFElement`` wraps a tuple only as
+the coefficient type of a ``Poly`` over L, which is never divided but by
+a monic polynomial, so no element is inverted.  A subfield is the
+reduced echelon basis of its coordinate subspace together with the
+minimal polynomial of x over it.  Echelon bases are canonical
+(first-nonzero pivoting), so subfield equality is plain data equality.
 """
 
 from fractions import Fraction
 
 from . import exact
 from .errors import ConsistencyError
-from .poly import QQ, Poly, factor_over_Q
+from .poly import Poly, factor_over_Q
 
 
 class NFElement:
+    """A coefficient of a ``Poly`` over L: ring operations only."""
+
     __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
@@ -31,30 +35,7 @@ class NFElement:
         return NFElement(self.field, [-a for a in self.coords])
 
     def __mul__(self, other):
-        return self.field._mul(self, other)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def scale(self, q):
-        return NFElement(self.field, [a * q for a in self.coords])
-
-    def inverse(self):
-        if not any(self.coords):
-            raise ZeroDivisionError("inverse of zero")
-        a = Poly(QQ, self.coords)
-        f = self.field.defining
-        # extended Euclid: s*a + t*f = 1
-        r0, r1 = a, f
-        s0, s1 = Poly.const(QQ, Fraction(1)), Poly(QQ, [])
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ConsistencyError("defining polynomial is not irreducible")
-        s = s0.mul_scalar(Fraction(1) / r0.cs[0])
-        return self.field.from_poly(s)
+        return NFElement(self.field, self.field.mul(self.coords, other.coords))
 
     def __eq__(self, other):
         return isinstance(other, NFElement) and self.coords == other.coords
@@ -66,12 +47,13 @@ class NFElement:
         return any(self.coords)
 
     def __repr__(self):
-        return nf_str(self)
+        return nf_str(self.coords)
 
 
-def nf_str(e):
+def nf_str(coords):
+    """The element with coordinate tuple ``coords`` as text in x."""
     terms = []
-    for i, c in enumerate(e.coords):
+    for i, c in enumerate(coords):
         if not c:
             continue
         if i == 0:
@@ -98,8 +80,6 @@ class NumberField:
     def __init__(self, defining):
         self.defining = defining
         self.n = defining.degree
-        self.zero = NFElement(self, (Fraction(0),) * self.n)
-        self.one = NFElement(self, (Fraction(1),) + (Fraction(0),) * (self.n - 1))
         # reduction table: coordinates of x^n, ..., x^(2n-2)
         red = []
         cur = [-c for c in defining.cs[:-1]]
@@ -111,25 +91,17 @@ class NumberField:
                 cur = [a + top * b for a, b in zip(cur, red[0])]
             red.append(tuple(cur))
         self._red = red
-        g = [Fraction(0)] * self.n
-        if self.n > 1:
-            g[1] = Fraction(1)
-        else:
-            g[0] = -defining.cs[0]
-        self._gen = NFElement(self, g)
-        pows = [self.one]
-        for _ in range(self.n):
-            pows.append(pows[-1] * self._gen)
-        self.gen_powers = pows
+        # coordinates of x^0, ..., x^n
+        self.gen_powers = [tuple(Fraction(int(i == k)) for i in range(self.n))
+                           for k in range(self.n)] + red[:1]
+        self.zero = NFElement(self, (Fraction(0),) * self.n)
+        self.one = NFElement(self, self.gen_powers[0])
 
     def gen(self):
-        return self._gen
-
-    def from_int(self, k):
-        return self.one.scale(Fraction(k))
+        return NFElement(self, self.gen_powers[1])
 
     def from_rational(self, q):
-        return self.one.scale(Fraction(q))
+        return NFElement(self, [Fraction(q) * c for c in self.gen_powers[0]])
 
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
@@ -137,34 +109,23 @@ class NumberField:
             raise ValueError("expected %d coordinates" % self.n)
         return NFElement(self, coords)
 
-    def from_poly(self, p):
-        # reduce degree by degree with x^n = -(lower part of f)
-        cs = list(p.cs)
-        while len(cs) > self.n:
-            top = cs.pop()
-            if top:
-                k = len(cs) - self.n
-                for i, b in enumerate(self._red[0]):
-                    cs[k + i] = cs[k + i] + top * b
-        cs += [Fraction(0)] * (self.n - len(cs))
-        return NFElement(self, cs)
-
-    def _mul(self, a, b):
+    def mul(self, u, v):
+        """The product of the elements with coordinate tuples u and v."""
         n = self.n
         prod = [Fraction(0)] * (2 * n - 1)
-        for i, ai in enumerate(a.coords):
-            if not ai:
+        for i, ui in enumerate(u):
+            if not ui:
                 continue
-            for j, bj in enumerate(b.coords):
-                if bj:
-                    prod[i + j] += ai * bj
+            for j, vj in enumerate(v):
+                if vj:
+                    prod[i + j] += ui * vj
         out = prod[:n]
         for k in range(n, 2 * n - 1):
             c = prod[k]
             if c:
                 for i, b in enumerate(self._red[k - n]):
                     out[i] += c * b
-        return NFElement(self, out)
+        return tuple(out)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, NumberField)
@@ -204,14 +165,13 @@ def poly_str(f):
 
 
 def _is_unit_coeff(c, sign):
-    if isinstance(c, NFElement):
-        return c == (c.field.one if sign == 1 else -c.field.one)
-    return c == sign
+    cs = c.coords if isinstance(c, NFElement) else (c,)
+    return cs[0] == sign and not any(cs[1:])
 
 
 def _coeff_str(c):
     if isinstance(c, NFElement):
-        return "(" + nf_str(c) + ")"
+        return "(" + nf_str(c.coords) + ")"
     return str(c)
 
 
@@ -230,39 +190,38 @@ def make_field(f):
 
 
 class Subfield:
-    """An intermediate field k <= K <= L: the Echelon span of its
-    coordinate vectors, the same rows as elements, and the min poly of x."""
+    """An intermediate field k <= K <= L: the Echelon basis of its
+    coordinate vectors and the min poly of x."""
 
-    __slots__ = ("ambient", "span", "basis", "min_poly")
+    __slots__ = ("ambient", "basis", "min_poly")
 
-    def __init__(self, ambient, span, min_poly):
+    def __init__(self, ambient, basis, min_poly):
         self.ambient = ambient
-        self.span = span
-        self.basis = tuple(NFElement(ambient, row) for row in span)
+        self.basis = basis
         self.min_poly = min_poly
 
     @property
     def dim(self):
-        return len(self.span)
+        return len(self.basis)
 
     def key(self):
-        return (self.dim, self.span)
+        return (self.dim, self.basis)
 
     def is_full(self):
         return self.dim == self.ambient.n
 
     def __eq__(self, other):
         return (isinstance(other, Subfield) and self.ambient == other.ambient
-                and self.span == other.span)
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash(self.span)
+        return hash(self.basis)
 
     def __repr__(self):
         return "Subfield(dim %d: %s)" % (self.dim, ", ".join(nf_str(b) for b in self.basis))
 
     def describe(self):
-        gens = [nf_str(b) for b in self.basis if b.coords != self.ambient.one.coords]
+        gens = [nf_str(b) for b in self.basis if b != self.ambient.one.coords]
         if self.is_full():
             return "L"
         if not gens:
@@ -273,10 +232,10 @@ class Subfield:
 def _check_subspace_is_subfield(L, span):
     if not span.contains(L.one.coords):
         raise ConsistencyError("subspace does not contain 1")
-    basis = [NFElement(L, row) for row in span]
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            if not span.contains((basis[i] * basis[j]).coords):
+    rows = list(span)
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            if not span.contains(L.mul(rows[i], rows[j])):
                 raise ConsistencyError("subspace is not closed under multiplication")
 
 
@@ -310,10 +269,9 @@ def min_poly_over_basis(L, span):
     if n % k:
         raise ConsistencyError("deg(f_K) * dim(K) != n")
     d = n // k
-    basis = [NFElement(L, row) for row in span]
     pows = L.gen_powers
-    cols = [(b * pows[i]).coords for i in range(d) for b in basis]
-    rows = [[col[c] for col in cols] + [pows[d].coords[c]] for c in range(n)]
+    cols = [L.mul(b, pows[i]) for i in range(d) for b in span]
+    rows = [[col[c] for col in cols] + [pows[d][c]] for c in range(n)]
     red, pivots = exact.rref(rows, exact.QQ_OPS)
     if pivots != list(range(n)):
         raise ConsistencyError("deg(f_K) * dim(K) != n")
@@ -329,13 +287,12 @@ def intersect_subfields(A, B):
     """Exact subspace intersection of two subfields of the same field."""
     if A.ambient != B.ambient:
         raise ValueError("subfields of different ambient fields")
-    return subfield_of_span(A.ambient, exact.intersection(A.span, B.span))
+    return subfield_of_span(A.ambient, exact.intersection(A.basis, B.basis))
 
 
 def whole_field(L):
-    span = exact.Echelon([[Fraction(1 if i == j else 0) for i in range(L.n)]
-                          for j in range(L.n)], exact.QQ_OPS)
-    return Subfield(L, span, Poly(L, [-L.gen(), L.one]))
+    return Subfield(L, exact.Echelon(L.gen_powers[:L.n], exact.QQ_OPS),
+                    Poly(L, [-L.gen(), L.one]))
 
 
 def prime_subfield(L):

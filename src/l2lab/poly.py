@@ -10,10 +10,10 @@ field).  The factorization entry points are:
                              modular factorization, quadratic Hensel
                              lifting, subset recombination behind a trace
                              pre-test) over the rationals,
-* ``factor_over_number_field`` -- Trager's norm method over Q[x]/(f), for
-                             polynomials with rational coefficients; the
-                             norm is a composed sum of integer power sums,
-                             and each gcd over L is taken modulo primes.
+* ``factor_over_number_field`` -- Trager's norm method: a polynomial
+                             over Q factored over L = Q[x]/(f); the norm
+                             is a composed sum of integer power sums, and
+                             each gcd over L is taken modulo primes.
 
 Each entry point converts its input to integer coefficient lists and
 runs the modular work in ``intpoly``, which it imports on its first
@@ -23,7 +23,9 @@ F_(q^k) on structure constants.
 
 A factorization over Q or F_p is re-multiplied and compared with its
 input, and over L the modular gcd's product is that comparison; a
-mismatch raises ``ConsistencyError``.
+mismatch raises ``ConsistencyError``.  Every gcd and every squarefree
+test runs over Q; a ``Poly`` over L is only ever divided by a monic
+polynomial, so no element of L is inverted.
 """
 
 from fractions import Fraction
@@ -288,36 +290,35 @@ def factor_over_Q(f):
 
 
 def factor_over_number_field(f, L):
-    """Factor a squarefree f in L[X] into monic irreducibles over L.
+    """Factor a squarefree f in Q[X] into monic irreducibles over L.
 
-    f of degree at least 2 must have rational coefficients.  The factors
-    are not multiplied out again: the modular gcd's product is monic f.
+    The factors are not multiplied out again: the modular gcd's product
+    is monic f, and the unit is f's leading coefficient in L.
     """
+    if f.dom is not QQ:
+        raise ValueError("factor_over_number_field requires rational coefficients")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree >= 1:
-        g = poly_gcd(f, f.derivative())
-        if g.degree != 0:
-            raise ValueError("squarefree required")
-    unit = f.lc if f.cs else L.one
+    from .intpoly import _gcds_over_L, _norm_with_shift
     fm = f.monic()
-    if f.degree <= 1:
-        facs = [(fm, 1)] if f.degree == 1 else []
-        return Factorization(L, unit, facs)
-    if any(any(c.coords[1:]) for c in fm.cs):
-        raise ValueError("factoring over a number field requires rational "
-                         "coefficients from degree 2 on")
+    if not _squarefree(fm):
+        raise ValueError("squarefree required")
     check_norm_degree(L.n * f.degree)
-    from .intpoly import _certified_squarefree, _gcds_over_L, _norm_with_shift
-    fq = Poly(QQ, [c.coords[0] for c in fm.cs])
     # For f = fL the shift-0 norm is fL^n, and the shift-1 norm has the
     # roots x_i + x_j = x_j + x_i, repeated: neither is squarefree.
-    s = 2 if fq == L.defining else 0
+    s = 2 if fm == L.defining else 0
     while True:
-        N = _norm_with_shift(fq, L, s)
-        if _certified_squarefree(N) or poly_gcd(N, N.derivative()).degree == 0:
+        N = _norm_with_shift(fm, L, s)
+        if _squarefree(N):
             break
         s += 1
     norms = [Ni for Ni, _ in factor_over_Q(N).factors]
-    hs = _gcds_over_L(fq, norms, s, L)
-    return Factorization(L, unit, [(h, 1) for h in hs])
+    hs = _gcds_over_L(fm, norms, s, L)
+    return Factorization(L, L.from_rational(f.lc), [(h, 1) for h in hs])
+
+
+def _squarefree(g):
+    """Whether monic g in Q[X] is squarefree: a prime certifies it, or
+    the exact gcd with g' decides."""
+    from .intpoly import _certified_squarefree
+    return _certified_squarefree(g) or poly_gcd(g, g.derivative()).degree == 0

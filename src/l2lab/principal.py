@@ -10,7 +10,7 @@ intersection of the deduplicated principal subfields E_1, ..., E_t.
 
 from . import exact
 from .errors import ConsistencyError
-from .numberfield import subfield_from_subspace
+from .numberfield import NFElement, subfield_from_subspace
 from .poly import Poly, factor_over_number_field
 
 
@@ -21,21 +21,13 @@ class FactorSystem:
     def __init__(self, field):
         self.field = field
         self.defining = field.defining
-        f_over_L = self.defining.map_coeffs(field, field.from_rational)
-        fac = factor_over_number_field(f_over_L, field)
+        fac = factor_over_number_field(self.defining, field)
+        if any(mult != 1 for _, mult in fac.factors):
+            raise ConsistencyError("defining polynomial not squarefree over L")
         xlin = Poly(field, [-field.gen(), field.one])
-        rest = []
-        found = False
-        for g, mult in fac.factors:
-            if mult != 1:
-                raise ConsistencyError("defining polynomial not squarefree over L")
-            if g == xlin:
-                found = True
-            else:
-                rest.append(g)
-        if not found:
+        self.factors = [g for g, _ in fac.factors if g != xlin]
+        if len(self.factors) == len(fac.factors):
             raise ConsistencyError("factor X - x missing from factorization over L")
-        self.factors = rest
 
     @property
     def r(self):
@@ -47,24 +39,19 @@ def principal_subfield_of_factor(L, f_alpha):
 
     Since {1, x, ..., x^(n-1)} is the power basis, the coefficient vector
     of g equals the coordinate vector of g(x); the subfield is literally
-    the kernel of the map g |-> (g(X) - g(x)) mod f_alpha.
+    the kernel of the map g |-> (g(X) - g(x)) mod f_alpha, f_alpha monic.
     """
     n = L.n
-    f_over_L = L.defining.map_coeffs(L, L.from_rational)
-    if not f_alpha.divides(f_over_L):
+    if f_alpha.lc != L.one:
+        raise ValueError("factor must be monic")
+    if not f_alpha.divides(L.defining.map_coeffs(L, L.from_rational)):
         raise ValueError("not a factor")
     if not f_alpha.evaluate(L.gen()):
         raise ValueError("factor vanishes at x; use a factor other than X - x")
-    d = f_alpha.degree
-    rems = []
-    for j in range(n):
-        xj = Poly(L, [L.zero] * j + [L.one])
-        rem = (xj - Poly.const(L, L.gen_powers[j])) % f_alpha
-        rems.append(rem)
-    rows = []
-    for t in range(d):
-        for c in range(n):
-            rows.append([rems[j].coeff(t).coords[c] for j in range(n)])
+    rems = [(Poly(L, [L.zero] * j + [L.one]) - Poly.const(L, NFElement(L, L.gen_powers[j])))
+            % f_alpha for j in range(n)]
+    rows = [[rem.coeff(t).coords[c] for rem in rems]
+            for t in range(f_alpha.degree) for c in range(n)]
     return subfield_from_subspace(L, exact.kernel(rows, n, exact.QQ_OPS))
 
 

@@ -103,6 +103,53 @@ def test_usage_error_exit_code_1_in_a_process():
     assert proc.stderr == "error: l2lab: unrecognized arguments: --bogus\n"
 
 
+@pytest.mark.parametrize("argv", [["length", "-2+X^2", "--json"],
+                                  ["length", "--json", "-2+X^2"],
+                                  ["classify", "--json", "-2+X^2"]],
+                         ids=["before", "after", "classify"])
+def test_polynomial_may_start_with_a_minus(capsys, argv):
+    # argparse takes "-2+X^2" for an option; a lone one is the polynomial
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, expected, _ = run(capsys, argv[0], "--json", "X^2-2")
+    got, want = json.loads(out), json.loads(expected)
+    assert got.pop("input") == "-2+X^2" and want.pop("input") == "X^2-2"
+    got.pop("timing_ms", None)
+    want.pop("timing_ms", None)
+    assert got == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["length", "--bogus"], "unrecognized arguments: --bogus"),
+    (["length", "-2+X^2", "X^2-2"], "unrecognized arguments: -2+X^2"),
+    (["length", "-2+X^2", "--bogus"], "unrecognized arguments: -2+X^2 --bogus"),
+], ids=["option", "second-polynomial", "with-option"])
+def test_minus_argument_is_the_polynomial_only_when_lone(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err == "error: l2lab: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["length", "-h"], ["length", "-h", "-2+X^2"]])
+def test_short_help_still_prints_help(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert "usage: l2lab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"q": 2, "quotient": "F2[X,Y]/(X^2, Y^2, X*Y + $)"},
+     'relation 3 "X*Y + $": syntax error at position 6: unexpected \'$\''),
+    ({"q": 2, "quotient": "F2[X]/(X^3)", "R": ["X^2", "X + Z"]},
+     "R generator 2 \"X + Z\": syntax error at position 4: unknown generator 'Z'"),
+    ({"q": 2, "product": ["F4", "F4"], "R": ["(u, u + $)"]},
+     'R generator 1 component 2 "u + $": syntax error at position 4: unexpected \'$\''),
+], ids=["relation", "quotient-generator", "product-component"])
+def test_parse_error_names_its_part_of_the_document(tmp_path, capsys, doc, message):
+    code, out, err = run(capsys, "length", "--algebra", _doc(tmp_path, doc))
+    assert (code, out) == (1, "") and err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["lattice", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_:

@@ -140,12 +140,12 @@ def test_edges_match_oracles_on_random_algebras():
 def test_field_lattice_matches_pairwise_builder(ident, f):
     ps = compute_principal_subfields(make_field(parse_polynomial(f)))
     lat = build_lattice(ps)
-    assert_same_lattice(lat, hasse_by_pairs(lat.nodes, lambda b, a: b.span.contains_span(a.span)))
+    assert_same_lattice(lat, hasse_by_pairs(lat.nodes, lambda b, a: b.basis.contains_span(a.basis)))
 
 
 def test_local_lattices_match_pairwise_builder():
-    """The lattice that ``is_locally_minimal`` enumerates at each point of
-    a two-element support, and its bottom's points."""
+    """The lattice of a two-element support, whose intervals
+    ``is_locally_minimal`` reads, and its bottom's points."""
     S, R = parse_algebra({"q": 2, "product": ["F4", "F4"], "R": ["(1,0)"]})
     lat = enumerate_subalgebras(R, S)
     assert_same_lattice(lat, hasse_by_pairs(lat.nodes, Subalgebra.contains_sub))

@@ -3,13 +3,15 @@ field-side fact is computed once.
 
 Every kept check of the field path is made to fail by patching one of
 its inputs, and must reach the command line as a ``ConsistencyError``
-with exit code 3.  The spies count the divisions over L, the subfields
-built from spans and the span intersections of a pass over the benchmark
-fields (the order facts come from the lattice's up-sets), and the
-products over L per ``FactorSystem``.
+with exit code 3.  The spies check that every divisor over L is monic,
+and count the divisions over L, the subfields built from spans and the
+span intersections of a pass over the benchmark fields (the order facts
+come from the lattice's up-sets), and the products over L per
+``FactorSystem``.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
 FIELDS = [f for _, f, _, _ in corpus.FIELDS]
+PHI11 = "+".join("X^%d" % i for i in range(10, 0, -1)) + "+1"
 BIQUADRATIC = "X^4-10*X^2+1"       # t = 3, k not among the E_beta
 
 
@@ -93,8 +96,7 @@ def test_subfield_dimension_divides_the_degree(monkeypatch, capsys):
 
     def three_dimensional(L, f_alpha):
         monkeypatch.setattr(exact, "rref", counted_rref)
-        return numberfield.subfield_from_subspace(L, [L.gen_powers[1].coords,
-                                                      L.gen_powers[2].coords])
+        return numberfield.subfield_from_subspace(L, L.gen_powers[1:3])
 
     monkeypatch.setattr(numberfield, "_check_subspace_is_subfield", lambda L, span: None)
     monkeypatch.setattr(principal, "principal_subfield_of_factor", three_dimensional)
@@ -135,8 +137,102 @@ def test_predicted_count_is_checked(monkeypatch, capsys):
     assert code == 3 and "predicted 6 != observed 5" in err
 
 
+def test_factors_over_L_are_squarefree(monkeypatch, capsys):
+    factor = principal.factor_over_number_field
+
+    def with_a_square(f, L):
+        fac = factor(f, L)
+        g, _ = fac.factors[0]
+        return Factorization(L, fac.unit, [(g, 2)] + fac.factors[1:])
+
+    monkeypatch.setattr(principal, "factor_over_number_field", with_a_square)
+    code, err = failure(capsys, "X^4-2")
+    assert code == 3 and "defining polynomial not squarefree over L" in err
+
+
+def test_subfield_contains_1(monkeypatch, capsys):
+    # every meet of two subfields comes out as span{x}
+    def span_of_x(A, B):
+        x = [Fraction(int(i == 1)) for i in range(len(A[0]))]
+        return exact.Echelon([x], exact.QQ_OPS)
+
+    monkeypatch.setattr(fieldlattice, "intersection", span_of_x)
+    code, err = failure(capsys, BIQUADRATIC)
+    assert code == 3 and "subspace does not contain 1" in err
+
+
+def test_subfield_is_closed_under_multiplication(monkeypatch, capsys):
+    # the kernel of each principal subfield's map comes out as span{x},
+    # and span{1, x} of Q(2^(1/4)) does not hold x^2
+    monkeypatch.setattr(exact, "kernel", lambda rows, n, ops: [
+        [Fraction(int(i == 1)) for i in range(n)]])
+    code, err = failure(capsys, "X^4-2")
+    assert code == 3 and "subspace is not closed under multiplication" in err
+
+
+def test_minimal_polynomial_kills_x(monkeypatch, capsys):
+    # L's table of powers has x^n one off, so the minimal polynomial of x
+    # over k, solved from it, does not vanish at x
+    init = NumberField.__init__
+
+    def wrong_top_power(self, defining):
+        init(self, defining)
+        self.gen_powers[-1] = tuple(c + (i == 0) for i, c in enumerate(self.gen_powers[-1]))
+
+    monkeypatch.setattr(NumberField, "__init__", wrong_top_power)
+    code, err = failure(capsys, "X^4-2")
+    assert code == 3 and "minimal polynomial does not kill x" in err
+
+
+def test_t_is_1_iff_two_nodes(monkeypatch, capsys):
+    # Q(2^(1/3)) is minimal, t = 1; the principal subfield set lists its
+    # one E_beta twice
+    real = principal.PrincipalSubfieldSet
+    monkeypatch.setattr(principal, "PrincipalSubfieldSet",
+                        lambda system, E, phi, gamma: real(system, E + E, phi, gamma))
+    code, err = failure(capsys, "X^3-2")
+    assert code == 3 and "t = 1 disagrees with the two-node lattice test" in err
+
+
+def test_length_two_predicate_matches_chain_length(monkeypatch, capsys):
+    # the biquadratic lattice is built with its longest chain one too long
+    from_edges = fieldlattice.from_edges
+
+    def one_too_long(nodes, gen):
+        lat = from_edges(nodes, gen)
+        lat.length += 1
+        return lat
+
+    monkeypatch.setattr(fieldlattice, "from_edges", one_too_long)
+    code, err = failure(capsys, BIQUADRATIC)
+    assert code == 3 and "length-2 predicate disagrees with chain length" in err
+
+
+def test_galois_of_two_prime_degree_has_length_2(monkeypatch, capsys):
+    # the cyclic cubic field, of length 1, is given the degree 3 = 3 * 3
+    monkeypatch.setattr(fieldlattice, "prime_factors", lambda n: [n, n])
+    code, err = failure(capsys, "X^3-3*X+1")
+    assert code == 3 and "Galois of two-prime degree must have length 2" in err
+
+
 # ---------------------------------------------------------------------------
 # Each fact once
+
+def test_every_division_over_L_is_by_a_monic(monkeypatch):
+    # no element of L is inverted: each Poly over L is divided only by a
+    # monic polynomial, on the benchmark fields and Phi_11
+    divmod_, divisors = Poly.__divmod__, []
+
+    def spy(a, b):
+        if isinstance(b.dom, NumberField):
+            divisors.append(b)
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Poly, "__divmod__", spy)
+    for f in FIELDS + [PHI11]:
+        report.field_report(parse_polynomial(f), f)
+    assert divisors and all(b.lc == b.dom.one for b in divisors)
+
 
 def test_order_facts_come_from_the_lattice(monkeypatch):
     # Per pass over the benchmark fields, the only divisions over L are

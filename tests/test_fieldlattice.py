@@ -185,12 +185,11 @@ def min_poly_by_search(L, span):
     """The least d for which x^d is a rational combination of the
     b_j * x^i (i < d), found by solving for d = 1, 2, ... in turn."""
     k = len(span)
-    basis = [NFElement(L, row) for row in span]
     cols = []
     for d in range(1, L.n + 1):
-        cols += [(b * L.gen_powers[d - 1]).coords for b in basis]
+        cols += [L.mul(b, L.gen_powers[d - 1]) for b in span]
         rows = [[col[c] for col in cols] for c in range(L.n)]
-        sol = exact.solve(rows, list(L.gen_powers[d].coords), exact.QQ_OPS)
+        sol = exact.solve(rows, list(L.gen_powers[d]), exact.QQ_OPS)
         if sol is not None:
             coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
             return Poly(L, [-c for c in coeffs] + [L.one])
@@ -209,10 +208,10 @@ def test_each_meet_built_once_with_the_searched_min_poly(text, monkeypatch):
 
     monkeypatch.setattr(fieldlattice, "subfield_of_span", spy)
     lat = build_lattice(ps)
-    seeds = {K.span for K in ps.E} | {lat.nodes[0].span, lat.nodes[-1].span}
-    assert sorted(built) == sorted(K.span for K in lat.nodes if K.span not in seeds)
+    seeds = {K.basis for K in ps.E} | {lat.nodes[0].basis, lat.nodes[-1].basis}
+    assert sorted(built) == sorted(K.basis for K in lat.nodes if K.basis not in seeds)
     for K in lat.nodes:
-        assert K.min_poly == min_poly_by_search(ps.field, K.span)
+        assert K.min_poly == min_poly_by_search(ps.field, K.basis)
 
 
 def test_min_poly_refuses_a_span_that_is_no_subfield(quartic):

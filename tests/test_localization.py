@@ -8,7 +8,9 @@ the images of R's basis.  On every input with a two-element support among
 the golden named and random inputs, two more documents and seeded
 random products of fields, the two lattices must have the same size and
 length, and ``is_locally_minimal`` must agree with the oracle's
-minimality.
+minimality.  ``is_locally_minimal`` reads each interval off the lattice
+of [R, S]; enumerating [R + (1-e)S, S] anew is its oracle, and the
+analysis enumerates once.
 """
 
 import json
@@ -16,11 +18,13 @@ import random
 
 import pytest
 
-from l2lab.classify import analyze_extension, is_locally_minimal, local_base
+from l2lab import classify
+from l2lab.classify import (analyze_extension, classify_extension, is_locally_minimal,
+                            local_base)
 from l2lab.errors import ConsistencyError
 from l2lab.finitealg import (Subalgebra, algebra_on_subspace, conductor,
-                             enumerate_subalgebras, msupp, primitive_idempotents,
-                             product_algebra, small_field)
+                             enumerate_subalgebras, msupp, prime_algebra,
+                             primitive_idempotents, product_algebra, small_field)
 from l2lab.parsing import parse_algebra
 from test_finitealg import whole_algebra
 
@@ -96,3 +100,48 @@ def test_interval_matches_localized_algebra(ident, a):
         assert (len(lat), lat.length) == (len(oracle), oracle.length), ident
         minimal.append(len(oracle) == 2)
     assert is_locally_minimal(a) == all(minimal)
+
+
+def locally_minimal_by_enumeration(a):
+    """Whether each [``local_base(a, M)``, S] has two nodes, enumerated
+    anew rather than read off the lattice of [R, S]."""
+    return all(len(enumerate_subalgebras(local_base(a, M), a.S)) == 2 for M in a.support)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_lattice_read_matches_enumeration(seed):
+    # seeded products whose R has two primitive idempotents, so that
+    # each M of the support has one outside it
+    cases = [analyze_extension(R, S) for S, R in _random_products(seed)
+             if len(primitive_idempotents(R)) == 2]
+    assert cases
+    for a in cases:
+        assert is_locally_minimal(a) == locally_minimal_by_enumeration(a)
+
+
+def test_both_verdicts_met():
+    verdicts = {is_locally_minimal(a) for _, a in TWO_SUPPORTS}
+    assert verdicts == {True, False}
+
+
+def test_one_enumeration_per_analysis(monkeypatch):
+    calls = []
+    enumerate_ = classify.enumerate_subalgebras
+
+    def counted(R, S):
+        calls.append(R)
+        return enumerate_(R, S)
+
+    monkeypatch.setattr(classify, "enumerate_subalgebras", counted)
+    for ident, a in TWO_SUPPORTS:
+        del calls[:]
+        classify_extension(analyze_extension(a.R, a.S))
+        assert calls == [a.R], ident
+
+
+def test_local_base_must_be_a_node(monkeypatch):
+    # the prime ring does not contain R, which has two idempotents
+    _, a = TWO_SUPPORTS[0]
+    monkeypatch.setattr(classify, "local_base", lambda a, M: prime_algebra(a.S))
+    with pytest.raises(ConsistencyError, match="local base is not a node of the lattice"):
+        is_locally_minimal(a)

@@ -5,8 +5,27 @@ import pytest
 
 from l2lab import exact
 from l2lab.poly import QQ, Poly
-from l2lab.numberfield import (NFElement, intersect_subfields, make_field, poly_str,
-                               prime_subfield, subfield_of_span, whole_field)
+from l2lab.numberfield import (NFElement, NumberField, Subfield, intersect_subfields,
+                               make_field, poly_str, prime_subfield, subfield_of_span,
+                               whole_field)
+
+
+def nf_inverse(a):
+    """a^(-1) in L = Q[x]/(f), by extended Euclid on a's coordinate
+    polynomial and f: s*a + t*f = 1.  The oracle for the tests that need
+    an inverse; production never divides by an element of L."""
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    L = a.field
+    r0, r1 = Poly(QQ, a.coords), L.defining
+    s0, s1 = Poly.const(QQ, Fraction(1)), Poly(QQ, [])
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    assert r0.degree == 0, "defining polynomial is not irreducible"
+    s = s0.mul_scalar(Fraction(1) / r0.cs[0])
+    return L.element(list(s.cs) + [0] * (L.n - len(s.cs)))
 
 
 def subfield_generated(L, gens):
@@ -18,11 +37,11 @@ def subfield_generated(L, gens):
     """
     span = exact.Echelon([L.one.coords] + [g.coords for g in gens], exact.QQ_OPS)
     while True:
-        basis = [NFElement(L, row) for row in span]
+        rows = list(span)
         prods = list(span)
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                prods.append((basis[i] * basis[j]).coords)
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
+                prods.append(L.mul(rows[i], rows[j]))
         grown = exact.Echelon(prods, exact.QQ_OPS)
         if len(grown) == len(span):
             break
@@ -65,7 +84,7 @@ def test_make_field_degree_six():
 
 def test_nf_mul_sqrt2(L2):
     x = L2.gen()
-    assert x * x == L2.from_int(2)
+    assert x * x == L2.from_rational(2)
 
 
 def test_nf_mul_identity(L4):
@@ -75,7 +94,7 @@ def test_nf_mul_identity(L4):
 
 def test_nf_mul_power_reduction(L4):
     x = L4.gen()
-    assert x * (x * x * x) == L4.from_int(2)
+    assert x * (x * x * x) == L4.from_rational(2)
 
 
 def test_nf_inverse(L4):
@@ -84,7 +103,22 @@ def test_nf_inverse(L4):
         a = L4.element([rng.randrange(-3, 4) for _ in range(4)])
         if not a:
             continue
-        assert a * a.inverse() == L4.one
+        assert a * nf_inverse(a) == L4.one
+
+
+def test_nf_element_is_only_a_coefficient():
+    # L's arithmetic never divides: no element has an inverse
+    assert not hasattr(NFElement, "inverse")
+    assert not hasattr(NFElement, "__truediv__")
+    assert not any(hasattr(NumberField, name) for name in ("from_poly", "from_int", "_mul"))
+    assert "span" not in Subfield.__slots__
+
+
+def test_mul_on_coordinate_tuples(L4):
+    # (1 + x)(1 - x + x^2 - x^3) = 1 - x^4 = -1 in Q[x]/(x^4 - 2)
+    assert L4.mul((1, 1, 0, 0), (1, -1, 1, -1)) == (-1, 0, 0, 0)
+    assert L4.gen_powers == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                             (2, 0, 0, 0)]
 
 
 def test_min_poly_of_sqrt2_subfield(L4):
@@ -130,10 +164,11 @@ def test_intersection_of_distinct_quadratics_is_Q():
     L = make_field(Q(1, 0, -10, 0, 1))
     x = L.gen()
     x3 = x * x * x
-    sqrt2 = (x3 - x.scale(Fraction(9))).scale(Fraction(-1, 2))
-    sqrt3 = (x3 - x.scale(Fraction(11))).scale(Fraction(-1, 2))
-    assert sqrt2 * sqrt2 == L.from_int(2)
-    assert sqrt3 * sqrt3 == L.from_int(3)
+    half = L.from_rational(Fraction(-1, 2))
+    sqrt2 = (x3 - x * L.from_rational(9)) * half
+    sqrt3 = (x3 - x * L.from_rational(11)) * half
+    assert sqrt2 * sqrt2 == L.from_rational(2)
+    assert sqrt3 * sqrt3 == L.from_rational(3)
     A = subfield_generated(L, [sqrt2])
     B = subfield_generated(L, [sqrt3])
     assert A.dim == B.dim == 2 and A != B

@@ -17,6 +17,7 @@ from l2lab.poly import (QQ, Poly, factor_mod_p, factor_over_Q,
                         factor_over_number_field, poly_gcd)
 
 from gfelem import gf
+from test_numberfield import nf_inverse
 
 
 def shift(f, c):
@@ -425,8 +426,7 @@ def test_certificate_holds_on_squarefree_trager_norms(text):
 
 def test_trager_x4_minus_2():
     L = make_field(Q(-2, 0, 0, 0, 1))
-    fL = L.defining.map_coeffs(L, L.from_rational)
-    fac = factor_over_number_field(fL, L)
+    fac = factor_over_number_field(L.defining, L)
     x = L.gen()
     expect = {
         Poly(L, [-x, L.one]).cs,                      # X - x
@@ -434,14 +434,13 @@ def test_trager_x4_minus_2():
         Poly(L, [x * x, L.zero, L.one]).cs,           # X^2 + x^2
     }
     assert {g.cs for g, _ in fac.factors} == expect
-    assert fac.expand() == fL
+    assert fac.expand() == L.defining.map_coeffs(L, L.from_rational)
 
 
 def test_trager_biquadratic_has_inverse_root_factor():
     L = make_field(Q(1, 0, -10, 0, 1))
-    fL = L.defining.map_coeffs(L, L.from_rational)
-    fac = factor_over_number_field(fL, L)
-    xinv = L.gen().inverse()
+    fac = factor_over_number_field(L.defining, L)
+    xinv = nf_inverse(L.gen())
     assert Poly(L, [-xinv, L.one]).cs in {g.cs for g, _ in fac.factors}
     assert sum(g.degree for g, _ in fac.factors) == 4
     assert len(fac.factors) == 4
@@ -449,39 +448,45 @@ def test_trager_biquadratic_has_inverse_root_factor():
 
 def test_trager_linear_input():
     L = make_field(Q(-2, 0, 1))
-    f = Poly(L, [L.gen(), L.one])
-    fac = factor_over_number_field(f, L)
-    assert fac.factors == [(f, 1)]
+    fac = factor_over_number_field(Q(3, 2), L)
+    assert fac.unit == L.from_rational(2)
+    assert fac.factors == [(Poly(L, [L.from_rational(Fraction(3, 2)), L.one]), 1)]
+
+
+def test_trager_constant_input():
+    L = make_field(Q(-2, 0, 1))
+    fac = factor_over_number_field(Q(5), L)
+    assert fac.unit == L.from_rational(5) and fac.factors == []
 
 
 def test_trager_rejects_non_squarefree():
     L = make_field(Q(-2, 0, 1))
-    f = Poly(L, [L.gen(), L.one])
-    with pytest.raises(ValueError, match="squarefree"):
-        factor_over_number_field(f * f, L)
+    for f in (Q(3, 1), Q(-2, 0, 1)):
+        with pytest.raises(ValueError, match="squarefree required"):
+            factor_over_number_field(f * f, L)
 
 
 def test_trager_composite_input_over_biquadratic():
     # (X^2-2)(X^2-3) splits into four linear factors over Q(sqrt2+sqrt3)
     L = make_field(Q(1, 0, -10, 0, 1))
-    f = (Q(-2, 0, 1) * Q(-3, 0, 1)).map_coeffs(L, L.from_rational)
+    f = Q(-2, 0, 1) * Q(-3, 0, 1)
     fac = factor_over_number_field(f, L)
     assert sorted(g.degree for g, _ in fac.factors) == [1, 1, 1, 1]
-    assert fac.expand() == f
+    assert fac.expand() == f.map_coeffs(L, L.from_rational)
 
 
 def test_trager_keeps_irreducible():
     L = make_field(Q(-2, 0, 1))
-    g = Q(1, 0, 1).map_coeffs(L, L.from_rational)   # X^2 + 1 over a real field
+    g = Q(1, 0, 1)                                  # X^2 + 1 over a real field
     fac = factor_over_number_field(g, L)
     assert len(fac.factors) == 1 and fac.factors[0][1] == 1
 
 
 def test_trager_non_monic_unit():
     L = make_field(Q(-2, 0, 1))
-    h = Q(1, 0, 1).map_coeffs(L, L.from_rational).mul_scalar(L.from_int(3))
+    h = Q(3, 0, 3)
     fac = factor_over_number_field(h, L)
-    assert fac.unit == L.from_int(3) and fac.expand() == h
+    assert fac.unit == L.from_rational(3) and fac.expand() == h.map_coeffs(L, L.from_rational)
 
 
 def test_trager_nontrivial_shift_needed():
@@ -489,26 +494,25 @@ def test_trager_nontrivial_shift_needed():
     # repeated norm root, so the shift search must move past s = 0.
     L = make_field(Q(-2, 0, 1))
     x = L.gen()
-    f = Poly(L, [L.from_int(-2), L.zero, L.one])
-    fac = factor_over_number_field(f, L)
+    fac = factor_over_number_field(Q(-2, 0, 1), L)
     assert {g.cs for g, _ in fac.factors} == \
         {Poly(L, [-x, L.one]).cs, Poly(L, [x, L.one]).cs}
 
 
 def test_trager_requires_rational_coefficients():
-    # x^2 + 1 (= 3) is squarefree over Q(sqrt2) but not rational
+    # a Poly over L is refused, even one whose coefficients are rational
     L = make_field(Q(-2, 0, 1))
     x = L.gen()
-    f = Poly(L, [L.one, x, L.one])
-    with pytest.raises(ValueError, match="rational coefficients"):
-        factor_over_number_field(f, L)
+    for f in (Poly(L, [L.one, x, L.one]), Q(1, 0, 1).map_coeffs(L, L.from_rational)):
+        with pytest.raises(ValueError, match="rational coefficients"):
+            factor_over_number_field(f, L)
 
 
 def test_trager_norm_degree_cap(monkeypatch):
     monkeypatch.setattr(caps, "NORM_DEGREE_CAP", 15)
     L = make_field(Q(-2, 0, 0, 0, 1))
     with pytest.raises(CapExceeded, match="Trager norm needs degree 16, cap is 15"):
-        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+        factor_over_number_field(L.defining, L)
 
 
 def test_factor_over_Q_skips_yun_when_certified(monkeypatch):
@@ -538,7 +542,7 @@ def test_trager_norm_distinct_degree_counts(text, monkeypatch):
         return real(G)
 
     monkeypatch.setattr(intpoly, "_factor_squarefree_monic_int", spy)
-    factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+    factor_over_number_field(L.defining, L)
     assert norms
     for G in norms:
         scanned = itertools.islice(intpoly._squarefree_primes(G), intpoly._BZ_PRIME_TRIES)
@@ -626,7 +630,7 @@ def _bz_calls(monkeypatch, text):
     lifts = _record(monkeypatch, "_hensel_pair")
     recombinations = _record(monkeypatch, "_recombine")
     L = make_field(parse_polynomial(text))
-    factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+    factor_over_number_field(L.defining, L)
     monkeypatch.undo()
     return lifts, recombinations
 
@@ -751,13 +755,13 @@ def test_trager_skips_only_shifts_that_cannot_work(monkeypatch):
             N = intpoly._norm_with_shift(L.defining, L, s)
             assert poly_gcd(N, N.derivative()).degree > 0, (text, s)
         del norms[:]
-        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
+        factor_over_number_field(L.defining, L)
         (_, _, first), _ = norms[0]
         assert first == 2, text
     # any other polynomial starts the search at shift 0
     L = make_field(Q(1, 0, -10, 0, 1))
     del norms[:]
-    factor_over_number_field((Q(-2, 0, 1) * Q(-3, 0, 1)).map_coeffs(L, L.from_rational), L)
+    factor_over_number_field(Q(-2, 0, 1) * Q(-3, 0, 1), L)
     (_, _, first), _ = norms[0]
     assert first == 0
 
@@ -784,11 +788,26 @@ def test_early_stop_rejects_a_quotient_over_the_bound():
 
 # --- the modular gcd over L: Euclid over L is the oracle ---------------------
 
+def monic_over_L(a):
+    """a times the inverse of its leading coefficient."""
+    inv = nf_inverse(a.lc)
+    return Poly(a.dom, [c * inv for c in a.cs])
+
+
+def gcd_over_L(a, b):
+    """Monic gcd over L by Euclid, each divisor made monic first."""
+    while not b.is_zero:
+        b = monic_over_L(b)
+        a, b = b, a % b
+    return monic_over_L(a)
+
+
 def gcds_by_euclid(f, norms, s, L):
-    """gcd(f, N(X + s*x)) for each N, by Euclid on Fraction coordinates
-    after an exact Taylor shift over L."""
-    sx = L.gen().scale(Fraction(s))
-    return [poly_gcd(f, shift(N.map_coeffs(L, L.from_rational), sx)) for N in norms]
+    """gcd(f, N(X + s*x)) over L for each N, by Euclid on Fraction
+    coordinates after an exact Taylor shift over L; f is in Q[X]."""
+    sx = L.gen() * L.from_rational(s)
+    fL = f.map_coeffs(L, L.from_rational)
+    return [gcd_over_L(fL, shift(N.map_coeffs(L, L.from_rational), sx)) for N in norms]
 
 
 def _factor_recording_gcds(monkeypatch, f, L):
@@ -804,9 +823,8 @@ def _factor_recording_gcds(monkeypatch, f, L):
 @pytest.mark.parametrize("text", NORM_FIELDS)
 def test_modular_gcd_matches_euclid_on_fields(text, monkeypatch):
     L = make_field(parse_polynomial(text))
-    fL = L.defining.map_coeffs(L, L.from_rational)
-    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fL, L)
-    assert hs == gcds_by_euclid(fL, norms, s, L)
+    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, L.defining, L)
+    assert hs == gcds_by_euclid(L.defining, norms, s, L)
     assert len(hs) == len(norms) and {h.cs for h in hs} == {g.cs for g, _ in fac.factors}
 
 
@@ -814,11 +832,11 @@ def test_modular_gcd_matches_euclid_on_phi11(monkeypatch):
     # Euclid over L takes seconds per norm factor here, so one is checked
     # against it; the others against the factors X - x^k that Phi11 has
     L = NumberField(PHI11)
-    fL = PHI11.map_coeffs(L, L.from_rational)
-    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fL, L)
+    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, PHI11, L)
     assert len(norms) == 10
-    assert hs[:1] == gcds_by_euclid(fL, norms[:1], s, L)
-    assert {h.cs for h in hs} == {Poly(L, [-L.gen_powers[k], L.one]).cs for k in range(1, 11)}
+    assert hs[:1] == gcds_by_euclid(PHI11, norms[:1], s, L)
+    assert {h.cs for h in hs} == {Poly(L, [-L.element(L.gen_powers[k]), L.one]).cs
+                                  for k in range(1, 11)}
 
 
 def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
@@ -833,10 +851,9 @@ def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
         fq = _random_monic(rng, rng.randrange(2, 5))
         if poly_gcd(fq, fq.derivative()).degree:
             continue
-        f = fq.map_coeffs(L, L.from_rational)
-        fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, f, L)
-        assert hs == gcds_by_euclid(f, norms, s, L)
-        assert fac.expand() == f
+        fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fq, L)
+        assert hs == gcds_by_euclid(fq, norms, s, L)
+        assert fac.expand() == fq.map_coeffs(L, L.from_rational)
         done += 1
 
 
@@ -860,11 +877,10 @@ def _feed_primes(monkeypatch, first):
 ])
 def test_modular_gcd_skips_bad_primes(text, bad, monkeypatch):
     L = make_field(parse_polynomial(text))
-    fL = L.defining.map_coeffs(L, L.from_rational)
-    expected = factor_over_number_field(fL, L).factors
+    expected = factor_over_number_field(L.defining, L).factors
     _feed_primes(monkeypatch, list(bad))
     tried = _record(monkeypatch, "_gcds_mod_p")
-    assert factor_over_number_field(fL, L).factors == expected
+    assert factor_over_number_field(L.defining, L).factors == expected
     seen = {args[4]: result for args, result in tried}
     m = L.n
     for p, why in bad.items():
@@ -881,15 +897,14 @@ def test_modular_gcd_combines_several_small_primes(monkeypatch):
     # the factors of X^6+108 have coordinates up to 12, which primes
     # below 300 recover only together
     L = make_field(parse_polynomial("X^6+108"))
-    fL = L.defining.map_coeffs(L, L.from_rational)
-    expected = factor_over_number_field(fL, L).factors
+    expected = factor_over_number_field(L.defining, L).factors
     small, p = [], 1
     while p < 300:
         p = next_prime(p)
         small.append(p)
     _feed_primes(monkeypatch, small)
     tried = _record(monkeypatch, "_gcds_mod_p")
-    assert factor_over_number_field(fL, L).factors == expected
+    assert factor_over_number_field(L.defining, L).factors == expected
     used = [args[4] for args, hs in tried if hs and sum(len(h) - 1 for h in hs) == L.n]
     assert len(used) > 1 and all(p in small for p in used)
 
@@ -907,5 +922,6 @@ def test_no_gcd_or_shift_over_L_after_the_squarefree_check(monkeypatch):
     for text in FIELDS:
         L = make_field(parse_polynomial(text))
         del calls[:]
-        factor_over_number_field(L.defining.map_coeffs(L, L.from_rational), L)
-        assert [c for c in calls if c[1] is not QQ] == [("gcd", L)], text
+        factor_over_number_field(L.defining, L)
+        # squarefreeness is decided over Q, and every gcd over L is modular
+        assert [c for c in calls if c[1] is not QQ] == [], text

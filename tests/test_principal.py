@@ -55,6 +55,14 @@ def test_principal_subfield_rejects_non_factor(ps4):
         principal_subfield_of_factor(L, Poly(L, [L.one, L.one]))
 
 
+def test_principal_subfield_rejects_non_monic_factor(ps4):
+    # a Poly over L is divided only by a monic polynomial
+    L = ps4.field
+    quad = next(g for g in ps4.system.factors if g.degree == 2)
+    with pytest.raises(ValueError, match="factor must be monic"):
+        principal_subfield_of_factor(L, quad.mul_scalar(L.from_rational(2)))
+
+
 def test_dedup_x4_minus_2(ps4):
     assert ps4.t == 2
     assert sorted(e.dim for e in ps4.E) == [1, 2]
@@ -107,7 +115,7 @@ def test_m_beta_product_identity(ps4, ps_biquad, ps6):
             prod = xlin
             for a in range(ps.system.r):
                 phi_sub = ps.E[ps.phi[a]]
-                if phi_sub.span.contains_span(e.span):
+                if phi_sub.basis.contains_span(e.basis):
                     prod = prod * ps.system.factors[a]
             assert prod == ps.m[b]
 
@@ -145,7 +153,7 @@ def test_K_g_maximality_when_proper(ps4, ps_biquad, ps6):
         proper = [K for K in proper if not K.is_full()]
         for K in proper:
             for e in ps.E:
-                if e != K and e.span.contains_span(K.span):
+                if e != K and e.basis.contains_span(K.basis):
                     assert e.is_full()
 
 
