@@ -10,13 +10,15 @@ this module on their first call, so a process that never factors never
 compiles it.
 
 ``factor_over_Q`` ranks its candidate primes by distinct-degree counts,
-splitting only the prime it keeps.  Hensel
-lifting squares the modulus at each step, lifting the Bezout pair with
-the factors.  The subset search adds up the lifted factors'
-second-highest coefficients, and multiplies out a subset only when that
-trace and the product of constant terms fit a true divisor's bounds; its
-trial division stops once a quotient coefficient passes the Mignotte
-bound, which no exact quotient can.  A monic integer polynomial that is
+splitting only the prime it keeps.  The powering in distinct-degree and
+equal-degree factoring runs on packed integers, one ``_PackedModulus``
+per divisor: a product mod the divisor is one big-integer product and a
+Barrett remainder.  Hensel lifting squares the modulus at each step,
+lifting the Bezout pair with the factors.  The subset search adds up
+the lifted factors' second-highest coefficients, and multiplies out a
+subset only when that trace and the product of constant terms fit a true
+divisor's bounds; its trial division stops once a quotient coefficient
+passes the Mignotte bound, which no exact quotient can.  A monic integer polynomial that is
 squarefree modulo a prime is squarefree over Q; that certificate spares
 the exact gcd over Q in Trager's shift search and Yun's decomposition in
 ``factor_over_Q``, which run only when no prime certifies.  Factoring
@@ -136,17 +138,61 @@ def _pgcd(a, b, p):
     return _pmonic(a, p) if a else a
 
 
-def _ppowmod(a, e, m, p):
-    """a**e reduced modulo m over F_p, by binary exponentiation."""
-    result = _prem([1], m, p)
-    base = _prem(a, m, p)
-    while e:
-        if e & 1:
-            result = _prem(_zmul(result, base), m, p)
-        e >>= 1
-        if e:
-            base = _prem(_zmul(base, base), m, p)
-    return result
+def _slot_width(n, p):
+    """Slot bits of ``_PackedModulus`` for deg m = n: a multiple of 8 with
+    2^(w-1) - p >= n^3 p^4 and a bit to spare."""
+    return ((n ** 3 * p ** 4).bit_length() + 10) // 8 * 8
+
+
+class _PackedModulus:
+    """F_p[X]/(m) on packed ints: coefficient i of a reduced element
+    (entries in [0, p)) fills slot i, w bits wide.
+
+    ``mul`` multiplies once (Kronecker substitution) and reduces by
+    Barrett with mu = X^(2n-2) div m, m made monic of degree n (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 9.1), exact for
+    deg ab <= 2n-2 with no correction step: if ab = A X^n + r and
+    A mu = Q X^(n-2) + t, deg r < n, deg t < n-2, then A X^n - Q m =
+    (t m + A (X^(2n-2) - mu m)) / X^(n-2) has degree below n, so
+    ab mod m = r - (Q m mod X^n).  That is formed slot by slot, Q
+    unreduced, plus OFF = n^3 p^4 + p (a multiple of p) in every slot.
+    Slots of ab, A mu and Q m are at most n^3 p^4, so no slot carries or
+    borrows while 2^(w-1) - p >= n^3 p^4."""
+
+    def __init__(self, m, p):
+        m = _pmonic(_zmod(m, p), p)
+        n = len(m) - 1
+        w = _slot_width(n, p)
+        self.m, self.p, self.wb, self.size = m, p, w // 8, n * w // 8
+        self.top, self.shift, self.mask = n * w, max(n - 2, 0) * w, (1 << n * w) - 1
+        self.mu = self.pack(_pdivmod([0] * (2 * n - 2) + [1], m, p)[0]) if n > 1 else 0
+        self.low = self.pack(m[:n])
+        self.off = self.pack([(n ** 3 * p ** 3 + 1) * p] * n)
+
+    def pack(self, a):
+        """The packed form of a, entries in [0, 2^w), at most n of them."""
+        return int.from_bytes(b"".join([c.to_bytes(self.wb, "little") for c in a]), "little")
+
+    def unpack(self, x):
+        """The int list mod p that x packs."""
+        b, wb, p = x.to_bytes(self.size, "little"), self.wb, self.p
+        return _ztrim([int.from_bytes(b[i:i + wb], "little") % p
+                       for i in range(0, self.size, wb)])
+
+    def mul(self, x, y):
+        """x*y mod m for packed reduced x and y, packed and reduced."""
+        xy = x * y
+        q = ((xy >> self.top) * self.mu) >> self.shift
+        return self.pack(self.unpack((xy & self.mask) + self.off - (q * self.low & self.mask)))
+
+    def pow(self, a, e):
+        """a**e mod m over F_p, for any int list a, left-to-right binary."""
+        x = y = self.pack(_prem(a, self.m, self.p))
+        for bit in bin(e)[3:]:
+            y = self.mul(y, y)
+            if bit == "1":
+                y = self.mul(y, x)
+        return self.unpack(y) if e else _prem([1], self.m, self.p)
 
 
 def _pderiv(a, p):
@@ -206,18 +252,20 @@ def _pddf(u, p):
     out = []
     h = [0, 1]
     v = u
+    ring = _PackedModulus(v, p)
     d = 0
     while len(v) > 1:
         d += 1
         if 2 * d > len(v) - 1:
             out.append((v, len(v) - 1))
             break
-        h = _ppowmod(h, p, v, p)
+        h = ring.pow(h, p)
         g = _pgcd(v, _zmod(_zsub(h, [0, 1]), p), p)
         if len(g) > 1:
             out.append((g, d))
             v = _pdivmod(v, g, p)[0]
             h = _prem(h, v, p)
+            ring = _PackedModulus(v, p)
     return out
 
 
@@ -226,6 +274,7 @@ def _pedf(g, d, p, rng):
     n = len(g) - 1
     if n == d:
         return [g]
+    ring = _PackedModulus(g, p)
     while True:
         a = _ztrim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
@@ -234,16 +283,16 @@ def _pedf(g, d, p, rng):
         if 1 < len(t) < len(g):
             break
         if p > 2:
-            w = _ppowmod(a, (p ** d - 1) // 2, g, p)
+            w = ring.pow(a, (p ** d - 1) // 2)
             t = _pgcd(g, _zmod(_zsub(w, [1]), p), p)
         else:
-            # the trace a + a^2 + a^4 + ... + a^(2^(d-1)) mod g
-            w = _prem(a, g, p)
-            tr = w
+            # the trace a + a^2 + ... + a^(2^(d-1)) mod g, summed packed: a
+            # slot adds up d bits, far below 2^w
+            w = tr = ring.pack(a)
             for _ in range(d - 1):
-                w = _prem(_zmul(w, w), g, p)
-                tr = _zadd(tr, w)
-            t = _pgcd(g, _zmod(tr, p), p)
+                w = ring.mul(w, w)
+                tr += w
+            t = _pgcd(g, ring.unpack(tr), p)
         if 1 < len(t) < len(g):
             break
     return _pedf(t, d, p, rng) + _pedf(_pdivmod(g, t, p)[0], d, p, rng)
@@ -259,8 +308,6 @@ def _psplit(ddf, p):
     rng = random.Random(0x5EED + p)
     return sorted((h for g, d in ddf for h in _pedf(g, d, p, rng)),
                   key=lambda h: (len(h), h))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +597,6 @@ def _certified_squarefree(g):
         if _psquarefree_image(_zmod(G, p), p):
             return True
     return False
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ FIELD_INPUTS = [
     "X^8-3",                                  # non-Galois, length 3
     "X^9-2",                                  # non-Galois, length 2, k in E
     "X^10+X^9+X^8+X^7+X^6+X^5+X^4+X^3+X^2+X+1",  # Phi_11, Galois, length 2
+    "X^12+X^11+X^10+X^9+X^8+X^7+X^6+X^5+X^4+X^3+X^2+X+1",  # Phi_13, degree-144 norm
+    "X^16-2",                                 # non-Galois, degree-256 norm
 ]
 FIELDS = [corpus.Input(f, ["classify", "--json", f]) for f in FIELD_INPUTS]
 

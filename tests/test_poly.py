@@ -786,6 +786,136 @@ def test_early_stop_rejects_a_quotient_over_the_bound():
     assert _zdivmod(G, [bound + 1, 1])[1]
 
 
+# --- packed powering: the schoolbook route is the oracle -------------------
+
+def ppowmod_schoolbook(a, e, m, p):
+    """a**e reduced modulo m over F_p, by binary exponentiation on
+    schoolbook products and remainders."""
+    result = intpoly._prem([1], m, p)
+    base = intpoly._prem(a, m, p)
+    while e:
+        if e & 1:
+            result = intpoly._prem(intpoly._zmul(result, base), m, p)
+        e >>= 1
+        if e:
+            base = intpoly._prem(intpoly._zmul(base, base), m, p)
+    return result
+
+
+POWERING_PRIMES = [2, 3, 5, 47, 2 ** 31 - 1, 2 ** 61 - 1]
+
+
+def _powering_inputs():
+    """(a, e, m, p): random moduli of degree 1-300, monic or not, and the
+    slot extremes (every coefficient p - 1), with a zero, reduced or of
+    degree above m's, and e in 0, 1, 2, p, (p^d - 1)/2.  The schoolbook
+    oracle takes seconds per long exponent at degree 300 with a 61-bit p,
+    so above degree 64 the long exponents run only for p <= 47."""
+    rng = random.Random(2609)
+    for p in POWERING_PRIMES:
+        for n in (1, 2, 3, 5, 17, 64, rng.randrange(65, 300), 300):
+            m = [rng.randrange(p) for _ in range(n)] + [rng.choice([1, rng.randrange(1, p)])]
+            exponents = [0, 1, 2]
+            if n <= 64 or p <= 47:
+                exponents += [p, (p ** rng.randrange(1, 4) - 1) // 2]
+            for e in exponents:
+                for a in ([], [rng.randrange(p) for _ in range(n)],
+                          [rng.randrange(p) for _ in range(2 * n + 3)]):
+                    yield a, e, m, p
+                yield [p - 1] * n, e, [p - 1] * (n + 1), p
+                yield [p - 1] * n, e, [p - 1] * n + [1], p
+
+
+@pytest.fixture(scope="module")
+def powering_cases():
+    return [(a, e, m, p, ppowmod_schoolbook(a, e, m, p)) for a, e, m, p in _powering_inputs()]
+
+
+def _packed_mismatches(cases):
+    """The cases the packed route gets wrong, a raised error included."""
+    bad = []
+    for a, e, m, p, expected in cases:
+        try:
+            got = intpoly._PackedModulus(m, p).pow(a, e)
+        except (OverflowError, ValueError) as exc:
+            got = exc
+        if got != expected:
+            bad.append((a, e, m, p, got))
+    return bad
+
+
+def test_packed_powering_matches_schoolbook(powering_cases):
+    assert len(powering_cases) > 1000
+    assert _packed_mismatches(powering_cases) == []
+
+
+def test_packed_powering_handles_degree_0_and_1():
+    assert intpoly._PackedModulus([3], 5).pow([1, 2, 3], 7) == []
+    assert intpoly._PackedModulus([3], 5).pow([1], 0) == []
+    # X = -2/3 = 1 modulo 3X + 2 over F_5
+    assert intpoly._PackedModulus([2, 3], 5).pow([0, 1], 5) == [1]
+    assert intpoly._PackedModulus([2, 3], 5).pow([4], 3) == [4]
+
+
+def test_packed_powering_fault_narrow_slots_is_caught(powering_cases, monkeypatch):
+    """One byte below the width bound, a slot overflows on most inputs
+    (OFF is the widest) and packing raises: the bound is needed, and the
+    differential inputs reach it."""
+    real = intpoly._slot_width
+    monkeypatch.setattr(intpoly, "_slot_width", lambda n, p: real(n, p) - 8)
+    bad = _packed_mismatches(powering_cases)
+    assert len(bad) > len(powering_cases) // 2
+
+
+def test_packed_powering_fault_no_offset_is_caught(powering_cases, monkeypatch):
+    real = intpoly._PackedModulus.__init__
+
+    def no_offset(self, m, p):
+        real(self, m, p)
+        self.off = 0
+
+    monkeypatch.setattr(intpoly._PackedModulus, "__init__", no_offset)
+    assert _packed_mismatches(powering_cases)
+
+
+def _record_powering(monkeypatch, texts):
+    """(a, e, m, p, result) of each packed powering made while factoring
+    the defining polynomial of each field in ``texts`` over itself."""
+    calls = []
+    real = intpoly._PackedModulus.pow
+
+    def spy(self, a, e):
+        result = real(self, a, e)
+        calls.append((a, e, self.m, self.p, result))
+        return result
+
+    monkeypatch.setattr(intpoly._PackedModulus, "pow", spy)
+    for text in texts:
+        L = make_field(parse_polynomial(text))
+        factor_over_number_field(L.defining, L)
+    monkeypatch.undo()
+    return calls
+
+
+def test_packed_powering_matches_schoolbook_on_fields_norms(monkeypatch):
+    calls = _record_powering(monkeypatch, FIELDS + ["X^16-2"])
+    assert len(calls) > 250 and max(len(m) for _, _, m, _, _ in calls) > 200
+    assert [c for c in calls if ppowmod_schoolbook(*c[:4]) != c[4]] == []
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_equal_degree_splitting_mod_2(d):
+    """Characteristic 2 splits by the packed trace: the product of every
+    monic irreducible of degree d over F_2 splits into them."""
+    irreducibles = sorted(_ints(g) for g in _brute_force_irreducibles(2, d)[d])
+    g = [1]
+    for h in irreducibles:
+        g = intpoly._zmod(intpoly._zmul(g, h), 2)
+    rng = random.Random(d)
+    assert sorted(intpoly._pedf(g, d, 2, rng), key=lambda h: (len(h), h)) == \
+        sorted(irreducibles, key=lambda h: (len(h), h))
+
+
 # --- the modular gcd over L: Euclid over L is the oracle ---------------------
 
 def monic_over_L(a):
