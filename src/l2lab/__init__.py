@@ -16,9 +16,9 @@ compiles neither engine.
 _EXPORTS = {
     "errors": ["CapExceeded", "ConsistencyError", "ParseError"],
     "exact": ["next_prime"],
-    "poly": ["QQ", "Factorization", "Poly", "factor_mod_p", "factor_over_Q",
+    "poly": ["Factorization", "Poly", "factor_mod_p", "factor_over_Q",
              "factor_over_number_field", "poly_gcd"],
-    "numberfield": ["NFElement", "NumberField", "Subfield", "make_field"],
+    "numberfield": ["NumberField", "Subfield", "make_field"],
     "principal": ["FactorSystem", "PrincipalSubfieldSet", "compute_principal_subfields",
                   "principal_subfield_of_factor"],
     "fieldlattice": ["build_lattice", "galois_length_two_check", "is_length_two",

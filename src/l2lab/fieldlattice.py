@@ -18,7 +18,6 @@ from .errors import CapExceeded, ConsistencyError
 from .exact import intersection, prime_factors
 from .lattice import from_edges, meet
 from .numberfield import prime_subfield, subfield_of_span, whole_field
-from .poly import Poly
 
 NODE_CAP = 4096
 
@@ -89,7 +88,7 @@ def galois_length_two_check(lat, ps):
     of two primes forces length 2, and |[k,L]| <= n + 1."""
     L = ps.field
     n = L.n
-    splits = all(f.degree == 1 for f in ps.system.factors) and ps.system.r == n - 1
+    splits = all(len(f) == 2 for f in ps.system.factors) and ps.system.r == n - 1
     if not splits:
         raise ValueError("not Galois: defining polynomial does not split over L")
     primes = prime_factors(n)
@@ -128,9 +127,9 @@ def verify_minpoly_product_identity(ps, lat):
     L = ps.field
     I = index_sets(ps, lat)
     for K, I_K in zip(lat.nodes, I):
-        prod = Poly(L, [-L.gen(), L.one])
+        prod = ps.system.linear
         for a in I_K:
-            prod = prod * ps.system.factors[a]
+            prod = L.poly_mul(prod, ps.system.factors[a])
         if prod != K.min_poly:
             raise ConsistencyError("product identity fails for a lattice node")
     return [I[i] for i in _node_indices(lat, ps.E)]

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError
 from .exact import next_prime
-from .poly import QQ, Poly, poly_gcd
+from .poly import Poly, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +657,7 @@ def _norm_with_shift(f, L, s):
         P.append(sum(c * a * b for c, a, b in zip(row, scaled, reversed(q[:k + 1]))))
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     M = _from_power_sums(P)
-    N = Poly(QQ, [Fraction(c, d ** (D - i)) for i, c in enumerate(M)])
+    N = Poly([Fraction(c, d ** (D - i)) for i, c in enumerate(M)])
     if N.degree != D or N.lc != 1:
         raise ConsistencyError("norm polynomial has wrong shape")
     return N
@@ -777,7 +777,8 @@ def _gcds_over_L(fq, norms, s, L):
     """
     fL = L.defining
     n, m = L.n, fq.degree
-    f = fq.map_coeffs(L, L.from_rational)
+    one = L.gen_powers[0]
+    f = [tuple(c * e for e in one) for c in fq.cs]
     den = _denominator_lcm(fL.cs + fq.cs + tuple(c for N in norms for c in N.cs))
     degrees = None
     M = 1
@@ -804,11 +805,10 @@ def _gcds_over_L(fq, norms, s, L):
             continue
         out = []
         for d in degrees:
-            cs = [L.element(coords[i * n:(i + 1) * n]) for i in range(d)]
-            out.append(Poly(L, cs + [L.one]))
+            out.append([tuple(coords[i * n:(i + 1) * n]) for i in range(d)] + [one])
             coords = coords[d * n:]
-        prod = Poly.const(L, L.one)
+        prod = [one]
         for h in out:
-            prod = prod * h
+            prod = L.poly_mul(prod, h)
         if prod == f:
             return out

@@ -1,12 +1,13 @@
 """Number fields L = Q[x]/(f) and their subfields as rational subspaces.
 
-Elements are coordinate tuples in the power basis {1, x, ..., x^(n-1)},
-multiplied by ``NumberField.mul``; ``NFElement`` wraps a tuple only as
-the coefficient type of a ``Poly`` over L, which is never divided but by
-a monic polynomial, so no element is inverted.  A subfield is the
-reduced echelon basis of its coordinate subspace together with the
-minimal polynomial of x over it.  Echelon bases are canonical
-(first-nonzero pivoting), so subfield equality is plain data equality.
+An element is its coordinate tuple in the power basis {1, x, ..., x^(n-1)},
+and a polynomial over L is a list of such tuples, lowest degree first.
+``NumberField`` multiplies elements and polynomials, divides a
+polynomial by a monic one and evaluates one at x; nothing divides by an
+element, so none is inverted.  A subfield is the reduced echelon basis
+of its coordinate subspace together with the minimal polynomial of x
+over it.  Echelon bases are canonical (first-nonzero pivoting), so
+subfield equality is plain data equality.
 """
 
 from fractions import Fraction
@@ -14,40 +15,6 @@ from fractions import Fraction
 from . import exact
 from .errors import ConsistencyError
 from .poly import Poly, factor_over_Q
-
-
-class NFElement:
-    """A coefficient of a ``Poly`` over L: ring operations only."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        self.field = field
-        self.coords = tuple(coords)
-
-    def __add__(self, other):
-        return NFElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return NFElement(self.field, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return NFElement(self.field, [-a for a in self.coords])
-
-    def __mul__(self, other):
-        return NFElement(self.field, self.field.mul(self.coords, other.coords))
-
-    def __eq__(self, other):
-        return isinstance(other, NFElement) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __repr__(self):
-        return nf_str(self.coords)
 
 
 def nf_str(coords):
@@ -66,6 +33,11 @@ def nf_str(coords):
                 terms.append("-" + mono)
             else:
                 terms.append("%s*%s" % (c, mono))
+    return _join_terms(terms)
+
+
+def _join_terms(terms):
+    """The sum of the signed terms as text; "0" when there are none."""
     if not terms:
         return "0"
     out = terms[0]
@@ -94,20 +66,6 @@ class NumberField:
         # coordinates of x^0, ..., x^n
         self.gen_powers = [tuple(Fraction(int(i == k)) for i in range(self.n))
                            for k in range(self.n)] + red[:1]
-        self.zero = NFElement(self, (Fraction(0),) * self.n)
-        self.one = NFElement(self, self.gen_powers[0])
-
-    def gen(self):
-        return NFElement(self, self.gen_powers[1])
-
-    def from_rational(self, q):
-        return NFElement(self, [Fraction(q) * c for c in self.gen_powers[0]])
-
-    def element(self, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != self.n:
-            raise ValueError("expected %d coordinates" % self.n)
-        return NFElement(self, coords)
 
     def mul(self, u, v):
         """The product of the elements with coordinate tuples u and v."""
@@ -127,6 +85,33 @@ class NumberField:
                     out[i] += c * b
         return tuple(out)
 
+    def poly_mul(self, a, b):
+        """The product of the polynomials a and b over L."""
+        out = [(Fraction(0),) * self.n] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] = tuple(s + t for s, t in zip(out[i + j], self.mul(u, v)))
+        return out
+
+    def poly_rem(self, a, b):
+        """The remainder of the polynomial a by the monic b over L: all
+        deg b of its coefficients, zeros included."""
+        d = len(b) - 1
+        r = list(a) + [(Fraction(0),) * self.n] * (d - len(a))
+        for k in range(len(r) - 1 - d, -1, -1):
+            c = r[k + d]
+            if any(c):
+                for i in range(d):
+                    r[k + i] = tuple(s - t for s, t in zip(r[k + i], self.mul(c, b[i])))
+        return r[:d]
+
+    def poly_at_x(self, a):
+        """The value at x of the polynomial a over L, by Horner."""
+        acc = (Fraction(0),) * self.n
+        for c in reversed(a):
+            acc = tuple(s + t for s, t in zip(self.mul(acc, self.gen_powers[1]), c))
+        return acc
+
     def __eq__(self, other):
         return self is other or (isinstance(other, NumberField)
                                  and self.defining == other.defining)
@@ -139,40 +124,24 @@ class NumberField:
 
 
 def poly_str(f):
-    """Canonical text form, printable and re-parsable."""
-    if f.is_zero:
-        return "0"
+    """Canonical text form, printable and re-parsable, of a ``Poly`` over
+    Q or of a polynomial over L, whose coefficients print parenthesized."""
+    if isinstance(f, Poly):
+        cs = [(c, str(c)) for c in f.cs]
+    else:
+        cs = [(None if any(c[1:]) else c[0], "(" + nf_str(c) + ")") for c in f]
     terms = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeff(i)
-        if not c:
+    for i in range(len(cs) - 1, -1, -1):
+        value, text = cs[i]
+        if value == 0:
             continue
         if i == 0:
-            body = _coeff_str(c)
-        else:
-            mono = "X" if i == 1 else "X^%d" % i
-            if _is_unit_coeff(c, 1):
-                body = mono
-            elif _is_unit_coeff(c, -1):
-                body = "-" + mono
-            else:
-                body = "%s*%s" % (_coeff_str(c), mono)
-        terms.append(body)
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
-
-
-def _is_unit_coeff(c, sign):
-    cs = c.coords if isinstance(c, NFElement) else (c,)
-    return cs[0] == sign and not any(cs[1:])
-
-
-def _coeff_str(c):
-    if isinstance(c, NFElement):
-        return "(" + nf_str(c.coords) + ")"
-    return str(c)
+            terms.append(text)
+            continue
+        mono = "X" if i == 1 else "X^%d" % i
+        terms.append(mono if value == 1 else "-" + mono if value == -1
+                     else "%s*%s" % (text, mono))
+    return _join_terms(terms)
 
 
 def make_field(f):
@@ -221,7 +190,7 @@ class Subfield:
         return "Subfield(dim %d: %s)" % (self.dim, ", ".join(nf_str(b) for b in self.basis))
 
     def describe(self):
-        gens = [nf_str(b) for b in self.basis if b != self.ambient.one.coords]
+        gens = [nf_str(b) for b in self.basis if b != self.ambient.gen_powers[0]]
         if self.is_full():
             return "L"
         if not gens:
@@ -230,7 +199,7 @@ class Subfield:
 
 
 def _check_subspace_is_subfield(L, span):
-    if not span.contains(L.one.coords):
+    if not span.contains(L.gen_powers[0]):
         raise ConsistencyError("subspace does not contain 1")
     rows = list(span)
     for i in range(len(rows)):
@@ -244,7 +213,7 @@ def subfield_from_subspace(L, vectors):
 
     The multiplicative closure is asserted, not imposed.
     """
-    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.one.coords], exact.QQ_OPS))
+    return subfield_of_span(L, exact.Echelon(list(vectors) + [L.gen_powers[0]], exact.QQ_OPS))
 
 
 def subfield_of_span(L, span):
@@ -276,9 +245,9 @@ def min_poly_over_basis(L, span):
     if pivots != list(range(n)):
         raise ConsistencyError("deg(f_K) * dim(K) != n")
     sol = [row[n] for row in red]
-    coeffs = [NFElement(L, span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
-    mp = Poly(L, [-c for c in coeffs] + [L.one])
-    if mp.evaluate(L.gen()):
+    mp = [tuple(-c for c in span.combine(sol[i * k:(i + 1) * k])) for i in range(d)]
+    mp.append(pows[0])
+    if any(L.poly_at_x(mp)):
         raise ConsistencyError("minimal polynomial does not kill x")
     return mp
 
@@ -291,8 +260,9 @@ def intersect_subfields(A, B):
 
 
 def whole_field(L):
+    one, x = L.gen_powers[:2]
     return Subfield(L, exact.Echelon(L.gen_powers[:L.n], exact.QQ_OPS),
-                    Poly(L, [-L.gen(), L.one]))
+                    [tuple(-c for c in x), one])
 
 
 def prime_subfield(L):

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly, QQ
+from .poly import Poly
 
 # Largest exponent, and largest degree a power may expand to.  Powers are
 # expanded by repeated multiplication, so this is checked first.
@@ -182,13 +182,13 @@ class _QPolySemantics:
     """Builds a univariate Poly over Q in the variable X."""
 
     def const(self, n):
-        return Poly(QQ, [Fraction(n)])
+        return Poly([Fraction(n)])
 
     def var(self, name, pos):
         if name != "X":
             raise ParseError("syntax error at position %d: unknown variable %r "
                              "(the polynomial variable is X)" % (pos, name))
-        return Poly.x(QQ)
+        return Poly([Fraction(0), Fraction(1)])
 
     def add(self, a, b):
         return a + b
@@ -212,7 +212,7 @@ class _QPolySemantics:
 
     def pow(self, a, e, pos):
         _check_power(e, a.degree, pos)
-        out = Poly(QQ, [Fraction(1)])
+        out = Poly([Fraction(1)])
         for _ in range(e):
             out = out * a
         return out

@@ -1,8 +1,9 @@
 """Dense univariate polynomial arithmetic and exact factorization.
 
-Polynomials are immutable coefficient tuples, lowest degree first, over a
-coefficient field described by a small domain object (``QQ`` or a number
-field).  The factorization entry points are:
+A ``Poly`` is an immutable tuple of ``Fraction`` coefficients, lowest
+degree first: a polynomial over Q.  A polynomial over a number field L is
+a list of coordinate tuples, with its arithmetic on ``NumberField``.  The
+factorization entry points are:
 
 * ``factor_mod_p``        -- Cantor-Zassenhaus over a prime field, on
                              integer coefficient lists,
@@ -24,8 +25,7 @@ F_(q^k) on structure constants.
 A factorization over Q or F_p is re-multiplied and compared with its
 input, and over L the modular gcd's product is that comparison; a
 mismatch raises ``ConsistencyError``.  Every gcd and every squarefree
-test runs over Q; a ``Poly`` over L is only ever divided by a monic
-polynomial, so no element of L is inverted.
+test runs over Q, so no element of L is inverted.
 """
 
 from fractions import Fraction
@@ -35,41 +35,16 @@ from .errors import ConsistencyError
 from .exact import is_prime
 
 
-class RationalField:
-    """Domain descriptor for Q."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
-
-
 class Poly:
-    """Dense univariate polynomial over a field domain."""
+    """Dense univariate polynomial over Q, with ``Fraction`` coefficients."""
 
-    __slots__ = ("dom", "cs")
+    __slots__ = ("cs",)
 
-    def __init__(self, dom, coeffs):
+    def __init__(self, coeffs):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        self.dom = dom
         self.cs = tuple(cs)
-
-    @classmethod
-    def x(cls, dom):
-        return cls(dom, [dom.zero, dom.one])
-
-    @classmethod
-    def const(cls, dom, c):
-        return cls(dom, [c])
 
     @property
     def degree(self):
@@ -85,20 +60,17 @@ class Poly:
     def is_zero(self):
         return not self.cs
 
-    def coeff(self, i):
-        return self.cs[i] if i < len(self.cs) else self.dom.zero
-
     def __bool__(self):
         return bool(self.cs)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.cs == other.cs and self.dom == other.dom
+        return isinstance(other, Poly) and self.cs == other.cs
 
     def __hash__(self):
         return hash(self.cs)
 
     def __neg__(self):
-        return Poly(self.dom, [-c for c in self.cs])
+        return Poly([-c for c in self.cs])
 
     def __add__(self, other):
         a, b = self.cs, other.cs
@@ -107,7 +79,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.dom, out)
+        return Poly(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -115,26 +87,25 @@ class Poly:
     def __mul__(self, other):
         a, b = self.cs, other.cs
         if not a or not b:
-            return Poly(self.dom, [])
-        out = [self.dom.zero] * (len(a) + len(b) - 1)
+            return Poly([])
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-        return Poly(self.dom, out)
+        return Poly(out)
 
     def mul_scalar(self, c):
-        return Poly(self.dom, [a * c for a in self.cs])
+        return Poly([a * c for a in self.cs])
 
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.dom.zero] * max(0, self.degree - other.degree + 1)
+        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
         r = list(self.cs)
-        one = self.dom.one
-        inv = None if other.lc == one else one / other.lc
+        inv = None if other.lc == 1 else 1 / other.lc
         d = other.degree
         while len(r) - 1 >= d and any(r):
             while r and not r[-1]:
@@ -147,7 +118,7 @@ class Poly:
             for i, oc in enumerate(other.cs):
                 r[k + i] = r[k + i] - c * oc
             r.pop()
-        return Poly(self.dom, q), Poly(self.dom, r)
+        return Poly(q), Poly(r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -158,44 +129,19 @@ class Poly:
             raise ValueError("inexact polynomial division")
         return q
 
-    def divides(self, other):
-        """True if self divides other exactly."""
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def monic(self):
-        if self.is_zero:
+        if self.is_zero or self.lc == 1:
             return self
-        if self.lc == self.dom.one:
-            return self
-        inv = self.dom.one / self.lc
-        return self.mul_scalar(inv)
+        return self.mul_scalar(1 / self.lc)
 
     def derivative(self):
-        return Poly(self.dom, [self.cs[i] * self.dom.from_int(i)
-                               for i in range(1, len(self.cs))])
-
-    def evaluate(self, c):
-        acc = self.dom.zero
-        for a in reversed(self.cs):
-            acc = acc * c + a
-        return acc
-
-    def map_coeffs(self, dom2, fn):
-        return Poly(dom2, [fn(c) for c in self.cs])
+        return Poly([self.cs[i] * i for i in range(1, len(self.cs))])
 
     def sort_key(self):
-        return (self.degree, tuple(_coeff_key(c) for c in self.cs))
+        return (self.degree, tuple((c.numerator, c.denominator) for c in self.cs))
 
     def __repr__(self):
-        return "Poly(%r, %r)" % (self.dom, list(self.cs))
-
-
-def _coeff_key(c):
-    if isinstance(c, Fraction):
-        return (c.numerator, c.denominator)
-    return tuple((q.numerator, q.denominator) for q in c.coords)
+        return "Poly(%r)" % list(self.cs)
 
 
 def poly_gcd(a, b):
@@ -210,13 +156,12 @@ def poly_gcd(a, b):
 class Factorization:
     """unit * prod(factor^multiplicity), factors monic irreducible."""
 
-    def __init__(self, dom, unit, factors):
-        self.dom = dom
+    def __init__(self, unit, factors):
         self.unit = unit
         self.factors = sorted(factors, key=lambda fm: fm[0].sort_key())
 
     def expand(self):
-        acc = Poly.const(self.dom, self.unit)
+        acc = Poly([self.unit])
         for g, m in self.factors:
             for _ in range(m):
                 acc = acc * g
@@ -263,12 +208,12 @@ def factor_mod_p(coeffs, p):
 
 def factor_over_Q(f):
     """Complete factorization into monic irreducibles over Q, times a unit."""
+    if not isinstance(f, Poly):
+        raise ValueError("factor_over_Q requires rational coefficients")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if f.dom is not QQ:
-        raise ValueError("factor_over_Q requires rational coefficients")
     if f.degree == 0:
-        return Factorization(QQ, f.cs[0], []).verify(f)
+        return Factorization(f.cs[0], []).verify(f)
     from .intpoly import (_certified_squarefree, _denominator_lcm,
                           _factor_squarefree_monic_int, _scale_monic, _yun_squarefree_Q)
     unit = f.lc
@@ -284,18 +229,21 @@ def factor_over_Q(f):
         d = _denominator_lcm(g.cs)
         for H in _factor_squarefree_monic_int(_scale_monic(g, d)):
             k = len(H) - 1
-            back = Poly(QQ, [Fraction(H[i] * d ** i, d ** k) for i in range(k + 1)])
+            back = Poly([Fraction(H[i] * d ** i, d ** k) for i in range(k + 1)])
             factors.append((back, mult))
-    return Factorization(QQ, unit, factors).verify(f)
+    return Factorization(unit, factors).verify(f)
 
 
 def factor_over_number_field(f, L):
-    """Factor a squarefree f in Q[X] into monic irreducibles over L.
+    """Factor a squarefree f in Q[X] into monic irreducibles over L:
+    ``(unit, [(h, 1), ...])``, the unit f's leading coefficient and each
+    h a list of coordinate tuples, lowest degree first, the factors
+    sorted by degree, then coordinates.
 
     The factors are not multiplied out again: the modular gcd's product
-    is monic f, and the unit is f's leading coefficient in L.
+    is monic f.
     """
-    if f.dom is not QQ:
+    if not isinstance(f, Poly):
         raise ValueError("factor_over_number_field requires rational coefficients")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -313,8 +261,9 @@ def factor_over_number_field(f, L):
             break
         s += 1
     norms = [Ni for Ni, _ in factor_over_Q(N).factors]
-    hs = _gcds_over_L(fm, norms, s, L)
-    return Factorization(L, L.from_rational(f.lc), [(h, 1) for h in hs])
+    hs = sorted(_gcds_over_L(fm, norms, s, L),
+                key=lambda h: (len(h), [[(q.numerator, q.denominator) for q in c] for c in h]))
+    return f.lc, [(h, 1) for h in hs]
 
 
 def _squarefree(g):

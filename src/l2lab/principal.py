@@ -8,25 +8,28 @@ explicit rational matrix; every intermediate field of k < L is an
 intersection of the deduplicated principal subfields E_1, ..., E_t.
 """
 
+from fractions import Fraction
+
 from . import exact
 from .errors import ConsistencyError
-from .numberfield import NFElement, subfield_from_subspace
-from .poly import Poly, factor_over_number_field
+from .numberfield import subfield_from_subspace, whole_field
+from .poly import factor_over_number_field
 
 
 class FactorSystem:
     """f = (X - x) f_1 ... f_r over L, with the linear factor split off;
-    the product is certified by ``factor_over_number_field``'s gcd."""
+    the product is certified by ``factor_over_number_field``'s gcd.  Each
+    polynomial over L is a list of coordinate tuples."""
 
     def __init__(self, field):
         self.field = field
         self.defining = field.defining
-        fac = factor_over_number_field(self.defining, field)
-        if any(mult != 1 for _, mult in fac.factors):
+        _, factors = factor_over_number_field(self.defining, field)
+        if any(mult != 1 for _, mult in factors):
             raise ConsistencyError("defining polynomial not squarefree over L")
-        xlin = Poly(field, [-field.gen(), field.one])
-        self.factors = [g for g, _ in fac.factors if g != xlin]
-        if len(self.factors) == len(fac.factors):
+        self.linear = whole_field(field).min_poly           # X - x
+        self.factors = [g for g, _ in factors if g != self.linear]
+        if len(self.factors) == len(factors):
             raise ConsistencyError("factor X - x missing from factorization over L")
 
     @property
@@ -39,19 +42,24 @@ def principal_subfield_of_factor(L, f_alpha):
 
     Since {1, x, ..., x^(n-1)} is the power basis, the coefficient vector
     of g equals the coordinate vector of g(x); the subfield is literally
-    the kernel of the map g |-> (g(X) - g(x)) mod f_alpha, f_alpha monic.
+    the kernel of the map g |-> (g(X) - g(x)) mod f_alpha, f_alpha monic
+    and, like every polynomial over L, a list of coordinate tuples.
     """
     n = L.n
-    if f_alpha.lc != L.one:
+    pows = L.gen_powers
+    if not f_alpha or f_alpha[-1] != pows[0]:
         raise ValueError("factor must be monic")
-    if not f_alpha.divides(L.defining.map_coeffs(L, L.from_rational)):
+    if any(map(any, L.poly_rem([tuple(c * e for e in pows[0]) for c in L.defining.cs],
+                               f_alpha))):
         raise ValueError("not a factor")
-    if not f_alpha.evaluate(L.gen()):
+    if not any(L.poly_at_x(f_alpha)):
         raise ValueError("factor vanishes at x; use a factor other than X - x")
-    rems = [(Poly(L, [L.zero] * j + [L.one]) - Poly.const(L, NFElement(L, L.gen_powers[j])))
-            % f_alpha for j in range(n)]
-    rows = [[rem.coeff(t).coords[c] for rem in rems]
-            for t in range(f_alpha.degree) for c in range(n)]
+    rems = []
+    for j in range(n):
+        g = [(Fraction(0),) * n] * j + [pows[0]]
+        g[0] = tuple(a - b for a, b in zip(g[0], pows[j]))      # X^j - x^j
+        rems.append(L.poly_rem(g, f_alpha))
+    rows = [[rem[t][c] for rem in rems] for t in range(len(f_alpha) - 1) for c in range(n)]
     return subfield_from_subspace(L, exact.kernel(rows, n, exact.QQ_OPS))
 
 

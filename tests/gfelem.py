@@ -3,7 +3,7 @@
 ``l2lab`` keeps an element of F_q as its index in ``range(q)`` and reads
 ``small_field(q)``'s tables.  Here an element is a ``GFElem`` with its
 own ``+ - * / **`` on the same tables, and ``gf(q)`` is the field of
-them: a ``Poly`` domain, and the ``one`` of ``exact.Ops``.
+them: a domain of ``nfelem.Poly``, and the ``one`` of ``exact.Ops``.
 
 The Groebner completion of a quotient presentation is kept here as the
 engine ran it on ``GFElem`` coefficients (``buchberger``,

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from l2lab.cli import main
-from l2lab.poly import QQ, Poly, factor_mod_p
+from l2lab.poly import Poly, factor_mod_p
 from l2lab.numberfield import make_field
 from l2lab.principal import compute_principal_subfields
 from l2lab.fieldlattice import (build_lattice, is_length_two,
@@ -23,6 +23,8 @@ from l2lab.classify import analyze_extension, classify_extension
 from l2lab.finitealg import Subalgebra, prime_algebra, quotient_algebra, small_field
 from l2lab.report import algebra_report
 from test_fieldlattice_oracle import index_set_I
+from nfelem import nf, over_L
+import nfelem
 
 
 def cli_json(capsys, *argv):
@@ -50,11 +52,12 @@ def test_criterion_1_x4_minus_2(capsys):
     dims = sorted(e["dim"] for e in rep["witnesses"]["principal_subfields"])
     assert dims == [1, 2]
     # exact factorization over L: (X - x)(X + x)(X^2 + x^2)
-    L = make_field(Poly(QQ, map(Fraction, [-2, 0, 0, 0, 1])))
+    L = make_field(Poly(map(Fraction, [-2, 0, 0, 0, 1])))
     ps = compute_principal_subfields(L)
-    x = L.gen()
-    expect = {Poly(L, [x, L.one]).cs, Poly(L, [x * x, L.zero, L.one]).cs}
-    assert {g.cs for g in ps.system.factors} == expect
+    F = nf(L)
+    x = F.gen()
+    expect = {nfelem.Poly(F, [x, F.one]), nfelem.Poly(F, [x * x, F.zero, F.one])}
+    assert {over_L(L, g) for g in ps.system.factors} == expect
     _passed(1, "classify \"X^4 - 2\": t=2, E={Q(sqrt2), Q}, count 3, length 2, "
                "factors (X-x)(X+x)(X^2+x^2)")
 
@@ -66,7 +69,7 @@ def test_criterion_2_biquadratic(capsys):
     assert rep["length"] == 2
     subs = rep["witnesses"]["principal_subfields"]
     assert [e["dim"] for e in subs] == [2, 2, 2]
-    L = make_field(Poly(QQ, map(Fraction, [1, 0, -10, 0, 1])))
+    L = make_field(Poly(map(Fraction, [1, 0, -10, 0, 1])))
     ps = compute_principal_subfields(L)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -94,7 +97,7 @@ def test_criterion_4_minimal_cubic(capsys):
     code = main(["minimal", "X^3 - 3*X + 1"])
     out = capsys.readouterr().out
     assert code == 0 and "not minimal" not in out
-    L = make_field(Poly(QQ, map(Fraction, [1, -3, 0, 1])))
+    L = make_field(Poly(map(Fraction, [1, -3, 0, 1])))
     ps = compute_principal_subfields(L)
     assert ps.t == 1
     # brute-force confirmation: every principal subfield collapses to Q
@@ -233,7 +236,7 @@ def test_criterion_12_property_suites():
     # field side, on every field instance above
     for coeffs in [[-2, 0, 0, 0, 1], [1, 0, -10, 0, 1], [108, 0, 0, 0, 0, 0, 1],
                    [1, -3, 0, 1], [-2, 0, 1]]:
-        f = Poly(QQ, map(Fraction, coeffs))
+        f = Poly(map(Fraction, coeffs))
         L = make_field(f)
         ps = compute_principal_subfields(L)
         lat = build_lattice(ps)

@@ -3,10 +3,11 @@ field-side fact is computed once.
 
 Every kept check of the field path is made to fail by patching one of
 its inputs, and must reach the command line as a ``ConsistencyError``
-with exit code 3.  The spies check that every divisor over L is monic,
-and count the divisions over L, the subfields built from spans and the
-span intersections of a pass over the benchmark fields (the order facts
-come from the lattice's up-sets), and the products over L per
+with exit code 3.  The spies on ``NumberField.poly_rem`` and
+``poly_mul`` check that every divisor over L is monic, and count the
+divisions of f over L, the subfields built from spans and the span
+intersections of a pass over the benchmark fields (the order facts come
+from the lattice's up-sets), and the products over L per
 ``FactorSystem``.
 """
 
@@ -43,9 +44,9 @@ def test_linear_factor_is_required(monkeypatch, capsys):
     factor = principal.factor_over_number_field
 
     def without_linear(f, L):
-        fac = factor(f, L)
-        xlin = Poly(L, [-L.gen(), L.one])
-        return Factorization(L, fac.unit, [gm for gm in fac.factors if gm[0] != xlin])
+        unit, factors = factor(f, L)
+        xlin = [tuple(-c for c in L.gen_powers[1]), L.gen_powers[0]]
+        return unit, [gm for gm in factors if gm[0] != xlin]
 
     monkeypatch.setattr(principal, "factor_over_number_field", without_linear)
     code, err = failure(capsys, "X^4-2")
@@ -141,9 +142,8 @@ def test_factors_over_L_are_squarefree(monkeypatch, capsys):
     factor = principal.factor_over_number_field
 
     def with_a_square(f, L):
-        fac = factor(f, L)
-        g, _ = fac.factors[0]
-        return Factorization(L, fac.unit, [(g, 2)] + fac.factors[1:])
+        unit, factors = factor(f, L)
+        return unit, [(factors[0][0], 2)] + factors[1:]
 
     monkeypatch.setattr(principal, "factor_over_number_field", with_a_square)
     code, err = failure(capsys, "X^4-2")
@@ -219,34 +219,33 @@ def test_galois_of_two_prime_degree_has_length_2(monkeypatch, capsys):
 # Each fact once
 
 def test_every_division_over_L_is_by_a_monic(monkeypatch):
-    # no element of L is inverted: each Poly over L is divided only by a
-    # monic polynomial, on the benchmark fields and Phi_11
-    divmod_, divisors = Poly.__divmod__, []
+    # no element of L is inverted: each polynomial over L is divided only
+    # by a monic polynomial, on the benchmark fields and Phi_11
+    rem, divisors = NumberField.poly_rem, []
 
-    def spy(a, b):
-        if isinstance(b.dom, NumberField):
-            divisors.append(b)
-        return divmod_(a, b)
+    def spy(L, a, b):
+        divisors.append(b[-1] == L.gen_powers[0])
+        return rem(L, a, b)
 
-    monkeypatch.setattr(Poly, "__divmod__", spy)
+    monkeypatch.setattr(NumberField, "poly_rem", spy)
     for f in FIELDS + [PHI11]:
         report.field_report(parse_polynomial(f), f)
-    assert divisors and all(b.lc == b.dom.one for b in divisors)
+    assert divisors and all(divisors)
 
 
 def test_order_facts_come_from_the_lattice(monkeypatch):
-    # Per pass over the benchmark fields, the only divisions over L are
-    # principal_subfield_of_factor's f_alpha | f (one per factor), the
+    # Per pass over the benchmark fields, the only divisions of f over L
+    # are principal_subfield_of_factor's f_alpha | f (one per factor), the
     # only span intersections are build_lattice's, and the subfields
     # built from spans are its new meets plus the E_beta and k.
-    divides, of_span, intersection = (Poly.divides, numberfield.subfield_of_span,
-                                      exact.intersection)
+    rem, of_span, intersection = (NumberField.poly_rem, numberfield.subfield_of_span,
+                                  exact.intersection)
     build = fieldlattice.build_lattice
     inside, calls = [], {"divides": 0, "of_span": 0, "inside": 0, "outside": 0}
 
-    def counted_divides(a, b):
-        calls["divides"] += isinstance(a.dom, NumberField)
-        return divides(a, b)
+    def counted_rem(L, a, b):
+        calls["divides"] += len(a) == L.n + 1
+        return rem(L, a, b)
 
     def counted_of_span(L, span):
         calls["of_span"] += 1
@@ -263,7 +262,7 @@ def test_order_facts_come_from_the_lattice(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(Poly, "divides", counted_divides)
+    monkeypatch.setattr(NumberField, "poly_rem", counted_rem)
     for module in (numberfield, fieldlattice):
         monkeypatch.setattr(module, "subfield_of_span", counted_of_span)
     for module in (exact, fieldlattice):
@@ -279,23 +278,23 @@ def test_order_facts_come_from_the_lattice(monkeypatch):
 
 
 def test_one_product_over_L_per_factor_system(monkeypatch):
-    mul, expand = Poly.__mul__, Factorization.expand
+    mul, expand = NumberField.poly_mul, Factorization.expand
     products, expanded = [], []
 
-    def counted_mul(a, b):
-        products.append(a.dom)
-        return mul(a, b)
+    def counted_mul(L, a, b):
+        products.append(L)
+        return mul(L, a, b)
 
     def counted_expand(fac):
-        expanded.append(fac.dom)
+        expanded.append(all(isinstance(g, Poly) for g, _ in fac.factors))
         return expand(fac)
 
-    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(NumberField, "poly_mul", counted_mul)
     monkeypatch.setattr(Factorization, "expand", counted_expand)
     for f in FIELDS:
         L = make_field(parse_polynomial(f))
         products.clear()
         expanded.clear()
         sysf = principal.FactorSystem(L)
-        assert sum(dom is L for dom in products) == sysf.r + 1, f
-        assert not any(dom is L for dom in expanded), f
+        assert sum(K is L for K in products) == sysf.r + 1, f
+        assert all(expanded), f

@@ -26,13 +26,14 @@ import pytest
 from l2lab.fieldlattice import build_lattice, index_sets
 from l2lab.numberfield import make_field
 from l2lab.parsing import parse_polynomial
-from l2lab.poly import QQ, Poly, factor_over_Q
+from l2lab.poly import Poly, factor_over_Q
 from l2lab.principal import compute_principal_subfields
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 from test_golden_reports import FIELD_INPUTS  # noqa: E402
 from test_numberfield import subfield_generated  # noqa: E402
+from nfelem import over_L  # noqa: E402
 
 PHI11 = "+".join("X^%d" % k for k in range(10, 1, -1)) + "+X+1"
 
@@ -44,20 +45,22 @@ def brute_force_nodes(ps):
     keys = set()
     for mask in range(1 << len(factors)):
         J = [f for j, f in enumerate(factors) if mask >> j & 1]
-        if L.n % (1 + sum(f.degree for f in J)):
+        if L.n % (1 + sum(len(f) - 1 for f in J)):
             continue
-        g = Poly(L, [-L.gen(), L.one])
+        g = over_L(L, ps.system.linear)
         for f in J:
-            g = g * f
+            g = g * over_L(L, f)
         K = subfield_generated(L, list(g.cs))
-        if K.min_poly == g:
+        if over_L(L, K.min_poly) == g:
             keys.add(K.key())
     return keys
 
 
 def index_set_I(K, sys):
     """{alpha : f_alpha divides the minimal polynomial of x over K}."""
-    return set(a for a, f in enumerate(sys.factors) if f.divides(K.min_poly))
+    L = sys.field
+    return set(a for a, f in enumerate(sys.factors)
+               if over_L(L, f).divides(over_L(L, K.min_poly)))
 
 
 def assert_lattice_matches(f):
@@ -84,12 +87,12 @@ def _random_polynomial(rng):
     and q quadratic, which has a subfield whenever it is irreducible."""
     if rng.randrange(2):
         d = rng.randrange(2, 6)
-        return Poly(QQ, map(Fraction, [rng.randrange(-5, 6) for _ in range(d)] + [1]))
+        return Poly(map(Fraction, [rng.randrange(-5, 6) for _ in range(d)] + [1]))
     p = [rng.randrange(-4, 5) for _ in range(rng.choice([2, 3]))] + [1]
-    q = Poly(QQ, map(Fraction, [rng.randrange(-3, 4), rng.randrange(-2, 3), 1]))
-    f = Poly(QQ, [])
+    q = Poly(map(Fraction, [rng.randrange(-3, 4), rng.randrange(-2, 3), 1]))
+    f = Poly([])
     for c in reversed(p):
-        f = f * q + Poly(QQ, [Fraction(c)])
+        f = f * q + Poly([Fraction(c)])
     return f
 
 

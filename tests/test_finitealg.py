@@ -6,7 +6,7 @@ from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab import finitealg, intpoly
 from l2lab.lattice import from_edges
 from l2lab.exact import prime_factors
-from l2lab.poly import Poly, factor_mod_p, poly_gcd
+from l2lab.poly import factor_mod_p, poly_gcd
 from l2lab.finitealg import (FiniteAlgebra, Subalgebra, _power_table, conductor,
                              crucial_ideal, enumerate_subalgebras, field_extension,
                              maximal_ideals, msupp,
@@ -14,6 +14,7 @@ from l2lab.finitealg import (FiniteAlgebra, Subalgebra, _power_table, conductor,
                              seminormalize, small_field, t_close)
 
 from gfelem import gf
+from nfelem import Poly
 
 
 F2 = small_field(2)

@@ -1,31 +1,20 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from l2lab import exact
-from l2lab.poly import QQ, Poly
-from l2lab.numberfield import (NFElement, NumberField, Subfield, intersect_subfields,
-                               make_field, poly_str, prime_subfield, subfield_of_span,
-                               whole_field)
+from l2lab.poly import Poly
+from l2lab.numberfield import (NumberField, Subfield, intersect_subfields, make_field,
+                               poly_str, prime_subfield, subfield_of_span, whole_field)
+from l2lab.parsing import parse_polynomial
+import nfelem
+from nfelem import lift, nf, nf_inverse, over_L
 
-
-def nf_inverse(a):
-    """a^(-1) in L = Q[x]/(f), by extended Euclid on a's coordinate
-    polynomial and f: s*a + t*f = 1.  The oracle for the tests that need
-    an inverse; production never divides by an element of L."""
-    if not a:
-        raise ZeroDivisionError("inverse of zero")
-    L = a.field
-    r0, r1 = Poly(QQ, a.coords), L.defining
-    s0, s1 = Poly.const(QQ, Fraction(1)), Poly(QQ, [])
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    assert r0.degree == 0, "defining polynomial is not irreducible"
-    s = s0.mul_scalar(Fraction(1) / r0.cs[0])
-    return L.element(list(s.cs) + [0] * (L.n - len(s.cs)))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
 
 
 def subfield_generated(L, gens):
@@ -35,7 +24,7 @@ def subfield_generated(L, gens):
     stabilizes; terminates in at most n rounds since the dimension
     strictly increases.
     """
-    span = exact.Echelon([L.one.coords] + [g.coords for g in gens], exact.QQ_OPS)
+    span = exact.Echelon([L.gen_powers[0]] + [g.coords for g in gens], exact.QQ_OPS)
     while True:
         rows = list(span)
         prods = list(span)
@@ -50,7 +39,7 @@ def subfield_generated(L, gens):
 
 
 def Q(*ints):
-    return Poly(QQ, map(Fraction, ints))
+    return Poly(map(Fraction, ints))
 
 
 @pytest.fixture(scope="module")
@@ -83,34 +72,33 @@ def test_make_field_degree_six():
 
 
 def test_nf_mul_sqrt2(L2):
-    x = L2.gen()
-    assert x * x == L2.from_rational(2)
+    x = nf(L2).gen()
+    assert x * x == nf(L2).from_rational(2)
 
 
 def test_nf_mul_identity(L4):
-    a = L4.element([1, 2, 3, 4])
-    assert a * L4.one == a
+    a = nf(L4).element([1, 2, 3, 4])
+    assert a * nf(L4).one == a
 
 
 def test_nf_mul_power_reduction(L4):
-    x = L4.gen()
-    assert x * (x * x * x) == L4.from_rational(2)
+    x = nf(L4).gen()
+    assert x * (x * x * x) == nf(L4).from_rational(2)
 
 
 def test_nf_inverse(L4):
     rng = random.Random(4)
     for _ in range(10):
-        a = L4.element([rng.randrange(-3, 4) for _ in range(4)])
+        a = nf(L4).element([rng.randrange(-3, 4) for _ in range(4)])
         if not a:
             continue
-        assert a * nf_inverse(a) == L4.one
+        assert a * nf_inverse(a) == nf(L4).one
 
 
-def test_nf_element_is_only_a_coefficient():
-    # L's arithmetic never divides: no element has an inverse
-    assert not hasattr(NFElement, "inverse")
-    assert not hasattr(NFElement, "__truediv__")
-    assert not any(hasattr(NumberField, name) for name in ("from_poly", "from_int", "_mul"))
+def test_number_field_keeps_no_element_objects():
+    # L's arithmetic is on coordinate tuples, and no element is inverted
+    assert not any(hasattr(NumberField, name) for name in (
+        "from_poly", "from_int", "_mul", "zero", "one", "gen", "from_rational", "element"))
     assert "span" not in Subfield.__slots__
 
 
@@ -121,23 +109,44 @@ def test_mul_on_coordinate_tuples(L4):
                              (2, 0, 0, 0)]
 
 
+@pytest.mark.parametrize("text", [f for _, f, _, _ in corpus.FIELDS])
+def test_tuple_arithmetic_matches_the_oracle(text):
+    # product, remainder by a monic and value at x on coordinate-tuple
+    # lists, against Poly over nf(L) on seeded random polynomials
+    L = make_field(parse_polynomial(text))
+    rng = random.Random("tuples:" + text)
+
+    def random_poly(degree):
+        return [tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(L.n))
+                for _ in range(degree + 1)]
+
+    for _ in range(20):
+        a, b = random_poly(rng.randrange(-1, 7)), random_poly(rng.randrange(-1, 4))
+        m = random_poly(rng.randrange(0, 4)) + [L.gen_powers[0]]
+        A, B, M = over_L(L, a), over_L(L, b), over_L(L, m)
+        assert over_L(L, L.poly_mul(a, b)) == A * B
+        rem = L.poly_rem(a, m)
+        assert len(rem) == len(m) - 1 and over_L(L, rem) == A % M
+        assert L.poly_at_x(a) == A.evaluate(nf(L).gen()).coords
+
+
 def test_min_poly_of_sqrt2_subfield(L4):
-    x = L4.gen()
+    F = nf(L4)
+    x = F.gen()
     K = subfield_generated(L4, [x * x])
     assert K.dim == 2
     # X^2 - x^2
-    expect = Poly(L4, [-(x * x), L4.zero, L4.one])
-    assert K.min_poly == expect
+    assert over_L(L4, K.min_poly) == nfelem.Poly(nf(L4), [-(x * x), F.zero, F.one])
 
 
 def test_min_poly_of_whole_field(L4):
     W = whole_field(L4)
-    assert W.min_poly == Poly(L4, [-L4.gen(), L4.one])
+    assert over_L(L4, W.min_poly) == nfelem.Poly(nf(L4), [-nf(L4).gen(), nf(L4).one])
 
 
 def test_min_poly_of_prime_field(L4):
     K = prime_subfield(L4)
-    assert K.min_poly == L4.defining.map_coeffs(L4, L4.from_rational)
+    assert over_L(L4, K.min_poly) == lift(L4, L4.defining)
 
 
 def test_subfield_generated_empty_is_Q(L4):
@@ -146,29 +155,30 @@ def test_subfield_generated_empty_is_Q(L4):
 
 
 def test_subfield_generated_whole(L4):
-    assert subfield_generated(L4, [L4.gen()]).is_full()
+    assert subfield_generated(L4, [nf(L4).gen()]).is_full()
 
 
 def test_intersection_idempotent(L4):
-    K = subfield_generated(L4, [L4.gen() * L4.gen()])
+    K = subfield_generated(L4, [nf(L4).gen() * nf(L4).gen()])
     assert intersect_subfields(K, K) == K
 
 
 def test_intersection_with_whole(L4):
-    K = subfield_generated(L4, [L4.gen() * L4.gen()])
+    K = subfield_generated(L4, [nf(L4).gen() * nf(L4).gen()])
     assert intersect_subfields(K, whole_field(L4)) == K
 
 
 def test_intersection_of_distinct_quadratics_is_Q():
     # inside Q(sqrt2 + sqrt3): Q(sqrt3) meet Q(sqrt2) = Q
     L = make_field(Q(1, 0, -10, 0, 1))
-    x = L.gen()
+    F = nf(L)
+    x = F.gen()
     x3 = x * x * x
-    half = L.from_rational(Fraction(-1, 2))
-    sqrt2 = (x3 - x * L.from_rational(9)) * half
-    sqrt3 = (x3 - x * L.from_rational(11)) * half
-    assert sqrt2 * sqrt2 == L.from_rational(2)
-    assert sqrt3 * sqrt3 == L.from_rational(3)
+    half = F.from_rational(Fraction(-1, 2))
+    sqrt2 = (x3 - x * F.from_rational(9)) * half
+    sqrt3 = (x3 - x * F.from_rational(11)) * half
+    assert sqrt2 * sqrt2 == F.from_rational(2)
+    assert sqrt3 * sqrt3 == F.from_rational(3)
     A = subfield_generated(L, [sqrt2])
     B = subfield_generated(L, [sqrt3])
     assert A.dim == B.dim == 2 and A != B
@@ -177,20 +187,18 @@ def test_intersection_of_distinct_quadratics_is_Q():
 
 def test_K_equals_K_of_its_min_poly(L4):
     # K = subfield generated by the coefficients of f_K
-    for K in [prime_subfield(L4),
-              subfield_generated(L4, [L4.gen() * L4.gen()]),
-              whole_field(L4)]:
-        regen = subfield_generated(L4, list(K.min_poly.cs))
+    x = nf(L4).gen()
+    for K in [prime_subfield(L4), subfield_generated(L4, [x * x]), whole_field(L4)]:
+        regen = subfield_generated(L4, list(over_L(L4, K.min_poly).cs))
         assert regen == K
 
 
 def test_min_poly_divides_defining(L4):
-    f_over_L = L4.defining.map_coeffs(L4, L4.from_rational)
-    for K in [prime_subfield(L4),
-              subfield_generated(L4, [L4.gen() * L4.gen()]),
-              whole_field(L4)]:
-        assert (f_over_L % K.min_poly).is_zero
-        assert K.min_poly.degree * K.dim == L4.n
+    f_over_L = lift(L4, L4.defining)
+    x = nf(L4).gen()
+    for K in [prime_subfield(L4), subfield_generated(L4, [x * x]), whole_field(L4)]:
+        assert (f_over_L % over_L(L4, K.min_poly)).is_zero
+        assert (len(K.min_poly) - 1) * K.dim == L4.n
 
 
 @pytest.mark.parametrize("coeffs,separable", [

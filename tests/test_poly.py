@@ -9,29 +9,41 @@ from pathlib import Path
 import pytest
 
 from l2lab import caps, intpoly, poly
+from l2lab.cli import main
 from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab.exact import next_prime
 from l2lab.numberfield import NumberField, make_field
 from l2lab.parsing import parse_polynomial
-from l2lab.poly import (QQ, Poly, factor_mod_p, factor_over_Q,
-                        factor_over_number_field, poly_gcd)
+from l2lab.poly import (Poly, factor_mod_p, factor_over_Q, factor_over_number_field,
+                        poly_gcd)
 
+import nfelem
 from gfelem import gf
-from test_numberfield import nf_inverse
+from nfelem import QQ, lift, nf, nf_inverse, over_L
 
 
 def shift(f, c):
-    """Taylor shift: the polynomial f(X + c)."""
+    """Taylor shift: the polynomial f(X + c), f a ``nfelem.Poly``."""
     dom = f.dom
-    acc = Poly(dom, [])
-    xpc = Poly(dom, [c, dom.one])
+    acc = nfelem.Poly(dom, [])
+    xpc = nfelem.Poly(dom, [c, dom.one])
     for a in reversed(f.cs):
-        acc = acc * xpc + Poly.const(dom, a)
+        acc = acc * xpc + nfelem.Poly.const(dom, a)
     return acc
 
 
 def Q(*ints):
-    return Poly(QQ, map(Fraction, ints))
+    return Poly(map(Fraction, ints))
+
+
+def expand_over_L(L, unit, factors):
+    """unit * prod(h^m) over L, on ``nfelem.Poly``, for
+    ``factor_over_number_field``'s result."""
+    acc = nfelem.Poly(nf(L), [nf(L).from_rational(unit)])
+    for h, m in factors:
+        for _ in range(m):
+            acc = acc * over_L(L, h)
+    return acc
 
 
 # --- gcd and separability -------------------------------------------------
@@ -64,7 +76,7 @@ def _brute_force_irreducibles(p, maxdeg):
     dom = gf(p)
     monics = {}
     for d in range(1, maxdeg + 1):
-        monics[d] = [Poly(dom, map(dom.element, list(tail) + [1]))
+        monics[d] = [nfelem.Poly(dom, map(dom.element, list(tail) + [1]))
                      for tail in itertools.product(range(p), repeat=d)]
     irred = {}
     for d in range(1, maxdeg + 1):
@@ -115,15 +127,15 @@ def test_factor_mod_p_recovers_known_products(p):
         for _ in range(rng.randrange(1, 4)):
             g = pool[rng.randrange(len(pool))]
             chosen[g.cs] = (g, chosen.get(g.cs, (g, 0))[1] + rng.randrange(1, 3))
-        f = Poly(dom, [dom.one])
+        f = nfelem.Poly(dom, [dom.one])
         for g, m in chosen.values():
             for _ in range(m):
                 f = f * g
         unit, factors = factor_mod_p(_ints(f), p)
-        product = Poly(dom, [dom.element(unit)])
+        product = nfelem.Poly(dom, [dom.element(unit)])
         for g, m in factors:
             for _ in range(m):
-                product = product * Poly(dom, map(dom.element, g))
+                product = product * nfelem.Poly(dom, map(dom.element, g))
         assert product == f
         assert sorted((tuple(g), m) for g, m in factors) == \
             sorted((tuple(_ints(g)), m) for g, m in chosen.values())
@@ -147,7 +159,7 @@ def test_factor_mod_p_matches_the_poly_oracle_up_to_degree_4(p):
             if f.degree + pool[k].degree <= 4:
                 extend(k, f * pool[k], chosen + [k])
 
-    extend(0, Poly(dom, [dom.one]), [])
+    extend(0, nfelem.Poly(dom, [dom.one]), [])
     assert len(expect) == sum(p ** d for d in range(5))
     for key, factors in expect.items():
         assert factor_mod_p(list(key), p) == (1, factors)
@@ -179,9 +191,19 @@ def test_factor_mod_p_reduces_its_input():
 
 
 def test_factor_mod_p_checks_its_product(monkeypatch):
-    monkeypatch.setattr(intpoly, "_psplit", lambda ddf, p: [[1, 1]])
-    with pytest.raises(ConsistencyError, match="does not re-multiply"):
-        factor_mod_p([0, 1, 1], 2)            # X (X + 1), split as X + 1
+    # (X + 1)(X + 2)(X + 3) over F_7, its first irreducible factor split
+    # off with the constant term one too high
+    real = intpoly._psplit
+
+    def corrupted(ddf, p):
+        hs = real(ddf, p)
+        hs[0] = [(hs[0][0] + 1) % p] + hs[0][1:]
+        return hs
+
+    monkeypatch.setattr(intpoly, "_psplit", corrupted)
+    with pytest.raises(ConsistencyError,
+                       match="^factorization does not re-multiply to its input$"):
+        factor_mod_p([6, 11, 6, 1], 7)
 
 
 def test_factor_mod_p_checks_for_repeated_factors(monkeypatch):
@@ -246,14 +268,16 @@ def test_factor_over_Q_refines_mod_good_prime():
     while True:
         p = next_prime(p + rng.randrange(0, 10))
         dom = gf(p)
-        fp = f.map_coeffs(dom, lambda c: dom.from_int(c.numerator)
-                          * dom.from_int(c.denominator) ** (p - 2))
+
+        def mod_p(g):
+            return nfelem.Poly(dom, [dom.from_int(c.numerator)
+                                     * dom.from_int(c.denominator) ** (p - 2) for c in g.cs])
+
+        fp = mod_p(f)
         if fp.degree == f.degree and poly_gcd(fp, fp.derivative()).degree == 0:
             break
     for g, _ in fac.factors:
-        gp = g.map_coeffs(dom, lambda c: dom.from_int(c.numerator)
-                          * dom.from_int(c.denominator) ** (p - 2))
-        assert (fp % gp).is_zero
+        assert (fp % mod_p(g)).is_zero
 
 
 # --- the evaluation/interpolation norm: the oracle of the composed sum -----
@@ -287,21 +311,22 @@ def interpolate(dom, xs, ys):
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    acc = Poly(dom, [])
-    basis = Poly.const(dom, dom.one)
+    acc = nfelem.Poly(dom, [])
+    basis = nfelem.Poly.const(dom, dom.one)
     for k in range(n):
         acc = acc + basis.mul_scalar(dd[k])
-        basis = basis * Poly(dom, [-xs[k], dom.one])
+        basis = basis * nfelem.Poly(dom, [-xs[k], dom.one])
     return acc
 
 
 def norm_by_evaluation(f, L, s):
-    """Res_y(fL(y), f(X - s*y)) in Q[X] for monic f in L[X]: the norm
-    evaluated at deg(fL) * deg(f) + 1 rational points, one resultant
-    over Q each, and interpolated."""
-    fL = L.defining
+    """Res_y(fL(y), f(X - s*y)) in Q[X] for monic f in L[X], a
+    ``nfelem.Poly`` over ``nf(L)``: the norm evaluated at
+    deg(fL) * deg(f) + 1 rational points, one resultant over Q each, and
+    interpolated."""
+    fL = nfelem.Poly(QQ, L.defining.cs)
     D = fL.degree * f.degree
-    coeff_reps = [Poly(QQ, c.coords) for c in f.cs]
+    coeff_reps = [nfelem.Poly(QQ, c.coords) for c in f.cs]
     xs = []
     ys = []
     c = 0
@@ -310,9 +335,9 @@ def norm_by_evaluation(f, L, s):
             if len(xs) > D:
                 break
             # G(y) = sum_i A_i(y) * (point - s*y)^i
-            base = Poly(QQ, [point, Fraction(-s)])
-            acc = Poly(QQ, [])
-            power = Poly.const(QQ, Fraction(1))
+            base = nfelem.Poly(QQ, [point, Fraction(-s)])
+            acc = nfelem.Poly(QQ, [])
+            power = nfelem.Poly.const(QQ, Fraction(1))
             for rep in coeff_reps:
                 acc = acc + power * rep
                 power = power * base
@@ -326,10 +351,11 @@ def test_resultant_is_product_over_roots():
     rng = random.Random(3)
     for _ in range(15):
         roots = [Fraction(rng.randrange(-5, 6)) for _ in range(rng.randrange(1, 4))]
-        a = Q(1)
+        a = nfelem.Poly(QQ, [Fraction(1)])
         for r in roots:
-            a = a * Poly(QQ, [-r, Fraction(1)])
-        b = Q(*[rng.randrange(-4, 5) for _ in range(rng.randrange(1, 5))])
+            a = a * nfelem.Poly(QQ, [-r, Fraction(1)])
+        b = nfelem.Poly(QQ, map(Fraction, [rng.randrange(-4, 5)
+                                           for _ in range(rng.randrange(1, 5))]))
         if b.is_zero:
             continue
         expected = Fraction(1)
@@ -341,16 +367,17 @@ def test_resultant_is_product_over_roots():
 def test_interpolation_roundtrip():
     rng = random.Random(11)
     for _ in range(10):
-        f = Q(*[rng.randrange(-5, 6) for _ in range(rng.randrange(1, 6))])
+        f = nfelem.Poly(QQ, map(Fraction, [rng.randrange(-5, 6)
+                                           for _ in range(rng.randrange(1, 6))]))
         xs = [Fraction(i) for i in range(f.degree + 2)]
         ys = [f.evaluate(x) for x in xs]
         assert interpolate(QQ, xs, ys) == f
 
 
 def _assert_norms_agree(f, L):
-    fL = f.map_coeffs(L, L.from_rational)
+    fL = lift(L, f)
     for s in range(4):
-        assert intpoly._norm_with_shift(f, L, s) == norm_by_evaluation(fL, L, s), s
+        assert intpoly._norm_with_shift(f, L, s).cs == norm_by_evaluation(fL, L, s).cs, s
 
 
 # the fields of the benchmark's ``fields`` workload
@@ -372,7 +399,7 @@ def test_composed_sum_norm_of_other_polynomial():
 def _random_monic(rng, degree):
     cs = [Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3, 4, 6]))
           for _ in range(degree)]
-    return Poly(QQ, cs + [Fraction(1)])
+    return Poly(cs + [Fraction(1)])
 
 
 def test_composed_sum_norm_random_pairs():
@@ -393,7 +420,7 @@ def test_norm_newton_division_must_be_exact():
 
 # --- the modular squarefree certificate -------------------------------------
 
-PHI11 = Poly(QQ, [Fraction(1)] * 11)
+PHI11 = Poly([Fraction(1)] * 11)
 
 
 def test_certificate_on_phi11_norms():
@@ -426,37 +453,36 @@ def test_certificate_holds_on_squarefree_trager_norms(text):
 
 def test_trager_x4_minus_2():
     L = make_field(Q(-2, 0, 0, 0, 1))
-    fac = factor_over_number_field(L.defining, L)
-    x = L.gen()
+    unit, factors = factor_over_number_field(L.defining, L)
+    F = nf(L)
+    x = F.gen()
     expect = {
-        Poly(L, [-x, L.one]).cs,                      # X - x
-        Poly(L, [x, L.one]).cs,                       # X + x
-        Poly(L, [x * x, L.zero, L.one]).cs,           # X^2 + x^2
+        nfelem.Poly(F, [-x, F.one]),                  # X - x
+        nfelem.Poly(F, [x, F.one]),                   # X + x
+        nfelem.Poly(F, [x * x, F.zero, F.one]),       # X^2 + x^2
     }
-    assert {g.cs for g, _ in fac.factors} == expect
-    assert fac.expand() == L.defining.map_coeffs(L, L.from_rational)
+    assert {over_L(L, g) for g, _ in factors} == expect
+    assert expand_over_L(L, unit, factors) == lift(L, L.defining)
 
 
 def test_trager_biquadratic_has_inverse_root_factor():
     L = make_field(Q(1, 0, -10, 0, 1))
-    fac = factor_over_number_field(L.defining, L)
-    xinv = nf_inverse(L.gen())
-    assert Poly(L, [-xinv, L.one]).cs in {g.cs for g, _ in fac.factors}
-    assert sum(g.degree for g, _ in fac.factors) == 4
-    assert len(fac.factors) == 4
+    _, factors = factor_over_number_field(L.defining, L)
+    xinv = nf_inverse(nf(L).gen())
+    assert nfelem.Poly(nf(L), [-xinv, nf(L).one]) in {over_L(L, g) for g, _ in factors}
+    assert sum(len(g) - 1 for g, _ in factors) == 4
+    assert len(factors) == 4
 
 
 def test_trager_linear_input():
+    # the unit is rational, and each factor a list of coordinate tuples
     L = make_field(Q(-2, 0, 1))
-    fac = factor_over_number_field(Q(3, 2), L)
-    assert fac.unit == L.from_rational(2)
-    assert fac.factors == [(Poly(L, [L.from_rational(Fraction(3, 2)), L.one]), 1)]
+    assert factor_over_number_field(Q(3, 2), L) == (2, [([(Fraction(3, 2), 0), (1, 0)], 1)])
 
 
 def test_trager_constant_input():
     L = make_field(Q(-2, 0, 1))
-    fac = factor_over_number_field(Q(5), L)
-    assert fac.unit == L.from_rational(5) and fac.factors == []
+    assert factor_over_number_field(Q(5), L) == (5, [])
 
 
 def test_trager_rejects_non_squarefree():
@@ -470,40 +496,41 @@ def test_trager_composite_input_over_biquadratic():
     # (X^2-2)(X^2-3) splits into four linear factors over Q(sqrt2+sqrt3)
     L = make_field(Q(1, 0, -10, 0, 1))
     f = Q(-2, 0, 1) * Q(-3, 0, 1)
-    fac = factor_over_number_field(f, L)
-    assert sorted(g.degree for g, _ in fac.factors) == [1, 1, 1, 1]
-    assert fac.expand() == f.map_coeffs(L, L.from_rational)
+    unit, factors = factor_over_number_field(f, L)
+    assert sorted(len(g) - 1 for g, _ in factors) == [1, 1, 1, 1]
+    assert expand_over_L(L, unit, factors) == lift(L, f)
 
 
 def test_trager_keeps_irreducible():
     L = make_field(Q(-2, 0, 1))
     g = Q(1, 0, 1)                                  # X^2 + 1 over a real field
-    fac = factor_over_number_field(g, L)
-    assert len(fac.factors) == 1 and fac.factors[0][1] == 1
+    _, factors = factor_over_number_field(g, L)
+    assert len(factors) == 1 and factors[0][1] == 1
 
 
 def test_trager_non_monic_unit():
     L = make_field(Q(-2, 0, 1))
     h = Q(3, 0, 3)
-    fac = factor_over_number_field(h, L)
-    assert fac.unit == L.from_rational(3) and fac.expand() == h.map_coeffs(L, L.from_rational)
+    unit, factors = factor_over_number_field(h, L)
+    assert unit == 3 and expand_over_L(L, unit, factors) == lift(L, h)
 
 
 def test_trager_nontrivial_shift_needed():
     # Over Q(sqrt2), X^2 - 2 = (X - x)(X + x): the zero shift has a
     # repeated norm root, so the shift search must move past s = 0.
     L = make_field(Q(-2, 0, 1))
-    x = L.gen()
-    fac = factor_over_number_field(Q(-2, 0, 1), L)
-    assert {g.cs for g, _ in fac.factors} == \
-        {Poly(L, [-x, L.one]).cs, Poly(L, [x, L.one]).cs}
+    x = nf(L).gen()
+    _, factors = factor_over_number_field(Q(-2, 0, 1), L)
+    assert {over_L(L, g) for g, _ in factors} == \
+        {nfelem.Poly(nf(L), [-x, nf(L).one]), nfelem.Poly(nf(L), [x, nf(L).one])}
 
 
 def test_trager_requires_rational_coefficients():
-    # a Poly over L is refused, even one whose coefficients are rational
+    # a polynomial over L is refused, even one whose coefficients are
+    # rational: as coordinate tuples or as a Poly over nf(L)
     L = make_field(Q(-2, 0, 1))
-    x = L.gen()
-    for f in (Poly(L, [L.one, x, L.one]), Q(1, 0, 1).map_coeffs(L, L.from_rational)):
+    one, x = L.gen_powers[:2]
+    for f in ([one, x, one], [one, (0, 0), one], lift(L, Q(1, 0, 1))):
         with pytest.raises(ValueError, match="rational coefficients"):
             factor_over_number_field(f, L)
 
@@ -524,6 +551,32 @@ def test_factor_over_Q_skips_yun_when_certified(monkeypatch):
     assert factor_over_Q(f).expand() == f
     monkeypatch.undo()
     assert factor_over_Q(f * Q(-1, 1)).factors[0][1] == 2
+
+
+def test_factor_over_Q_checks_its_product(monkeypatch, capsys):
+    # each irreducible factor over Z comes back with its constant term one
+    # too high; make_field factors the defining polynomial first, so the
+    # command line exits 3
+    real = intpoly._factor_squarefree_monic_int
+
+    def corrupted(G):
+        return [[H[0] + 1] + H[1:] for H in real(G)]
+
+    monkeypatch.setattr(intpoly, "_factor_squarefree_monic_int", corrupted)
+    message = "factorization does not re-multiply to its input"
+    with pytest.raises(ConsistencyError, match="^%s$" % message):
+        factor_over_Q(Q(-1, 1) * Q(1, 1, 1))
+    assert main(["classify", "--json", "X^4-2"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_factor_over_Q_checks_for_repeated_factors(monkeypatch):
+    # Yun's parts come back with each multiplicity spelled out as repeats
+    real = intpoly._yun_squarefree_Q
+    monkeypatch.setattr(intpoly, "_yun_squarefree_Q", lambda f: [
+        (g, 1) for g, m in real(f) for _ in range(m)])
+    with pytest.raises(ConsistencyError, match="^repeated factor in factorization$"):
+        factor_over_Q(Q(-1, 1) * Q(-1, 1) * Q(2, 1))
 
 
 # --- prime choice for Berlekamp-Zassenhaus ---------------------------------
@@ -663,7 +716,8 @@ def _random_monic_product(rng):
         count = 0
         while True:
             if rng.random() < 0.4:
-                g = shift(Q(*rng.choice(SHIFTED_SPLITTERS)), Fraction(rng.randrange(-3, 4)))
+                g = nfelem.Poly(QQ, map(Fraction, rng.choice(SHIFTED_SPLITTERS)))
+                g = Poly(shift(g, Fraction(rng.randrange(-3, 4))).cs)
             else:
                 d = rng.randrange(1, 4)
                 g = Q(*([rng.randrange(-9, 10) for _ in range(d)] + [1]))
@@ -921,7 +975,7 @@ def test_equal_degree_splitting_mod_2(d):
 def monic_over_L(a):
     """a times the inverse of its leading coefficient."""
     inv = nf_inverse(a.lc)
-    return Poly(a.dom, [c * inv for c in a.cs])
+    return nfelem.Poly(a.dom, [c * inv for c in a.cs])
 
 
 def gcd_over_L(a, b):
@@ -935,9 +989,8 @@ def gcd_over_L(a, b):
 def gcds_by_euclid(f, norms, s, L):
     """gcd(f, N(X + s*x)) over L for each N, by Euclid on Fraction
     coordinates after an exact Taylor shift over L; f is in Q[X]."""
-    sx = L.gen() * L.from_rational(s)
-    fL = f.map_coeffs(L, L.from_rational)
-    return [gcd_over_L(fL, shift(N.map_coeffs(L, L.from_rational), sx)) for N in norms]
+    sx = nf(L).gen() * nf(L).from_rational(s)
+    return [gcd_over_L(lift(L, f), shift(lift(L, N), sx)) for N in norms]
 
 
 def _factor_recording_gcds(monkeypatch, f, L):
@@ -953,20 +1006,20 @@ def _factor_recording_gcds(monkeypatch, f, L):
 @pytest.mark.parametrize("text", NORM_FIELDS)
 def test_modular_gcd_matches_euclid_on_fields(text, monkeypatch):
     L = make_field(parse_polynomial(text))
-    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, L.defining, L)
-    assert hs == gcds_by_euclid(L.defining, norms, s, L)
-    assert len(hs) == len(norms) and {h.cs for h in hs} == {g.cs for g, _ in fac.factors}
+    (_, factors), ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, L.defining, L)
+    assert [over_L(L, h) for h in hs] == gcds_by_euclid(L.defining, norms, s, L)
+    assert len(hs) == len(norms) and sorted(hs) == sorted(g for g, _ in factors)
 
 
 def test_modular_gcd_matches_euclid_on_phi11(monkeypatch):
     # Euclid over L takes seconds per norm factor here, so one is checked
     # against it; the others against the factors X - x^k that Phi11 has
     L = NumberField(PHI11)
-    fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, PHI11, L)
+    _, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, PHI11, L)
     assert len(norms) == 10
-    assert hs[:1] == gcds_by_euclid(PHI11, norms[:1], s, L)
-    assert {h.cs for h in hs} == {Poly(L, [-L.element(L.gen_powers[k]), L.one]).cs
-                                  for k in range(1, 11)}
+    assert [over_L(L, h) for h in hs[:1]] == gcds_by_euclid(PHI11, norms[:1], s, L)
+    assert sorted(hs) == sorted([tuple(-c for c in L.gen_powers[k]), L.gen_powers[0]]
+                                for k in range(1, 11))
 
 
 def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
@@ -981,9 +1034,9 @@ def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
         fq = _random_monic(rng, rng.randrange(2, 5))
         if poly_gcd(fq, fq.derivative()).degree:
             continue
-        fac, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fq, L)
-        assert hs == gcds_by_euclid(fq, norms, s, L)
-        assert fac.expand() == fq.map_coeffs(L, L.from_rational)
+        (unit, factors), ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fq, L)
+        assert [over_L(L, h) for h in hs] == gcds_by_euclid(fq, norms, s, L)
+        assert expand_over_L(L, unit, factors) == lift(L, fq)
         done += 1
 
 
@@ -1007,10 +1060,10 @@ def _feed_primes(monkeypatch, first):
 ])
 def test_modular_gcd_skips_bad_primes(text, bad, monkeypatch):
     L = make_field(parse_polynomial(text))
-    expected = factor_over_number_field(L.defining, L).factors
+    expected = factor_over_number_field(L.defining, L)
     _feed_primes(monkeypatch, list(bad))
     tried = _record(monkeypatch, "_gcds_mod_p")
-    assert factor_over_number_field(L.defining, L).factors == expected
+    assert factor_over_number_field(L.defining, L) == expected
     seen = {args[4]: result for args, result in tried}
     m = L.n
     for p, why in bad.items():
@@ -1023,18 +1076,42 @@ def test_modular_gcd_skips_bad_primes(text, bad, monkeypatch):
     assert all(p > 2 ** 25 for p, hs in seen.items() if hs and p not in bad)
 
 
+def test_modular_gcds_that_disagree_contradict_trager(monkeypatch, capsys):
+    # 13 and 17 keep X^3 - X/3 + 5/7 squarefree, 13 alone cannot recover
+    # the coordinate -1/3, and the images mod 17 come out in reverse
+    # order: the two primes' degree vectors, [1, 2] and [2, 1], disagree.
+    # No other prime is tried, so a missing check fails at once.
+    text = "X^3-X/3+5/7"
+    real = intpoly._gcds_mod_p
+
+    def reversed_mod_17(fq, norms, s, fp, p):
+        hs = real(fq, norms, s, fp, p)
+        return hs[::-1] if p == 17 else hs
+
+    monkeypatch.setattr(intpoly, "_gcd_primes", lambda: iter([13, 17]))
+    monkeypatch.setattr(intpoly, "_gcds_mod_p", reversed_mod_17)
+    tried = _record(monkeypatch, "_gcds_mod_p")
+    message = "modular gcds over L contradict Trager's theorem"
+    L = make_field(parse_polynomial(text))
+    with pytest.raises(ConsistencyError, match="^%s$" % message):
+        factor_over_number_field(L.defining, L)
+    assert [[len(h) - 1 for h in hs] for _, hs in tried] == [[1, 2], [2, 1]]
+    assert main(["classify", "--json", text]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_modular_gcd_combines_several_small_primes(monkeypatch):
     # the factors of X^6+108 have coordinates up to 12, which primes
     # below 300 recover only together
     L = make_field(parse_polynomial("X^6+108"))
-    expected = factor_over_number_field(L.defining, L).factors
+    expected = factor_over_number_field(L.defining, L)
     small, p = [], 1
     while p < 300:
         p = next_prime(p)
         small.append(p)
     _feed_primes(monkeypatch, small)
     tried = _record(monkeypatch, "_gcds_mod_p")
-    assert factor_over_number_field(L.defining, L).factors == expected
+    assert factor_over_number_field(L.defining, L) == expected
     used = [args[4] for args, hs in tried if hs and sum(len(h) - 1 for h in hs) == L.n]
     assert len(used) > 1 and all(p in small for p in used)
 
@@ -1044,7 +1121,7 @@ def test_no_gcd_or_shift_over_L_after_the_squarefree_check(monkeypatch):
     real_gcd = poly.poly_gcd
 
     def gcd_spy(a, b):
-        calls.append(("gcd", a.dom))
+        calls.append(isinstance(a, Poly) and isinstance(b, Poly))
         return real_gcd(a, b)
 
     for module in (poly, intpoly):
@@ -1054,4 +1131,4 @@ def test_no_gcd_or_shift_over_L_after_the_squarefree_check(monkeypatch):
         del calls[:]
         factor_over_number_field(L.defining, L)
         # squarefreeness is decided over Q, and every gcd over L is modular
-        assert [c for c in calls if c[1] is not QQ] == [], text
+        assert all(calls), text

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.poly import QQ, Poly
+from l2lab.poly import Poly
 from l2lab.numberfield import make_field
 from l2lab.principal import compute_principal_subfields, principal_subfield_of_factor
 from test_fieldlattice_oracle import index_set_I
 from test_numberfield import subfield_generated
+from nfelem import nf, over_L
 
 
 def Q(*ints):
-    return Poly(QQ, map(Fraction, ints))
+    return Poly(map(Fraction, ints))
 
 
 @pytest.fixture(scope="module")
@@ -31,36 +32,45 @@ def ps6():
 def test_factor_system_shape(ps4):
     sysf = ps4.system
     assert sysf.r == 2
-    assert sorted(g.degree for g in sysf.factors) == [1, 2]
+    assert sorted(len(g) - 1 for g in sysf.factors) == [1, 2]
 
 
 def test_principal_subfield_of_linear_factor(ps4):
     L = ps4.field
-    x = L.gen()
-    lin = next(g for g in ps4.system.factors if g.degree == 1)   # X + x
+    x = nf(L).gen()
+    lin = next(g for g in ps4.system.factors if len(g) == 2)     # X + x
     sub = principal_subfield_of_factor(L, lin)
     assert sub == subfield_generated(L, [x * x])                 # Q(sqrt 2)
 
 
 def test_principal_subfield_of_quadratic_factor_is_Q(ps4):
     L = ps4.field
-    quad = next(g for g in ps4.system.factors if g.degree == 2)  # X^2 + x^2
+    quad = next(g for g in ps4.system.factors if len(g) == 3)    # X^2 + x^2
     sub = principal_subfield_of_factor(L, quad)
     assert sub.dim == 1
 
 
 def test_principal_subfield_rejects_non_factor(ps4):
     L = ps4.field
+    one = L.gen_powers[0]
     with pytest.raises(ValueError, match="not a factor"):
-        principal_subfield_of_factor(L, Poly(L, [L.one, L.one]))
+        principal_subfield_of_factor(L, [one, one])             # X + 1
 
 
 def test_principal_subfield_rejects_non_monic_factor(ps4):
-    # a Poly over L is divided only by a monic polynomial
+    # a polynomial over L is divided only by a monic polynomial
     L = ps4.field
-    quad = next(g for g in ps4.system.factors if g.degree == 2)
+    quad = next(g for g in ps4.system.factors if len(g) == 3)
     with pytest.raises(ValueError, match="factor must be monic"):
-        principal_subfield_of_factor(L, quad.mul_scalar(L.from_rational(2)))
+        principal_subfield_of_factor(L, [tuple(2 * c for c in a) for a in quad])
+
+
+def test_principal_subfield_rejects_the_linear_factor(ps4):
+    # X - x divides f and is monic, but its principal subfield would be L
+    L = ps4.field
+    with pytest.raises(ValueError, match="factor vanishes at x"):
+        principal_subfield_of_factor(L, [tuple(-c for c in L.gen_powers[1]),
+                                         L.gen_powers[0]])
 
 
 def test_dedup_x4_minus_2(ps4):
@@ -91,8 +101,8 @@ def test_index_set_of_top_is_empty(ps4):
 
 def test_index_set_of_sqrt2(ps4):
     L = ps4.field
-    E1 = subfield_generated(L, [L.gen() * L.gen()])
-    lin_idx = next(i for i, g in enumerate(ps4.system.factors) if g.degree == 1)
+    E1 = subfield_generated(L, [nf(L).gen() * nf(L).gen()])
+    lin_idx = next(i for i, g in enumerate(ps4.system.factors) if len(g) == 2)
     assert index_set_I(E1, ps4.system) == {lin_idx}
 
 
@@ -110,29 +120,29 @@ def test_m_beta_product_identity(ps4, ps_biquad, ps6):
     # m_beta = (X - x) * prod of the f_alpha whose Phi-image contains E_beta
     for ps in (ps4, ps_biquad, ps6):
         L = ps.field
-        xlin = Poly(L, [-L.gen(), L.one])
+        xlin = over_L(L, ps.system.linear)
         for b, e in enumerate(ps.E):
             prod = xlin
             for a in range(ps.system.r):
                 phi_sub = ps.E[ps.phi[a]]
                 if phi_sub.basis.contains_span(e.basis):
-                    prod = prod * ps.system.factors[a]
-            assert prod == ps.m[b]
+                    prod = prod * over_L(L, ps.system.factors[a])
+            assert prod == over_L(L, ps.m[b])
 
 
 def K_g_of_product(alpha, sys):
     """Subfield generated by the coefficients of (X - x) * f_alpha."""
     L = sys.field
-    g = Poly(L, [-L.gen(), L.one]) * sys.factors[alpha]
+    g = over_L(L, sys.linear) * over_L(L, sys.factors[alpha])
     return subfield_generated(L, list(g.cs))
 
 
 def test_K_g_of_product_x4_minus_2(ps4):
     L = ps4.field
-    lin_idx = next(i for i, g in enumerate(ps4.system.factors) if g.degree == 1)
+    lin_idx = next(i for i, g in enumerate(ps4.system.factors) if len(g) == 2)
     quad_idx = 1 - lin_idx
     K1 = K_g_of_product(lin_idx, ps4.system)
-    assert K1 == subfield_generated(L, [L.gen() * L.gen()])
+    assert K1 == subfield_generated(L, [nf(L).gen() * nf(L).gen()])
     K2 = K_g_of_product(quad_idx, ps4.system)
     assert K2.is_full()
 
@@ -175,4 +185,4 @@ def test_intersection_of_all_E_is_Q(ps6):
 def test_factor_count_matches_r_plus_one(ps4, ps_biquad, ps6):
     for ps in (ps4, ps_biquad, ps6):
         assert len(ps.system.factors) == ps.system.r
-        assert len({g.cs for g in ps.system.factors}) == ps.system.r
+        assert len({tuple(g) for g in ps.system.factors}) == ps.system.r

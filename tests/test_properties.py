@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.poly import QQ, Poly, factor_mod_p
+from l2lab.poly import Poly, factor_mod_p
 from l2lab.numberfield import intersect_subfields, make_field
 from l2lab.principal import compute_principal_subfields
 from l2lab.fieldlattice import (build_lattice, is_length_two, is_minimal_extension,
@@ -24,6 +24,8 @@ from l2lab.finitealg import (Subalgebra, prime_algebra, product_algebra,
 from test_fieldlattice_oracle import index_set_I
 from test_finitealg import whole_algebra
 from gfelem import gf
+import nfelem
+from nfelem import lift, over_L
 
 FIELD_POLYS = [
     [-2, 0, 1],                  # X^2 - 2
@@ -39,17 +41,16 @@ FIELD_POLYS = [
 
 @pytest.mark.parametrize("coeffs", FIELD_POLYS)
 def test_field_property_suite(coeffs):
-    f = Poly(QQ, map(Fraction, coeffs))
+    f = Poly(map(Fraction, coeffs))
     L = make_field(f)
     ps = compute_principal_subfields(L)
     lat = build_lattice(ps)
 
     # factorization re-multiplies (intpoly._gcds_over_L certifies it; re-check)
-    xlin = Poly(L, [-L.gen(), L.one])
-    prod = xlin
+    prod = over_L(L, ps.system.linear)
     for g in ps.system.factors:
-        prod = prod * g
-    assert prod == f.map_coeffs(L, L.from_rational)
+        prod = prod * over_L(L, g)
+    assert prod == lift(L, f)
 
     # every E_beta is proper and their intersection is Q
     assert all(not e.is_full() for e in ps.E)
@@ -181,8 +182,8 @@ def test_mod_p_factor_multiplicative_property():
             continue
         G = gf(p)
         unit, factors = factor_mod_p(f, p)
-        product = Poly.const(G, G.elems[unit])
+        product = nfelem.Poly.const(G, G.elems[unit])
         for g, m in factors:
             for _ in range(m):
-                product = product * Poly(G, map(G.element, g))
-        assert product == Poly(G, map(G.element, f))
+                product = product * nfelem.Poly(G, map(G.element, g))
+        assert product == nfelem.Poly(G, map(G.element, f))

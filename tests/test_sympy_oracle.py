@@ -11,9 +11,10 @@ import pytest
 from l2lab import intpoly
 from l2lab.numberfield import make_field
 from l2lab.parsing import parse_polynomial
-from l2lab.poly import QQ, Poly, factor_mod_p, factor_over_Q
+from l2lab.poly import Poly, factor_mod_p, factor_over_Q
 
 from gfelem import gf
+import nfelem
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.specialpolys import swinnerton_dyer_poly  # noqa: E402
@@ -42,10 +43,10 @@ def _random_mod_p_input(rng, p):
     """A product of random pieces of total degree <= 40, with repeated
     factors and, where it fits, a p-th power."""
     F = gf(p)
-    f = Poly(F, [F.element(rng.randrange(1, p))])
+    f = nfelem.Poly(F, [F.element(rng.randrange(1, p))])
     while f.degree < 40:
         d = rng.randrange(1, 7)
-        piece = Poly(F, map(F.element, [rng.randrange(p) for _ in range(d)] + [1]))
+        piece = nfelem.Poly(F, map(F.element, [rng.randrange(p) for _ in range(d)] + [1]))
         mult = rng.choice([1, 1, 2, 3, p])
         if f.degree + d * mult > 40:
             break
@@ -90,9 +91,9 @@ def _random_irreducible(rng):
 def test_factor_over_Q_matches_sympy(seed):
     rng = random.Random(seed)
     for _ in range(4):
-        f = Poly(QQ, [Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))])
+        f = Poly([Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))])
         for _ in range(rng.randrange(1, 5)):
-            g = Poly(QQ, map(Fraction, _random_irreducible(rng)))
+            g = Poly(map(Fraction, _random_irreducible(rng)))
             for _ in range(rng.choice([1, 1, 2])):
                 f = f * g
         _assert_factor_over_Q_matches_sympy(f)
@@ -116,7 +117,7 @@ def test_swinnerton_dyer_irreducible(n):
     # every prime, so the subset search must reject every subset of up to
     # half of them
     sd = sympy.Poly(swinnerton_dyer_poly(n, x), x)
-    f = Poly(QQ, [Fraction(int(c)) for c in reversed(sd.all_coeffs())])
+    f = Poly([Fraction(int(c)) for c in reversed(sd.all_coeffs())])
     fac = _assert_factor_over_Q_matches_sympy(f)
     assert fac.factors == [(f, 1)]
 
