@@ -6,7 +6,8 @@ quotient is bounded while its basis is listed.
 The candidate cap bounds the number of one-element adjunctions T[s]
 the subalgebra enumeration may make.  The norm degree cap bounds the
 degree deg(fL) * deg(f) of the Trager norm, checked before any norm is
-computed.
+computed.  The node cap bounds the nodes of the field lattice [k, L],
+checked before each new node is built.
 """
 
 import os
@@ -16,6 +17,7 @@ from .errors import CapExceeded, ParseError
 DEFAULT_ELEMENT_CAP = 4096
 CANDIDATE_CAP = 100_000
 NORM_DEGREE_CAP = 1024
+NODE_CAP = 4096
 
 
 def element_cap():
@@ -46,3 +48,8 @@ def check_norm_degree(degree):
     if degree > NORM_DEGREE_CAP:
         raise CapExceeded("Trager norm needs degree %d, cap is %d"
                           % (degree, NORM_DEGREE_CAP))
+
+
+def check_nodes(count):
+    if count > NODE_CAP:
+        raise CapExceeded("lattice exceeds %d nodes" % NODE_CAP)

@@ -1,58 +1,44 @@
-"""The complete poset [k, L] built from principal subfields.
-
-Every proper intermediate field is an intersection of the E_beta, so the
-node set is the intersection closure of {E_1, ..., E_t} plus L itself.
-Each meet is an ``exact.intersection`` of spans, made a checked
-subfield only when its span is new.  Inclusions are decided pairwise by
-``Echelon.contains_span``, and each node's full up-set is passed to
-``lattice.from_edges`` as its generating set, which it is: the nodes
-above a node of the up-set are in the up-set too.  Every other order
-fact is read off the up-sets: the meets of the E_beta (``lattice.meet``)
-and each I(K) = {alpha : K inside L_alpha}, which the product identity
+"""The complete poset [k, L] built from principal subfields, and the
+order facts read off it: the meets of the E_beta (``lattice.meet``) and
+each I(K) = {alpha : K inside L_alpha}, which the product identity
 certifies (van Hoeij, Klueners & Novocin, JSC 52, 2013).
 """
 
-from itertools import combinations
+from itertools import combinations, count
 
-from .errors import CapExceeded, ConsistencyError
+from .caps import check_nodes
+from .errors import ConsistencyError
 from .exact import intersection, prime_factors
-from .lattice import from_edges, meet
-from .numberfield import prime_subfield, subfield_of_span, whole_field
-
-NODE_CAP = 4096
+from .lattice import closure, meet
+from .numberfield import subfield_of_span, whole_field
 
 
 def build_lattice(ps):
-    """All intersections of the E_beta, plus k and L, with covering edges."""
+    """[k, L]: the closure of L under K -> K & E_beta (``lattice.closure``),
+    each new span an ``exact.intersection`` made a checked subfield
+    once; ``points`` holds (beta, index of E_beta) in beta order.
+
+    The pairs (K, K & E_beta) generate the order: a node K' inside K is
+    an intersection of some E_beta, so meeting K with those E_beta one
+    at a time walks down to K'.  The bottom, the meet of all E_beta,
+    must be k.
+    """
     L = ps.field
-    seen = {}
-    for sub in [prime_subfield(L), whole_field(L)] + list(ps.E):
-        seen[sub.key()] = sub
-    work = list(seen.values())
-    while work:
-        cur = work.pop()
-        for other in list(seen.values()):
-            span = intersection(cur.basis, other.basis)
-            if (len(span), span) not in seen:
-                if len(seen) >= NODE_CAP:
-                    raise CapExceeded("lattice exceeds %d nodes" % NODE_CAP)
-                sub = subfield_of_span(L, span)
-                seen[sub.key()] = sub
-                work.append(sub)
-    nodes = sorted(seen.values(), key=lambda s: s.key())
-    up = [sum(1 << j for j in range(i + 1, len(nodes))
-              if a.dim < nodes[j].dim and nodes[j].basis.contains_span(a.basis))
-          for i, a in enumerate(nodes)]
-    lat = from_edges(nodes, up)
-    if ps.E and meet(lat, _node_indices(lat, ps.E)) != 0:
+    E = {e.key(): e for e in ps.E}
+    made = count(2)             # next(made): the node count with the new one
+
+    def step(K):
+        for beta, e in enumerate(ps.E):
+            yield beta, intersection(K.basis, e.basis)
+
+    def make(span):
+        check_nodes(next(made))
+        return E.get((len(span), span)) or subfield_of_span(L, span)
+
+    lat = closure(whole_field(L), step, make)
+    if lat.nodes[0].dim != 1:
         raise ConsistencyError("intersection of principal subfields is not k")
     return lat
-
-
-def _node_indices(lat, subfields):
-    """The index of each subfield among the lattice nodes."""
-    index = {K.key(): i for i, K in enumerate(lat.nodes)}
-    return [index[K.key()] for K in subfields]
 
 
 def is_minimal_extension(ps, lat):
@@ -72,7 +58,7 @@ def is_length_two(ps, lat):
     holds.  The verdict is asserted equal to the direct chain length.
     """
     verdict = ps.t > 1 and all(meet(lat, pair) == 0
-                               for pair in combinations(_node_indices(lat, ps.E), 2))
+                               for pair in combinations([j for _, j in lat.points], 2))
     info = {"t": ps.t}
     if verdict:
         k_in_E = any(e.dim == 1 for e in ps.E)
@@ -113,8 +99,7 @@ def galois_length_two_check(lat, ps):
 def index_sets(ps, lat):
     """I(K) = {alpha : K inside L_alpha} for every node K, ascending,
     read off the up-sets; L_alpha is the node of E_Phi(alpha)."""
-    E = _node_indices(lat, ps.E)
-    where = [E[b] for b in ps.phi]
+    where = [lat.points[b][1] for b in ps.phi]
     return [[a for a, j in enumerate(where) if j == i or lat.up[i] >> j & 1]
             for i in range(len(lat))]
 
@@ -132,4 +117,4 @@ def verify_minpoly_product_identity(ps, lat):
             prod = L.poly_mul(prod, ps.system.factors[a])
         if prod != K.min_poly:
             raise ConsistencyError("product identity fails for a lattice node")
-    return [I[i] for i in _node_indices(lat, ps.E)]
+    return [I[j] for _, j in lat.points]

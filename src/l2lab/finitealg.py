@@ -31,10 +31,10 @@ and the primitive idempotents split off the fixed space of x |-> x^q
 structure: the seminormalization of R in T is R + nil(T), the t-closure
 is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
 
-The lattice [R, S] is built by adjunction: T[s] is the T-span of the
-powers of s, and every node is extended by one s per point of the
-projective space of S/T (``adjunctions``).  Only the test oracles list
-the elements of an algebra.
+The lattice [R, S] is ``lattice.closure`` under adjunction: T[s] is the
+T-span of the powers of s, and every node is extended by one s per
+point of the projective space of S/T (``adjunctions``).  Only the test
+oracles list the elements of an algebra.
 """
 
 import itertools
@@ -43,7 +43,7 @@ from . import exact
 from .exact import Echelon, prime_factors
 from .caps import check_candidates, check_elements
 from .errors import ConsistencyError
-from .lattice import from_edges
+from .lattice import closure
 
 
 # ---------------------------------------------------------------------------
@@ -792,42 +792,27 @@ def is_simple_extension(lat):
 def enumerate_subalgebras(R, S):
     """The lattice of all subalgebras between R and S.
 
-    Every node T is extended by its ``adjunctions``, the T[s] for one s
-    per point of the projective space of S/T.  That reaches every
-    subalgebra U of [R, S]: U is the end of a chain R = U_0 < U_1 < ...
-    with U_(i+1) = U_i[u_i], and U_i[u] is the adjunction of the point
-    of u.  The same argument from any node T < U gives a chain of
-    adjunction edges T -> T[s] from T to U, so the edges generate the
-    order, and ``lattice.from_edges`` builds the diagram from them with
-    no pair of nodes compared.  The bottom's walk is kept as the
-    lattice's ``points``, (s, index of R[s]).  The candidate cap bounds
-    the adjunctions, checked before each node's points are walked.
+    ``lattice.closure`` extends every node T by its ``adjunctions``, one
+    T[s] per point s of the projective space of S/T.  Any U in [R, S]
+    ends a chain R = U_0 < U_1 < ... with U_(i+1) = U_i[u_i], the
+    adjunction of the point of u_i; from any node T < U the same argument
+    gives a chain of edges T -> T[s] up to U, so the edges generate the
+    order.  ``points`` is the bottom's walk, (s, index of R[s]).  The
+    candidate cap bounds the adjunctions, checked before each node's
+    points are walked.
     """
     check_elements(S.field.q, S.dim, "subalgebra enumeration")
     q = S.field.q
-    found = {R.key(): R}
-    edges = {}              # id(T) -> ids of the distinct T[s], nodes of found
-    points = []             # (s, id of R[s]) over the bottom's points
-    todo = [R]
     count = 0
-    while todo:
-        T = todo.pop()
+
+    def step(T):
+        nonlocal count
         count += (q ** (S.dim - T.dim) - 1) // (q - 1)
         check_candidates(count, "subalgebra enumeration")
-        children = edges[id(T)] = set()
         for s, U in adjunctions(T):
-            node = found.setdefault(U.key(), U)
-            if node is U:
-                todo.append(U)
-            children.add(id(node))
-            if T is R:
-                points.append((s, id(node)))
-    nodes = sorted(found.values(), key=Subalgebra.key)
-    position = {id(T): i for i, T in enumerate(nodes)}
-    gen = [sum(1 << position[c] for c in edges[id(T)]) for T in nodes]
-    lat = from_edges(nodes, gen)
-    lat.points = [(s, position[u]) for s, u in points]
-    return lat
+            yield s, U.basis
+
+    return closure(R, step, lambda span: Subalgebra(S, span))
 
 
 # ---------------------------------------------------------------------------

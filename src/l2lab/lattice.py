@@ -1,21 +1,13 @@
 """The poset [R, S] of intermediate rings, shared by both engines.
 
-The number-field and finite-algebra sides only produce the nodes and,
-for each node, some nodes above it; this module builds the Hasse
-diagram.  Nodes arrive sorted by ``key()``, dimension first, so a node
-can only lie inside a later one and index order is a topological order.
-Strict inclusion is kept as int bitsets: bit j of ``up[i]`` is set
-when nodes[i] is a proper subring of nodes[j].
-
-``from_edges`` takes, for each node i, a bitset ``gen[i]`` of nodes
-above it that generates the order: the nodes above i are those of
-gen[i] and the nodes above them.  The finite-algebra side passes the
-adjunction edges T -> T[s]; every node above T is reached by a chain of
-them.  The field side passes the full up-sets from pairwise inclusion,
-which generate the order trivially.  Every cover i < j lies in any
-generating set of i (j is above i, and not above any node above i), so
-the covers of i are the j in gen[i] above no other node of gen[i].
-``meet`` reads greatest lower bounds off the finished up-sets.
+``closure`` builds it for both: a worklist from one ring under a step
+map (T -> T[s] on the algebra side, K -> K & E_beta on the field side)
+whose pairs generate the order, handed to ``from_edges`` as bitsets.
+Nodes are sorted by ``key()``, dimension first, so a node can only lie
+inside a later one and index order is topological.  Strict inclusion
+is kept as int bitsets: bit j of ``up[i]`` is set when nodes[i] is a
+proper subring of nodes[j].  ``meet`` reads greatest lower bounds off
+the up-sets.
 """
 
 
@@ -25,9 +17,7 @@ class Lattice:
         self.up = up
         self.covers = covers        # set of (i, j): nodes[i] covered by nodes[j]
         self.length = length        # edges on the longest chain, bottom to top
-        # finite-algebra side: (s, index of R[s]) for one s per point of
-        # the projective space of S/R, R the bottom; None on the field side
-        self.points = None
+        self.points = None          # the root's walk, set by closure
 
     def __len__(self):
         return len(self.nodes)
@@ -46,8 +36,9 @@ def from_edges(nodes, gen):
     key(), from generating bitsets: ``gen[i]`` holds only nodes after i,
     and the nodes above i are those of gen[i] and the nodes above them.
 
-    ``up`` is filled from the top, with the covers of i (the j in gen[i]
-    outside the up-sets of gen[i]) and the longest chain upwards from i.
+    ``up`` is filled from the top.  A cover i < j lies in every
+    generating set of i, so the covers of i are the j in gen[i] outside
+    the up-sets of gen[i]; the longest chain is counted along them.
     """
     n = len(nodes)
     up = [0] * n
@@ -62,6 +53,42 @@ def from_edges(nodes, gen):
             covers.add((i, j))
             height[i] = max(height[i], height[j] + 1)
     return Lattice(nodes, up, covers, height[0] if nodes else 0)
+
+
+def closure(root, step, make):
+    """The lattice of the nodes reached from ``root`` by ``step``.
+
+    ``step(T)`` yields (label, span) pairs, each span that of a node
+    comparable with T; ``make(span)`` builds the node when its span, as
+    ``key()`` (len(span), span), is new.  The caller must make the pairs
+    (T, node) generate the order: of two comparable nodes, one is
+    reached from the other by a chain of pairs.  Each pair but (T, T) is
+    an edge from the node earlier in key order to the later; ``points``
+    is the root's walk, (label, index of the node).
+    """
+    found = {root.key(): root}
+    pairs, points, todo = set(), [], [root]
+    while todo:
+        T = todo.pop()
+        for label, span in step(T):
+            key = (len(span), span)
+            node = found.get(key)
+            if node is None:
+                node = found[key] = make(span)
+                todo.append(node)
+            if node is not T:
+                pairs.add((id(T), id(node)))
+            if T is root:
+                points.append((label, id(node)))
+    nodes = sorted(found.values(), key=lambda T: T.key())
+    position = {id(T): i for i, T in enumerate(nodes)}
+    gen = [0] * len(nodes)
+    for a, b in pairs:
+        i, j = sorted((position[a], position[b]))
+        gen[i] |= 1 << j
+    lat = from_edges(nodes, gen)
+    lat.points = [(label, position[u]) for label, u in points]
+    return lat
 
 
 def meet(lat, idx):

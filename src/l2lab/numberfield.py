@@ -263,7 +263,3 @@ def whole_field(L):
     one, x = L.gen_powers[:2]
     return Subfield(L, exact.Echelon(L.gen_powers[:L.n], exact.QQ_OPS),
                     [tuple(-c for c in x), one])
-
-
-def prime_subfield(L):
-    return subfield_from_subspace(L, [])

@@ -8,11 +8,15 @@ polynomial over L as a list of them; ``NumberField.poly_mul``,
 its own ring operations, ``nf(L)`` is the domain of them, and ``Poly``
 is the polynomial class over any domain (``QQ``, ``nf(L)`` or a
 ``gfelem.gf(q)``) that the engine once kept, with Euclid's division.
-``nf_inverse`` inverts an element, which the engine never does.
+``nf_inverse`` inverts an element, which the engine never does, and
+``prime_subfield`` builds k = Q as a checked subfield, which the engine
+only reaches as the meet of the principal subfields.
 """
 
 import functools
 from fractions import Fraction
+
+from l2lab.numberfield import subfield_from_subspace
 
 
 class RationalField:
@@ -261,3 +265,9 @@ def over_L(L, h):
 def lift(L, f):
     """A ``l2lab.poly.Poly`` over Q as a ``Poly`` over ``nf(L)``."""
     return Poly(nf(L), [nf(L).from_rational(c) for c in f.cs])
+
+
+def prime_subfield(L):
+    """k = Q inside L: the span of 1, its closure checked and its
+    minimal polynomial found by ``subfield_from_subspace``."""
+    return subfield_from_subspace(L, [])

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import l2lab
-from l2lab import caps
+from l2lab import caps, fieldlattice
 from l2lab.cli import main
 from l2lab.parsing import MAX_DIGITS, MAX_NESTING, MAX_POWER
 
@@ -248,6 +248,23 @@ def test_enumeration_adjunction_cap_exit_code_2(tmp_path, capsys, monkeypatch):
     path = _doc(tmp_path, {"q": 2, "product": ["F2"] * 5, "R": "diagonal"})
     code, out, err = run(capsys, "classify", "--algebra", path)
     assert code == 2 and "subalgebra enumeration" in err and "adjunctions" in err
+
+
+def test_field_lattice_node_cap_exit_code_2(capsys, monkeypatch):
+    # The biquadratic lattice has 5 nodes: L and the three E_beta fill a
+    # cap of 4, and k, the fifth, is refused before it is built.
+    real, built = fieldlattice.subfield_of_span, []
+
+    def spy(L, span):
+        built.append(span)
+        return real(L, span)
+
+    monkeypatch.setattr(fieldlattice, "subfield_of_span", spy)
+    monkeypatch.setattr(caps, "NODE_CAP", 4)
+    code, out, err = run(capsys, "classify", "X^4-10*X^2+1")
+    assert code == 2 and "lattice exceeds 4 nodes" in err and built == []
+    monkeypatch.setattr(caps, "NODE_CAP", 5)
+    assert run(capsys, "classify", "X^4-10*X^2+1")[0] == 0 and len(built) == 1
 
 
 def test_f2_7_classify_in_a_process(tmp_path):

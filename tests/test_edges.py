@@ -1,9 +1,10 @@
 """The per-edge fast paths of the lattice battery against the routes they
 replaced, and a guard that every covering edge is still checked.
 
-* The lattice builder ``from_edges`` (adjunction edges on the algebra
-  side, full up-sets on the field side) against ``hasse_by_pairs``, the
-  pairwise builder, on ``up``, ``down``, ``covers`` and ``length``.
+* The lattice builder ``lattice.closure`` (adjunction edges T -> T[s]
+  on the algebra side, meets K -> K & E_beta on the field side) against
+  ``hasse_by_pairs``, the pairwise builder, on ``up``, ``down``,
+  ``covers`` and ``length``.
 * The one-pass chain-type flags against the per-node scan: for every
   node k, the covers with both ends in [R, k] and their types.
 * ``_minimal_type_of_pair`` against the Ferrand-Olivier counts (J.
@@ -13,9 +14,10 @@ replaced, and a guard that every covering edge is still checked.
   of the production route, so it is only a cross-check here.
 
 They run on the named benchmark algebras, the benchmark's seeded random
-extensions, seeded random algebras over F_2, F_3 and F_4, and the six
-benchmark fields.  (The conductor over lo alone is compared with the
-full kernel over hi on every covering edge in test_structure.py.)
+extensions, seeded random algebras over F_2, F_3 and F_4, the six
+benchmark fields, the golden fields and Q(sqrt2, sqrt3, sqrt5).  (The
+conductor over lo alone is compared with the full kernel over hi on
+every covering edge in test_structure.py.)
 """
 
 import json
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import l2lab.classify as classify
+import l2lab.fieldlattice as fieldlattice
 from l2lab.classify import (_chain_type_flags, analyze_extension, classify_extension,
                             cover_types)
 from l2lab.cli import main
@@ -38,6 +41,7 @@ from l2lab.principal import compute_principal_subfields
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
+from test_golden_reports import FIELD_INPUTS  # noqa: E402
 from test_lattice import (assert_same_lattice, build, down_sets, hasse_by_pairs,  # noqa: E402
                           nodes_of, random_family)
 from test_structure import (_random_algebra, _random_local_extension,  # noqa: E402
@@ -45,6 +49,7 @@ from test_structure import (_random_algebra, _random_local_extension,  # noqa: E
 
 F2_5 = {"q": 2, "product": ["F2"] * 5, "R": "diagonal"}
 F2_X8 = {"q": 2, "quotient": "F2[X]/(X^8)", "R": "diagonal"}
+Q235 = "X^8-40*X^6+352*X^4-960*X^2+576"     # Q(sqrt2, sqrt3, sqrt5): 16 nodes, t = 7
 
 
 def chain_type_flags_by_scan(lat, types):
@@ -136,11 +141,26 @@ def test_edges_match_oracles_on_random_algebras():
     assert types == {"decomposed", "inert", "ramified"}
 
 
-@pytest.mark.parametrize("ident,f", [(i, f) for i, f, _, _ in corpus.FIELDS])
-def test_field_lattice_matches_pairwise_builder(ident, f):
+@pytest.mark.parametrize("ident,f", [(i, f) for i, f, _, _ in corpus.FIELDS]
+                         + [("golden", f) for f in FIELD_INPUTS] + [("q235", Q235)])
+def test_field_lattice_matches_pairwise_builder(ident, f, monkeypatch):
+    """The closure's order against pairwise inclusion; ``points`` lists
+    the E_beta in beta order, and each node that is neither an E_beta nor
+    L is built by ``subfield_of_span`` exactly once."""
     ps = compute_principal_subfields(make_field(parse_polynomial(f)))
+    real, built = fieldlattice.subfield_of_span, []
+
+    def spy(L, span):
+        built.append(span)
+        return real(L, span)
+
+    monkeypatch.setattr(fieldlattice, "subfield_of_span", spy)
     lat = build_lattice(ps)
     assert_same_lattice(lat, hasse_by_pairs(lat.nodes, lambda b, a: b.basis.contains_span(a.basis)))
+    assert [b for b, _ in lat.points] == list(range(ps.t))
+    assert [lat.nodes[j].basis for _, j in lat.points] == [e.basis for e in ps.E]
+    given = {e.basis for e in ps.E} | {lat.nodes[-1].basis}
+    assert sorted(built) == sorted(K.basis for K in lat.nodes if K.basis not in given)
 
 
 def test_local_lattices_match_pairwise_builder():

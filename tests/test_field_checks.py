@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from l2lab import exact, fieldlattice, numberfield, principal, report
+from l2lab import exact, fieldlattice, lattice, numberfield, principal, report
 from l2lab.cli import main
 from l2lab.numberfield import NumberField, make_field, whole_field
 from l2lab.parsing import parse_polynomial
@@ -61,7 +61,16 @@ def test_principal_subfield_is_proper(monkeypatch, capsys):
 
 
 def test_principal_subfields_meet_in_k(monkeypatch, capsys):
-    monkeypatch.setattr(fieldlattice, "meet", lambda lat, idx: len(lat) - 1)
+    # every factor gets the first factor's principal subfield, a proper
+    # quadratic one, so the E_beta meet in it, above k
+    of_factor = principal.principal_subfield_of_factor
+    first = []
+
+    def first_factors_subfield(L, f_alpha):
+        first.append(first[0] if first else of_factor(L, f_alpha))
+        return first[-1]
+
+    monkeypatch.setattr(principal, "principal_subfield_of_factor", first_factors_subfield)
     code, err = failure(capsys, BIQUADRATIC)
     assert code == 3 and "intersection of principal subfields is not k" in err
 
@@ -196,14 +205,14 @@ def test_t_is_1_iff_two_nodes(monkeypatch, capsys):
 
 def test_length_two_predicate_matches_chain_length(monkeypatch, capsys):
     # the biquadratic lattice is built with its longest chain one too long
-    from_edges = fieldlattice.from_edges
+    from_edges = lattice.from_edges
 
     def one_too_long(nodes, gen):
         lat = from_edges(nodes, gen)
         lat.length += 1
         return lat
 
-    monkeypatch.setattr(fieldlattice, "from_edges", one_too_long)
+    monkeypatch.setattr(lattice, "from_edges", one_too_long)
     code, err = failure(capsys, BIQUADRATIC)
     assert code == 3 and "length-2 predicate disagrees with chain length" in err
 
@@ -237,7 +246,7 @@ def test_order_facts_come_from_the_lattice(monkeypatch):
     # Per pass over the benchmark fields, the only divisions of f over L
     # are principal_subfield_of_factor's f_alpha | f (one per factor), the
     # only span intersections are build_lattice's, and the subfields
-    # built from spans are its new meets plus the E_beta and k.
+    # built from spans are the L_alpha and its new meets.
     rem, of_span, intersection = (NumberField.poly_rem, numberfield.subfield_of_span,
                                   exact.intersection)
     build = fieldlattice.build_lattice
@@ -273,7 +282,10 @@ def test_order_facts_come_from_the_lattice(monkeypatch):
         rep = report.field_report(parse_polynomial(f), f)
         r += len(rep["witnesses"]["factors_over_L"])
     assert calls["divides"] == r == 19
-    assert calls["of_span"] == 25
+    # One L_alpha per factor, then each node that is neither an E_beta
+    # nor L.  k is built only as such a meet, in the biquadratic field and
+    # X^6+108; in the other 4 fields it is an E_beta, built once.
+    assert calls["of_span"] == r + 2 == 21
     assert calls["outside"] == 0 and calls["inside"] > 0
 
 

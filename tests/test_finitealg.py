@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from l2lab.errors import CapExceeded, ConsistencyError
-from l2lab import finitealg, intpoly
+from l2lab import caps, finitealg, intpoly
 from l2lab.lattice import from_edges
 from l2lab.exact import prime_factors
 from l2lab.poly import factor_mod_p, poly_gcd
@@ -421,6 +421,25 @@ def test_caps_respected(monkeypatch):
     monkeypatch.setenv("L2LAB_CAP", "8")
     with pytest.raises(CapExceeded):
         product_algebra(F2, [2, 2])   # 2^4 = 16 > 8
+
+
+def test_enumeration_caps_fire_before_the_walk(monkeypatch):
+    # F2^5 over F2: the element cap is checked before any node is walked,
+    # and the candidate cap before each node's points are: the bottom's 15
+    # points fit a cap of 15, the 7 of the next node do not
+    S = product_algebra(F2, [1] * 5)
+    R = prime_algebra(S)
+    walked, adjunctions = [], finitealg.adjunctions
+    monkeypatch.setattr(finitealg, "adjunctions", lambda T: walked.append(T) or adjunctions(T))
+    monkeypatch.setenv("L2LAB_CAP", "16")
+    with pytest.raises(CapExceeded, match=r"subalgebra enumeration needs at least 2\^5"):
+        enumerate_subalgebras(R, S)
+    assert walked == []
+    monkeypatch.delenv("L2LAB_CAP")
+    monkeypatch.setattr(caps, "CANDIDATE_CAP", 15)
+    with pytest.raises(CapExceeded, match="needs at least 22 adjunctions, cap is 15"):
+        enumerate_subalgebras(R, S)
+    assert walked == [R]
 
 
 def test_subalgebra_rejects_non_closed():

@@ -20,7 +20,9 @@ wrapper class around it.  No module names ``localize``: a localization
 is an interval of S itself (``classify.local_base``), not a second
 algebra.  ``Subalgebra.__init__`` takes no ``check`` parameter: the
 constructor trusts its caller, and ``_closure_span`` makes the one
-closure check of an analysis.
+closure check of an analysis.  Both lattices come from one builder:
+only ``lattice.closure`` calls ``from_edges``, and ``fieldlattice``
+never calls ``contains_span``.
 The ``[project].dependencies`` list of pyproject.toml must stay empty.
 
 The benchmark's tracer (``perfbench/tracing.py``, only read here) names
@@ -163,6 +165,26 @@ def test_subalgebra_constructor_has_no_check():
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == [
         "self", "ambient", "basis"]
     assert args.vararg is None and args.kwarg is None
+
+
+def _callers(name):
+    """"module.definition" for each top-level definition of src/l2lab
+    whose code calls ``name``, as a plain name or an attribute."""
+    found = set()
+    for path in SOURCES:
+        for stmt in _tree(path).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.add("%s.%s" % (path.stem, getattr(stmt, "name", "<module>")))
+    return found
+
+
+def test_one_lattice_builder():
+    # lattice.closure is the only route to from_edges, and the field side
+    # decides no inclusion pairwise: its order comes from the closure
+    assert _callers("from_edges") == {"lattice.closure"}
+    assert not {c for c in _callers("contains_span") if c.startswith("fieldlattice.")}
 
 
 def test_no_runtime_dependencies():

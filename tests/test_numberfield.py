@@ -8,10 +8,10 @@ import pytest
 from l2lab import exact
 from l2lab.poly import Poly
 from l2lab.numberfield import (NumberField, Subfield, intersect_subfields, make_field,
-                               poly_str, prime_subfield, subfield_of_span, whole_field)
+                               poly_str, subfield_of_span, whole_field)
 from l2lab.parsing import parse_polynomial
 import nfelem
-from nfelem import lift, nf, nf_inverse, over_L
+from nfelem import lift, nf, nf_inverse, over_L, prime_subfield
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402

@@ -89,7 +89,7 @@ def test_dedup_degree_six(ps6):
 
 
 def test_index_set_of_bottom_is_everything(ps4):
-    from l2lab.numberfield import prime_subfield
+    from nfelem import prime_subfield
     k = prime_subfield(ps4.field)
     assert index_set_I(k, ps4.system) == {0, 1}
 
