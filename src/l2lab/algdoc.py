@@ -247,7 +247,11 @@ def _gen_list(spec):
             body = body[1:-1]
         return _split_top_commas(body)
     if isinstance(spec, list):
-        return [str(s) for s in spec]
+        for i, s in enumerate(spec, 1):
+            if not isinstance(s, str):
+                raise ParseError("R generator %d must be a JSON string, got %s"
+                                 % (i, json.dumps(s)))
+        return spec
     raise ParseError("R must be \"diagonal\" or a list of generators")
 
 

@@ -14,22 +14,24 @@ splitting only the prime it keeps.  The powering in distinct-degree and
 equal-degree factoring runs on packed integers, one ``_PackedModulus``
 per divisor: a product mod the divisor is one big-integer product and a
 Barrett remainder.  Hensel lifting squares the modulus at each step,
-lifting the Bezout pair with the factors.  The subset search adds up
-the lifted factors' second-highest coefficients, and multiplies out a
-subset only when that trace and the product of constant terms fit a true
+lifting the Bezout pair with the factors.  The subset search adds up the
+lifted factors' second-highest coefficients, and multiplies out a subset
+only when that trace and the product of constant terms fit a true
 divisor's bounds; its trial division stops once a quotient coefficient
-passes the Mignotte bound, which no exact quotient can.  A monic integer polynomial that is
-squarefree modulo a prime is squarefree over Q; that certificate spares
-the exact gcd over Q in Trager's shift search and Yun's decomposition in
-``factor_over_Q``, which run only when no prime certifies.  Factoring
-L's own defining polynomial, the shift search starts at 2: the norms of
-shifts 0 and 1 have repeated roots.
+passes the Mignotte bound, which no exact quotient can.  A monic integer
+polynomial that is squarefree modulo a prime is squarefree over Q; that
+certificate spares the exact gcd over Q in Trager's shift search and
+Yun's decomposition in ``factor_over_Q``, which run only when no prime
+certifies.  Factoring L's own defining polynomial, the shift search
+starts at 2: the norms of shifts 0 and 1 have repeated roots.
 
-Trager's gcd of f and each norm factor N_i(X + s*x) over L runs in
-(F_p[y]/(fL mod p))[X] on the same int lists, for primes where fL stays
-squarefree; N_i(X + s*y) is formed by Horner modulo f, so no Taylor
-shift over L is made.  The images are combined by CRT and rational
-reconstruction.  A result is accepted once there are as many nonconstant
+Trager's norm is the monic integer list d^D N(X/d), d the lcm of the
+denominators of f and fL.  Its gcd with f over L runs in
+(F_p[y]/(fL mod p))[X] for primes that do not divide d and keep fL
+squarefree, reading f, fL and the norm's factors mod p from their
+integer lists and powers of 1/d; N_i(X + s*y) is formed by Horner modulo
+f, so no Taylor shift over L is made.  The images are combined by CRT
+and rational reconstruction.  A result is accepted once there are as many nonconstant
 monic factors as the norm has irreducible factors over Q and they
 multiply back to f: by Trager's theorem that many factors of f over L
 are its irreducible ones, so no trial division is needed.
@@ -47,7 +49,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError
 from .exact import next_prime
-from .poly import Poly, poly_gcd
+from .poly import poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +57,8 @@ from .poly import Poly, poly_gcd
 #
 # The modular factoring, Hensel lifting and recombination code runs on
 # plain integer coefficient lists, lowest degree first, with no trailing
-# zeros; conversions to and from Poly happen only at the boundaries.
+# zeros; conversions to and from Poly happen only in ``poly``'s entry
+# points and in Yun's decomposition, the exact fallback.
 
 def _ztrim(a):
     while a and not a[-1]:
@@ -94,6 +97,15 @@ def _zmul(a, b):
 
 def _zmod(a, m):
     return _ztrim([c % m for c in a])
+
+
+def _zprod(gs, m=None):
+    """The product of the int lists gs, reduced mod m after each step
+    unless m is None."""
+    out = [1]
+    for g in gs:
+        out = _zmul(out, g) if m is None else _zmod(_zmul(out, g), m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +393,7 @@ def _hensel_multi(f, gs, p, K):
     if len(gs) == 1:
         return [_zmod(f, p ** K)]
     mid = len(gs) // 2
-    g = [1]
-    for a in gs[:mid]:
-        g = _zmod(_zmul(g, a), p)
-    h = [1]
-    for a in gs[mid:]:
-        h = _zmod(_zmul(h, a), p)
+    g, h = _zprod(gs[:mid], p), _zprod(gs[mid:], p)
     s, t = _pbezout(g, h, p)
     G, H = _hensel_pair(_zmod(f, p ** K), g, h, s, t, p, K)
     return _hensel_multi(G, gs[:mid], p, K) + _hensel_multi(H, gs[mid:], p, K)
@@ -443,10 +450,7 @@ def _factor_squarefree_monic_int(G):
     if count == 1:
         return [G]
     modfactors = _psplit(ddf, p)
-    check = [1]
-    for g in modfactors:
-        check = _zmod(_zmul(check, g), p)
-    if check != _zmod(G, p):
+    if _zprod(modfactors, p) != _zmod(G, p):
         raise ConsistencyError("modular factors do not reproduce the input mod %d" % p)
     # lift until p^K exceeds twice the Mignotte bound
     bound = 2 * _mignotte_bound(G) + 1
@@ -455,10 +459,7 @@ def _factor_squarefree_monic_int(G):
         K += 1
     pK = p ** K
     lifted = _hensel_multi(_zmod(G, pK), modfactors, p, K)
-    check = [1]
-    for g in lifted:
-        check = _zmod(_zmul(check, g), pK)
-    if check != _zmod(G, pK):
+    if _zprod(lifted, pK) != _zmod(G, pK):
         raise ConsistencyError("Hensel lifting failed to reproduce the input")
     return _recombine(G, lifted, pK)
 
@@ -516,10 +517,7 @@ def _recombine(G, lifted, pK):
                     c -= pK
                 if c == 0 or tc % c:
                     continue
-            cand = [1]
-            for i in combo:
-                cand = _zmod(_zmul(cand, lifted[i]), pK)
-            cand = _zsym(cand, pK)
+            cand = _zsym(_zprod([lifted[i] for i in combo], pK), pK)
             division = _zdivmod_monic(G, cand, bound)
             if division and not division[1]:
                 out.append(cand)
@@ -565,7 +563,8 @@ def _denominator_lcm(cs):
 
 def _scale_monic(g, d):
     """d^m * g(X/d) as an integer list, for monic g in Q[X] of degree m
-    whose denominators all divide d: monic, with roots d times g's."""
+    dividing a monic h whose denominators all divide d: monic, with roots
+    d times g's."""
     m = g.degree
     return [int(g.cs[i] * d ** (m - i)) for i in range(m + 1)]
 
@@ -573,27 +572,20 @@ def _scale_monic(g, d):
 _SQUAREFREE_PRIME_TRIES = 5
 
 
-def _certified_squarefree(g):
-    """True if monic g in Q[X], scaled to the monic integer polynomial
-    G(X) = d^m g(X/d), is squarefree modulo one of the first few primes
-    above 2^16 that do not divide d.
+def _certified_squarefree(G):
+    """True if monic G in Z[X] is squarefree modulo one of the first few
+    primes above 2^16.
 
     Reduction mod p keeps a monic G's degree, so a squarefree image means
-    p does not divide the discriminant, which is then nonzero: g is
-    squarefree over Q.  False proves nothing; an exact gcd must decide.
-    Small primes often divide the discriminant of a Trager norm (on the
-    benchmark fields the first good prime ranges from 5 to 23), hence the
-    large ones.
+    p does not divide the discriminant, which is then nonzero: G is
+    squarefree over Q, and so is every g with G = d^m g(X/d).  False
+    proves nothing; an exact gcd must decide.  Small primes often divide
+    the discriminant of a Trager norm (on the benchmark fields the first
+    good prime ranges from 5 to 23), hence the large ones.
     """
-    d = _denominator_lcm(g.cs)
-    G = _scale_monic(g, d)
     p = 1 << 16
-    tried = 0
-    while tried < _SQUAREFREE_PRIME_TRIES:
+    for _ in range(_SQUAREFREE_PRIME_TRIES):
         p = next_prime(p)
-        if d % p == 0:
-            continue
-        tried += 1
         if _psquarefree_image(_zmod(G, p), p):
             return True
     return False
@@ -640,27 +632,19 @@ def _from_power_sums(P):
     return e[::-1]
 
 
-def _norm_with_shift(f, L, s):
-    """Res_y(fL(y), f(X - s*y)) in Q[X], for monic f in Q[X].
-
-    This is the norm of f(X - s*x) from L[X] to Q[X], monic of degree
-    deg(fL) * deg(f), computed as a composed sum on integers.
-    """
-    fL = L.defining
-    D = fL.degree * f.degree
-    d = _denominator_lcm(f.cs + fL.cs)
-    scaled = [pt * s ** t for t, pt in enumerate(_power_sums(_scale_monic(fL, d), D))]
-    q = _power_sums(_scale_monic(f, d), D)
+def _norm_with_shift(F, FL, s):
+    """Res_y(FL(y), F(X - s*y)) for monic F, FL in Z[X], monic of degree
+    D = deg(F) * deg(FL).  For F = d^m f(X/d) and FL = d^n fL(X/d) it is
+    d^D N(X/d), N the norm of f(X - s*x) from L[X] to Q[X]."""
+    D = (len(F) - 1) * (len(FL) - 1)
+    scaled = [pt * s ** t for t, pt in enumerate(_power_sums(FL, D))]
+    q = _power_sums(F, D)
     P = []
     row = [1]                   # the binomials C(k, t), t = 0..k
     for k in range(D + 1):
         P.append(sum(c * a * b for c, a, b in zip(row, scaled, reversed(q[:k + 1]))))
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    M = _from_power_sums(P)
-    N = Poly([Fraction(c, d ** (D - i)) for i, c in enumerate(M)])
-    if N.degree != D or N.lc != 1:
-        raise ConsistencyError("norm polynomial has wrong shape")
-    return N
+    return _from_power_sums(P)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +658,11 @@ def _norm_with_shift(f, L, s):
 # mod p; a polynomial over that ring is a list of them, lowest degree
 # first, with a nonzero top.
 
-def _qmod(cs, p):
-    """Rationals whose denominators p does not divide, as an int list mod p."""
-    return _ztrim([c.numerator * pow(c.denominator, -1, p) % p for c in cs])
+def _unscale_mod(G, e, p):
+    """g mod p for the monic g(X) = d^-k G(dX) of degree k, given e = 1/d
+    mod p: coefficient i is G_i e^(k-i)."""
+    k = len(G) - 1
+    return _ztrim([c * pow(e, k - i, p) % p for i, c in enumerate(G)])
 
 
 def _lgcd(a, b, fp, p):
@@ -715,12 +701,12 @@ def _lshift_mod(N, s, fq, fp, p):
 
 def _gcds_mod_p(fq, norms, s, fp, p):
     """gcd(fq, N(X + s*y)) in (F_p[y]/(fp))[X] for each N in norms, or
-    None when a leading coefficient in Euclid is not a unit."""
-    fqp = _qmod(fq.cs, p)
-    a = [[c] if c else [] for c in fqp]
+    None when a leading coefficient in Euclid is not a unit; fq and the
+    N are int lists mod p."""
+    a = [[c] if c else [] for c in fq]
     out = []
     for N in norms:
-        h = _lgcd(a, _lshift_mod(_qmod(N.cs, p), s, fqp, fp, p), fp, p)
+        h = _lgcd(a, _lshift_mod(N, s, fq, fp, p), fp, p)
         if h is None:
             return None
         out.append(h)
@@ -752,19 +738,19 @@ def _rational_reconstruction(a, m):
     return Fraction(r1, t1)
 
 
-def _gcds_over_L(fq, norms, s, L):
-    """The monic h_i = gcd(f, N_i(X + s*x)) over L, for monic f = fq in
-    Q[X] and the irreducible factors N_i of the squarefree norm of
-    f(X - s*x).
+def _gcds_over_L(F, FL, norms, s, d, L):
+    """The monic h_i = gcd(f, N_i(X + s*x)) over L, for monic f in Q[X]
+    and the irreducible factors N_i of the squarefree norm of f(X - s*x),
+    all scaled by d: F = d^m f(X/d), FL from fL alike, norms[i] from N_i.
 
-    A prime p is used only if it divides no denominator of fL, fq or the
-    N_i and fL is squarefree mod p.  Then Z_(p)[y]/(fL) is integrally
-    closed, so it holds the coefficients of every h_i and of its
-    cofactor in N_i(X + s*x), both monic with integral roots; so h_i mod p
-    divides both arguments, and the gcd mod p has at least h_i's degree,
-    with equality only if it is h_i mod p.  The h_i's degrees add up to
-    deg f, so a prime whose gcd degrees add up to more is unlucky and is
-    dropped, and every prime kept gives the images of the h_i themselves.
+    A prime p is used only if it does not divide d, so no denominator of
+    fL, f or the N_i, and fL is squarefree mod p.  Then Z_(p)[y]/(fL) is
+    integrally closed, so it holds the coefficients of every h_i and of
+    its cofactor in N_i(X + s*x), both monic with integral roots; so h_i
+    mod p divides both arguments, and the gcd mod p has at least h_i's
+    degree, with equality only if it is h_i mod p.  The h_i's degrees add
+    up to deg f, so a prime whose gcd degrees add up to more is unlucky
+    and is dropped, and every prime kept gives the images of the h_i.
     Their coordinates are combined by CRT and recovered by rational
     reconstruction, until the recovered h_i multiply back to f.
 
@@ -775,20 +761,20 @@ def _gcds_over_L(fq, norms, s, L):
     many primes are unlucky or have a leading coefficient that is not a
     unit in Euclid, so the loop ends.
     """
-    fL = L.defining
-    n, m = L.n, fq.degree
+    n, m = L.n, len(F) - 1
     one = L.gen_powers[0]
-    f = [tuple(c * e for e in one) for c in fq.cs]
-    den = _denominator_lcm(fL.cs + fq.cs + tuple(c for N in norms for c in N.cs))
+    f = [(Fraction(c, d ** (m - i)),) + one[1:] for i, c in enumerate(F)]
     degrees = None
     M = 1
     for p in _gcd_primes():
-        if den % p == 0:
+        if d % p == 0:
             continue
-        fp = _qmod(fL.cs, p)
+        e = pow(d, -1, p)
+        fp = _unscale_mod(FL, e, p)
         if not _psquarefree_image(fp, p):
             continue
-        hs = _gcds_mod_p(fq, norms, s, fp, p)
+        hs = _gcds_mod_p(_unscale_mod(F, e, p), [_unscale_mod(N, e, p) for N in norms],
+                         s, fp, p)
         if hs is None or sum(len(h) - 1 for h in hs) != m:
             continue
         if degrees is None:
@@ -804,9 +790,9 @@ def _gcds_over_L(fq, norms, s, L):
         if None in coords:
             continue
         out = []
-        for d in degrees:
-            out.append([tuple(coords[i * n:(i + 1) * n]) for i in range(d)] + [one])
-            coords = coords[d * n:]
+        for k in degrees:
+            out.append([tuple(coords[i * n:(i + 1) * n]) for i in range(k)] + [one])
+            coords = coords[k * n:]
         prod = [one]
         for h in out:
             prod = L.poly_mul(prod, h)

@@ -19,13 +19,15 @@ factorization entry points are:
 Each entry point converts its input to integer coefficient lists and
 runs the modular work in ``intpoly``, which it imports on its first
 call; ``factor_mod_p`` is a thin facade over it, taking and returning
-int lists.  The finite-algebra engine uses nothing here: it builds
-F_(q^k) on structure constants.
+int lists.  Over L, Trager's norm is one monic integer list from its
+composed sum to its factors over Z; it never becomes a ``Poly``.  The
+finite-algebra engine uses nothing here: it builds F_(q^k) on structure
+constants.
 
-A factorization over Q or F_p is re-multiplied and compared with its
-input, and over L the modular gcd's product is that comparison; a
-mismatch raises ``ConsistencyError``.  Every gcd and every squarefree
-test runs over Q, so no element of L is inverted.
+A factorization over Q or F_p, and the norm's over Z, is re-multiplied
+and compared with its input, and over L the modular gcd's product is
+that comparison; a mismatch raises ``ConsistencyError``.  Every gcd and
+every squarefree test runs over Q, so no element of L is inverted.
 """
 
 from fractions import Fraction
@@ -188,18 +190,14 @@ def factor_mod_p(coeffs, p):
     sorted by (degree, coefficients)."""
     if not is_prime(p):
         raise ValueError("factor_mod_p needs a prime p, not %r" % p)
-    from .intpoly import _pddf, _pmonic, _psplit, _psquarefree, _zmod, _zmul
+    from .intpoly import _pddf, _pmonic, _psplit, _psquarefree, _zmod, _zprod
     f = _zmod(coeffs, p)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     parts = [(h, m) for u, m in _psquarefree(_pmonic(f, p), p)
              for h in _psplit(_pddf(u, p), p)]
     parts.sort(key=lambda hm: (len(hm[0]), hm[0]))
-    product = [f[-1]]
-    for h, m in parts:
-        for _ in range(m):
-            product = _zmod(_zmul(product, h), p)
-    if product != f:
+    if _zprod([[f[-1]]] + [h for h, m in parts for _ in range(m)], p) != f:
         raise ConsistencyError("factorization does not re-multiply to its input")
     if len({tuple(h) for h, _ in parts}) != len(parts):
         raise ConsistencyError("repeated factor in factorization")
@@ -216,22 +214,19 @@ def factor_over_Q(f):
         return Factorization(f.cs[0], []).verify(f)
     from .intpoly import (_certified_squarefree, _denominator_lcm,
                           _factor_squarefree_monic_int, _scale_monic, _yun_squarefree_Q)
-    unit = f.lc
     monic = f.monic()
-    if _certified_squarefree(monic):
-        parts = [(monic, 1)]
+    # Clear denominators while keeping the polynomial monic: substitute
+    # X -> X/d and rescale, factor over Z, undo.  The squarefree parts
+    # divide monic f, so d scales each of them to Z[X] too.
+    d = _denominator_lcm(monic.cs)
+    G = _scale_monic(monic, d)
+    if _certified_squarefree(G):
+        parts = [(G, 1)]
     else:
-        parts = _yun_squarefree_Q(monic)
-    factors = []
-    for g, mult in parts:
-        # Clear denominators while keeping the polynomial monic:
-        # substitute X -> X/d and rescale, factor over Z, undo.
-        d = _denominator_lcm(g.cs)
-        for H in _factor_squarefree_monic_int(_scale_monic(g, d)):
-            k = len(H) - 1
-            back = Poly([Fraction(H[i] * d ** i, d ** k) for i in range(k + 1)])
-            factors.append((back, mult))
-    return Factorization(unit, factors).verify(f)
+        parts = [(_scale_monic(g, d), mult) for g, mult in _yun_squarefree_Q(monic)]
+    factors = [(Poly([Fraction(c, d ** (len(H) - 1 - i)) for i, c in enumerate(H)]), mult)
+               for part, mult in parts for H in _factor_squarefree_monic_int(part)]
+    return Factorization(f.lc, factors).verify(f)
 
 
 def factor_over_number_field(f, L):
@@ -240,34 +235,44 @@ def factor_over_number_field(f, L):
     h a list of coordinate tuples, lowest degree first, the factors
     sorted by degree, then coordinates.
 
-    The factors are not multiplied out again: the modular gcd's product
-    is monic f.
+    The factors over L are not multiplied out again, as the modular gcd's
+    product is monic f; the norm's factors over Z are.
     """
     if not isinstance(f, Poly):
         raise ValueError("factor_over_number_field requires rational coefficients")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    from .intpoly import _gcds_over_L, _norm_with_shift
+    if f.degree == 0:
+        return f.lc, []
+    from .intpoly import (_denominator_lcm, _factor_squarefree_monic_int, _gcds_over_L,
+                          _norm_with_shift, _scale_monic, _zprod)
     fm = f.monic()
-    if not _squarefree(fm):
+    d = _denominator_lcm(fm.cs + L.defining.cs)
+    F, FL = _scale_monic(fm, d), _scale_monic(L.defining, d)
+    if not _squarefree(F):
         raise ValueError("squarefree required")
     check_norm_degree(L.n * f.degree)
     # For f = fL the shift-0 norm is fL^n, and the shift-1 norm has the
     # roots x_i + x_j = x_j + x_i, repeated: neither is squarefree.
-    s = 2 if fm == L.defining else 0
+    s = 2 if F == FL else 0
     while True:
-        N = _norm_with_shift(fm, L, s)
-        if _squarefree(N):
+        M = _norm_with_shift(F, FL, s)
+        if _squarefree(M):
             break
         s += 1
-    norms = [Ni for Ni, _ in factor_over_Q(N).factors]
-    hs = sorted(_gcds_over_L(fm, norms, s, L),
+    norms = _factor_squarefree_monic_int(M)
+    if _zprod(norms) != M:
+        raise ConsistencyError("factorization does not re-multiply to its input")
+    hs = sorted(_gcds_over_L(F, FL, norms, s, d, L),
                 key=lambda h: (len(h), [[(q.numerator, q.denominator) for q in c] for c in h]))
     return f.lc, [(h, 1) for h in hs]
 
 
-def _squarefree(g):
-    """Whether monic g in Q[X] is squarefree: a prime certifies it, or
-    the exact gcd with g' decides."""
+def _squarefree(G):
+    """Whether the monic integer polynomial G is squarefree: a prime
+    certifies it, or the exact gcd with G' over Q decides."""
     from .intpoly import _certified_squarefree
-    return _certified_squarefree(g) or poly_gcd(g, g.derivative()).degree == 0
+    if _certified_squarefree(G):
+        return True
+    g = Poly(map(Fraction, G))
+    return poly_gcd(g, g.derivative()).degree == 0

@@ -54,11 +54,13 @@ def principal_subfield_of_factor(L, f_alpha):
         raise ValueError("not a factor")
     if not any(L.poly_at_x(f_alpha)):
         raise ValueError("factor vanishes at x; use a factor other than X - x")
+    zero = (Fraction(0),) * n
+    xj = [pows[0]] + [zero] * (len(f_alpha) - 2)                # X^0 mod f_alpha
     rems = []
     for j in range(n):
-        g = [(Fraction(0),) * n] * j + [pows[0]]
-        g[0] = tuple(a - b for a, b in zip(g[0], pows[j]))      # X^j - x^j
-        rems.append(L.poly_rem(g, f_alpha))
+        if j:
+            xj = L.poly_rem([zero] + xj, f_alpha)               # X^j mod f_alpha
+        rems.append([tuple(a - b for a, b in zip(xj[0], pows[j]))] + xj[1:])
     rows = [[rem[t][c] for rem in rems] for t in range(len(f_alpha) - 1) for c in range(n)]
     return subfield_from_subspace(L, exact.kernel(rows, n, exact.QQ_OPS))
 

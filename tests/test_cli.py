@@ -363,6 +363,13 @@ def test_non_prime_power_q_exit_code_1(tmp_path, capsys):
 
 
 GOOD_TABLE = {"unit": [1], "table": [[[1]]]}
+# each entry of an R list must be a JSON string, never read through str()
+NON_STRING_GENERATORS = [
+    {"q": 2, "quotient": "F2[X]/(X^3)", "R": [2]},
+    {"q": 2, "quotient": "F2[X]/(X^3)", "R": [None]},
+    {"q": 2, "table": {"unit": [1, 1], "table": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+     "R": [[0, 1]]},
+]
 
 
 @pytest.mark.parametrize("doc", [
@@ -390,11 +397,19 @@ GOOD_TABLE = {"unit": [1], "table": [[[1]]]}
     {"q": 2.5, "table": GOOD_TABLE},
     {"q": "2", "table": GOOD_TABLE},
     {"q": True, "table": GOOD_TABLE},
+    *NON_STRING_GENERATORS,
 ])
 def test_bad_table_document_exit_code_1(tmp_path, capsys, doc):
     code, out, err = run(capsys, "length", "--algebra", _doc(tmp_path, doc))
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", NON_STRING_GENERATORS)
+def test_non_string_generator_is_named(tmp_path, capsys, doc):
+    code, out, err = run(capsys, "length", "--algebra", _doc(tmp_path, doc))
+    assert code == 1
+    assert "R generator 1 must be a JSON string, got %s" % json.dumps(doc["R"][0]) in err
 
 
 def test_reducible_polynomial_exit_code_1(capsys):

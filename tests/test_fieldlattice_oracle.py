@@ -120,4 +120,4 @@ def test_index_sets_match_division_oracle():
         for K, I in list(zip(lat.nodes, index_sets(ps, lat)))[:-1]:
             assert set(I) == index_set_I(K, ps.system), (text, K)
             nodes += 1
-    assert nodes == 68           # 18 on the benchmark fields, 50 on the golden ones
+    assert nodes == 72           # 18 on the benchmark fields, 54 on the golden ones

@@ -55,6 +55,9 @@ FIELD_INPUTS = [
     "X^10+X^9+X^8+X^7+X^6+X^5+X^4+X^3+X^2+X+1",  # Phi_11, Galois, length 2
     "X^12+X^11+X^10+X^9+X^8+X^7+X^6+X^5+X^4+X^3+X^2+X+1",  # Phi_13, degree-144 norm
     "X^16-2",                                 # non-Galois, degree-256 norm
+    "X^4-X^2/7+3/11",                         # rational: the norm is scaled by d = 77
+    "X^5-X/3-1/2",                            # rational, d = 6
+    "X^6+X/1234567891011+1",                  # rational, large d: several gcd primes
 ]
 FIELDS = [corpus.Input(f, ["classify", "--json", f]) for f in FIELD_INPUTS]
 

@@ -167,6 +167,22 @@ def test_subalgebra_constructor_has_no_check():
     assert args.vararg is None and args.kwarg is None
 
 
+def test_intpoly_builds_no_poly_outside_yun():
+    # intpoly works on int lists; only Yun's decomposition, the exact
+    # fallback of factor_over_Q, takes and makes Polys (with poly_gcd and
+    # Poly's own methods), and nothing else names Poly
+    makers = {"Poly", "poly_gcd", "derivative", "exact_div", "monic", "mul_scalar"}
+    for stmt in _tree(ROOT / "src" / "l2lab" / "intpoly.py").body:
+        if getattr(stmt, "name", None) == "_yun_squarefree_Q":
+            continue
+        for node in ast.walk(stmt):
+            assert not (isinstance(node, ast.Name) and node.id == "Poly"), node.lineno
+            assert not (isinstance(node, ast.alias) and node.name == "Poly"), node.lineno
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name not in makers, (name, node.lineno)
+
+
 def _callers(name):
     """"module.definition" for each top-level definition of src/l2lab
     whose code calls ``name``, as a plain name or an attribute."""

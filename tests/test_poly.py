@@ -1,14 +1,16 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from l2lab import caps, intpoly, poly
+from l2lab import caps, intpoly, numberfield, poly
 from l2lab.cli import main
 from l2lab.errors import CapExceeded, ConsistencyError
 from l2lab.exact import next_prime
@@ -44,6 +46,26 @@ def expand_over_L(L, unit, factors):
         for _ in range(m):
             acc = acc * over_L(L, h)
     return acc
+
+
+def denominator_lcm(*gs):
+    """The lcm of the denominators of the rational polynomials gs."""
+    return math.lcm(*(c.denominator for g in gs for c in g.cs))
+
+
+def scaled(g, d):
+    """d^m g(X/d) as an int list, for monic g over Q of degree m (a
+    ``Poly`` or a ``nfelem.Poly``) whose scaling by d is integral."""
+    m = len(g.cs) - 1
+    out = [c * d ** (m - i) for i, c in enumerate(g.cs)]
+    assert all(c.denominator == 1 for c in out)
+    return [int(c) for c in out]
+
+
+def unscaled(G, d):
+    """The monic g in Q[X] with scaled(g, d) = G."""
+    k = len(G) - 1
+    return Poly(Fraction(c, d ** (k - i)) for i, c in enumerate(G))
 
 
 # --- gcd and separability -------------------------------------------------
@@ -375,9 +397,12 @@ def test_interpolation_roundtrip():
 
 
 def _assert_norms_agree(f, L):
+    # the norm comes scaled by the lcm d of the denominators of f and fL
     fL = lift(L, f)
+    d = denominator_lcm(f, L.defining)
+    F, FL = scaled(f, d), scaled(L.defining, d)
     for s in range(4):
-        assert intpoly._norm_with_shift(f, L, s).cs == norm_by_evaluation(fL, L, s).cs, s
+        assert intpoly._norm_with_shift(F, FL, s) == scaled(norm_by_evaluation(fL, L, s), d), s
 
 
 # the fields of the benchmark's ``fields`` workload
@@ -424,13 +449,13 @@ PHI11 = Poly([Fraction(1)] * 11)
 
 
 def test_certificate_on_phi11_norms():
-    L = NumberField(PHI11)
-    assert intpoly._certified_squarefree(intpoly._norm_with_shift(PHI11, L, 2))
+    F = scaled(PHI11, 1)
+    assert intpoly._certified_squarefree(intpoly._norm_with_shift(F, F, 2))
     power = Q(1)
     for _ in range(10):
         power = power * PHI11
-    assert intpoly._norm_with_shift(PHI11, L, 0) == power
-    assert intpoly._certified_squarefree(power) is False
+    assert intpoly._norm_with_shift(F, F, 0) == scaled(power, 1)
+    assert intpoly._certified_squarefree(scaled(power, 1)) is False
 
 
 def test_certificate_never_holds_with_a_square_factor():
@@ -438,15 +463,18 @@ def test_certificate_never_holds_with_a_square_factor():
     for _ in range(40):
         g = _random_monic(rng, rng.randrange(0, 5))
         h = _random_monic(rng, rng.randrange(1, 4))
-        assert intpoly._certified_squarefree(g * h * h) is False
+        f = g * h * h
+        assert intpoly._certified_squarefree(scaled(f, denominator_lcm(f))) is False
 
 
 @pytest.mark.parametrize("text", NORM_FIELDS)
 def test_certificate_holds_on_squarefree_trager_norms(text):
     L = make_field(parse_polynomial(text))
-    N = intpoly._norm_with_shift(L.defining, L, 3)
+    F = scaled(L.defining, denominator_lcm(L.defining))
+    M = intpoly._norm_with_shift(F, F, 3)
+    N = Poly(map(Fraction, M))
     assert poly_gcd(N, N.derivative()).degree == 0
-    assert intpoly._certified_squarefree(N)
+    assert intpoly._certified_squarefree(M)
 
 
 # --- factorization over number fields --------------------------------------
@@ -727,7 +755,7 @@ def _random_monic_product(rng):
             count += 1
         # squarefree mod a prime proves squarefree; Euclid over Q on
         # degree 40 would take seconds
-        if count >= 8 and intpoly._certified_squarefree(f):
+        if count >= 8 and intpoly._certified_squarefree(scaled(f, 1)):
             return f
     raise AssertionError("no certified squarefree product of 8 factors in 100 draws")
 
@@ -805,8 +833,9 @@ def test_trager_skips_only_shifts_that_cannot_work(monkeypatch):
     for text in FIELDS:
         L = make_field(parse_polynomial(text))
         # the shifts the search skips for L's own defining polynomial
+        F = scaled(L.defining, 1)
         for s in (0, 1):
-            N = intpoly._norm_with_shift(L.defining, L, s)
+            N = Poly(map(Fraction, intpoly._norm_with_shift(F, F, s)))
             assert poly_gcd(N, N.derivative()).degree > 0, (text, s)
         del norms[:]
         factor_over_number_field(L.defining, L)
@@ -986,11 +1015,12 @@ def gcd_over_L(a, b):
     return monic_over_L(a)
 
 
-def gcds_by_euclid(f, norms, s, L):
+def gcds_by_euclid(f, norms, s, d, L):
     """gcd(f, N(X + s*x)) over L for each N, by Euclid on Fraction
-    coordinates after an exact Taylor shift over L; f is in Q[X]."""
+    coordinates after an exact Taylor shift over L; f is in Q[X], and
+    each N comes as its int list scaled by d."""
     sx = nf(L).gen() * nf(L).from_rational(s)
-    return [gcd_over_L(lift(L, f), shift(lift(L, N), sx)) for N in norms]
+    return [gcd_over_L(lift(L, f), shift(lift(L, unscaled(N, d)), sx)) for N in norms]
 
 
 def _factor_recording_gcds(monkeypatch, f, L):
@@ -1006,8 +1036,9 @@ def _factor_recording_gcds(monkeypatch, f, L):
 @pytest.mark.parametrize("text", NORM_FIELDS)
 def test_modular_gcd_matches_euclid_on_fields(text, monkeypatch):
     L = make_field(parse_polynomial(text))
-    (_, factors), ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, L.defining, L)
-    assert [over_L(L, h) for h in hs] == gcds_by_euclid(L.defining, norms, s, L)
+    (_, factors), ((_, _, norms, s, d, _), hs) = _factor_recording_gcds(monkeypatch,
+                                                                         L.defining, L)
+    assert [over_L(L, h) for h in hs] == gcds_by_euclid(L.defining, norms, s, d, L)
     assert len(hs) == len(norms) and sorted(hs) == sorted(g for g, _ in factors)
 
 
@@ -1015,9 +1046,9 @@ def test_modular_gcd_matches_euclid_on_phi11(monkeypatch):
     # Euclid over L takes seconds per norm factor here, so one is checked
     # against it; the others against the factors X - x^k that Phi11 has
     L = NumberField(PHI11)
-    _, ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, PHI11, L)
+    _, ((_, _, norms, s, d, _), hs) = _factor_recording_gcds(monkeypatch, PHI11, L)
     assert len(norms) == 10
-    assert [over_L(L, h) for h in hs[:1]] == gcds_by_euclid(PHI11, norms[:1], s, L)
+    assert [over_L(L, h) for h in hs[:1]] == gcds_by_euclid(PHI11, norms[:1], s, d, L)
     assert sorted(hs) == sorted([tuple(-c for c in L.gen_powers[k]), L.gen_powers[0]]
                                 for k in range(1, 11))
 
@@ -1034,8 +1065,9 @@ def test_modular_gcd_matches_euclid_on_random_fields(monkeypatch):
         fq = _random_monic(rng, rng.randrange(2, 5))
         if poly_gcd(fq, fq.derivative()).degree:
             continue
-        (unit, factors), ((_, norms, s, _), hs) = _factor_recording_gcds(monkeypatch, fq, L)
-        assert [over_L(L, h) for h in hs] == gcds_by_euclid(fq, norms, s, L)
+        (unit, factors), ((_, _, norms, s, d, _), hs) = _factor_recording_gcds(monkeypatch,
+                                                                              fq, L)
+        assert [over_L(L, h) for h in hs] == gcds_by_euclid(fq, norms, s, d, L)
         assert expand_over_L(L, unit, factors) == lift(L, fq)
         done += 1
 
@@ -1132,3 +1164,88 @@ def test_no_gcd_or_shift_over_L_after_the_squarefree_check(monkeypatch):
         factor_over_number_field(L.defining, L)
         # squarefreeness is decided over Q, and every gcd over L is modular
         assert all(calls), text
+
+
+# --- Trager's norm as one integer list --------------------------------------
+
+RATIONAL_FIELDS = ["X^4-X^2/7+3/11", "X^5-X/3-1/2", "X^6+X/1234567891011+1"]
+
+
+@pytest.mark.parametrize("text", FIELDS + RATIONAL_FIELDS)
+def test_norm_stays_one_integer_list(text, monkeypatch, capsys):
+    """Through ``classify``: the norm of each shift tried is certified
+    squarefree once; the accepted one reaches the factoring over Z as the
+    very list ``_norm_with_shift`` made, and is factored once; no Poly is
+    built from it, scaled or not, and nothing of its degree is rescaled;
+    and factor_over_Q runs once, for make_field."""
+    norms = _record(monkeypatch, "_norm_with_shift")
+    certified = _record(monkeypatch, "_certified_squarefree")
+    factored = _record(monkeypatch, "_factor_squarefree_monic_int")
+    scalings = _record(monkeypatch, "_scale_monic")
+    built = []
+    real_init = Poly.__init__
+
+    def init(self, coeffs):
+        real_init(self, coeffs)
+        built.append(self.cs)
+
+    monkeypatch.setattr(Poly, "__init__", init)
+    over_Q = []
+    for module in (poly, numberfield):
+        def counted(f, real=module.factor_over_Q, name=module.__name__):
+            over_Q.append(name)
+            return real(f)
+        monkeypatch.setattr(module, "factor_over_Q", counted)
+    assert main(["classify", "--json", text]) == 0
+    monkeypatch.setattr(Poly, "__init__", real_init)
+    capsys.readouterr()
+    assert over_Q == ["l2lab.numberfield"]
+    for _, G in norms:
+        assert sum(args[0] is G for args, _ in certified) == 1
+    M = norms[-1][1]
+    assert [args[0] for args, _ in factored if args[0] == M] == [M]
+    assert factored[-1][0][0] is M
+    d = denominator_lcm(parse_polynomial(text))
+    assert tuple(M) not in built and unscaled(M, d).cs not in built
+    assert all(args[0].degree < len(M) - 1 for args, _ in scalings)
+
+
+def test_large_denominator_takes_several_gcd_primes(monkeypatch):
+    # d = 1234567891011 makes the coordinates of the factors over L too
+    # large for one prime's rational reconstruction
+    L = make_field(parse_polynomial("X^6+X/1234567891011+1"))
+    tried = _record(monkeypatch, "_gcds_mod_p")
+    factor_over_number_field(L.defining, L)
+    assert len([hs for _, hs in tried if hs and sum(len(h) - 1 for h in hs) == L.n]) > 1
+
+
+def test_corrupted_norm_factor_ends_with_exit_3():
+    """One factor over Z of the accepted norm comes back with its
+    constant term one too high.  The norm's re-multiplication stops the
+    run with exit 3 before the modular gcd over L, which would look for
+    factors multiplying back to f for ever, in a process that is killed
+    if it hangs."""
+    code = textwrap.dedent("""
+        import sys
+        from l2lab import cli, intpoly
+        norm, factor = intpoly._norm_with_shift, intpoly._factor_squarefree_monic_int
+        made = []
+
+        def norm_spy(*args):
+            made.append(norm(*args))
+            return made[-1]
+
+        def corrupted(G):
+            hs = factor(G)
+            if made and G is made[-1]:
+                hs[0] = [hs[0][0] + 1] + hs[0][1:]
+            return hs
+
+        intpoly._norm_with_shift, intpoly._factor_squarefree_monic_int = norm_spy, corrupted
+        sys.exit(cli.main(["classify", "X^4-X^2/7+3/11"]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "factorization does not re-multiply to its input" in proc.stderr

@@ -3,6 +3,7 @@
 sympy serves only as an independent oracle here; l2lab never imports it.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -129,10 +130,15 @@ def _rational_expr(f, var):
 
 @pytest.mark.parametrize("text", ["X^4-2", "X^3-X/3+5/7", "X^6+108"])
 def test_trager_norm_matches_sympy_resultant(text):
+    # the norm N comes as the monic integer list d^D N(X/d), d the lcm
+    # of the denominators of L's defining polynomial
     L = make_field(parse_polynomial(text))
+    d = math.lcm(*(c.denominator for c in L.defining.cs))
+    F = [int(c * d ** (L.n - i)) for i, c in enumerate(L.defining.cs)]
     for s in range(3):
-        N = intpoly._norm_with_shift(L.defining, L, s)
+        M = intpoly._norm_with_shift(F, F, s)
         res = sympy.resultant(_rational_expr(L.defining, y),
                               _rational_expr(L.defining, x - s * y), y)
-        cs = reversed(sympy.Poly(res, x).all_coeffs())
-        assert N.cs == tuple(Fraction(int(c.p), int(c.q)) for c in cs), s
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(res, x).all_coeffs())]
+        D = len(cs) - 1
+        assert M == [c * d ** (D - i) for i, c in enumerate(cs)], s
