@@ -3,8 +3,9 @@
 The element cap bounds |S| = q^dim of every algebra built, and q^2 of
 the F_q tables; L2LAB_CAP overrides it (lowering is always safe).  A
 quotient is bounded while its basis is listed.
-The candidate cap bounds the number of one-element adjunctions T[s]
-the subalgebra enumeration may make.  The norm degree cap bounds the
+The candidate cap bounds the number of points s the subalgebra
+enumeration walks, one T[s] each, whether T[s] is computed by
+adjunction or read off an earlier walk.  The norm degree cap bounds the
 degree deg(fL) * deg(f) of the Trager norm, checked before any norm is
 computed.  The node cap bounds the nodes of the field lattice [k, L],
 checked before each new node is built.

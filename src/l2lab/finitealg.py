@@ -33,8 +33,13 @@ is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
 
 The lattice [R, S] is ``lattice.closure`` under adjunction: T[s] is the
 T-span of the powers of s, and every node is extended by one s per
-point of the projective space of S/T (``adjunctions``).  Only the test
-oracles list the elements of an algebra.
+point of the projective space of S/T (``adjunctions``).  Most T[s] are
+read off earlier walks (``enumerate_subalgebras`` proves it): a node
+T = T'[g] was first reached from T', whose walk is complete, and gives
+V = T'[s] for each point s of S/T.  Then T[s] = V when g lies in V;
+otherwise T[s] = V[g], which is V's entry for the point of g in S/V
+once V has been walked; otherwise ``adjoin`` computes it.  Only the
+test oracles list the elements of an algebra.
 """
 
 import itertools
@@ -148,6 +153,19 @@ class FiniteAlgebra:
     """Commutative unital F_q-algebra by structure constants."""
 
     def __init__(self, field, table, unit, names=None):
+        self._read(field, table, unit, names)
+        self._check_axioms()
+
+    @classmethod
+    def _unchecked(cls, field, table, unit):
+        """The algebra of a table whose axioms are not checked: the
+        candidate moduli of ``field_extension``, which builds the one it
+        returns with the constructor and so checks that one."""
+        A = cls.__new__(cls)
+        A._read(field, table, unit, None)
+        return A
+
+    def _read(self, field, table, unit, names):
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
@@ -157,7 +175,6 @@ class FiniteAlgebra:
         self.terms = [[tuple((k, c) for k, c in enumerate(v) if c) for v in row]
                       for row in self.table]
         check_elements(field.q, self.dim, "algebra construction")
-        self._check_axioms()
 
     def _check_axioms(self):
         d = self.dim
@@ -258,28 +275,32 @@ def field_extension(F, k):
     """F_(q^k) as the algebra F[u]/(m) on 1, u, ..., u^(k-1), for m the
     first monic irreducible of degree k with a nonzero constant term in
     the lexicographic order of its coefficients, constant term first
-    (X + 1 for k = 1).
-
-    Rabin's test, in the algebra of each candidate: m is irreducible
-    exactly when u^(q^k) = u and, for each prime l dividing k,
-    u^(q^(k/l)) - u is a unit, i.e. its multiples span the algebra.
+    (X + 1 for k = 1).  Each candidate m is tested in its algebra
+    ``FiniteAlgebra._unchecked`` (``_is_field``); the algebra returned is
+    built again from its table by the constructor, which checks it.
     """
-    q = F.q
-    for tail in itertools.product(range(1, q), *[range(q)] * (k - 1)):
-        A = FiniteAlgebra(F, _power_table(F, tail + (1,)), (1,) + (0,) * (k - 1))
-        if k == 1:
-            return A
-        u = A.basis_vector(1)
-        if A.power(u, q ** k) != u:
-            continue
-        basis = [A.basis_vector(i) for i in range(k)]
-        for ell in set(prime_factors(k)):
-            g = F.ops.sub(A.power(u, q ** (k // ell)), F.ops.one, u)
-            if A.span([A.mul(g, b) for b in basis]).dim < k:
-                break
-        else:
-            return A
+    unit = (1,) + (0,) * (k - 1)
+    for tail in itertools.product(range(1, F.q), *[range(F.q)] * (k - 1)):
+        table = _power_table(F, tail + (1,))
+        if k == 1 or _is_field(FiniteAlgebra._unchecked(F, table, unit)):
+            return FiniteAlgebra(F, table, unit)
     raise ConsistencyError("no irreducible polynomial found")
+
+
+def _is_field(A):
+    """Rabin's test on A = F_q[u]/(m), deg m = k >= 2: m is irreducible
+    exactly when u^(q^k) = u and, for each prime l dividing k,
+    u^(q^(k/l)) - u is a unit, i.e. its multiples span the algebra."""
+    F, k = A.field, A.dim
+    u = A.basis_vector(1)
+    if A.power(u, F.q ** k) != u:
+        return False
+    basis = [A.basis_vector(i) for i in range(k)]
+    for ell in set(prime_factors(k)):
+        g = F.ops.sub(A.power(u, F.q ** (k // ell)), F.ops.one, u)
+        if A.span([A.mul(g, b) for b in basis]).dim < k:
+            return False
+    return True
 
 
 def product_algebra(F, factor_degrees):
@@ -766,18 +787,17 @@ def _points(q, c):
 
 
 def adjunctions(T):
-    """(s, T[s]) for one s per point of the projective space of A/T, A
-    the ambient algebra: s is zero on T's pivot columns and 1 at its
-    first nonzero free column.  Every T[u] with u outside T is one of
-    these, as T[c*u + t] = T[u] for c != 0 and t in T."""
+    """One s per point of the projective space of A/T, A the ambient
+    algebra: s is zero on T's pivot columns and 1 at its first nonzero
+    free column.  Every T[u] with u outside T is a T[s], as
+    T[c*u + t] = T[u] for c != 0 and t in T."""
     A = T.ambient
     free = [j for j in range(A.dim) if j not in T.basis.pivots]
     for point in _points(A.field.q, len(free)):
         s = [0] * A.dim
         for j, c in zip(free, point):
             s[j] = c
-        s = tuple(s)
-        yield s, adjoin(T, s)
+        yield tuple(s)
 
 
 def is_simple_extension(lat):
@@ -792,25 +812,72 @@ def is_simple_extension(lat):
 def enumerate_subalgebras(R, S):
     """The lattice of all subalgebras between R and S.
 
-    ``lattice.closure`` extends every node T by its ``adjunctions``, one
-    T[s] per point s of the projective space of S/T.  Any U in [R, S]
+    ``lattice.closure`` extends every node T by T[s] for each point s of
+    the projective space of S/T (``adjunctions``).  Any U in [R, S]
     ends a chain R = U_0 < U_1 < ... with U_(i+1) = U_i[u_i], the
     adjunction of the point of u_i; from any node T < U the same argument
     gives a chain of edges T -> T[s] up to U, so the edges generate the
     order.  ``points`` is the bottom's walk, (s, index of R[s]).  The
-    candidate cap bounds the adjunctions, checked before each node's
-    points are walked.
+    candidate cap bounds the points walked, checked before each node's
+    points are walked, whether each T[s] is computed or read.
+
+    The parent-walk rule.  A node T != R was first reached as T = T'[g],
+    g a point of S/T'.  ``closure`` pushes T while it walks T' and pops
+    it only after that walk is done, so the walk of T' is complete, a
+    map s -> T'[s], when T is walked.  T' <= T, so T's pivots include
+    those of T', and a point s of S/T (zero on T's pivots, 1 at its
+    first nonzero column) is a point of S/T'.  Let V = T'[s], read off
+    that map.  As T[s] = T'[g][s] = T'[s][g] = V[g]:
+      1. If g lies in V, then T = T'[g] <= V, and V <= T[s] <= V, so
+         T[s] = V.  Then V holds T and s, which T does not, so
+         dim V > dim T, and g's first nonzero column is a pivot of V;
+         when either fails, g is not in V and no residue is taken.
+      2. Otherwise T[s] = V[g] = V[r] for r the residue of g mod V,
+         scaled to 1 at its first nonzero column, as V[c*g + v] = V[g]
+         for c != 0 and v in V.  r is zero on V's pivots, so it is a
+         point of S/V, and if V has been walked (V != T, as s is not in
+         T; only T's walk is open), T[s] is V's entry for r.
+      3. Otherwise T[s] = ``adjoin(T, s)``.
+    Each walk maps its points to the one span object ``closure`` keeps
+    for each node.
     """
     check_elements(S.field.q, S.dim, "subalgebra enumeration")
-    q = S.field.q
+    q, div = S.field.q, S.field.ops.div
     count = 0
+    # Spans are keyed by id(): ``closure`` keeps every span handed to it.
+    spans = {R.basis: R.basis}  # each span reached, to the one object kept
+    walks = {}                  # id(span of T) -> {point s of S/T: span of T[s]}
+    origin = {}                 # id(span of T) -> (walk of T', g): T = T'[g]
+    points = {}                 # each point met, to the one tuple kept
 
     def step(T):
         nonlocal count
         count += (q ** (S.dim - T.dim) - 1) // (q - 1)
         check_candidates(count, "subalgebra enumeration")
-        for s, U in adjunctions(T):
-            yield s, U.basis
+        walk = walks[id(T.basis)] = {}
+        parent_walk, g = origin.get(id(T.basis), (None, None))
+        if g is not None:
+            lead = next(j for j, c in enumerate(g) if c)
+        for s in adjunctions(T):
+            s = points.setdefault(s, s)
+            U = None
+            if g is not None:
+                V = parent_walk[s]
+                V_walk = walks.get(id(V))
+                if V_walk is not None or (len(V) > T.dim and lead in V.pivots):
+                    r = V.residue(g)
+                    p = next((j for j, c in enumerate(r) if c), None)
+                    if p is None:
+                        U = V
+                    elif V_walk is not None:
+                        U = V_walk[tuple(r if r[p] == 1 else div(r, r[p]))]
+            if U is None:
+                span = adjoin(T, s).basis
+                U = spans.setdefault(span, span)
+                if U is span:
+                    origin[id(U)] = (walk, s)
+            walk[s] = U
+            yield s, U
 
     return closure(R, step, lambda span: Subalgebra(S, span))
 

@@ -213,6 +213,17 @@ def test_extension_search_matches_poly_rabin_test(q):
     assert field_extension(F, 1).table == (((1,),),)
 
 
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 8), (2, 12), (3, 6), (4, 5)])
+def test_extension_checks_the_axioms_once(monkeypatch, q, k):
+    """Rabin's test runs on unchecked candidates; the axioms are checked
+    once, on the algebra returned."""
+    checked, check = [], FiniteAlgebra._check_axioms
+    monkeypatch.setattr(FiniteAlgebra, "_check_axioms",
+                        lambda A: checked.append(A) or check(A))
+    A = field_extension(small_field(q), k)
+    assert checked == [A]
+
+
 def test_power_table_of_reducible_moduli():
     """Shift-and-subtract against ``Poly`` on every monic m of degree
     <= 3 over F_2, F_3 and F_4, reducible ones included."""
