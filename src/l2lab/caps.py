@@ -8,7 +8,9 @@ enumeration walks, one T[s] each, whether T[s] is computed by
 adjunction or read off an earlier walk.  The norm degree cap bounds the
 degree deg(fL) * deg(f) of the Trager norm, checked before any norm is
 computed.  The node cap bounds the nodes of the field lattice [k, L],
-checked before each new node is built.
+checked before each new node is built.  The subset cap bounds the
+subsets of lifted factors that Zassenhaus recombination tries, counted
+as they are tried.
 """
 
 import os
@@ -19,6 +21,7 @@ DEFAULT_ELEMENT_CAP = 4096
 CANDIDATE_CAP = 100_000
 NORM_DEGREE_CAP = 1024
 NODE_CAP = 4096
+SUBSET_CAP = 1_000_000
 
 
 def element_cap():
@@ -54,3 +57,9 @@ def check_norm_degree(degree):
 def check_nodes(count):
     if count > NODE_CAP:
         raise CapExceeded("lattice exceeds %d nodes" % NODE_CAP)
+
+
+def check_subsets(count):
+    if count > SUBSET_CAP:
+        raise CapExceeded("Zassenhaus recombination needs more than %d subsets"
+                          % SUBSET_CAP)

@@ -13,7 +13,9 @@ report and what the case label and the predicted count are read from.
 A battery entry that fails against the enumeration, or a check that
 only its case makes, raises ConsistencyError, which the command line
 reports as exit code 3.  The subintegral "some / every x" questions
-read R[s] once per point s of S/R; no element is listed.
+read R[s] once per point s of S/R; no element is listed.  A cover's
+type is read off one cover of its orbit under the automorphisms of S
+over R (``cover_types``).
 """
 
 from .errors import ConsistencyError
@@ -152,10 +154,99 @@ def copointwise_shape_check(a, ms):
 
 
 def cover_types(a):
-    """Minimal-extension type of every covering edge of the lattice."""
-    nodes = a.lattice.nodes
-    return {(i, j): _minimal_type_of_pair(nodes[i], nodes[j])
-            for (i, j) in a.lattice.covers}
+    """Minimal-extension type of every covering edge of the lattice, with
+    one cover typed per orbit of the automorphisms of S over R that
+    ``_transpositions`` finds.
+
+    Let g be an F_q-linear ring automorphism of S with g(R) = R.  It maps
+    a ring R <= T <= S to the ring g(T), again in [R, S], and keeps
+    inclusion both ways, so it permutes the nodes and maps a cover
+    lo < hi to the cover g(lo) < g(hi).  It carries the conductor
+    (lo : hi) to (g(lo) : g(hi)), Max(lo) to Max(g(lo)), the ideals of hi
+    over M to those of g(hi) over g(M), and N^2 <= M to g(N)^2 <= g(M),
+    and keeps every dimension over F_q.  So each check of
+    ``_minimal_type_of_pair`` reads the same on both covers, and they
+    have one type.  The covers are taken in order; the first of an orbit
+    is typed with all the checks, and a walk from it through the images
+    under the generators gives its type to the rest of the orbit.  With
+    no generator each cover is its own orbit.  Every image is looked up:
+    a node image that is not a node, or a cover image that is not a
+    cover, is a consistency error, as the generator is then no
+    automorphism.
+    """
+    nodes, covers = a.lattice.nodes, a.lattice.covers
+    index = {n.basis: k for k, n in enumerate(nodes)}
+    images = []
+    for x, y in _transpositions(a.R, a.S):
+        image = [index.get(_swapped_span(a.S, n.basis, x, y)) for n in nodes]
+        if None in image:
+            raise ConsistencyError("automorphism check: swapping basis vectors %d and %d "
+                                   "maps a node of [R, S] to no node" % (x, y))
+        images.append(image)
+    types = {}
+    for c in sorted(covers):
+        if c in types:
+            continue
+        t = types[c] = _minimal_type_of_pair(nodes[c[0]], nodes[c[1]])
+        orbit = [c]
+        while orbit:
+            i, j = orbit.pop()
+            for image in images:
+                d = (image[i], image[j])
+                if d not in types:
+                    if d not in covers:
+                        raise ConsistencyError("automorphism check: a generator maps "
+                                               "a cover to no cover")
+                    types[d] = t
+                    orbit.append(d)
+    return types
+
+
+def _transpositions(R, S):
+    """Transpositions (x y) of S's basis vectors that are automorphisms of
+    S over R: each fixes the unit, respects the structure constants
+    (``_respects_table``) and maps every row of R's basis into R.  (A
+    bijection that respects products fixes 1 anyway; comparing the unit's
+    entries only rejects most transpositions of a quotient's monomials
+    first.)  Only a
+    transposition that joins two classes of the ones kept so far is
+    tried, so at most dim S - 1 are returned; as transpositions generate
+    the symmetric group of each class they connect, these generate the
+    group that all the passing transpositions generate."""
+    label = list(range(S.dim))
+    out = []
+    for x in range(S.dim):
+        for y in range(x + 1, S.dim):
+            if (label[x] != label[y] and S.unit[x] == S.unit[y]
+                    and _respects_table(S, x, y)
+                    and all(R.member(_swap(r, x, y)) for r in R.basis)):
+                label = [label[x] if k == label[y] else k for k in label]
+                out.append((x, y))
+    return out
+
+
+def _swap(v, x, y):
+    w = list(v)
+    w[x], w[y] = v[y], v[x]
+    return tuple(w)
+
+
+def _swapped_span(S, span, x, y):
+    """The image of ``span`` when basis vectors x and y of S trade
+    places: the span itself when every row agrees at x and y."""
+    if all(r[x] == r[y] for r in span):
+        return span
+    return S.span([_swap(r, x, y) for r in span])
+
+
+def _respects_table(S, x, y):
+    """Whether trading basis vectors x and y of S maps each product
+    table[i][j] to the product of the images, table[p(i)][p(j)]."""
+    p = list(range(S.dim))
+    p[x], p[y] = y, x
+    T = S.table
+    return all(T[p[i]][p[j]] == _swap(T[i][j], x, y)
+               for i in range(S.dim) for j in range(i, S.dim))
 
 
 def divisor_count(n):
@@ -369,8 +460,9 @@ def _closure_extremality(a, types):
     cover that is not ramified (not ramified or decomposed) is an OR over
     the lower covers i of k, of the flag of i and the type of i < k,
     taken in index order, which is a topological order
-    (``_chain_type_flags``).  ``types`` is ``cover_types(a)``: every
-    cover typed once, with all the checks of ``_minimal_type_of_pair``.
+    (``_chain_type_flags``).  ``types`` is ``cover_types(a)``: a type
+    for every cover, read off the one cover of its orbit that ran all
+    the checks of ``_minimal_type_of_pair``.
     """
     not_sub, not_infra = _chain_type_flags(a.lattice, types)
     return all(not_sub[k] != a.seminormalization.contains_sub(n)

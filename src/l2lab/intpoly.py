@@ -47,6 +47,7 @@ import math
 import random
 from fractions import Fraction
 
+from .caps import check_subsets
 from .errors import ConsistencyError
 from .exact import next_prime
 from .poly import poly_gcd
@@ -490,6 +491,9 @@ def _recombine(G, lifted, pK):
     as a quotient coefficient exceeds the Mignotte bound of G: long
     division finds the quotient's coefficients from the top, and an exact
     quotient is itself a monic proper divisor of G, bound by it too.
+
+    Every subset tried counts against the subset cap
+    (``caps.check_subsets``), so the search is bounded.
     """
     n = len(G) - 1
     rho = 1 + max(abs(c) for c in G[:n])
@@ -502,9 +506,12 @@ def _recombine(G, lifted, pK):
     live = list(range(len(lifted)))
     s = 1
     tc = G[0]
+    tried = 0
     while 2 * s <= len(live):
         found = False
         for combo in itertools.combinations(live, s):
+            tried += 1
+            check_subsets(tried)
             t = sum(second[i] for i in combo) % pK
             # min(t, pK - t) is the absolute value of t's symmetric residue
             if min(t, pK - t) > rho * sum(degree[i] for i in combo):

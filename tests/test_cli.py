@@ -267,6 +267,24 @@ def test_field_lattice_node_cap_exit_code_2(capsys, monkeypatch):
     assert run(capsys, "classify", "X^4-10*X^2+1")[0] == 0 and len(built) == 1
 
 
+def test_recombination_subset_cap_exit_code_2(capsys, monkeypatch):
+    # X^4-2 tries at most 7 subsets in one recombination: a cap of 6 stops
+    # it, a cap of 7 lets it through
+    monkeypatch.setattr(caps, "SUBSET_CAP", 6)
+    code, out, err = run(capsys, "classify", "--json", "X^4-2")
+    assert code == 2 and out == ""
+    assert "Zassenhaus recombination needs more than 6 subsets" in err
+    monkeypatch.setattr(caps, "SUBSET_CAP", 7)
+    assert run(capsys, "classify", "--json", "X^4-2")[0] == 0
+
+
+def test_x20_minus_2_hits_the_subset_cap_in_a_process():
+    # about 12 million subsets would be tried; the default cap stops it
+    proc = run_process("classify", "--json", "X^20-2", timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "Zassenhaus recombination needs more than 1000000 subsets" in proc.stderr
+
+
 def test_f2_7_classify_in_a_process(tmp_path):
     # the partition lattice of a 7-set: Bell(7) nodes, rank 6
     path = _doc(tmp_path, {"q": 2, "product": ["F2"] * 7, "R": "diagonal"})

@@ -22,7 +22,11 @@ algebra.  ``Subalgebra.__init__`` takes no ``check`` parameter: the
 constructor trusts its caller, and ``_closure_span`` makes the one
 closure check of an analysis.  Both lattices come from one builder:
 only ``lattice.closure`` calls ``from_edges``, and ``fieldlattice``
-never calls ``contains_span``.
+never calls ``contains_span``.  Every cover type comes from one route:
+only ``classify.cover_types`` calls ``_minimal_type_of_pair``.  The
+standard-library list is exactly what ``src`` imports, so it cannot grow
+unseen, and ``classify`` imports none of it: its orbit walk needs no
+``heapq`` or ``itertools``.
 The ``[project].dependencies`` list of pyproject.toml must stay empty.
 
 The benchmark's tracer (``perfbench/tracing.py``, only read here) names
@@ -201,6 +205,28 @@ def test_one_lattice_builder():
     # decides no inclusion pairwise: its order comes from the closure
     assert _callers("from_edges") == {"lattice.closure"}
     assert not {c for c in _callers("contains_span") if c.startswith("fieldlattice.")}
+
+
+def test_cover_types_is_the_one_typing_route():
+    # one cover per orbit is typed, with all the checks; no other
+    # production code types a cover
+    assert _callers("_minimal_type_of_pair") == {"classify.cover_types"}
+
+
+def _stdlib_imports(path):
+    """The top-level standard-library modules a source file imports."""
+    tops = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            tops |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops.add(node.module.split(".")[0])
+    return tops - {"l2lab"}
+
+
+def test_stdlib_list_is_what_src_imports():
+    assert set().union(*map(_stdlib_imports, SOURCES)) == STDLIB
+    assert _stdlib_imports(ROOT / "src" / "l2lab" / "classify.py") == set()
 
 
 def test_no_runtime_dependencies():
