@@ -6,6 +6,7 @@
 from l2lab import (build_lattice, compute_principal_subfields, galois_length_two_check,
                    is_length_two, make_field, parse_polynomial)
 from l2lab.numberfield import poly_str
+from l2lab.report import galois_line
 
 
 def walk(name):
@@ -34,13 +35,11 @@ def walk(name):
     if l2:
         print("  count formula: t + %d = %d"
               % (1 if info["k_in_E"] else 2, info["predicted_count"]))
-    try:
-        g = galois_length_two_check(lat, ps)
-        print("  Galois of degree %d = %s, |[k,L]| = %d <= %d"
-              % (g["degree"], "*".join(map(str, g["degree_primes"])),
-                 g["count_observed"], g["bound_n_plus_1"]))
-    except ValueError:
+    g = galois_length_two_check(lat, ps)
+    if g is None:
         print("  (not Galois: f does not split over L)")
+    else:
+        print("  Galois of " + galois_line(g))
 
 
 # the positive real fourth root of 2: three fields, one of them Q(sqrt 2)

@@ -19,7 +19,6 @@ over R (``cover_types``).
 """
 
 from .errors import ConsistencyError
-from . import exact
 from .exact import intersection, prime_factors
 from .finitealg import (
     Subalgebra, _minimal_type_of_pair, conductor,
@@ -76,20 +75,21 @@ def ideal_MS(a):
     return S.span([S.mul(m, b) for m in a.crucial for b in a.whole.basis])
 
 
-def module_length_at(a, M, V, W):
-    """Composition length over R of the module V/W, supported at M.
+def module_length_at(a, V):
+    """Composition length over R of the module V/M, for the crucial
+    ideal M and an ideal V of S that contains it.
 
     Uses the M-adic filtration; every layer is an R/M-vector space, so
     its length is an exact dimension ratio.
     """
     S = a.S
+    M = a.crucial
     resdim = a.R.dim - M.dim
-    cur = S.span(list(V) + list(W))
-    floor = S.span(W)
+    cur = V
     total = 0
     guard = 0
-    while len(cur) != len(floor):
-        nxt = S.span([S.mul(m, v) for m in M for v in cur] + list(floor))
+    while len(cur) != len(M):
+        nxt = S.span([S.mul(m, v) for m in M for v in cur] + list(M))
         layer = len(cur) - len(nxt)
         if layer % resdim != 0:
             raise ConsistencyError("module layer is not an R/M-vector space")
@@ -136,10 +136,11 @@ def is_copointwise_minimal(a):
     return all(lat.up[j] == top for _, j in lat.points)
 
 
-def copointwise_shape_check(a, ms):
+def copointwise_shape_check(a, ms, N):
     """Prop-2.4-style structural test for the subintegral co-pointwise case:
     M*S = M and S/M isomorphic to k[X,Y]/(X^2, XY, Y^2).  ``ms`` is M*S
-    (``ideal_MS``)."""
+    (``ideal_MS``) and ``N`` its radical, so once M*S = M, N/M is the
+    nilradical of S/M."""
     M = a.crucial
     S = a.S
     if ms != M:
@@ -147,7 +148,6 @@ def copointwise_shape_check(a, ms):
     resdim = a.R.dim - M.dim
     if S.dim - M.dim != 3 * resdim:
         return False
-    N = radical(a.whole, M)            # N/M is the nilradical of S/M
     if len(N) - M.dim != 2 * resdim:
         return False
     return all(M.contains(S.mul(u, v)) for u in N for v in N)
@@ -368,7 +368,7 @@ def _crucial_case(a, l2, out, entry):
         if (a.lattice.nodes.index(T), len(a.lattice) - 1) in a.lattice.covers:
             vms = maximal_ideals_over(a.whole, ideal_MS(a))
             if len(vms) == 1:
-                lr = module_length_at(a, M, vms[0], M)
+                lr = module_length_at(a, vms[0])
                 cond62 = (lr == 1)
                 det = {"V(MS)": 1, "L_R(N/M)": lr}
             elif len(vms) == 2:
@@ -390,8 +390,6 @@ def _crucial_case(a, l2, out, entry):
             raise ConsistencyError("residue extension dimension mismatch")
         m = sdim // resdim
         ndiv = divisor_count(m)
-        if a.count != ndiv:
-            raise ConsistencyError("finite-field residue lattice count mismatch")
         if (len(prime_factors(m)) == 2) != l2:
             raise ConsistencyError("t-closed residue case mismatch")
         out["residue_degree"] = m
@@ -400,19 +398,19 @@ def _crucial_case(a, l2, out, entry):
         out["case"] = "(8d)" if l2 else "not length 2"
         return
 
-    # infra-integral: T = S
+    # infra-integral: T = S.  A maximal ideal of S contains M iff it
+    # contains M*S iff it contains N = sqrt(M*S), so V(M) = V(MS) = V(N).
     ms = ideal_MS(a)
     N = radical(a.whole, ms)
-    lr = module_length_at(a, M, N, M)
+    lr = module_length_at(a, N)
     vn = maximal_ideals_over(a.whole, N)
     entry("Prop 3.63: infra-integral: length 2 <=> L_R(N/M) + |V(N)| = 3",
           l2 == (lr + len(vn) == 3), {"L_R(N/M)": lr, "|V(N)|": len(vn)})
 
     if P == a.R:
-        vms = maximal_ideals_over(a.whole, ms)
         entry("Prop 3.141: seminormal infra-integral: length 2 <=> "
               "|V(MS)| = 3 <=> count 5",
-              l2 == (len(vms) == 3) == (a.count == 5), {"|V(MS)|": len(vms)})
+              l2 == (len(vn) == 3) == (a.count == 5), {"|V(MS)|": len(vn)})
         _case(out, l2, "(7)", 5)
     elif not P.is_whole():
         rule = (3 <= a.count <= 4) and (a.count != 4 or cond_is_M)
@@ -433,7 +431,7 @@ def _crucial_case(a, l2, out, entry):
         if not simple:
             if copw and a.count != copw_count:
                 raise ConsistencyError("co-pointwise count formula fails")
-            if copw and not copointwise_shape_check(a, ms):
+            if copw and not copointwise_shape_check(a, ms, N):
                 raise ConsistencyError("co-pointwise structural test fails")
             if copw != l2:
                 raise ConsistencyError("subintegral case mismatch")
@@ -442,9 +440,8 @@ def _crucial_case(a, l2, out, entry):
               "or (co-pointwise, count |R/M|+3)",
               l2 == expected, {"simple": simple, "copointwise": copw})
         if simple:
-            sub = _cor_3_132(a, l2, ms, gens)
-            if sub is not None:
-                entry(*sub)
+            # subintegral: V(M) = V(N) is the one maximal ideal over M
+            entry(*_cor_3_132(a, l2, ms, vn[0], gens))
         _case(out, l2, "(6)", 3 if simple else copw_count)
 
 
@@ -499,14 +496,16 @@ def _theorem_2_1_dual_path(a):
     return pair_property == (a.length == 2)
 
 
-def _cor_3_132(a, l2, ms, gens):
+def _cor_3_132(a, l2, ms, N, gens):
     """Simple subintegral crucial case: the three-subcase criterion.
-    ``ms`` is M*S (``ideal_MS``) and ``gens`` the generating points of
-    S/R (``is_simple_extension``).
+    ``ms`` is M*S (``ideal_MS``), ``N`` the one maximal ideal of S over M
+    and ``gens`` the generating points of S/R (``is_simple_extension``).
 
     Subcases (2) and (3) each ask for some generator y in N with
     R[y] = S.  As R/M = S/N, a generating point s of S/R has one
-    representative y_s = s - r in N up to M (r = s mod N, one solve), and
+    representative y_s = s - r in N up to M (r in R, s = r mod N).  R
+    meets N in M and s lies outside R, so R + F*s = R + F*y_s meets N in
+    M + F*y_s: any row of that intersection outside M is c*y_s + m, and
     the generators in N are the y = c*(y_s + m), c != 0, m in M.  For
     them M + M*y = M + M*y_s, as M*m lies in M, and
     y^2 = c^2 (y_s^2 + 2 y_s m + m^2) with m^2 in M and 2 y_s m in MS.
@@ -516,10 +515,6 @@ def _cor_3_132(a, l2, ms, gens):
     """
     S, R = a.S, a.R
     M = a.crucial
-    over = maximal_ideals_over(a.whole, M)
-    if len(over) != 1:
-        return None
-    N = over[0]
     C = a.conductor
     msq = S.span([S.mul(x, y) for x in M for y in M])
     m2_in_C = C.contains_span(msq)
@@ -535,12 +530,11 @@ def _cor_3_132(a, l2, ms, gens):
         sub2_free = (ms == M.extend(n2) and M.dim + 1 == ms.dim < N.dim
                      and all(M.contains(S.mul(x, v)) for x in M for v in n2))
         ops = S.field.ops
-        rows = list(zip(*(N.project(r) for r in R.basis)))
         for s in gens:
-            coeffs = exact.solve(rows, N.project(s), ops)
-            if coeffs is None:
+            y = next((y for y in intersection(N, R.basis.extend([s]))
+                      if not M.contains(y)), None)
+            if y is None:
                 raise ConsistencyError("R/M does not map onto S/N")
-            y = ops.sub(s, ops.one, R.basis.combine(coeffs))
             y2 = S.mul(y, y)
             two_y = ops.sub(y, ops.neg(ops.one), y)
             two_yM = [S.mul(two_y, x) for x in M]

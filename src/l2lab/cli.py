@@ -104,8 +104,6 @@ def _run(args):
 
     report = _load_report(args)
     if args.command == "subfields":
-        if report["engine"] != "number-field":
-            raise ParseError("subfields applies to polynomials only")
         if args.as_json:
             keep = {k: report[k] for k in
                     ("input", "engine", "status", "degree", "t", "witnesses")}

@@ -117,21 +117,6 @@ def kernel(rows, ncols, ops):
     return basis
 
 
-def solve(rows, rhs, ops):
-    """One exact solution x of rows·x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ops)
-    if ncols in pivots:
-        return None
-    x = [ops.zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
-
-
 def _residue(rows, pivots, v, sub):
     """v reduced by rows that are each 1 at their own pivot and 0 at the
     other pivots."""

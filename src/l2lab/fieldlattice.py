@@ -71,12 +71,13 @@ def is_length_two(ps, lat):
 
 def galois_length_two_check(lat, ps):
     """Checks for Galois extensions: f splits over L, degree = product
-    of two primes forces length 2, and |[k,L]| <= n + 1."""
+    of two primes forces length 2, and |[k,L]| <= n + 1.  None when f
+    does not split over L, so L is not Galois over Q."""
     L = ps.field
     n = L.n
     splits = all(len(f) == 2 for f in ps.system.factors) and ps.system.r == n - 1
     if not splits:
-        raise ValueError("not Galois: defining polynomial does not split over L")
+        return None
     primes = prime_factors(n)
     report = {"galois": True, "degree": n, "degree_primes": primes,
               "count_observed": len(lat), "bound_n_plus_1": n + 1,

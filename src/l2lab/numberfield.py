@@ -228,7 +228,7 @@ def min_poly_over_basis(L, span):
 
     For a subfield K of dimension k, the min poly has degree d = n/k, and
     the products b_j * x^i (b_j the basis of K, i < d) are a Q-basis of
-    L; one exact solve writes x^d over them, with rational weights: pure
+    L; one row reduction writes x^d over them, with rational weights: pure
     linear algebra, independent of any factorization of the defining
     polynomial.  A k that does not divide n, or products of lower rank,
     mean the span is no subfield.

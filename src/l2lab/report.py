@@ -57,10 +57,7 @@ def field_report(f, input_text):
     }
     if l2:
         report["k_in_E"] = info["k_in_E"]
-    try:
-        report["galois"] = galois_length_two_check(lat, ps)
-    except ValueError:
-        report["galois"] = None
+    report["galois"] = galois_length_two_check(lat, ps)
     if report["count_predicted"] is not None and \
             report["count_predicted"] != report["count_observed"]:
         raise ConsistencyError("predicted %d != observed %d"
@@ -128,6 +125,15 @@ def report_to_json(report):
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
+def galois_line(g):
+    """The degree, its prime factorization (none for degree 1) and
+    |[k,L]| against the bound n + 1, with the comparison that holds."""
+    primes = g["degree_primes"]
+    return "degree %d%s, |[k,L]| = %d %s %d" % (
+        g["degree"], " = " + "*".join(map(str, primes)) if primes else "",
+        g["count_observed"], "<=" if g["bound_ok"] else ">", g["bound_n_plus_1"])
+
+
 def report_to_text(report):
     lines = []
     lines.append("input      : %s" % report["input"])
@@ -148,17 +154,14 @@ def report_to_text(report):
     lines.append("case       : %s" % report["case"])
     w = report["witnesses"]
     if report["engine"] == "number-field":
-        lines.append("f over L   : (X - x) * %s" %
-                     " * ".join("(%s)" % g for g in w["factors_over_L"]))
+        lines.append("f over L   : %s" % " * ".join(
+            ["(X - x)"] + ["(%s)" % g for g in w["factors_over_L"]]))
         for e in w["principal_subfields"]:
             lines.append("  E_%d = %s  dim %d  f_K = %s  Gamma=%s I=%s"
                          % (e["index"] + 1, e["description"], e["dim"],
                             e["min_poly"], e["Gamma"], e["I"]))
         if report.get("galois"):
-            g = report["galois"]
-            lines.append("galois     : degree %d = %s, |[k,L]| = %d <= %d"
-                         % (g["degree"], "*".join(map(str, g["degree_primes"])),
-                            g["count_observed"], g["bound_n_plus_1"]))
+            lines.append("galois     : " + galois_line(report["galois"]))
     else:
         lines.append("conductor  : span{%s}" % ", ".join(w["conductor"]) if w["conductor"]
                      else "conductor  : 0")

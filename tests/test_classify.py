@@ -198,12 +198,33 @@ def test_module_length_dobbs_example():
                           {(0, 2): 1}])
     R = Subalgebra.from_generators(S, [S.basis_vector(S.names.index("X"))])
     a = analyze_extension(R, S)
-    M = a.crucial
     from l2lab.classify import ideal_MS
     from l2lab.finitealg import maximal_ideals_over
     vns = maximal_ideals_over(a.whole, ideal_MS(a))
     assert len(vns) == 1
-    assert module_length_at(a, M, vns[0], M) == 1
+    assert module_length_at(a, vns[0]) == 1
+
+
+def test_module_length_layers_are_residue_spaces():
+    # F4 < F4[X]/(X^2) over F2: M = 0 and R/M = F4, so a layer of
+    # F2-dimension 1, such as F2*X, which is no R-module, is refused
+    S, R = parse_algebra({"q": 2, "quotient": "F2[U,X]/(U^2+U+1,X^2)", "R": ["U"]})
+    a = analyze_extension(R, S)
+    assert a.crucial.dim == 0 and R.dim == 2
+    x = S.basis_vector(S.names.index("X"))
+    with pytest.raises(ConsistencyError, match="module layer is not an R/M-vector space"):
+        module_length_at(a, S.span([x]))
+
+
+def test_module_length_needs_support_at_M(monkeypatch):
+    # with the unit in place of M, M*V = V and the M-adic filtration of
+    # S never reaches M
+    S, R = parse_algebra({"q": 2, "quotient": "F2[U,X]/(U^2+U+1,X^2)", "R": ["X"]})
+    a = analyze_extension(R, S)
+    assert module_length_at(a, a.whole.basis) == 3
+    monkeypatch.setattr(a, "crucial", S.span([S.unit]))
+    with pytest.raises(ConsistencyError, match="module is not supported only at M"):
+        module_length_at(a, a.whole.basis)
 
 
 def test_copointwise_brute_force_matches_shape():
@@ -211,13 +232,45 @@ def test_copointwise_brute_force_matches_shape():
                          [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}])
     a = analyze_extension(prime_algebra(S), S)
     from l2lab.classify import copointwise_shape_check, ideal_MS
-    assert is_copointwise_minimal(a) and copointwise_shape_check(a, ideal_MS(a))
+    from l2lab.finitealg import radical
+    ms = ideal_MS(a)
+    assert is_copointwise_minimal(a) and copointwise_shape_check(a, ms, radical(a.whole, ms))
+
+
+@pytest.mark.parametrize("doc,passed", [
+    ({"q": 2, "quotient": "F2[X]/(X^4)", "R": ["X^2"]}, []),
+    ({"q": 2, "quotient": "F2[X]/(X^4)", "R": "diagonal"}, [True]),
+    ({"q": 2, "product": ["F8"], "R": "diagonal"}, [True, True]),
+    ({"q": 2, "quotient": "F2[Y]/(Y^3)", "R": "diagonal"}, [True, True, True]),
+], ids=["M*S=M", "[S/M:R/M]=3", "[N/M:R/M]=2", "N^2<=M"])
+def test_copointwise_shape_refuses_each_way(doc, passed):
+    """Each test of the shape k[X,Y]/(X^2, XY, Y^2) fails once, after
+    the ``passed`` tests before it hold."""
+    from l2lab.classify import copointwise_shape_check, ideal_MS
+    from l2lab.finitealg import radical
+    S, R = parse_algebra(doc)
+    a = analyze_extension(R, S)
+    M, ms = a.crucial, ideal_MS(a)
+    N = radical(a.whole, ms)
+    resdim = R.dim - M.dim
+    tests = [ms == M, S.dim - M.dim == 3 * resdim, len(N) - M.dim == 2 * resdim]
+    assert tests[:len(passed) + 1] == (passed + [False])[:3]
+    assert not copointwise_shape_check(a, ms, N)
+
+
+def test_support_of_three_or_more_is_not_length_two():
+    v = classify_doc({"q": 2, "product": ["F4", "F4", "F4"], "R": ["(1,0,0)", "(0,1,0)"]})
+    assert v["support_size"] == 3 and v["count_observed"] == 8 and v["length"] == 3
+    assert v["case"] == "not length 2" and v.get("count_predicted") is None
 
 
 def test_element_scans_run_once_per_analysis(monkeypatch):
     """The one walk down the case list reads each point walk over S/R,
-    each local lattice and M*S once, Cor 3.132 included, and the point
-    walks read the enumeration's walk of the bottom node."""
+    each local lattice, M*S, its radical N and V(N) once, Cor 3.132
+    included, and the point walks read the enumeration's walk of the
+    bottom node.  A maximal ideal of S contains M iff it contains M*S
+    iff it contains N, so V(M) = V(MS) = V(N); and N/M is the
+    nilradical of S/M that the co-pointwise shape test reads."""
     import l2lab.classify as classify
     calls = {}
 
@@ -229,8 +282,9 @@ def test_element_scans_run_once_per_analysis(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(classify, name, wrapper)
 
-    for name in ("is_locally_minimal", "is_simple_extension",
-                 "is_copointwise_minimal", "ideal_MS"):
+    ideals = {"ideal_MS", "radical", "maximal_ideals_over"}
+    for name in {"is_locally_minimal", "is_simple_extension",
+                 "is_copointwise_minimal"} | ideals:
         counted(name)
     plane = quotient_algebra(F2, ["X", "Y"],
                              [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}])
@@ -239,13 +293,13 @@ def test_element_scans_run_once_per_analysis(monkeypatch):
     bell = product_algebra(F2, [1, 1, 1])
     quartic = quotient_algebra(F3, ["X"], [{(4,): 1}])
     over_x2 = Subalgebra.from_generators(quartic, [quartic.basis_vector(2)])
-    walks = {"is_simple_extension", "is_copointwise_minimal", "ideal_MS"}
+    walks = {"is_simple_extension", "is_copointwise_minimal"} | ideals
     cases = [(over_x2, quartic, walks),      # Cor 3.132 reads the simple walk
              (prime_algebra(plane), plane, walks),
              (prime_algebra(cubic), cubic, walks),
              (Subalgebra.from_generators(crosswise, [crosswise.basis_vector(0)]), crosswise,
               {"is_locally_minimal"}),
-             (prime_algebra(bell), bell, {"ideal_MS"})]
+             (prime_algebra(bell), bell, ideals)]
     # the points of S/R themselves are walked once, by the enumeration
     import l2lab.finitealg as finitealg
     walked = []
@@ -383,7 +437,7 @@ def test_copointwise_count_is_residue_size_plus_three(monkeypatch):
 
 def test_copointwise_shape_is_checked(monkeypatch, tmp_path, capsys):
     assert classify_doc(F3_COPOINTWISE)["copointwise"]
-    monkeypatch.setattr(classify, "copointwise_shape_check", lambda a, ms: False)
+    monkeypatch.setattr(classify, "copointwise_shape_check", lambda a, ms, N: False)
     code, err = exit_code(F3_COPOINTWISE, tmp_path, capsys)
     assert code == 3 and "co-pointwise structural test fails" in err
 
@@ -394,6 +448,20 @@ def test_not_simple_subintegral_copointwise_iff_length_two(monkeypatch):
     monkeypatch.setattr(classify, "is_copointwise_minimal", lambda a: False)
     with pytest.raises(ConsistencyError, match="subintegral case mismatch"):
         classify_doc(PLANE)
+
+
+def test_cor_3_132_needs_R_over_M_onto_S_over_N(monkeypatch, tmp_path, capsys):
+    # F2 + F2 X^2 < F2[X]/(X^4) is simple subintegral with (R:S) != M, so
+    # each generating point s is read in N; when R + F*s meets N in M
+    # alone (the intersection drops s), no generator in N is found
+    doc = {"q": 2, "quotient": "F2[X]/(X^4)", "R": ["X^2"]}
+    cor = [p for p in classify_doc(doc)["predicates"] if p["name"].startswith("Cor 3.132")]
+    assert cor[0]["details"]["subcases"] == {1: False, 2: False, 3: True}
+    S, R = parse_algebra(doc)
+    intersection = classify.intersection
+    monkeypatch.setattr(classify, "intersection", lambda N, B: intersection(N, R.basis))
+    code, err = exit_code(doc, tmp_path, capsys)
+    assert code == 3 and "R/M does not map onto S/N" in err
 
 
 def test_t_closed_residue_dimensions_divide(monkeypatch):
@@ -408,10 +476,12 @@ def test_t_closed_residue_dimensions_divide(monkeypatch):
 
 
 def test_t_closed_count_is_divisor_count(monkeypatch, tmp_path, capsys):
+    # F2 < F16: [R, S] has d(4) = 3 nodes; the predicted-count check
+    # catches a divisor count that is one too many
     divisor_count = classify.divisor_count
     monkeypatch.setattr(classify, "divisor_count", lambda n: divisor_count(n) + 1)
     code, err = exit_code(F16, tmp_path, capsys)
-    assert code == 3 and "finite-field residue lattice count mismatch" in err
+    assert code == 3 and "predicted count 4 != observed 3" in err
 
 
 def test_t_closed_length_two_iff_two_prime_factors(monkeypatch):

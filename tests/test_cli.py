@@ -90,6 +90,7 @@ def test_algebra_file(tmp_path, capsys):
     ["frobnicate", "X"],
     ["lattice", "--format", "xml", "X"],
     ["lattice", "--json", "X^4 - 2"],       # --format json does that job
+    ["subfields", "--algebra", "-"],        # subfields reads polynomials only
 ])
 def test_usage_error_exit_code_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -521,3 +522,27 @@ def test_degree_one_field(capsys):
     code, out, _ = run(capsys, "classify", "X - 1")
     assert code == 0
     assert "length     : 0" in out
+    # f = X - x over L: one linear factor, and a degree with no primes
+    assert "\nf over L   : (X - x)\n" in out
+    assert "\ngalois     : degree 1, |[k,L]| = 1 <= 2\n" in out
+
+
+def test_galois_line_states_the_comparison_that_holds(capsys):
+    # Q(sqrt 2, sqrt 3, sqrt 5): (Z/2)^3 has 16 subgroups, over the bound 9
+    f = "X^8-40*X^6+352*X^4-960*X^2+576"
+    code, out, _ = run(capsys, "classify", f, "--json")
+    assert code == 0
+    galois = json.loads(out)["galois"]
+    assert galois["count_observed"] == 16 and not galois["bound_ok"]
+    code, out, _ = run(capsys, "classify", f)
+    assert code == 0
+    assert "\ngalois     : degree 8 = 2*2*2, |[k,L]| = 16 > 9\n" in out
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("subfields", ["input", "engine", "status", "degree", "t", "witnesses"]),
+    ("minimal", ["input", "engine", "status", "minimal", "t", "count_observed"]),
+])
+def test_subcommand_json_keys(capsys, command, keys):
+    code, out, _ = run(capsys, command, "X^4 - 2", "--json")
+    assert code == 0 and list(json.loads(out)) == keys

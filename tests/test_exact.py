@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from l2lab.exact import QQ_OPS, Echelon, kernel, next_prime, prime_factors, rref, solve
+from l2lab.exact import QQ_OPS, Echelon, kernel, next_prime, prime_factors, rref
 
 
 def _rows(nrows, ncols, entries):
@@ -107,23 +107,6 @@ def test_subspace_carries_a_reduced_basis_over_unreduced():
         assert got.dim == C.dim and E.contains_span(got)
 
 
-def test_solve_roundtrip():
-    rng = random.Random(99)
-    for _ in range(30):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        m = _random_matrix(rng, rows, cols)
-        x = [Fraction(rng.randrange(-4, 5)) for _ in range(cols)]
-        rhs = _mul_vector(m, x)
-        got = solve(m, rhs, QQ_OPS)
-        assert got is not None
-        assert _mul_vector(m, got) == rhs
-
-
-def test_solve_inconsistent():
-    assert solve([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)], QQ_OPS) is None
-
-
 def test_in_row_space():
     red = Echelon([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], QQ_OPS)
     assert red.contains([Fraction(3), Fraction(4)])
@@ -213,12 +196,12 @@ def _kernel_from(red, pivots, ncols, ops):
 @pytest.mark.parametrize("field", range(4), ids=["Q", "F2", "F3", "F4"])
 def test_insertion_loop_matches_gauss_jordan(field):
     """``rref``, ``Echelon`` (built at once and by ``extend`` in two
-    parts), ``kernel`` and ``solve`` against Gauss-Jordan elimination, on
+    parts) and ``kernel`` against Gauss-Jordan elimination, on
     seeded random matrices and the empty one."""
     ops, entry = _oracle_fields()[field]
     rng = random.Random(2300 + field)
     assert rref([], ops) == gauss_jordan_rref([], ops) == ([], [])
-    assert Echelon([], ops) == () and solve([], [], ops) == []
+    assert Echelon([], ops) == ()
     for _ in range(20):
         for rows in _oracle_matrices(rng, entry, ops):
             ncols = len(rows[0])
@@ -230,13 +213,3 @@ def test_insertion_loop_matches_gauss_jordan(field):
             for E in (Echelon(rows, ops), Echelon(rows[:cut], ops).extend(rows[cut:])):
                 assert E == want and E.pivots == tuple(pivots)
             assert kernel(rows, ncols, ops) == _kernel_from(red, pivots, ncols, ops)
-            rhs = [entry(rng) for _ in rows]
-            aug_red, aug_pivots = gauss_jordan_rref(
-                [list(r) + [b] for r, b in zip(rows, rhs)], ops)
-            if ncols in aug_pivots:
-                assert solve(rows, rhs, ops) is None
-            else:
-                x = [ops.zero] * ncols
-                for i, pc in enumerate(aug_pivots):
-                    x[pc] = aug_red[i][ncols]
-                assert solve(rows, rhs, ops) == x

@@ -198,9 +198,6 @@ def test_echelon_core_matches_the_gf_route(S, R):
         grows = [list(gf(F, v)) for v in rows]
         assert [tuple(k) for k in exact.kernel(rows, S.dim, F.ops)] == \
             [idx(k) for k in exact.kernel(grows, S.dim, ops)]
-        rhs = _random_vectors(rng, S, 1)[0][:len(rows)]
-        x, gx = exact.solve(rows, rhs, F.ops), exact.solve(grows, gf(F, rhs), ops)
-        assert (x is None and gx is None) or tuple(x) == idx(gx)
 
 
 @pytest.mark.parametrize("S,R", CASES)

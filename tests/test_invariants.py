@@ -26,7 +26,10 @@ never calls ``contains_span``.  Every cover type comes from one route:
 only ``classify.cover_types`` calls ``_minimal_type_of_pair``.  The
 standard-library list is exactly what ``src`` imports, so it cannot grow
 unseen, and ``classify`` imports none of it: its orbit walk needs no
-``heapq`` or ``itertools``.
+``heapq`` or ``itertools``.  ``exact``'s public routines are pinned to
+an allow-list, so no second solver grows beside ``kernel`` and
+``intersection``, and ``classify`` takes only ``intersection`` and
+``prime_factors`` from it.
 The ``[project].dependencies`` list of pyproject.toml must stay empty.
 
 The benchmark's tracer (``perfbench/tracing.py``, only read here) names
@@ -211,6 +214,28 @@ def test_cover_types_is_the_one_typing_route():
     # one cover per orbit is typed, with all the checks; no other
     # production code types a cover
     assert _callers("_minimal_type_of_pair") == {"classify.cover_types"}
+
+
+# exact's public routines: one elimination loop behind rref, kernel,
+# Echelon and intersection, and no second solver beside them
+EXACT_PUBLIC = {"is_prime", "next_prime", "Ops", "rref", "kernel", "Echelon",
+                "intersection", "prime_factors"}
+
+
+def test_exact_public_routines_are_pinned():
+    tree = _tree(ROOT / "src" / "l2lab" / "exact.py")
+    public = {stmt.name for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")}
+    assert public == EXACT_PUBLIC
+    # classify reads only the intersection and the primes off exact
+    imported = set()
+    for node in ast.walk(_tree(ROOT / "src" / "l2lab" / "classify.py")):
+        if isinstance(node, ast.ImportFrom) and node.module == "exact":
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            assert "exact" not in {a.name for a in node.names}
+    assert imported == {"intersection", "prime_factors"}
 
 
 def _stdlib_imports(path):
