@@ -27,9 +27,13 @@ and ``product_algebra`` its blocks, so nothing here uses ``poly``.
 Structure is linear algebra, not an element scan: x |-> x^q is
 F_q-linear, so a radical sqrt(I) is the kernel of x |-> x^(q^k) mod I
 and the primitive idempotents split off the fixed space of x |-> x^q
-(the Berlekamp subalgebra).  The closure operators are spans of that
-structure: the seminormalization of R in T is R + nil(T), the t-closure
-is the sum of the e*R over the primitive idempotents e of T, plus nil(T).
+(the Berlekamp subalgebra).  That split runs once, on the whole algebra
+S; every other subalgebra T reads its structure off S's, with
+nil(T) = T & nil(S) and its primitive idempotents the sums of S's over
+the blocks of one partition (``subalgebra_structure``).  The closure
+operators are spans of that structure: the seminormalization of R in T
+is R + nil(T), the t-closure is the sum of the e*R over the primitive
+idempotents e of T, plus nil(T).
 
 The lattice [R, S] is ``lattice.closure`` under adjunction: T[s] is the
 T-span of the powers of s, and every node is extended by one s per
@@ -38,8 +42,11 @@ read off earlier walks (``enumerate_subalgebras`` proves it): a node
 T = T'[g] was first reached from T', whose walk is complete, and gives
 V = T'[s] for each point s of S/T.  Then T[s] = V when g lies in V;
 otherwise T[s] = V[g], which is V's entry for the point of g in S/V
-once V has been walked; otherwise ``adjoin`` computes it.  Only the
-test oracles list the elements of an algebra.
+once V has been walked; otherwise ``adjoin`` computes it.  The walk's
+pop order is free for this rule, which needs only that T' is walked
+before T, and ``lattice.closure`` takes the largest dimension first, so
+more of the V are walked by the time T needs them.  Only the test
+oracles list the elements of an algebra.
 """
 
 import itertools
@@ -174,6 +181,7 @@ class FiniteAlgebra:
         # terms[i][j]: the nonzero structure constants (k, c_ijk)
         self.terms = [[tuple((k, c) for k, c in enumerate(v) if c) for v in row]
                       for row in self.table]
+        self._whole = None
         check_elements(field.q, self.dim, "algebra construction")
 
     def _check_axioms(self):
@@ -196,6 +204,14 @@ class FiniteAlgebra:
 
     def basis_vector(self, i):
         return tuple(int(j == i) for j in range(self.dim))
+
+    def whole(self):
+        """The algebra as a Subalgebra of itself, made once: the top node
+        of every lattice enumerated in it, whose structure every other
+        subalgebra reads (``subalgebra_structure``)."""
+        if self._whole is None:
+            self._whole = Subalgebra(self, [self.basis_vector(i) for i in range(self.dim)])
+        return self._whole
 
     def span(self, vectors):
         """The Echelon of ``vectors`` over the field of the algebra; an
@@ -565,21 +581,27 @@ def algebra_on_subspace(A, basis, unit_vec):
 # Structure: radicals, primitive idempotents, maximal ideals, conductors,
 # each the kernel of an F_q-linear map on a subalgebra
 
-def _kernel_over(T, image):
-    """The Echelon of {x in T : image(x) = 0} in ambient coordinates, for
-    an F_q-linear ``image`` given by its values on ``T.basis``
-    (equal-length tuples).
+def _reduced_kernel(cols, ops):
+    """A reduced echelon basis of {x : sum_i x_i cols[i] = 0}, for
+    equal-length tuples ``cols``.
 
     The kernel is eliminated right to left: with the columns reversed,
     each vector ``exact.kernel`` gives is 1 at its own free column, 0 at
     the other free columns and 0 after its own.  Reversed back, each is
-    1 at its first nonzero entry, its free column, and 0 at the others:
-    a reduced echelon basis of coordinates, which ``Echelon.subspace``
-    carries into ambient coordinates with no second reduction."""
-    cols = [image(b) for b in reversed(T.basis)]
-    rows = [[col[t] for col in cols] for t in range(len(cols[0]))]
-    kern = exact.kernel(rows, T.dim, T.ambient.field.ops)
-    return T.basis.subspace([x[::-1] for x in reversed(kern)])
+    1 at its first nonzero entry, its free column, and 0 at the others."""
+    rows = [[col[t] for col in reversed(cols)] for t in range(len(cols[0]))]
+    kern = exact.kernel(rows, len(cols), ops)
+    return [x[::-1] for x in reversed(kern)]
+
+
+def _kernel_over(T, image):
+    """The Echelon of {x in T : image(x) = 0} in ambient coordinates, for
+    an F_q-linear ``image`` given by its values on ``T.basis``
+    (equal-length tuples): ``_reduced_kernel``'s basis of coordinates,
+    which ``Echelon.subspace`` carries into ambient coordinates with no
+    second reduction."""
+    return T.basis.subspace(_reduced_kernel([image(b) for b in T.basis],
+                                            T.ambient.field.ops))
 
 
 def radical(T, I):
@@ -603,15 +625,36 @@ def subalgebra_structure(T):
     """Nilradical, primitive idempotents and maximal ideals of T, in
     ambient coordinates, by linear algebra.
 
-    The Berlekamp subalgebra B = {b : b^q = b} is a copy of F_q^m, one
-    factor per primitive idempotent.  For b in B and c in F_q,
-    1 - (b - c)^(q-1) is the idempotent where b takes the value c, so
-    splitting 1 by these over a basis of B yields the primitive
-    idempotents.  T is a product of local rings, one per primitive
-    idempotent e, so its maximal ideals are the M_e = (1 - e)T + nil(T).
-    Read them through ``T.structure()``, which computes this once per
-    subalgebra.
+    The whole algebra S is split by Berlekamp (``berlekamp``), once, on
+    ``S.whole()``, the top node of its lattices.  Every other T reads
+    its structure off S's: nil(T) = T & nil(S), as an element of T is
+    nilpotent in T iff it is in S, and its primitive idempotents are sums
+    of S's (``_idempotents_in``).  T is a product of local rings, one per
+    primitive idempotent e, so its maximal ideals are the
+    M_e = (1 - e)T + nil(T).  Read them through ``T.structure()``, which
+    computes this once per subalgebra.
     """
+    A = T.ambient
+    if T.is_whole():
+        nil, prim = berlekamp(T)
+    else:
+        nil_S, prim_S, _ = A.whole().structure()
+        nil = exact.intersection(T.basis, nil_S)
+        prim = _idempotents_in(T, prim_S)
+    sub = A.field.ops.sub
+    maxes = tuple(sorted((A.span(list(nil) + [A.mul(sub(A.unit, 1, e), b) for b in T.basis])
+                          for e in prim), key=lambda M: (M.dim, M)))
+    return nil, prim, maxes
+
+
+def berlekamp(T):
+    """(nilradical, primitive idempotents) of T on T alone: the nilradical
+    is the Frobenius-power ``radical`` of 0, and the Berlekamp subalgebra
+    B = {b : b^q = b} is a copy of F_q^m, one factor per primitive
+    idempotent.  For b in B and c in F_q, 1 - (b - c)^(q-1) is the
+    idempotent where b takes the value c, so splitting 1 by these over a
+    basis of B yields the primitive idempotents.  ``subalgebra_structure``
+    runs it on the whole algebra only."""
     A = T.ambient
     q, sub = A.field.q, A.field.ops.sub
     nil = radical(T, T.basis.subspace(()))
@@ -619,10 +662,36 @@ def subalgebra_structure(T):
     for b in _kernel_over(T, lambda x: sub(A.power(x, q), 1, x)):
         splits = [sub(A.unit, 1, A.power(sub(b, c, A.unit), q - 1)) for c in range(q)]
         prim = [f for e in prim for f in (A.mul(e, s) for s in splits) if any(f)]
-    prim = tuple(sorted(prim))
-    maxes = tuple(sorted((A.span(list(nil) + [A.mul(sub(A.unit, 1, e), b) for b in T.basis])
-                          for e in prim), key=lambda M: (M.dim, M)))
-    return nil, prim, maxes
+    return nil, tuple(sorted(prim))
+
+
+def _idempotents_in(T, prim_S):
+    """The primitive idempotents of T, from those of the whole algebra,
+    e_1 ... e_m, as a sorted tuple.
+
+    x |-> sum x_i e_i embeds F_q^m in S as an algebra, so the x with
+    sum x_i e_i in T form a subalgebra of F_q^m: one kernel over the m
+    columns e_i mod T.  A subalgebra of F_q^m is the span of the
+    indicators of a partition of {1 ... m}, which are its reduced echelon
+    basis, and each block's sum of e_i is a primitive idempotent of T.
+    Rows that are not 0/1 or do not partition are a consistency error.
+    A local S gives (1,) with no kernel."""
+    if len(prim_S) == 1:
+        return prim_S
+    ops = T.ambient.field.ops
+    blocks = _reduced_kernel([T.basis.project(e) for e in prim_S], ops)
+    if (any(c not in (0, 1) for x in blocks for c in x)
+            or [sum(col) for col in zip(*blocks)] != [1] * len(prim_S)):
+        raise ConsistencyError("idempotents of a subalgebra do not partition "
+                               "the primitive idempotents of S")
+    prim = []
+    for x in blocks:
+        v = [0] * T.ambient.dim
+        for c, e in zip(x, prim_S):
+            if c:
+                v = ops.sub(v, ops.neg(1), e)
+        prim.append(tuple(v))
+    return tuple(sorted(prim))
 
 
 def nilradical(T):
@@ -839,13 +908,16 @@ def enumerate_subalgebras(R, S):
          T; only T's walk is open), T[s] is V's entry for r.
       3. Otherwise T[s] = ``adjoin(T, s)``.
     Each walk maps its points to the one span object ``closure`` keeps
-    for each node.
+    for each node, and the top node is ``S.whole()``, whose structure
+    every other node reads (``subalgebra_structure``).
     """
     check_elements(S.field.q, S.dim, "subalgebra enumeration")
     q, div = S.field.q, S.field.ops.div
     count = 0
+    top = S.whole()
     # Spans are keyed by id(): ``closure`` keeps every span handed to it.
-    spans = {R.basis: R.basis}  # each span reached, to the one object kept
+    # spans maps each span reached to the one object kept.
+    spans = {top.basis: top.basis, R.basis: R.basis}
     walks = {}                  # id(span of T) -> {point s of S/T: span of T[s]}
     origin = {}                 # id(span of T) -> (walk of T', g): T = T'[g]
     points = {}                 # each point met, to the one tuple kept
@@ -879,7 +951,7 @@ def enumerate_subalgebras(R, S):
             walk[s] = U
             yield s, U
 
-    return closure(R, step, lambda span: Subalgebra(S, span))
+    return closure(R, step, lambda span: top if span is top.basis else Subalgebra(S, span))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,13 @@
 ``closure`` builds it for both: a worklist from one ring under a step
 map (T -> T[s] on the algebra side, K -> K & E_beta on the field side)
 whose pairs generate the order, handed to ``from_edges`` as bitsets.
+The worklist pops the largest dimension first, and the newest node among
+equals.  Any pop order gives the same lattice: a node is pushed while
+the node that first reaches it is walked, so it is popped after that
+walk is complete (the one property the algebra side's reuse of walks
+needs), and ``from_edges`` reads the nodes in ``key()`` order, not in
+pop order.  This order lets an adjunction walk find more of the larger
+nodes it reads already walked.
 Nodes are sorted by ``key()``, dimension first, so a node can only lie
 inside a later one and index order is topological.  Strict inclusion
 is kept as int bitsets: bit j of ``up[i]`` is set when nodes[i] is a
@@ -64,22 +71,31 @@ def closure(root, step, make):
     (T, node) generate the order: of two comparable nodes, one is
     reached from the other by a chain of pairs.  Each pair but (T, T) is
     an edge from the node earlier in key order to the later; ``points``
-    is the root's walk, (label, index of the node).
+    is the root's walk, (label, index of the node).  Nodes are walked
+    largest dimension first, newest first among equals, from one stack
+    per dimension.
     """
     found = {root.key(): root}
-    pairs, points, todo = set(), [], [root]
-    while todo:
-        T = todo.pop()
+    pairs, points = set(), []
+    todo = {}                   # dimension -> the nodes queued at it, newest last
+    T = root
+    while T is not None:
         for label, span in step(T):
             key = (len(span), span)
             node = found.get(key)
             if node is None:
                 node = found[key] = make(span)
-                todo.append(node)
+                todo.setdefault(key[0], []).append(node)
             if node is not T:
                 pairs.add((id(T), id(node)))
             if T is root:
                 points.append((label, id(node)))
+        T = None
+        if todo:
+            dim = max(todo)
+            T = todo[dim].pop()
+            if not todo[dim]:
+                del todo[dim]
     nodes = sorted(found.values(), key=lambda T: T.key())
     position = {id(T): i for i, T in enumerate(nodes)}
     gen = [0] * len(nodes)

@@ -6,14 +6,14 @@ whitespace insensitive.  The same tokenizer drives the multivariate
 relation parser used by algebra presentations.  Algebra documents are
 read by ``algdoc``, part of the finite-algebra engine, which
 ``parse_algebra`` loads on its call, so parsing a polynomial never
-loads that engine.
+loads that engine.  ``parse_polynomial`` loads ``poly`` on its call in
+the same way, so an algebra run never compiles the polynomial type.
 """
 
 import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly
 
 # Largest exponent, and largest degree a power may expand to.  Powers are
 # expanded by repeated multiplication, so this is checked first.
@@ -179,16 +179,20 @@ class _ExprParser:
 
 
 class _QPolySemantics:
-    """Builds a univariate Poly over Q in the variable X."""
+    """Builds a univariate Poly over Q in the variable X, for the class
+    ``Poly`` that ``parse_polynomial`` hands it."""
+
+    def __init__(self, Poly):
+        self.Poly = Poly
 
     def const(self, n):
-        return Poly([Fraction(n)])
+        return self.Poly([Fraction(n)])
 
     def var(self, name, pos):
         if name != "X":
             raise ParseError("syntax error at position %d: unknown variable %r "
                              "(the polynomial variable is X)" % (pos, name))
-        return Poly([Fraction(0), Fraction(1)])
+        return self.Poly([Fraction(0), Fraction(1)])
 
     def add(self, a, b):
         return a + b
@@ -212,7 +216,7 @@ class _QPolySemantics:
 
     def pow(self, a, e, pos):
         _check_power(e, a.degree, pos)
-        out = Poly([Fraction(1)])
+        out = self.Poly([Fraction(1)])
         for _ in range(e):
             out = out * a
         return out
@@ -220,9 +224,10 @@ class _QPolySemantics:
 
 def parse_polynomial(text):
     """Parse rational-coefficient polynomial text in X."""
+    from .poly import Poly
     if not text.strip():
         raise ParseError("syntax error at position 0: empty input")
-    return _ExprParser(text, _QPolySemantics()).parse()
+    return _ExprParser(text, _QPolySemantics(Poly)).parse()
 
 
 def parse_algebra(doc):

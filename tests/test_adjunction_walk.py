@@ -11,15 +11,22 @@ lattice keeps for its node.  The inputs are the named ``alg-split`` and
 ``alg-local`` benchmark algebras, F2^7, F2[X]/(X^9), F3[X]/(X^6),
 F3 x F9 x F3 and the random extensions of seeds 1-40.  A spy on ``adjoin`` counts the
 adjunctions still computed.
+
+``lattice.closure`` walks the largest dimension first, and the newest
+node among equals, so more T[s] are read off walks already done: the spy
+pins the counts this order gives, and the candidate cap still stops F2^9
+with the same message.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from l2lab import finitealg, lattice
+from l2lab.errors import CapExceeded
 from l2lab.finitealg import adjoin, enumerate_subalgebras
 from l2lab.parsing import parse_algebra
 
@@ -73,18 +80,52 @@ def test_every_walked_adjunction_is_computed_right(monkeypatch, doc):
         assert sorted(points[id(T)]) == sorted(projective_points(T))
 
 
-@pytest.mark.parametrize("ident,parent_calls,bound",
-                         [("f2[x]/x^8", 3017, 1000), ("f2^6", 1336, 500)])
-def test_parent_walk_cuts_adjunctions(monkeypatch, ident, parent_calls, bound):
-    """Computing every T[s] takes one ``adjoin`` per point walked:
-    ``parent_calls``.  Reading T[s] off the walks takes fewer than
-    ``bound``."""
+def count_adjoin(monkeypatch):
+    """The list that records each ``adjoin`` the enumeration calls."""
     calls = []
 
     def counted(T, s):
         calls.append(s)
         return adjoin(T, s)
     monkeypatch.setattr(finitealg, "adjoin", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ident,parent_calls,bound",
+                         [("f2[x]/x^8", 3017, 1000), ("f2^6", 1336, 500)])
+def test_parent_walk_cuts_adjunctions(monkeypatch, ident, parent_calls, bound):
+    """Computing every T[s] takes one ``adjoin`` per point walked:
+    ``parent_calls``.  Reading T[s] off the walks takes fewer than
+    ``bound``."""
+    calls = count_adjoin(monkeypatch)
     S, lat, steps = walk(monkeypatch, NAMED[ident])
     assert len(steps) == parent_calls
     assert len(calls) < bound
+
+
+@pytest.mark.parametrize("ident,bound", [("f2[x]/x^8", 400), ("f2[x]/x^9", 700)])
+def test_largest_dimension_first_cuts_adjunctions(monkeypatch, ident, bound):
+    """Walked last in, first out, F2[X]/(X^8) and F2[X]/(X^9) took 714
+    and 2,149 ``adjoin`` calls: many V = T'[s] were not walked yet when
+    T needed them.  The largest dimension first takes 294 and 619."""
+    calls = count_adjoin(monkeypatch)
+    walk(monkeypatch, NAMED[ident])
+    assert len(calls) < bound
+
+
+@pytest.mark.parametrize("ident,count", [("f2^6", 300), ("f2^7", 1573)])
+def test_newest_first_among_equal_dimensions(monkeypatch, ident, count):
+    """Among nodes of one dimension the newest is walked first.  The
+    oldest first takes 535 and 2,713 calls here, and 14,243 on F2^8
+    against 8,855."""
+    calls = count_adjoin(monkeypatch)
+    walk(monkeypatch, NAMED[ident])
+    assert len(calls) == count
+
+
+def test_walk_order_keeps_the_candidate_cap_message(monkeypatch):
+    monkeypatch.delenv("L2LAB_CAP", raising=False)
+    S, R = parse_algebra({"q": 2, "product": ["F2"] * 9, "R": "diagonal"})
+    message = "subalgebra enumeration needs at least 100006 adjunctions, cap is 100000"
+    with pytest.raises(CapExceeded, match=re.escape(message)):
+        enumerate_subalgebras(R, S)

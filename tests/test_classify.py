@@ -502,3 +502,58 @@ def test_predicted_count_is_checked_against_the_lattice(monkeypatch, tmp_path, c
     monkeypatch.setattr(classify, "check_length_two_predicates", miscounted)
     code, err = exit_code(PLANE, tmp_path, capsys)
     assert code == 3 and "predicted count 6 != observed 5" in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    # F2 < F2^3: three maximal ideals of S over M = 0
+    ({"q": 2, "product": ["F2"] * 3, "R": "diagonal"},
+     "minimal extension with |V(M)| not in {1, 2}"),
+    # F2 < F2[X]/(X^3): N = (X), and N^2 = (X^2) is not inside M = 0
+    ({"q": 2, "quotient": "F2[X]/(X^3)", "R": "diagonal"},
+     "ramified case: N^2 not inside M"),
+    # F2 < F2[X,Y]/(X,Y)^2: N^2 = 0, but [S/M : R/M] = 3
+    ({"q": 2, "quotient": "F2[X,Y]/(X^2,X*Y,Y^2)", "R": "diagonal"},
+     "ramified case: [S/M : R/M] != 2"),
+], ids=["three-over-M", "N-squared", "degree-three"])
+def test_minimal_type_checks_catch_a_pair_that_is_not_minimal(monkeypatch, tmp_path, capsys,
+                                                              doc, message):
+    """An enumeration that reaches S from R in one step misses every node
+    between them, and the cover R < S it leaves is typed as minimal."""
+    import l2lab.finitealg as finitealg
+    assert classify_doc(doc)["count_observed"] > 2
+    monkeypatch.setattr(finitealg, "adjoin", lambda T, s: T.ambient.whole())
+    code, err = exit_code(doc, tmp_path, capsys)
+    assert code == 3 and message in err
+
+
+def test_seminormalization_span_is_checked(monkeypatch, tmp_path, capsys):
+    # nil(F2[X]/(X^3)) = (X, X^2); with X^2 dropped, F2 + nil(S) is the
+    # span of 1 and X, which does not hold X^2
+    import l2lab.finitealg as finitealg
+    doc = {"q": 2, "quotient": "F2[X]/(X^3)", "R": "diagonal"}
+    berlekamp = finitealg.berlekamp
+
+    def short_nil(T):
+        nil, prim = berlekamp(T)
+        return T.ambient.span(nil[:1]), prim
+    monkeypatch.setattr(finitealg, "berlekamp", short_nil)
+    code, err = exit_code(doc, tmp_path, capsys)
+    assert code == 3 and "seminormalization span is not a subalgebra" in err
+
+
+def test_node_idempotents_must_partition_those_of_S(monkeypatch, tmp_path, capsys):
+    # F2 < F2^3 with (0,1,1) in place of (0,0,1) among S's primitive
+    # idempotents: the diagonal holds x1*(0,1,1) + x2*(0,1,0) + x3*(1,0,0)
+    # only for x in the span of (1,0,1), which leaves (0,1,0) in no block
+    import l2lab.finitealg as finitealg
+    doc = {"q": 2, "product": ["F2"] * 3, "R": "diagonal"}
+    berlekamp = finitealg.berlekamp
+
+    def merged(T):
+        nil, prim = berlekamp(T)
+        ops = T.ambient.field.ops
+        return nil, (tuple(ops.sub(prim[0], ops.neg(1), prim[1])),) + prim[1:]
+    monkeypatch.setattr(finitealg, "berlekamp", merged)
+    code, err = exit_code(doc, tmp_path, capsys)
+    assert code == 3 and ("idempotents of a subalgebra do not partition the primitive "
+                          "idempotents of S") in err

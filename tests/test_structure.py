@@ -33,6 +33,13 @@ one more reduction) in rows and pivots, on every node and covering edge
 of the named benchmark algebras and of seeded random algebras over F_2,
 F_3 and F_4.
 
+Every node but S reads its structure off S's (nil(T) = T & nil(S), and
+its primitive idempotents from a partition of S's); Frobenius and
+Berlekamp run on the node itself, the route every node took before, are
+the oracle on every node of the named benchmark algebras, F2^7,
+F2[X]/(X^9), F3[X]/(X^6), the random extensions of seeds 1-60 and seeded
+random products of extension fields.
+
 The subintegral questions that read R[s] once per point of S/R (simple,
 co-pointwise, Cor 3.132's subcases (2) and (3)) are checked against the
 element scans they replaced: every x of S, every x outside R, every
@@ -41,6 +48,7 @@ generator y in N with R[y] = S.
 
 import collections
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -533,6 +541,69 @@ def test_structure_computed_once_per_node(monkeypatch):
     ends = (a.R.key(), a.whole.key())
     assert all(calls[k] <= (2 if k in ends else 1) for k in keys)
     assert sum(calls.values()) <= len(keys) + 2
+
+
+# ---------------------------------------------------------------------------
+# Node structure read off S's.  Every node but S reads its nilradical as
+# T & nil(S) and its primitive idempotents off a partition of S's; the
+# oracle is Frobenius and Berlekamp run on the node itself, the route every
+# node took before.
+
+def berlekamp_structure(T):
+    """(nilradical, primitive idempotents, maximal ideals) of T from T
+    alone: ``finitealg.berlekamp`` on T, then M_e = (1 - e)T + nil(T)."""
+    A = T.ambient
+    sub = A.field.ops.sub
+    nil, prim = finitealg.berlekamp(T)
+    maxes = tuple(sorted((A.span(list(nil) + [A.mul(sub(A.unit, 1, e), b) for b in T.basis])
+                          for e in prim), key=lambda M: (M.dim, M)))
+    return nil, prim, maxes
+
+
+def check_node_structures(R, S):
+    lat = enumerate_subalgebras(R, S)
+    for T in lat.nodes:
+        assert T.structure() == berlekamp_structure(T)
+    return lat
+
+
+NODE_STRUCTURE_INPUTS = {ident: doc for ident, doc, _, _ in corpus.ALG_SPLIT + corpus.ALG_LOCAL}
+NODE_STRUCTURE_INPUTS.update({
+    "f2^7": {"q": 2, "product": ["F2"] * 7, "R": "diagonal"},
+    "f2[x]/x^9": {"q": 2, "quotient": "F2[X]/(X^9)", "R": "diagonal"},
+    "f3[x]/x^6": {"q": 3, "quotient": "F3[X]/(X^6)", "R": "diagonal"},
+})
+NODE_STRUCTURE_INPUTS.update({inp.id: json.loads(inp.stdin) for seed in range(1, 61)
+                              for inp in corpus.random_extensions(seed)})
+
+
+@pytest.mark.parametrize("doc", list(NODE_STRUCTURE_INPUTS.values()),
+                         ids=list(NODE_STRUCTURE_INPUTS))
+def test_node_structure_read_off_S_equals_berlekamp(doc):
+    """The named benchmark algebras (F8xF8 and F4xF4 crosswise among
+    them), F2^7, F2[X]/(X^9), F3[X]/(X^6) and the random extensions of
+    seeds 1-60, every node of each."""
+    S, R = parse_algebra(doc)
+    check_node_structures(R, S)
+
+
+def test_node_structure_read_off_S_on_random_products_of_extension_fields():
+    """Products of F_q, F_(q^2) and F_(q^3) with at least one factor that
+    is not F_q, over a random subalgebra: S has several primitive
+    idempotents and the nodes partition them in every way."""
+    rng = random.Random(3301)
+    qs = collections.Counter()
+    for _ in range(24):
+        q = rng.choice([2, 3])
+        degrees = [rng.choice([1, 2, 3]) for _ in range(rng.randrange(2, 4))]
+        while sum(degrees) > {2: 6, 3: 4}[q] or max(degrees) == 1:
+            degrees = [rng.choice([1, 2, 3]) for _ in range(rng.randrange(2, 4))]
+        S = product_algebra(small_field(q), degrees)
+        gens = [tuple(rng.randrange(q) for _ in range(S.dim)) for _ in range(rng.randrange(3))]
+        R = Subalgebra.from_generators(S, gens)
+        check_node_structures(prime_algebra(S) if R.is_whole() else R, S)
+        qs[q] += 1
+    assert set(qs) == {2, 3}
 
 
 # ---------------------------------------------------------------------------
